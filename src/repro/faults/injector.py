@@ -15,11 +15,13 @@ exactly three well-defined points:
 ``on_exchange``
     in the all-to-all implementations, once per hop, *before* the hop is
     charged.  Adds the checksum-pass overhead for every communicated byte
-    and occasionally corrupts one received payload: a bit is flipped in a
-    *copy* of a victim buffer, the checksum mismatch is verified (genuine
-    detection, see :mod:`repro.faults.checksum`), the retransmission is
-    charged, and the clean data is delivered -- so the data path of a
-    recovered run stays bit-identical to the fault-free run.
+    and occasionally corrupts one received payload: the hop hands over the
+    per-rank payload sizes and a materialiser, a victim is drawn from the
+    non-empty ranks, a bit is flipped in a *copy* of its (real) payload,
+    the checksum mismatch is verified (genuine detection, see
+    :mod:`repro.faults.checksum`), the retransmission is charged, and the
+    clean data is delivered -- so the data path of a recovered run stays
+    bit-identical to the fault-free run.
 
 ``poll_pe_failures``
     at the end of every Borůvka round (heartbeat semantics: fail-stop is
@@ -35,7 +37,7 @@ MST is bit-identical to the fault-free run's.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -151,13 +153,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Hook 2: every all-to-all hop, before it is charged.
     # ------------------------------------------------------------------
-    def on_exchange(self, comm, op: str, recvbufs: List[np.ndarray],
+    def on_exchange(self, comm, op: str, held_sizes, materialise,
                     row_bytes: float, bytes_out, bytes_in, cost):
         """Checksum overhead + payload corruption for one exchange hop.
 
         ``cost`` is the hop's per-rank cost array; returns it adjusted.
-        ``recvbufs`` is inspected (a corruption victim is drawn from the
-        non-empty ones) but never mutated -- the corrupted copy exists
+        ``held_sizes[j]`` is the number of payload elements rank ``j``
+        holds after the hop and ``materialise(j)`` builds that payload:
+        the all-to-alls account their intermediate hops without moving
+        data, so only the one victim of a drawn corruption event is ever
+        materialised.  Its bytes are real -- the corrupted copy exists
         only long enough to be detected and discarded.
         """
         sched = self.schedule
@@ -170,11 +175,14 @@ class FaultInjector:
                 + cm.c_scan * (np.asarray(bytes_out, dtype=np.float64)
                                + np.asarray(bytes_in, dtype=np.float64)))
         if self.rng.random() < sched.corrupt:
-            victims = [j for j, b in enumerate(recvbufs)
-                       if isinstance(b, np.ndarray) and b.size > 0]
-            if victims:
-                j = victims[int(self.rng.integers(len(victims)))]
-                buf = np.atleast_1d(recvbufs[j])
+            victims = np.flatnonzero(np.asarray(held_sizes) > 0)
+            if len(victims):
+                j = int(victims[int(self.rng.integers(len(victims)))])
+                buf = np.atleast_1d(materialise(j))
+                if buf.size != held_sizes[j]:
+                    raise RuntimeError(
+                        f"{op}: rank {j} holds {buf.size} payload elements "
+                        f"but {int(held_sizes[j])} were accounted")
                 pos = int(self.rng.integers(buf.size))
                 bit = int(self.rng.integers(64))
                 clean_sum = buffer_checksum(buf)

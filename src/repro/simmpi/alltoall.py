@@ -40,12 +40,34 @@ must be grouped by destination rank in ascending order.  Receivers obtain
 rows grouped by *source* rank in ascending order, preserving per-pair
 ordering -- exactly the ``MPI_Alltoallv`` contract.  All three schemes return
 bit-identical results (a property the test suite checks exhaustively).
+Every scheme also accepts the packed form :func:`route_rows` produces: a
+:class:`_SendBlock` (all senders' rows as one flat block plus the send
+permutation) for ``sendbufs`` and the 2-D counts matrix for ``sendcounts``.
+
+Hop tables: indirect schemes are accounted, the payload moves once
+------------------------------------------------------------------
+The rows rank ``i`` sends to rank ``j`` form the *cell* ``(i, j)``; a cell
+travels as a unit.  An indirect scheme on ``p`` ranks is a *hop table*:
+``holder_k[i, j]`` is the rank holding cell ``(i, j)`` after hop ``k``
+(``holder_last[i, j] == j``), a pure function of the scheme and ``p`` that
+is built once and memoised (:class:`_HopPlan`).  Everything the simulated
+machine observes of a hop -- its cost, ``bytes_communicated``, the
+communication trace, metrics and sanitizer shadow matrices, the volume and
+group bounds -- depends only on the hop's count matrix
+``H_k[a, b] = sum(counts[i, j] : holder_{k-1} = a, holder_k = b)``, one
+integer-exact ``bincount`` over the ``p^2`` cells.  :func:`_charge_hops`
+charges every hop from its ``H_k`` and the payload then goes source ->
+destination in one block transpose (:func:`_move`), which is what the hops
+deliver by contract.  The payload a rank holds *between* hops is
+materialised (:func:`_hop_payload`) only for the victim of a drawn
+corruption fault, so detection still runs on real bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +79,10 @@ from .collectives import Comm
 #: the indirect two-level scheme (Section VI-A: "we use 500 on our system").
 GRID_DISPATCH_THRESHOLD_BYTES = 500.0
 
+#: Memoised per-size routing tables kept alive (a handful of communicator
+#: sizes occur per run: the machine and the hypercube sorter's subcubes).
+_TABLE_CACHE_SIZE = 64
+
 
 def _row_nbytes(buf: np.ndarray) -> int:
     """*Logical* bytes per message row of a payload array.
@@ -65,10 +91,12 @@ def _row_nbytes(buf: np.ndarray) -> int:
     so host-side dtype narrowing (repro.kernels.dtypes) never changes a
     simulated cost, traced byte or sanitizer shadow entry.
     """
-    item = logical_itemsize(buf.dtype)
-    if buf.ndim == 1:
-        return item
-    return item * int(np.prod(buf.shape[1:]))
+    return logical_itemsize(buf.dtype) * _row_width(buf)
+
+
+def _row_width(buf: np.ndarray) -> int:
+    """Elements per message row (1 for a 1-D payload)."""
+    return int(np.prod(buf.shape[1:]))
 
 
 def _empty_like_rows(template: np.ndarray, n: int = 0) -> np.ndarray:
@@ -77,16 +105,60 @@ def _empty_like_rows(template: np.ndarray, n: int = 0) -> np.ndarray:
     return np.empty(shape, dtype=template.dtype)
 
 
-def _validate(sendbufs: Sequence[np.ndarray], sendcounts: Sequence[np.ndarray],
-              size: int) -> np.ndarray:
-    if len(sendbufs) != size or len(sendcounts) != size:
+class _SendBlock:
+    """The send side of one exchange as a single flat row block.
+
+    ``rows[order]`` (``rows`` itself when ``order`` is None) is the
+    concatenation of the per-PE send buffers, i.e. the rows in (source,
+    destination)-cell-major order.  :func:`route_rows` hands the schemes
+    its unsorted rows plus the send permutation, so the send sort and the
+    block transpose compose into one payload gather (:meth:`take`).
+    """
+
+    __slots__ = ("rows", "order")
+
+    def __init__(self, rows: np.ndarray, order: Optional[np.ndarray] = None):
+        self.rows = rows
+        self.order = order
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, index: np.ndarray) -> np.ndarray:
+        """The rows at positions ``index`` of the cell-major send layout."""
+        return self.rows[index if self.order is None else self.order[index]]
+
+
+def _validate(sendbufs, sendcounts, size: int
+              ) -> Tuple[_SendBlock, np.ndarray]:
+    """Check one exchange's send side; returns its row block and the
+    ``size x size`` (source, destination) counts matrix.
+
+    ``sendcounts`` is a 2-D matrix or one count vector per PE; ``sendbufs``
+    one buffer per PE or an already packed :class:`_SendBlock`.
+    """
+    if isinstance(sendcounts, np.ndarray) and sendcounts.ndim == 2:
+        if sendcounts.shape != (size, size):
+            raise ValueError(f"sendcounts must be a {size} x {size} matrix")
+        counts = sendcounts.astype(np.int64, copy=False)
+    else:
+        if len(sendcounts) != size:
+            raise ValueError(f"need {size} send buffers/count vectors")
+        counts = np.empty((size, size), dtype=np.int64)
+        for i in range(size):
+            c = np.asarray(sendcounts[i], dtype=np.int64)
+            if c.shape != (size,):
+                raise ValueError(f"sendcounts[{i}] must have length {size}")
+            counts[i] = c
+    if isinstance(sendbufs, _SendBlock):
+        if int(counts.sum()) != len(sendbufs):
+            raise ValueError(f"sendcounts sum to {counts.sum()} but the "
+                             f"send block has {len(sendbufs)} rows")
+        return sendbufs, counts
+    if len(sendbufs) != size:
         raise ValueError(f"need {size} send buffers/count vectors")
-    counts = np.empty((size, size), dtype=np.int64)
-    for i in range(size):
-        c = np.asarray(sendcounts[i], dtype=np.int64)
-        if c.shape != (size,):
-            raise ValueError(f"sendcounts[{i}] must have length {size}")
-        counts[i] = c
+    if not any(isinstance(b, np.ndarray) for b in sendbufs):
+        raise ValueError("at least one send buffer must be a numpy array")
     buf_lens = np.fromiter((len(b) for b in sendbufs), dtype=np.int64,
                            count=size)
     bad = np.flatnonzero(counts.sum(axis=1) != buf_lens)
@@ -96,11 +168,49 @@ def _validate(sendbufs: Sequence[np.ndarray], sendcounts: Sequence[np.ndarray],
             f"sendcounts[{i}] sums to {counts[i].sum()} but buffer has "
             f"{len(sendbufs[i])} rows"
         )
-    return counts
+    rows = np.concatenate(
+        [b if isinstance(b, np.ndarray) and b.ndim else np.atleast_1d(b)
+         for b in sendbufs], axis=0)
+    return _SendBlock(rows), counts
 
 
-def _gather_order(counts: np.ndarray, total: int
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, locked: memoised tables are shared by every caller."""
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _transposed_cells(size: int) -> np.ndarray:
+    """Cell ids ``i * size + j`` listed in (destination, source) order."""
+    return _read_only(
+        np.arange(size * size).reshape(size, size).T.ravel())
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _source_of_cell(size: int) -> np.ndarray:
+    """Source rank of every cell in (destination, source) order."""
+    return _read_only(np.tile(np.arange(size), size))
+
+
+def _exclusive_cumsum(lens: np.ndarray) -> np.ndarray:
+    """``out[k] = lens[:k].sum()``: where block ``k`` of a packed run starts."""
+    starts = np.zeros(len(lens), dtype=np.int64)
+    np.cumsum(lens[:-1], out=starts[1:])
+    return starts
+
+
+def _rows_of_cells(counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Positions, in the (src, dst)-cell-major send layout, of the rows of
+    the cells ``cells`` (ids ``i * size + j``), cell after cell."""
+    lens = counts.ravel()
+    starts = _exclusive_cumsum(lens)[cells]
+    lens = lens[cells]
+    return (np.arange(int(lens.sum()))
+            + np.repeat(starts - _exclusive_cumsum(lens), lens))
+
+
+def _gather_order(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Shared gather index transposing (src, dst) cell order to (dst, src).
 
     The concatenated send buffers are laid out in (src, dst) cell-major
@@ -111,67 +221,34 @@ def _gather_order(counts: np.ndarray, total: int
     offsets into the gathered sequence.
     """
     size = counts.shape[0]
-    lens = counts.ravel()
-    src_start = np.zeros(size * size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=src_start[1:])
-    cells = np.arange(size * size).reshape(size, size).T.ravel()
-    tlens = lens[cells]
-    dst_start = np.zeros(size * size, dtype=np.int64)
-    np.cumsum(tlens[:-1], out=dst_start[1:])
-    order = np.arange(total) + np.repeat(src_start[cells] - dst_start, tlens)
+    order = _rows_of_cells(counts, _transposed_cells(size))
     offs = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(counts.sum(axis=0), out=offs[1:])
     return order, offs
 
 
-def _move_multi(bufs_lists: Sequence[Sequence[np.ndarray]],
-                counts: np.ndarray) -> List[List[np.ndarray]]:
-    """Move several parallel payload lists through one exchange step.
+def _move(block: _SendBlock, counts: np.ndarray) -> List[np.ndarray]:
+    """Pure data movement for one exchange (no cost accounting).
 
-    Every payload list shares the same counts matrix, so the gather order
-    is computed once and reused -- the exchanges that ship rows together
-    with per-row metadata (grid/hypercube routing) pay for one transpose
-    instead of one per payload.
+    ``counts[i, j]`` rows go from rank ``i`` to rank ``j``.  Returns the
+    per-rank receive buffers: rows source-major, per-pair order preserved.
     """
     size = counts.shape[0]
-    order = offs = None
-    out: List[List[np.ndarray]] = []
-    for sendbufs in bufs_lists:
-        template = None
-        for b in sendbufs:
-            if isinstance(b, np.ndarray):
-                template = b
-                break
-        assert template is not None
-        big = np.concatenate(
-            [b if isinstance(b, np.ndarray) and b.ndim else np.atleast_1d(b)
-             for b in sendbufs], axis=0)
-        if len(big) == 0:
-            out.append([_empty_like_rows(template) for _ in range(size)])
-            continue
-        if order is None:
-            order, offs = _gather_order(counts, len(big))
-        routed = big[order]
-        big = None  # only the gathered copy is needed from here on
-        # Ranks that receive nothing get a standalone empty array: a
-        # zero-length *slice* would pin the whole routed block in memory
-        # for as long as any receiver keeps its (empty) buffer alive.
-        out.append([routed[offs[j]:offs[j + 1]]
-                    if offs[j + 1] > offs[j] else _empty_like_rows(routed)
-                    for j in range(size)])
-    return out
+    if len(block) == 0:
+        return [_empty_like_rows(block.rows) for _ in range(size)]
+    order, offs = _gather_order(counts)
+    routed = block.take(order)
+    # Ranks that receive nothing get a standalone empty array: a
+    # zero-length *slice* would pin the whole routed block in memory
+    # for as long as any receiver keeps its (empty) buffer alive.
+    return [routed[offs[j]:offs[j + 1]]
+            if offs[j + 1] > offs[j] else _empty_like_rows(routed)
+            for j in range(size)]
 
 
-def _move(sendbufs: Sequence[np.ndarray], counts: np.ndarray
-          ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Pure data movement for one exchange step (no cost accounting).
-
-    ``counts[i, j]`` rows go from rank ``i`` to rank ``j``.  Returns per-rank
-    receive buffers (rows source-major, per-pair order preserved) and the
-    counts matrix transposed view for receivers.
-    """
-    (recvbufs,) = _move_multi((sendbufs,), counts)
-    return recvbufs, counts
+def _recvcounts(counts: np.ndarray) -> List[np.ndarray]:
+    """Per-receiver source counts: the rows of one contiguous ``counts.T``."""
+    return list(np.ascontiguousarray(counts.T))
 
 
 def _record_trace(comm: Comm, counts: np.ndarray, row_bytes: float,
@@ -208,25 +285,126 @@ def alltoallv_direct(
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Dense one-level all-to-all (built-in ``MPI_Alltoallv`` model)."""
     size = comm.size
-    counts = _validate(sendbufs, sendcounts, size)
-    recvbufs, _ = _move(sendbufs, counts)
-    row_bytes = max((_row_nbytes(b) for b in sendbufs if isinstance(b, np.ndarray)),
-                    default=8)
+    block, counts = _validate(sendbufs, sendcounts, size)
+    recvbufs = _move(block, counts)
+    row_bytes = _row_nbytes(block.rows)
+    rows_in = counts.sum(axis=0)
     bytes_out = counts.sum(axis=1).astype(np.float64) * row_bytes
-    bytes_in = counts.sum(axis=0).astype(np.float64) * row_bytes
+    bytes_in = rows_in.astype(np.float64) * row_bytes
     # alltoall_dense is elementwise in its byte arguments, so one array call
     # computes every rank's cost with the exact scalar-loop float semantics.
     cost = comm.machine.cost.alltoall_dense(size, bytes_out, bytes_in,
                                             comm.machine.threads)
     fi = comm.machine.faults
     if fi is not None:
-        cost = fi.on_exchange(comm, "alltoallv_direct", recvbufs, row_bytes,
+        cost = fi.on_exchange(comm, "alltoallv_direct",
+                              rows_in * _row_width(block.rows),
+                              recvbufs.__getitem__, row_bytes,
                               bytes_out, bytes_in, cost)
     comm.machine.bytes_communicated += float(bytes_out.sum())
     _record_trace(comm, counts, row_bytes, op="alltoallv_direct")
     comm._sync_and_charge(cost, op="alltoallv_direct",
                           nbytes=float(bytes_out.sum()))
-    return recvbufs, [counts[:, j].copy() for j in range(size)]
+    return recvbufs, _recvcounts(counts)
+
+
+# ----------------------------------------------------------------------
+# Indirect schemes: a hop table, accounted hop by hop, one data move.
+# ----------------------------------------------------------------------
+class _HopPlan(NamedTuple):
+    """An indirect scheme's routing on a fixed number of ranks.
+
+    ``ops[k]`` names hop ``k``; ``keys[k][i * size + j]`` is
+    ``holder_{k-1}[i, j] * size + holder_k[i, j]`` (the hop's sender and
+    receiver of cell ``(i, j)``; ``holder_{-1} = i``); ``groups[k]`` is the
+    size of the PE group whose dense all-to-all the hop is charged as, or
+    0 for one pairwise exchange (a hypercube dimension).
+    """
+
+    ops: Tuple[str, ...]
+    keys: Tuple[np.ndarray, ...]
+    groups: Tuple[int, ...]
+
+
+def _hop_plan(ops: Sequence[str], holders: Sequence[np.ndarray],
+              groups: Sequence[int]) -> _HopPlan:
+    """Pack per-hop ``holder_k`` tables (each ``size x size``) into a plan."""
+    size = holders[0].shape[0]
+    if not np.array_equal(holders[-1],
+                          np.broadcast_to(np.arange(size), (size, size))):
+        raise RuntimeError(
+            f"{ops[-1]}: routing failed to converge (a cell does not end "
+            f"at its destination)")
+    keys = []
+    prev = np.repeat(np.arange(size), size)
+    for holder in holders:
+        holder = np.asarray(holder, dtype=np.int64).ravel()
+        keys.append(_read_only(prev * size + holder))
+        prev = holder
+    return _HopPlan(tuple(ops), tuple(keys), tuple(groups))
+
+
+def _hop_payload(plan: _HopPlan, hop: int, block: _SendBlock,
+                 counts: np.ndarray, rank: int) -> np.ndarray:
+    """The payload ``rank`` holds after hop ``hop``, as the replayed routing
+    would have built it.
+
+    A rank's hop buffer is a concatenation of whole cells.  Each hop, a
+    sender forwards its buffer stably sorted by next holder and a receiver
+    concatenates what arrives source-major (a hypercube rank keeps its
+    staying rows first, then the partner's), so the cells are ordered by
+    (holder, arrival key, order before the hop), hop after hop.
+    """
+    size = counts.shape[0]
+    seq = np.arange(size * size)
+    for key, group in zip(plan.keys[:hop + 1], plan.groups):
+        sender, holder = np.divmod(key, size)
+        arrival = sender if group else sender != holder
+        seq = seq[np.argsort((holder * size + arrival)[seq], kind="stable")]
+    return block.take(_rows_of_cells(counts, seq[holder[seq] == rank]))
+
+
+def _charge_hops(comm: Comm, plan: _HopPlan, block: _SendBlock,
+                 counts: np.ndarray) -> List[np.ndarray]:
+    """Charge every hop of an indirect exchange from its count matrix.
+
+    Per hop, in the order a replayed hop would: cost, fault hook,
+    ``bytes_communicated``, trace/metrics/sanitizer shadow, clock charge.
+    Returns the hop count matrices ``H_k`` (diagonal = rows staying put).
+    """
+    m = comm.machine
+    size = comm.size
+    row_bytes = _row_nbytes(block.rows)
+    cells = counts.ravel().astype(np.float64)  # exact below 2^53 rows
+    hops: List[np.ndarray] = []
+    for k, (op, key, group) in enumerate(zip(*plan)):
+        H = np.bincount(key, weights=cells, minlength=size * size)
+        H = H.astype(np.int64).reshape(size, size)
+        hops.append(H)
+        wire = H
+        if not group:  # pairwise: the rows that stay put are not sent
+            wire = H.copy()
+            np.fill_diagonal(wire, 0)
+        bytes_out = wire.sum(axis=1).astype(np.float64) * row_bytes
+        bytes_in = wire.sum(axis=0).astype(np.float64) * row_bytes
+        if group:
+            cost = m.cost.alltoall_dense(group, bytes_out, bytes_in,
+                                         m.threads)
+        else:
+            cost = (m.cost.c_call + m.cost.alpha
+                    + (m.cost.beta + m.cost.beta_sw) * (bytes_out + bytes_in))
+        if m.faults is not None:
+            cost = m.faults.on_exchange(
+                comm, op, H.sum(axis=0) * _row_width(block.rows),
+                functools.partial(_hop_payload, plan, k, block, counts),
+                row_bytes, bytes_out, bytes_in, cost)
+        m.bytes_communicated += float(bytes_out.sum())
+        _record_trace(comm, wire, row_bytes, op=op)
+        comm._sync_and_charge(cost, op=op, nbytes=float(bytes_out.sum()))
+    if m.sanitizer is not None:
+        m.sanitizer.check_hops(int(counts.sum()), hops,
+                               (plan.keys[-1] % size).reshape(size, size))
+    return hops
 
 
 def _grid_shape(size: int) -> Tuple[int, int]:
@@ -256,6 +434,17 @@ def _grid_intermediate(size: int) -> np.ndarray:
     return T.astype(np.int64)
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _grid_plan(size: int) -> _HopPlan:
+    """Hop 1 within grid columns (groups of ``r``), hop 2 within rows (of
+    ``c``, plus the two virtual members of an incomplete last row)."""
+    c, r = _grid_shape(size)
+    dst = np.broadcast_to(np.arange(size), (size, size))
+    return _hop_plan(("alltoallv_grid/hop1", "alltoallv_grid/hop2"),
+                     (_grid_intermediate(size), dst),
+                     (r, c + (0 if size == c * r else 2)))
+
+
 def alltoallv_grid(
     comm: Comm,
     sendbufs: Sequence[np.ndarray],
@@ -271,127 +460,29 @@ def alltoallv_grid(
     size = comm.size
     if size <= 3:
         return alltoallv_direct(comm, sendbufs, sendcounts)
-    counts = _validate(sendbufs, sendcounts, size)
-    template = next(b for b in sendbufs if isinstance(b, np.ndarray))
-    row_bytes = _row_nbytes(template)
-    c, r = _grid_shape(size)
-    T = _grid_intermediate(size)
-
-    # ---- Phase 1: route rows to their intermediates (within columns). ----
-    # Each row additionally carries (final_dst, orig_src); these metadata
-    # travel as parallel payloads through the same exchanges.
-    if batched_for(comm.machine):
-        row_lens = counts.sum(axis=1)
-        src_of_row = np.repeat(np.arange(size), row_lens)
-        dst_of_row = np.repeat(np.tile(np.arange(size), size), counts.ravel())
-        t_of_row = T[src_of_row, dst_of_row]
-        # Fused sort+count over the (src, intermediate) routing key.
-        order_g, phase1_counts = route_plan(src_of_row, t_of_row, size, size)
-        big = np.concatenate([np.atleast_1d(b) for b in sendbufs], axis=0)
-        off = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(row_lens, out=off[1:])
-        sorted_rows = big[order_g]
-        sorted_dst = dst_of_row[order_g]
-        p1_bufs = [sorted_rows[off[i]:off[i + 1]] for i in range(size)]
-        p1_dst = [sorted_dst[off[i]:off[i + 1]] for i in range(size)]
-    else:
-        phase1_counts = np.zeros((size, size), dtype=np.int64)
-        p1_bufs = []
-        p1_dst = []
-        for i in range(size):
-            dst_of_row = np.repeat(np.arange(size), counts[i])
-            t_of_row = T[i][dst_of_row] if len(dst_of_row) else dst_of_row
-            order = np.argsort(t_of_row, kind="stable")
-            p1_bufs.append(np.atleast_1d(sendbufs[i])[order])
-            p1_dst.append(dst_of_row[order])
-            np.add.at(phase1_counts[i], t_of_row, 1)
-    mid_bufs, mid_dst = _move_multi((p1_bufs, p1_dst), phase1_counts)
-    # Received rows are source-major with per-pair order preserved, so each
-    # intermediate's per-row source ranks are derivable from the counts
-    # column -- no need to build and ship a parallel source payload.
-    mid_src = [np.repeat(np.arange(size), phase1_counts[:, t])
-               for t in range(size)]
-
-    # Phase-1 cost: an all-to-all within each grid column (group size <= r).
-    bytes_out1 = phase1_counts.sum(axis=1).astype(np.float64) * row_bytes
-    bytes_in1 = phase1_counts.sum(axis=0).astype(np.float64) * row_bytes
-    cost1 = comm.machine.cost.alltoall_dense(r, bytes_out1, bytes_in1,
-                                             comm.machine.threads)
-    fi = comm.machine.faults
-    if fi is not None:
-        cost1 = fi.on_exchange(comm, "alltoallv_grid/hop1", mid_bufs,
-                               row_bytes, bytes_out1, bytes_in1, cost1)
-    comm.machine.bytes_communicated += float(bytes_out1.sum())
-    _record_trace(comm, phase1_counts, row_bytes, op="alltoallv_grid/hop1")
-    comm._sync_and_charge(cost1, op="alltoallv_grid/hop1",
-                          nbytes=float(bytes_out1.sum()))
-
-    # ---- Phase 2: deliver from intermediates to final destinations. ----
-    if batched_for(comm.machine):
-        mid_r = RaggedArrays.from_arrays(mid_dst)
-        seg = mid_r.segment_ids()
-        order_g, phase2_counts = route_plan(seg, mid_r.flat, size, size)
-        moff = mid_r.offsets
-        big = np.concatenate([np.atleast_1d(b) for b in mid_bufs], axis=0)
-        src_flat = np.concatenate(mid_src)
-        sorted_rows = big[order_g]
-        sorted_src = src_flat[order_g]
-        p2_bufs = [sorted_rows[moff[t]:moff[t + 1]] for t in range(size)]
-        p2_src = [sorted_src[moff[t]:moff[t + 1]] for t in range(size)]
-    else:
-        phase2_counts = np.zeros((size, size), dtype=np.int64)
-        p2_bufs = []
-        p2_src = []
-        for t in range(size):
-            d = mid_dst[t]
-            order = np.argsort(d, kind="stable")
-            p2_bufs.append(mid_bufs[t][order])
-            p2_src.append(mid_src[t][order])
-            np.add.at(phase2_counts[t], d, 1)
-    out_bufs, out_src = _move_multi((p2_bufs, p2_src), phase2_counts)
-
-    group2 = c + (0 if size == c * r else 2)
-    bytes_out2 = phase2_counts.sum(axis=1).astype(np.float64) * row_bytes
-    bytes_in2 = phase2_counts.sum(axis=0).astype(np.float64) * row_bytes
-    cost2 = comm.machine.cost.alltoall_dense(group2, bytes_out2, bytes_in2,
-                                             comm.machine.threads)
-    if fi is not None:
-        cost2 = fi.on_exchange(comm, "alltoallv_grid/hop2", out_bufs,
-                               row_bytes, bytes_out2, bytes_in2, cost2)
-    comm.machine.bytes_communicated += float(bytes_out2.sum())
-    _record_trace(comm, phase2_counts, row_bytes, op="alltoallv_grid/hop2")
-    comm._sync_and_charge(cost2, op="alltoallv_grid/hop2",
-                          nbytes=float(bytes_out2.sum()))
-
+    block, counts = _validate(sendbufs, sendcounts, size)
+    plan = _grid_plan(size)
+    hops = _charge_hops(comm, plan, block, counts)
     san = comm.machine.sanitizer
     if san is not None:
-        san.check_two_level(
-            size,
-            int(counts.sum()),
-            [int(phase1_counts.sum()), int(phase2_counts.sum())],
-            [r, group2],
-        )
+        san.check_two_level(size, int(counts.sum()),
+                            [int(H.sum()) for H in hops], plan.groups)
+    return _move(block, counts), _recvcounts(counts)
 
-    # ---- Restore the MPI_Alltoallv contract: rows source-major. ----
-    if batched_for(comm.machine):
-        src_r = RaggedArrays.from_arrays(out_src)
-        seg = src_r.segment_ids()
-        order_g, rc_mat = route_plan(seg, src_r.flat, size, size)
-        soff = src_r.offsets
-        big = np.concatenate([np.atleast_1d(b) for b in out_bufs], axis=0)
-        sorted_rows = np.ascontiguousarray(big[order_g])
-        recvbufs = [sorted_rows[soff[j]:soff[j + 1]] for j in range(size)]
-        recvcounts = [rc_mat[j] for j in range(size)]
-        return recvbufs, recvcounts
-    recvbufs: List[np.ndarray] = []
-    recvcounts: List[np.ndarray] = []
-    for j in range(size):
-        order = np.argsort(out_src[j], kind="stable")
-        recvbufs.append(np.ascontiguousarray(out_bufs[j][order]))
-        rc = np.zeros(size, dtype=np.int64)
-        np.add.at(rc, out_src[j], 1)
-        recvcounts.append(rc)
-    return recvbufs, recvcounts
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _hypercube_plan(size: int) -> _HopPlan:
+    """After dimension ``k`` a cell sits at the rank with the low ``k + 1``
+    bits of its destination and the remaining bits of its source."""
+    dims = size.bit_length() - 1
+    src = np.arange(size)[:, None]
+    dst = np.arange(size)[None, :]
+    holders = []
+    for k in range(dims):
+        low = (2 << k) - 1
+        holders.append((dst & low) | (src & ~low))
+    return _hop_plan([f"alltoallv_hypercube/dim{k}" for k in range(dims)],
+                     holders, (0,) * dims)
 
 
 def alltoallv_hypercube(
@@ -409,73 +500,9 @@ def alltoallv_hypercube(
         return alltoallv_grid(comm, sendbufs, sendcounts)
     if size == 1:
         return alltoallv_direct(comm, sendbufs, sendcounts)
-    counts = _validate(sendbufs, sendcounts, size)
-    template = next(b for b in sendbufs if isinstance(b, np.ndarray))
-    row_bytes = _row_nbytes(template)
-
-    held = [np.atleast_1d(sendbufs[i]) for i in range(size)]
-    held_dst = [np.repeat(np.arange(size), counts[i]) for i in range(size)]
-    held_src = [np.full(len(held[i]), i, dtype=np.int64) for i in range(size)]
-
-    dims = size.bit_length() - 1
-    for k in range(dims):
-        bit = 1 << k
-        new_held: List[np.ndarray] = [None] * size  # type: ignore[list-item]
-        new_dst: List[np.ndarray] = [None] * size  # type: ignore[list-item]
-        new_src: List[np.ndarray] = [None] * size  # type: ignore[list-item]
-        sent_bytes = np.zeros(size)
-        for i in range(size):
-            partner = i ^ bit
-            if i > partner:
-                continue
-            stay_i = (held_dst[i] & bit) == (i & bit)
-            stay_p = (held_dst[partner] & bit) == (partner & bit)
-            go_i = held[i][~stay_i]
-            go_p = held[partner][~stay_p]
-            new_held[i] = np.concatenate([held[i][stay_i], go_p], axis=0)
-            new_dst[i] = np.concatenate([held_dst[i][stay_i],
-                                         held_dst[partner][~stay_p]])
-            new_src[i] = np.concatenate([held_src[i][stay_i],
-                                         held_src[partner][~stay_p]])
-            new_held[partner] = np.concatenate([held[partner][stay_p], go_i],
-                                               axis=0)
-            new_dst[partner] = np.concatenate([held_dst[partner][stay_p],
-                                               held_dst[i][~stay_i]])
-            new_src[partner] = np.concatenate([held_src[partner][stay_p],
-                                               held_src[i][~stay_i]])
-            sent_bytes[i] = len(go_i) * row_bytes
-            sent_bytes[partner] = len(go_p) * row_bytes
-        cm = comm.machine.cost
-        recv_bytes = sent_bytes[np.arange(size) ^ bit]
-        cost = (cm.c_call + cm.alpha
-                + (cm.beta + cm.beta_sw) * (sent_bytes + recv_bytes))
-        fi = comm.machine.faults
-        if fi is not None:
-            cost = fi.on_exchange(comm, f"alltoallv_hypercube/dim{k}",
-                                  new_held, row_bytes, sent_bytes,
-                                  recv_bytes, cost)
-        comm.machine.bytes_communicated += float(sent_bytes.sum())
-        m = comm.machine
-        if (m.trace is not None or m.sanitizer is not None
-                or m.metrics is not None):
-            hop = np.zeros((size, size))
-            hop[np.arange(size), np.arange(size) ^ bit] = sent_bytes
-            _record_trace(comm, hop, 1.0,
-                          op=f"alltoallv_hypercube/dim{k}")
-        comm._sync_and_charge(cost, op=f"alltoallv_hypercube/dim{k}",
-                              nbytes=float(sent_bytes.sum()))
-        held, held_dst, held_src = new_held, new_dst, new_src
-
-    recvbufs: List[np.ndarray] = []
-    recvcounts: List[np.ndarray] = []
-    for j in range(size):
-        assert len(held_dst[j]) == 0 or (held_dst[j] == j).all()
-        order = np.argsort(held_src[j], kind="stable")
-        recvbufs.append(np.ascontiguousarray(held[j][order]))
-        rc = np.zeros(size, dtype=np.int64)
-        np.add.at(rc, held_src[j], 1)
-        recvcounts.append(rc)
-    return recvbufs, recvcounts
+    block, counts = _validate(sendbufs, sendcounts, size)
+    _charge_hops(comm, _hypercube_plan(size), block, counts)
+    return _move(block, counts), _recvcounts(counts)
 
 
 def alltoallv_auto(
@@ -492,14 +519,12 @@ def alltoallv_auto(
     size = comm.size
     if size <= 3:
         return alltoallv_direct(comm, sendbufs, sendcounts)
-    template = next((b for b in sendbufs if isinstance(b, np.ndarray)), None)
-    if template is None:
-        raise ValueError("at least one send buffer must be a numpy array")
-    total_rows = sum(len(np.atleast_1d(b)) for b in sendbufs)
-    avg_bytes = total_rows * _row_nbytes(template) / float(size * size)
+    block, counts = _validate(sendbufs, sendcounts, size)
+    avg_bytes = (int(counts.sum()) * _row_nbytes(block.rows)
+                 / float(size * size))
     if avg_bytes < threshold_bytes:
-        return alltoallv_grid(comm, sendbufs, sendcounts)
-    return alltoallv_direct(comm, sendbufs, sendcounts)
+        return alltoallv_grid(comm, block, counts)
+    return alltoallv_direct(comm, block, counts)
 
 
 def _alltoallv_grid3(comm, sendbufs, sendcounts):
@@ -558,20 +583,18 @@ def route_rows(
                 f"PE {i}: {rows_r.lengths[i]} rows but "
                 f"{dest_r.lengths[i]} destinations"
             )
-        seg = rows_r.segment_ids()
-        order_g, counts_mat = route_plan(seg, dest_r.flat, size, size)
+        order_g, counts_mat = route_plan(rows_r.segment_ids(), dest_r.flat,
+                                         size, size)
         off = rows_r.offsets
-        sorted_rows = rows_r.flat[order_g]
-        sendbufs = [sorted_rows[off[i]:off[i + 1]] for i in range(size)]
-        sendcounts = [counts_mat[i] for i in range(size)]
         local_order = order_g - np.repeat(off[:-1], rows_r.lengths)
         orders = [local_order[off[i]:off[i + 1]] for i in range(size)]
-        recvbufs, recvcounts = fn(comm, sendbufs, sendcounts)
-        rc_mat = np.stack([np.asarray(rc) for rc in recvcounts])
-        src_flat = np.repeat(np.tile(np.arange(size), size), rc_mat.ravel())
-        rlens = rc_mat.sum(axis=1)
+        # The scheme gets the unsorted block, the send permutation and the
+        # counts matrix: nothing is split per PE and re-concatenated, and
+        # send sort + transpose cost one payload gather.
+        recvbufs, _ = fn(comm, _SendBlock(rows_r.flat, order_g), counts_mat)
+        src_flat = np.repeat(_source_of_cell(size), counts_mat.T.ravel())
         roff = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(rlens, out=roff[1:])
+        np.cumsum(counts_mat.sum(axis=0), out=roff[1:])
         recv_src = [src_flat[roff[i]:roff[i + 1]] for i in range(size)]
         return recvbufs, recv_src, orders
     sendbufs: List[np.ndarray] = []

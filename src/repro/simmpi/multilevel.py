@@ -17,16 +17,30 @@ PEs beyond the grid (when ``prod(s) > p``) are *virtual*: routing snaps any
 intermediate coordinate vector that does not correspond to a real PE to the
 nearest real PE in its fiber (the same idea as the paper's incomplete-row
 handling for d = 2).
+
+Like the two-level grid, the scheme is a memoised hop table charged hop by
+hop from exact count matrices, followed by one data move (see the "Hop
+tables" section of :mod:`repro.simmpi.alltoall`).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .collectives import Comm
-from .alltoall import _move_multi, _row_nbytes, _validate
+from .alltoall import (
+    _TABLE_CACHE_SIZE,
+    _HopPlan,
+    _charge_hops,
+    _hop_plan,
+    _move,
+    _recvcounts,
+    _validate,
+    alltoallv_direct,
+)
 
 
 def grid_sides(p: int, d: int) -> List[int]:
@@ -61,6 +75,29 @@ def _rank_of(coords: np.ndarray, sides: Sequence[int]) -> np.ndarray:
     return rank
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _multilevel_plan(size: int, d: int) -> _HopPlan:
+    """Hop ``k`` moves a cell to the PE whose coordinates agree with the
+    destination on dims ``0..k`` and with the current holder on the rest."""
+    sides = grid_sides(size, d)
+    coords = _coords(np.arange(size), sides)
+    holder, dst = np.divmod(np.arange(size * size), size)
+    dst_coords = coords[dst]
+    holders = []
+    for k in range(len(sides)):
+        target = coords[holder]
+        target[:, :k + 1] = dst_coords[:, :k + 1]
+        target = _rank_of(target, sides)
+        # Snap virtual targets (rank >= p) onto the destination itself:
+        # the destination is always real and lies in the same remaining
+        # fiber, so the residual hops still converge.
+        holder = np.where(target >= size, dst, target)
+        holders.append(holder.reshape(size, size))
+    return _hop_plan(
+        [f"alltoallv_multilevel/hop{k}" for k in range(len(sides))],
+        holders, sides)
+
+
 def alltoallv_multilevel(
     comm: Comm,
     sendbufs: Sequence[np.ndarray],
@@ -75,89 +112,12 @@ def alltoallv_multilevel(
     """
     size = comm.size
     if size <= 3 or d <= 1:
-        from .alltoall import alltoallv_direct
-
         return alltoallv_direct(comm, sendbufs, sendcounts)
-    counts = _validate(sendbufs, sendcounts, size)
-    template = next(b for b in sendbufs if isinstance(b, np.ndarray))
-    row_bytes = _row_nbytes(template)
-    sides = grid_sides(size, d)
-    d = len(sides)
-
-    # Per-PE state: rows held, their final destination, their original source.
-    held = [np.atleast_1d(sendbufs[i]) for i in range(size)]
-    held_dst = [np.repeat(np.arange(size), counts[i]) for i in range(size)]
-    held_src = [np.full(len(held[i]), i, dtype=np.int64)
-                for i in range(size)]
-
-    my_coords = _coords(np.arange(size), sides)
-
-    hop_rows: List[int] = []
-    for k in range(d):
-        # Hop k: every row moves to the PE whose coordinates agree with the
-        # destination on dims 0..k and with the current holder on dims k+1..
-        hop_counts = np.zeros((size, size), dtype=np.int64)
-        bufs, dsts, srcs = [], [], []
-        for i in range(size):
-            rows = held[i]
-            if len(rows) == 0:
-                bufs.append(rows)
-                dsts.append(held_dst[i])
-                srcs.append(held_src[i])
-                continue
-            dst_coords = _coords(held_dst[i], sides)
-            target_coords = np.tile(my_coords[i], (len(rows), 1))
-            target_coords[:, :k + 1] = dst_coords[:, :k + 1]
-            target = _rank_of(target_coords, sides)
-            # Snap virtual targets (rank >= p) onto the destination itself:
-            # the destination is always real and lies in the same remaining
-            # fiber, so the residual hops still converge.
-            target = np.where(target >= size, held_dst[i], target)
-            order = np.argsort(target, kind="stable")
-            bufs.append(rows[order])
-            dsts.append(held_dst[i][order])
-            srcs.append(held_src[i][order])
-            np.add.at(hop_counts[i], target[order], 1)
-        new_held, new_dst, new_src = _move_multi((bufs, dsts, srcs),
-                                                 hop_counts)
-        held, held_dst, held_src = new_held, new_dst, new_src
-
-        group = sides[k]
-        bytes_out = hop_counts.sum(axis=1).astype(np.float64) * row_bytes
-        bytes_in = hop_counts.sum(axis=0).astype(np.float64) * row_bytes
-        cost = np.array([
-            comm.machine.cost.alltoall_dense(group, bytes_out[r],
-                                             bytes_in[r],
-                                             comm.machine.threads)
-            for r in range(size)
-        ])
-        fi = comm.machine.faults
-        if fi is not None:
-            cost = fi.on_exchange(comm, f"alltoallv_multilevel/hop{k}",
-                                  new_held, row_bytes, bytes_out, bytes_in,
-                                  cost)
-        comm.machine.bytes_communicated += float(bytes_out.sum())
-        from .alltoall import _record_trace
-
-        _record_trace(comm, hop_counts, row_bytes,
-                      op=f"alltoallv_multilevel/hop{k}")
-        comm._sync_and_charge(cost, op=f"alltoallv_multilevel/hop{k}",
-                              nbytes=float(bytes_out.sum()))
-        hop_rows.append(int(hop_counts.sum()))
-
+    block, counts = _validate(sendbufs, sendcounts, size)
+    plan = _multilevel_plan(size, d)
+    hops = _charge_hops(comm, plan, block, counts)
     san = comm.machine.sanitizer
     if san is not None:
-        san.check_multilevel(size, d, int(counts.sum()), hop_rows, sides)
-
-    recvbufs: List[np.ndarray] = []
-    recvcounts: List[np.ndarray] = []
-    for j in range(size):
-        if len(held_dst[j]) and not (held_dst[j] == j).all():
-            raise RuntimeError("multilevel routing failed to converge")
-        order = np.argsort(held_src[j], kind="stable")
-        recvbufs.append(np.ascontiguousarray(held[j][order]))
-        rc = np.zeros(size, dtype=np.int64)
-        if len(held_src[j]):
-            np.add.at(rc, held_src[j], 1)
-        recvcounts.append(rc)
-    return recvbufs, recvcounts
+        san.check_multilevel(size, len(hops), int(counts.sum()),
+                             [int(H.sum()) for H in hops], plan.groups)
+    return _move(block, counts), _recvcounts(counts)

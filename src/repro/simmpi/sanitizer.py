@@ -29,7 +29,10 @@ Cost accounting (invariant 4)
       unchanged);
     * the two-level all-to-all moves at most 2x the direct volume using
       groups of ``O(sqrt p)`` PEs (and the d-dimensional generalisation at
-      most d-times the volume with groups of ``O(p^(1/d))``).
+      most d-times the volume with groups of ``O(p^(1/d))``);
+    * the hop count matrices an indirect all-to-all is charged from
+      conserve rows hop to hop and its routing table ends at the
+      destination (:meth:`Sanitizer.check_hops`).
 
 Sortedness (invariant 3)
     After every REDISTRIBUTE the edge list must be globally
@@ -205,6 +208,7 @@ class Sanitizer:
             "collectives": 0,
             "exchanges": 0,
             "alltoall_bounds": 0,
+            "hop_checks": 0,
             "redistribute_checks": 0,
             "checkpoints": 0,
         }
@@ -397,6 +401,38 @@ class Sanitizer:
                     f"{d}-level all-to-all used a group of {g} PEs on a "
                     f"{size}-PE machine: groups must stay O(p^(1/{d})) "
                     f"(<= {bound})")
+
+    def check_hops(self, direct_rows: int,
+                   hop_matrices: Sequence[np.ndarray],
+                   last_holder: np.ndarray) -> None:
+        """Conservation across the accounted hops of an indirect all-to-all.
+
+        The hops are charged from count matrices ``H_k`` derived from a
+        routing table instead of from moved data, so the table is what can
+        lie: every ``H_k`` (diagonal = rows staying put) must hold exactly
+        the direct row count, what a rank sends in hop ``k`` is what it
+        held after hop ``k - 1``, and the last table must be the
+        destination (``last_holder[i, j] == j``).
+        """
+        self.counters["hop_checks"] += 1
+        held = None
+        for k, H in enumerate(hop_matrices):
+            if int(H.sum()) != direct_rows:
+                raise CostAccountingViolation(
+                    f"indirect all-to-all hop {k} accounts {int(H.sum())} "
+                    f"rows for {direct_rows} direct rows: every hop must "
+                    f"carry each row exactly once")
+            if held is not None and not np.array_equal(H.sum(axis=1), held):
+                raise CostAccountingViolation(
+                    f"indirect all-to-all hop {k} sends rows its ranks did "
+                    f"not hold after hop {k - 1}")
+            held = H.sum(axis=0)
+        if not np.array_equal(
+                last_holder, np.broadcast_to(np.arange(last_holder.shape[1]),
+                                             last_holder.shape)):
+            raise CostAccountingViolation(
+                "indirect all-to-all routing table does not end at the "
+                "destination rank of every (source, destination) cell")
 
     # ------------------------------------------------------------------
     # Sortedness (invariant 3).

@@ -20,7 +20,14 @@ from repro.simmpi import (
     route_rows,
     unsort,
 )
-from repro.simmpi.alltoall import _grid_intermediate, _grid_shape
+from repro.simmpi.alltoall import (
+    ALLTOALL_METHODS,
+    _grid_intermediate,
+    _grid_shape,
+    _hop_plan,
+)
+
+import _alltoall_reference as reference
 
 VARIANTS = [alltoallv_direct, alltoallv_grid, alltoallv_hypercube,
             alltoallv_auto]
@@ -88,6 +95,111 @@ class TestValidation:
         counts = [np.zeros(3, dtype=np.int64)] * 2
         with pytest.raises(ValueError):
             alltoallv_direct(Comm(Machine(p)), bufs, counts)
+
+
+    @pytest.mark.parametrize("method", ["direct", "grid", "grid3",
+                                        "hypercube", "auto"])
+    def test_no_array_buffer_rejected(self, method):
+        """Every scheme refuses an exchange without a single ndarray buffer
+        with the same typed error (not StopIteration / AssertionError)."""
+        p = 4
+        with pytest.raises(ValueError, match="numpy array"):
+            ALLTOALL_METHODS[method](
+                Comm(Machine(p)), [[] for _ in range(p)],
+                [np.zeros(p, dtype=np.int64) for _ in range(p)])
+
+    def test_counts_matrix_accepted(self, rng):
+        p = 5
+        sendbufs, sendcounts = _random_send(rng, p)
+        ref, ref_counts = alltoallv_grid(Comm(Machine(p)), sendbufs,
+                                         sendcounts)
+        got, got_counts = alltoallv_grid(Comm(Machine(p)), sendbufs,
+                                         np.stack(sendcounts))
+        for j in range(p):
+            assert np.array_equal(ref[j], got[j])
+            assert np.array_equal(ref_counts[j], got_counts[j])
+        with pytest.raises(ValueError, match="matrix"):
+            alltoallv_grid(Comm(Machine(p)), sendbufs,
+                           np.zeros((p, p + 1), dtype=np.int64))
+
+    def test_unconverged_hop_table_rejected(self):
+        """A routing table that strands a cell is refused when the plan is
+        built -- a real check, not an ``assert`` stripped under -O."""
+        p = 4
+        T = _grid_intermediate(p)
+        dst = np.broadcast_to(np.arange(p), (p, p))
+        _hop_plan(("a", "b"), (T, dst), (2, 2))
+        stranded = dst.copy()
+        stranded[1, 2] = 3
+        with pytest.raises(RuntimeError, match="converge"):
+            _hop_plan(("a", "b"), (T, stranded), (2, 2))
+
+
+DIFF_SIZES = [4, 5, 7, 12, 16, 23, 30, 64]
+CORRUPT = "seed=11,corrupt=0.6"
+STORM = "seed=5,corrupt=0.5,msg_drop=0.1,straggle=0.05"
+
+
+class TestAccountedHopsMatchReplay:
+    """Production accounts the intermediate hops and moves the payload once;
+    the replayed routing it replaced (tests/_alltoall_reference.py) must be
+    indistinguishable from it -- to the caller, to every observer of the
+    simulated machine, and to the fault injector."""
+
+    @pytest.mark.parametrize("p", DIFF_SIZES)
+    @pytest.mark.parametrize("faults", [None, CORRUPT, STORM])
+    def test_grid(self, p, faults, rng):
+        for cols, dtype in ((3, np.int64), (0, np.uint32), (2, np.uint32)):
+            bufs, counts = reference.sparse_exchange(rng, p, cols, dtype)
+            reference.assert_same_exchange(
+                alltoallv_grid, reference.alltoallv_grid, p, bufs, counts,
+                faults=faults)
+
+    @pytest.mark.parametrize("p", DIFF_SIZES)
+    @pytest.mark.parametrize("faults", [None, CORRUPT, STORM])
+    def test_hypercube(self, p, faults, rng):
+        # Non-powers of two fall back to the grid in both implementations.
+        for cols, dtype in ((3, np.int64), (0, np.uint32)):
+            bufs, counts = reference.sparse_exchange(rng, p, cols, dtype)
+            reference.assert_same_exchange(
+                alltoallv_hypercube, reference.alltoallv_hypercube, p, bufs,
+                counts, faults=faults)
+
+    @pytest.mark.parametrize("fn, ref_fn", [
+        (alltoallv_grid, reference.alltoallv_grid),
+        (alltoallv_hypercube, reference.alltoallv_hypercube)])
+    @pytest.mark.parametrize("faults", [None, CORRUPT])
+    def test_all_empty_exchange(self, fn, ref_fn, faults, rng):
+        for p in (4, 7, 16):
+            bufs, counts = reference.sparse_exchange(rng, p, empty=True)
+            reference.assert_same_exchange(fn, ref_fn, p, bufs, counts,
+                                           faults=faults)
+
+    @pytest.mark.parametrize("fn, ref_fn", [
+        (alltoallv_grid, reference.alltoallv_grid),
+        (alltoallv_hypercube, reference.alltoallv_hypercube)])
+    @pytest.mark.parametrize("faults", [None, CORRUPT])
+    def test_sub_communicator(self, fn, ref_fn, faults, rng):
+        for p in (4, 7, 16):
+            ranks = np.sort(rng.permutation(2 * p)[:p])
+            bufs, counts = reference.sparse_exchange(rng, p)
+            reference.assert_same_exchange(fn, ref_fn, p, bufs, counts,
+                                           faults=faults, ranks=ranks)
+
+    def test_victim_payloads_were_compared(self, rng):
+        """The corrupt schedule really draws victims, and the spy really saw
+        a non-trivial payload on every hop (the comparison is not vacuous)."""
+        p = 16
+        bufs, counts = reference.sparse_exchange(rng, p, silent=0.0)
+        got = reference.assert_same_exchange(
+            alltoallv_grid, reference.alltoallv_grid, p, bufs, counts,
+            faults="seed=1,corrupt=0.999")
+        assert got["faults"]["corrupt_detected"] == 2
+        assert [op for op, _, _ in got["hops"]] == [
+            "alltoallv_grid/hop1", "alltoallv_grid/hop2"]
+        for _, sizes, payloads in got["hops"]:
+            assert sum(len(b) for b in payloads) == sum(map(len, bufs))
+            assert [b.size for b in payloads] == list(sizes)
 
 
 class TestGridRouting:
@@ -175,6 +287,36 @@ class TestRouteRows:
         got = sorted(np.concatenate(
             [r[:, 0] for r in recv if len(r)]).tolist() if p * k else [])
         assert sent == got
+
+
+    @pytest.mark.parametrize("method", ["auto", "direct", "grid", "grid3",
+                                        "hypercube"])
+    @pytest.mark.parametrize("p", [2, 4, 7, 16])
+    def test_same_on_both_kernel_engines(self, method, p, rng):
+        """The fused flat hand-off (batched) and the per-PE list hand-off
+        (loop) deliver the same rows, sources and send permutations."""
+        rows = [rng.integers(0, 10 ** 6, (int(rng.integers(0, 14)), 2))
+                for _ in range(p)]
+        rows[0] = rows[0][:0]  # a PE that sends nothing
+        dests = [rng.integers(0, p, len(r)) for r in rows]
+        m_loop, m_batched = Machine(p, engine="inprocess"), \
+            Machine(p, engine="batched")
+        loop = route_rows(Comm(m_loop), rows, dests, method=method)
+        batched = route_rows(Comm(m_batched), rows, dests, method=method)
+        assert np.array_equal(m_loop.clock, m_batched.clock)
+        for part_loop, part_batched in zip(loop, batched):
+            for i in range(p):
+                assert np.array_equal(part_loop[i], part_batched[i])
+        recv, src, orders = batched
+        for i in range(p):
+            # send_order sorts the PE's rows by destination, stably ...
+            assert np.array_equal(orders[i],
+                                  np.argsort(dests[i], kind="stable"))
+            # ... and unsort undoes it.
+            assert np.array_equal(unsort(orders[i], rows[i][orders[i]]),
+                                  rows[i])
+            assert len(src[i]) == len(recv[i])
+            assert (np.diff(src[i]) >= 0).all()
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ from repro.simmpi import (
     grid_sides,
 )
 
+import _alltoall_reference as reference
+
 
 def _random_send(rng, p, max_rows=10):
     sendbufs, sendcounts = [], []
@@ -66,6 +68,47 @@ class TestEquivalence:
                                            sendcounts)
         for j in range(p):
             assert np.array_equal(ref[j], got[j])
+
+
+class TestAccountedHopsMatchReplay:
+    """Same differential as tests/test_alltoall.py, for the d-dim grid: the
+    accounted hops are indistinguishable from the replayed routing."""
+
+    @pytest.mark.parametrize("p", [4, 5, 7, 12, 16, 23, 30, 64])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("faults", [
+        None, "seed=11,corrupt=0.6",
+        "seed=5,corrupt=0.5,msg_drop=0.1,straggle=0.05"])
+    def test_multilevel(self, p, d, faults, rng):
+        for cols, dtype in ((3, np.int64), (0, np.uint32)):
+            bufs, counts = reference.sparse_exchange(rng, p, cols, dtype)
+            reference.assert_same_exchange(
+                alltoallv_multilevel, reference.alltoallv_multilevel, p,
+                bufs, counts, faults=faults, d=d)
+
+    @pytest.mark.parametrize("faults", [None, "seed=11,corrupt=0.6"])
+    def test_empty_and_sub_communicator(self, faults, rng):
+        for p in (5, 16):
+            bufs, counts = reference.sparse_exchange(rng, p, empty=True)
+            reference.assert_same_exchange(
+                alltoallv_multilevel, reference.alltoallv_multilevel, p,
+                bufs, counts, faults=faults)
+            ranks = np.sort(rng.permutation(2 * p)[:p])
+            bufs, counts = reference.sparse_exchange(rng, p)
+            reference.assert_same_exchange(
+                alltoallv_multilevel, reference.alltoallv_multilevel, p,
+                bufs, counts, faults=faults, ranks=ranks)
+
+    @pytest.mark.parametrize("p", [5, 13, 27, 30, 100])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_hop_table_converges(self, p, d):
+        """The virtual-rank snap still lands every cell on its destination
+        (building the plan raises RuntimeError otherwise)."""
+        from repro.simmpi.multilevel import _multilevel_plan
+
+        plan = _multilevel_plan(p, d)
+        assert np.array_equal(plan.keys[-1] % p, np.tile(np.arange(p), p))
+        assert len(plan.groups) == len(grid_sides(p, d))
 
 
 class TestCostShape:

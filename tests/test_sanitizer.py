@@ -177,6 +177,38 @@ class TestCostAccounting:
         with pytest.raises(CostAccountingViolation):
             san.check_multilevel(27, 3, 50, [50, 50, 50], [9, 3, 3])
 
+    def test_hop_conservation(self):
+        san = Machine(4, sanitize=True).sanitizer
+        dst = np.broadcast_to(np.arange(4), (4, 4))
+        h1 = np.array([[1, 2, 0, 0], [0, 3, 0, 0], [0, 0, 0, 4],
+                       [0, 0, 0, 0]])
+        h2 = np.array([[0, 1, 0, 0], [2, 0, 3, 0], [0, 0, 0, 0],
+                       [0, 0, 4, 0]])
+        san.check_hops(10, [h1, h2], dst)
+        assert san.counters["hop_checks"] == 1
+        with pytest.raises(CostAccountingViolation, match="exactly once"):
+            san.check_hops(11, [h1, h2], dst)
+        with pytest.raises(CostAccountingViolation, match="did not hold"):
+            san.check_hops(10, [h1, h2.T.copy()], dst)
+
+    def test_corrupted_hop_table_detected(self, rng, monkeypatch):
+        """A routing table that strands a cell away from its destination
+        is caught when an exchange is charged from it."""
+        from repro.simmpi import alltoall
+
+        p = 9
+        good = alltoall._grid_plan(p)
+        last = good.keys[-1].copy()
+        # Cell (2 -> 5) is left at its intermediate's neighbour instead.
+        last[2 * p + 5] = last[2 * p + 5] - 5 + 6
+        bad = good._replace(keys=good.keys[:-1] + (last,))
+        monkeypatch.setattr(alltoall, "_grid_plan", lambda size: bad)
+        bufs = [rng.integers(0, 100, (p, 2)) for _ in range(p)]
+        counts = [np.ones(p, dtype=np.int64) for _ in range(p)]
+        with pytest.raises(CostAccountingViolation, match="destination"):
+            alltoall.alltoallv_grid(Comm(Machine(p, sanitize=True)), bufs,
+                                    counts)
+
     def test_grid_alltoall_passes_its_own_bounds(self, rng):
         """A real grid exchange satisfies the 2x / O(sqrt p) assertions."""
         from repro.simmpi import alltoallv_grid
