@@ -23,9 +23,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.analysis import env_max_cores, env_scale
-from repro.engines import default_engine_name
 from repro.graphgen import gen_family, gen_realworld, load_npz, save_npz
-from repro.kernels import kernel_engine
+from repro.kernels import resolve_engine
 
 RESULTS_DIR = Path(__file__).parent / "results"
 CACHE_DIR = RESULTS_DIR / "cache"
@@ -121,7 +120,7 @@ def _memo_graph(key, g):
 
 
 def peak_rss_bytes() -> int | None:
-    """Peak RSS of this process tree in bytes (see repro.obs.ledger)."""
+    """Peak RSS of this process in bytes (see repro.obs.ledger)."""
     from repro.obs.ledger import peak_rss_bytes as _peak
 
     return _peak()
@@ -141,9 +140,8 @@ class BenchRecorder:
     Collects ``(label, simulated_seconds)`` pairs during the sweep and, on
     :meth:`write`, persists ``benchmarks/results/BENCH_<name>.json`` with the
     total wall-clock of the measured block, the simulated series, and the
-    environment knobs that shaped the run.  Wall-clock depends on the kernel
-    layout and execution engine (docs/kernels.md, docs/engines.md); the
-    simulated series must not.
+    environment knobs that shaped the run.  Wall-clock depends on the
+    execution path (docs/kernels.md); the simulated series must not.
     """
 
     def __init__(self, name: str):
@@ -184,8 +182,7 @@ class BenchRecorder:
             "name": self.name,
             "wall_seconds": self.wall_seconds,
             "peak_rss_bytes": self.peak_rss_bytes,
-            "kernels": kernel_engine(),
-            "engine": default_engine_name(),
+            "engine": resolve_engine(),
             "max_cores": MAX_CORES,
             "scale": env_scale(),
             "simulated": self.simulated,
@@ -196,8 +193,7 @@ class BenchRecorder:
         if ledger_path() is not None:
             append_record(make_record(
                 "benchmark", self.name,
-                config={"kernels": payload["kernels"],
-                        "engine": payload["engine"],
+                config={"engine": payload["engine"],
                         "max_cores": payload["max_cores"],
                         "scale": payload["scale"]},
                 simulated=self.simulated,

@@ -33,10 +33,10 @@ Subpackages
     Awerbuch-Shiloach and MND-MST) on the same substrate.
 ``repro.analysis``
     Experiment harness: sweeps, result records, ASCII tables.
-``repro.engines``
-    Pluggable execution engines (in-process / batched / multiprocess
-    shared-memory) selecting how the simulated PEs execute on the host;
-    see docs/engines.md.
+``repro.kernels``
+    Flat segmented-array kernels (the batched production path) and the
+    one selector between it and the per-PE reference loops
+    (``Machine(engine=...)`` / ``REPRO_ENGINE``); see docs/kernels.md.
 """
 
 __version__ = "1.0.0"

@@ -51,6 +51,8 @@ import argparse
 import os
 import sys
 
+from .kernels.engine import ENGINE_NAMES
+
 
 def _add_gen(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("gen", help="generate a graph instance")
@@ -75,10 +77,9 @@ def _add_mst(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--procs", type=int, default=8, help="MPI processes")
     p.add_argument("--threads", type=int, default=1,
                    help="OpenMP threads per process")
-    p.add_argument("--engine", default=None,
-                   choices=["inprocess", "batched", "multiprocess"],
-                   help="execution engine (default: REPRO_ENGINE, "
-                        "see docs/engines.md)")
+    p.add_argument("--engine", default=None, choices=ENGINE_NAMES,
+                   help="execution path (default: REPRO_ENGINE, "
+                        "see docs/kernels.md)")
     p.add_argument("--alltoall", default="auto",
                    choices=["auto", "direct", "grid", "grid3", "hypercube"])
     p.add_argument("--no-preprocessing", action="store_true")
@@ -138,10 +139,9 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--base-case-min", type=int, default=64,
                    help="base-case vertex threshold (small keeps more "
                         "distributed rounds visible in the profile)")
-    p.add_argument("--engine", default=None,
-                   choices=["inprocess", "batched", "multiprocess"],
-                   help="execution engine (default: REPRO_ENGINE, "
-                        "see docs/engines.md)")
+    p.add_argument("--engine", default=None, choices=ENGINE_NAMES,
+                   help="execution path (default: REPRO_ENGINE, "
+                        "see docs/kernels.md)")
     p.add_argument("--trace-out", default=None,
                    help="Chrome/Perfetto trace JSON output path (default: "
                         "profile.trace.json under $REPRO_TRACE_DIR, which "
@@ -213,8 +213,7 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("graph", help="initial instance .npz (from `repro gen`)")
     p.add_argument("--procs", type=int, default=8, help="MPI processes")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--engine", default=None,
-                   choices=["inprocess", "batched", "multiprocess"])
+    p.add_argument("--engine", default=None, choices=ENGINE_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", default=None,
                    help="fault schedule active during epoch recomputes "
@@ -322,7 +321,7 @@ def _cmd_mst(args) -> int:
           f"m={g.n_undirected_edges})")
     print(f"machine         : {args.procs} procs x {args.threads} threads "
           f"= {machine.cores} cores")
-    print(f"engine          : {machine.engine.describe()}")
+    print(f"engine          : {machine.engine}")
     print(f"algorithm       : {result.algorithm}")
     print(f"MSF weight      : {result.total_weight}")
     print(f"MSF edges       : {len(result.msf_edges())}")
@@ -630,7 +629,7 @@ def _cmd_serve(args) -> int:
     # Responses own stdout in stdio mode; humans read stderr.
     print(f"serving {g.name} (n={g.n_vertices}, "
           f"m={g.n_undirected_edges}) on {args.procs} procs, "
-          f"engine={session.machine.engine.name}, "
+          f"engine={session.machine.engine}, "
           f"weight={session.view.total_weight}", file=sys.stderr)
     try:
         if args.tcp:

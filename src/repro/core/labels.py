@@ -215,8 +215,7 @@ def _relabel_one_pe(u, v, w, eid, vids, labels, ghosts, glabels):
 
     ``(ghosts, glabels)`` is the PE's ghost table as two sorted arrays.
     Returns the kept ``(u', v', w, id)`` columns.  Pure function of its
-    arguments -- no machine, RNG or cost access -- so fan-out engines can
-    run it in worker processes (:mod:`repro.engines.tasks`).
+    arguments -- no machine, RNG or cost access.
     """
     # Source labels: every source is local by definition.
     u_new = labels[np.searchsorted(vids, u)]
@@ -243,58 +242,11 @@ def relabel(
     run: MSTRun,
 ) -> List[Edges]:
     """RELABEL: rewrite endpoints to component roots, drop self loops."""
-    eng = getattr(graph.machine, "engine", None)
-    if eng is not None and eng.fanout:
-        return _relabel_fanout(graph, vids_per_pe, labels_per_pe,
-                               ghost_tables, run, eng)
     if batched_for(graph.machine):
         return _relabel_batched(graph, vids_per_pe, labels_per_pe,
                                 ghost_tables, run)
     return _relabel_loop(graph, vids_per_pe, labels_per_pe, ghost_tables,
                          run)
-
-
-def _relabel_fanout(
-    graph: DistGraph,
-    vids_per_pe: List[np.ndarray],
-    labels_per_pe: List[np.ndarray],
-    ghost_tables: List[GhostTable],
-    run: MSTRun,
-    eng,
-) -> List[Edges]:
-    """Fan-out engine: ship every PE's pure relabel pass to a worker.
-
-    Payloads are narrowed before shipping (``narrow_payload``), so the
-    shared-memory segments carry the compact representation; cost charging
-    stays in the driver in rank order, identical to the other engines.
-    """
-    from ..kernels import narrow_payload
-
-    p = graph.machine.n_procs
-    lengths = np.array([len(part) for part in graph.parts], dtype=np.int64)
-    payloads: List = []
-    for i in range(p):
-        part = graph.parts[i]
-        if len(part) == 0:
-            payloads.append(None)
-            continue
-        payloads.append(narrow_payload({
-            "u": np.asarray(part.u), "v": np.asarray(part.v),
-            "w": np.asarray(part.w), "eid": np.asarray(part.id),
-            "vids": vids_per_pe[i], "labels": labels_per_pe[i],
-            "ghosts": ghost_tables[i].ghosts,
-            "glabels": ghost_tables[i].labels,
-        }))
-    results = eng.pe_map("resolve_labels", payloads)
-    out: List[Edges] = []
-    for i in range(p):
-        res = results[i]
-        out.append(Edges.empty() if res is None else
-                   Edges(res["u"], res["v"], res["w"], res["id"]))
-    nz = np.flatnonzero(lengths)
-    if len(nz):
-        graph.machine.charge_scan(lengths[nz], ranks=nz)
-    return out
 
 
 def _relabel_loop(

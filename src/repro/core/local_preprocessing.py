@@ -38,7 +38,6 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
-from ..kernels import narrow_payload
 from ..kernels.pool import active_pool
 from ..kernels.segmented import packed_lexsort
 from ..seq.filter_kruskal import filter_boruvka_msf
@@ -355,34 +354,13 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
     shared_set = graph.shared_vertex_set()
     shared_masks = [np.isin(v, shared_set, assume_unique=True)
                     for v in vids_per_pe]
-    eng = getattr(machine, "engine", None)
-    contracted = None
-    if eng is not None and eng.fanout:
-        # The contraction is a pure function of the part, so fan-out
-        # engines ship it to workers; recording and charging stay in the
-        # driver, in rank order, keeping simulated time engine-invariant.
-        contract_payloads = []
-        for i in range(p):
-            part = graph.parts[i]
-            contract_payloads.append(narrow_payload({
-                "u": np.asarray(part.u), "v": np.asarray(part.v),
-                "w": np.asarray(part.w), "eid": np.asarray(part.id),
-                "vids": vids_per_pe[i], "shared_mask": shared_masks[i],
-                "use_filter": bool(cfg.preprocessing_filter),
-            }))
-        contracted = eng.pe_map("local_contract", contract_payloads)
     labels_per_pe: List[np.ndarray] = []
     for i in range(p):
         vids = vids_per_pe[i]
-        if contracted is None:
-            new_labels, ids, ws, rounds = _contract_one_pe(
-                graph.parts[i], vids, shared_masks[i],
-                cfg.preprocessing_filter
-            )
-        else:
-            res = contracted[i]
-            new_labels, ids, ws = res["labels"], res["ids"], res["ws"]
-            rounds = int(res["rounds"])
+        new_labels, ids, ws, rounds = _contract_one_pe(
+            graph.parts[i], vids, shared_masks[i],
+            cfg.preprocessing_filter
+        )
         labels_per_pe.append(new_labels)
         run.record_mst(i, ids, ws)
         run.record_labels(i, vids, new_labels)

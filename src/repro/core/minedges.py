@@ -23,7 +23,7 @@ from ..kernels.segmented import packed_lexsort
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.search import sorted_lookup
-from ..kernels import batched_for, first_in_group, narrow_payload
+from ..kernels import batched_for, first_in_group
 
 
 @dataclass
@@ -53,9 +53,6 @@ def _empty_chosen() -> ChosenEdges:
 
 def min_edges(graph: DistGraph) -> List[ChosenEdges]:
     """Run MINEDGES on every PE; one linear pass per PE, no communication."""
-    eng = getattr(graph.machine, "engine", None)
-    if eng is not None and eng.fanout:
-        return _min_edges_fanout(graph, eng)
     if batched_for(graph.machine):
         return _min_edges_batched(graph)
     return _min_edges_loop(graph)
@@ -68,8 +65,7 @@ def min_edges_one_pe(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     ``starts`` delimits the contiguous per-source groups of the (sorted)
     part, exactly as returned by ``DistGraph.vertex_groups``.  Returns
     ``(to, weight, edge_id)`` aligned with the groups.  Pure function of its
-    arguments -- no machine, RNG or cost-model access -- so fan-out engines
-    can run it in worker processes (:mod:`repro.engines.tasks`).
+    arguments -- no machine, RNG or cost-model access.
     """
     # Group index of every edge (groups are contiguous by sortedness).
     group = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
@@ -106,52 +102,6 @@ def _min_edges_loop(graph: DistGraph) -> List[ChosenEdges]:
         ))
         graph.machine.charge_scan(np.array([len(part)]),
                                   ranks=np.array([i]))
-    return out
-
-
-def _min_edges_fanout(graph: DistGraph, eng) -> List[ChosenEdges]:
-    """Fan-out engine: ship every PE's pure selection to a worker.
-
-    Only the pure kernel (:func:`min_edges_one_pe`) leaves the driver; the
-    shared-vertex lookup and the cost charging stay here, in ascending rank
-    order, so simulated seconds are bit-identical to the other engines.
-    """
-    shared_set = graph.shared_vertex_set()
-    p = graph.machine.n_procs
-    lengths = np.array([len(part) for part in graph.parts], dtype=np.int64)
-    payloads: List = []
-    vids_per_pe: List = []
-    for i in range(p):
-        part = graph.parts[i]
-        vids, starts = graph.vertex_groups(i)
-        vids_per_pe.append(vids)
-        if len(vids) == 0:
-            payloads.append(None)
-            continue
-        payloads.append(narrow_payload({
-            "u": np.asarray(part.u), "v": np.asarray(part.v),
-            "w": np.asarray(part.w), "eid": np.asarray(part.id),
-            "starts": np.asarray(starts),
-        }))
-    results = eng.pe_map("minedges", payloads)
-    out: List[ChosenEdges] = []
-    for i in range(p):
-        res = results[i]
-        if res is None:
-            out.append(_empty_chosen())
-            continue
-        vids = vids_per_pe[i]
-        shared = np.isin(vids, shared_set, assume_unique=True)
-        out.append(ChosenEdges(
-            vids=vids,
-            shared=shared,
-            to=res["to"],
-            weight=res["weight"],
-            edge_id=res["edge_id"],
-        ))
-    nonempty = np.flatnonzero(lengths)
-    if len(nonempty):
-        graph.machine.charge_scan(lengths[nonempty], ranks=nonempty)
     return out
 
 

@@ -10,9 +10,7 @@ the round barrier, count the round, and guard against divergence.
 cutting concerns stay written in one place:
 
 * **observability** -- the :func:`~repro.obs.hooks.observe_round_start` /
-  :func:`~repro.obs.hooks.observe_round_end` bracket and the engine's
-  :meth:`~repro.engines.base.ExecutionEngine.note_round` failure
-  attribution;
+  :func:`~repro.obs.hooks.observe_round_end` bracket;
 * **sanitizer checkpoints** -- per-round clock-monotonicity assertions via
   :meth:`~repro.simmpi.machine.Machine.checkpoint`;
 * **fault brackets** -- when the machine's fault schedule can fail-stop
@@ -221,7 +219,7 @@ class RoundScheduler:
        schedule can fail-stop PEs and/or a :class:`RoundCheckpointLog`
        is attached to the run), under the ``fault_checkpoint`` phase;
        logged rounds retain the handle for incremental replay;
-    3. ``observe_round_start`` + ``engine.note_round`` -- observability;
+    3. ``observe_round_start`` -- observability;
     4. ``body.round`` -- the driver's phases;
     5. heartbeat poll at the round barrier; on fail-stop: enforce the
        replay budget, restore under the ``fault_recovery`` phase, and
@@ -275,7 +273,6 @@ class RoundScheduler:
             # reuse them so tracing never issues extra collectives.
             observe_round_start(machine, run.rounds, stats.vertices,
                                 stats.edges, label=body.label)
-            machine.engine.note_round(run.rounds)
             converged = body.round(run.rounds)
             if ckpt is not None and protect:
                 failed = fi.poll_pe_failures(run.rounds)

@@ -12,14 +12,14 @@ Hard invariant
 --------------
 Kernels change only the *wall-clock* of running the simulator.  Simulated
 seconds, per-PE semantics, cost charging and sanitizer ownership views are
-bit-for-bit identical between the two engines; ``REPRO_KERNELS=loop``
-switches every rewritten hot path back to the per-PE reference loops so the
-test suite can differential-test the engines against each other
-(see docs/kernels.md).
+bit-for-bit identical between the two engines; ``REPRO_ENGINE=inprocess``
+(or ``Machine(engine="inprocess")``) switches every rewritten hot path back
+to the per-PE reference loops so the test suite can differential-test the
+engines against each other (see docs/kernels.md).
 """
 
-from .dtypes import index_dtype, narrow, narrow_payload, narrowing_enabled, widen
-from .engine import KERNEL_ENGINES, batched_enabled, batched_for, kernel_engine
+from .dtypes import index_dtype, narrow, narrowing_enabled, widen
+from .engine import ENGINE_NAMES, batched_for, resolve_engine
 from .pool import BufferPool, active_pool, set_active_pool
 from .ragged import RaggedArrays
 from .segmented import (
@@ -35,19 +35,17 @@ from .segmented import (
 )
 
 __all__ = [
-    "KERNEL_ENGINES",
+    "ENGINE_NAMES",
     "BufferPool",
     "RaggedArrays",
     "active_pool",
-    "batched_enabled",
     "batched_for",
     "first_in_group",
     "index_dtype",
-    "kernel_engine",
     "narrow",
-    "narrow_payload",
     "narrowing_enabled",
     "packed_lexsort",
+    "resolve_engine",
     "route_counts",
     "route_plan",
     "segment_ids",

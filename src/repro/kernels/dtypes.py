@@ -6,8 +6,7 @@ words regardless of how the host stores the values (see
 ``repro.simmpi.collectives`` / ``repro.simmpi.alltoall``).  Host storage is
 free to be narrower: vertex ids, labels, weights and edge ids of every
 benchmark-scale instance fit ``uint32``, which halves the bytes the host
-moves through sorts, gathers, transport matrices and shared-memory engine
-payloads.
+moves through sorts, gathers and transport matrices.
 
 Policy
 ------
@@ -93,25 +92,6 @@ def widen(a: np.ndarray) -> np.ndarray:
     if a.dtype == WIDE_DTYPE or a.dtype.kind not in "iu":
         return a
     return a.astype(WIDE_DTYPE)
-
-
-def narrow_payload(payload: dict) -> dict:
-    """Narrow every eligible array of an engine-task payload.
-
-    Applied at fan-out payload-build time -- before the engine decides
-    between in-line execution and shared-memory offload -- so every engine
-    computes on identical arrays and the shared-memory segments ship the
-    narrow representation (about half the bytes for index-like arrays).
-    """
-    if not narrowing_enabled():
-        return payload
-    out = {}
-    for key, value in payload.items():
-        if isinstance(value, np.ndarray):
-            out[key] = narrow(value)
-        else:
-            out[key] = value
-    return out
 
 
 def logical_nbytes(a: np.ndarray) -> int:

@@ -1,54 +1,55 @@
-"""Kernel-engine selection (``REPRO_KERNELS=batched|loop``).
+"""Execution-path selection: two paths, one selector (docs/kernels.md).
 
-``batched`` (the default) routes the rewritten hot paths through the flat
-segmented kernels of this package; ``loop`` keeps the original per-PE
-reference loops.  The variable is re-read on every call so differential
-tests can flip engines within one process.
+Every rewritten hot path exists twice: ``batched`` (the default, and the
+production path) runs all PEs' data through the flat segmented kernels of
+this package in single numpy passes; ``inprocess`` runs the original per-PE
+reference loops, which the differential tests use as their oracle.  The two
+are bit-identical in every simulated quantity.  One validated name picks
+the path for a machine: ``Machine(engine=...)``, else ``REPRO_ENGINE``,
+else ``batched``; ``machine.engine`` is that name.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Optional
 
-#: Recognised engine names.
-KERNEL_ENGINES = ("batched", "loop")
-
-
-def kernel_engine() -> str:
-    """The active kernel engine, from ``REPRO_KERNELS`` (default batched)."""
-    value = os.environ.get("REPRO_KERNELS", "").strip().lower()
-    if not value:
-        return "batched"
-    if value not in KERNEL_ENGINES:
-        raise ValueError(
-            f"REPRO_KERNELS must be one of {KERNEL_ENGINES}, got {value!r}"
-        )
-    return value
+#: Engine names accepted by ``REPRO_ENGINE`` and ``Machine(engine=...)``.
+ENGINE_NAMES = ("inprocess", "batched")
 
 
-def batched_enabled() -> bool:
-    """Whether the batched engine is active (environment-only view).
+def resolve_engine(spec: Optional[str] = None) -> str:
+    """The validated engine name for ``spec`` (``None``: the environment).
 
-    Prefer :func:`batched_for` at dispatch sites that have a machine in
-    scope: execution engines (``Machine(engine=...)`` / ``REPRO_ENGINE``,
-    see :mod:`repro.engines`) are resolved per machine at construction,
-    and this function only reflects the legacy ``REPRO_KERNELS`` default.
+    Raises ``ValueError`` for a name outside :data:`ENGINE_NAMES` and for a
+    *set* ``REPRO_KERNELS`` -- the retired spelling of this choice, which
+    must not silently select the default path.
     """
-    return kernel_engine() == "batched"
+    if os.environ.get("REPRO_KERNELS", "").strip():
+        raise ValueError(
+            "REPRO_KERNELS is retired; set REPRO_ENGINE=inprocess|batched "
+            "instead (loop -> inprocess)")
+    source = "engine"
+    if spec is None:
+        source = "REPRO_ENGINE"
+        spec = os.environ.get("REPRO_ENGINE", "").strip() or "batched"
+    name = str(spec).strip().lower()
+    if name not in ENGINE_NAMES:
+        raise ValueError(
+            f"{source} must be one of {ENGINE_NAMES}, got {spec!r}")
+    return name
 
 
 def batched_for(machine) -> bool:
     """Whether dispatch sites should take the batched path for ``machine``.
 
-    Machines carry an execution engine whose ``uses_batched_kernels``
-    attribute decides between the per-PE reference loops and the flat
-    segmented kernels; objects without an engine (plain test doubles)
-    fall back to the ``REPRO_KERNELS`` environment default.
+    ``machine.engine`` is the name resolved at construction; objects
+    without one (plain test doubles) resolve the environment default.
     """
     engine = getattr(machine, "engine", None)
     if engine is None:
-        return batched_enabled()
-    return engine.uses_batched_kernels
+        engine = resolve_engine()
+    return engine == "batched"
 
 
 #: Metrics registry receiving kernel invocation counts/host time, or None.

@@ -35,19 +35,18 @@ LEDGER_FILENAME = "ledger.jsonl"
 
 
 def peak_rss_bytes() -> Optional[int]:
-    """Peak resident set size of this process tree so far, in bytes.
+    """Peak resident set size of this process so far, in bytes.
 
     ``ru_maxrss`` covers the whole process lifetime (it never decreases),
     so the value recorded for a run is an upper bound including any
-    earlier work in the same interpreter.  Includes worker children (the
-    multiprocess engine); returns ``None`` where ``resource`` is missing.
+    earlier work in the same interpreter.  Returns ``None`` where
+    ``resource`` is missing.
     """
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platform
         return None
-    peak = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-               resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports KiB; macOS reports bytes.
     return int(peak) * (1 if sys.platform == "darwin" else 1024)
 
@@ -96,7 +95,7 @@ def make_record(kind: str, name: str, *,
 
     ``kind`` classifies the producer (``cli`` / ``benchmark`` / test);
     ``name`` identifies the run (subcommand or BENCH family).  When a
-    ``machine`` is given, its engine name + utilization, dtype policy,
+    ``machine`` is given, its engine name, dtype policy,
     fault schedule and pool hit rates are recorded; ``simulated`` entries
     must be ``{"label": ..., "simulated_seconds": ...}`` pairs the caller
     already computed (the ledger never recomputes simulated numbers).
@@ -114,8 +113,7 @@ def make_record(kind: str, name: str, *,
     }
     if machine is not None:
         record["n_procs"] = machine.n_procs
-        record["engine"] = machine.engine.name
-        record["utilization"] = machine.engine.utilization()
+        record["engine"] = machine.engine
         record["pool"] = _pool_stats(machine)
         faults = getattr(machine, "faults", None)
         record["fault_schedule"] = (str(faults.schedule)

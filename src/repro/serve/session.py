@@ -194,7 +194,7 @@ class GraphSession:
             "n_components": view.n_components,
             "weight": view.total_weight,
             "algorithm": self.algorithm,
-            "engine": self.machine.engine.name,
+            "engine": self.machine.engine,
             "n_procs": self.machine.n_procs,
             "epochs": dict(self.epoch_counts),
             "replay_depths": list(self.replay_depths),

@@ -109,14 +109,13 @@ class Machine:
         schedule injects nothing -- simulated times are bit-for-bit
         identical to a machine without the knob.
     engine:
-        The execution engine that runs the simulated PEs on the host
-        (see repro.engines and docs/engines.md): ``"inprocess"``,
-        ``"batched"``, ``"multiprocess"``, or a ready
-        :class:`~repro.engines.ExecutionEngine` instance.  ``None`` (the
-        default) defers to the ``REPRO_ENGINE`` environment variable and
-        then the legacy ``REPRO_KERNELS`` knob.  Engines never change
+        Which of the two execution paths runs the simulated PEs on the
+        host (docs/kernels.md): ``"batched"`` (flat segmented kernels,
+        the default) or ``"inprocess"`` (the per-PE reference loops the
+        differential tests use as their oracle).  ``None`` defers to the
+        ``REPRO_ENGINE`` environment variable.  The choice never changes
         simulated behaviour -- clocks, phase times, RNG draws, traces
-        and MSF weights are bit-for-bit identical across all of them.
+        and MSF weights are bit-for-bit identical on both paths.
     """
 
     def __init__(
@@ -130,7 +129,7 @@ class Machine:
         sanitize: Optional[bool] = None,
         trace_events: Optional[bool] = None,
         faults=None,
-        engine=None,
+        engine: Optional[str] = None,
     ):
         if n_procs < 1:
             raise ValueError(f"n_procs must be >= 1, got {n_procs}")
@@ -138,10 +137,10 @@ class Machine:
             raise ValueError(f"threads must be >= 1, got {threads}")
         self.n_procs = int(n_procs)
         self.threads = int(threads)
-        from ..engines import make_engine
+        from ..kernels.engine import resolve_engine
 
-        #: Execution engine (see repro.engines / docs/engines.md).
-        self.engine = make_engine(engine).bind(self)
+        #: Name of the execution path, ``"batched"`` or ``"inprocess"``.
+        self.engine = resolve_engine(engine)
         self.cost = cost if cost is not None else CostModel()
         self.memory_limit_bytes = memory_limit_bytes
         self.seed = int(seed)
@@ -295,10 +294,6 @@ class Machine:
             self.metrics.reset()
         if self.faults is not None:
             self.faults.reset()
-        # Engine last: the multiprocess engine tears its worker pool down
-        # here and respawns it lazily, so a reset machine never reuses
-        # workers that may have been poisoned by a failed run.
-        self.engine.reset()
 
     def pe_rng(self, pe: int) -> np.random.Generator:
         """Deterministic per-PE random generator (stable across calls)."""
@@ -459,18 +454,15 @@ class Machine:
             )
 
     # ------------------------------------------------------------------
-    # Engine lifecycle.
+    # Lifecycle.
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release host resources held by the execution engine.
+        """Release the buffer pool's parked blocks.
 
-        Only the multiprocess engine holds any (its worker pool); calling
-        this is optional -- engines also clean up via gc finalizers --
-        but deterministic teardown keeps test output free of straggler
-        processes.  A closed machine remains usable: the engine respawns
-        its resources lazily on the next use.
+        The pool is the only host resource a machine holds.  A closed
+        machine remains usable: the pool refills on the next use.
         """
-        self.engine.close()
+        self.pool.clear()
 
     def __enter__(self) -> "Machine":
         """Context-manager entry: the machine itself."""

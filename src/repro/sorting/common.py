@@ -43,18 +43,6 @@ def local_lexsort(rows: np.ndarray, n_key_cols: int) -> np.ndarray:
 def local_lexsort_parts(parts: Sequence[np.ndarray],
                         n_key_cols: int, machine=None) -> List[np.ndarray]:
     """Every PE's :func:`local_lexsort` -- one segmented lexsort when batched."""
-    eng = getattr(machine, "engine", None)
-    if eng is not None and eng.fanout:
-        # Pure per-PE sorts fan out to workers; payloads ship narrowed so
-        # the shared-memory segments carry the compact representation.
-        from ..kernels import narrow_payload
-
-        payloads = [None if len(x) <= 1 else
-                    narrow_payload({"rows": x, "n_key_cols": int(n_key_cols)})
-                    for x in parts]
-        results = eng.pe_map("sort_partition", payloads)
-        return [parts[i] if results[i] is None else results[i]["rows"]
-                for i in range(len(parts))]
     if not batched_for(machine):
         return [local_lexsort(x, n_key_cols) for x in parts]
     r = RaggedArrays.from_arrays(parts)

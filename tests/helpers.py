@@ -1,10 +1,13 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and the engine-differential harness."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dgraph import DistGraph
 from repro.dgraph.edges import Edges
+from repro.kernels import ENGINE_NAMES
+from repro.simmpi import Machine
 
 
 def random_simple_graph(rng: np.random.Generator, n: int, target_m: int,
@@ -45,3 +48,45 @@ def random_distinct_weight_graph(rng: np.random.Generator, n: int,
     perm = rng.permutation(len(uniq)).astype(np.int64) + 1
     g.w[:] = perm[inverse]
     return g
+
+
+def run_with_engine(engine, graph, p, algo, cfg, threads=1):
+    """One sanitized, traced run on ``engine``; everything simulated.
+
+    ``graph`` is a ``GeneratedGraph`` or a raw symmetric ``Edges``.
+    """
+    with Machine(p, threads=threads, sanitize=True, trace=True,
+                 engine=engine) as machine:
+        if hasattr(graph, "distribute"):
+            dg = graph.distribute(machine)
+        else:
+            dg = DistGraph.from_global_edges(machine, graph)
+        result = algo(dg, cfg)
+        return {
+            "weight": result.total_weight,
+            "clock": machine.clock.copy(),
+            "phases": dict(machine.phase_times),
+            "phases_per_pe": {k: v.copy()
+                              for k, v in machine.phase_times_per_pe.items()},
+            "trace": machine.trace.matrix.copy(),
+        }
+
+
+def assert_engines_agree(graph, p, algo, cfg, threads=1):
+    """The hard invariant of docs/kernels.md: both engines, bit-identical.
+
+    MSF weight, per-PE clocks, phase times (max and per PE) and the
+    CommTrace matrix are compared with ``np.array_equal`` -- no tolerance.
+    """
+    out = {name: run_with_engine(name, graph, p, algo, cfg, threads)
+           for name in ENGINE_NAMES}
+    a, b = out["batched"], out["inprocess"]
+    assert a["weight"] == b["weight"]
+    assert np.array_equal(a["clock"], b["clock"]), (
+        "simulated clocks differ between batched and inprocess")
+    assert a["phases"] == b["phases"]
+    assert a["phases_per_pe"].keys() == b["phases_per_pe"].keys()
+    for k in a["phases_per_pe"]:
+        assert np.array_equal(a["phases_per_pe"][k],
+                              b["phases_per_pe"][k]), k
+    assert np.array_equal(a["trace"], b["trace"])

@@ -95,6 +95,14 @@ class TestOthers:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["mst", "profile", "serve"])
+    def test_retired_engine_name_exits_2(self, instance, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(instance), "--engine", "multiprocess"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'inprocess', 'batched'" in err
+
 
 class TestFaults:
     def test_recovers_and_reports(self, capsys):

@@ -23,7 +23,6 @@ from repro.kernels.dtypes import (
     logical_itemsize,
     logical_nbytes,
     narrow,
-    narrow_payload,
     narrowing_enabled,
     widen,
 )
@@ -75,25 +74,6 @@ class TestDtypePolicy:
         a = np.array([1, 2], dtype=np.uint32)
         assert narrow(a).dtype == np.int64
         assert widen(a).dtype == np.int64
-
-    def test_narrow_payload_mixed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPES", "narrow")
-        out = narrow_payload({
-            "small": np.array([3, 4], dtype=np.int64),
-            "big": np.array([2**40], dtype=np.int64),
-            "neg": np.array([-2], dtype=np.int64),
-            "scalar": 9,
-            "flag": True,
-        })
-        assert out["small"].dtype == np.uint32
-        assert out["big"].dtype == np.int64
-        assert out["neg"].dtype == np.int64
-        assert out["scalar"] == 9 and out["flag"] is True
-
-    def test_narrow_payload_wide_mode_is_identity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPES", "wide")
-        payload = {"a": np.array([1], dtype=np.int64)}
-        assert narrow_payload(payload) is payload
 
     def test_logical_bytes_dtype_independent(self):
         """The simulated machine charges 8 bytes/element either way."""

@@ -6,12 +6,13 @@ Three layers:
   per-segment numpy operation it replaces;
 * unit tests for :func:`repro.dgraph.search.sorted_lookup` (the shared
   clamped-searchsorted helper);
-* differential tests running the full algorithms under ``REPRO_KERNELS=loop``
-  and ``=batched`` and asserting the hard invariant of docs/kernels.md:
-  simulated clocks, phase breakdowns, communication traces and MST weights
-  are bit-for-bit identical -- only wall-clock may differ.  The property
-  suite draws random instances with hypothesis; the sanitizer suite re-runs
-  the adversarial detections under both engines.
+* differential tests running the full algorithms on both engines
+  (``helpers.assert_engines_agree``, shared with tests/test_engines.py) over
+  threads and all-to-all schemes, asserting the hard invariant of
+  docs/kernels.md: simulated clocks, phase breakdowns, communication traces
+  and MST weights are bit-for-bit identical -- only wall-clock may differ.
+  The property suite draws random instances with hypothesis; the sanitizer
+  suite re-runs the adversarial detections under both engines.
 """
 
 import numpy as np
@@ -31,11 +32,9 @@ from repro.dgraph import DistGraph
 from repro.dgraph.search import sorted_lookup
 from repro.graphgen import FAMILIES, gen_family
 from repro.kernels import (
-    KERNEL_ENGINES,
+    ENGINE_NAMES,
     RaggedArrays,
-    batched_enabled,
     first_in_group,
-    kernel_engine,
     packed_lexsort,
     route_counts,
     segment_ids,
@@ -46,7 +45,7 @@ from repro.kernels import (
 )
 from repro.simmpi import Machine
 
-from helpers import random_simple_graph
+from helpers import assert_engines_agree, random_simple_graph
 
 
 @pytest.fixture
@@ -58,26 +57,6 @@ def ragged_case(rng, p=6, max_len=40, lo=0, hi=50):
     parts = [rng.integers(lo, hi, rng.integers(0, max_len))
              for _ in range(p)]
     return RaggedArrays.from_arrays(parts), parts
-
-
-class TestEngineKnob:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        assert kernel_engine() == "batched"
-        assert batched_enabled()
-
-    def test_env_selects_loop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "loop")
-        assert kernel_engine() == "loop"
-        assert not batched_enabled()
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "vectorised")
-        with pytest.raises(ValueError):
-            kernel_engine()
-
-    def test_engines_constant(self):
-        assert set(KERNEL_ENGINES) == {"batched", "loop"}
 
 
 class TestRaggedArrays:
@@ -383,66 +362,27 @@ class TestEmptySegmentEdgeCases:
 # Differential: the two engines must be simulated-behavior identical.
 # ---------------------------------------------------------------------------
 
-def run_engine(monkeypatch, engine, graph, p, threads, algo, cfg):
-    """One full run under ``engine``; returns everything simulated."""
-    monkeypatch.setenv("REPRO_KERNELS", engine)
-    machine = Machine(p, threads=threads, sanitize=True, trace=True)
-    if hasattr(graph, "distribute"):  # GeneratedGraph
-        dg = graph.distribute(machine)
-    else:  # raw Edges
-        dg = DistGraph.from_global_edges(machine, graph)
-    result = algo(dg, cfg)
-    return {
-        "weight": result.total_weight,
-        "clock": machine.clock.copy(),
-        "phases": dict(machine.phase_times),
-        "phases_per_pe": {k: v.copy()
-                          for k, v in machine.phase_times_per_pe.items()},
-        "trace": machine.trace.matrix.copy(),
-    }
-
-
-def assert_engines_agree(monkeypatch, graph, p, threads, algo, cfg):
-    out = {e: run_engine(monkeypatch, e, graph, p, threads, algo, cfg)
-           for e in KERNEL_ENGINES}
-    a, b = out["batched"], out["loop"]
-    assert a["weight"] == b["weight"]
-    assert np.array_equal(a["clock"], b["clock"]), (
-        "simulated clocks differ between kernel engines")
-    assert a["phases"] == b["phases"]
-    assert a["phases_per_pe"].keys() == b["phases_per_pe"].keys()
-    for k in a["phases_per_pe"]:
-        assert np.array_equal(a["phases_per_pe"][k],
-                              b["phases_per_pe"][k]), k
-    assert np.array_equal(a["trace"], b["trace"])
-
-
 class TestEngineDifferential:
     @pytest.mark.parametrize("p,threads", [(1, 1), (5, 1), (7, 8), (16, 1)])
     @pytest.mark.parametrize("method", ["direct", "grid", "hypercube"])
-    def test_boruvka_bit_identical(self, rng, monkeypatch, p, threads,
-                                   method):
+    def test_boruvka_bit_identical(self, rng, p, threads, method):
         g = random_simple_graph(rng, 60, 300)
         cfg = BoruvkaConfig(alltoall=method, base_case_min=16)
-        assert_engines_agree(monkeypatch, g, p, threads,
-                             distributed_boruvka, cfg)
+        assert_engines_agree(g, p, distributed_boruvka, cfg, threads)
 
     @pytest.mark.parametrize("p", [5, 16])
-    def test_filter_boruvka_bit_identical(self, rng, monkeypatch, p):
+    def test_filter_boruvka_bit_identical(self, rng, p):
         g = random_simple_graph(rng, 80, 400)
-        assert_engines_agree(monkeypatch, g, p, 1,
-                             distributed_filter_boruvka, FilterConfig())
+        assert_engines_agree(g, p, distributed_filter_boruvka, FilterConfig())
 
     @pytest.mark.parametrize("p,method", [(3, "direct"), (7, "grid"),
                                           (16, "direct")])
-    def test_awerbuch_shiloach_bit_identical(self, rng, monkeypatch, p,
-                                             method):
+    def test_awerbuch_shiloach_bit_identical(self, rng, p, method):
         from repro.competitors.awerbuch_shiloach import awerbuch_shiloach_msf
 
         g = random_simple_graph(rng, 70, 350)
         cfg = BoruvkaConfig(alltoall=method)
-        assert_engines_agree(monkeypatch, g, p, 1, awerbuch_shiloach_msf,
-                             cfg)
+        assert_engines_agree(g, p, awerbuch_shiloach_msf, cfg)
 
     @given(family=st.sampled_from(FAMILIES), n=st.integers(16, 90),
            m_per_n=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
@@ -453,33 +393,28 @@ class TestEngineDifferential:
                                     alltoall):
         graph = gen_family(family, n, m_per_n * n, seed=seed)
         cfg = BoruvkaConfig(alltoall=alltoall, base_case_min=8)
-        # monkeypatch is function-scoped and hypothesis reuses the test
-        # function, so patch the environment per-example instead.
-        with pytest.MonkeyPatch.context() as mp:
-            assert_engines_agree(mp, graph, p, 1, distributed_boruvka, cfg)
+        assert_engines_agree(graph, p, distributed_boruvka, cfg)
 
 
 class TestEngineSanitizer:
     """The adversarial sanitizer detections must fire under both engines."""
 
-    @pytest.mark.parametrize("engine", KERNEL_ENGINES)
-    def test_clean_run_under_sanitizer(self, rng, monkeypatch, engine):
-        monkeypatch.setenv("REPRO_KERNELS", engine)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_clean_run_under_sanitizer(self, rng, engine):
         g = random_simple_graph(rng, 80, 400)
         for algo, cfg in ((distributed_boruvka,
                            BoruvkaConfig(base_case_min=16)),
                           (distributed_filter_boruvka, FilterConfig())):
-            machine = Machine(6, sanitize=True)
+            machine = Machine(6, sanitize=True, engine=engine)
             dg = DistGraph.from_global_edges(machine, g)
             algo(dg, cfg)
             assert machine.sanitizer.counters["collectives"] > 0
             assert machine.sanitizer.counters["charges"] > 0
 
-    @pytest.mark.parametrize("engine", KERNEL_ENGINES)
-    def test_unknown_vertex_query_detected(self, rng, monkeypatch, engine):
-        monkeypatch.setenv("REPRO_KERNELS", engine)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_unknown_vertex_query_detected(self, rng, engine):
         g = random_simple_graph(rng, 50, 250)
-        machine = Machine(5, sanitize=True)
+        machine = Machine(5, sanitize=True, engine=engine)
         dg = DistGraph.from_global_edges(machine, g)
         run = MSTRun(machine, BoruvkaConfig())
         chosen = min_edges(dg)

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.competitors import awerbuch_shiloach_msf, dist_prim, mnd_mst
-from repro.engines import MultiprocessEngine
 from repro.faults import UnrecoverableFault
 from repro.core import (
     BoruvkaConfig,
@@ -31,9 +30,12 @@ from repro.core import (
 )
 from repro.dgraph import DistGraph
 from repro.graphgen import FAMILIES, gen_family
+from repro.kernels import ENGINE_NAMES
 from repro.obs.export import chrome_trace, metrics_to_dict
 from repro.seq import msf_weight, spans_same_components
 from repro.simmpi import Machine
+
+from helpers import assert_engines_agree
 
 DEEP_EXAMPLES = int(os.environ.get("REPRO_DEEP_EXAMPLES", "60"))
 
@@ -186,60 +188,36 @@ class TestFaultIdentity:
                 "but recovered for free (no simulated-time charge)")
 
 
-def _engine_of(name):
-    """Resolve an engine axis draw to a Machine engine spec."""
-    if name == "multiprocess":
-        # Force offload so the workers actually execute the per-PE tasks
-        # (fork keeps this process's task registry visible to them).
-        return MultiprocessEngine(min_offload_bytes=0, start_method="fork")
-    return name
-
-
 class TestEngineIdentity:
-    """Engine axis (docs/engines.md): random instances, bit-identical runs.
+    """Engine axis (docs/kernels.md): random instances, bit-identical runs.
 
-    Any execution engine must be simulated-behaviour identical to the
-    batched reference on arbitrary instances, and two multiprocess runs of
-    the same seed must export byte-identical deterministic-mode metrics and
-    trace dumps.
+    The batched path must be simulated-behaviour identical to the
+    ``inprocess`` reference loops on arbitrary instances, and two runs of
+    the same seed on one engine must export byte-identical
+    deterministic-mode metrics and trace dumps.
     """
 
     @given(inst=instances(max_n=100), cfg=boruvka_configs(),
-           engine=st.sampled_from(["inprocess", "multiprocess"]),
            algo=st.sampled_from([distributed_boruvka,
                                  distributed_filter_boruvka,
                                  awerbuch_shiloach_msf, mnd_mst]))
     @settings(max_examples=15, deadline=None)
-    def test_engine_is_bitwise_identity(self, inst, cfg, engine, algo):
+    def test_engine_is_bitwise_identity(self, inst, cfg, algo):
         graph, p, threads = inst
-        takes_cfg = algo is distributed_boruvka
+        if algo is not distributed_boruvka:  # the others run on defaults
+            cfg, algo = None, (lambda dg, _cfg, algo=algo: algo(dg))
+        assert_engines_agree(graph, p, algo, cfg, threads)
 
-        def run(spec):
-            with Machine(p, threads=threads, sanitize=True,
-                         engine=spec) as m:
-                dg = graph.distribute(m)
-                r = algo(dg, cfg) if takes_cfg else algo(dg)
-                return (r.total_weight, m.clock.copy(),
-                        dict(m.phase_times))
-
-        ref = run("batched")
-        out = run(_engine_of(engine))
-        assert out[0] == ref[0], (
-            f"{algo.__name__} weight differs under the {engine} engine")
-        assert np.array_equal(out[1], ref[1]), (
-            f"{algo.__name__} simulated clocks differ under {engine}")
-        assert out[2] == ref[2], (
-            f"{algo.__name__} phase times differ under {engine}")
-
-    @given(inst=instances(max_n=80), seed=st.integers(0, 2 ** 16))
+    @given(inst=instances(max_n=80), seed=st.integers(0, 2 ** 16),
+           engine=st.sampled_from(ENGINE_NAMES))
     @settings(max_examples=10, deadline=None)
-    def test_multiprocess_exports_are_deterministic(self, inst, seed):
+    def test_exports_are_deterministic(self, inst, seed, engine):
         graph, p, threads = inst
         cfg = BoruvkaConfig(base_case_min=16)
 
         def run():
             with Machine(p, threads=threads, seed=seed, trace_events=True,
-                         engine=_engine_of("multiprocess")) as m:
+                         engine=engine) as m:
                 dg = graph.distribute(m)
                 distributed_boruvka(dg, cfg)
                 return (
@@ -253,10 +231,10 @@ class TestEngineIdentity:
         first, second = run(), run()
         assert first[0] == second[0], (
             "deterministic trace export differs between same-seed "
-            "multiprocess runs")
+            f"{engine} runs")
         assert first[1] == second[1], (
             "deterministic metrics export differs between same-seed "
-            "multiprocess runs")
+            f"{engine} runs")
 
 
 class TestServingDifferential:
@@ -270,7 +248,7 @@ class TestServingDifferential:
     """
 
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(16, 64),
-           engine=st.sampled_from(["batched", "multiprocess"]),
+           engine=st.sampled_from(ENGINE_NAMES),
            faulted=st.booleans(), epochs=st.integers(1, 5))
     @settings(max_examples=12, deadline=None)
     def test_churn_epochs_match_kruskal(self, seed, n, engine, faulted,
@@ -300,7 +278,7 @@ class TestServingDifferential:
         try:
             with GraphSession(n, rows, n_procs=int(rng.integers(1, 6)),
                               cfg=cfg, faults=faults,
-                              engine=_engine_of(engine)) as session:
+                              engine=engine) as session:
                 for _ in range(epochs):
                     ops = []
                     for _ in range(int(rng.integers(1, 5))):

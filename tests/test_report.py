@@ -135,12 +135,17 @@ def traced_artifacts(tmp_path_factory):
     write_chrome_trace(machine.events, trace,
                        metadata={"n_procs": machine.n_procs})
     ledger = tmp / "ledger.jsonl"
-    for _ in range(2):
+    # The second row has the shape rows had while engines were objects
+    # (``utilization``, ``config.kernels``): old ledgers must keep
+    # validating and rendering.
+    legacy = {"utilization": {"engine": "batched", "pe_map_calls": 0},
+              "config": {"kernels": "batched", "engine": "batched"}}
+    for extra in (None, legacy):
         append_record(
             make_record("cli", "mst-boruvka", machine=machine,
                         simulated=[{"label": "gnm-p8",
                                     "simulated_seconds": res.elapsed}],
-                        wall_seconds=0.5),
+                        wall_seconds=0.5, extra=extra),
             ledger)
     return {"trace": trace, "ledger": ledger, "elapsed": res.elapsed}
 

@@ -3,7 +3,7 @@
 The core contract (ISSUE 10, docs/serving.md): every committed epoch --
 whatever strategy the session picks -- lands on the *bit-identical* MSF
 weight a from-scratch run over the mutated edge list would produce, with
-or without a fault schedule, on every execution engine.  The queue tests
+or without a fault schedule.  The queue tests
 pin the serving semantics (backpressure, deadlines, cancellation, epoch
 batching) and the transport tests the NDJSON wire protocol.
 """
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import BoruvkaConfig, RoundCheckpointLog
 from repro.dgraph.edges import Edges
-from repro.engines import MultiprocessEngine
 from repro.seq import msf_weight, spans_same_components
 from repro.serve import (
     GraphSession,
@@ -96,10 +95,6 @@ def _absent_pairs(view, k):
     raise AssertionError("graph is complete")
 
 
-def _fork_engine():
-    return MultiprocessEngine(min_offload_bytes=0, start_method="fork")
-
-
 class Model:
     """Host-side reference: the live undirected edge dict."""
 
@@ -147,7 +142,7 @@ class TestSessionBasics:
             assert s.edge_in_msf(0, 5)["present"] is False
             st = s.stats()
             assert st["n_edges"] == 3 and st["weight"] == 15
-            assert st["engine"] == s.machine.engine.name
+            assert st["engine"] == s.machine.engine
 
     @pytest.mark.parametrize("rows,err", [
         ([[0, 0, 1]], "self loop"),
@@ -314,22 +309,20 @@ class TestChurnDifferential:
         assert set(strategies) - {"full"}, \
             "churn never used an incremental strategy"
 
-    @pytest.mark.parametrize("engine", [None, "multiprocess"])
     @pytest.mark.parametrize("faults", [None, FAULTS])
-    def test_incremental_matches_from_scratch(self, engine, faults):
+    def test_incremental_matches_from_scratch(self, faults):
         """Epoch recompute == a brand-new session, bit for bit."""
         rng = np.random.default_rng(13)
         rows = _triples(rng, 80, 280)
-        spec = _fork_engine() if engine else None
         with GraphSession(80, rows, n_procs=4, cfg=MULTI_ROUND, seed=3,
-                          faults=faults, engine=spec) as s:
+                          faults=faults) as s:
             model = Model(rows)
             self._churn(s, model, rng, epochs=5)
             with GraphSession(80, model.rows(), n_procs=4,
                               cfg=MULTI_ROUND, seed=3) as scratch:
                 assert s.view.total_weight == scratch.view.total_weight, \
                     (f"incremental weight diverged from from-scratch "
-                     f"(engine={engine}, faults={faults!r})")
+                     f"(faults={faults!r})")
 
     def test_faulted_epochs_recover_exact_weights(self):
         rng = np.random.default_rng(29)
@@ -707,16 +700,14 @@ class TestServeTcp:
 class TestResetAudit:
     """Satellite: repeated session recomputes must not leak (ISSUE 10)."""
 
-    @pytest.mark.parametrize("engine", ["default", "multiprocess"])
-    def test_hundred_recomputes_bound_pool_and_shm(self, engine):
+    def test_hundred_recomputes_bound_pool_and_shm(self):
         from repro.kernels.pool import _default_max_bytes
 
         shm_before = len(os.listdir("/dev/shm")) \
             if os.path.isdir("/dev/shm") else None
         rows = _triples(np.random.default_rng(4), 100, 300)
-        spec = _fork_engine() if engine == "multiprocess" else None
         budget = _default_max_bytes()
-        with GraphSession(100, rows, n_procs=4, engine=spec) as s:
+        with GraphSession(100, rows, n_procs=4) as s:
             weight = s.view.total_weight
             for i in range(100):
                 report = s.recompute_full()
