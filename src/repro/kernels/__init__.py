@@ -24,6 +24,7 @@ from .pool import BufferPool, active_pool, set_active_pool
 from .ragged import RaggedArrays
 from .segmented import (
     first_in_group,
+    order_key,
     packed_lexsort,
     route_counts,
     route_plan,
@@ -44,6 +45,7 @@ __all__ = [
     "index_dtype",
     "narrow",
     "narrowing_enabled",
+    "order_key",
     "packed_lexsort",
     "resolve_engine",
     "route_counts",

@@ -60,6 +60,73 @@ def _narrow_perm(perm: np.ndarray, n: int) -> np.ndarray:
     return perm
 
 
+#: Packed keys stay below this so mixed-radix arithmetic cannot overflow int64.
+_PACK_LIMIT = 1 << 62
+
+
+def _key_spans(keys: Sequence[np.ndarray], ranges: Optional[Sequence] = None):
+    """``([(column, lo, span), ...], capacity)`` of integer key columns, or
+    ``None`` when a column is non-integer or its raw values already overflow
+    int64 arithmetic.  ``capacity`` is the product of the spans (the number
+    of distinct packed values); it may exceed :data:`_PACK_LIMIT`."""
+    capacity = 1
+    cols = []
+    for pos, k in enumerate(keys):
+        k = np.asarray(k)
+        if k.dtype.kind not in "iub":
+            return None
+        bound = ranges[pos] if ranges is not None else None
+        if bound is None:
+            lo = int(k.min())
+            hi = int(k.max())
+        else:
+            lo, hi = int(bound[0]), int(bound[1])
+        if hi >= _PACK_LIMIT or lo <= -_PACK_LIMIT:
+            return None
+        span = hi - lo + 1
+        capacity *= span
+        cols.append((k, lo, span))
+    return cols, capacity
+
+
+def _pack(cols, out: np.ndarray) -> np.ndarray:
+    """Mixed-radix pack of ``cols`` (least-significant first) into ``out``:
+    strictly monotone in the lexicographic order, equal exactly on ties."""
+    pool = active_pool()
+    col_buf = None
+    first = True
+    for k, lo, span in reversed(cols):  # most-significant column first
+        if first:
+            np.subtract(k, lo, out=out, casting="unsafe")
+            first = False
+            continue
+        np.multiply(out, span, out=out)
+        if col_buf is None:
+            col_buf = pool.take(len(out), np.int64)
+        np.subtract(k, lo, out=col_buf, casting="unsafe")
+        np.add(out, col_buf, out=out)
+    pool.give(col_buf)
+    return out
+
+
+def _argsort_packed(cols, capacity: int) -> np.ndarray:
+    """Stable argsort of the packed key of ``cols`` (pooled scratch; int32
+    when the capacity fits, which roughly halves the bytes the sort
+    touches)."""
+    pool = active_pool()
+    n = len(cols[0][0])
+    packed = _pack(cols, pool.take(n, np.int64))
+    if capacity < (1 << 31):
+        key32 = pool.take(n, np.int32)
+        key32[:] = packed  # values fit by the capacity bound
+        perm = np.argsort(key32, kind="stable")
+        pool.give(key32)
+    else:
+        perm = np.argsort(packed, kind="stable")
+    pool.give(packed)
+    return perm
+
+
 @_instrumented
 def packed_lexsort(keys: Sequence[np.ndarray],
                    ranges: Optional[Sequence] = None) -> np.ndarray:
@@ -87,48 +154,36 @@ def packed_lexsort(keys: Sequence[np.ndarray],
         # Packing overhead only pays off once the argsort itself dominates;
         # tiny inputs go straight to lexsort.
         return _narrow_perm(np.lexsort(keys), n)
-    capacity = 1
-    cols = []
-    for pos, k in enumerate(keys):
-        k = np.asarray(k)
-        if k.dtype.kind not in "iub":
-            return _narrow_perm(np.lexsort(keys), n)
-        bound = ranges[pos] if ranges is not None else None
-        if bound is None:
-            lo = int(k.min())
-            hi = int(k.max())
-        else:
-            lo, hi = int(bound[0]), int(bound[1])
-        span = hi - lo + 1
-        capacity *= span
-        # Also bail out when raw values themselves overflow int64 arithmetic.
-        if capacity >= (1 << 62) or hi >= (1 << 62) or lo <= -(1 << 62):
-            return _narrow_perm(np.lexsort(keys), n)
-        cols.append((k, lo, span))
-    pool = active_pool()
-    packed = pool.take(n, np.int64)
-    col_buf = None
-    first = True
-    for k, lo, span in reversed(cols):  # most-significant column first
-        if first:
-            np.subtract(k, lo, out=packed, casting="unsafe")
-            first = False
-            continue
-        np.multiply(packed, span, out=packed)
-        if col_buf is None:
-            col_buf = pool.take(n, np.int64)
-        np.subtract(k, lo, out=col_buf, casting="unsafe")
-        np.add(packed, col_buf, out=packed)
-    if capacity < (1 << 31):
-        key32 = pool.take(n, np.int32)
-        key32[:] = packed  # values fit by the capacity bound
-        perm = np.argsort(key32, kind="stable")
-        pool.give(key32)
-    else:
-        perm = np.argsort(packed, kind="stable")
-    pool.give(col_buf)
-    pool.give(packed)
-    return _narrow_perm(perm, n)
+    spans = _key_spans(keys, ranges)
+    if spans is None or spans[1] >= _PACK_LIMIT:
+        return _narrow_perm(np.lexsort(keys), n)
+    return _narrow_perm(_argsort_packed(*spans), n)
+
+
+@_instrumented
+def order_key(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """One int64 per row, strictly monotone in the lexicographic order of
+    ``keys`` (least-significant first) and equal exactly on full-key ties.
+
+    The mixed-radix packed key when the value ranges fit int64; the dense
+    rank of each row's key (one ``np.lexsort``) otherwise.  Callers that
+    compare and re-sort the same rows many times pay for the columns once.
+    """
+    keys = tuple(keys)
+    n = len(keys[0])
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    spans = _key_spans(keys)
+    if spans is not None and spans[1] < _PACK_LIMIT:
+        return _pack(spans[0], np.empty(n, dtype=np.int64))
+    order = np.lexsort(keys)
+    new_key = np.zeros(n, dtype=bool)
+    for k in keys:
+        s = np.asarray(k)[order]
+        new_key[1:] |= s[1:] != s[:-1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(new_key)
+    return rank
 
 
 @_instrumented
@@ -141,8 +196,28 @@ def segmented_lexsort(keys: Sequence[np.ndarray],
     contiguous and ascending in flat order, the returned permutation maps
     each segment's range onto itself, so ``perm[off[i]:off[i+1]] - off[i]``
     is exactly ``np.lexsort(keys_of_segment_i)``.
+
+    When the keys pack into int64 but the segment id on top of them does
+    not, the sort runs in two stable passes -- the packed keys, then the
+    segment ids (16-bit when they fit: a radix pass) -- instead of falling
+    back to one ``np.lexsort`` pass per column.
     """
-    return packed_lexsort(tuple(keys) + (seg_ids,))
+    keys = tuple(keys) + (seg_ids,)
+    n = len(seg_ids)
+    spans = _key_spans(keys) if n > 64 else None
+    if spans is None:
+        return _narrow_perm(np.lexsort(keys), n)
+    cols, capacity = spans
+    if capacity < _PACK_LIMIT:
+        return _narrow_perm(_argsort_packed(cols, capacity), n)
+    _, seg_lo, seg_span = cols.pop()
+    if capacity // seg_span >= _PACK_LIMIT:
+        return _narrow_perm(np.lexsort(keys), n)
+    by_key = _argsort_packed(cols, capacity // seg_span)
+    seg = np.asarray(seg_ids)[by_key]
+    if seg_span <= (1 << 16):  # 16-bit keys: stable argsort is a radix pass
+        seg = (seg - seg_lo).astype(np.uint16)
+    return _narrow_perm(by_key[np.argsort(seg, kind="stable")], n)
 
 
 @_instrumented

@@ -41,7 +41,7 @@ rows grouped by *source* rank in ascending order, preserving per-pair
 ordering -- exactly the ``MPI_Alltoallv`` contract.  All three schemes return
 bit-identical results (a property the test suite checks exhaustively).
 Every scheme also accepts the packed form :func:`route_rows` produces: a
-:class:`_SendBlock` (all senders' rows as one flat block plus the send
+:class:`SendBlock` (all senders' rows as one flat block plus the send
 permutation) for ``sendbufs`` and the 2-D counts matrix for ``sendcounts``.
 
 Hop tables: indirect schemes are accounted, the payload moves once
@@ -61,6 +61,14 @@ destination in one block transpose (:func:`_move`), which is what the hops
 deliver by contract.  The payload a rank holds *between* hops is
 materialised (:func:`_hop_payload`) only for the victim of a drawn
 corruption fault, so detection still runs on real bytes.
+
+Every scheme is therefore *account, then move*, and the accounting half
+needs no payload: a count matrix, the row dtype/width and a lazy
+materialiser for that one victim.  :func:`account_auto` offers it to a
+caller that moves the rows of many sub-communicators in one pass of its own
+(the hypercube sorter charges every node of its split tree through it), so
+there is one copy of each cost formula and of the fault / trace / sanitizer
+sequence (:func:`_charge_hop`).
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ def _row_nbytes(buf: np.ndarray) -> int:
 
 def _row_width(buf: np.ndarray) -> int:
     """Elements per message row (1 for a 1-D payload)."""
-    return int(np.prod(buf.shape[1:]))
+    return math.prod(buf.shape[1:])
 
 
 def _empty_like_rows(template: np.ndarray, n: int = 0) -> np.ndarray:
@@ -105,7 +113,7 @@ def _empty_like_rows(template: np.ndarray, n: int = 0) -> np.ndarray:
     return np.empty(shape, dtype=template.dtype)
 
 
-class _SendBlock:
+class SendBlock:
     """The send side of one exchange as a single flat row block.
 
     ``rows[order]`` (``rows`` itself when ``order`` is None) is the
@@ -130,12 +138,12 @@ class _SendBlock:
 
 
 def _validate(sendbufs, sendcounts, size: int
-              ) -> Tuple[_SendBlock, np.ndarray]:
+              ) -> Tuple[SendBlock, np.ndarray]:
     """Check one exchange's send side; returns its row block and the
     ``size x size`` (source, destination) counts matrix.
 
     ``sendcounts`` is a 2-D matrix or one count vector per PE; ``sendbufs``
-    one buffer per PE or an already packed :class:`_SendBlock`.
+    one buffer per PE or an already packed :class:`SendBlock`.
     """
     if isinstance(sendcounts, np.ndarray) and sendcounts.ndim == 2:
         if sendcounts.shape != (size, size):
@@ -150,7 +158,7 @@ def _validate(sendbufs, sendcounts, size: int
             if c.shape != (size,):
                 raise ValueError(f"sendcounts[{i}] must have length {size}")
             counts[i] = c
-    if isinstance(sendbufs, _SendBlock):
+    if isinstance(sendbufs, SendBlock):
         if int(counts.sum()) != len(sendbufs):
             raise ValueError(f"sendcounts sum to {counts.sum()} but the "
                              f"send block has {len(sendbufs)} rows")
@@ -171,7 +179,7 @@ def _validate(sendbufs, sendcounts, size: int
     rows = np.concatenate(
         [b if isinstance(b, np.ndarray) and b.ndim else np.atleast_1d(b)
          for b in sendbufs], axis=0)
-    return _SendBlock(rows), counts
+    return SendBlock(rows), counts
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -227,7 +235,7 @@ def _gather_order(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return order, offs
 
 
-def _move(block: _SendBlock, counts: np.ndarray) -> List[np.ndarray]:
+def _move(block: SendBlock, counts: np.ndarray) -> List[np.ndarray]:
     """Pure data movement for one exchange (no cost accounting).
 
     ``counts[i, j]`` rows go from rank ``i`` to rank ``j``.  Returns the
@@ -237,13 +245,19 @@ def _move(block: _SendBlock, counts: np.ndarray) -> List[np.ndarray]:
     if len(block) == 0:
         return [_empty_like_rows(block.rows) for _ in range(size)]
     order, offs = _gather_order(counts)
-    routed = block.take(order)
-    # Ranks that receive nothing get a standalone empty array: a
-    # zero-length *slice* would pin the whole routed block in memory
-    # for as long as any receiver keeps its (empty) buffer alive.
+    return split_rows(block.take(order), offs)
+
+
+def split_rows(routed: np.ndarray, offs: np.ndarray) -> List[np.ndarray]:
+    """Per-rank views ``routed[offs[j]:offs[j + 1]]`` of one row block.
+
+    Ranks that hold nothing get a standalone empty array: a zero-length
+    *slice* would pin the whole block in memory for as long as any rank
+    keeps its (empty) buffer alive.
+    """
     return [routed[offs[j]:offs[j + 1]]
             if offs[j + 1] > offs[j] else _empty_like_rows(routed)
-            for j in range(size)]
+            for j in range(len(offs) - 1)]
 
 
 def _recvcounts(counts: np.ndarray) -> List[np.ndarray]:
@@ -278,34 +292,64 @@ def _record_trace(comm: Comm, counts: np.ndarray, row_bytes: float,
         san.on_comm(comm.ranks, sub)
 
 
+def _charge_hop(comm: Comm, op: str, group: int, H: np.ndarray,
+                template: np.ndarray, materialise) -> None:
+    """Charge one hop (or one whole direct exchange) from its count matrix.
+
+    ``H[a, b]`` rows go from rank ``a`` to rank ``b`` (diagonal = rows
+    staying put); ``group`` is the size of the PE group whose dense
+    all-to-all the hop is charged as, or 0 for one pairwise exchange.  In
+    the order every exchange of the simulated machine follows: cost, fault
+    hook (``materialise(rank)`` builds the payload ``rank`` holds after the
+    hop, on demand), ``bytes_communicated``, trace/metrics/sanitizer
+    shadow, clock charge.
+    """
+    m = comm.machine
+    row_bytes = _row_nbytes(template)
+    wire = H
+    if not group:  # pairwise: the rows that stay put are not sent
+        wire = H.copy()
+        np.fill_diagonal(wire, 0)
+    bytes_out = wire.sum(axis=1).astype(np.float64) * row_bytes
+    bytes_in = wire.sum(axis=0).astype(np.float64) * row_bytes
+    if group:
+        # alltoall_dense is elementwise in its byte arguments, so one array
+        # call computes every rank's cost with scalar-loop float semantics.
+        cost = m.cost.alltoall_dense(group, bytes_out, bytes_in, m.threads)
+    else:
+        cost = (m.cost.c_call + m.cost.alpha
+                + (m.cost.beta + m.cost.beta_sw) * (bytes_out + bytes_in))
+    if m.faults is not None:
+        cost = m.faults.on_exchange(
+            comm, op, H.sum(axis=0) * _row_width(template), materialise,
+            row_bytes, bytes_out, bytes_in, cost)
+    m.bytes_communicated += float(bytes_out.sum())
+    _record_trace(comm, wire, row_bytes, op=op)
+    comm._sync_and_charge(cost, op=op, nbytes=float(bytes_out.sum()))
+
+
+def _account_direct(comm: Comm, template: np.ndarray, counts: np.ndarray,
+                    block_of) -> None:
+    """Charge one dense all-to-all; a drawn victim's receive buffer is the
+    column of cells addressed to it."""
+    size = comm.size
+
+    def received(rank: int) -> np.ndarray:
+        return block_of().take(
+            _rows_of_cells(counts, np.arange(size) * size + rank))
+
+    _charge_hop(comm, "alltoallv_direct", size, counts, template, received)
+
+
 def alltoallv_direct(
     comm: Comm,
     sendbufs: Sequence[np.ndarray],
     sendcounts: Sequence[np.ndarray],
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Dense one-level all-to-all (built-in ``MPI_Alltoallv`` model)."""
-    size = comm.size
-    block, counts = _validate(sendbufs, sendcounts, size)
-    recvbufs = _move(block, counts)
-    row_bytes = _row_nbytes(block.rows)
-    rows_in = counts.sum(axis=0)
-    bytes_out = counts.sum(axis=1).astype(np.float64) * row_bytes
-    bytes_in = rows_in.astype(np.float64) * row_bytes
-    # alltoall_dense is elementwise in its byte arguments, so one array call
-    # computes every rank's cost with the exact scalar-loop float semantics.
-    cost = comm.machine.cost.alltoall_dense(size, bytes_out, bytes_in,
-                                            comm.machine.threads)
-    fi = comm.machine.faults
-    if fi is not None:
-        cost = fi.on_exchange(comm, "alltoallv_direct",
-                              rows_in * _row_width(block.rows),
-                              recvbufs.__getitem__, row_bytes,
-                              bytes_out, bytes_in, cost)
-    comm.machine.bytes_communicated += float(bytes_out.sum())
-    _record_trace(comm, counts, row_bytes, op="alltoallv_direct")
-    comm._sync_and_charge(cost, op="alltoallv_direct",
-                          nbytes=float(bytes_out.sum()))
-    return recvbufs, _recvcounts(counts)
+    block, counts = _validate(sendbufs, sendcounts, comm.size)
+    _account_direct(comm, block.rows, counts, lambda: block)
+    return _move(block, counts), _recvcounts(counts)
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +388,8 @@ def _hop_plan(ops: Sequence[str], holders: Sequence[np.ndarray],
     return _HopPlan(tuple(ops), tuple(keys), tuple(groups))
 
 
-def _hop_payload(plan: _HopPlan, hop: int, block: _SendBlock,
-                 counts: np.ndarray, rank: int) -> np.ndarray:
+def _hop_payload(plan: _HopPlan, hop: int, block_of, counts: np.ndarray,
+                 rank: int) -> np.ndarray:
     """The payload ``rank`` holds after hop ``hop``, as the replayed routing
     would have built it.
 
@@ -361,49 +405,32 @@ def _hop_payload(plan: _HopPlan, hop: int, block: _SendBlock,
         sender, holder = np.divmod(key, size)
         arrival = sender if group else sender != holder
         seq = seq[np.argsort((holder * size + arrival)[seq], kind="stable")]
-    return block.take(_rows_of_cells(counts, seq[holder[seq] == rank]))
+    return block_of().take(_rows_of_cells(counts, seq[holder[seq] == rank]))
 
 
-def _charge_hops(comm: Comm, plan: _HopPlan, block: _SendBlock,
-                 counts: np.ndarray) -> List[np.ndarray]:
+def _charge_hops(comm: Comm, plan: _HopPlan, template: np.ndarray,
+                 counts: np.ndarray, block_of) -> List[np.ndarray]:
     """Charge every hop of an indirect exchange from its count matrix.
 
-    Per hop, in the order a replayed hop would: cost, fault hook,
-    ``bytes_communicated``, trace/metrics/sanitizer shadow, clock charge.
-    Returns the hop count matrices ``H_k`` (diagonal = rows staying put).
+    ``template`` carries the row dtype and width; ``block_of()`` returns
+    the exchange's :class:`SendBlock` and is called only for the victim of
+    a drawn corruption fault.  Returns the hop count matrices ``H_k``
+    (diagonal = rows staying put).
     """
-    m = comm.machine
     size = comm.size
-    row_bytes = _row_nbytes(block.rows)
     cells = counts.ravel().astype(np.float64)  # exact below 2^53 rows
     hops: List[np.ndarray] = []
     for k, (op, key, group) in enumerate(zip(*plan)):
         H = np.bincount(key, weights=cells, minlength=size * size)
         H = H.astype(np.int64).reshape(size, size)
         hops.append(H)
-        wire = H
-        if not group:  # pairwise: the rows that stay put are not sent
-            wire = H.copy()
-            np.fill_diagonal(wire, 0)
-        bytes_out = wire.sum(axis=1).astype(np.float64) * row_bytes
-        bytes_in = wire.sum(axis=0).astype(np.float64) * row_bytes
-        if group:
-            cost = m.cost.alltoall_dense(group, bytes_out, bytes_in,
-                                         m.threads)
-        else:
-            cost = (m.cost.c_call + m.cost.alpha
-                    + (m.cost.beta + m.cost.beta_sw) * (bytes_out + bytes_in))
-        if m.faults is not None:
-            cost = m.faults.on_exchange(
-                comm, op, H.sum(axis=0) * _row_width(block.rows),
-                functools.partial(_hop_payload, plan, k, block, counts),
-                row_bytes, bytes_out, bytes_in, cost)
-        m.bytes_communicated += float(bytes_out.sum())
-        _record_trace(comm, wire, row_bytes, op=op)
-        comm._sync_and_charge(cost, op=op, nbytes=float(bytes_out.sum()))
-    if m.sanitizer is not None:
-        m.sanitizer.check_hops(int(counts.sum()), hops,
-                               (plan.keys[-1] % size).reshape(size, size))
+        _charge_hop(comm, op, group, H, template,
+                    functools.partial(_hop_payload, plan, k, block_of,
+                                      counts))
+    san = comm.machine.sanitizer
+    if san is not None:
+        san.check_hops(int(counts.sum()), hops,
+                       (plan.keys[-1] % size).reshape(size, size))
     return hops
 
 
@@ -445,6 +472,20 @@ def _grid_plan(size: int) -> _HopPlan:
                      (r, c + (0 if size == c * r else 2)))
 
 
+def _account_grid(comm: Comm, template: np.ndarray, counts: np.ndarray,
+                  block_of) -> None:
+    """Charge one two-level grid exchange (direct on three ranks or fewer)."""
+    size = comm.size
+    if size <= 3:
+        return _account_direct(comm, template, counts, block_of)
+    plan = _grid_plan(size)
+    hops = _charge_hops(comm, plan, template, counts, block_of)
+    san = comm.machine.sanitizer
+    if san is not None:
+        san.check_two_level(size, int(counts.sum()),
+                            [int(H.sum()) for H in hops], plan.groups)
+
+
 def alltoallv_grid(
     comm: Comm,
     sendbufs: Sequence[np.ndarray],
@@ -457,16 +498,8 @@ def alltoallv_grid(
     the per-PE startup from ``alpha * p`` to ``O(alpha * sqrt(p))`` while
     doubling the communicated volume.
     """
-    size = comm.size
-    if size <= 3:
-        return alltoallv_direct(comm, sendbufs, sendcounts)
-    block, counts = _validate(sendbufs, sendcounts, size)
-    plan = _grid_plan(size)
-    hops = _charge_hops(comm, plan, block, counts)
-    san = comm.machine.sanitizer
-    if san is not None:
-        san.check_two_level(size, int(counts.sum()),
-                            [int(H.sum()) for H in hops], plan.groups)
+    block, counts = _validate(sendbufs, sendcounts, comm.size)
+    _account_grid(comm, block.rows, counts, lambda: block)
     return _move(block, counts), _recvcounts(counts)
 
 
@@ -501,8 +534,37 @@ def alltoallv_hypercube(
     if size == 1:
         return alltoallv_direct(comm, sendbufs, sendcounts)
     block, counts = _validate(sendbufs, sendcounts, size)
-    _charge_hops(comm, _hypercube_plan(size), block, counts)
+    _charge_hops(comm, _hypercube_plan(size), block.rows, counts,
+                 lambda: block)
     return _move(block, counts), _recvcounts(counts)
+
+
+def _auto_takes_grid(size: int, total_rows: int, template: np.ndarray,
+                     threshold_bytes: float) -> bool:
+    """The dispatch rule of Section VI-A: indirect delivery when the average
+    message is below ``threshold_bytes`` (and the grid is not degenerate)."""
+    return (size > 3 and total_rows * _row_nbytes(template)
+            / float(size * size) < threshold_bytes)
+
+
+def account_auto(comm: Comm, template: np.ndarray, counts: np.ndarray,
+                 block_of) -> None:
+    """Charge one exchange under the ``auto`` rule without moving a row.
+
+    Everything the simulated machine observes of an exchange -- clocks,
+    ``bytes_communicated``, trace, metrics, sanitizer shadow and bounds,
+    fault draws -- follows from its ``comm.size x comm.size`` count matrix
+    and the row dtype/width (``template``: any array of such rows, e.g. an
+    empty one).  A caller that moves many sub-communicators' rows in one
+    pass of its own (the hypercube sorter) charges each exchange here;
+    ``block_of()`` must return the exchange's send side as a
+    :class:`SendBlock` and is called only when a corruption fault draws a
+    victim, so the rows need not outlive the move otherwise.
+    """
+    grid = _auto_takes_grid(comm.size, int(counts.sum()), template,
+                            GRID_DISPATCH_THRESHOLD_BYTES)
+    (_account_grid if grid else _account_direct)(comm, template, counts,
+                                                 block_of)
 
 
 def alltoallv_auto(
@@ -516,13 +578,9 @@ def alltoallv_auto(
     Section VI-A: the indirect grid variant is used when the average number
     of bytes sent per message is below ``threshold_bytes``.
     """
-    size = comm.size
-    if size <= 3:
-        return alltoallv_direct(comm, sendbufs, sendcounts)
-    block, counts = _validate(sendbufs, sendcounts, size)
-    avg_bytes = (int(counts.sum()) * _row_nbytes(block.rows)
-                 / float(size * size))
-    if avg_bytes < threshold_bytes:
+    block, counts = _validate(sendbufs, sendcounts, comm.size)
+    if _auto_takes_grid(comm.size, int(counts.sum()), block.rows,
+                        threshold_bytes):
         return alltoallv_grid(comm, block, counts)
     return alltoallv_direct(comm, block, counts)
 
@@ -591,7 +649,7 @@ def route_rows(
         # The scheme gets the unsorted block, the send permutation and the
         # counts matrix: nothing is split per PE and re-concatenated, and
         # send sort + transpose cost one payload gather.
-        recvbufs, _ = fn(comm, _SendBlock(rows_r.flat, order_g), counts_mat)
+        recvbufs, _ = fn(comm, SendBlock(rows_r.flat, order_g), counts_mat)
         src_flat = np.repeat(_source_of_cell(size), counts_mat.T.ravel())
         roff = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(counts_mat.sum(axis=0), out=roff[1:])

@@ -126,6 +126,20 @@ class Comm:
         """Sub-communicator from rank indices *within this communicator*."""
         return Comm(self.machine, self.ranks[np.asarray(local_ranks, dtype=np.int64)])
 
+    def slice(self, start: int, stop: int) -> "Comm":
+        """Sub-communicator of the contiguous rank positions ``[start, stop)``.
+
+        A slice of distinct ranks is distinct, so this skips the
+        constructor's ``np.unique`` check (:meth:`sub` keeps it for
+        arbitrary rank lists); the hypercube sorter builds one per node of
+        its split tree.
+        """
+        out = Comm.__new__(Comm)
+        out.machine = self.machine
+        out.ranks = self.ranks[start:stop]
+        out.size = len(out.ranks)
+        return out
+
     # ------------------------------------------------------------------
     # Rooted / replicated collectives.
     # ------------------------------------------------------------------

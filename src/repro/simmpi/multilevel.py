@@ -115,7 +115,7 @@ def alltoallv_multilevel(
         return alltoallv_direct(comm, sendbufs, sendcounts)
     block, counts = _validate(sendbufs, sendcounts, size)
     plan = _multilevel_plan(size, d)
-    hops = _charge_hops(comm, plan, block, counts)
+    hops = _charge_hops(comm, plan, block.rows, counts, lambda: block)
     san = comm.machine.sanitizer
     if san is not None:
         san.check_multilevel(size, len(hops), int(counts.sum()),

@@ -32,7 +32,10 @@ Cost accounting (invariant 4)
       most d-times the volume with groups of ``O(p^(1/d))``);
     * the hop count matrices an indirect all-to-all is charged from
       conserve rows hop to hop and its routing table ends at the
-      destination (:meth:`Sanitizer.check_hops`).
+      destination (:meth:`Sanitizer.check_hops`);
+    * the count matrices one level of the hypercube sorter is charged from
+      account every row the level's single move carried
+      (:meth:`Sanitizer.check_sort_level`).
 
 Sortedness (invariant 3)
     After every REDISTRIBUTE the edge list must be globally
@@ -209,6 +212,7 @@ class Sanitizer:
             "exchanges": 0,
             "alltoall_bounds": 0,
             "hop_checks": 0,
+            "sort_level_checks": 0,
             "redistribute_checks": 0,
             "checkpoints": 0,
         }
@@ -433,6 +437,32 @@ class Sanitizer:
             raise CostAccountingViolation(
                 "indirect all-to-all routing table does not end at the "
                 "destination rank of every (source, destination) cell")
+
+    def check_sort_level(self, starts: Sequence[int],
+                         matrices: Sequence[np.ndarray],
+                         sent: np.ndarray, received: np.ndarray) -> None:
+        """One level of the hypercube sorter charges what it moved.
+
+        The sorter moves the rows of all sub-communicators of a level in
+        one pass and charges every sub-communicator's exchange from its own
+        count matrix, so the move is what can lie: a row sent outside its
+        sub-communicator would be moved but never charged.  ``matrices[k]``
+        covers the PEs from ``starts[k]`` on and must account, per sender
+        and per receiver, exactly the rows those PEs held before (``sent``)
+        and after (``received``) the move.
+        """
+        self.counters["sort_level_checks"] += 1
+        for lo, M in zip(starts, matrices):
+            lo = int(lo)
+            hi = lo + len(M)
+            if not (np.array_equal(M.sum(axis=1), sent[lo:hi])
+                    and np.array_equal(M.sum(axis=0), received[lo:hi])):
+                raise CostAccountingViolation(
+                    f"hypercube sort level: the exchange of PEs "
+                    f"[{lo}, {hi}) is charged for {int(M.sum())} rows but "
+                    f"its PEs sent {int(sent[lo:hi].sum())} and received "
+                    f"{int(received[lo:hi].sum())}: a row crossed its "
+                    f"sub-communicator's boundary without being accounted")
 
     # ------------------------------------------------------------------
     # Sortedness (invariant 3).

@@ -39,8 +39,20 @@ def sort_rows(
     rebalance:
         Restore the exact block partition afterwards (the MST algorithms'
         REDISTRIBUTE requires balanced parts).
+
+    Raises ``ValueError`` unless ``parts`` holds one part per rank, all of
+    one row width, and ``1 <= n_key_cols <= width``.
     """
+    if len(parts) != comm.size:
+        raise ValueError(f"parts must hold one row matrix per rank "
+                         f"({comm.size}), got {len(parts)}")
     parts = [as_row_matrix(x) for x in parts]
+    widths = sorted({x.shape[1] for x in parts})
+    if len(widths) > 1:
+        raise ValueError(f"parts must share one row width, got {widths}")
+    if not 1 <= n_key_cols <= widths[0]:
+        raise ValueError(f"n_key_cols must be in [1, {widths[0]}] for rows "
+                         f"of width {widths[0]}, got {n_key_cols}")
     total = sum(len(x) for x in parts)
     if method == "auto":
         avg = total / max(1, comm.size)

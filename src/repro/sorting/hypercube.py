@@ -14,222 +14,323 @@ dimensions; splitting arbitrary communicator halves generalises it to
 non-power-of-two ``p`` (the paper's d-dimensional grid generalisation covers
 the same gap).
 
+Level-synchronous execution, charges replayed in recursion order
+----------------------------------------------------------------
+The split tree has ``2 p - 1`` nodes but only ``ceil(log2 p)`` levels, and
+the sub-communicators of one level are disjoint, so the host walks *levels*:
+all rows stay in one flat block (PE-major, a ``p + 1`` offsets vector), each
+row carries one scalar :func:`~repro.kernels.order_key`, and per level one
+pass does for every live sub-communicator what the recursion does per node
+-- pivot draw, sample median, ``<= pivot`` mask, destination rule -- followed
+by one stable sort by destination PE and one ``bincount`` that yields every
+node's (source, destination) count matrix.  The payload itself is gathered
+once, at the end.
+
+What the simulated machine observes is then *replayed* from the recorded
+sizes and count matrices by walking the tree in the recursion's pre-order
+(:func:`_replay`): sample ``allgatherv``, partition scan, ``allreduce``, the
+degenerate-split extras, the exchange under the ``auto`` rule
+(:func:`repro.simmpi.alltoall.account_auto`), the leaf's sort charge.
+Charges of disjoint sub-communicators commute on the clocks, but the event
+stream, the fault injector's draw order, metrics and the sanitizer shadow
+see the order, so it is kept.  Each PE's pivot draws come from its own
+stream, once per level it is live on, exactly as in the recursion.
+
 The output is globally sorted but only approximately balanced -- callers that
 need exact block balance chain :func:`repro.sorting.common.rebalance_blocks`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import RaggedArrays, batched_for
-from ..simmpi.alltoall import route_rows
+from ..kernels import RaggedArrays, index_dtype, order_key, segmented_lexsort
+from ..simmpi.alltoall import SendBlock, account_auto, split_rows
 from ..simmpi.collectives import Comm
-from .common import as_row_matrix, local_lexsort
+from ..utils.partition import owner_of
 
 #: Sample rows gathered per PE for pivot selection.
 _PIVOT_SAMPLE = 4
 
+#: What a node of the split tree did with its rows.
+_EMPTY, _SPLIT, _STRICT, _SPREAD = range(4)
 
-def _row_tuple_keys(rows: np.ndarray, n_key_cols: int):
-    return [tuple(int(x) for x in r[:n_key_cols]) for r in rows]
+
+class _Level(NamedTuple):
+    """Rows per PE before and after one level's move, plus -- only while a
+    fault injector may ask for a victim's buffer -- what rebuilds a node's
+    send side: the rows' positions in the input block, their destination
+    PEs and the offsets before the move."""
+
+    sent: np.ndarray
+    received: np.ndarray
+    payload: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _le_pivot(rows: np.ndarray, pivot: tuple, n_key_cols: int) -> np.ndarray:
-    """Boolean mask: row key <= pivot key (vectorised lexicographic compare)."""
-    if len(rows) == 0:
-        return np.zeros(0, dtype=bool)
-    le = np.zeros(len(rows), dtype=bool)
-    tie = np.ones(len(rows), dtype=bool)
-    for c in range(n_key_cols):
-        col = rows[:, c]
-        le |= tie & (col < pivot[c])
-        tie &= col == pivot[c]
-    return le | tie
+class _Node(NamedTuple):
+    """One sub-communicator's record: its level, the rows of its gathered
+    pivot sample, what it did, and the count matrix of its exchange."""
+
+    level: int
+    sample_rows: int
+    kind: int
+    counts: Optional[np.ndarray]
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, sizes)])``."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) \
+        + np.repeat(starts - (ends - sizes), sizes)
+
+
+def _running_count(flags: np.ndarray) -> np.ndarray:
+    """``out[i] = flags[:i].sum()`` for ``i`` in ``0 .. len(flags)``."""
+    out = np.zeros(len(flags) + 1, dtype=index_dtype(len(flags)))
+    np.cumsum(flags, out=out[1:])
+    return out
+
+
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    """The ``len(lens) + 1`` block boundaries of consecutive blocks."""
+    off = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=off[1:])
+    return off
+
+
+def _pivots(machine, ranks: List[int], key: np.ndarray, lens: np.ndarray,
+            off: np.ndarray, lo: np.ndarray, hi: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per node ``[lo, hi)``: the rows in its pivot sample and their median
+    key (0 for an empty sample).
+
+    Every non-empty member PE draws ``min(4, rows)`` of its rows from its
+    own RNG stream -- the one per-PE Python call of the sorter; the medians
+    of all nodes come out of one sort keyed ``(node, key)``.
+    """
+    g = hi - lo
+    members = _ranges(lo, g)
+    drawing = lens[members] > 0
+    draws = members[drawing]
+    take = np.minimum(lens[draws], _PIVOT_SAMPLE)
+    picks = [machine.pe_rng(ranks[i]).integers(0, k, t) for i, k, t in
+             zip(draws.tolist(), lens[draws].tolist(), take.tolist())]
+    node = np.repeat(np.repeat(np.arange(len(lo)), g)[drawing], take)
+    n_samples = np.bincount(node, minlength=len(lo))
+    pivot = np.zeros(len(lo), dtype=key.dtype)
+    if picks:
+        sample = key[np.concatenate(picks) + np.repeat(off[draws], take)]
+        by_key = np.lexsort((sample, node))
+        sampled = n_samples > 0
+        median = np.cumsum(n_samples) - n_samples + n_samples // 2
+        pivot[sampled] = sample[by_key[median[sampled]]]
+    return n_samples, pivot
+
+
+def _destinations(low: np.ndarray, lows_upto: np.ndarray, off: np.ndarray,
+                  lens: np.ndarray, first: np.ndarray, n_low: np.ndarray,
+                  n_high: np.ndarray) -> np.ndarray:
+    """Destination PE of every row under the recursion's rule.
+
+    PE ``i``'s ``k``-th low row goes to PE ``first[i] + k % n_low[i]``, its
+    ``k``-th high row to ``first[i] + n_low[i] + k % n_high[i]`` (``first``
+    is the first PE of ``i``'s sub-communicator; a PE that is not being
+    split has only low rows, ``first = i`` and ``n_low = 1``: they stay).
+    ``lows_upto`` is the :func:`_running_count` of ``low``.
+    """
+    idx = lows_upto.dtype
+    # Low rows of the own PE up to and including each row, and the row's
+    # position within its PE: together the rank among lows / among highs.
+    k_low = lows_upto[1:] - np.repeat(lows_upto[off[:-1]], lens)
+    pos = np.arange(len(low), dtype=idx) - np.repeat(off[:-1].astype(idx),
+                                                     lens)
+    first, n_low, n_high = (t.astype(idx) for t in (first, n_low, n_high))
+    return np.where(
+        low,
+        np.repeat(first, lens) + (k_low - 1) % np.repeat(n_low, lens),
+        np.repeat(first + n_low, lens)
+        + (pos - k_low) % np.repeat(n_high, lens))
+
+
+def _route(key: np.ndarray, lens: np.ndarray, off: np.ndarray,
+           lo: np.ndarray, hi: np.ndarray, pivot: np.ndarray
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """What each non-empty node ``[lo, hi)`` does (``_SPLIT``, ``_STRICT``
+    or ``_SPREAD``) and the destination PE of every row of the level."""
+    p = len(lens)
+    g = hi - lo
+    members = _ranges(lo, g)
+    # A PE outside every node keeps its rows: all low, modulus 1.
+    pivot_of_pe = np.full(p, np.iinfo(key.dtype).max)
+    pivot_of_pe[members] = np.repeat(pivot, g)
+    low = key <= np.repeat(pivot_of_pe, lens)
+    lows_upto = _running_count(low)
+    kind = np.full(len(lo), _SPLIT)
+    for k in np.flatnonzero(
+            lows_upto[off[hi]] - lows_upto[off[lo]] == off[hi] - off[lo]):
+        # All rows on the low side.  If every key equals the pivot the data
+        # is already "sorted": spread it evenly and stop.  Else the pivot is
+        # the maximum; only the rows strictly below it go low.
+        a, b = off[lo[k]], off[hi[k]]
+        if key[a:b].min() == key[a:b].max():
+            kind[k] = _SPREAD
+        else:
+            kind[k] = _STRICT
+            low[a:b] = key[a:b] < pivot[k]
+    if (kind == _STRICT).any():
+        lows_upto = _running_count(low)
+    first, n_low, n_high = np.arange(p), np.ones(p, np.int64), \
+        np.ones(p, np.int64)
+    first[members] = np.repeat(lo, g)
+    n_low[members] = np.repeat(g // 2, g)
+    n_high[members] = np.repeat(g - g // 2, g)
+    dest = _destinations(low, lows_upto, off, lens, first, n_low, n_high)
+    for k in np.flatnonzero(kind == _SPREAD):
+        a, b = off[lo[k]], off[hi[k]]
+        dest[a:b] = lo[k] + owner_of(np.arange(b - a), b - a, g[k])
+    return kind, dest
+
+
+def _group_block(rows: np.ndarray, payload, lo: int, hi: int) -> SendBlock:
+    """The send side of sub-communicator ``[lo, hi)``'s exchange, rebuilt
+    from its level's retained payload: each PE's rows stably sorted by
+    destination, as the recursion's ``route_rows`` laid them out."""
+    at, dest, off = payload
+    a, b = off[lo], off[hi]
+    g = hi - lo
+    src = np.repeat(np.arange(g), np.diff(off[lo:hi + 1]))
+    order = np.argsort(src * g + (dest[a:b].astype(np.int64) - lo),
+                       kind="stable")
+    return SendBlock(rows, at[a:b][order])
 
 
 def sort_hypercube(
     comm: Comm,
     parts: Sequence[np.ndarray],
     n_key_cols: int,
-    seed: int = 0,
 ) -> List[np.ndarray]:
-    """Globally sort per-PE row matrices with recursive quick-splitting."""
+    """Globally sort per-PE row matrices with recursive quick-splitting.
+
+    ``parts`` are 2-D integer row matrices of one width, one per rank
+    (:func:`repro.sorting.sort_rows` is the validating entry point).
+    """
     p = comm.size
-    parts = [as_row_matrix(x) for x in parts]
     machine = comm.machine
+    packed = RaggedArrays.from_arrays(parts)
+    rows, lens, off = packed.flat, packed.lengths, packed.offsets
+    key = order_key(tuple(rows[:, c] for c in reversed(range(n_key_cols))))
+    # Position of every current row in ``rows``: the levels permute this and
+    # the scalar keys; the payload is gathered once, after the last level.
+    at = np.arange(len(rows), dtype=index_dtype(len(rows)))
+    pe_dtype = np.uint16 if p <= (1 << 16) else index_dtype(p)  # radix sorts
+    ranks = comm.ranks.tolist()
 
-    def recurse(sub: Comm, sub_parts: List[np.ndarray], depth: int
-                ) -> List[np.ndarray]:
-        g = sub.size
+    levels: List[_Level] = []
+    nodes: Dict[Tuple[int, int], _Node] = {}
+    # Live nodes of the current level: sub-communicators [lo, hi) of >= 2 PEs.
+    lo = np.zeros(1 if p > 1 else 0, dtype=np.int64)
+    hi = lo + p
+    while len(lo):
+        n_samples, pivot = _pivots(machine, ranks, key, lens, off, lo, hi)
+        for k in np.flatnonzero(n_samples == 0):  # no rows: the node stops
+            nodes[int(lo[k]), int(hi[k])] = _Node(-1, 0, _EMPTY, None)
+        full = n_samples > 0
+        lo, hi, n_samples, pivot = (x[full] for x in
+                                    (lo, hi, n_samples, pivot))
+        if not len(lo):
+            break
+        kind, dest = _route(key, lens, off, lo, hi, pivot)
+        dest = dest.astype(pe_dtype)
+
+        # One count matrix for the level: node [a, b) owns block [a:b, a:b].
+        cells = np.repeat(np.arange(p) * p, lens)
+        cells += dest
+        matrix = np.bincount(cells, minlength=p * p).reshape(p, p)
+        received = np.bincount(dest, minlength=p)
+        blocks = [matrix[a:b, a:b].copy()
+                  for a, b in zip(lo.tolist(), hi.tolist())]
+        if machine.sanitizer is not None:
+            machine.sanitizer.check_sort_level(lo, blocks, lens, received)
+        for k, block in enumerate(blocks):
+            nodes[int(lo[k]), int(hi[k])] = _Node(
+                len(levels), int(n_samples[k]), int(kind[k]), block)
+        levels.append(_Level(
+            lens, received,
+            (at, dest, off) if machine.faults is not None else None))
+
+        # One move for the level: stable, so every PE receives source-major
+        # with per-pair order preserved, as from its node's own exchange.
+        order = np.argsort(dest, kind="stable")
+        at, key = at[order], key[order]
+        lens, off = received, _offsets(received)
+
+        # Next level: the halves (of >= 2 PEs) of every node that split.
+        split = kind != _SPREAD
+        mid = lo[split] + (hi[split] - lo[split]) // 2
+        lo, hi = np.stack([lo[split], mid], 1).ravel(), \
+            np.stack([mid, hi[split]], 1).ravel()
+        live = hi - lo > 1
+        lo, hi = lo[live], hi[live]
+
+    _replay(comm, nodes, levels, lens, rows, n_key_cols)
+    if len(rows) == 0:  # nothing moved: every part goes back as it came
+        return list(parts)
+    order = segmented_lexsort(
+        (key,), np.repeat(np.arange(p, dtype=pe_dtype), lens))
+    return split_rows(rows[at[order]], off)
+
+
+def _replay(comm: Comm, nodes: Dict[Tuple[int, int], _Node],
+            levels: List[_Level], final_lens: np.ndarray, rows: np.ndarray,
+            n_key_cols: int) -> None:
+    """Issue every node's charges in the recursion's pre-order.
+
+    Per node: the sample ``allgatherv``; then, unless it holds no row, the
+    partition scan and the scalar ``allreduce`` of the low count; for a
+    degenerate split the two key-tuple ``allreduce``s (a tuple per PE, one
+    word when the node's first PE is empty and contributes ``None``)
+    followed by the spread's ``exscan`` or the strict split's second count;
+    the exchange; for a spread the closing scan.  A single PE sorts.
+    """
+    machine = comm.machine
+    cost = machine.cost
+    template = rows[:0]
+    row_words = rows.shape[1]
+    stack = [(0, comm.size)]
+    while stack:
+        lo, hi = stack.pop()
+        sub = comm.slice(lo, hi)
+        g = hi - lo
         if g == 1:
-            machine.charge_sort(np.array([len(sub_parts[0])]),
-                                ranks=sub.ranks)
-            return [local_lexsort(sub_parts[0], n_key_cols)]
-
-        # --- Pivot selection: median of a gathered sample. ---
-        samples = []
-        for r in range(g):
-            rows = sub_parts[r]
-            if len(rows) == 0:
-                samples.append(rows[:0])
-            else:
-                rng = machine.pe_rng(int(sub.ranks[r]))
-                take = rng.integers(0, len(rows), min(_PIVOT_SAMPLE, len(rows)))
-                samples.append(rows[take])
-        gathered = sub.allgatherv(samples)
-        total = sum(len(x) for x in sub_parts)
-        if total == 0:
-            return sub_parts
-        if len(gathered) == 0:
-            gathered = np.concatenate([x for x in sub_parts if len(x)])[:1]
-        keys = sorted(_row_tuple_keys(gathered, n_key_cols))
-        pivot = keys[len(keys) // 2]
-
-        # --- Partition and detect degenerate splits. ---
-        if batched_for(machine):
-            r = RaggedArrays.from_arrays(sub_parts)
-            mask_flat = _le_pivot(r.flat, pivot, n_key_cols)
-            low_masks = [mask_flat[r.offsets[k]:r.offsets[k + 1]]
-                         for k in range(g)]
-        else:
-            low_masks = [_le_pivot(x, pivot, n_key_cols) for x in sub_parts]
-        machine.charge_scan(np.array([len(x) for x in sub_parts]),
-                            ranks=sub.ranks)
-        low_total = int(sub.allreduce([int(m.sum()) for m in low_masks]))
-        g_low = g // 2
-        lows = list(range(g_low))
-        highs = list(range(g_low, g))
-        if low_total == total or low_total == 0:
-            # All rows on one side of the pivot.  If every key equals the
-            # pivot the data is already "sorted"; spread evenly and stop
-            # recursing on it.  Otherwise retry cannot help (pivot is the
-            # min/max); fall back to even spread + recursion with the
-            # offending rows forced apart by a strict comparison.
-            all_min = sub.allreduce(
-                [_global_extreme(x, n_key_cols, np.lexsort) for x in sub_parts],
-                op=_tuple_min,
-            )
-            all_max = sub.allreduce(
-                [_global_extreme(x, n_key_cols, _lexsort_desc) for x in sub_parts],
-                op=_tuple_max,
-            )
-            if all_min == all_max:
-                spread = _spread_evenly(sub, sub_parts)
-                machine.charge_scan(np.array([len(x) for x in spread]),
-                                    ranks=sub.ranks)
-                return spread
-            # Use a strict split at the pivot: rows < pivot go low.
-            low_masks = [
-                _le_pivot(x, pivot, n_key_cols) & ~_eq_key(x, pivot, n_key_cols)
-                for x in sub_parts
-            ]
-            low_total = int(sub.allreduce([int(m.sum()) for m in low_masks]))
-            if low_total == 0:
-                # pivot is the unique minimum: route only its copies low.
-                low_masks = [_eq_key(x, pivot, n_key_cols) for x in sub_parts]
-
-        # --- Scatter low rows over the lower half, high over the upper. ---
-        if batched_for(machine):
-            r = RaggedArrays.from_arrays(sub_parts)
-            mask_flat = np.concatenate(low_masks) if len(r.flat) \
-                else np.zeros(0, dtype=bool)
-            seg = r.segment_ids()
-            high_flag = (~mask_flat).astype(np.int8)
-            # Stable per-segment reorder: low rows first, both in original
-            # order -- identical to the per-PE concatenate([low, high]).
-            order = np.lexsort((high_flag, seg))
-            rows_flat = r.flat[order]
-            is_high = high_flag[order].astype(bool)
-            pos = (np.arange(len(r.flat), dtype=np.int64)
-                   - np.repeat(r.offsets[:-1], r.lengths))
-            nlow = np.bincount(seg[mask_flat], minlength=g)
-            lows_arr = np.asarray(lows, dtype=np.int64)
-            highs_arr = np.asarray(highs, dtype=np.int64)
-            k_high = pos - nlow[seg]
-            dest_flat = np.where(
-                is_high,
-                highs_arr[k_high % len(highs)],
-                lows_arr[pos % len(lows)],
-            )
-            rows_out = [rows_flat[r.offsets[k]:r.offsets[k + 1]]
-                        for k in range(g)]
-            dest_out = [dest_flat[r.offsets[k]:r.offsets[k + 1]]
-                        for k in range(g)]
-        else:
-            rows_out = []
-            dest_out = []
-            for rk in range(g):
-                mask = low_masks[rk]
-                rows = sub_parts[rk]
-                low_rows, high_rows = rows[mask], rows[~mask]
-                dl = np.asarray(lows, dtype=np.int64)[
-                    np.arange(len(low_rows)) % len(lows)]
-                dh = np.asarray(highs, dtype=np.int64)[
-                    np.arange(len(high_rows)) % len(highs)]
-                rows_out.append(np.concatenate([low_rows, high_rows], axis=0))
-                dest_out.append(np.concatenate([dl, dh]))
-        recv, _, _ = route_rows(sub, rows_out, dest_out, method="auto")
-
-        left = recurse(sub.sub(lows), recv[:g_low], depth + 1)
-        right = recurse(sub.sub(highs), recv[g_low:], depth + 1)
-        return left + right
-
-    return recurse(comm, parts, 0)
-
-
-def _eq_key(rows: np.ndarray, pivot: tuple, n_key_cols: int) -> np.ndarray:
-    if len(rows) == 0:
-        return np.zeros(0, dtype=bool)
-    eq = np.ones(len(rows), dtype=bool)
-    for c in range(n_key_cols):
-        eq &= rows[:, c] == pivot[c]
-    return eq
-
-
-def _global_extreme(rows: np.ndarray, n_key_cols: int, sorter):
-    if len(rows) == 0:
-        return None
-    order = sorter(tuple(rows[:, c] for c in reversed(range(n_key_cols))))
-    return tuple(int(x) for x in rows[order[0], :n_key_cols])
-
-
-def _lexsort_desc(keys):
-    return np.lexsort(keys)[::-1]
-
-
-def _tuple_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _tuple_max(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
-def _spread_evenly(sub: Comm, sub_parts: List[np.ndarray]) -> List[np.ndarray]:
-    """Evenly redistribute (all-equal) rows over the sub-communicator."""
-    from ..utils.partition import owner_of
-
-    g = sub.size
-    sizes = [len(x) for x in sub_parts]
-    offsets = sub.exscan(sizes)
-    total = int(np.sum(sizes))
-    dests = []
-    for r in range(g):
-        if sizes[r] == 0:
-            dests.append(np.empty(0, dtype=np.int64))
-        else:
-            idx = offsets[r] + np.arange(sizes[r], dtype=np.int64)
-            dests.append(owner_of(idx, total, g))
-    recv, _, _ = route_rows(sub, sub_parts, dests, method="auto")
-    return recv
+            machine.charge_sort(final_lens[lo:hi], ranks=sub.ranks)
+            continue
+        node = nodes[lo, hi]
+        nbytes = node.sample_rows * row_words * 8
+        sub._sync_and_charge(cost.allgather(g, nbytes), op="allgatherv",
+                             nbytes=nbytes)
+        if node.kind == _EMPTY:
+            continue
+        level = levels[node.level]
+        sent = level.sent[lo:hi]
+        machine.charge_scan(sent, ranks=sub.ranks)
+        word = cost.collective_tree(g, 8)
+        sub._sync_and_charge(word, op="allreduce", nbytes=8)
+        if node.kind != _SPLIT:
+            nbytes = 8 * n_key_cols if sent[0] else 8
+            for _ in ("min", "max"):
+                sub._sync_and_charge(cost.collective_tree(g, nbytes),
+                                     op="allreduce", nbytes=nbytes)
+            sub._sync_and_charge(
+                word, op="exscan" if node.kind == _SPREAD else "allreduce",
+                nbytes=8)
+        account_auto(sub, template, node.counts,
+                     functools.partial(_group_block, rows, level.payload,
+                                       lo, hi))
+        if node.kind == _SPREAD:
+            machine.charge_scan(level.received[lo:hi], ranks=sub.ranks)
+            continue
+        mid = lo + g // 2
+        stack += [(mid, hi), (lo, mid)]

@@ -19,7 +19,7 @@ from ..dgraph.search import lex_searchsorted
 from ..kernels import RaggedArrays, batched_for
 from ..simmpi.alltoall import route_rows
 from ..simmpi.collectives import Comm
-from .common import as_row_matrix, local_lexsort_parts
+from .common import local_lexsort_parts
 from .hypercube import sort_hypercube
 
 #: Oversampling factor: splitter sample size per PE.
@@ -30,13 +30,14 @@ def sort_samplesort(
     comm: Comm,
     parts: Sequence[np.ndarray],
     n_key_cols: int,
-    seed: int = 0,
-    alltoall_method: str = "auto",
 ) -> List[np.ndarray]:
-    """Globally sort per-PE row matrices with one data exchange."""
+    """Globally sort per-PE row matrices with one data exchange.
+
+    ``parts`` are 2-D integer row matrices of one width, one per rank
+    (:func:`repro.sorting.sort_rows` is the validating entry point).
+    """
     p = comm.size
     machine = comm.machine
-    parts = [as_row_matrix(x) for x in parts]
     total = sum(len(x) for x in parts)
     if total == 0 or p == 1:
         machine.charge_sort(np.array([len(x) for x in parts]))
@@ -58,7 +59,7 @@ def sort_samplesort(
         samples.append(rows[take])
     # Sort the sample with the hypercube algorithm (paper, Section VI-C),
     # then replicate it to pick evenly spaced splitters.
-    sorted_sample_parts = sort_hypercube(comm, samples, n_key_cols, seed=seed)
+    sorted_sample_parts = sort_hypercube(comm, samples, n_key_cols)
     sample = comm.allgatherv(
         [x if len(x) else parts[0][:0] for x in sorted_sample_parts]
     ).reshape(-1, parts[0].shape[1] if parts[0].ndim == 2 else 1)
@@ -97,7 +98,7 @@ def sort_samplesort(
             machine.charge_scan(
                 np.array([len(rows) * max(1, int(np.log2(p)))]),
                 ranks=np.array([i]))
-    recv, _, _ = route_rows(comm, parts, dests, method=alltoall_method)
+    recv, _, _ = route_rows(comm, parts, dests)
 
     # ---- Local merge of the received sorted runs. ----
     machine.charge_sort(np.array([len(x) for x in recv]))

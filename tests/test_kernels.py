@@ -35,6 +35,7 @@ from repro.kernels import (
     ENGINE_NAMES,
     RaggedArrays,
     first_in_group,
+    order_key,
     packed_lexsort,
     route_counts,
     segment_ids,
@@ -109,6 +110,40 @@ class TestSegmentedKernels:
             local = order[lo:hi] - lo
             ref = np.lexsort((parts[i], k2[lo:hi]))
             assert np.array_equal(local, ref), i
+
+    @pytest.mark.parametrize("key_high, n_segments, seg_dtype", [
+        (1 << 20, 32, np.int64),       # keys pack, keys + segment do not
+        (1 << 20, 32, np.uint16),
+        (1 << 20, 70000, np.int64),    # ... with more than 2^16 segments
+        (1 << 10, 32, np.int64),       # everything packs (one pass)
+        (1 << 40, 32, np.int64),       # not even the keys pack (np.lexsort)
+    ])
+    def test_lexsort_when_the_segment_id_overflows_the_packed_key(
+            self, rng, key_high, n_segments, seg_dtype):
+        n = 5000
+        keys = tuple(rng.integers(0, key_high, n) for _ in range(3))
+        # Few distinct first keys: ties reach the less significant columns.
+        keys = keys[:2] + (keys[2] % 7 * (key_high // 7),)
+        segs = np.sort(rng.integers(0, n_segments, n)).astype(seg_dtype)
+        segs[-1] = n_segments - 1
+        order = segmented_lexsort(keys, segs)
+        assert np.array_equal(order, np.lexsort(keys + (segs,)))
+
+    @pytest.mark.parametrize("key_high", [50, 1 << 20, 1 << 40])
+    def test_order_key_is_monotone_in_the_lexicographic_order(self, rng,
+                                                              key_high):
+        """Packed (first two) or dense-ranked (last): strictly increasing
+        along the lexsort, equal exactly on full-key ties."""
+        keys = tuple(rng.integers(0, key_high, 3000) for _ in range(3))
+        keys = tuple(np.concatenate([k, k[:500]]) for k in keys)  # ties
+        scalar = order_key(keys)
+        order = np.lexsort(keys)
+        assert np.array_equal(np.argsort(scalar, kind="stable"), order)
+        same = np.ones(len(order) - 1, dtype=bool)
+        for k in keys:
+            same &= k[order][1:] == k[order][:-1]
+        assert np.array_equal(np.diff(scalar[order]) == 0, same)
+        assert order_key((np.empty(0, np.uint32),)).shape == (0,)
 
     def test_first_in_group(self):
         g = np.array([0, 0, 1, 1, 1, 3, 4, 4])

@@ -209,6 +209,40 @@ class TestCostAccounting:
             alltoall.alltoallv_grid(Comm(Machine(p, sanitize=True)), bufs,
                                     counts)
 
+    def test_sort_level_conservation(self):
+        san = Machine(4, sanitize=True).sanitizer
+        left = np.array([[1, 2], [0, 3]])
+        right = np.array([[0, 4], [5, 0]])
+        sent, received = np.array([3, 3, 4, 5]), np.array([1, 5, 5, 4])
+        san.check_sort_level([0, 2], [left, right], sent, received)
+        assert san.counters["sort_level_checks"] == 1
+        with pytest.raises(CostAccountingViolation, match="crossed"):
+            san.check_sort_level([0, 2], [left, right], sent,
+                                 np.array([1, 4, 6, 4]))
+
+    def test_sort_level_crossing_a_group_boundary_detected(self, rng,
+                                                           monkeypatch):
+        """The hypercube sorter moves a whole level at once and charges each
+        sub-communicator from its own count matrix: a row sent outside its
+        sub-communicator would be moved for free."""
+        from repro.sorting import hypercube
+
+        p = 4
+        honest = hypercube._destinations
+        levels = []
+
+        def lying(*args):
+            dest = honest(*args)
+            levels.append(len(levels))
+            if len(levels) == 2:  # sub-communicators [0, 2) and [2, 4)
+                dest[0] = p - 1   # PE 0's first row leaves [0, 2)
+            return dest
+
+        monkeypatch.setattr(hypercube, "_destinations", lying)
+        parts = [rng.integers(0, 1000, (10, 2)) for _ in range(p)]
+        with pytest.raises(CostAccountingViolation, match="crossed"):
+            hypercube.sort_hypercube(Comm(Machine(p, sanitize=True)), parts, 1)
+
     def test_grid_alltoall_passes_its_own_bounds(self, rng):
         """A real grid exchange satisfies the 2x / O(sqrt p) assertions."""
         from repro.simmpi import alltoallv_grid

@@ -1,10 +1,14 @@
 """Tests for the distributed sorters (repro.sorting)."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import ENGINE_NAMES
+from repro.obs.export import chrome_trace, metrics_to_dict
 from repro.simmpi import Comm, Machine
 from repro.sorting import (
     HYPERCUBE_THRESHOLD,
@@ -17,6 +21,9 @@ from repro.sorting import (
     sort_samplesort,
 )
 from repro.sorting.common import as_row_matrix
+
+import _hypercube_reference as reference
+from _alltoall_reference import SpyInjector, _assert_equal
 
 
 def _multiset(parts):
@@ -110,6 +117,21 @@ class TestDispatch:
     def test_auto_threshold(self):
         assert HYPERCUBE_THRESHOLD == 512  # the paper's constant
 
+    @pytest.mark.parametrize("parts, n_key_cols, named", [
+        ([np.zeros((2, 4), dtype=np.int64)] * 3, 5, "n_key_cols"),
+        ([np.zeros((2, 4), dtype=np.int64)] * 3, 0, "n_key_cols"),
+        ([np.zeros((2, 4), dtype=np.int64)] * 2, 3, "parts"),
+        ([np.zeros((2, 4), dtype=np.int64)] * 2
+         + [np.zeros((2, 3), dtype=np.int64)], 3, "width"),
+    ])
+    @pytest.mark.parametrize("method", ["hypercube", "samplesort", "auto"])
+    def test_bad_arguments_rejected_at_the_boundary(self, parts, n_key_cols,
+                                                    named, method):
+        """One ValueError naming the argument, not an IndexError / TypeError
+        / numpy concatenate error from inside a sorter."""
+        with pytest.raises(ValueError, match=named):
+            sort_rows(Comm(Machine(3)), parts, n_key_cols, method=method)
+
     def test_duplicate_heavy_input(self):
         rng = np.random.default_rng(5)
         p = 6
@@ -160,6 +182,163 @@ class TestCostShape:
         sort_hypercube(Comm(mh), [x.copy() for x in parts], 3)
         sort_samplesort(Comm(ms), [x.copy() for x in parts], 3)
         assert ms.elapsed() < mh.elapsed()
+
+
+# ----------------------------------------------------------------------
+# Level-synchronous hypercube quicksort vs. the recursion it replaced.
+# ----------------------------------------------------------------------
+DIFF_SIZES = [1, 2, 3, 4, 5, 7, 8, 13, 16, 32, 33, 64]
+FAULTS = "seed=5,corrupt=0.3,msg_drop=0.05,straggle=0.2"
+MODES = {
+    "plain": {},
+    "traced": {"trace_events": True, "trace": True},
+    "sanitized": {"sanitize": True},
+    "faults": {"faults": FAULTS},
+}
+
+
+def _payload(rng, keys):
+    """``keys`` plus a payload column that tells equal keys apart."""
+    return np.column_stack([keys, rng.integers(0, 10 ** 6, len(keys))])
+
+
+def _shapes(rng, p):
+    """The input shapes of the differential, as ``(name, parts)``."""
+    def parts(lens, high, dtype=np.int64):
+        return [_payload(rng, rng.integers(0, high, (int(k), 3))
+                         ).astype(dtype) for k in lens]
+
+    few = rng.integers(0, 3, p)
+    yield "random", parts(rng.integers(0, 40, p), 50)
+    yield "half empty", parts(rng.integers(1, 30, p)
+                              * (rng.random(p) < 0.5), 1000)
+    yield "0-2 rows/PE", parts(few, 1 << 20)
+    yield "3-valued keys", parts(rng.integers(0, 40, p), 3)
+    yield "all keys equal", [_payload(rng, np.full((int(k), 3), 7))
+                             for k in rng.integers(0, 25, p)]
+    if p <= 16:
+        yield "100-600 rows/PE", parts(rng.integers(100, 601, p), 1 << 20)
+    mixed = parts(rng.integers(0, 20, p), 1 << 16)
+    yield "mixed dtypes", [x.astype(np.uint32) if i % 2 else x
+                           for i, x in enumerate(mixed)]
+    yield "all empty", parts(np.zeros(p, dtype=np.int64), 5, np.uint32)
+
+
+def _observed(machine, out):
+    """Everything a sort leaves behind, in comparable form."""
+    seen = {
+        "out": [(x.dtype, x.shape, x.tolist()) for x in out],
+        "clock": machine.clock.copy(),
+        "n_collectives": machine.n_collectives,
+        "bytes": machine.bytes_communicated,
+        "pe_rngs": {pe: str(state)
+                    for pe, state in machine.rng_snapshot().items()},
+    }
+    if machine.events is not None:
+        seen["events"] = chrome_trace(machine.events, deterministic=True)
+        metrics = metrics_to_dict(machine.metrics, deterministic=True)
+        # kernel/* and pool/* count host kernel calls: meant to differ.
+        metrics["counters"] = {
+            k: v for k, v in metrics["counters"].items()
+            if not k.startswith(("kernel/", "pool/"))}
+        seen["metrics"] = metrics
+    if machine.trace is not None:
+        seen["comm_trace"] = (machine.trace.matrix.copy(),
+                              machine.trace.n_exchanges)
+    if machine.sanitizer is not None:
+        seen["shadow"] = machine.sanitizer.comm_matrix.copy()
+        seen["checks"] = {k: v for k, v in machine.sanitizer.counters.items()
+                          if k != "sort_level_checks"}
+    if machine.faults is not None:
+        seen["faults"] = machine.faults.summary()
+        seen["fault_rng"] = str(machine.faults.rng.bit_generator.state)
+        seen["victims"] = getattr(machine.faults, "hops", None)
+    return seen
+
+
+def _sort_observed(sorter, p, parts, ranks=None, spy=False, **machine_args):
+    machine = Machine(p if ranks is None else 2 * p,
+                      **{"sanitize": False, "faults": False, **machine_args})
+    if spy:
+        machine.faults = SpyInjector(machine, machine.faults.schedule)
+    comm = Comm(machine) if ranks is None else Comm(machine).sub(ranks)
+    return _observed(machine, sorter(comm, parts, 3))
+
+
+class TestHypercubeMatchesRecursion:
+    """Production walks the levels of the split tree and replays the
+    charges; the recursion it replaced (tests/_hypercube_reference.py) must
+    be indistinguishable from it -- to the caller, to every observer of the
+    simulated machine, to the fault injector and to the per-PE RNGs."""
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("p", DIFF_SIZES)
+    def test_differential(self, p, mode, engine):
+        rng = np.random.default_rng(1000 * p + len(mode))
+        for name, parts in _shapes(rng, p):
+            args = dict(MODES[mode], engine=engine)
+            _assert_equal(_sort_observed(sort_hypercube, p, parts, **args),
+                          _sort_observed(reference.sort_hypercube, p, parts,
+                                         **args), f"{name}")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_many_pes_few_rows(self, mode):
+        rng = np.random.default_rng(256)
+        parts = [_payload(rng, rng.integers(0, 1 << 20, (int(k), 3)))
+                 for k in rng.integers(0, 3, 256)]
+        _assert_equal(
+            _sort_observed(sort_hypercube, 256, parts, **MODES[mode]),
+            _sort_observed(reference.sort_hypercube, 256, parts,
+                           **MODES[mode]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("p", [2, 5, 16, 33])
+    def test_sub_communicator(self, p, mode):
+        """``comm.ranks`` is neither the identity nor ascending."""
+        rng = np.random.default_rng(p)
+        ranks = rng.permutation(2 * p)[:p]
+        for name, parts in _shapes(rng, p):
+            _assert_equal(
+                _sort_observed(sort_hypercube, p, parts, ranks=ranks,
+                               **MODES[mode]),
+                _sort_observed(reference.sort_hypercube, p, parts,
+                               ranks=ranks, **MODES[mode]), name)
+
+    @pytest.mark.parametrize("p", [4, 7, 16])
+    def test_every_hop_payload(self, p):
+        """The send side rebuilt on demand for a corruption victim holds the
+        rows the recursion's own exchange would have held, rank by rank and
+        hop by hop (the spy materialises all of them)."""
+        rng = np.random.default_rng(p)
+        detected = 0
+        for name, parts in _shapes(rng, p):
+            got = _sort_observed(sort_hypercube, p, parts, spy=True,
+                                 faults="seed=1,corrupt=0.9")
+            _assert_equal(got, _sort_observed(
+                reference.sort_hypercube, p, parts, spy=True,
+                faults="seed=1,corrupt=0.9"), name)
+            detected += got["faults"].get("corrupt_detected", 0)
+        assert detected > 0  # victims were drawn: not a vacuous comparison
+
+    def test_no_per_group_routing(self, monkeypatch):
+        """Host-cost guard without a clock: the sorter never enters
+        ``route_rows`` -- one move per level, not one per sub-communicator."""
+        from repro.simmpi.alltoall import route_rows
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sort_hypercube called route_rows")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and \
+                    getattr(module, "route_rows", None) is route_rows:
+                monkeypatch.setattr(module, "route_rows", forbidden)
+        rng = np.random.default_rng(64)
+        parts = [rng.integers(0, 1000, (int(k), 4))
+                 for k in rng.integers(0, 50, 64)]
+        out = sort_hypercube(Comm(Machine(64)), parts, 3)
+        assert is_globally_sorted(out, 3)
+        assert _multiset(out) == _multiset(parts)
 
 
 class TestPropertyBased:
