@@ -24,7 +24,6 @@ from pathlib import Path
 
 from repro.analysis import env_max_cores, env_scale
 from repro.graphgen import gen_family, gen_realworld, load_npz, save_npz
-from repro.kernels import resolve_engine
 
 RESULTS_DIR = Path(__file__).parent / "results"
 CACHE_DIR = RESULTS_DIR / "cache"
@@ -141,7 +140,7 @@ class BenchRecorder:
     :meth:`write`, persists ``benchmarks/results/BENCH_<name>.json`` with the
     total wall-clock of the measured block, the simulated series, and the
     environment knobs that shaped the run.  Wall-clock depends on the
-    execution path (docs/kernels.md); the simulated series must not.
+    host; the simulated series must not.
     """
 
     def __init__(self, name: str):
@@ -182,7 +181,6 @@ class BenchRecorder:
             "name": self.name,
             "wall_seconds": self.wall_seconds,
             "peak_rss_bytes": self.peak_rss_bytes,
-            "engine": resolve_engine(),
             "max_cores": MAX_CORES,
             "scale": env_scale(),
             "simulated": self.simulated,
@@ -193,8 +191,7 @@ class BenchRecorder:
         if ledger_path() is not None:
             append_record(make_record(
                 "benchmark", self.name,
-                config={"engine": payload["engine"],
-                        "max_cores": payload["max_cores"],
+                config={"max_cores": payload["max_cores"],
                         "scale": payload["scale"]},
                 simulated=self.simulated,
                 wall_seconds=self.wall_seconds))

@@ -51,8 +51,6 @@ import argparse
 import os
 import sys
 
-from .kernels.engine import ENGINE_NAMES
-
 
 def _add_gen(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("gen", help="generate a graph instance")
@@ -77,9 +75,6 @@ def _add_mst(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--procs", type=int, default=8, help="MPI processes")
     p.add_argument("--threads", type=int, default=1,
                    help="OpenMP threads per process")
-    p.add_argument("--engine", default=None, choices=ENGINE_NAMES,
-                   help="execution path (default: REPRO_ENGINE, "
-                        "see docs/kernels.md)")
     p.add_argument("--alltoall", default="auto",
                    choices=["auto", "direct", "grid", "grid3", "hypercube"])
     p.add_argument("--no-preprocessing", action="store_true")
@@ -139,9 +134,6 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--base-case-min", type=int, default=64,
                    help="base-case vertex threshold (small keeps more "
                         "distributed rounds visible in the profile)")
-    p.add_argument("--engine", default=None, choices=ENGINE_NAMES,
-                   help="execution path (default: REPRO_ENGINE, "
-                        "see docs/kernels.md)")
     p.add_argument("--trace-out", default=None,
                    help="Chrome/Perfetto trace JSON output path (default: "
                         "profile.trace.json under $REPRO_TRACE_DIR, which "
@@ -213,7 +205,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("graph", help="initial instance .npz (from `repro gen`)")
     p.add_argument("--procs", type=int, default=8, help="MPI processes")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--engine", default=None, choices=ENGINE_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", default=None,
                    help="fault schedule active during epoch recomputes "
@@ -306,8 +297,7 @@ def _cmd_mst(args) -> int:
     from .simmpi import Machine
 
     g = load_npz(args.graph)
-    machine = Machine(args.procs, threads=args.threads,
-                      engine=args.engine)
+    machine = Machine(args.procs, threads=args.threads)
     b = BoruvkaConfig(alltoall=args.alltoall,
                       local_preprocessing=not args.no_preprocessing)
     config = (FilterConfig(boruvka=b)
@@ -321,7 +311,6 @@ def _cmd_mst(args) -> int:
           f"m={g.n_undirected_edges})")
     print(f"machine         : {args.procs} procs x {args.threads} threads "
           f"= {machine.cores} cores")
-    print(f"engine          : {machine.engine}")
     print(f"algorithm       : {result.algorithm}")
     print(f"MSF weight      : {result.total_weight}")
     print(f"MSF edges       : {len(result.msf_edges())}")
@@ -428,8 +417,7 @@ def _cmd_profile(args) -> int:
         g = load_npz(args.graph)
     else:
         g = gen_family(args.family, args.n, args.m, seed=args.seed)
-    machine = Machine(args.procs, threads=args.threads, trace_events=True,
-                      engine=args.engine)
+    machine = Machine(args.procs, threads=args.threads, trace_events=True)
     b = BoruvkaConfig(alltoall=args.alltoall,
                       base_case_min=args.base_case_min)
     config = (FilterConfig(boruvka=b)
@@ -615,7 +603,7 @@ def _cmd_serve(args) -> int:
     session = GraphSession(
         g.n_vertices, g.edges,
         n_procs=args.procs, threads=args.threads, seed=args.seed,
-        engine=args.engine, faults=args.schedule,
+        faults=args.schedule,
         log_max_rounds=args.log_rounds,
     )
     queue_opts = dict(
@@ -629,7 +617,6 @@ def _cmd_serve(args) -> int:
     # Responses own stdout in stdio mode; humans read stderr.
     print(f"serving {g.name} (n={g.n_vertices}, "
           f"m={g.n_undirected_edges}) on {args.procs} procs, "
-          f"engine={session.machine.engine}, "
           f"weight={session.view.total_weight}", file=sys.stderr)
     try:
         if args.tcp:

@@ -33,7 +33,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
-from ..kernels import RaggedArrays, batched_for, segmented_unique
+from ..kernels import RaggedArrays, segmented_unique
 from ..kernels.pool import active_pool
 from ..kernels.segmented import packed_lexsort
 from ..simmpi.alltoall import route_rows, unsort
@@ -373,24 +373,14 @@ def _resolve(comm: Comm, f_blocks: List[np.ndarray], n: int,
     q_dt = np.result_type(
         *([x.dtype for x in labels_per_pe if len(x)] or [np.int64]))
     f_dt = f_blocks[0].dtype if f_blocks else np.dtype(np.int64)
-    if batched_for(comm.machine):
-        r = RaggedArrays.from_arrays(labels_per_pe, dtype=q_dt)
-        uniq, uoff, inv = segmented_unique(r.flat, r.segment_ids(), p)
-        uniqs = [uniq[uoff[i]:uoff[i + 1]] for i in range(p)]
-        invs = [inv[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
-        dest_flat = owner_of(uniq, n, p) if len(uniq) else \
-            np.empty(0, dtype=np.int64)
-        dests = [dest_flat[uoff[i]:uoff[i + 1]] for i in range(p)]
-        del r
-    else:
-        uniqs, invs, dests = [], [], []
-        for i in range(p):
-            uniq, inv = np.unique(
-                np.asarray(labels_per_pe[i], dtype=q_dt),
-                return_inverse=True)
-            uniqs.append(uniq)
-            invs.append(inv)
-            dests.append(owner_of(uniq, n, p))
+    r = RaggedArrays.from_arrays(labels_per_pe, dtype=q_dt)
+    uniq, uoff, inv = segmented_unique(r.flat, r.segment_ids(), p)
+    uniqs = [uniq[uoff[i]:uoff[i + 1]] for i in range(p)]
+    invs = [inv[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
+    dest_flat = owner_of(uniq, n, p) if len(uniq) else \
+        np.empty(0, dtype=np.int64)
+    dests = [dest_flat[uoff[i]:uoff[i + 1]] for i in range(p)]
+    del r
     recv, recv_src, orders = route_rows(comm, uniqs, dests, method=method)
     replies = []
     for i in range(p):

@@ -19,9 +19,10 @@ Every non-root local vertex's selected edge is an MST edge (min-cut
 property) and is recorded; the final parent array is the per-vertex
 component-root label ``L_local`` consumed by EXCHANGELABELS/RELABEL.
 
-Two engines (see :mod:`repro.kernels`): the reference per-PE loop and a
-batched variant whose rounds run one segmented kernel call per step over all
-PEs at once.  Results and simulated costs are identical.
+The state of all PEs is held flat and every step of a round is one
+segmented kernel call (see :mod:`repro.kernels`); the per-PE loops this
+replaced are the oracle of the differential tests
+(``tests/_loop_reference.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.search import sorted_lookup
-from ..kernels import batched_for, segmented_lookup, segmented_unique
+from ..kernels import segmented_lookup, segmented_unique
 from ..simmpi.alltoall import route_rows, unsort
 from .minedges import ChosenEdges
 from .state import MSTRun
@@ -49,123 +50,6 @@ def contract_components(
     vertex, aligned with ``chosen[i].vids``.  Records MST edges and reports
     label maps to the run's label sink.
     """
-    if batched_for(graph.machine):
-        return _contract_batched(graph, chosen, run)
-    return _contract_loop(graph, chosen, run)
-
-
-def _contract_loop(
-    graph: DistGraph,
-    chosen: List[ChosenEdges],
-    run: MSTRun,
-) -> List[np.ndarray]:
-    """Reference engine: per-PE loops around every exchange."""
-    p = graph.machine.n_procs
-    comm = run.comm
-    shared_set = graph.shared_vertex_set()
-
-    parent: List[np.ndarray] = []
-    is_root: List[np.ndarray] = []
-    pending: List[np.ndarray] = []  # bool masks
-    for i in range(p):
-        ch = chosen[i]
-        par = np.where(ch.shared, ch.vids, ch.to)
-        root = ch.shared.copy()
-        # Paper special case: a parent that is a shared vertex is known to be
-        # a component root -- finalise locally, no request needed.
-        parent_shared = np.isin(par, shared_set)
-        pend = ~ch.shared & ~parent_shared
-        parent.append(par)
-        is_root.append(root)
-        pending.append(pend)
-
-    # ------------------------------------------------------------------
-    # Pointer-doubling rounds.
-    # ------------------------------------------------------------------
-    max_rounds = run.cfg.max_rounds
-    for round_no in range(max_rounds):
-        n_pending = comm.allreduce([int(m.sum()) for m in pending])
-        if n_pending == 0:
-            break
-        # Build deduplicated queries: distinct parent targets per PE.
-        queries, inverse_maps, dests = [], [], []
-        for i in range(p):
-            targets = parent[i][pending[i]]
-            uniq, inv = np.unique(targets, return_inverse=True)
-            queries.append(uniq)
-            inverse_maps.append(inv)
-            dests.append(graph.home_of_vertices(uniq))
-        recv, recv_src, orders = route_rows(
-            comm, queries, dests, method=run.cfg.alltoall
-        )
-        # Answer from the state at round start (BSP semantics).
-        replies = []
-        for i in range(p):
-            q = recv[i]
-            if len(q) == 0:
-                replies.append(np.empty((0, 2), dtype=np.int64))
-                continue
-            found, idx = sorted_lookup(chosen[i].vids, q)
-            if not found.all():
-                raise RuntimeError(
-                    f"PE {i}: pointer-doubling query for non-resident vertex"
-                )
-            pv = parent[i][idx]
-            replies.append(np.stack([q, pv], axis=1))
-            graph.machine.charge_hash(np.array([len(q)]),
-                                      ranks=np.array([i]))
-        back, _, _ = route_rows(comm, replies, recv_src,
-                                method=run.cfg.alltoall)
-        # Apply: each pending u with target v learns pv = parent(v).
-        for i in range(p):
-            if len(queries[i]) == 0:
-                continue
-            ordered = unsort(orders[i], back[i])  # aligned with queries[i]
-            assert np.array_equal(ordered[:, 0], queries[i])
-            pv_per_query = ordered[:, 1]
-            pend_idx = np.flatnonzero(pending[i])
-            u = chosen[i].vids[pend_idx]
-            v = parent[i][pend_idx]
-            pv = pv_per_query[inverse_maps[i]]
-            # 2-cycle: v's parent is u itself; root at the smaller label.
-            cyc = pv == u
-            win = cyc & (u < v)
-            lose = cyc & ~win
-            parent[i][pend_idx[win]] = u[win]
-            is_root[i][pend_idx[win]] = True
-            pending[i][pend_idx[win]] = False
-            parent[i][pend_idx[lose]] = v[lose]
-            pending[i][pend_idx[lose]] = False
-            # Regular doubling: adopt pv; finalise when v was a root or the
-            # new parent is a shared vertex (local check, paper IV-B).
-            reg = ~cyc
-            parent[i][pend_idx[reg]] = pv[reg]
-            v_is_root = pv == v
-            new_shared = np.isin(pv, shared_set)
-            done = reg & (v_is_root | new_shared)
-            pending[i][pend_idx[done]] = False
-            graph.machine.charge_scan(np.array([len(pend_idx)]),
-                                      ranks=np.array([i]))
-    else:
-        raise RuntimeError("pointer doubling failed to converge")
-
-    # ------------------------------------------------------------------
-    # Record MST edges and label maps.
-    # ------------------------------------------------------------------
-    for i in range(p):
-        ch = chosen[i]
-        contributes = ~ch.shared & ~is_root[i]
-        run.record_mst(i, ch.edge_id[contributes], ch.weight[contributes])
-        run.record_labels(i, ch.vids, parent[i])
-    return parent
-
-
-def _contract_batched(
-    graph: DistGraph,
-    chosen: List[ChosenEdges],
-    run: MSTRun,
-) -> List[np.ndarray]:
-    """Batched engine: flat state, one kernel call per round step."""
     p = graph.machine.n_procs
     machine = graph.machine
     comm = run.comm

@@ -10,11 +10,12 @@ search on the replicated min-edge array.  Duplicate messages for the same
 RELABEL then rewrites every edge ``(u, v)`` to ``(u', v')`` and discards
 self loops; parallel-edge elimination happens later in REDISTRIBUTE.
 
-Two engines (see :mod:`repro.kernels`): the reference per-PE loop and a
-batched variant built on segmented searchsorted/lookup kernels.  The batched
-engine may emit the deduplicated push payload in a different (but
-equivalent) row order; the resulting ghost tables, relabelled edges and
-simulated costs are identical.
+Both steps run over all PEs' edges at once on the segmented
+searchsorted/lookup kernels (see :mod:`repro.kernels`).  The per-PE loops
+they replaced are the oracle of the differential tests
+(``tests/_loop_reference.py``); the deduplicated push payload may leave in
+a different (but equivalent) row order than the oracle's, while ghost
+tables, relabelled edges and simulated costs are identical.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ from ..kernels.segmented import packed_lexsort
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
 from ..dgraph.search import sorted_lookup
-from ..kernels import (
-    batched_for,
-    segmented_lookup,
-    segmented_searchsorted,
-)
+from ..kernels import segmented_lookup, segmented_searchsorted
 from ..simmpi.alltoall import route_rows
 from .state import MSTRun
 
@@ -61,75 +58,6 @@ def exchange_labels(
     run: MSTRun,
 ) -> List[GhostTable]:
     """Push new local-vertex labels to every PE that has them as ghosts."""
-    if batched_for(graph.machine):
-        return _exchange_labels_batched(graph, vids_per_pe, labels_per_pe,
-                                        run)
-    return _exchange_labels_loop(graph, vids_per_pe, labels_per_pe, run)
-
-
-def _exchange_labels_loop(
-    graph: DistGraph,
-    vids_per_pe: List[np.ndarray],
-    labels_per_pe: List[np.ndarray],
-    run: MSTRun,
-) -> List[GhostTable]:
-    """Reference engine: one numpy pass per PE around one exchange."""
-    p = graph.machine.n_procs
-    payloads, dests = [], []
-    for i in range(p):
-        part = graph.parts[i]
-        vids = vids_per_pe[i]
-        if len(part) == 0:
-            payloads.append(np.empty((0, 2), dtype=np.int64))
-            dests.append(np.empty(0, dtype=np.int64))
-            continue
-        # Home PE of every reverse edge (v, u, w).  The label of u must be
-        # pushed wherever the reverse edge lives on a *different* PE.  This
-        # covers all cut edges (the paper's rule) plus the corner case where
-        # an edge is local here because its destination is a shared vertex,
-        # while the shared vertex's other PE holds the reverse edge as a cut
-        # edge and still needs our source's label.
-        home_all = graph.home_of_edges(part.v, part.u, part.w)
-        cut = home_all != i
-        cu, cw = part.u[cut], part.w[cut]
-        home = home_all[cut]
-        # New label of the edge's source.
-        src_idx = np.searchsorted(vids, cu)
-        lab = labels_per_pe[i][src_idx]
-        # Deduplicate per (destination PE, vertex).
-        key = np.stack([home, cu], axis=1)
-        _, uniq_idx = np.unique(key, axis=0, return_index=True)
-        payloads.append(np.stack([cu[uniq_idx], lab[uniq_idx]], axis=1))
-        dests.append(home[uniq_idx])
-        graph.machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
-        graph.machine.charge_sort(np.array([max(len(cu), 1)]),
-                                  ranks=np.array([i]))
-    recv, _, _ = route_rows(run.comm, payloads, dests,
-                            method=run.cfg.alltoall)
-    tables: List[GhostTable] = []
-    for i in range(p):
-        rows = recv[i]
-        if len(rows) == 0:
-            z = np.empty(0, dtype=np.int64)
-            tables.append(GhostTable(z, z.copy()))
-            continue
-        order = np.argsort(rows[:, 0], kind="stable")
-        g = rows[order, 0]
-        l = rows[order, 1]
-        first = np.ones(len(g), dtype=bool)
-        first[1:] = g[1:] != g[:-1]
-        tables.append(GhostTable(g[first], l[first]))
-        graph.machine.charge_hash(np.array([len(rows)]), ranks=np.array([i]))
-    return tables
-
-
-def _exchange_labels_batched(
-    graph: DistGraph,
-    vids_per_pe: List[np.ndarray],
-    labels_per_pe: List[np.ndarray],
-    run: MSTRun,
-) -> List[GhostTable]:
-    """Batched engine: one segmented pass for all PEs' pushes and tables."""
     p = graph.machine.n_procs
     machine = graph.machine
     parts = graph.parts
@@ -150,8 +78,12 @@ def _exchange_labels_batched(
     vids = np.concatenate(vids_per_pe) if voff[-1] else z
     labels = np.concatenate(labels_per_pe) if voff[-1] else z
 
-    # Home PE of every reverse edge (v, u, w); see the loop engine for why
-    # this covers exactly the pushes the paper requires.
+    # Home PE of every reverse edge (v, u, w).  The label of u must be
+    # pushed wherever the reverse edge lives on a *different* PE.  This
+    # covers all cut edges (the paper's rule) plus the corner case where
+    # an edge is local here because its destination is a shared vertex,
+    # while the shared vertex's other PE holds the reverse edge as a cut
+    # edge and still needs our source's label.
     home_all = graph.home_of_edges(ev, eu, ew)
     cut_pos = np.flatnonzero(home_all != seg)
     cu = eu[cut_pos]
@@ -161,9 +93,8 @@ def _exchange_labels_batched(
     src_idx = segmented_searchsorted(vids, voff, cu, cseg, side="left")
     lab = labels[voff[cseg] + src_idx]
     # Deduplicate per (destination PE, vertex): first occurrence of each
-    # (home, cu) pair per PE, exactly the rows the loop engine keeps (its
-    # np.unique(axis=0) orders rows differently, which is immaterial -- the
-    # receiver dedups again and all copies of a label agree).
+    # (home, cu) pair per PE.  Row order within a PE is immaterial -- the
+    # receiver dedups again and all copies of a label agree.
     dd = packed_lexsort((cu, home, cseg))
     h_s, c_s, s_s = home[dd], cu[dd], cseg[dd]
     first = np.ones(len(dd), dtype=bool)
@@ -210,30 +141,6 @@ def _exchange_labels_batched(
     return tables
 
 
-def _relabel_one_pe(u, v, w, eid, vids, labels, ghosts, glabels):
-    """Pure per-PE RELABEL kernel: rewrite endpoints, drop self loops.
-
-    ``(ghosts, glabels)`` is the PE's ghost table as two sorted arrays.
-    Returns the kept ``(u', v', w, id)`` columns.  Pure function of its
-    arguments -- no machine, RNG or cost access.
-    """
-    # Source labels: every source is local by definition.
-    u_new = labels[np.searchsorted(vids, u)]
-    # Destination labels: local lookup where possible, ghosts otherwise.
-    v_local, idx = sorted_lookup(vids, v)
-    v_new = np.empty(len(v), dtype=np.result_type(labels, v))
-    v_new[v_local] = labels[idx[v_local]]
-    miss = ~v_local
-    if miss.any():
-        g_found, g_idx = sorted_lookup(ghosts, v[miss])
-        if not g_found.all():
-            missing = np.asarray(v)[miss][~g_found][:5]
-            raise RuntimeError(f"ghost labels missing for vertices {missing}")
-        v_new[miss] = glabels[g_idx]
-    keep = u_new != v_new
-    return u_new[keep], v_new[keep], w[keep], eid[keep]
-
-
 def relabel(
     graph: DistGraph,
     vids_per_pe: List[np.ndarray],
@@ -242,45 +149,6 @@ def relabel(
     run: MSTRun,
 ) -> List[Edges]:
     """RELABEL: rewrite endpoints to component roots, drop self loops."""
-    if batched_for(graph.machine):
-        return _relabel_batched(graph, vids_per_pe, labels_per_pe,
-                                ghost_tables, run)
-    return _relabel_loop(graph, vids_per_pe, labels_per_pe, ghost_tables,
-                         run)
-
-
-def _relabel_loop(
-    graph: DistGraph,
-    vids_per_pe: List[np.ndarray],
-    labels_per_pe: List[np.ndarray],
-    ghost_tables: List[GhostTable],
-    run: MSTRun,
-) -> List[Edges]:
-    """Reference engine: one numpy pass per PE."""
-    p = graph.machine.n_procs
-    out: List[Edges] = []
-    for i in range(p):
-        part = graph.parts[i]
-        if len(part) == 0:
-            out.append(Edges.empty())
-            continue
-        ku, kv, kw, kid = _relabel_one_pe(
-            np.asarray(part.u), np.asarray(part.v), np.asarray(part.w),
-            np.asarray(part.id), vids_per_pe[i], labels_per_pe[i],
-            ghost_tables[i].ghosts, ghost_tables[i].labels)
-        out.append(Edges(ku, kv, kw, kid))
-        graph.machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
-    return out
-
-
-def _relabel_batched(
-    graph: DistGraph,
-    vids_per_pe: List[np.ndarray],
-    labels_per_pe: List[np.ndarray],
-    ghost_tables: List[GhostTable],
-    run: MSTRun,
-) -> List[Edges]:
-    """Batched engine: segmented lookups over all PEs' edges at once."""
     p = graph.machine.n_procs
     parts = graph.parts
     lengths = np.array([len(part) for part in parts], dtype=np.int64)

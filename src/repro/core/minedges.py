@@ -7,9 +7,9 @@ part is sorted by source vertex, the per-vertex groups are contiguous and
 the selection is one vectorised pass (the paper's implementation uses
 parlay's Min-Priority-Write; we charge the equivalent linear scan).
 
-Two engines compute the same result (see :mod:`repro.kernels`): the
-reference per-PE loop, and a batched variant that runs one flat segmented
-lexsort over all PEs' edges at once.  Simulated costs are identical.
+All PEs are processed at once: one flat lexsort keyed by a PE-major group
+id (see :mod:`repro.kernels`).  The per-PE loop it replaced is the oracle
+of the differential tests (``tests/_loop_reference.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..kernels.segmented import packed_lexsort
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.search import sorted_lookup
-from ..kernels import batched_for, first_in_group
+from ..kernels import first_in_group
 
 
 @dataclass
@@ -53,60 +53,6 @@ def _empty_chosen() -> ChosenEdges:
 
 def min_edges(graph: DistGraph) -> List[ChosenEdges]:
     """Run MINEDGES on every PE; one linear pass per PE, no communication."""
-    if batched_for(graph.machine):
-        return _min_edges_batched(graph)
-    return _min_edges_loop(graph)
-
-
-def min_edges_one_pe(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                     eid: np.ndarray, starts: np.ndarray):
-    """Pure per-PE MINEDGES kernel: pick one edge per vertex group.
-
-    ``starts`` delimits the contiguous per-source groups of the (sorted)
-    part, exactly as returned by ``DistGraph.vertex_groups``.  Returns
-    ``(to, weight, edge_id)`` aligned with the groups.  Pure function of its
-    arguments -- no machine, RNG or cost-model access.
-    """
-    # Group index of every edge (groups are contiguous by sortedness).
-    group = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    cu = np.minimum(u, v)
-    cv = np.maximum(u, v)
-    order = packed_lexsort((cv, cu, w, group))
-    g_sorted = group[order]
-    first = np.ones(len(g_sorted), dtype=bool)
-    first[1:] = g_sorted[1:] != g_sorted[:-1]
-    pick = order[first]  # one edge index per group, in group order
-    return v[pick], w[pick], eid[pick]
-
-
-def _min_edges_loop(graph: DistGraph) -> List[ChosenEdges]:
-    """Reference engine: one numpy pass per PE."""
-    shared_set = graph.shared_vertex_set()
-    out: List[ChosenEdges] = []
-    for i in range(graph.machine.n_procs):
-        part = graph.parts[i]
-        vids, starts = graph.vertex_groups(i)
-        if len(vids) == 0:
-            out.append(_empty_chosen())
-            continue
-        to, weight, edge_id = min_edges_one_pe(
-            np.asarray(part.u), np.asarray(part.v), np.asarray(part.w),
-            np.asarray(part.id), starts)
-        shared = np.isin(vids, shared_set, assume_unique=True)
-        out.append(ChosenEdges(
-            vids=vids,
-            shared=shared,
-            to=to,
-            weight=weight,
-            edge_id=edge_id,
-        ))
-        graph.machine.charge_scan(np.array([len(part)]),
-                                  ranks=np.array([i]))
-    return out
-
-
-def _min_edges_batched(graph: DistGraph) -> List[ChosenEdges]:
-    """Batched engine: one segmented lexsort over all PEs' edges."""
     shared_set = graph.shared_vertex_set()
     p = graph.machine.n_procs
     parts = graph.parts

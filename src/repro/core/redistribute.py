@@ -17,31 +17,20 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
-from ..kernels import RaggedArrays, batched_for
+from ..kernels import RaggedArrays
 from ..simmpi.machine import Machine
 from ..sorting.api import sort_rows
 from .state import MSTRun
 
 
-def dedup_sorted_part(part: np.ndarray) -> np.ndarray:
-    """Keep the first (= lightest) edge of every consecutive (u, v) group."""
-    if len(part) <= 1:
-        return part
-    same = (part[1:, 0] == part[:-1, 0]) & (part[1:, 1] == part[:-1, 1])
-    keep = np.concatenate(([True], ~same))
-    return part[keep]
-
-
-def dedup_sorted_parts(parts: List[np.ndarray],
-                       machine=None) -> List[np.ndarray]:
-    """Every PE's :func:`dedup_sorted_part` -- one flat pass when batched.
+def dedup_sorted_parts(parts: List[np.ndarray]) -> List[np.ndarray]:
+    """Per PE, keep the first (= lightest) edge of every consecutive
+    ``(u, v)`` group -- one flat pass over all parts.
 
     The segment-change guard keeps boundary-straddling groups intact on both
-    sides, exactly like the per-PE dedup (the boundary copies are dropped
-    later by :func:`_drop_boundary_duplicates`).
+    sides (the boundary copies are dropped later by
+    :func:`_drop_boundary_duplicates`).
     """
-    if not batched_for(machine):
-        return [dedup_sorted_part(x) for x in parts]
     r = RaggedArrays.from_arrays(parts)
     flat = r.flat
     if len(flat) <= 1:
@@ -99,7 +88,7 @@ def redistribute(
     mats = [e.as_matrix() for e in relabelled]
     sorted_parts = sort_rows(run.comm, mats, n_key_cols=3,
                              method=run.cfg.sorter, rebalance=True)
-    deduped = dedup_sorted_parts(sorted_parts, machine)
+    deduped = dedup_sorted_parts(sorted_parts)
     machine.charge_scan(np.array([len(x) for x in sorted_parts]))
     deduped = _drop_boundary_duplicates(run, deduped)
     parts = [Edges.from_matrix(x) for x in deduped]

@@ -12,14 +12,13 @@ Hard invariant
 --------------
 Kernels change only the *wall-clock* of running the simulator.  Simulated
 seconds, per-PE semantics, cost charging and sanitizer ownership views are
-bit-for-bit identical between the two engines; ``REPRO_ENGINE=inprocess``
-(or ``Machine(engine="inprocess")``) switches every rewritten hot path back
-to the per-PE reference loops so the test suite can differential-test the
-engines against each other (see docs/kernels.md).
+bit-for-bit what the per-PE reference loops produce.  Those loops live
+under ``tests/`` (``_loop_reference.py``) as the oracle the differential
+tests substitute for the functions built on these kernels (see
+docs/kernels.md, "One path, one oracle").
 """
 
-from .dtypes import index_dtype, narrow, narrowing_enabled, widen
-from .engine import ENGINE_NAMES, batched_for, resolve_engine
+from .dtypes import index_dtype, narrow, widen
 from .pool import BufferPool, active_pool, set_active_pool
 from .ragged import RaggedArrays
 from .segmented import (
@@ -36,18 +35,14 @@ from .segmented import (
 )
 
 __all__ = [
-    "ENGINE_NAMES",
     "BufferPool",
     "RaggedArrays",
     "active_pool",
-    "batched_for",
     "first_in_group",
     "index_dtype",
     "narrow",
-    "narrowing_enabled",
     "order_key",
     "packed_lexsort",
-    "resolve_engine",
     "route_counts",
     "route_plan",
     "segment_ids",

@@ -13,9 +13,10 @@ Policy
 Exactly two storage widths: ``uint32`` when every value provably fits
 ``[0, 2**32)``, ``int64`` otherwise.  A binary policy keeps numpy promotion
 predictable (no ``uint8 + uint16`` surprises) and keeps the fallback trivially
-safe.  ``REPRO_DTYPES=wide`` disables narrowing everywhere -- the escape
-hatch the differential tests use to prove narrowing never changes simulated
-seconds or results.
+safe.  :data:`NARROWING` is the policy switch: production never changes
+it; the differential tests set it to ``False`` (``monkeypatch.setattr``) to
+run whole algorithms with ``int64`` storage everywhere and prove narrowing
+never changes simulated seconds or results.
 
 The hard invariant of :mod:`repro.kernels` extends to this module: narrowing
 changes host wall-clock and host RSS only.  Simulated seconds, RNG draws,
@@ -23,8 +24,6 @@ traces and MSF weights are bit-for-bit identical under either policy.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -36,28 +35,18 @@ NARROW_DTYPE = np.dtype(np.uint32)
 WIDE_DTYPE = np.dtype(np.int64)
 
 
-def narrowing_enabled() -> bool:
-    """Whether adaptive narrowing is active (``REPRO_DTYPES`` knob).
-
-    ``narrow`` (the default) enables the policy; ``wide`` forces every
-    array the policy touches back to ``int64`` -- the pre-narrowing
-    behaviour, kept as a first-class mode for differential testing.
-    """
-    value = os.environ.get("REPRO_DTYPES", "narrow").strip().lower()
-    if value in ("", "narrow", "auto", "1", "on"):
-        return True
-    if value in ("wide", "int64", "0", "off"):
-        return False
-    raise ValueError(f"REPRO_DTYPES must be 'narrow' or 'wide', got {value!r}")
+#: Whether values that fit are stored as ``uint32``.  ``False`` keeps every
+#: array the policy touches at ``int64`` (the tests' wide-mode oracle).
+NARROWING = True
 
 
 def index_dtype(max_value: int) -> np.dtype:
     """Smallest safe storage dtype for values in ``[0, max_value]``.
 
-    ``uint32`` when the bound fits (and narrowing is enabled), ``int64``
+    ``uint32`` when the bound fits (and :data:`NARROWING` is on), ``int64``
     otherwise.  Negative bounds mean "no elements" and narrow safely.
     """
-    if narrowing_enabled() and int(max_value) <= UINT32_MAX:
+    if NARROWING and int(max_value) <= UINT32_MAX:
         return NARROW_DTYPE
     return WIDE_DTYPE
 
@@ -71,7 +60,7 @@ def narrow(a: np.ndarray, max_value: int | None = None) -> np.ndarray:
     above ``UINT32_MAX``, stay at their original dtype -- narrowing is
     always a no-op fallback, never an error.
     """
-    if not narrowing_enabled():
+    if not NARROWING:
         return widen(a)
     a = np.asarray(a)
     if a.dtype == NARROW_DTYPE or a.dtype.kind not in "iu" or a.size == 0:

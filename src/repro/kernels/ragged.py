@@ -3,8 +3,8 @@
 The container behind every batched kernel: segment ``i`` holds PE ``i``'s
 rows as the contiguous slice ``flat[offsets[i]:offsets[i+1]]``.  Conversion
 from the existing per-PE list-of-arrays is one concatenate; conversion back
-hands out views (no copies), so crossing an engine boundary costs O(total)
-once instead of O(p) numpy dispatches per operation.
+hands out views (no copies), so entering a kernel costs O(total) once
+instead of O(p) numpy dispatches per operation.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Every kernel takes flat arrays plus segment information (ids or offsets) and
 reproduces, per segment, exactly what the corresponding per-PE numpy
 operation computes -- same values, same orders, same dtypes.  This is what
-makes the batched engine a drop-in for the reference loops: a stable
+makes the flat path bit-identical to the per-PE reference loops: a stable
 ``lexsort`` keyed by ``(segment, ...)`` restricted to one segment *is* that
 segment's own stable lexsort.
 

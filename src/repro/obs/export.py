@@ -75,8 +75,9 @@ def chrome_trace(tracer: EventTracer,
 
     ``deterministic=True`` omits the per-event host wall clock, leaving only
     simulated quantities: two runs of the same seeded workload then export
-    byte-identical traces regardless of execution engine or host load (the
-    engine-conformance tests rely on this; see docs/kernels.md).
+    byte-identical traces regardless of host load, and identical to the
+    per-PE oracle's (the differential tests rely on this; see
+    docs/kernels.md).
     """
     events: List[Dict] = [{
         "ph": "M", "name": "process_name", "pid": TRACE_PID, "tid": 0,
@@ -138,8 +139,8 @@ def metrics_to_dict(registry: MetricsRegistry,
 
     ``deterministic=True`` drops the host-wall-clock counters
     (``kernel/*/host_seconds``): everything remaining is a pure function of
-    the simulated run, so same-seed runs serialise byte-identically across
-    execution engines (docs/kernels.md).
+    the simulated run, so same-seed runs serialise byte-identically
+    (docs/kernels.md).
     """
     counters = sorted(registry.counters().items())
     if deterministic:

@@ -2,9 +2,9 @@
 
 The perf-regression observatory needs history: the BENCH JSON records
 capture one run each, but answering "did this change regress anything?"
-needs *rows over time* -- config, engine, dtype policy, fault schedule,
-simulated series, wall seconds, peak RSS, pool hit rates, round counts and
-the critical-path summary, per run, in one greppable place.  This module
+needs *rows over time* -- config, fault schedule, simulated series, wall
+seconds, peak RSS, pool hit rates, round counts and the critical-path
+summary, per run, in one greppable place.  This module
 provides that as newline-delimited JSON under ``REPRO_TRACE_DIR`` (or an
 explicit ``REPRO_LEDGER`` path): the CLI's ``mst``/``profile`` commands and
 the benchmark recorder append one row per run, and ``repro report`` reads
@@ -95,8 +95,8 @@ def make_record(kind: str, name: str, *,
 
     ``kind`` classifies the producer (``cli`` / ``benchmark`` / test);
     ``name`` identifies the run (subcommand or BENCH family).  When a
-    ``machine`` is given, its engine name, dtype policy,
-    fault schedule and pool hit rates are recorded; ``simulated`` entries
+    ``machine`` is given, its fault schedule and pool hit rates are
+    recorded; ``simulated`` entries
     must be ``{"label": ..., "simulated_seconds": ...}`` pairs the caller
     already computed (the ledger never recomputes simulated numbers).
     """
@@ -107,13 +107,11 @@ def make_record(kind: str, name: str, *,
         "timestamp": datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
         "config": dict(config or {}),
-        "dtype_policy": os.environ.get("REPRO_DTYPES", "narrow") or "narrow",
         "wall_seconds": wall_seconds,
         "peak_rss_bytes": peak_rss_bytes(),
     }
     if machine is not None:
         record["n_procs"] = machine.n_procs
-        record["engine"] = machine.engine
         record["pool"] = _pool_stats(machine)
         faults = getattr(machine, "faults", None)
         record["fault_schedule"] = (str(faults.schedule)

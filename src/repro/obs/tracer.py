@@ -7,7 +7,7 @@ event carries **two clocks**:
 * the **simulated** per-PE clock (seconds on the cost-model clocks -- the
   quantity the paper's figures are plotted in), and
 * the **host wall clock** (``time.perf_counter`` relative to tracer
-  creation -- what the kernel engine actually costs us).
+  creation -- what the simulator actually costs us).
 
 Events are plain tuples (see :data:`FIELDS`) so recording is a list append:
 with tracing disabled the machine holds no tracer at all and every

@@ -121,7 +121,6 @@ class GraphSession:
         algorithm: str = "boruvka",
         cfg: Optional[BoruvkaConfig] = None,
         faults=None,
-        engine=None,
         log_max_rounds: int = 64,
         max_dirty_fraction: float = 0.25,
         machine: Optional[Machine] = None,
@@ -134,8 +133,7 @@ class GraphSession:
         self.log_max_rounds = log_max_rounds
         self.max_dirty_fraction = max_dirty_fraction
         self.machine = machine or Machine(n_procs, threads=threads,
-                                          seed=seed, faults=faults,
-                                          engine=engine)
+                                          seed=seed, faults=faults)
         self._owns_machine = machine is None
         # Single-writer discipline: every state transition happens under
         # this lock; readers only ever touch the published view.
@@ -194,7 +192,6 @@ class GraphSession:
             "n_components": view.n_components,
             "weight": view.total_weight,
             "algorithm": self.algorithm,
-            "engine": self.machine.engine,
             "n_procs": self.machine.n_procs,
             "epochs": dict(self.epoch_counts),
             "replay_depths": list(self.replay_depths),

@@ -79,7 +79,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import RaggedArrays, batched_for, route_plan
+from ..kernels import RaggedArrays, route_plan
 from ..kernels.dtypes import logical_itemsize
 from .collectives import Comm
 
@@ -630,50 +630,38 @@ def route_rows(
     """
     size = comm.size
     fn = ALLTOALL_METHODS[method]
-    if batched_for(comm.machine):
-        rows_r = RaggedArrays.from_arrays(rows_per_pe)
-        dest_r = RaggedArrays.from_arrays(
-            [np.asarray(d, dtype=np.int64) for d in dest_per_row])
-        mismatch = np.flatnonzero(rows_r.lengths != dest_r.lengths)
-        if len(mismatch):
-            i = int(mismatch[0])
-            raise ValueError(
-                f"PE {i}: {rows_r.lengths[i]} rows but "
-                f"{dest_r.lengths[i]} destinations"
-            )
-        order_g, counts_mat = route_plan(rows_r.segment_ids(), dest_r.flat,
-                                         size, size)
-        off = rows_r.offsets
-        local_order = order_g - np.repeat(off[:-1], rows_r.lengths)
-        orders = [local_order[off[i]:off[i + 1]] for i in range(size)]
-        # The scheme gets the unsorted block, the send permutation and the
-        # counts matrix: nothing is split per PE and re-concatenated, and
-        # send sort + transpose cost one payload gather.
-        recvbufs, _ = fn(comm, SendBlock(rows_r.flat, order_g), counts_mat)
-        src_flat = np.repeat(_source_of_cell(size), counts_mat.T.ravel())
-        roff = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(counts_mat.sum(axis=0), out=roff[1:])
-        recv_src = [src_flat[roff[i]:roff[i + 1]] for i in range(size)]
-        return recvbufs, recv_src, orders
-    sendbufs: List[np.ndarray] = []
-    sendcounts: List[np.ndarray] = []
-    orders: List[np.ndarray] = []
-    for i in range(size):
-        dest = np.asarray(dest_per_row[i], dtype=np.int64)
-        rows = np.atleast_1d(rows_per_pe[i])
-        if len(dest) != len(rows):
-            raise ValueError(
-                f"PE {i}: {len(rows)} rows but {len(dest)} destinations"
-            )
-        order = np.argsort(dest, kind="stable")
-        counts = np.zeros(size, dtype=np.int64)
-        if len(dest):
-            np.add.at(counts, dest, 1)
-        sendbufs.append(rows[order])
-        sendcounts.append(counts)
-        orders.append(order)
-    recvbufs, recvcounts = fn(comm, sendbufs, sendcounts)
-    recv_src = [np.repeat(np.arange(size), rc) for rc in recvcounts]
+    rows_r = RaggedArrays.from_arrays(rows_per_pe)
+    dest_r = RaggedArrays.from_arrays(
+        [np.asarray(d, dtype=np.int64) for d in dest_per_row])
+    mismatch = np.flatnonzero(rows_r.lengths != dest_r.lengths)
+    if len(mismatch):
+        i = int(mismatch[0])
+        raise ValueError(
+            f"PE {i}: {rows_r.lengths[i]} rows but "
+            f"{dest_r.lengths[i]} destinations"
+        )
+    seg = rows_r.segment_ids()
+    # route_plan fuses (segment, destination) into one key, so a rank
+    # outside [0, size) would alias a neighbouring PE's cell.
+    dest = dest_r.flat
+    if len(dest) and (dest.min() < 0 or dest.max() >= size):
+        k = int(np.flatnonzero((dest < 0) | (dest >= size))[0])
+        raise ValueError(
+            f"PE {int(seg[k])}: destination {int(dest[k])} outside "
+            f"[0, {size})"
+        )
+    order_g, counts_mat = route_plan(seg, dest, size, size)
+    off = rows_r.offsets
+    local_order = order_g - np.repeat(off[:-1], rows_r.lengths)
+    orders = [local_order[off[i]:off[i + 1]] for i in range(size)]
+    # The scheme gets the unsorted block, the send permutation and the
+    # counts matrix: nothing is split per PE and re-concatenated, and
+    # send sort + transpose cost one payload gather.
+    recvbufs, _ = fn(comm, SendBlock(rows_r.flat, order_g), counts_mat)
+    src_flat = np.repeat(_source_of_cell(size), counts_mat.T.ravel())
+    roff = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts_mat.sum(axis=0), out=roff[1:])
+    recv_src = [src_flat[roff[i]:roff[i + 1]] for i in range(size)]
     return recvbufs, recv_src, orders
 
 

@@ -44,6 +44,22 @@ def simsan_env_enabled() -> bool:
     return value not in ("", "0", "false", "no", "off")
 
 
+#: Environment variables that used to pick an execution path or a storage
+#: width.  A set value must not silently run the one path that is left.
+RETIRED_ENV = ("REPRO_ENGINE", "REPRO_KERNELS", "REPRO_DTYPES")
+
+
+def reject_retired_env() -> None:
+    """Raise ``ValueError`` for a set, non-empty retired variable."""
+    for name in RETIRED_ENV:
+        if os.environ.get(name, "").strip():
+            raise ValueError(
+                f"{name} is retired and selects nothing: there is one "
+                f"execution path and one dtype policy; the per-PE reference "
+                f"loops and the wide-dtype mode now live under tests/ as "
+                f"oracles (docs/kernels.md) -- unset {name}")
+
+
 def trace_events_env_enabled() -> bool:
     """Whether the ``REPRO_TRACE`` environment variable requests tracing."""
     from ..obs.tracer import trace_env_enabled
@@ -108,14 +124,6 @@ class Machine:
         off.  With no subsystem attached -- or an attached one whose
         schedule injects nothing -- simulated times are bit-for-bit
         identical to a machine without the knob.
-    engine:
-        Which of the two execution paths runs the simulated PEs on the
-        host (docs/kernels.md): ``"batched"`` (flat segmented kernels,
-        the default) or ``"inprocess"`` (the per-PE reference loops the
-        differential tests use as their oracle).  ``None`` defers to the
-        ``REPRO_ENGINE`` environment variable.  The choice never changes
-        simulated behaviour -- clocks, phase times, RNG draws, traces
-        and MSF weights are bit-for-bit identical on both paths.
     """
 
     def __init__(
@@ -129,18 +137,14 @@ class Machine:
         sanitize: Optional[bool] = None,
         trace_events: Optional[bool] = None,
         faults=None,
-        engine: Optional[str] = None,
     ):
         if n_procs < 1:
             raise ValueError(f"n_procs must be >= 1, got {n_procs}")
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
+        reject_retired_env()
         self.n_procs = int(n_procs)
         self.threads = int(threads)
-        from ..kernels.engine import resolve_engine
-
-        #: Name of the execution path, ``"batched"`` or ``"inprocess"``.
-        self.engine = resolve_engine(engine)
         self.cost = cost if cost is not None else CostModel()
         self.memory_limit_bytes = memory_limit_bytes
         self.seed = int(seed)

@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..kernels import RaggedArrays, batched_for, segmented_lexsort
+from ..kernels import RaggedArrays, segmented_lexsort
 from ..kernels.segmented import packed_lexsort
 
 
@@ -41,10 +41,8 @@ def local_lexsort(rows: np.ndarray, n_key_cols: int) -> np.ndarray:
 
 
 def local_lexsort_parts(parts: Sequence[np.ndarray],
-                        n_key_cols: int, machine=None) -> List[np.ndarray]:
-    """Every PE's :func:`local_lexsort` -- one segmented lexsort when batched."""
-    if not batched_for(machine):
-        return [local_lexsort(x, n_key_cols) for x in parts]
+                        n_key_cols: int) -> List[np.ndarray]:
+    """Every PE's :func:`local_lexsort`, as one segmented lexsort."""
     r = RaggedArrays.from_arrays(parts)
     if len(r.flat) == 0:
         return list(parts)
@@ -109,21 +107,11 @@ def rebalance_blocks(comm, parts: Sequence[np.ndarray],
     total = int(np.sum(sizes))
     if total == 0:
         return [part.copy() for part in parts]
-    if batched_for(comm.machine):
-        # Concatenated per-PE global indices are exactly arange(total): the
-        # exscan offsets are the cumulative sizes in rank order.
-        dest_flat = owner_of(np.arange(total, dtype=np.int64), total, p)
-        soff = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(np.asarray(sizes, dtype=np.int64), out=soff[1:])
-        dests = [dest_flat[soff[i]:soff[i + 1]] for i in range(p)]
-    else:
-        dests = []
-        for i in range(p):
-            if sizes[i] == 0:
-                dests.append(np.empty(0, dtype=np.int64))
-                continue
-            global_idx = offsets[i] + np.arange(sizes[i], dtype=np.int64)
-            dests.append(owner_of(global_idx, total, p))
+    # Concatenated per-PE global indices are exactly arange(total): the
+    # exscan offsets are the cumulative sizes in rank order.
+    dest_flat = owner_of(np.arange(total, dtype=np.int64), total, p)
+    soff = [*offsets, total]
+    dests = [dest_flat[soff[i]:soff[i + 1]] for i in range(p)]
     recv, _, _ = route_rows(comm, parts, dests, method=method)
     # Rows arrive source-major = global order (sources are ordered runs).
     return recv

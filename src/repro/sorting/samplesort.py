@@ -16,7 +16,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..dgraph.search import lex_searchsorted
-from ..kernels import RaggedArrays, batched_for
+from ..kernels import RaggedArrays
 from ..simmpi.alltoall import route_rows
 from ..simmpi.collectives import Comm
 from .common import local_lexsort_parts
@@ -41,11 +41,11 @@ def sort_samplesort(
     total = sum(len(x) for x in parts)
     if total == 0 or p == 1:
         machine.charge_sort(np.array([len(x) for x in parts]))
-        return local_lexsort_parts(parts, n_key_cols, machine)
+        return local_lexsort_parts(parts, n_key_cols)
 
     # ---- Local sort. ----
     machine.charge_sort(np.array([len(x) for x in parts]))
-    parts = local_lexsort_parts(parts, n_key_cols, machine)
+    parts = local_lexsort_parts(parts, n_key_cols)
 
     # ---- Sample and select p-1 splitters. ----
     samples = []
@@ -69,37 +69,20 @@ def sort_samplesort(
     splitters = sample[splitter_idx]
 
     # ---- Partition by splitters and exchange. ----
-    if batched_for(machine):
-        # The splitter keys are replicated, so every PE's binary search is
-        # one flat lex_searchsorted call over all rows at once.
-        r = RaggedArrays.from_arrays(parts)
-        bucket = lex_searchsorted(
-            tuple(splitters[:, c] for c in range(n_key_cols)),
-            tuple(r.flat[:, c] for c in range(n_key_cols)),
-            side="right",
-        )
-        dests = [bucket[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
-        lengths = r.lengths
-        nz = np.flatnonzero(lengths)
-        machine.charge_scan(lengths[nz] * max(1, int(np.log2(p))), ranks=nz)
-    else:
-        dests = []
-        for i in range(p):
-            rows = parts[i]
-            if len(rows) == 0:
-                dests.append(np.empty(0, dtype=np.int64))
-                continue
-            bucket = lex_searchsorted(
-                tuple(splitters[:, c] for c in range(n_key_cols)),
-                tuple(rows[:, c] for c in range(n_key_cols)),
-                side="right",
-            )
-            dests.append(bucket)
-            machine.charge_scan(
-                np.array([len(rows) * max(1, int(np.log2(p)))]),
-                ranks=np.array([i]))
+    # The splitter keys are replicated, so every PE's binary search is one
+    # flat lex_searchsorted call over all rows at once.
+    r = RaggedArrays.from_arrays(parts)
+    bucket = lex_searchsorted(
+        tuple(splitters[:, c] for c in range(n_key_cols)),
+        tuple(r.flat[:, c] for c in range(n_key_cols)),
+        side="right",
+    )
+    dests = [bucket[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
+    lengths = r.lengths
+    nz = np.flatnonzero(lengths)
+    machine.charge_scan(lengths[nz] * max(1, int(np.log2(p))), ranks=nz)
     recv, _, _ = route_rows(comm, parts, dests)
 
     # ---- Local merge of the received sorted runs. ----
     machine.charge_sort(np.array([len(x) for x in recv]))
-    return local_lexsort_parts(recv, n_key_cols, machine)
+    return local_lexsort_parts(recv, n_key_cols)

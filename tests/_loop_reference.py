@@ -1,0 +1,544 @@
+"""The per-PE reference loops, kept as the oracle of the flat hot paths.
+
+Until ISSUE 21 every rewritten hot path existed twice under ``src/``: a flat
+implementation over all PEs at once (``batched``) and the original
+``for i in range(p)`` loop (``inprocess``), picked per machine by
+``REPRO_ENGINE`` / ``Machine(engine=...)``.  Production now carries the flat
+implementation only.  This module keeps the ten loop arms, verbatim, as what
+the differential tests compare against:
+
+* site by site (``tests/test_loop_oracles.py``): the production function
+  and its oracle run on two identically seeded machines; outputs and
+  dtypes, clocks, collective and byte counters, trace events and fault
+  draws must agree;
+* whole runs (``helpers.assert_engines_agree``): ``helpers.loop_oracles()``
+  rebinds, in every loaded ``repro.*`` module, each attribute that *is* a
+  production function of :data:`ORACLES` to its oracle, so a complete
+  algorithm runs on the loops, and must reproduce the production run's
+  weights, per-PE clocks, phase times and ``CommTrace`` bit for bit.
+
+Where the fork sat inside a function (``rebalance_blocks``,
+``sort_samplesort``, ``route_rows``, Awerbuch-Shiloach's ``_resolve``) the
+whole function is kept with the loop arm in place.  The oracles call each
+other (``_contract_loop`` routes through this module's ``route_rows``), so a
+site-level run exercises the loop path all the way down.  Only the selector
+differs from the code as it was shipped: ``local_lexsort_parts`` and
+``dedup_sorted_parts`` lost the ``machine`` argument that picked the arm.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from repro.competitors.awerbuch_shiloach import _lo
+from repro.core.labels import GhostTable
+from repro.core.minedges import ChosenEdges, _empty_chosen
+from repro.core.state import MSTRun
+from repro.dgraph.dist_graph import DistGraph
+from repro.dgraph.edges import Edges
+from repro.dgraph.search import lex_searchsorted, sorted_lookup
+from repro.kernels.segmented import packed_lexsort
+from repro.simmpi.alltoall import ALLTOALL_METHODS, unsort
+from repro.simmpi.collectives import Comm
+from repro.sorting.common import local_lexsort
+from repro.sorting.hypercube import sort_hypercube
+from repro.sorting.samplesort import OVERSAMPLING
+from repro.utils.partition import owner_of
+
+
+# ----------------------------------------------------------------------
+# simmpi/alltoall.py: route_rows
+# ----------------------------------------------------------------------
+def route_rows(
+    comm: Comm,
+    rows_per_pe: Sequence[np.ndarray],
+    dest_per_row: Sequence[np.ndarray],
+    method: str = "auto",
+) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
+    """Deliver arbitrary per-PE rows to per-row destination ranks.
+
+    This is the workhorse wrapper the algorithms use: it sorts each PE's rows
+    by destination (stable), performs the exchange, and returns
+
+    ``recv_rows``
+        per-PE received rows (source-major, per-pair order preserved),
+    ``recv_src``
+        per-PE source rank of every received row, and
+    ``send_order``
+        the permutation applied to each sender's rows.  Because replies to a
+        request arrive back in exactly the order requests were sent (both
+        directions are source/destination-major with per-pair order
+        preserved), ``reply[invert_permutation(send_order)]`` restores the
+        original query order -- see :func:`unsort`.
+    """
+    size = comm.size
+    fn = ALLTOALL_METHODS[method]
+    sendbufs: List[np.ndarray] = []
+    sendcounts: List[np.ndarray] = []
+    orders: List[np.ndarray] = []
+    for i in range(size):
+        dest = np.asarray(dest_per_row[i], dtype=np.int64)
+        rows = np.atleast_1d(rows_per_pe[i])
+        if len(dest) != len(rows):
+            raise ValueError(
+                f"PE {i}: {len(rows)} rows but {len(dest)} destinations"
+            )
+        order = np.argsort(dest, kind="stable")
+        counts = np.zeros(size, dtype=np.int64)
+        if len(dest):
+            np.add.at(counts, dest, 1)
+        sendbufs.append(rows[order])
+        sendcounts.append(counts)
+        orders.append(order)
+    recvbufs, recvcounts = fn(comm, sendbufs, sendcounts)
+    recv_src = [np.repeat(np.arange(size), rc) for rc in recvcounts]
+    return recvbufs, recv_src, orders
+
+
+# ----------------------------------------------------------------------
+# core/minedges.py: min_edges
+# ----------------------------------------------------------------------
+def min_edges_one_pe(u: np.ndarray, v: np.ndarray, w: np.ndarray,
+                     eid: np.ndarray, starts: np.ndarray):
+    """Pure per-PE MINEDGES kernel: pick one edge per vertex group.
+
+    ``starts`` delimits the contiguous per-source groups of the (sorted)
+    part, exactly as returned by ``DistGraph.vertex_groups``.  Returns
+    ``(to, weight, edge_id)`` aligned with the groups.  Pure function of its
+    arguments -- no machine, RNG or cost-model access.
+    """
+    # Group index of every edge (groups are contiguous by sortedness).
+    group = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    cu = np.minimum(u, v)
+    cv = np.maximum(u, v)
+    order = packed_lexsort((cv, cu, w, group))
+    g_sorted = group[order]
+    first = np.ones(len(g_sorted), dtype=bool)
+    first[1:] = g_sorted[1:] != g_sorted[:-1]
+    pick = order[first]  # one edge index per group, in group order
+    return v[pick], w[pick], eid[pick]
+
+
+def _min_edges_loop(graph: DistGraph) -> List[ChosenEdges]:
+    """Reference engine: one numpy pass per PE."""
+    shared_set = graph.shared_vertex_set()
+    out: List[ChosenEdges] = []
+    for i in range(graph.machine.n_procs):
+        part = graph.parts[i]
+        vids, starts = graph.vertex_groups(i)
+        if len(vids) == 0:
+            out.append(_empty_chosen())
+            continue
+        to, weight, edge_id = min_edges_one_pe(
+            np.asarray(part.u), np.asarray(part.v), np.asarray(part.w),
+            np.asarray(part.id), starts)
+        shared = np.isin(vids, shared_set, assume_unique=True)
+        out.append(ChosenEdges(
+            vids=vids,
+            shared=shared,
+            to=to,
+            weight=weight,
+            edge_id=edge_id,
+        ))
+        graph.machine.charge_scan(np.array([len(part)]),
+                                  ranks=np.array([i]))
+    return out
+
+
+# ----------------------------------------------------------------------
+# core/contraction.py: contract_components
+# ----------------------------------------------------------------------
+def _contract_loop(
+    graph: DistGraph,
+    chosen: List[ChosenEdges],
+    run: MSTRun,
+) -> List[np.ndarray]:
+    """Reference engine: per-PE loops around every exchange."""
+    p = graph.machine.n_procs
+    comm = run.comm
+    shared_set = graph.shared_vertex_set()
+
+    parent: List[np.ndarray] = []
+    is_root: List[np.ndarray] = []
+    pending: List[np.ndarray] = []  # bool masks
+    for i in range(p):
+        ch = chosen[i]
+        par = np.where(ch.shared, ch.vids, ch.to)
+        root = ch.shared.copy()
+        # Paper special case: a parent that is a shared vertex is known to be
+        # a component root -- finalise locally, no request needed.
+        parent_shared = np.isin(par, shared_set)
+        pend = ~ch.shared & ~parent_shared
+        parent.append(par)
+        is_root.append(root)
+        pending.append(pend)
+
+    # ------------------------------------------------------------------
+    # Pointer-doubling rounds.
+    # ------------------------------------------------------------------
+    max_rounds = run.cfg.max_rounds
+    for round_no in range(max_rounds):
+        n_pending = comm.allreduce([int(m.sum()) for m in pending])
+        if n_pending == 0:
+            break
+        # Build deduplicated queries: distinct parent targets per PE.
+        queries, inverse_maps, dests = [], [], []
+        for i in range(p):
+            targets = parent[i][pending[i]]
+            uniq, inv = np.unique(targets, return_inverse=True)
+            queries.append(uniq)
+            inverse_maps.append(inv)
+            dests.append(graph.home_of_vertices(uniq))
+        recv, recv_src, orders = route_rows(
+            comm, queries, dests, method=run.cfg.alltoall
+        )
+        # Answer from the state at round start (BSP semantics).
+        replies = []
+        for i in range(p):
+            q = recv[i]
+            if len(q) == 0:
+                replies.append(np.empty((0, 2), dtype=np.int64))
+                continue
+            found, idx = sorted_lookup(chosen[i].vids, q)
+            if not found.all():
+                raise RuntimeError(
+                    f"PE {i}: pointer-doubling query for non-resident vertex"
+                )
+            pv = parent[i][idx]
+            replies.append(np.stack([q, pv], axis=1))
+            graph.machine.charge_hash(np.array([len(q)]),
+                                      ranks=np.array([i]))
+        back, _, _ = route_rows(comm, replies, recv_src,
+                                method=run.cfg.alltoall)
+        # Apply: each pending u with target v learns pv = parent(v).
+        for i in range(p):
+            if len(queries[i]) == 0:
+                continue
+            ordered = unsort(orders[i], back[i])  # aligned with queries[i]
+            assert np.array_equal(ordered[:, 0], queries[i])
+            pv_per_query = ordered[:, 1]
+            pend_idx = np.flatnonzero(pending[i])
+            u = chosen[i].vids[pend_idx]
+            v = parent[i][pend_idx]
+            pv = pv_per_query[inverse_maps[i]]
+            # 2-cycle: v's parent is u itself; root at the smaller label.
+            cyc = pv == u
+            win = cyc & (u < v)
+            lose = cyc & ~win
+            parent[i][pend_idx[win]] = u[win]
+            is_root[i][pend_idx[win]] = True
+            pending[i][pend_idx[win]] = False
+            parent[i][pend_idx[lose]] = v[lose]
+            pending[i][pend_idx[lose]] = False
+            # Regular doubling: adopt pv; finalise when v was a root or the
+            # new parent is a shared vertex (local check, paper IV-B).
+            reg = ~cyc
+            parent[i][pend_idx[reg]] = pv[reg]
+            v_is_root = pv == v
+            new_shared = np.isin(pv, shared_set)
+            done = reg & (v_is_root | new_shared)
+            pending[i][pend_idx[done]] = False
+            graph.machine.charge_scan(np.array([len(pend_idx)]),
+                                      ranks=np.array([i]))
+    else:
+        raise RuntimeError("pointer doubling failed to converge")
+
+    # ------------------------------------------------------------------
+    # Record MST edges and label maps.
+    # ------------------------------------------------------------------
+    for i in range(p):
+        ch = chosen[i]
+        contributes = ~ch.shared & ~is_root[i]
+        run.record_mst(i, ch.edge_id[contributes], ch.weight[contributes])
+        run.record_labels(i, ch.vids, parent[i])
+    return parent
+
+
+# ----------------------------------------------------------------------
+# core/labels.py: exchange_labels, relabel
+# ----------------------------------------------------------------------
+def _exchange_labels_loop(
+    graph: DistGraph,
+    vids_per_pe: List[np.ndarray],
+    labels_per_pe: List[np.ndarray],
+    run: MSTRun,
+) -> List[GhostTable]:
+    """Reference engine: one numpy pass per PE around one exchange."""
+    p = graph.machine.n_procs
+    payloads, dests = [], []
+    for i in range(p):
+        part = graph.parts[i]
+        vids = vids_per_pe[i]
+        if len(part) == 0:
+            payloads.append(np.empty((0, 2), dtype=np.int64))
+            dests.append(np.empty(0, dtype=np.int64))
+            continue
+        # Home PE of every reverse edge (v, u, w).  The label of u must be
+        # pushed wherever the reverse edge lives on a *different* PE.  This
+        # covers all cut edges (the paper's rule) plus the corner case where
+        # an edge is local here because its destination is a shared vertex,
+        # while the shared vertex's other PE holds the reverse edge as a cut
+        # edge and still needs our source's label.
+        home_all = graph.home_of_edges(part.v, part.u, part.w)
+        cut = home_all != i
+        cu, cw = part.u[cut], part.w[cut]
+        home = home_all[cut]
+        # New label of the edge's source.
+        src_idx = np.searchsorted(vids, cu)
+        lab = labels_per_pe[i][src_idx]
+        # Deduplicate per (destination PE, vertex).
+        key = np.stack([home, cu], axis=1)
+        _, uniq_idx = np.unique(key, axis=0, return_index=True)
+        payloads.append(np.stack([cu[uniq_idx], lab[uniq_idx]], axis=1))
+        dests.append(home[uniq_idx])
+        graph.machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
+        graph.machine.charge_sort(np.array([max(len(cu), 1)]),
+                                  ranks=np.array([i]))
+    recv, _, _ = route_rows(run.comm, payloads, dests,
+                            method=run.cfg.alltoall)
+    tables: List[GhostTable] = []
+    for i in range(p):
+        rows = recv[i]
+        if len(rows) == 0:
+            z = np.empty(0, dtype=np.int64)
+            tables.append(GhostTable(z, z.copy()))
+            continue
+        order = np.argsort(rows[:, 0], kind="stable")
+        g = rows[order, 0]
+        l = rows[order, 1]
+        first = np.ones(len(g), dtype=bool)
+        first[1:] = g[1:] != g[:-1]
+        tables.append(GhostTable(g[first], l[first]))
+        graph.machine.charge_hash(np.array([len(rows)]), ranks=np.array([i]))
+    return tables
+
+
+def _relabel_one_pe(u, v, w, eid, vids, labels, ghosts, glabels):
+    """Pure per-PE RELABEL kernel: rewrite endpoints, drop self loops.
+
+    ``(ghosts, glabels)`` is the PE's ghost table as two sorted arrays.
+    Returns the kept ``(u', v', w, id)`` columns.  Pure function of its
+    arguments -- no machine, RNG or cost access.
+    """
+    # Source labels: every source is local by definition.
+    u_new = labels[np.searchsorted(vids, u)]
+    # Destination labels: local lookup where possible, ghosts otherwise.
+    v_local, idx = sorted_lookup(vids, v)
+    v_new = np.empty(len(v), dtype=np.result_type(labels, v))
+    v_new[v_local] = labels[idx[v_local]]
+    miss = ~v_local
+    if miss.any():
+        g_found, g_idx = sorted_lookup(ghosts, v[miss])
+        if not g_found.all():
+            missing = np.asarray(v)[miss][~g_found][:5]
+            raise RuntimeError(f"ghost labels missing for vertices {missing}")
+        v_new[miss] = glabels[g_idx]
+    keep = u_new != v_new
+    return u_new[keep], v_new[keep], w[keep], eid[keep]
+
+
+def _relabel_loop(
+    graph: DistGraph,
+    vids_per_pe: List[np.ndarray],
+    labels_per_pe: List[np.ndarray],
+    ghost_tables: List[GhostTable],
+    run: MSTRun,
+) -> List[Edges]:
+    """Reference engine: one numpy pass per PE."""
+    p = graph.machine.n_procs
+    out: List[Edges] = []
+    for i in range(p):
+        part = graph.parts[i]
+        if len(part) == 0:
+            out.append(Edges.empty())
+            continue
+        ku, kv, kw, kid = _relabel_one_pe(
+            np.asarray(part.u), np.asarray(part.v), np.asarray(part.w),
+            np.asarray(part.id), vids_per_pe[i], labels_per_pe[i],
+            ghost_tables[i].ghosts, ghost_tables[i].labels)
+        out.append(Edges(ku, kv, kw, kid))
+        graph.machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
+    return out
+
+
+# ----------------------------------------------------------------------
+# core/redistribute.py: dedup_sorted_parts
+# ----------------------------------------------------------------------
+def dedup_sorted_part(part: np.ndarray) -> np.ndarray:
+    """Keep the first (= lightest) edge of every consecutive (u, v) group."""
+    if len(part) <= 1:
+        return part
+    same = (part[1:, 0] == part[:-1, 0]) & (part[1:, 1] == part[:-1, 1])
+    keep = np.concatenate(([True], ~same))
+    return part[keep]
+
+
+def dedup_sorted_parts(parts: List[np.ndarray]) -> List[np.ndarray]:
+    """Every PE's :func:`dedup_sorted_part`."""
+    return [dedup_sorted_part(x) for x in parts]
+
+
+# ----------------------------------------------------------------------
+# sorting/common.py: local_lexsort_parts, rebalance_blocks
+# ----------------------------------------------------------------------
+def local_lexsort_parts(parts: Sequence[np.ndarray],
+                        n_key_cols: int) -> List[np.ndarray]:
+    """Every PE's :func:`local_lexsort`."""
+    return [local_lexsort(x, n_key_cols) for x in parts]
+
+
+def rebalance_blocks(comm, parts: Sequence[np.ndarray],
+                     method: str = "auto") -> List[np.ndarray]:
+    """Redistribute globally sorted parts into exact block partition.
+
+    Keeps the global order; afterwards PE ``i`` holds rows
+    ``[bounds[i], bounds[i+1])`` of the global sequence (numpy
+    ``array_split`` convention).  One exscan for the global offsets plus one
+    all-to-all.
+    """
+    p = comm.size
+    sizes = [len(part) for part in parts]
+    offsets = comm.exscan(sizes)
+    total = int(np.sum(sizes))
+    if total == 0:
+        return [part.copy() for part in parts]
+    dests = []
+    for i in range(p):
+        if sizes[i] == 0:
+            dests.append(np.empty(0, dtype=np.int64))
+            continue
+        global_idx = offsets[i] + np.arange(sizes[i], dtype=np.int64)
+        dests.append(owner_of(global_idx, total, p))
+    recv, _, _ = route_rows(comm, parts, dests, method=method)
+    # Rows arrive source-major = global order (sources are ordered runs).
+    return recv
+
+
+# ----------------------------------------------------------------------
+# sorting/samplesort.py: sort_samplesort
+# ----------------------------------------------------------------------
+def sort_samplesort(
+    comm: Comm,
+    parts: Sequence[np.ndarray],
+    n_key_cols: int,
+) -> List[np.ndarray]:
+    """Globally sort per-PE row matrices with one data exchange.
+
+    ``parts`` are 2-D integer row matrices of one width, one per rank
+    (:func:`repro.sorting.sort_rows` is the validating entry point).
+    """
+    p = comm.size
+    machine = comm.machine
+    total = sum(len(x) for x in parts)
+    if total == 0 or p == 1:
+        machine.charge_sort(np.array([len(x) for x in parts]))
+        return local_lexsort_parts(parts, n_key_cols)
+
+    # ---- Local sort. ----
+    machine.charge_sort(np.array([len(x) for x in parts]))
+    parts = local_lexsort_parts(parts, n_key_cols)
+
+    # ---- Sample and select p-1 splitters. ----
+    samples = []
+    for i in range(p):
+        rows = parts[i]
+        if len(rows) == 0:
+            samples.append(rows[:0])
+            continue
+        rng = machine.pe_rng(i)
+        take = rng.integers(0, len(rows), min(OVERSAMPLING, len(rows)))
+        samples.append(rows[take])
+    # Sort the sample with the hypercube algorithm (paper, Section VI-C),
+    # then replicate it to pick evenly spaced splitters.
+    sorted_sample_parts = sort_hypercube(comm, samples, n_key_cols)
+    sample = comm.allgatherv(
+        [x if len(x) else parts[0][:0] for x in sorted_sample_parts]
+    ).reshape(-1, parts[0].shape[1] if parts[0].ndim == 2 else 1)
+    if len(sample) == 0:
+        return parts
+    splitter_idx = (np.arange(1, p) * len(sample)) // p
+    splitters = sample[splitter_idx]
+
+    # ---- Partition by splitters and exchange. ----
+    dests = []
+    for i in range(p):
+        rows = parts[i]
+        if len(rows) == 0:
+            dests.append(np.empty(0, dtype=np.int64))
+            continue
+        bucket = lex_searchsorted(
+            tuple(splitters[:, c] for c in range(n_key_cols)),
+            tuple(rows[:, c] for c in range(n_key_cols)),
+            side="right",
+        )
+        dests.append(bucket)
+        machine.charge_scan(
+            np.array([len(rows) * max(1, int(np.log2(p)))]),
+            ranks=np.array([i]))
+    recv, _, _ = route_rows(comm, parts, dests)
+
+    # ---- Local merge of the received sorted runs. ----
+    machine.charge_sort(np.array([len(x) for x in recv]))
+    return local_lexsort_parts(recv, n_key_cols)
+
+
+# ----------------------------------------------------------------------
+# competitors/awerbuch_shiloach.py: _resolve
+# ----------------------------------------------------------------------
+def _resolve(comm: Comm, f_blocks: List[np.ndarray], n: int,
+             labels_per_pe: List[np.ndarray], method: str
+             ) -> List[np.ndarray]:
+    """Look up f[x] for arbitrary per-PE label arrays (deduplicated)."""
+    p = comm.size
+    # Labels are vertex ids < n; keep the callers' (possibly narrowed)
+    # storage dtype through the whole query/reply round trip instead of
+    # forcing int64 -- empty blocks take the common dtype so routed
+    # concatenations never promote.
+    q_dt = np.result_type(
+        *([x.dtype for x in labels_per_pe if len(x)] or [np.int64]))
+    f_dt = f_blocks[0].dtype if f_blocks else np.dtype(np.int64)
+    uniqs, invs, dests = [], [], []
+    for i in range(p):
+        uniq, inv = np.unique(
+            np.asarray(labels_per_pe[i], dtype=q_dt),
+            return_inverse=True)
+        uniqs.append(uniq)
+        invs.append(inv)
+        dests.append(owner_of(uniq, n, p))
+    recv, recv_src, orders = route_rows(comm, uniqs, dests, method=method)
+    replies = []
+    for i in range(p):
+        q = recv[i]
+        replies.append(f_blocks[i][q - _lo(n, p, i)]
+                       if len(q) else np.empty(0, dtype=f_dt))
+    comm.machine.charge_hash(
+        np.array([len(q) for q in recv], dtype=np.int64),
+        ranks=np.arange(p))
+    del recv
+    back, _, _ = route_rows(comm, replies, recv_src, method=method)
+    del replies, recv_src
+    out = []
+    for i in range(p):
+        if len(uniqs[i]) == 0:
+            out.append(np.empty(0, dtype=f_dt))
+            continue
+        out.append(unsort(orders[i], back[i])[invs[i]])
+    return out
+
+
+#: ``(module, attribute, oracle)``: the production function each oracle
+#: stands in for.
+ORACLES = (
+    ("repro.simmpi.alltoall", "route_rows", route_rows),
+    ("repro.core.minedges", "min_edges", _min_edges_loop),
+    ("repro.core.contraction", "contract_components", _contract_loop),
+    ("repro.core.labels", "exchange_labels", _exchange_labels_loop),
+    ("repro.core.labels", "relabel", _relabel_loop),
+    ("repro.core.redistribute", "dedup_sorted_parts", dedup_sorted_parts),
+    ("repro.sorting.common", "local_lexsort_parts", local_lexsort_parts),
+    ("repro.sorting.common", "rebalance_blocks", rebalance_blocks),
+    ("repro.sorting.samplesort", "sort_samplesort", sort_samplesort),
+    ("repro.competitors.awerbuch_shiloach", "_resolve", _resolve),
+)

@@ -28,6 +28,7 @@ from repro.simmpi.alltoall import (
 )
 
 import _alltoall_reference as reference
+import _loop_reference
 
 VARIANTS = [alltoallv_direct, alltoallv_grid, alltoallv_hypercube,
             alltoallv_auto]
@@ -273,6 +274,21 @@ class TestRouteRows:
                               np.zeros((0, 1), dtype=np.int64)],
                        [np.array([0]), np.empty(0, dtype=np.int64)])
 
+    @pytest.mark.parametrize("method", ["auto", "direct", "grid", "grid3",
+                                        "hypercube"])
+    @pytest.mark.parametrize("stray", [-1, 4])
+    def test_destination_out_of_range_rejected(self, method, stray):
+        """A rank outside ``[0, size)`` is an error naming the PE and the
+        value -- not a row delivered to the neighbouring segment's PE."""
+        machine = Machine(4)
+        rows = [np.arange(2 * k).reshape(k, 2) for k in (1, 3, 0, 2)]
+        dests = [np.array([2]), np.array([0, stray, 3]),
+                 np.empty(0, dtype=np.int64), np.array([1, 1])]
+        with pytest.raises(ValueError, match=rf"PE 1: destination {stray} "
+                                             rf"outside \[0, 4\)"):
+            route_rows(Comm(machine), rows, dests, method=method)
+        assert machine.n_collectives == 0 and not machine.clock.any()
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 30), st.integers(1, 99))
     def test_conservation_property(self, p, k, seed):
@@ -293,15 +309,16 @@ class TestRouteRows:
                                         "hypercube"])
     @pytest.mark.parametrize("p", [2, 4, 7, 16])
     def test_same_on_both_kernel_engines(self, method, p, rng):
-        """The fused flat hand-off (batched) and the per-PE list hand-off
-        (loop) deliver the same rows, sources and send permutations."""
+        """The fused flat hand-off (production) and the per-PE list hand-off
+        (the loop oracle) deliver the same rows, sources and send
+        permutations."""
         rows = [rng.integers(0, 10 ** 6, (int(rng.integers(0, 14)), 2))
                 for _ in range(p)]
         rows[0] = rows[0][:0]  # a PE that sends nothing
         dests = [rng.integers(0, p, len(r)) for r in rows]
-        m_loop, m_batched = Machine(p, engine="inprocess"), \
-            Machine(p, engine="batched")
-        loop = route_rows(Comm(m_loop), rows, dests, method=method)
+        m_loop, m_batched = Machine(p), Machine(p)
+        loop = _loop_reference.route_rows(Comm(m_loop), rows, dests,
+                                          method=method)
         batched = route_rows(Comm(m_batched), rows, dests, method=method)
         assert np.array_equal(m_loop.clock, m_batched.clock)
         for part_loop, part_batched in zip(loop, batched):

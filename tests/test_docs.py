@@ -64,7 +64,9 @@ def test_readme_lists_exactly_the_env_knobs_the_code_reads():
         f"README table lacks {sorted(read - set(rows))}, "
         f"lists unread {sorted(set(rows) - read)}")
     retired = {name for name, row in rows.items() if "**retired**" in row}
-    assert retired == {"REPRO_KERNELS"}
-    # 12 under src/ plus REPRO_BENCH_SERVE_REQUESTS; a new knob has to be
+    from repro.simmpi.machine import RETIRED_ENV
+
+    assert retired == set(RETIRED_ENV)
+    # 10 under src/ plus REPRO_BENCH_SERVE_REQUESTS; a new knob has to be
     # argued for (ROADMAP aim 2), so the count is pinned, not just the set.
-    assert len(rows) - len(retired) == 13
+    assert len(rows) - len(retired) == 11

@@ -4,8 +4,8 @@ Covers the two pieces of :mod:`repro.kernels` that PR 7's hot-path rewiring
 leans on (docs/kernels.md):
 
 * :mod:`repro.kernels.dtypes` -- the uint32/int64 decision at the exact
-  ``2**32`` boundary, the ``REPRO_DTYPES=wide`` escape hatch, payload
-  narrowing, and the logical-bytes accounting that keeps simulated costs
+  ``2**32`` boundary, the wide mode the differential harness switches
+  to (``dtypes.NARROWING = False``), payload narrowing, and the logical-bytes accounting that keeps simulated costs
   dtype-independent;
 * ``packed_lexsort`` permutation dtype and the packed-capacity overflow
   boundary (the ``np.lexsort`` fallback at capacity ``>= 2**62``);
@@ -16,26 +16,19 @@ leans on (docs/kernels.md):
 import numpy as np
 import pytest
 
-from repro.kernels import packed_lexsort
+from repro.kernels import dtypes, packed_lexsort
 from repro.kernels.dtypes import (
     UINT32_MAX,
     index_dtype,
     logical_itemsize,
     logical_nbytes,
     narrow,
-    narrowing_enabled,
     widen,
 )
 from repro.kernels.pool import BufferPool, active_pool, set_active_pool
 
 
 class TestDtypePolicy:
-    @pytest.fixture(autouse=True)
-    def _narrow_mode(self, monkeypatch):
-        """Pin narrow mode: these tests probe the policy itself, so they
-        must not inherit a differential ``REPRO_DTYPES=wide`` run's env."""
-        monkeypatch.setenv("REPRO_DTYPES", "narrow")
-
     def test_index_dtype_boundary(self):
         assert index_dtype(0) == np.uint32
         assert index_dtype(UINT32_MAX) == np.uint32
@@ -44,18 +37,11 @@ class TestDtypePolicy:
         assert index_dtype(-1) == np.uint32
 
     def test_index_dtype_wide_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPES", "wide")
-        assert not narrowing_enabled()
+        monkeypatch.setattr(dtypes, "NARROWING", False)
         assert index_dtype(0) == np.int64
         assert index_dtype(UINT32_MAX) == np.int64
 
-    def test_bad_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPES", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_DTYPES"):
-            narrowing_enabled()
-
-    def test_narrow_boundary_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPES", "narrow")
+    def test_narrow_boundary_values(self):
         a = np.array([0, UINT32_MAX], dtype=np.int64)
         assert narrow(a).dtype == np.uint32
         over = np.array([0, UINT32_MAX + 1], dtype=np.int64)
@@ -70,7 +56,7 @@ class TestDtypePolicy:
         assert narrow(f).dtype == np.float64
 
     def test_narrow_wide_mode_widens(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPES", "wide")
+        monkeypatch.setattr(dtypes, "NARROWING", False)
         a = np.array([1, 2], dtype=np.uint32)
         assert narrow(a).dtype == np.int64
         assert widen(a).dtype == np.int64
@@ -87,8 +73,7 @@ class TestDtypePolicy:
 
 
 class TestPackedLexsortDtypes:
-    def test_perm_dtype_narrow(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPES", "narrow")
+    def test_perm_dtype_narrow(self):
         rng = np.random.default_rng(3)
         cols = (rng.integers(0, 50, 1000), rng.integers(0, 50, 1000))
         perm = packed_lexsort(cols)
@@ -96,7 +81,7 @@ class TestPackedLexsortDtypes:
         np.testing.assert_array_equal(perm, np.lexsort(cols))
 
     def test_perm_dtype_wide(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPES", "wide")
+        monkeypatch.setattr(dtypes, "NARROWING", False)
         rng = np.random.default_rng(3)
         cols = (rng.integers(0, 50, 100), rng.integers(0, 50, 100))
         perm = packed_lexsort(cols)

@@ -1,18 +1,21 @@
-"""Engine selection and conformance (docs/kernels.md, "two paths, one
-selector").
+"""One path, one oracle (docs/kernels.md): conformance of production to the
+per-PE reference loops kept under ``tests/_loop_reference.py``.
 
-* selection: ``Machine(engine=...)`` beats ``REPRO_ENGINE`` beats the
-  ``batched`` default; unknown and retired names (``multiprocess``, a set
-  ``REPRO_KERNELS``) are rejected at ``Machine`` construction;
-* conformance matrix: both engines run the full algorithms over several
-  graph families and must produce bit-identical simulated seconds, phase
-  breakdowns, communication traces and MSF weights -- including ``p=1``
-  and graphs so small that PEs sit empty (``helpers.assert_engines_agree``;
-  ``tests/test_kernels.py`` runs the same harness over threads and
-  all-to-all schemes);
-* determinism: same-seed deterministic exports are byte-identical;
-* subsystems: a fault schedule behaves the same on both engines (the
-  sanitizer detections per engine live in ``tests/test_kernels.py``).
+* retired selectors: a set ``REPRO_ENGINE`` / ``REPRO_KERNELS`` /
+  ``REPRO_DTYPES`` is rejected at ``Machine`` construction, and
+  ``Machine`` takes no ``engine`` argument;
+* conformance matrix: production and the substituted loop oracles run the
+  full algorithms over several graph families and must produce
+  bit-identical simulated seconds, phase breakdowns, communication traces
+  and MSF weights -- including ``p=1`` and graphs so small that PEs sit
+  empty -- and so must production with ``int64`` storage everywhere
+  (``helpers.assert_engines_agree``; ``tests/test_kernels.py`` runs the
+  same harness over threads and all-to-all schemes,
+  ``tests/test_loop_oracles.py`` compares the ten sites one by one);
+* determinism: same-seed deterministic exports are byte-identical between
+  runs, on production and on the oracles;
+* subsystems: a fault schedule behaves the same on both (the sanitizer
+  detections per path live in ``tests/test_kernels.py``).
 """
 
 import json
@@ -28,69 +31,48 @@ from repro.core import (
     distributed_filter_boruvka,
 )
 from repro.graphgen import gen_family
-from repro.kernels import ENGINE_NAMES, batched_for, resolve_engine
 from repro.obs.export import chrome_trace, metrics_to_dict
 from repro.simmpi import Machine
 
-from helpers import assert_engines_agree, random_simple_graph
+from helpers import (
+    ENGINE_NAMES,
+    assert_engines_agree,
+    on_path,
+    random_simple_graph,
+)
 
 
 # ----------------------------------------------------------------------
 # Selection.
 # ----------------------------------------------------------------------
 class TestEngineSelection:
-    def test_engine_names_constant(self):
-        assert set(ENGINE_NAMES) == {"inprocess", "batched"}
-
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine() == "batched"
-        assert Machine(2).engine == "batched"
-
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
-    def test_env_selects_engine(self, monkeypatch, name):
-        monkeypatch.setenv("REPRO_ENGINE", name)
-        assert Machine(2).engine == name
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "inprocess")
-        assert Machine(2, engine="batched").engine == "batched"
-
     def test_unknown_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "gpu")
         with pytest.raises(ValueError, match="REPRO_ENGINE"):
             Machine(2)
 
-    def test_unknown_argument_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            Machine(2, engine="vectorised")
-        with pytest.raises(ValueError):
-            resolve_engine("gpu")
-
     def test_retired_names_rejected(self, monkeypatch):
-        """The removed engine and the retired knob fail loudly."""
-        with pytest.raises(ValueError, match="inprocess.*batched"):
-            Machine(2, engine="multiprocess")
-        monkeypatch.setenv("REPRO_ENGINE", "multiprocess")
-        with pytest.raises(ValueError, match="inprocess.*batched"):
+        """The retired selectors fail loudly, whatever they are set to."""
+        with pytest.raises(TypeError, match="engine"):
+            Machine(2, engine="batched")
+        # A stale REPRO_KERNELS=loop / REPRO_ENGINE=inprocess must not
+        # silently run the one path that is left, nor REPRO_DTYPES=wide
+        # silently store narrow.
+        for name, value in (("REPRO_KERNELS", "loop"),
+                            ("REPRO_ENGINE", "inprocess"),
+                            ("REPRO_ENGINE", "batched"),
+                            ("REPRO_DTYPES", "wide"),
+                            ("REPRO_DTYPES", "narrow")):
+            monkeypatch.setenv(name, value)
+            with pytest.raises(ValueError,
+                               match=f"{name} is retired.*under tests/"):
+                Machine(2)
+            monkeypatch.setenv(name, " ")  # set but empty: not a request
             Machine(2)
-        monkeypatch.delenv("REPRO_ENGINE")
-        # A stale REPRO_KERNELS=loop must not silently run the batched path.
-        monkeypatch.setenv("REPRO_KERNELS", "loop")
-        with pytest.raises(ValueError, match="REPRO_ENGINE=inprocess"):
-            Machine(2)
-        with pytest.raises(ValueError, match="REPRO_KERNELS is retired"):
-            Machine(2, engine="inprocess")
-
-    def test_engine_drives_kernel_dispatch(self):
-        assert not batched_for(Machine(2, engine="inprocess"))
-        assert batched_for(Machine(2, engine="batched"))
-        # Objects without an engine fall back to the env default.
-        assert batched_for(object()) == (resolve_engine() == "batched")
+            monkeypatch.delenv(name)
 
     def test_machine_is_context_manager(self):
-        with Machine(2, engine="batched") as machine:
-            assert machine.engine == "batched"
+        with Machine(2) as machine:
             machine.pool.give(machine.pool.take(64, np.int64))
             assert machine.pool.held_bytes > 0
         assert machine.pool.held_bytes == 0
@@ -128,6 +110,15 @@ class TestEngineConformance:
         g = gen_family("GNM", 12, 18, seed=3)
         assert_engines_agree(g, 8, algo, cfg)
 
+    @pytest.mark.parametrize("p", [2, 6])
+    def test_forced_samplesort(self, p):
+        # ``auto`` sorts inputs this small with the hypercube sorter; force
+        # the sample sort so its sites (local sort, splitter search) run.
+        g = gen_family("GNM", 250, 1000, seed=11)
+        assert_engines_agree(g, p, distributed_boruvka,
+                             BoruvkaConfig(base_case_min=16,
+                                           sorter="samplesort"))
+
     def test_raw_edges_input(self):
         edges = random_simple_graph(np.random.default_rng(9), 60, 240)
         assert_engines_agree(edges, 5, distributed_boruvka,
@@ -137,8 +128,8 @@ class TestEngineConformance:
 class TestDeterminism:
     @staticmethod
     def _one_export(engine):
-        with Machine(6, seed=123, trace=True, trace_events=True,
-                     engine=engine) as machine:
+        with on_path(engine), Machine(6, seed=123, trace=True,
+                                      trace_events=True) as machine:
             dg = gen_family("GNM", 300, 1200, seed=7).distribute(machine)
             distributed_boruvka(dg, BoruvkaConfig(base_case_min=16))
             trace = json.dumps(
@@ -157,7 +148,7 @@ class TestDeterminism:
         assert first[1] == second[1], "metrics dumps differ between runs"
 
     def test_deterministic_mode_omits_wall_clock(self):
-        with Machine(3, trace_events=True, engine="batched") as machine:
+        with Machine(3, trace_events=True) as machine:
             dg = gen_family("GNM", 60, 200, seed=1).distribute(machine)
             distributed_boruvka(dg, BoruvkaConfig(base_case_min=16))
             det = chrome_trace(machine.events, deterministic=True)
@@ -178,7 +169,7 @@ class TestEngineUnderSubsystems:
         spec = "seed=5,msg_drop=0.02"
         outs = {}
         for name in ENGINE_NAMES:
-            with Machine(5, faults=spec, engine=name) as machine:
+            with on_path(name), Machine(5, faults=spec) as machine:
                 dg = gen_family("GNM", 150, 600, seed=4).distribute(machine)
                 res = distributed_boruvka(dg,
                                           BoruvkaConfig(base_case_min=16))

@@ -1,4 +1,4 @@
-"""Tests for the batched segmented-kernel engine (repro.kernels).
+"""Tests for the flat segmented kernels (repro.kernels).
 
 Three layers:
 
@@ -6,33 +6,32 @@ Three layers:
   per-segment numpy operation it replaces;
 * unit tests for :func:`repro.dgraph.search.sorted_lookup` (the shared
   clamped-searchsorted helper);
-* differential tests running the full algorithms on both engines
+* differential tests running the full algorithms on production and on the
+  per-PE loop oracles
   (``helpers.assert_engines_agree``, shared with tests/test_engines.py) over
   threads and all-to-all schemes, asserting the hard invariant of
   docs/kernels.md: simulated clocks, phase breakdowns, communication traces
   and MST weights are bit-for-bit identical -- only wall-clock may differ.
   The property suite draws random instances with hypothesis; the sanitizer
-  suite re-runs the adversarial detections under both engines.
+  suite re-runs the adversarial detections on both.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import core
 from repro.core import (
     BoruvkaConfig,
     FilterConfig,
     MSTRun,
-    contract_components,
     distributed_boruvka,
     distributed_filter_boruvka,
-    min_edges,
 )
 from repro.dgraph import DistGraph
 from repro.dgraph.search import sorted_lookup
 from repro.graphgen import FAMILIES, gen_family
 from repro.kernels import (
-    ENGINE_NAMES,
     RaggedArrays,
     first_in_group,
     order_key,
@@ -46,7 +45,12 @@ from repro.kernels import (
 )
 from repro.simmpi import Machine
 
-from helpers import assert_engines_agree, random_simple_graph
+from helpers import (
+    ENGINE_NAMES,
+    assert_engines_agree,
+    on_path,
+    random_simple_graph,
+)
 
 
 @pytest.fixture
@@ -394,7 +398,7 @@ class TestEmptySegmentEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# Differential: the two engines must be simulated-behavior identical.
+# Differential: production must be simulated-behavior identical to the oracles.
 # ---------------------------------------------------------------------------
 
 class TestEngineDifferential:
@@ -432,7 +436,9 @@ class TestEngineDifferential:
 
 
 class TestEngineSanitizer:
-    """The adversarial sanitizer detections must fire under both engines."""
+    """The adversarial sanitizer detections must fire on production and on
+    the loop oracles (sites are reached through ``core`` so the substitution
+    applies)."""
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_clean_run_under_sanitizer(self, rng, engine):
@@ -440,23 +446,25 @@ class TestEngineSanitizer:
         for algo, cfg in ((distributed_boruvka,
                            BoruvkaConfig(base_case_min=16)),
                           (distributed_filter_boruvka, FilterConfig())):
-            machine = Machine(6, sanitize=True, engine=engine)
+            machine = Machine(6, sanitize=True)
             dg = DistGraph.from_global_edges(machine, g)
-            algo(dg, cfg)
+            with on_path(engine):
+                algo(dg, cfg)
             assert machine.sanitizer.counters["collectives"] > 0
             assert machine.sanitizer.counters["charges"] > 0
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_unknown_vertex_query_detected(self, rng, engine):
         g = random_simple_graph(rng, 50, 250)
-        machine = Machine(5, sanitize=True, engine=engine)
+        machine = Machine(5, sanitize=True)
         dg = DistGraph.from_global_edges(machine, g)
         run = MSTRun(machine, BoruvkaConfig())
-        chosen = min_edges(dg)
-        victim = next(i for i, c in enumerate(chosen)
-                      if len(c) and not c.shared.all())
-        k = int(np.flatnonzero(~chosen[victim].shared)[0])
-        with machine.on_pe(victim):
-            chosen[victim].to[k] = 10 ** 9
-        with pytest.raises(RuntimeError):
-            contract_components(dg, chosen, run)
+        with on_path(engine):
+            chosen = core.min_edges(dg)
+            victim = next(i for i, c in enumerate(chosen)
+                          if len(c) and not c.shared.all())
+            k = int(np.flatnonzero(~chosen[victim].shared)[0])
+            with machine.on_pe(victim):
+                chosen[victim].to[k] = 10 ** 9
+            with pytest.raises(RuntimeError):
+                core.contract_components(dg, chosen, run)

@@ -13,7 +13,7 @@ from repro.core import (
     redistribute,
     relabel,
 )
-from repro.core.redistribute import dedup_sorted_part
+from repro.core.redistribute import dedup_sorted_parts
 from repro.dgraph import DistGraph, Edges
 from repro.simmpi import Machine
 
@@ -68,12 +68,12 @@ class TestDedup:
     def test_dedup_sorted_part_keeps_lightest(self):
         part = np.array([[0, 1, 3, 0], [0, 1, 7, 1], [0, 2, 5, 2],
                          [1, 0, 3, 3], [1, 0, 3, 4]])
-        out = dedup_sorted_part(part)
+        out, = dedup_sorted_parts([part])
         assert [tuple(r[:3]) for r in out] == [(0, 1, 3), (0, 2, 5),
                                                (1, 0, 3)]
 
     def test_dedup_empty(self):
-        out = dedup_sorted_part(np.empty((0, 4), dtype=np.int64))
+        out, = dedup_sorted_parts([np.empty((0, 4), dtype=np.int64)])
         assert len(out) == 0
 
 

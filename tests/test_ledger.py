@@ -77,10 +77,8 @@ class TestRecords:
             rounds=res.rounds, wall_seconds=0.25,
             critical_path={"length_s": res.elapsed})
         assert record["schema_version"] == SCHEMA_VERSION
-        assert record["engine"] == machine.engine
-        assert "utilization" not in record
+        assert not {"engine", "dtype_policy", "utilization"} & set(record)
         assert record["n_procs"] == machine.n_procs
-        assert record["dtype_policy"]
         assert 0.0 <= record["pool"]["hit_rate"] <= 1.0
         assert record["fault_schedule"] is None
         assert validate_ledger_record(record) == []

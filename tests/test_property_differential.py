@@ -30,12 +30,11 @@ from repro.core import (
 )
 from repro.dgraph import DistGraph
 from repro.graphgen import FAMILIES, gen_family
-from repro.kernels import ENGINE_NAMES
 from repro.obs.export import chrome_trace, metrics_to_dict
 from repro.seq import msf_weight, spans_same_components
 from repro.simmpi import Machine
 
-from helpers import assert_engines_agree
+from helpers import ENGINE_NAMES, assert_engines_agree, on_path
 
 DEEP_EXAMPLES = int(os.environ.get("REPRO_DEEP_EXAMPLES", "60"))
 
@@ -189,12 +188,12 @@ class TestFaultIdentity:
 
 
 class TestEngineIdentity:
-    """Engine axis (docs/kernels.md): random instances, bit-identical runs.
+    """Oracle axis (docs/kernels.md): random instances, bit-identical runs.
 
-    The batched path must be simulated-behaviour identical to the
-    ``inprocess`` reference loops on arbitrary instances, and two runs of
-    the same seed on one engine must export byte-identical
-    deterministic-mode metrics and trace dumps.
+    Production must be simulated-behaviour identical to the per-PE
+    reference loops (``inprocess``: the oracles substituted) on arbitrary
+    instances, and two runs of the same seed on one path must export
+    byte-identical deterministic-mode metrics and trace dumps.
     """
 
     @given(inst=instances(max_n=100), cfg=boruvka_configs(),
@@ -216,8 +215,8 @@ class TestEngineIdentity:
         cfg = BoruvkaConfig(base_case_min=16)
 
         def run():
-            with Machine(p, threads=threads, seed=seed, trace_events=True,
-                         engine=engine) as m:
+            with on_path(engine), Machine(p, threads=threads, seed=seed,
+                                          trace_events=True) as m:
                 dg = graph.distribute(m)
                 distributed_boruvka(dg, cfg)
                 return (
@@ -243,8 +242,8 @@ class TestServingDifferential:
     A persistent :class:`~repro.serve.GraphSession` driven through random
     insert/delete epochs must report the exact sequential-Kruskal MSF
     weight after every commit -- whichever incremental strategy each epoch
-    picked, on either execution engine, and with a fail-stop fault
-    schedule injecting during the epoch recomputes.
+    picked, on production and on the loop oracles, and with a fail-stop
+    fault schedule injecting during the epoch recomputes.
     """
 
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(16, 64),
@@ -276,9 +275,9 @@ class TestServingDifferential:
             return msf_weight(Edges(u, v, w), n) if len(live) else 0
 
         try:
-            with GraphSession(n, rows, n_procs=int(rng.integers(1, 6)),
-                              cfg=cfg, faults=faults,
-                              engine=engine) as session:
+            with on_path(engine), \
+                    GraphSession(n, rows, n_procs=int(rng.integers(1, 6)),
+                                 cfg=cfg, faults=faults) as session:
                 for _ in range(epochs):
                     ops = []
                     for _ in range(int(rng.integers(1, 5))):

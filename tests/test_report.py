@@ -135,10 +135,11 @@ def traced_artifacts(tmp_path_factory):
     write_chrome_trace(machine.events, trace,
                        metadata={"n_procs": machine.n_procs})
     ledger = tmp / "ledger.jsonl"
-    # The second row has the shape rows had while engines were objects
-    # (``utilization``, ``config.kernels``): old ledgers must keep
-    # validating and rendering.
-    legacy = {"utilization": {"engine": "batched", "pe_map_calls": 0},
+    # The second row has the shape rows had while there were engines to
+    # name (``engine``, ``dtype_policy``; earlier ``utilization``,
+    # ``config.kernels``): old ledgers must keep validating and rendering.
+    legacy = {"engine": "batched", "dtype_policy": "narrow",
+              "utilization": {"engine": "batched", "pe_map_calls": 0},
               "config": {"kernels": "batched", "engine": "batched"}}
     for extra in (None, legacy):
         append_record(

@@ -8,7 +8,7 @@ pins for the Awerbuch-Shiloach termination-round bug and MND-MST's
 surviving ``pe_fail`` schedule recovers the bit-identical MSF weight on
 every round-looped algorithm -- and the degenerate shapes: zero-round
 graphs, ``max_rounds`` divergence, replay-budget exhaustion, p=1 and
-empty-PE machines, across execution engines.
+empty-PE machines, on production and on the loop oracles.
 """
 
 import numpy as np
@@ -36,6 +36,8 @@ from repro.graphgen import gen_family
 from repro.seq import msf_weight
 from repro.simmpi import Machine
 
+from helpers import ENGINE_NAMES, on_path
+
 GRAPH = gen_family("GNM", 400, 1600, seed=7)
 REF_WEIGHT = msf_weight(GRAPH.edges, GRAPH.n_vertices)
 
@@ -50,10 +52,9 @@ ROUND_LOOPED = {
 }
 
 
-def run_algo(name, p=6, threads=1, faults=False, engine=None, graph=GRAPH):
+def run_algo(name, p=6, threads=1, faults=False, graph=GRAPH):
     algo, cfg = ROUND_LOOPED[name]
-    machine = Machine(p, threads=threads, sanitize=True, faults=faults,
-                      engine=engine)
+    machine = Machine(p, threads=threads, sanitize=True, faults=faults)
     dg = graph.distribute(machine)
     result = algo(dg, cfg) if cfg is not None else algo(dg)
     return machine, result
@@ -170,11 +171,12 @@ class TestRoundAccounting:
             f"{self.PINS[name]}")
         assert result.total_weight == REF_WEIGHT
 
-    @pytest.mark.parametrize("engine", ["inprocess", "batched"])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_accounting_is_engine_invariant(self, engine):
-        for name in ("awerbuch-shiloach", "mnd-mst"):
-            _, result = run_algo(name, engine=engine)
-            assert result.rounds == self.PINS[name]
+        with on_path(engine):
+            for name in ("awerbuch-shiloach", "mnd-mst"):
+                _, result = run_algo(name)
+                assert result.rounds == self.PINS[name]
 
     def test_single_pe_machine(self):
         # p=1: Borůvka contracts everything locally (0 distributed

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import ENGINE_NAMES
-from repro.obs.export import chrome_trace, metrics_to_dict
 from repro.simmpi import Comm, Machine
 from repro.sorting import (
     HYPERCUBE_THRESHOLD,
@@ -23,7 +21,9 @@ from repro.sorting import (
 from repro.sorting.common import as_row_matrix
 
 import _hypercube_reference as reference
+import _loop_reference
 from _alltoall_reference import SpyInjector, _assert_equal
+from helpers import ENGINE_NAMES, observed_machine
 
 
 def _multiset(parts):
@@ -226,33 +226,9 @@ def _shapes(rng, p):
 
 def _observed(machine, out):
     """Everything a sort leaves behind, in comparable form."""
-    seen = {
-        "out": [(x.dtype, x.shape, x.tolist()) for x in out],
-        "clock": machine.clock.copy(),
-        "n_collectives": machine.n_collectives,
-        "bytes": machine.bytes_communicated,
-        "pe_rngs": {pe: str(state)
-                    for pe, state in machine.rng_snapshot().items()},
-    }
-    if machine.events is not None:
-        seen["events"] = chrome_trace(machine.events, deterministic=True)
-        metrics = metrics_to_dict(machine.metrics, deterministic=True)
-        # kernel/* and pool/* count host kernel calls: meant to differ.
-        metrics["counters"] = {
-            k: v for k, v in metrics["counters"].items()
-            if not k.startswith(("kernel/", "pool/"))}
-        seen["metrics"] = metrics
-    if machine.trace is not None:
-        seen["comm_trace"] = (machine.trace.matrix.copy(),
-                              machine.trace.n_exchanges)
-    if machine.sanitizer is not None:
-        seen["shadow"] = machine.sanitizer.comm_matrix.copy()
-        seen["checks"] = {k: v for k, v in machine.sanitizer.counters.items()
-                          if k != "sort_level_checks"}
-    if machine.faults is not None:
-        seen["faults"] = machine.faults.summary()
-        seen["fault_rng"] = str(machine.faults.rng.bit_generator.state)
-        seen["victims"] = getattr(machine.faults, "hops", None)
+    seen = observed_machine(machine, skip_checks=("sort_level_checks",))
+    seen["out"] = [(x.dtype, x.shape, x.tolist()) for x in out]
+    seen["victims"] = getattr(machine.faults, "hops", None)
     return seen
 
 
@@ -274,13 +250,17 @@ class TestHypercubeMatchesRecursion:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("p", DIFF_SIZES)
-    def test_differential(self, p, mode, engine):
+    def test_differential(self, p, mode, engine, monkeypatch):
+        if engine == "inprocess":
+            # The recursion on the per-PE route_rows it was shipped with.
+            monkeypatch.setattr(reference, "route_rows",
+                                _loop_reference.route_rows)
         rng = np.random.default_rng(1000 * p + len(mode))
         for name, parts in _shapes(rng, p):
-            args = dict(MODES[mode], engine=engine)
-            _assert_equal(_sort_observed(sort_hypercube, p, parts, **args),
-                          _sort_observed(reference.sort_hypercube, p, parts,
-                                         **args), f"{name}")
+            _assert_equal(
+                _sort_observed(sort_hypercube, p, parts, **MODES[mode]),
+                _sort_observed(reference.sort_hypercube, p, parts,
+                               **MODES[mode]), f"{name}")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_many_pes_few_rows(self, mode):
