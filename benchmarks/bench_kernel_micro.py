@@ -6,7 +6,10 @@ uses -- on identical workloads in the two dtype layouts of the adaptive
 narrowing policy (``uint32`` vs ``int64``).  The per-kernel host seconds
 quantify the memory-bandwidth effect of the policy directly, without the
 simulator around it; the pool leg measures the scratch-arena hit rate on
-the packed-key path.
+the packed-key path.  Kernels that choose an arm from their input are timed
+on both sides of the choice: ``segmented_lookup`` on dense ids (the
+direct-address table) and on sparse ids (the search), ``route_plan`` with
+at most 2^16 (segment, destination) slots (a 16-bit radix sort) and above.
 
 Host seconds land in the ``BENCH_kernel_micro.json`` extras (they are
 machine-dependent); the ``simulated_seconds`` of every entry is a constant
@@ -21,7 +24,9 @@ from repro.kernels.engine import set_kernel_sink
 from repro.kernels.pool import BufferPool, active_pool, set_active_pool
 from repro.kernels.segmented import (
     packed_lexsort,
+    route_plan,
     segmented_lexsort,
+    segmented_lookup,
     segmented_searchsorted,
     segmented_unique,
 )
@@ -48,16 +53,12 @@ def _workload(dtype, seed: int = 7):
     return vals, keys2, seg, off, hay
 
 
-def _run_kernels(dtype) -> dict:
-    """One pass over the kernel suite; returns name -> (calls, host_s)."""
+def _recorded(fn) -> dict:
+    """Run ``fn`` under a kernel sink; returns name -> (calls, host_s)."""
     registry = MetricsRegistry()
     set_kernel_sink(registry)
     try:
-        vals, keys2, seg, off, hay = _workload(dtype)
-        packed_lexsort((keys2, vals))
-        segmented_lexsort((vals, keys2), seg)
-        segmented_unique(vals, seg, SEGMENTS)
-        segmented_searchsorted(hay, off, vals, seg)
+        fn()
     finally:
         set_kernel_sink(None)
     counters = registry.counters()
@@ -66,6 +67,44 @@ def _run_kernels(dtype) -> dict:
     return {n: (int(counters[f"kernel/{n}/calls"].value),
                 counters[f"kernel/{n}/host_seconds"].value)
             for n in names}
+
+
+def _lookup_workload(dtype, id_range: int, seed: int = 7):
+    """``N // 16`` distinct ids out of ``id_range``, block-partitioned over
+    the segments like a vertex list, and ``N`` needles over the same range:
+    dense (``id_range`` = the id count) or sparse (2^30)."""
+    rng = np.random.default_rng(seed)
+    h = N // 16
+    ids = np.sort(rng.choice(id_range, h, replace=False)).astype(dtype)
+    off = np.arange(SEGMENTS + 1, dtype=np.int64) * (h // SEGMENTS)
+    needles = rng.integers(0, id_range, N).astype(dtype)
+    seg = rng.integers(0, SEGMENTS, N)
+    return ids, off, needles, seg
+
+
+def _run_kernels(dtype) -> dict:
+    """One pass over the kernel suite; returns name -> (calls, host_s)."""
+    vals, keys2, seg, off, hay = _workload(dtype)
+
+    def suite():
+        packed_lexsort((keys2, vals))
+        segmented_lexsort((vals, keys2), seg)
+        segmented_unique(vals, seg, SEGMENTS)
+        segmented_searchsorted(hay, off, vals, seg)
+
+    out = _recorded(suite)
+    # Input-selected arms, one record each.
+    for side, id_range in (("dense", N // 16), ("sparse", 1 << 30)):
+        args = _lookup_workload(dtype, id_range)
+        out[f"segmented_lookup[{side}]"] = _recorded(
+            lambda: segmented_lookup(*args))["segmented_lookup"]
+    rng = np.random.default_rng(11)
+    for size in (SEGMENTS, 8 * SEGMENTS):  # 2^12 and 2^18 slots
+        src = rng.integers(0, size, N).astype(dtype)
+        dest = rng.integers(0, size, N).astype(dtype)
+        out[f"route_plan[{size}x{size}]"] = _recorded(
+            lambda: route_plan(src, dest, size, size))["route_plan"]
+    return out
 
 
 def _run_pool() -> dict:
@@ -120,6 +159,9 @@ def test_kernel_micro(benchmark):
     # The suite must have exercised every kernel in both layouts ...
     assert set(results["narrow"]) == set(results["wide"])
     assert {"packed_lexsort", "segmented_lexsort",
-            "segmented_unique", "segmented_searchsorted"} <= set(kernels)
+            "segmented_unique", "segmented_searchsorted",
+            "segmented_lookup[dense]", "segmented_lookup[sparse]",
+            f"route_plan[{SEGMENTS}x{SEGMENTS}]",
+            f"route_plan[{8 * SEGMENTS}x{8 * SEGMENTS}]"} <= set(kernels)
     # ... and steady-state pooled scratch must be (nearly) all hits.
     assert pool["hits"] >= 14

@@ -10,12 +10,15 @@ search on the replicated min-edge array.  Duplicate messages for the same
 RELABEL then rewrites every edge ``(u, v)`` to ``(u', v')`` and discards
 self loops; parallel-edge elimination happens later in REDISTRIBUTE.
 
-Both steps run over all PEs' edges at once on the segmented
-searchsorted/lookup kernels (see :mod:`repro.kernels`).  The per-PE loops
-they replaced are the oracle of the differential tests
-(``tests/_loop_reference.py``); the deduplicated push payload may leave in
-a different (but equivalent) row order than the oracle's, while ghost
-tables, relabelled edges and simulated costs are identical.
+Both steps run over all PEs' edges at once and read the sorted-by-source
+layout instead of searching it: a source's label sits at the index of its
+run in the part (``vids_per_pe[i]`` *is* part ``i``'s distinct sources in
+order), duplicates of a pushed ``(destination PE, vertex)`` pair are
+adjacent rows, and destination labels come from the direct-address table
+of :func:`repro.kernels.segmented_lookup`.  The per-PE loops they replaced
+are the oracle of the differential tests (``tests/_loop_reference.py``):
+payload rows, ghost tables, relabelled edges and simulated costs are
+identical.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from ..kernels.segmented import packed_lexsort
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
 from ..dgraph.search import sorted_lookup
-from ..kernels import segmented_lookup, segmented_searchsorted
+from ..kernels import segmented_lookup, segmented_run_starts
 from ..simmpi.alltoall import route_rows
 from .state import MSTRun
 
@@ -49,6 +52,27 @@ class GhostTable:
             missing = np.asarray(v)[~found][:5]
             raise RuntimeError(f"ghost labels missing for vertices {missing}")
         return self.labels[idx]
+
+
+def _source_labels(eu: np.ndarray, off: np.ndarray, voff: np.ndarray,
+                   labels: np.ndarray) -> np.ndarray:
+    """New label of every edge's source, read off the layout.
+
+    Parts are sorted by source, so the k-th run of equal sources of part
+    ``i`` is the k-th entry of ``vids_per_pe[i]``: repeating each label over
+    its run replaces a per-edge binary search.  Raises when the vertex
+    lists are not the parts' own vertex groups (a different number of
+    entries than runs on some PE), which would shift every label behind it.
+    """
+    starts = np.flatnonzero(segmented_run_starts(eu, off))
+    runs_before = np.searchsorted(starts, off)
+    if not np.array_equal(runs_before, voff):
+        bad = int(np.flatnonzero(runs_before != voff)[0]) - 1
+        raise ValueError(
+            f"vids_per_pe[{bad}] is not part {bad}'s vertex groups: "
+            f"{int(voff[bad + 1] - voff[bad])} entries for "
+            f"{int(runs_before[bad + 1] - runs_before[bad])} distinct sources")
+    return np.repeat(labels, np.diff(starts, append=len(eu)))
 
 
 def exchange_labels(
@@ -71,11 +95,12 @@ def exchange_labels(
         ew = np.concatenate([np.asarray(part.w) for part in parts])
     else:
         eu = ev = ew = z
+    off = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
     seg = np.repeat(np.arange(p, dtype=np.int64), lengths)
     vlens = np.array([len(v) for v in vids_per_pe], dtype=np.int64)
     voff = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(vlens, out=voff[1:])
-    vids = np.concatenate(vids_per_pe) if voff[-1] else z
     labels = np.concatenate(labels_per_pe) if voff[-1] else z
 
     # Home PE of every reverse edge (v, u, w).  The label of u must be
@@ -89,29 +114,31 @@ def exchange_labels(
     cu = eu[cut_pos]
     home = home_all[cut_pos]
     cseg = seg[cut_pos]
-    # New label of the edge's source.
-    src_idx = segmented_searchsorted(vids, voff, cu, cseg, side="left")
-    lab = labels[voff[cseg] + src_idx]
-    # Deduplicate per (destination PE, vertex): first occurrence of each
-    # (home, cu) pair per PE.  Row order within a PE is immaterial -- the
-    # receiver dedups again and all copies of a label agree.
-    dd = packed_lexsort((cu, home, cseg))
-    h_s, c_s, s_s = home[dd], cu[dd], cseg[dd]
-    first = np.ones(len(dd), dtype=bool)
-    if len(dd) > 1:
-        first[1:] = ((h_s[1:] != h_s[:-1]) | (c_s[1:] != c_s[:-1])
-                     | (s_s[1:] != s_s[:-1]))
-    sel = dd[first]  # ascending in cseg, so flat payloads split per PE
-    pay = np.stack([cu[sel], lab[sel]], axis=1)
-    pay_counts = np.bincount(cseg[sel], minlength=p)
-    poff = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(pay_counts, out=poff[1:])
+    lab = _source_labels(eu, off, voff, labels)[cut_pos]
+    # Deduplicate per (destination PE, vertex).  The rows of one source are
+    # sorted by (v, w) and the home of (v, u, w) is monotone in (v, w) for a
+    # fixed u, so copies of a (source, home) pair are adjacent: keep the
+    # first of each run, then one stable sort by (PE, home) puts the
+    # survivors -- still ascending in the vertex -- in (PE, home, vertex)
+    # order, destination-sorted per PE.
+    first = np.ones(len(cut_pos), dtype=bool)
+    first[1:] = ((cu[1:] != cu[:-1]) | (home[1:] != home[:-1])
+                 | (cseg[1:] != cseg[:-1]))
+    keep = np.flatnonzero(first)
+    pdest = home[keep]
+    pseg = cseg[keep]
+    order = packed_lexsort((pdest, pseg), ranges=((0, p - 1), (0, p - 1)))
+    sel = keep[order]
+    pdest = pdest[order]
+    pay = np.empty((len(sel), 2), dtype=np.result_type(cu, lab))
+    pay[:, 0] = cu[sel]
+    pay[:, 1] = lab[sel]
+    poff = np.searchsorted(pseg, np.arange(p + 1))  # pseg is ascending
     payloads = [pay[poff[i]:poff[i + 1]] for i in range(p)]
-    pdest = home[sel]
     dests = [pdest[poff[i]:poff[i + 1]] for i in range(p)]
     nz = np.flatnonzero(lengths)
     if len(nz):
-        cut_counts = np.bincount(cseg, minlength=p)
+        cut_counts = np.diff(np.searchsorted(cut_pos, off))
         machine.charge_scan(lengths[nz], ranks=nz)
         machine.charge_sort(np.maximum(cut_counts[nz], 1), ranks=nz)
 
@@ -159,6 +186,8 @@ def relabel(
     ev = np.concatenate([np.asarray(part.v) for part in parts])
     ew = np.concatenate([np.asarray(part.w) for part in parts])
     eid = np.concatenate([np.asarray(part.id) for part in parts])
+    off = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
     seg = np.repeat(np.arange(p, dtype=np.int64), lengths)
 
     z = np.empty(0, dtype=np.int64)
@@ -169,14 +198,14 @@ def relabel(
     labels = np.concatenate(labels_per_pe) if voff[-1] else z
 
     # Source labels: every source is local by definition.
-    u_new = labels[voff[seg]
-                   + segmented_searchsorted(vids, voff, eu, seg, side="left")]
+    u_new = _source_labels(eu, off, voff, labels)
     # Destination labels: local lookup where possible, ghosts otherwise.
     v_local, idx = segmented_lookup(vids, voff, ev, seg)
     v_new = np.empty_like(ev)
     v_new[v_local] = labels[(voff[seg] + idx)[v_local]]
-    miss = ~v_local
-    if miss.any():
+    miss = np.flatnonzero(~v_local)
+    if len(miss):
+        mv, mseg = ev[miss], seg[miss]
         goff = np.zeros(p + 1, dtype=np.int64)
         np.cumsum(np.array([len(t.ghosts) for t in ghost_tables],
                            dtype=np.int64), out=goff[1:])
@@ -184,15 +213,13 @@ def relabel(
             if goff[-1] else z
         glabels = np.concatenate([t.labels for t in ghost_tables]) \
             if goff[-1] else z
-        g_found, g_idx = segmented_lookup(ghosts, goff, ev[miss], seg[miss])
+        g_found, g_idx = segmented_lookup(ghosts, goff, mv, mseg)
         if not g_found.all():
-            missing = ev[miss][~g_found][:5]
+            missing = mv[~g_found][:5]
             raise RuntimeError(f"ghost labels missing for vertices {missing}")
-        v_new[miss] = glabels[goff[seg[miss]] + g_idx]
+        v_new[miss] = glabels[goff[mseg] + g_idx]
     keep_pos = np.flatnonzero(u_new != v_new)
-    kcounts = np.bincount(seg[keep_pos], minlength=p)
-    koff = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(kcounts, out=koff[1:])
+    koff = np.searchsorted(keep_pos, off)  # kept rows before each part
     ku = u_new[keep_pos]
     kv = v_new[keep_pos]
     kw = ew[keep_pos]

@@ -23,7 +23,7 @@ from ..kernels.segmented import packed_lexsort
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.search import sorted_lookup
-from ..kernels import first_in_group
+from ..kernels import first_in_group, segmented_run_starts
 
 
 @dataclass
@@ -70,10 +70,7 @@ def min_edges(graph: DistGraph) -> List[ChosenEdges]:
     # Vertex groups of every PE at once: a group starts where the source
     # changes *or* a new PE's segment begins (shared vertices stay distinct
     # per PE, exactly like per-PE vertex_groups).
-    change = np.ones(total, dtype=bool)
-    change[1:] = u[1:] != u[:-1]
-    seg_starts = off[:p][off[:p] < total]
-    change[seg_starts] = True
+    change = segmented_run_starts(u, off)
     group = np.cumsum(change) - 1
     gstart = np.flatnonzero(change)
     vids_flat = u[gstart]

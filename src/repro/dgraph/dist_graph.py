@@ -186,9 +186,14 @@ class DistGraph:
         return int(self.part_sizes.sum())
 
     def local_vertex_counts(self) -> np.ndarray:
-        """Distinct source vertices per PE (shared vertices counted on each)."""
+        """Distinct source vertices per PE (shared vertices counted on each).
+
+        Parts are sorted by source, so the count is the number of source
+        changes plus one -- no per-PE sort.
+        """
         return np.array(
-            [len(np.unique(part.u)) if len(part) else 0 for part in self.parts],
+            [np.count_nonzero(part.u[1:] != part.u[:-1]) + 1 if len(part)
+             else 0 for part in self.parts],
             dtype=np.int64,
         )
 

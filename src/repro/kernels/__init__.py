@@ -30,6 +30,7 @@ from .segmented import (
     segment_ids,
     segmented_lexsort,
     segmented_lookup,
+    segmented_run_starts,
     segmented_searchsorted,
     segmented_unique,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "segment_ids",
     "segmented_lexsort",
     "segmented_lookup",
+    "segmented_run_starts",
     "segmented_searchsorted",
     "segmented_unique",
     "set_active_pool",

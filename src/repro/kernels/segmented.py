@@ -110,17 +110,22 @@ def _pack(cols, out: np.ndarray) -> np.ndarray:
 
 
 def _argsort_packed(cols, capacity: int) -> np.ndarray:
-    """Stable argsort of the packed key of ``cols`` (pooled scratch; int32
-    when the capacity fits, which roughly halves the bytes the sort
-    touches)."""
+    """Stable argsort of the packed key of ``cols`` (pooled scratch).
+
+    The key sorts in the narrowest width its capacity fits: ``uint16`` up to
+    2^16 (numpy's stable argsort of 16-bit keys is a radix pass -- 640 k
+    keys: 58 ms as ``int32``, 8-11 ms as ``uint16``), ``int32`` below 2^31
+    (half the bytes the merge sort touches), ``int64`` otherwise.  Stable in
+    every width, so the permutation does not depend on which one ran.
+    """
     pool = active_pool()
     n = len(cols[0][0])
     packed = _pack(cols, pool.take(n, np.int64))
     if capacity < (1 << 31):
-        key32 = pool.take(n, np.int32)
-        key32[:] = packed  # values fit by the capacity bound
-        perm = np.argsort(key32, kind="stable")
-        pool.give(key32)
+        key = pool.take(n, np.uint16 if capacity <= (1 << 16) else np.int32)
+        key[:] = packed  # values fit by the capacity bound
+        perm = np.argsort(key, kind="stable")
+        pool.give(key)
     else:
         perm = np.argsort(packed, kind="stable")
     pool.give(packed)
@@ -141,10 +146,10 @@ def packed_lexsort(keys: Sequence[np.ndarray],
     ``ranges`` optionally supplies a known ``(lo, hi)`` value bound per key
     (aligned with ``keys``, ``None`` entries computed as usual), skipping
     the per-column min/max reduction scans.  The packed key accumulates in
-    a pooled scratch buffer (no per-column temporaries) and sorts as int32
-    when the combined capacity fits, which roughly halves the bytes the
-    stable argsort touches.  Returned indices use the narrowest safe policy
-    dtype (:mod:`repro.kernels.dtypes`).
+    a pooled scratch buffer (no per-column temporaries) and sorts in the
+    narrowest width the combined capacity fits (``uint16`` -- a radix pass
+    -- ``int32`` or ``int64``).  Returned indices use the narrowest safe
+    policy dtype (:mod:`repro.kernels.dtypes`).
     """
     keys = tuple(keys)
     if not keys:
@@ -228,6 +233,22 @@ def first_in_group(group_ids: np.ndarray) -> np.ndarray:
     if n > 1:
         first[1:] = group_ids[1:] != group_ids[:-1]
     return first
+
+
+def segmented_run_starts(values: np.ndarray,
+                         offsets: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal adjacent ``values``
+    *within a segment*: a run also starts where a segment begins.
+
+    For segments sorted by ``values`` the runs are each segment's distinct
+    values in order, so ``np.cumsum(mask) - 1`` is every position's index
+    into the concatenated per-segment unique lists -- the layout answers
+    what a per-segment ``searchsorted`` into those lists would.
+    """
+    change = first_in_group(values)
+    starts = np.asarray(offsets[:-1])
+    change[starts[starts < len(values)]] = True
+    return change
 
 
 @_instrumented
@@ -319,6 +340,58 @@ def segmented_searchsorted(
     return result
 
 
+#: :func:`segmented_lookup` builds its direct-address table only while the
+#: table has at most this many cells per haystack-plus-needle element.
+LOOKUP_CELLS_PER_ELEMENT = 16
+
+
+def _lookup_table(haystack: np.ndarray, hay_offsets: np.ndarray,
+                  needles: np.ndarray, needle_seg: np.ndarray):
+    """Direct-address arm of :func:`segmented_lookup`, or ``None`` when the
+    segments' value windows are too sparse (or too wide) to tabulate."""
+    if any(a.dtype.kind not in "iub" or a.dtype == np.uint64
+           for a in (haystack, needles)):
+        return None  # values must be exact in int64
+    h, q = len(haystack), len(needles)
+    lens = np.diff(hay_offsets)
+    nonempty = lens > 0
+    # A sorted segment's values lie in [first, last]; empty segments get the
+    # empty window [0, -1].
+    first = np.zeros(len(lens), dtype=np.int64)
+    last = np.full(len(lens), -1, dtype=np.int64)
+    first[nonempty] = haystack[hay_offsets[:-1][nonempty]]
+    last[nonempty] = haystack[hay_offsets[1:][nonempty] - 1]
+    extent = last - first  # wraps negative when a window exceeds int64
+    if (extent[nonempty] < 0).any() or extent.max() >= (1 << 31):
+        return None
+    toff = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(extent + 1, out=toff[1:])
+    cells = int(toff[-1])
+    if (cells > LOOKUP_CELLS_PER_ELEMENT * (h + q) or cells >= (1 << 31)
+            or h >= (1 << 31)):
+        return None
+    # Windows side by side, plus one trailing "absent" cell that every
+    # out-of-window needle is pointed at.  Not pooled: the pool's
+    # power-of-two blocks double the table (32 MB for the 4 M cells of 256
+    # ghost tables), which read +8..13 MB of peak RSS in half the runs.
+    table = np.full(cells + 1, -1, dtype=np.int32)
+    shift = toff[:-1] - first  # value -> cell, per segment
+    cell = haystack + np.repeat(shift, lens)
+    local = np.arange(h, dtype=np.int32)
+    local -= np.repeat(hay_offsets[:-1], lens).astype(np.int32)
+    # Repeated indices keep the last value assigned: reversed, that is the
+    # first occurrence of a duplicated haystack value (searchsorted "left").
+    table[cell[::-1]] = local[::-1]
+    # A needle outside its segment's window lands outside that segment's
+    # stretch of the table.  (int64 wrap-around cannot fake a hit: that
+    # takes needle - first + 2^64 <= extent, i.e. a window ending past 2^63.)
+    cell = needles + shift[needle_seg]
+    np.putmask(cell, (cell < toff[:-1][needle_seg])
+               | (cell >= toff[1:][needle_seg]), cells)
+    idx = table[cell]
+    return idx >= 0, idx.astype(np.int64)
+
+
 @_instrumented
 def segmented_lookup(
     haystack: np.ndarray,
@@ -328,23 +401,54 @@ def segmented_lookup(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-segment :func:`repro.dgraph.search.sorted_lookup` in one pass.
 
-    Returns ``(found, idx)`` with ``idx`` clamped to each segment's valid
-    range (0 for empty segments) and *local* to the segment; the global flat
-    position of a hit is ``hay_offsets[needle_seg] + idx``.
+    Returns ``(found, idx)`` with ``idx`` *local* to the segment: the global
+    flat position of a hit is ``hay_offsets[needle_seg] + idx`` (the first
+    occurrence when a segment repeats a value).  ``idx`` is defined only
+    where ``found``.
+
+    Direct-address path: each segment's haystack is sorted, so its values
+    lie in the window ``[first, last]``.  The windows are laid side by side
+    in one ``int32`` table of local indices (-1 = absent) and every
+    needle is answered by a single gather -- no binary search, no
+    ``haystack[pos] == needle`` verify.  Taken while the table has at most
+    :data:`LOOKUP_CELLS_PER_ELEMENT` cells per haystack-plus-needle element
+    (and fits ``int32``); sparser inputs keep the
+    :func:`segmented_searchsorted` probe.  Dense vertex ids put both of
+    RELABEL's lookups on the table (local vertices: disjoint windows, about
+    n + p cells; ghost tables: about p * n), while p = 1024 PEs over 2^18
+    vertices (2^28 ghost cells) stay on the search.
+
+    The measurement behind 16 (64 segments, ``uint32``, min of 7, ms;
+    cells per element -> table, against a search that does not depend on
+    it): 16 k ids / 512 k needles, disjoint windows, search 20 -- 0.5 ->
+    4.6, 4 -> 5.6, 16 -> 10, 62 -> 29; 512 k ids / 512 k needles,
+    overlapping windows, search 70 -- 1 -> 8.7, 4 -> 11, 16 -> 35, 64 ->
+    89; 2 k ids / 8 k needles, search 0.20 -- 1.6 -> 0.07, 13 -> 0.08,
+    102 -> 0.33.  The table's fill and its cache-missing gather grow with
+    the cells and cross the search between 16 and 64 in all three shapes;
+    16 keeps a 2x margin and bounds the scratch at 64 bytes per element.
     """
     hay_offsets = np.asarray(hay_offsets, dtype=np.int64)
     needle_seg = np.asarray(needle_seg, dtype=np.int64)
+    haystack = np.asarray(haystack)
+    needles = np.asarray(needles)
+    if len(needles) == 0:
+        return np.zeros(0, dtype=bool), np.empty(0, dtype=np.int64)
+    if len(haystack) == 0:
+        return (np.zeros(len(needles), dtype=bool),
+                np.zeros(len(needles), dtype=np.int64))
+    tabled = _lookup_table(haystack, hay_offsets, needles, needle_seg)
+    if tabled is not None:
+        return tabled
     idx = segmented_searchsorted(haystack, hay_offsets, needles, needle_seg,
                                  side="left")
     lens = np.diff(hay_offsets)[needle_seg]
-    if len(needles) == 0:
-        return np.zeros(0, dtype=bool), idx
     valid = idx < lens
     idx = np.minimum(idx, np.maximum(lens - 1, 0))
     found = np.zeros(len(needles), dtype=bool)
     nz = lens > 0
     gpos = hay_offsets[needle_seg] + idx
-    found[nz] = valid[nz] & (haystack[gpos[nz]] == np.asarray(needles)[nz])
+    found[nz] = valid[nz] & (haystack[gpos[nz]] == needles[nz])
     return found, idx
 
 
@@ -359,20 +463,23 @@ def route_plan(
 
     Equivalent to ``packed_lexsort((dests, seg_ids))`` followed by
     :func:`route_counts` -- the pairing every exchange wrapper performs --
-    but the ``seg * size + dest`` key is built once (in a pooled buffer,
-    int32 when it fits) and reused for both the stable argsort and the
-    bincount.  Requires ``0 <= dests < size`` and ``0 <= seg_ids <
-    n_segments``, which every routing call site guarantees; the fused key
-    is then strictly monotone in ``(segment, destination)`` so the stable
-    argsort equals the two-key lexsort permutation exactly.
+    but the ``seg * size + dest`` key is built once (in a pooled buffer of
+    the narrowest width it fits: ``uint16`` -- whose stable argsort is a
+    radix pass -- up to 2^16 slots, ``int32`` below 2^31) and reused for
+    both the stable argsort and the bincount.  Requires ``0 <= dests <
+    size`` and ``0 <= seg_ids < n_segments``, which every routing call site
+    guarantees; the fused key is then strictly monotone in ``(segment,
+    destination)`` so the stable argsort equals the two-key lexsort
+    permutation exactly, in every key width.
     """
     n = len(dests)
     if n == 0:
         return (np.empty(0, dtype=index_dtype(0)),
                 np.zeros((n_segments, size), dtype=np.int64))
     pool = active_pool()
-    wide = int(n_segments) * int(size) >= (1 << 31)
-    key = pool.take(n, np.int64 if wide else np.int32)
+    slots = int(n_segments) * int(size)
+    key = pool.take(n, np.uint16 if slots <= (1 << 16)
+                    else np.int32 if slots < (1 << 31) else np.int64)
     np.multiply(seg_ids, size, out=key, casting="unsafe")
     np.add(key, dests, out=key, casting="unsafe")
     counts = np.bincount(key, minlength=n_segments * size)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.dgraph import DistGraph, Edges, lex_searchsorted
+from repro.dgraph import search
+from repro.dgraph.dist_graph import KEY_SENTINEL
 from repro.simmpi import Machine
 
 from helpers import random_simple_graph
@@ -117,6 +119,125 @@ class TestLocalisation:
         assert 0 in dg.shared_vertex_set()
 
 
+def _boundary_graph(p_tail=2):
+    """Nine PEs cut by hand: vertex 5's run spans PEs 3, 4, 5 and 6, the cut
+    between PEs 4 and 5 falls between the parallel edges (5, 7, 1) and
+    (5, 7, 2), PE 1 (interior) and the last ``p_tail`` PEs are empty."""
+    pairs = [(0, 1, 9), (1, 2, 8), (2, 3, 7), (5, 7, 1), (5, 7, 2),
+             (5, 7, 3)] + [(5, k, k) for k in (6, 8, 9, 10, 11, 12, 13)] \
+        + [(12, 13, 4), (13, 14, 5)]
+    u, v, w = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    g = Edges(np.concatenate([u, v]), np.concatenate([v, u]),
+              np.concatenate([w, w])).sort_lex()
+    g.id[:] = np.arange(len(g))
+    m = len(g)
+    run = np.flatnonzero(g.u == 5)
+    split = int(np.flatnonzero((g.u == 5) & (g.v == 7) & (g.w == 2))[0])
+    bounds = [0, 3, 3, int(run[0]) + 1, split, split + 3, int(run[-1]), m] \
+        + [m] * p_tail
+    parts = [g.take(np.arange(bounds[i], bounds[i + 1]))
+             for i in range(len(bounds) - 1)]
+    return g, DistGraph(Machine(len(parts)), parts)
+
+
+def _three_key_searches(monkeypatch):
+    """Spy on ``home_pe_of_edges``' three-key search: the list receives the
+    source column of every batch of queries handed to it."""
+    asked = []
+    real = search.lex_searchsorted
+
+    def spy(keys, queries, side="right"):
+        asked.append(np.asarray(queries[0]))
+        return real(keys, queries, side)
+
+    monkeypatch.setattr(search, "lex_searchsorted", spy)
+    return asked
+
+
+class TestHomeOfEdges:
+    """``home_pe_of_edges``' per-vertex table against the three-key search
+    over every row (``lex_searchsorted(min_keys, ...) - 1``)."""
+
+    @staticmethod
+    def _reference(dg, qu, qv, qw):
+        idx = lex_searchsorted(dg.min_keys, (qu, qv, qw), side="right") - 1
+        return np.maximum(idx, 0)
+
+    @staticmethod
+    def _queries(g, rng, dtype):
+        # Every edge both ways round, plus triples that are not edges:
+        # vertices below, between and above the stored ones.
+        extra = rng.integers(0, 18, (3, 200))
+        qu = np.concatenate([g.u, g.v, extra[0]]).astype(dtype)
+        qv = np.concatenate([g.v, g.u, extra[1]]).astype(dtype)
+        qw = np.concatenate([g.w, g.w, extra[2]]).astype(dtype)
+        return qu, qv, qw
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+    @pytest.mark.parametrize("p_tail", [0, 2])
+    def test_matches_three_key_search(self, rng, monkeypatch, dtype, p_tail):
+        g, dg = _boundary_graph(p_tail)
+        assert not dg.has_edges[1]
+        assert (dg.first_src[3:7] == 5).all()  # one vertex, four PEs
+        assert (dg.min_keys[0][-1] == KEY_SENTINEL) == (p_tail > 0)
+        qu, qv, qw = self._queries(g, rng, dtype)
+        expect = self._reference(dg, qu, qv, qw)
+        asked = _three_key_searches(monkeypatch)
+        got = dg.home_of_edges(qu, qv, qw)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        # Resident edges are at home, also around the (5, 7, w) cut.
+        for i, part in enumerate(dg.parts):
+            assert (dg.home_of_edges(part.u.astype(dtype),
+                                     part.v.astype(dtype),
+                                     part.w.astype(dtype)) == i).all()
+        # Only queries at some PE's first source ran the three-key search
+        # (with a sentinel key that is the merged four-key lexsort).
+        at_boundary = np.isin(qu, dg.min_keys[0])
+        assert 0 < at_boundary.sum() < len(qu)
+        assert np.array_equal(asked[0], qu[at_boundary])
+
+    def test_sparse_ids_keep_the_three_key_search(self, rng, monkeypatch):
+        g, dg = _boundary_graph()
+        qu, qv, qw = self._queries(g, rng, np.int64)
+        qu[0] = 10 ** 9  # a range no table should be built for
+        expect = self._reference(dg, qu, qv, qw)
+        asked = _three_key_searches(monkeypatch)
+        got = dg.home_of_edges(qu, qv, qw)
+        assert [len(a) for a in asked] == [len(qu)]
+        assert np.array_equal(got, expect)
+
+    def test_guard_boundary(self, monkeypatch):
+        _, dg = _boundary_graph()
+        k = search.HOME_VERTICES_PER_QUERY
+        z = np.zeros(2, dtype=np.int64)
+        # hi + 1 ids for two queries; vertex 0 is PE 0's first source, so
+        # the table hands one row to the three-key search, no table both.
+        cases = [(np.array([0, 2 * k - 1]), 1), (np.array([0, 2 * k]), 2)]
+        expects = [self._reference(dg, qu, z, z) for qu, _ in cases]
+        asked = _three_key_searches(monkeypatch)
+        for (qu, searched), expect in zip(cases, expects):
+            del asked[:]
+            assert np.array_equal(dg.home_of_edges(qu, z, z), expect)
+            assert [len(a) for a in asked] == [searched]
+
+    def test_single_pe_and_no_queries(self, rng):
+        g = random_simple_graph(rng, 20, 60)
+        dg = DistGraph.from_global_edges(Machine(1), g)
+        assert (dg.home_of_edges(g.v, g.u, g.w) == 0).all()
+        z = np.empty(0, dtype=np.uint32)
+        out = dg.home_of_edges(z, z, z)
+        assert out.dtype == np.int64 and len(out) == 0
+
+    def test_negative_ids(self, rng):
+        # Signed queries below every key: PE 0, like the three-key search.
+        _, dg = _boundary_graph()
+        qu = np.array([-7, -1, 0, 5, 5, 14])
+        qv = np.array([3, 0, 1, 7, 7, 13])
+        qw = np.array([1, 1, 9, 1, 2, 5])
+        assert np.array_equal(dg.home_of_edges(qu, qv, qw),
+                              self._reference(dg, qu, qv, qw))
+
+
 class TestVertexGroups:
     def test_groups_cover_part(self, rng):
         g = random_simple_graph(rng, 40, 250)
@@ -139,6 +260,24 @@ class TestVertexGroups:
         dg = DistGraph.from_global_edges(Machine(5), g)
         counts = dg.local_vertex_counts()
         assert counts.sum() - dg.shared_first.sum() == dg.global_vertex_count()
+
+    @pytest.mark.parametrize("p", [1, 5, 64])
+    def test_local_vertex_counts_are_distinct_sources(self, rng, p):
+        # p = 1; shared vertices (the plain block partition cuts vertex
+        # groups and each side counts the vertex); p = 64 > most degrees,
+        # so many PEs hold one vertex's edges only, and with 30 edges over
+        # 64 PEs most hold none.
+        for m in (250, 15):
+            g = random_simple_graph(rng, 40, m)
+            dg = DistGraph.from_global_edges(Machine(p), g)
+            counts = dg.local_vertex_counts()
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [len(np.unique(part.u))
+                                       for part in dg.parts]
+            if p == 5 and m == 250:
+                assert dg.shared_first.any()
+            if p == 64 and m == 15:
+                assert (counts == 0).any()
 
 
 @pytest.fixture

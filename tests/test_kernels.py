@@ -31,6 +31,7 @@ from repro.core import (
 from repro.dgraph import DistGraph
 from repro.dgraph.search import sorted_lookup
 from repro.graphgen import FAMILIES, gen_family
+from repro.kernels import segmented
 from repro.kernels import (
     RaggedArrays,
     first_in_group,
@@ -40,6 +41,7 @@ from repro.kernels import (
     segment_ids,
     segmented_lexsort,
     segmented_lookup,
+    segmented_run_starts,
     segmented_searchsorted,
     segmented_unique,
 )
@@ -155,6 +157,15 @@ class TestSegmentedKernels:
                               [1, 0, 1, 0, 0, 1, 1, 0])
         assert first_in_group(np.empty(0, np.int64)).shape == (0,)
 
+    def test_run_starts_restart_at_segments(self):
+        # A run of equal values cut by a segment boundary starts twice;
+        # empty segments (also trailing ones) add nothing.
+        v = np.array([4, 4, 7, 7, 7, 9])
+        off = np.array([0, 0, 3, 3, 6, 6])
+        assert segmented_run_starts(v, off).tolist() == [1, 0, 1, 1, 0, 1]
+        empty = segmented_run_starts(v[:0], np.zeros(3, dtype=np.int64))
+        assert empty.dtype == bool and empty.size == 0
+
     def test_unique_matches_per_segment(self, rng):
         r, parts = ragged_case(rng, hi=10)
         uniq, uoff, inv = segmented_unique(r.flat, r.segment_ids(),
@@ -193,7 +204,9 @@ class TestSegmentedKernels:
             m = seg == i
             ref_found, ref_idx = sorted_lookup(hay[i], needles[m])
             assert np.array_equal(found[m], ref_found), i
-            assert np.array_equal(idx[m], ref_idx), i
+            # idx is defined only at hits (the table path has no insertion
+            # point to report for a miss).
+            assert np.array_equal(idx[m][ref_found], ref_idx[ref_found]), i
 
     def test_packed_lexsort_matches_np_lexsort(self, rng):
         for _ in range(20):
@@ -229,6 +242,96 @@ class TestSegmentedKernels:
                                               minlength=size)), i
         assert route_counts(np.empty(0, np.int64), np.empty(0, np.int64),
                             p, size).sum() == 0
+
+
+def _lookup_on(path, hay, off, needles, nseg):
+    """``segmented_lookup`` with the density guard forced to one side
+    (``path=None``: left alone), and proof of which arm answered: the table
+    arm never probes."""
+    probes = []
+    real = segmented.segmented_searchsorted
+    with pytest.MonkeyPatch.context() as mp:
+        if path is not None:
+            mp.setattr(segmented, "LOOKUP_CELLS_PER_ELEMENT",
+                       {"table": 1 << 40, "search": 0}[path])
+        mp.setattr(segmented, "segmented_searchsorted",
+                   lambda *a, **k: (probes.append(1), real(*a, **k))[1])
+        found, idx = segmented_lookup(hay, off, needles, nseg)
+    return found, idx, len(probes)
+
+
+@st.composite
+def _lookup_cases(draw):
+    """Sorted per-segment haystacks (possibly empty, one-element, with
+    repeated values, negative for int64) and needles inside, between, below
+    and above the segments' windows."""
+    dtype = draw(st.sampled_from([np.uint32, np.int64]))
+    lo = 0 if dtype is np.uint32 else draw(st.sampled_from([-40, 0]))
+    values = st.integers(lo, lo + 60)
+    segs = draw(st.lists(st.lists(values, max_size=8), min_size=1,
+                         max_size=6))
+    hay = [np.sort(np.array(x, dtype=dtype)) for x in segs]
+    below = 0 if dtype is np.uint32 else lo - 5
+    needles = draw(st.lists(st.integers(below, lo + 66), max_size=40))
+    nseg = draw(st.lists(st.integers(0, len(segs) - 1),
+                         min_size=len(needles), max_size=len(needles)))
+    return hay, np.array(needles, dtype=dtype), np.array(nseg, dtype=np.int64)
+
+
+class TestLookupPaths:
+    """The direct-address arm of ``segmented_lookup`` against the search arm
+    and against the per-segment ``sorted_lookup``."""
+
+    @given(case=_lookup_cases())
+    def test_table_matches_search(self, case):
+        hay, needles, nseg = case
+        hr = RaggedArrays.from_arrays(hay)
+        t_found, t_idx, t_probes = _lookup_on("table", hr.flat, hr.offsets,
+                                              needles, nseg)
+        s_found, s_idx, s_probes = _lookup_on("search", hr.flat, hr.offsets,
+                                              needles, nseg)
+        answered = len(needles) > 0 and len(hr.flat) > 0
+        assert t_probes == 0 and s_probes == int(answered)
+        assert np.array_equal(t_found, s_found)
+        assert t_idx.dtype == s_idx.dtype == np.int64
+        assert np.array_equal(t_idx[t_found], s_idx[s_found])
+        for i, h in enumerate(hay):
+            m = nseg == i
+            ref_found, ref_idx = sorted_lookup(h, needles[m])
+            assert np.array_equal(t_found[m], ref_found), i
+            # searchsorted "left": the first of a repeated value.
+            assert np.array_equal(t_idx[m][ref_found], ref_idx[ref_found]), i
+
+    def test_guard_is_cells_per_element(self):
+        # One segment, two values, two needles: 4 elements, so a window of
+        # 16 * 4 cells is tabulated and one of 16 * 4 + 1 is searched.
+        limit = segmented.LOOKUP_CELLS_PER_ELEMENT * 4
+        for last, searched in ((limit - 1, 0), (limit, 1)):
+            found, idx, probes = _lookup_on(
+                None, np.array([0, last]), np.array([0, 2]),
+                np.array([last, 3]), np.zeros(2, dtype=np.int64))
+            assert probes == searched
+            assert found.tolist() == [True, False] and idx[0] == 1
+
+    def test_int64_extremes(self):
+        big, small = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        off = np.array([0, 1, 3])
+        # A one-cell window at int64 max: the needle furthest below it wraps
+        # around to the cell's neighbourhood and must still miss.
+        hay = np.array([big, 4, 5])
+        needles = np.array([small, big, big - 1, small, 5])
+        nseg = np.array([0, 0, 0, 1, 1])
+        found, idx, probes = _lookup_on("table", hay, off, needles, nseg)
+        assert probes == 0
+        assert found.tolist() == [False, True, False, False, True]
+        assert idx[found].tolist() == [0, 1]
+        # A window wider than int64 cannot be tabulated at any density.
+        found, idx, probes = _lookup_on(
+            "table", np.array([small, big]), np.array([0, 2]),
+            np.array([big, 0, small]), np.zeros(3, dtype=np.int64))
+        assert probes == 1
+        assert found.tolist() == [True, False, True]
+        assert idx[found].tolist() == [1, 0]
 
 
 class TestSortedLookup:

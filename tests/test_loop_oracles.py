@@ -11,13 +11,8 @@ the CommTrace matrix, the sanitizer's shadow matrix, the deterministic event
 and metrics exports, the fault summary and the fault and per-PE RNG states
 (= draw order) must be equal.
 
-Two documented licences, both host-side only:
+One documented licence, host-side only:
 
-* ``exchange_labels`` may push its deduplicated payload in a different row
-  order than the oracle (the receiver dedups again and all copies of a label
-  agree), so under a *corrupting* schedule the bit that gets flipped sits in
-  a different row; its fault mode therefore drops and delays messages but
-  does not corrupt them.
 * Storage width of the four graph-level sites' outputs: production
   concatenates all PEs' arrays into one block, so one ``int64`` array (an
   empty PE's placeholder) promotes every PE's slice where the loop keeps
@@ -246,9 +241,7 @@ class TestRoundSites:
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize("p", SIZES)
     def test_round_stage(self, p, stage, mode):
-        faults = dict(MODES[mode])
-        if faults and stage == "exchange_labels":
-            faults["faults"] = "seed=3,msg_drop=0.05,straggle=0.2"
+        faults = MODES[mode]
         for name, edges, avoid_shared in _instances(p):
             for method in ("auto", "grid"):
                 _differential(

@@ -24,6 +24,7 @@ from repro.core import (
 from repro.core.labels import GhostTable
 from repro.core.redistribute import redistribute
 from repro.dgraph import DistGraph, Edges
+from repro.kernels import segmented
 from repro.simmpi import (
     Comm,
     CostAccountingViolation,
@@ -304,7 +305,11 @@ class TestAlgorithmLevelDetection:
     spot checks in test_invariants.py): PE-local corruption is applied
     inside the owning PE's context, and the *algorithms* must detect it."""
 
-    def test_corrupt_ghost_table_detected(self, rng):
+    #: Both arms of ``segmented_lookup`` must report a miss: the density
+    #: guard forced to the direct-address table, then to the search.
+    LOOKUP_ARMS = {"table": 1 << 40, "search": 0}
+
+    def test_corrupt_ghost_table_detected(self, rng, monkeypatch):
         """A ghost vertex whose label never arrived must raise, not corrupt."""
         g = random_simple_graph(rng, 50, 250)
         machine = Machine(5, sanitize=True)
@@ -321,25 +326,49 @@ class TestAlgorithmLevelDetection:
         if dropped not in dg.parts[victim].v:
             pytest.skip("dropped ghost not referenced by this part")
         tables[victim] = broken
-        with pytest.raises(RuntimeError, match="ghost labels missing"):
-            relabel(dg, vids, labels, tables, run)
+        for cells in self.LOOKUP_ARMS.values():
+            monkeypatch.setattr(segmented, "LOOKUP_CELLS_PER_ELEMENT", cells)
+            with pytest.raises(RuntimeError, match="ghost labels missing"):
+                relabel(dg, vids, labels, tables, run)
 
-    def test_query_for_unknown_vertex_detected(self, rng):
+    def test_query_for_unknown_vertex_detected(self, rng, monkeypatch):
         """Pointer doubling queries for non-resident vertices must raise."""
+        g = random_simple_graph(rng, 50, 250)
+        for cells in self.LOOKUP_ARMS.values():
+            monkeypatch.setattr(segmented, "LOOKUP_CELLS_PER_ELEMENT", cells)
+            machine = Machine(5, sanitize=True)
+            dg = DistGraph.from_global_edges(machine, g)
+            run = MSTRun(machine, BoruvkaConfig())
+            chosen = min_edges(dg)
+            victim = next(i for i, c in enumerate(chosen)
+                          if len(c) and not c.shared.all())
+            k = int(np.flatnonzero(~chosen[victim].shared)[0])
+            # PE-local corruption: legitimate inside the owner's context ...
+            with machine.on_pe(victim):
+                chosen[victim].to[k] = 10 ** 9
+            # ... and the algorithm itself must still catch the bogus query.
+            with pytest.raises(RuntimeError,
+                               match="pointer-doubling query for "
+                                     "non-resident vertex"):
+                contract_components(dg, chosen, run)
+
+    def test_foreign_vertex_lists_detected(self, rng):
+        """Labels are read off the parts' own vertex groups: lists of any
+        other shape must raise, not shift every label behind them."""
         g = random_simple_graph(rng, 50, 250)
         machine = Machine(5, sanitize=True)
         dg = DistGraph.from_global_edges(machine, g)
         run = MSTRun(machine, BoruvkaConfig())
         chosen = min_edges(dg)
-        victim = next(i for i, c in enumerate(chosen)
-                      if len(c) and not c.shared.all())
-        k = int(np.flatnonzero(~chosen[victim].shared)[0])
-        # PE-local corruption: legitimate inside the owner's context ...
-        with machine.on_pe(victim):
-            chosen[victim].to[k] = 10 ** 9
-        # ... and the algorithm itself must still catch the bogus query.
-        with pytest.raises(RuntimeError):
-            contract_components(dg, chosen, run)
+        labels = contract_components(dg, chosen, run)
+        vids = [c.vids for c in chosen]
+        tables = exchange_labels(dg, vids, labels, run)
+        vids[2], labels[2] = vids[2][1:], labels[2][1:]
+        with pytest.raises(ValueError, match=r"vids_per_pe\[2\] is not part "
+                                             r"2's vertex groups"):
+            exchange_labels(dg, vids, labels, run)
+        with pytest.raises(ValueError, match=r"vids_per_pe\[2\]"):
+            relabel(dg, vids, labels, tables, run)
 
 
 class TestCleanRunsAndKnobs:
