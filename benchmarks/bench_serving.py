@@ -18,8 +18,8 @@ Contracts asserted:
 
 * every leg's final MSF weight equals sequential Kruskal on the leg's
   final edge list (incremental recompute is exact, faults included);
-* churn legs actually exercise the incremental paths (some epoch avoids
-  the full-recompute strategy);
+* every churn epoch is served incrementally (noop / sparsified / replay;
+  the from-scratch run is the session build only);
 * zero-churn legs commit no mutation epochs (queries are free of
   simulated recompute work).
 """
@@ -163,7 +163,6 @@ def _run_leg(pairs, churn, faults=None):
         "p50_latency_ms": summary["p50_latency_ms"],
         "p99_latency_ms": summary["p99_latency_ms"],
         "epochs": dict(session.epoch_counts),
-        "replay_depths": list(session.replay_depths),
         "simulated_seconds": session.total_simulated_seconds,
     }
     session.close()
@@ -202,10 +201,9 @@ def test_serving_churn_sweep(benchmark):
     churned = [r for r in rows if r["churn"] > 0]
     assert all(sum(r["epochs"].values()) > 0 for r in churned), \
         "churn legs committed no epochs -- workload generator broken"
-    assert any(
-        r["epochs"].get("noop", 0) + r["epochs"].get("sparsified", 0)
-        + r["epochs"].get("replay", 0) > 0 for r in churned), \
-        "no epoch used an incremental strategy"
+    assert all(set(r["epochs"]) <= {"noop", "sparsified", "replay"}
+               for r in churned), \
+        "an epoch fell through to a from-scratch recompute"
     zero = rows[0]
     assert zero["churn"] == 0.0 and not zero["epochs"], \
         "zero-churn leg unexpectedly committed mutation epochs"

@@ -222,9 +222,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="max staging delay before an epoch commits")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="default per-request deadline")
-    p.add_argument("--log-rounds", type=int, default=64,
-                   help="checkpointed rounds retained for incremental "
-                        "replay (0 disables replay)")
     p.add_argument("--simsan", action="store_true",
                    help="run the session machine under the sanitizer")
 
@@ -604,7 +601,6 @@ def _cmd_serve(args) -> int:
         g.n_vertices, g.edges,
         n_procs=args.procs, threads=args.threads, seed=args.seed,
         faults=args.schedule,
-        log_max_rounds=args.log_rounds,
     )
     queue_opts = dict(
         max_depth=args.max_depth,

@@ -13,7 +13,6 @@ from .plabels import DistributedLabelArray
 from .rounds import (
     CheckpointableState,
     RoundBody,
-    RoundCheckpointLog,
     RoundScheduler,
     RoundStats,
     UnsupportedFaultSchedule,
@@ -47,7 +46,6 @@ __all__ = [
     "DistributedLabelArray",
     "CheckpointableState",
     "RoundBody",
-    "RoundCheckpointLog",
     "RoundScheduler",
     "RoundStats",
     "UnsupportedFaultSchedule",

@@ -237,7 +237,6 @@ def redistribute_mst(run: MSTRun, snapshot: InputSnapshot) -> List[Edges]:
 def distributed_boruvka(
     graph: DistGraph,
     cfg: Optional[BoruvkaConfig] = None,
-    run: Optional[MSTRun] = None,
 ) -> MSTResult:
     """Run Algorithm 1 end to end on a distributed graph.
 
@@ -246,11 +245,8 @@ def distributed_boruvka(
     """
     machine = graph.machine
     cfg = cfg or BoruvkaConfig()
-    run = run or MSTRun(machine, cfg)
+    run = MSTRun(machine, cfg)
     snapshot = InputSnapshot.take(graph)
-    # Stashed for incremental replay (repro.serve): checkpointed round
-    # inputs carry edge ids whose endpoint decode needs this snapshot.
-    run.input_snapshot = snapshot
 
     if cfg.local_preprocessing:
         with machine.phase("local_preprocessing"):

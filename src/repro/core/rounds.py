@@ -140,70 +140,6 @@ class UnsupportedFaultSchedule(RuntimeError):
     """A fail-stop schedule was attached to a driver that cannot replay."""
 
 
-class RoundCheckpointLog:
-    """Retained per-round checkpoint handles for incremental replay.
-
-    The fault bracket takes one checkpoint per round and drops it as soon
-    as the round commits; the serving layer (:mod:`repro.serve`) instead
-    needs the *whole history* so an edge-churn epoch can resume from the
-    earliest round its deletions invalidate.  Attaching one of these to
-    ``MSTRun.checkpoint_log`` makes the scheduler take the same
-    buddy-replicated checkpoint every round -- honestly charged under the
-    ``fault_checkpoint`` phase whether or not a fault schedule is active
-    -- and retain the handle here instead of discarding it.
-
-    The log keeps a contiguous prefix of rounds ``0..k``: once
-    ``max_entries`` is reached, later rounds are simply not recorded
-    (replays then start from the deepest retained round instead).  A
-    round replayed after a fail-stop overwrites its own entry, so the log
-    never holds two snapshots of the same round.  Bodies that cannot
-    checkpoint (``checkpoint_state() is None``) mark the log unsupported
-    rather than raising -- serving falls back to full recompute.
-    """
-
-    def __init__(self, max_entries: Optional[int] = None):
-        self.max_entries = max_entries
-        #: round number -> (body label, checkpoint handle).
-        self.entries: dict = {}
-        #: Label of the body that refused to checkpoint (None = fine).
-        self.unsupported: Optional[str] = None
-
-    def wants(self, round_no: int) -> bool:
-        """Whether the scheduler should take+record this round."""
-        if self.unsupported is not None:
-            return False
-        if round_no in self.entries:
-            return True  # replay of a logged round: refresh the entry
-        return self.max_entries is None or len(self.entries) < self.max_entries
-
-    def record(self, round_no: int, label: str, handle) -> None:
-        """Retain one round's checkpoint handle."""
-        self.entries[round_no] = (label, handle)
-
-    def mark_unsupported(self, label: str) -> None:
-        """The driver cannot checkpoint; drop everything recorded."""
-        self.unsupported = label
-        self.entries.clear()
-
-    def clear(self) -> None:
-        """Forget every entry and any unsupported marker."""
-        self.entries.clear()
-        self.unsupported = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def handle(self, round_no: int):
-        """The checkpoint handle logged for ``round_no`` (or ``None``)."""
-        entry = self.entries.get(round_no)
-        return entry[1] if entry is not None else None
-
-    def deepest_at_or_before(self, round_no: int) -> Optional[int]:
-        """Latest logged round ``<= round_no``, or None when none is."""
-        eligible = [r for r in self.entries if r <= round_no]
-        return max(eligible) if eligible else None
-
-
 class RoundScheduler:
     """Drives a :class:`RoundBody` through the unified round lifecycle.
 
@@ -215,10 +151,9 @@ class RoundScheduler:
     Per round, in order:
 
     1. ``body.prologue`` -- termination pre-check (may issue collectives);
-    2. fault checkpoint via ``body.checkpoint_state().take`` (when the
-       schedule can fail-stop PEs and/or a :class:`RoundCheckpointLog`
-       is attached to the run), under the ``fault_checkpoint`` phase;
-       logged rounds retain the handle for incremental replay;
+    2. fault checkpoint via ``body.checkpoint_state().take`` (only when
+       the schedule can fail-stop PEs), under the ``fault_checkpoint``
+       phase;
     3. ``observe_round_start`` -- observability;
     4. ``body.round`` -- the driver's phases;
     5. heartbeat poll at the round barrier; on fail-stop: enforce the
@@ -244,37 +179,27 @@ class RoundScheduler:
         run = self.run
         fi = machine.faults
         protect = fi is not None and fi.protects_rounds
-        log = getattr(run, "checkpoint_log", None)
-        state = body.checkpoint_state() if (protect or log is not None) \
-            else None
+        state = body.checkpoint_state() if protect else None
         if protect and state is None:
             raise UnsupportedFaultSchedule(
                 f"fault schedule {fi.schedule!r} can fail-stop PEs but the "
                 f"{body.label!r} round body does not support "
                 f"checkpoint/replay; run it without pe_fail events")
-        if log is not None and state is None:
-            # Incremental-replay capture degrades gracefully: the serving
-            # layer sees the unsupported mark and does full recomputes.
-            log.mark_unsupported(body.label)
-            log = None
         rounds_done = 0
         while rounds_done < self.max_rounds:
             stats = body.prologue(run.rounds)
             if stats is None:
                 return rounds_done
             ckpt = None
-            want_log = log is not None and log.wants(run.rounds)
-            if state is not None and (protect or want_log):
+            if state is not None:
                 with machine.phase("fault_checkpoint"):
                     ckpt = state.take(run)
-                if want_log:
-                    log.record(run.rounds, body.label, ckpt)
             # Both stats were needed for control flow anyway; the hooks
             # reuse them so tracing never issues extra collectives.
             observe_round_start(machine, run.rounds, stats.vertices,
                                 stats.edges, label=body.label)
             converged = body.round(run.rounds)
-            if ckpt is not None and protect:
+            if ckpt is not None:
                 failed = fi.poll_pe_failures(run.rounds)
                 if len(failed):
                     fi.count_replay(run.rounds)

@@ -35,13 +35,6 @@ class MSTRun:
     label_sink: Optional[LabelSink] = None
     #: Round counter (diagnostics; Fig. 6 uses the phase timers instead).
     rounds: int = 0
-    #: Optional per-round checkpoint retention for incremental replay
-    #: (:class:`repro.core.rounds.RoundCheckpointLog`; see repro.serve).
-    checkpoint_log: Optional[object] = None
-    #: The driver's :class:`~repro.core.boruvka.InputSnapshot`, stashed by
-    #: ``distributed_boruvka`` so a later incremental replay can decode
-    #: original endpoints against the same id ranges.
-    input_snapshot: Optional[object] = None
 
     def __post_init__(self) -> None:
         if not self.mst_ids:

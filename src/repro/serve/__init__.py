@@ -4,7 +4,7 @@ The serving layer keeps a simulated machine and a distributed graph alive
 across requests (docs/serving.md):
 
 * :class:`GraphSession` -- the stateful core: versioned MSF, epoch-batched
-  edge churn, incremental recompute (noop / sparsified / replay / full);
+  edge churn, incremental recompute (noop / sparsified / replay);
 * :class:`RequestQueue` -- asyncio single-writer/multi-reader queue with
   bounded depth, deadlines and cancellation;
 * :mod:`repro.serve.protocol` -- the NDJSON wire format;
@@ -13,7 +13,6 @@ across requests (docs/serving.md):
 """
 
 from .incremental import (
-    ReplayBase,
     full_recompute,
     plan_replay,
     replay_recompute,
@@ -24,7 +23,6 @@ from .session import EpochReport, GraphSession, MutationError, SessionView
 from .server import serve_lines, serve_stdio, serve_tcp
 
 __all__ = [
-    "ReplayBase",
     "full_recompute",
     "plan_replay",
     "replay_recompute",

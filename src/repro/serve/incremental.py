@@ -1,8 +1,8 @@
 """Incremental MSF recompute strategies for serving epochs.
 
-One edge-churn epoch turns a graph ``G`` into ``(G \\ D) ∪ I``.  The
-session picks the cheapest strategy that provably reproduces the
-from-scratch MSF *weight* bit-for-bit (docs/serving.md):
+One edge-churn epoch turns a graph ``G`` with published forest ``F`` into
+``(G \\ D) ∪ I``.  The session picks the cheapest strategy that provably
+reproduces the from-scratch MSF *weight* bit-for-bit (docs/serving.md):
 
 ``noop``
     ``D`` hits no forest edge and ``I`` is empty.  Deleting non-tree
@@ -13,84 +13,42 @@ from-scratch MSF *weight* bit-for-bit (docs/serving.md):
 ``sparsified``
     ``D`` hits no forest edge, ``I`` non-empty.  By the sparsification
     identity ``MSF((G \\ D) ∪ I) = MSF(MSF(G \\ D) ∪ I)`` (cycle
-    property), one small distributed run over ``forest ∪ I`` suffices.
+    property), one small distributed run over ``F ∪ I`` suffices.
 
 ``replay``
-    ``D`` hits forest edges.  The session's last *full* run captured a
-    :class:`~repro.core.rounds.RoundCheckpointLog`: the buddy-replicated
-    input of every Borůvka round, in the id space of that run's input
-    snapshot.  The run is resumed from the deepest retained checkpoint at
-    or before ``r*`` -- the earliest round in which any deleted
-    base-forest edge was selected -- with the deleted ids filtered out of
-    the checkpointed partition and the base forest's already-selected
-    prefix re-seeded into the MST records.  Every pre-``r*`` selection
-    survives deletion (cut property: the selecting cut only *loses*
-    competitor edges, and the selected edge itself is not deleted by
-    ``r*``'s minimality), so the continuation is ordinary Borůvka on the
-    contracted multigraph of ``G_base \\ D_all``.  Insertions accumulated
-    since the base run are folded in afterwards with a sparsified top-up.
+    ``D`` hits forest edges.  Replays the *rejected edges*, not the
+    rounds: ``F \\ D ⊆ MSF(G \\ D)`` (cut property: a cut only loses
+    competitors), and a surviving non-tree edge whose endpoints are still
+    in one component of ``F \\ D`` is still the heaviest edge of an
+    intact tree cycle (cycle property), so it stays rejected.  Only the
+    set ``C`` of surviving non-tree edges *crossing* components of
+    ``F \\ D`` can enter the forest, hence
+    ``MSF((G \\ D) ∪ I) = MSF((F \\ D) ∪ C ∪ I)`` -- the same
+    sparsification identity, on the same run.  It holds for every ``D``;
+    a large ``D`` just grows ``C`` towards the whole edge list.
 
 ``full``
-    Everything else: no usable checkpoint log, a non-Borůvka session
-    algorithm, a deleted forest edge consumed by local preprocessing
-    (selected before any logged round), or a dirty set above
-    ``max_dirty_fraction`` of the base forest.
+    The from-scratch run: session construction and ``recompute_full()``
+    only; no epoch falls through to it.
 
 MSF *weights* are unique for a given graph even under weight ties, so
 every strategy yields the exact from-scratch weight; the forest's edge
-set can legitimately differ from a fresh run's only where contracted
-multi-edges tie, which the differential tests account for by pinning
-weight + component structure rather than edge identity.
+set can legitimately differ from a fresh run's only where edges tie,
+which the differential tests account for by pinning weight + component
+structure rather than edge identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..core import BoruvkaConfig, MSTRun, RoundCheckpointLog
-from ..core.base_case import base_case
-from ..core.boruvka import (
-    InputSnapshot,
-    MSTResult,
-    boruvka_rounds,
-    distributed_boruvka,
-    redistribute_mst,
-)
-from ..core.mst import minimum_spanning_forest
+from ..core import BoruvkaConfig
+from ..core.boruvka import MSTResult, distributed_boruvka
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
-
-
-@dataclass
-class ReplayBase:
-    """Checkpointed state of the session's last full Borůvka run.
-
-    All ids live in the id space of that run's input (the *base* edge
-    list); ``deleted_ids`` accumulates every base edge deleted since, so
-    repeated churn epochs can keep replaying against the same log until a
-    full recompute refreshes it.
-    """
-
-    log: RoundCheckpointLog
-    snapshot: InputSnapshot
-    #: Directed-edge ids of the base run's forest, sorted ascending.
-    forest_ids: np.ndarray
-    #: Weights aligned with ``forest_ids``.
-    forest_weights: np.ndarray
-    #: Rounds the base run executed (replay-depth accounting).
-    total_rounds: int
-    #: Accumulated deleted base ids (sorted; grown by every epoch).
-    deleted_ids: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def absorb_deletions(self, ids: np.ndarray) -> None:
-        """Fold one epoch's deleted base ids into the accumulated set."""
-        if len(ids):
-            self.deleted_ids = np.union1d(self.deleted_ids,
-                                          np.asarray(ids, dtype=np.int64))
+from ..seq.union_find import UnionFind
 
 
 def symmetrized_edges(u, v, w) -> Edges:
@@ -105,39 +63,28 @@ def symmetrized_edges(u, v, w) -> Edges:
     return edges
 
 
-def full_recompute(machine, edges: Edges, cfg: BoruvkaConfig,
-                   algorithm: str = "boruvka",
-                   log_max_rounds: Optional[int] = 64,
-                   ) -> tuple[MSTResult, Optional[ReplayBase]]:
-    """From-scratch MSF with (for Borůvka) checkpoint-log capture.
-
-    Returns the result plus a fresh :class:`ReplayBase` when the run
-    produced a usable log (Borůvka only; other algorithms return None and
-    the session keeps doing full recomputes).
-    """
-    machine.reset()
+def _solve(machine, edges: Edges, cfg: BoruvkaConfig) -> MSTResult:
+    """Distribute the directed list ``edges`` and run Algorithm 1 on it."""
     graph = DistGraph.from_global_edges(machine, edges, avoid_shared=True)
-    if algorithm != "boruvka":
-        result = minimum_spanning_forest(graph, algorithm=algorithm,
-                                         config=cfg)
-        return result, None
-    log = RoundCheckpointLog(max_entries=log_max_rounds) \
-        if log_max_rounds != 0 else None
-    run = MSTRun(machine, cfg, checkpoint_log=log)
-    result = distributed_boruvka(graph, cfg, run=run)
-    base = None
-    if log is not None and log.unsupported is None:
-        msf = result.msf_edges()
-        ids = np.asarray(msf.id, dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
-        base = ReplayBase(
-            log=log,
-            snapshot=run.input_snapshot,
-            forest_ids=ids[order],
-            forest_weights=np.asarray(msf.w, dtype=np.int64)[order],
-            total_rounds=run.rounds,
-        )
-    return result, base
+    return distributed_boruvka(graph, cfg)
+
+
+def _solve_candidates(machine, candidates: Sequence[Tuple],
+                      cfg: BoruvkaConfig) -> MSTResult:
+    """MSF of the union of undirected ``(u, v, w)`` candidate sets.
+
+    The one run both incremental strategies make, on a machine the caller
+    has reset.
+    """
+    u, v, w = (np.concatenate([np.asarray(c[k], dtype=np.int64)
+                               for c in candidates]) for k in range(3))
+    return _solve(machine, symmetrized_edges(u, v, w), cfg)
+
+
+def full_recompute(machine, edges: Edges, cfg: BoruvkaConfig) -> MSTResult:
+    """From-scratch MSF of the directed edge list ``edges``."""
+    machine.reset()
+    return _solve(machine, edges, cfg)
 
 
 def sparsified_recompute(machine, forest_u, forest_v, forest_w,
@@ -145,129 +92,54 @@ def sparsified_recompute(machine, forest_u, forest_v, forest_w,
                          cfg: BoruvkaConfig) -> MSTResult:
     """MSF of (forest ∪ inserted edges) -- the sparsified epoch pass."""
     machine.reset()
-    u = np.concatenate([np.asarray(forest_u, dtype=np.int64),
-                        np.asarray(ins_u, dtype=np.int64)])
-    v = np.concatenate([np.asarray(forest_v, dtype=np.int64),
-                        np.asarray(ins_v, dtype=np.int64)])
-    w = np.concatenate([np.asarray(forest_w, dtype=np.int64),
-                        np.asarray(ins_w, dtype=np.int64)])
-    edges = symmetrized_edges(u, v, w)
-    graph = DistGraph.from_global_edges(machine, edges, avoid_shared=True)
-    return distributed_boruvka(graph, cfg)
+    return _solve_candidates(machine, [(forest_u, forest_v, forest_w),
+                                       (ins_u, ins_v, ins_w)], cfg)
 
 
-def plan_replay(base: Optional[ReplayBase], deleted_all: np.ndarray,
-                max_dirty_fraction: float = 0.25) -> Optional[int]:
-    """The round to replay from, or ``None`` when replay is not viable.
+def plan_replay(view, del_pairs: np.ndarray, del_rows: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """What a forest-edge delete must re-offer: ``(forest_keep, crossing)``.
 
-    ``deleted_all`` is the full accumulated deleted-id set (base space).
-    The replay round ``r`` must satisfy: every deleted base-forest edge
-    was still present in round ``r``'s input (equivalently, selected at
-    or after ``r``).  The largest *logged* round containing a deleted
-    forest id lower-bounds its selection round, so the minimum of those
-    bounds is always a safe resume point.  A deleted forest id absent
-    from every logged round was consumed by local preprocessing --
-    nothing logged predates it, so the plan is abandoned.
+    ``forest_keep`` masks the forest edges of ``view`` that survive the
+    canonical (u < v) ``del_pairs``; ``crossing`` holds the rows of
+    ``view.edges`` (its u < v half, ``del_rows`` excluded) whose
+    endpoints lie in different components of the surviving forest -- the
+    set ``C`` of the module docstring.  Host-side planning like the view
+    publish: one union-find over at most n - 1 forest edges and one
+    vectorised label comparison; nothing is charged here.
     """
-    if base is None or len(base.log) == 0 \
-            or base.log.unsupported is not None:
-        return None
-    deleted_all = np.asarray(deleted_all, dtype=np.int64)
-    dead_tree = np.intersect1d(deleted_all, base.forest_ids)
-    if len(base.forest_ids) and \
-            len(dead_tree) / len(base.forest_ids) > max_dirty_fraction:
-        return None
-    logged = sorted(base.log.entries)
-    if not len(dead_tree):
-        # No base selection is gone: any logged round is a valid resume
-        # point; the deepest one replays the fewest rounds.
-        return logged[-1]
-    last_seen = np.full(len(dead_tree), -1, dtype=np.int64)
-    for r in logged:
-        ckpt = _unwrap(base.log.handle(r))
-        present = np.isin(dead_tree, _checkpoint_ids(ckpt))
-        last_seen[present] = r
-    if (last_seen < 0).any():
-        return None  # consumed by preprocessing: predates every log entry
-    r_star = int(last_seen.min())
-    return base.log.deepest_at_or_before(r_star)
+    n = view.n_vertices
+    forest_keep = ~np.isin(view.forest_codes,
+                           del_pairs[:, 0] * n + del_pairs[:, 1])
+    uf = UnionFind(n)
+    uf.union_edges(view.forest_u[forest_keep], view.forest_v[forest_keep])
+    comp = uf.find_many(np.arange(n))
+    edges = view.edges
+    alive = edges.u < edges.v
+    alive[del_rows] = False
+    rows = np.flatnonzero(alive)
+    crossing = rows[comp[edges.u[rows]] != comp[edges.v[rows]]]
+    return forest_keep, crossing
 
 
-def replay_recompute(machine, base: ReplayBase, cfg: BoruvkaConfig,
-                     replay_round: int,
-                     deleted_all: np.ndarray) -> MSTResult:
-    """Resume the base run from ``replay_round`` with deletions applied.
+def replay_recompute(machine, view, plan, ins_rows: np.ndarray,
+                     cfg: BoruvkaConfig) -> MSTResult:
+    """MSF of ``(F \\ D) ∪ C ∪ I`` from a :func:`plan_replay` plan.
 
-    Computes ``MSF(E_base \\ deleted_all)``: the checkpointed round
-    input is filtered (one charged scan per PE), the machine's RNG
-    streams are rolled back to the checkpoint so surviving draws replay
-    deterministically, and the base forest's pre-``replay_round``
-    selections are re-seeded into the MST records on their home PEs.
-    ``deleted_all`` is passed explicitly (not read off ``base``) so a
-    failed epoch can leave the base untouched and stay replayable.
+    Simulated cost: the filter pass that finds ``C`` -- one scan of the
+    four edge columns over each PE's block of the directed list -- plus
+    the candidate run itself.
     """
+    forest_keep, crossing = plan
     machine.reset()
-    ckpt = _unwrap(base.log.handle(replay_round))
-    machine.rng_restore(ckpt.rng_state)
-    deleted = np.asarray(deleted_all, dtype=np.int64)
-    parts: List[Edges] = []
-    for part in ckpt.parts:
-        ids = np.asarray(part.id, dtype=np.int64)
-        keep = ~np.isin(ids, deleted)
-        parts.append(part.take(keep))
-    # Honest accounting for the splice: one filter pass over the four
-    # edge columns of every PE's checkpointed block.
-    machine.charge_scan(np.array([4.0 * len(p) for p in ckpt.parts]))
-    graph = DistGraph(machine, parts, check=False)
-
-    run = MSTRun(machine, cfg)
-    run.rounds = replay_round  # canonical round ids continue from here
-    present = _checkpoint_ids(ckpt)
-    pre_mask = ~np.isin(base.forest_ids, present)
-    pre_ids = base.forest_ids[pre_mask]
-    pre_w = base.forest_weights[pre_mask]
-    if np.isin(pre_ids, deleted).any():
-        # r* minimality guarantees no pre-selected edge is deleted; a hit
-        # here means the plan was computed against a stale base.
-        raise RuntimeError("replay plan invalid: a deleted edge was "
-                           "selected before the replay round")
-    home = np.searchsorted(base.snapshot.id_starts, pre_ids,
-                           side="right") - 1
-    for pe in range(machine.n_procs):
-        mask = home == pe
-        if mask.any():
-            run.record_mst(pe, pre_ids[mask], pre_w[mask])
-
-    graph = boruvka_rounds(graph, run)
-    with machine.phase("base_case"):
-        base_case(graph, run)
-    with machine.phase("mst_output"):
-        msf_parts = redistribute_mst(run, base.snapshot)
-    weights = [int(part.w.sum()) for part in msf_parts]
-    total = int(run.comm.allreduce(weights))
-    return MSTResult(
-        msf_parts=msf_parts,
-        total_weight=total,
-        elapsed=machine.elapsed(),
-        phase_times=dict(machine.phase_times),
-        rounds=run.rounds,
-        algorithm="boruvka",
-        stats={
-            "bytes_communicated": machine.bytes_communicated,
-            "n_collectives": machine.n_collectives,
-            "replayed_from_round": replay_round,
-        },
-    )
-
-
-def _unwrap(handle):
-    """The raw RoundCheckpoint behind a scheduler checkpoint handle."""
-    return getattr(handle, "ckpt", handle)
-
-
-def _checkpoint_ids(ckpt) -> np.ndarray:
-    """All directed-edge ids present in a checkpoint's round input."""
-    arrays = [np.asarray(part.id, dtype=np.int64) for part in ckpt.parts]
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(arrays))
+    # Block sizes as DistGraph.from_global_edges cuts a directed list.
+    blocks = np.diff(np.linspace(0, len(view.edges), machine.n_procs + 1)
+                     .astype(np.int64))
+    machine.charge_scan(4.0 * blocks)
+    edges = view.edges
+    return _solve_candidates(machine, [
+        (view.forest_u[forest_keep], view.forest_v[forest_keep],
+         view.forest_w[forest_keep]),
+        (edges.u[crossing], edges.v[crossing], edges.w[crossing]),
+        (ins_rows[:, 0], ins_rows[:, 1], ins_rows[:, 2]),
+    ], cfg)

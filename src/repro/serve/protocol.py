@@ -57,7 +57,8 @@ def parse_request(line: str) -> Dict:
     if not isinstance(req, dict):
         raise ProtocolError("request must be a JSON object")
     rid = req.get("id")
-    if rid is not None and not isinstance(rid, (str, int)):
+    if rid is not None and (isinstance(rid, bool)
+                            or not isinstance(rid, (str, int))):
         raise ProtocolError("'id' must be a string or integer", None)
     op = req.get("op")
     if not isinstance(op, str) or op not in ALL_OPS:
@@ -65,7 +66,8 @@ def parse_request(line: str) -> Dict:
             f"unknown op {op!r}; expected one of {sorted(ALL_OPS)}", rid)
     deadline = req.get("deadline_ms")
     if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0):
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float)) or deadline <= 0):
         raise ProtocolError("'deadline_ms' must be a positive number", rid)
     if op in MUTATION_OPS and not isinstance(req.get("edges"), list):
         raise ProtocolError(f"op {op!r} requires an 'edges' list", rid)

@@ -150,7 +150,6 @@ class RequestQueue:
                 (sum(self.queue_waits) / len(self.queue_waits) * 1e3)
                 if self.queue_waits else 0.0,
             "epochs": dict(self.session.epoch_counts),
-            "replay_depths": list(self.session.replay_depths),
             "simulated_seconds": self.session.total_simulated_seconds,
         }
 
@@ -245,8 +244,8 @@ class RequestQueue:
                     "weight": report.total_weight,
                     "simulated_seconds": report.simulated_seconds,
                 }
-                if report.replayed_from is not None:
-                    info["replayed_from"] = report.replayed_from
+                if report.strategy == "replay":
+                    info["n_reoffered"] = report.n_reoffered
                 self.metrics.series("serve/epoch_simulated_s").record(
                     report.version, report.simulated_seconds)
             for entry, outcome in zip(batch, outcomes):

@@ -190,7 +190,7 @@ def _ledger_summary(session: GraphSession, summary: Dict,
         "serve", "serve_session",
         config={
             "n_vertices": session.n_vertices,
-            "algorithm": session.algorithm,
+            "algorithm": "boruvka",
         },
         machine=session.machine,
         simulated=[{"label": "serve_total", "simulated_seconds":

@@ -5,8 +5,11 @@ A :class:`GraphSession` owns a persistent simulated
 of the served graph, and a versioned minimum spanning forest.  Mutations
 arrive as *epochs* -- batches of edge inserts/deletes -- and each commit
 recomputes the MSF through the cheapest applicable strategy in
-:mod:`repro.serve.incremental` (noop / sparsified / replay / full),
-always landing on the exact from-scratch MSF weight.
+:mod:`repro.serve.incremental` (noop / sparsified / replay), always
+landing on the exact from-scratch MSF weight; the from-scratch run
+(``full``) is the initial build and :meth:`GraphSession.recompute_full`.
+The published view is all the state an epoch needs -- no run history is
+kept between commits.
 
 Queries never touch the machine: every commit publishes an immutable
 :class:`SessionView` (edge list, forest, weight, component labels) and
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +32,6 @@ from ..dgraph.edges import Edges
 from ..seq.union_find import UnionFind
 from ..simmpi.machine import Machine
 from . import incremental
-from .incremental import ReplayBase
 
 
 class MutationError(ValueError):
@@ -100,10 +103,9 @@ class EpochReport:
     total_weight: int
     #: Simulated seconds spent by this epoch's distributed runs.
     simulated_seconds: float
-    #: Round the replay resumed from (replay strategy only).
-    replayed_from: Optional[int] = None
-    #: Rounds skipped relative to the base run (replay strategy only).
-    rounds_saved: int = 0
+    #: Non-tree edges re-offered across the cut (replay strategy only):
+    #: what explains a slow forest-edge-delete epoch.
+    n_reoffered: int = 0
     extra: Dict = field(default_factory=dict)
 
 
@@ -118,32 +120,21 @@ class GraphSession:
         n_procs: int = 8,
         threads: int = 1,
         seed: int = 0,
-        algorithm: str = "boruvka",
         cfg: Optional[BoruvkaConfig] = None,
         faults=None,
-        log_max_rounds: int = 64,
-        max_dirty_fraction: float = 0.25,
         machine: Optional[Machine] = None,
     ):
         if n_vertices < 1:
             raise ValueError("n_vertices must be >= 1")
         self.n_vertices = int(n_vertices)
-        self.algorithm = algorithm
         self.cfg = cfg or BoruvkaConfig()
-        self.log_max_rounds = log_max_rounds
-        self.max_dirty_fraction = max_dirty_fraction
         self.machine = machine or Machine(n_procs, threads=threads,
                                           seed=seed, faults=faults)
         self._owns_machine = machine is None
         # Single-writer discipline: every state transition happens under
         # this lock; readers only ever touch the published view.
         self._write_lock = threading.Lock()
-        self._base: Optional[ReplayBase] = None
-        #: Position of each directed row in the base run's input, -1 when
-        #: inserted since; rows with -1 make up the accumulated inserts.
-        self._base_id = np.empty(0, dtype=np.int64)
         self.epoch_counts: Dict[str, int] = {}
-        self.replay_depths: List[int] = []
         self.total_simulated_seconds = 0.0
 
         u, v, w = _triples(edges)
@@ -191,10 +182,9 @@ class GraphSession:
             "n_edges": view.n_undirected_edges,
             "n_components": view.n_components,
             "weight": view.total_weight,
-            "algorithm": self.algorithm,
+            "algorithm": "boruvka",
             "n_procs": self.machine.n_procs,
             "epochs": dict(self.epoch_counts),
-            "replay_depths": list(self.replay_depths),
             "simulated_seconds": self.total_simulated_seconds,
         }
 
@@ -239,7 +229,7 @@ class GraphSession:
             return outcomes, report
 
     def recompute_full(self) -> EpochReport:
-        """Force a from-scratch recompute (refreshes the replay base)."""
+        """Force a from-scratch recompute of the current graph."""
         with self._write_lock:
             view = self.view
             simulated = self._install_full(view.edges.copy(),
@@ -275,6 +265,8 @@ class GraphSession:
         """
         staged = []
         seen = set()
+        if not isinstance(rows, list):
+            raise MutationError("mutation rows must be a list")
         if kind == "insert":
             for row in rows:
                 u, v, w = _check_insert(row, view.n_vertices)
@@ -290,7 +282,9 @@ class GraphSession:
                 staged.append((code, (u, v, w)))
         elif kind == "delete":
             for row in rows:
-                u, v = _check_pair(*_pair(row), view.n_vertices)
+                u, v = _check_pair(
+                    *_row(row, 2, "delete rows must be [u, v]"),
+                    view.n_vertices)
                 code = u * view.n_vertices + v
                 if code in seen:
                     raise MutationError(
@@ -312,46 +306,27 @@ class GraphSession:
     def _commit(self, view: SessionView, pending_ins, pending_del
                 ) -> EpochReport:
         """Apply the net batch: pick a strategy, recompute, publish."""
-        n = view.n_vertices
         del_pairs = np.array(sorted(pending_del.values()),
                              dtype=np.int64).reshape(-1, 2)
         ins_rows = np.array(sorted(pending_ins.values()),
                             dtype=np.int64).reshape(-1, 3)
-
         # Locate both directed rows of every deleted pair.
         del_rows = _directed_rows(view, del_pairs)
-        tree_hit = any(view.edge_in_msf(int(a), int(b))
-                       for a, b in del_pairs)
-        deleted_base = self._base_id[del_rows]
-        deleted_base = np.unique(deleted_base[deleted_base >= 0])
 
-        new_edges, new_base_id = self._mutated(view, del_rows, ins_rows)
-        deleted_all = deleted_base
-        if self._base is not None and len(self._base.deleted_ids):
-            deleted_all = np.union1d(self._base.deleted_ids, deleted_base)
-
-        strategy, result, replayed_from, rounds_saved, simulated = \
-            self._recompute(view, new_edges, new_base_id, ins_rows,
-                            tree_hit, deleted_all)
-        # Only a committed epoch may touch the base: a failed recompute
-        # raised out of _recompute and must leave it replayable as-is.
-        if strategy != "full" and self._base is not None:
-            self._base.absorb_deletions(deleted_base)
-        self.total_simulated_seconds += simulated
-
-        if strategy == "full":
-            # _recompute already installed the new base + view.
-            pass
-        elif strategy == "noop":
-            self._publish(new_edges, new_base_id,
-                          forest=(view.forest_u, view.forest_v,
-                                  view.forest_w),
-                          total_weight=view.total_weight,
-                          version=view.version + 1)
+        strategy, result, n_reoffered = self._recompute(
+            view, del_pairs, del_rows, ins_rows)
+        if result is None:
+            forest = (view.forest_u, view.forest_v, view.forest_w)
+            total, simulated = view.total_weight, 0.0
         else:
-            fu, fv, fw, total = _forest_of(result)
-            self._publish(new_edges, new_base_id, forest=(fu, fv, fw),
-                          total_weight=total, version=view.version + 1)
+            *forest, total = _forest_of(result)
+            simulated = result.elapsed
+        self.total_simulated_seconds += simulated
+        # The view swap is the last step: a recompute that raised above
+        # published nothing.
+        self._publish(self._mutated(view, del_rows, ins_rows),
+                      forest=forest, total_weight=total,
+                      version=view.version + 1)
         report = EpochReport(
             version=self.view.version,
             strategy=strategy,
@@ -359,72 +334,42 @@ class GraphSession:
             n_deleted=len(del_pairs),
             total_weight=self.view.total_weight,
             simulated_seconds=simulated,
-            replayed_from=replayed_from,
-            rounds_saved=rounds_saved,
+            n_reoffered=n_reoffered,
         )
         self._note_epoch(report)
         return report
 
-    def _recompute(self, view, new_edges, new_base_id, ins_rows, tree_hit,
-                   deleted_all):
-        """Strategy ladder.
+    def _recompute(self, view, del_pairs, del_rows, ins_rows):
+        """Strategy ladder: ``(name, result, n_reoffered)``.
 
-        Returns ``(name, result, replayed_from, rounds_saved,
-        simulated_seconds)``.  Each strategy run resets the machine's
-        clocks, so the epoch's simulated cost is the sum of the
-        individual runs' elapsed times, not a clock difference.
+        ``result`` is None when the published forest stands (noop).
         """
+        tree_hit = any(view.edge_in_msf(int(a), int(b))
+                       for a, b in del_pairs)
         if not tree_hit and len(ins_rows) == 0:
-            return "noop", None, None, 0, 0.0
+            return "noop", None, 0
         if not tree_hit:
-            result = incremental.sparsified_recompute(
+            return "sparsified", incremental.sparsified_recompute(
                 self.machine, view.forest_u, view.forest_v, view.forest_w,
-                ins_rows[:, 0], ins_rows[:, 1], ins_rows[:, 2], self.cfg)
-            return "sparsified", result, None, 0, result.elapsed
-        if self.algorithm == "boruvka" and self._base is not None:
-            replay_round = incremental.plan_replay(
-                self._base, deleted_all, self.max_dirty_fraction)
-            if replay_round is not None:
-                result = incremental.replay_recompute(
-                    self.machine, self._base, self.cfg, replay_round,
-                    deleted_all)
-                simulated = result.elapsed
-                # Fold in edges inserted since the base run: the replay
-                # produced MSF(E_base \ D_all); sparsify the remainder.
-                acc_ins = new_base_id < 0
-                if acc_ins.any():
-                    half = new_edges.u[acc_ins] < new_edges.v[acc_ins]
-                    fu, fv, fw, _ = _forest_of(result)
-                    result = incremental.sparsified_recompute(
-                        self.machine, fu, fv, fw,
-                        new_edges.u[acc_ins][half],
-                        new_edges.v[acc_ins][half],
-                        new_edges.w[acc_ins][half], self.cfg)
-                    simulated += result.elapsed
-                return "replay", result, replay_round, replay_round, \
-                    simulated
-        simulated = self._install_full(new_edges,
-                                       version=view.version + 1)
-        return "full", None, None, 0, simulated
+                ins_rows[:, 0], ins_rows[:, 1], ins_rows[:, 2],
+                self.cfg), 0
+        plan = incremental.plan_replay(view, del_pairs, del_rows)
+        return "replay", incremental.replay_recompute(
+            self.machine, view, plan, ins_rows, self.cfg), len(plan[1])
 
     def _install_full(self, directed: Edges, version: int = 0) -> float:
-        """Full recompute on ``directed``; refresh base; publish a view.
+        """Full recompute on ``directed``; publish a view.
 
-        Returns the run's simulated seconds (also added to the total).
+        Returns the run's simulated seconds.
         """
-        result, base = incremental.full_recompute(
-            self.machine, directed, self.cfg, self.algorithm,
-            self.log_max_rounds)
-        self._base = base
-        fu, fv, fw, total = _forest_of(result)
-        # A full recompute re-keys the base id space to row positions.
-        self._publish(directed,
-                      np.arange(len(directed), dtype=np.int64),
-                      forest=(fu, fv, fw), total_weight=total,
+        result = incremental.full_recompute(self.machine, directed,
+                                            self.cfg)
+        *forest, total = _forest_of(result)
+        self._publish(directed, forest=forest, total_weight=total,
                       version=version)
         return result.elapsed
 
-    def _publish(self, edges: Edges, base_id: np.ndarray, *, forest,
+    def _publish(self, edges: Edges, *, forest,
                  total_weight: int, version: int) -> None:
         fu, fv, fw = (np.asarray(a, dtype=np.int64) for a in forest)
         lo, hi = np.minimum(fu, fv), np.maximum(fu, fv)
@@ -434,7 +379,6 @@ class GraphSession:
         component_of = uf.find_many(np.arange(self.n_vertices))
         codes = edges.u.astype(np.int64) * self.n_vertices \
             + edges.v.astype(np.int64)
-        self._base_id = base_id
         self.view = SessionView(
             version=version,
             n_vertices=self.n_vertices,
@@ -447,26 +391,20 @@ class GraphSession:
             component_of=component_of,
         )
 
-    def _mutated(self, view, del_rows, ins_rows):
-        """New sorted directed edge list + base-id map after the batch."""
+    def _mutated(self, view, del_rows, ins_rows) -> Edges:
+        """New sorted directed edge list after the batch."""
         keep = np.ones(len(view.edges), dtype=bool)
         keep[del_rows] = False
         iu, iv, iw = (ins_rows[:, 0], ins_rows[:, 1], ins_rows[:, 2])
         u = np.concatenate([view.edges.u[keep].astype(np.int64), iu, iv])
         v = np.concatenate([view.edges.v[keep].astype(np.int64), iv, iu])
         w = np.concatenate([view.edges.w[keep].astype(np.int64), iw, iw])
-        b = np.concatenate([self._base_id[keep],
-                            np.full(2 * len(ins_rows), -1,
-                                    dtype=np.int64)])
         order = np.lexsort((w, v, u))
-        edges = Edges(u[order], v[order], w[order])
-        return edges, b[order]
+        return Edges(u[order], v[order], w[order])
 
     def _note_epoch(self, report: EpochReport) -> None:
         self.epoch_counts[report.strategy] = \
             self.epoch_counts.get(report.strategy, 0) + 1
-        if report.strategy == "replay" and report.replayed_from is not None:
-            self.replay_depths.append(report.replayed_from)
 
 
 # -- module helpers -----------------------------------------------------
@@ -495,17 +433,21 @@ def _validate_endpoints(u, v, w, n) -> None:
         raise ValueError("edge weights must be positive integers")
 
 
-def _pair(row) -> Tuple[int, int]:
-    if len(row) != 2:
-        raise MutationError("delete rows must be [u, v]")
-    return int(row[0]), int(row[1])
+def _int(x, what: str) -> int:
+    """``x`` as an int; floats, strings and bools are refused, not coerced."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise MutationError(f"{what} must be integers")
+    return int(x)
+
+
+def _row(row, width: int, shape: str) -> Sequence:
+    if not isinstance(row, (list, tuple)) or len(row) != width:
+        raise MutationError(shape)
+    return row
 
 
 def _check_pair(u, v, n) -> Tuple[int, int]:
-    try:
-        u, v = int(u), int(v)
-    except (TypeError, ValueError):
-        raise MutationError("endpoints must be integers")
+    u, v = _int(u, "endpoints"), _int(v, "endpoints")
     if not (0 <= u < n and 0 <= v < n):
         raise MutationError(f"endpoint out of range for n={n}")
     if u == v:
@@ -514,13 +456,9 @@ def _check_pair(u, v, n) -> Tuple[int, int]:
 
 
 def _check_insert(row, n) -> Tuple[int, int, int]:
-    if len(row) != 3:
-        raise MutationError("insert rows must be [u, v, w]")
+    row = _row(row, 3, "insert rows must be [u, v, w]")
     u, v = _check_pair(row[0], row[1], n)
-    try:
-        w = int(row[2])
-    except (TypeError, ValueError):
-        raise MutationError("weights must be integers")
+    w = _int(row[2], "weights")
     if not (0 < w < 2 ** 62):
         raise MutationError("edge weights must be positive integers")
     return u, v, w

@@ -179,6 +179,13 @@ class TestServe:
         assert len(serve_rows) == 1
         assert serve_rows[0]["serving"]["requests"] == 3
 
+    def test_retired_log_rounds_flag_exits_2(self, instance, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(instance), "--log-rounds", "8"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --log-rounds" in err
+
     def test_bad_request_line(self, instance, monkeypatch, capsys):
         out, _ = self._serve(instance, monkeypatch, capsys, [
             {"id": 1, "op": "frobnicate"},

@@ -249,7 +249,7 @@ class TestServingDifferential:
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(16, 64),
            engine=st.sampled_from(ENGINE_NAMES),
            faulted=st.booleans(), epochs=st.integers(1, 5))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_churn_epochs_match_kruskal(self, seed, n, engine, faulted,
                                         epochs):
         from repro.dgraph.edges import Edges

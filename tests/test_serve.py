@@ -15,13 +15,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import BoruvkaConfig, RoundCheckpointLog
+from repro.core import BoruvkaConfig
 from repro.dgraph.edges import Edges
 from repro.seq import msf_weight, spans_same_components
 from repro.serve import (
     GraphSession,
     MutationError,
-    ReplayBase,
     RequestQueue,
     percentile,
     plan_replay,
@@ -29,8 +28,9 @@ from repro.serve import (
     serve_tcp,
 )
 from repro.serve import incremental, protocol
+from repro.serve.session import _directed_rows
 
-#: Forces several Borůvka rounds on modest graphs so replay has a log.
+#: Forces several Borůvka rounds on modest graphs.
 MULTI_ROUND = BoruvkaConfig(base_case_min=16, base_case_factor=1,
                             local_preprocessing=False)
 FAULTS = "seed=11, pe_fail=0.05, retries=10, max_replays=64"
@@ -47,6 +47,16 @@ def _triples(rng, n, m):
         seen.add(key)
         rows.append([key[0], key[1], int(rng.integers(1, 1_000_000))])
     return rows
+
+
+def _dict_rows(rng, n, m):
+    """TestServingDifferential's graph: m pairs, last weight drawn wins."""
+    live = {}
+    while len(live) < m:
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        if a != b:
+            live[(min(a, b), max(a, b))] = int(rng.integers(1, 1_000_000))
+    return [[u, v, w] for (u, v), w in sorted(live.items())]
 
 
 def _expected(rows, n):
@@ -142,6 +152,7 @@ class TestSessionBasics:
             assert s.edge_in_msf(0, 5)["present"] is False
             st = s.stats()
             assert st["n_edges"] == 3 and st["weight"] == 15
+            assert st["algorithm"] == "boruvka"
             assert "engine" not in st
 
     @pytest.mark.parametrize("rows,err", [
@@ -193,24 +204,68 @@ class TestEpochStrategies:
 
     def test_tree_delete_replays(self, session):
         s, model = session
-        assert len(s._base.log) > 0, "config produced no logged rounds"
         pair = _tree_pair(s.view)
         report = self._apply(s, model, [("delete", [list(pair)])])
         assert report.strategy == "replay"
-        assert report.replayed_from is not None
-        assert s.replay_depths == [report.replayed_from]
+        assert report.simulated_seconds > 0.0
+        assert s.epoch_counts == {"replay": 1}
 
-    def test_tree_delete_full_without_log(self):
+    def test_tree_delete_after_local_preprocessing_replays(self):
         rows = _triples(np.random.default_rng(2), 48, 150)
-        with GraphSession(48, rows, n_procs=4, cfg=MULTI_ROUND,
-                          log_max_rounds=0) as s:
+        cfg = BoruvkaConfig(base_case_min=16, base_case_factor=1,
+                            local_preprocessing=True)
+        with GraphSession(48, rows, n_procs=4, cfg=cfg) as s:
             model = Model(rows)
-            pair = _tree_pair(s.view)
-            outcomes, report = s.apply_epoch([("delete", [list(pair)])])
+            ops = [("delete", [list(_tree_pair(s.view))])]
+            outcomes, report = s.apply_epoch(ops)
             assert outcomes == [None]
-            assert report.strategy == "full"
-            model.apply([("delete", [list(pair)])])
+            assert report.strategy == "replay"
+            model.apply(ops)
             _check(s, model.rows())
+
+    @pytest.mark.parametrize("share", [0.3, 1.0])
+    def test_large_forest_delete_stays_replay(self, session, share):
+        """Past the old dirty-fraction cutoff, up to the whole forest."""
+        s, model = session
+        view = s.view
+        k = int(np.ceil(share * len(view.forest_u)))
+        ops = [("delete", [[int(u), int(v)] for u, v in
+                           zip(view.forest_u[:k], view.forest_v[:k])])]
+        report = self._apply(s, model, ops)
+        assert report.strategy == "replay" and report.n_deleted == k
+        assert s.epoch_counts == {"replay": 1}
+
+    def test_bridge_delete_splits_component(self):
+        rows = [[0, 1, 4], [1, 2, 6], [2, 0, 9], [2, 3, 1], [3, 4, 2]]
+        with GraphSession(5, rows, n_procs=2) as s:
+            before = s.view.n_components
+            outcomes, report = s.apply_epoch([("delete", [[2, 3]])])
+            assert outcomes == [None]
+            assert report.strategy == "replay" and report.n_reoffered == 0
+            assert s.view.n_components == before + 1
+            assert s.view.total_weight == 12
+
+    def test_tree_delete_with_inserts_is_one_run(self, session,
+                                                 monkeypatch):
+        s, model = session
+        calls = []
+
+        def spy(name):
+            real = getattr(incremental, name)
+
+            def wrapped(*a, **k):
+                calls.append(name)
+                return real(*a, **k)
+            monkeypatch.setattr(incremental, name, wrapped)
+
+        spy("sparsified_recompute")
+        spy("replay_recompute")
+        (a, b), = _absent_pairs(s.view, 1)
+        report = self._apply(s, model, [
+            ("delete", [list(_tree_pair(s.view))]),
+            ("insert", [[a, b, 1]])])
+        assert report.strategy == "replay"
+        assert calls == ["replay_recompute"]
 
     def test_mixed_epoch(self, session):
         s, model = session
@@ -253,20 +308,58 @@ class TestEpochStrategies:
         assert report is None
 
     def test_failed_epoch_leaves_state_intact(self, session, monkeypatch):
+        self._fail_then_retry(session, monkeypatch, "sparsified")
+
+    def test_failed_replay_epoch_leaves_state_intact(self, session,
+                                                     monkeypatch):
+        self._fail_then_retry(session, monkeypatch, "replay")
+
+    def _fail_then_retry(self, session, monkeypatch, strategy):
         s, model = session
 
         def boom(*a, **k):
             raise RuntimeError("injected recompute failure")
 
         (a, b), = _absent_pairs(s.view, 1)
-        monkeypatch.setattr(incremental, "sparsified_recompute", boom)
-        before = s.view
+        ops = [("insert", [[a, b, 3]])]
+        if strategy == "replay":
+            ops.append(("delete", [list(_tree_pair(s.view))]))
+        monkeypatch.setattr(incremental, f"{strategy}_recompute", boom)
+        before, counts = s.view, dict(s.epoch_counts)
         with pytest.raises(RuntimeError, match="injected"):
-            s.apply_epoch([("insert", [[a, b, 3]])])
+            s.apply_epoch(ops)
         assert s.view is before, "failed epoch must not publish"
+        assert s.epoch_counts == counts
         monkeypatch.undo()
         # the session stays fully usable afterwards
-        self._apply(s, model, [("insert", [[a, b, 3]])])
+        assert self._apply(s, model, ops).strategy == strategy
+
+    @pytest.mark.parametrize("kind,rows,err", [
+        ("insert", [5], "insert rows must be"),
+        ("insert", None, "must be a list"),
+        ("insert", {"u": 1}, "must be a list"),
+        ("insert", ["abc"], "insert rows must be"),
+        ("insert", [[4.9, 5, 3]], "endpoints must be integers"),
+        ("insert", [["6", "7", "2"]], "endpoints must be integers"),
+        ("insert", [[0, 7, True]], "weights must be integers"),
+        ("insert", [[0, 7, 3.7]], "weights must be integers"),
+        ("insert", [[False, 7, 3]], "endpoints must be integers"),
+        ("delete", [7], "delete rows must be"),
+        ("delete", 7, "must be a list"),
+        ("delete", [[0, 1.0]], "endpoints must be integers"),
+        ("delete", [[0, None]], "endpoints must be integers"),
+    ])
+    def test_malformed_rows_fail_their_request_only(self, session, kind,
+                                                    rows, err):
+        s, model = session
+        (a, b), = _absent_pairs(s.view, 1)
+        good = ("insert", [[a, b, 3]])
+        outcomes, report = s.apply_epoch([good, (kind, rows)])
+        assert outcomes[0] is None
+        assert err in outcomes[1]
+        assert report.n_inserted == 1 and report.n_deleted == 0
+        model.apply([good])
+        _check(s, model.rows())
 
 
 class TestChurnDifferential:
@@ -336,91 +429,103 @@ class TestChurnDifferential:
 
 
 class TestPlanReplay:
-    """Unit tests over fabricated checkpoint logs (duck-typed parts)."""
+    """plan_replay: the surviving forest and the edges crossing its cut."""
 
-    class _Ckpt:
-        """Stand-in for a RoundCheckpoint: only ``parts[*].id`` is read."""
+    @pytest.mark.parametrize("seed", range(5))
+    def test_crossing_set_matches_per_edge_check(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        rows = _triples(rng, n, int(rng.integers(n, 4 * n)))
+        with GraphSession(n, rows, n_procs=3) as s:
+            view = s.view
+        forest = list(zip(view.forest_u.tolist(), view.forest_v.tolist()))
+        dead = {forest[i] for i in rng.choice(
+            len(forest), int(rng.integers(1, len(forest))), replace=False)}
+        dead.add(_nontree_pair(view))
+        del_pairs = np.array(sorted(dead), dtype=np.int64)
+        forest_keep, crossing = plan_replay(
+            view, del_pairs, _directed_rows(view, del_pairs))
 
-        class _Part:
-            def __init__(self, ids):
-                self.id = np.asarray(ids, dtype=np.int64)
+        assert forest_keep.tolist() == [e not in dead for e in forest]
+        adj = {v: [] for v in range(n)}
+        for a, b in forest:
+            if (a, b) not in dead:
+                adj[a].append(b)
+                adj[b].append(a)
 
-        def __init__(self, ids):
-            self.parts = [self._Part(ids)]
+        def reachable(a, b):
+            seen, todo = {a}, [a]
+            while todo:
+                for y in adj[todo.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            return b in seen
 
-    def _base(self, entries, forest_ids):
-        log = RoundCheckpointLog()
-        for r, ids in entries.items():
-            log.record(r, "round_body", self._Ckpt(ids))
-        forest_ids = np.asarray(forest_ids, dtype=np.int64)
-        return ReplayBase(log=log, snapshot=None, forest_ids=forest_ids,
-                          forest_weights=np.ones_like(forest_ids),
-                          total_rounds=max(entries, default=0) + 1)
-
-    def test_no_base_or_empty_log(self):
-        assert plan_replay(None, np.array([1])) is None
-        base = self._base({}, [1, 2])
-        assert plan_replay(base, np.array([1])) is None
-
-    def test_unsupported_log(self):
-        base = self._base({0: [1, 2, 3]}, [1, 2])
-        base.log.mark_unsupported("body")
-        assert plan_replay(base, np.array([1])) is None
-
-    def test_no_dead_tree_resumes_deepest(self):
-        base = self._base({0: [1, 2, 3, 9], 2: [2, 3, 9]}, [1, 2, 3])
-        # deleted id 9 is not a forest edge: deepest logged round wins
-        assert plan_replay(base, np.array([9])) == 2
-
-    def test_dead_tree_resumes_before_last_seen(self):
-        base = self._base({0: [1, 2, 3], 1: [2, 3], 2: [3]}, [1, 2, 3])
-        # id 2 last seen in round 1 -> resume at round 1; id 1 last seen
-        # in round 0 -> the minimum wins
-        assert plan_replay(base, np.array([2]),
-                           max_dirty_fraction=1.0) == 1
-        assert plan_replay(base, np.array([1, 2]),
-                           max_dirty_fraction=1.0) == 0
-
-    def test_preprocessing_consumed_id_abandons(self):
-        base = self._base({1: [2, 3], 2: [3]}, [1, 2, 3])
-        # forest id 1 never appears in any logged round
-        assert plan_replay(base, np.array([1]),
-                           max_dirty_fraction=1.0) is None
-
-    def test_dirty_fraction_abandons(self):
-        base = self._base({0: [1, 2, 3, 4]}, [1, 2, 3, 4])
-        assert plan_replay(base, np.array([1, 2]),
-                           max_dirty_fraction=0.25) is None
-        assert plan_replay(base, np.array([1]),
-                           max_dirty_fraction=0.25) == 0
+        e = view.edges
+        want = [row for row in range(len(e))
+                if e.u[row] < e.v[row]
+                and (int(e.u[row]), int(e.v[row])) not in dead
+                and not reachable(int(e.u[row]), int(e.v[row]))]
+        assert crossing.tolist() == want
+        assert not any(view.edge_in_msf(int(e.u[r]), int(e.v[r]))
+                       for r in crossing), "a kept forest edge never crosses"
 
 
-class TestRoundCheckpointLog:
-    def test_prefix_retention(self):
-        log = RoundCheckpointLog(max_entries=2)
-        assert log.wants(0)
-        log.record(0, "a", "h0")
-        log.record(1, "a", "h1")
-        assert not log.wants(2), "log must stop at max_entries"
-        assert log.wants(1), "replayed logged round refreshes its entry"
-        assert len(log) == 2
-        assert log.handle(1) == "h1" and log.handle(5) is None
+class TestParentWrongAnswers:
+    """Instances the checkpoint-log replay answered wrongly (ISSUE 24)."""
 
-    def test_deepest_at_or_before(self):
-        log = RoundCheckpointLog()
-        log.record(0, "a", "h0")
-        log.record(3, "a", "h3")
-        assert log.deepest_at_or_before(2) == 0
-        assert log.deepest_at_or_before(3) == 3
-        assert RoundCheckpointLog().deepest_at_or_before(4) is None
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("base_case_min", [1, 2])
+    def test_shadowed_parallel_edge(self, p, base_case_min):
+        # After round 0 contracts {0,1} and {2,3}, REDISTRIBUTE keeps
+        # (0,2,5) of the parallel pair and drops (1,3,7) -- the edge that
+        # must replace it once (0,2) is deleted.
+        rows = [[0, 1, 1], [2, 3, 1], [0, 2, 5], [1, 3, 7], [4, 5, 1],
+                [6, 7, 1], [4, 6, 2], [5, 7, 9], [3, 4, 3]]
+        cfg = BoruvkaConfig(base_case_min=base_case_min,
+                            base_case_factor=1, local_preprocessing=False)
+        with GraphSession(8, rows, n_procs=p, cfg=cfg) as s:
+            outcomes, report = s.apply_epoch([("delete", [[0, 2]])])
+            assert outcomes == [None]
+            assert s.view.total_weight == 16
+            assert s.view.n_components == 1
+            assert report.strategy == "replay" and report.n_reoffered == 1
 
-    def test_unsupported_clears(self):
-        log = RoundCheckpointLog()
-        log.record(0, "a", "h0")
-        log.mark_unsupported("body")
-        assert len(log) == 0 and not log.wants(1)
-        log.clear()
-        assert log.unsupported is None and log.wants(0)
+    def test_roadmap_two_epoch_reproducer(self):
+        rows = _dict_rows(np.random.default_rng(18386), 62, 124)
+        model = Model(rows)
+        with GraphSession(62, rows, n_procs=3, cfg=MULTI_ROUND) as s:
+            for ops in (
+                [("delete", [[22, 32], [9, 31], [9, 32]])],
+                [("insert", [[40, 56, 557467], [28, 58, 834094],
+                             [0, 50, 309612]]),
+                 ("delete", [[3, 22]])],
+            ):
+                outcomes, report = s.apply_epoch(ops)
+                assert all(o is None for o in outcomes), outcomes
+                assert report.strategy == "replay"
+                model.apply(ops)
+                _check(s, model.rows())
+            assert s.view.total_weight == 15_900_308
+
+    @pytest.mark.parametrize(
+        "seed", [18, 21, 73, 88, 145, 188, 206, 215, 229])
+    def test_single_forest_delete_sweep_seed(self, seed):
+        """The nine wrong sessions of the 300-seed single-delete sweep."""
+        rng = np.random.default_rng(seed)
+        rows = _dict_rows(rng, 64, 256)
+        cfg = BoruvkaConfig(base_case_min=8, base_case_factor=1,
+                            local_preprocessing=False)
+        with GraphSession(64, rows, n_procs=3, cfg=cfg) as s:
+            k = int(rng.integers(0, len(s.view.forest_u)))
+            ops = [("delete", [[int(s.view.forest_u[k]),
+                                int(s.view.forest_v[k])]])]
+            outcomes, report = s.apply_epoch(ops)
+            assert outcomes == [None] and report.strategy == "replay"
+            model = Model(rows)
+            model.apply(ops)
+            _check(s, model.rows())
 
 
 def _drive(coro):
@@ -542,6 +647,40 @@ class TestQueueSemantics:
         assert not mut["ok"] and mut["error"]["code"] == "bad_request"
         assert "does not exist" in mut["error"]["message"]
 
+    def test_malformed_mutation_spares_its_batch(self):
+        async def scenario(queue):
+            good = asyncio.ensure_future(queue.submit(
+                {"id": 1, "op": "insert_edges", "edges": [[0, 2, 2]]}))
+            bad = asyncio.ensure_future(queue.submit(
+                {"id": 2, "op": "delete_edges", "edges": [7]}))
+            await asyncio.sleep(0)
+            flush = await queue.submit({"id": "f", "op": "flush"})
+            return (await good, await bad, flush,
+                    dict(queue.session.epoch_counts))
+
+        good, bad, flush, epochs = _drive(scenario)
+        assert good["ok"] and good["result"]["applied"] is True
+        assert good["result"]["strategy"] == "sparsified"
+        assert not bad["ok"] and bad["error"]["code"] == "bad_request"
+        assert "delete rows" in bad["error"]["message"]
+        assert flush["result"]["committed"] is True
+        assert epochs == {"sparsified": 1}
+
+    def test_replay_reply_carries_n_reoffered(self):
+        async def scenario(queue):
+            fut = asyncio.ensure_future(queue.submit(
+                {"id": 1, "op": "delete_edges", "edges": [[2, 3]]}))
+            await asyncio.sleep(0)
+            await queue.submit({"id": "f", "op": "flush"})
+            return await fut, queue.summary()
+
+        # (2,3,1) is a forest edge of the 4-cycle; (0,3,9) replaces it.
+        resp, summary = _drive(scenario)
+        assert resp["ok"] and resp["result"]["strategy"] == "replay"
+        assert resp["result"]["n_reoffered"] == 1
+        assert resp["result"]["weight"] == 19
+        assert "replay_depths" not in summary
+
     def test_query_validation_maps_to_bad_request(self):
         async def scenario(queue):
             return await queue.submit(
@@ -583,6 +722,8 @@ class TestProtocol:
             ('{"id":1,"op":"cancel"}', "target"),
             ('{"id":1,"op":"msf_weight","deadline_ms":-5}', "deadline_ms"),
             ('{"id":[1],"op":"msf_weight"}', "id"),
+            ('{"id":true,"op":"msf_weight"}', "id"),
+            ('{"id":1,"op":"msf_weight","deadline_ms":true}', "deadline_ms"),
         ]:
             with pytest.raises(protocol.ProtocolError, match=err):
                 protocol.parse_request(line)
