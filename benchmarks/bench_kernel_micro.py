@@ -9,7 +9,9 @@ simulator around it; the pool leg measures the scratch-arena hit rate on
 the packed-key path.  Kernels that choose an arm from their input are timed
 on both sides of the choice: ``segmented_lookup`` on dense ids (the
 direct-address table) and on sparse ids (the search), ``route_plan`` with
-at most 2^16 (segment, destination) slots (a 16-bit radix sort) and above.
+at most 2^16 (segment, destination) slots (a 16-bit radix sort) and above,
+``group_argmin`` on minimum-edge-selection-shaped rows (the scatter) and on
+a few rows over many group ids (the sort).
 
 Host seconds land in the ``BENCH_kernel_micro.json`` extras (they are
 machine-dependent); the ``simulated_seconds`` of every entry is a constant
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dgraph.edges import tie_key
 from repro.kernels.engine import set_kernel_sink
 from repro.kernels.pool import BufferPool, active_pool, set_active_pool
 from repro.kernels.segmented import (
+    group_argmin,
     packed_lexsort,
     route_plan,
     segmented_lexsort,
@@ -82,6 +86,17 @@ def _lookup_workload(dtype, id_range: int, seed: int = 7):
     return ids, off, needles, seg
 
 
+def _argmin_workload(dtype, rows: int, n_groups: int, seed: int = 7):
+    """``rows`` edges in sorted source groups among ``n_groups`` ids, keyed
+    by the tie order: dense groups (every vertex a group, 16 edges each, as
+    in MINEDGES) or a few rows over many ids."""
+    rng = np.random.default_rng(seed)
+    group = np.sort(rng.integers(0, n_groups, rows)).astype(dtype)
+    other = rng.integers(0, min(n_groups, N // 16), rows).astype(dtype)
+    w = rng.integers(1, 255, rows).astype(dtype)
+    return group, tie_key(group, other, w), n_groups
+
+
 def _run_kernels(dtype) -> dict:
     """One pass over the kernel suite; returns name -> (calls, host_s)."""
     vals, keys2, seg, off, hay = _workload(dtype)
@@ -104,6 +119,11 @@ def _run_kernels(dtype) -> dict:
         dest = rng.integers(0, size, N).astype(dtype)
         out[f"route_plan[{size}x{size}]"] = _recorded(
             lambda: route_plan(src, dest, size, size))["route_plan"]
+    for arm, rows, n_groups in (("scatter", N, N // 16),
+                                ("sort", N // 128, 1 << 20)):
+        args = _argmin_workload(dtype, rows, n_groups)
+        out[f"group_argmin[{arm}]"] = _recorded(
+            lambda: group_argmin(*args))["group_argmin"]
     return out
 
 
@@ -161,6 +181,7 @@ def test_kernel_micro(benchmark):
     assert {"packed_lexsort", "segmented_lexsort",
             "segmented_unique", "segmented_searchsorted",
             "segmented_lookup[dense]", "segmented_lookup[sparse]",
+            "group_argmin[scatter]", "group_argmin[sort]",
             f"route_plan[{SEGMENTS}x{SEGMENTS}]",
             f"route_plan[{8 * SEGMENTS}x{8 * SEGMENTS}]"} <= set(kernels)
     # ... and steady-state pooled scratch must be (nearly) all hits.

@@ -33,9 +33,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
+from ..dgraph.edges import lightest_per_group, tie_key
 from ..kernels import RaggedArrays, segmented_unique
-from ..kernels.pool import active_pool
-from ..kernels.segmented import packed_lexsort
 from ..simmpi.alltoall import route_rows, unsort
 from ..simmpi.collectives import Comm
 from ..utils.partition import owner_of
@@ -164,19 +163,16 @@ class AwerbuchShiloachRoundBody(RoundBody):
                 oth = np.concatenate([bb, aa])
                 w2 = np.concatenate([w, w])
                 id2 = np.concatenate([ids, ids])
-                cu = np.minimum(grp, oth)
-                cv = np.maximum(grp, oth)
-                groups, pick = _group_min(grp, w2, cu, cv, n)
+                groups, pick = lightest_per_group(grp, grp, oth, w2, n)
                 rows = np.empty((len(groups), 6), dtype=self.cand_dt)
                 rows[:, 0] = groups
-                rows[:, 1] = w2[pick]
-                rows[:, 2] = cu[pick]
-                rows[:, 3] = cv[pick]
+                rows[:, 1], rows[:, 2], rows[:, 3] = tie_key(
+                    groups, oth[pick], w2[pick])
                 rows[:, 4] = id2[pick]
                 rows[:, 5] = oth[pick]
                 cand_rows.append(rows)
                 cand_dests.append(owner_of(groups, n, p))
-                del aa, bb, w, ids, grp, oth, w2, id2, cu, cv, rows
+                del aa, bb, w, ids, grp, oth, w2, id2, rows
             alive_total = comm.allreduce(
                 [int(x) for x in _per_pe(alive_total, p)])
             if alive_total == 0:
@@ -191,8 +187,8 @@ class AwerbuchShiloachRoundBody(RoundBody):
                 rows = recv[i]
                 if len(rows) == 0:
                     continue
-                groups, pick = _group_min(rows[:, 0], rows[:, 1],
-                                          rows[:, 2], rows[:, 3], n)
+                groups, pick = lightest_per_group(rows[:, 0], rows[:, 0],
+                                                  rows[:, 5], rows[:, 1], n)
                 best = rows[pick]
                 hook_from.append(groups)
                 hook_to.append(best[:, 5])
@@ -281,55 +277,6 @@ def awerbuch_shiloach_msf(
         stats={"bytes_communicated": machine.bytes_communicated,
                "n_collectives": machine.n_collectives},
     )
-
-
-# ----------------------------------------------------------------------
-def _group_min(grp, w, cu, cv, n_groups):
-    """Per-group lexicographic minimum of ``(w, cu, cv)``.
-
-    Returns ``(groups, pick)``: the ascending group ids with at least one
-    row and, for each, the index of its minimal row (full-key ties broken
-    toward the lowest index) -- exactly the first-per-group pick of a
-    stable sort keyed ``(cv, cu, w, grp)``, computed with one O(m) scatter
-    instead of an O(m log m) sort.  Falls back to the sort when the packed
-    key would overflow int64.
-    """
-    nk = len(grp)
-    w_lo, w_hi = int(w.min()), int(w.max())
-    cu_lo, cu_hi = int(cu.min()), int(cu.max())
-    cv_lo, cv_hi = int(cv.min()), int(cv.max())
-    span_cu = cu_hi - cu_lo + 1
-    span_cv = cv_hi - cv_lo + 1
-    big = 1 << nk.bit_length()
-    if (w_hi - w_lo + 1) * span_cu * span_cv * big < (1 << 62):
-        # Build the packed key in-place in an int64 scratch buffer: the
-        # columns may arrive narrowed (uint32), where the first partial
-        # product alone can exceed 32 bits even when the guard admits the
-        # full key, and the in-place form avoids the chain of int64
-        # temporaries the one-expression version materialises.
-        key = active_pool().take(nk, np.int64)
-        np.copyto(key, w, casting="unsafe")
-        key -= w_lo
-        key *= span_cu
-        key += cu
-        key -= cu_lo
-        key *= span_cv
-        key += cv
-        key -= cv_lo
-        key *= big
-        key += np.arange(nk, dtype=np.int64)
-        best = np.full(n_groups, np.iinfo(np.int64).max)
-        np.minimum.at(best, grp, key)
-        active_pool().give(key)
-        groups = np.flatnonzero(best != np.iinfo(np.int64).max)
-        pick = best[groups] & (big - 1)
-        del best
-        return groups, pick
-    order = packed_lexsort((cv, cu, w, grp))
-    gs = grp[order]
-    first = np.ones(len(gs), dtype=bool)
-    first[1:] = gs[1:] != gs[:-1]
-    return gs[first], order[first]
 
 
 def _identity_blocks(n: int, p: int) -> List[np.ndarray]:

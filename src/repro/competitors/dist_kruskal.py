@@ -31,8 +31,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..kernels.segmented import packed_lexsort
-
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
 from ..simmpi.alltoall import route_rows
@@ -148,11 +146,10 @@ def _local_kruskal(part: Edges, vlabels: np.ndarray, n: int,
     else:
         du = np.searchsorted(vlabels, part.u)
         dv = np.searchsorted(vlabels, part.v)
-    order = packed_lexsort((np.maximum(du, dv), np.minimum(du, dv), part.w))
-    uf = UnionFind(n)
-    keep = uf.union_edges(du[order], dv[order])
-    sel = order[keep]
-    return Edges(du[sel], dv[sel], part.w[sel], part.id[sel])
+    dense = Edges(du, dv, part.w, part.id)
+    order = dense.weight_order()
+    keep = UnionFind(n).union_edges(du[order], dv[order])
+    return dense.take(order[keep])
 
 
 def _result(machine, run, snapshot, comm, level) -> MSTResult:

@@ -28,21 +28,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..kernels.segmented import packed_lexsort
-
 from ..dgraph.dist_graph import DistGraph
+from ..dgraph.edges import lightest_per_group, tie_key
+from ..core.base_case import INF, _row_min
 from ..core.boruvka import InputSnapshot, MSTResult, redistribute_mst
 from ..core.config import BoruvkaConfig
 from ..core.rounds import RoundBody, RoundScheduler, RoundStats
 from ..core.state import MSTRun
-
-#: Candidate sentinel: (weight, cu, cv, id, endpoint) with infinite weight.
-_INF = np.int64(1) << 62
-
-
-def _min_candidate(a, b):
-    """Lexicographic minimum of two candidate tuples (allreduce operator)."""
-    return min(a, b)
 
 
 class PrimRoundBody(RoundBody):
@@ -70,13 +62,18 @@ class PrimRoundBody(RoundBody):
         self.graph = graph
         self.run = run
         self.machine = graph.machine
-        self.eu = eu
-        self.ev = ev
+        # Every PE's block in one flat array; ``pe`` is each row's PE.
+        parts = graph.parts
+        self.pe = np.repeat(np.arange(len(parts)), [len(q) for q in parts])
+        self.eu = np.concatenate(eu)
+        self.ev = np.concatenate(ev)
+        self.w = np.concatenate([q.w for q in parts])
+        self.id = np.concatenate([q.id for q in parts])
         self.n = n
         self.in_tree = np.zeros(n, dtype=bool)  # replicated
         self.cursor = 0          # next start-vertex candidate to try
         self.in_component = False
-        self.total_edges = sum(len(q) for q in graph.parts)
+        self.total_edges = len(self.eu)
 
     def prologue(self, round_no: int) -> Optional[RoundStats]:
         """Advance the component sweep; done when every vertex is visited."""
@@ -95,28 +92,25 @@ class PrimRoundBody(RoundBody):
         machine, run = self.machine, self.run
         p = machine.n_procs
         in_tree, eu, ev = self.in_tree, self.eu, self.ev
-        # Each PE's best frontier-crossing edge.
-        candidates = []
         for i in range(p):
-            part = self.graph.parts[i]
-            machine.charge_scan(np.array([len(part)]),
+            machine.charge_scan(np.array([len(self.graph.parts[i])]),
                                 ranks=np.array([i]))
-            if len(part) == 0:
-                candidates.append((int(_INF), 0, 0, 0, 0))
-                continue
-            crossing = in_tree[eu[i]] & ~in_tree[ev[i]]
-            if not crossing.any():
-                candidates.append((int(_INF), 0, 0, 0, 0))
-                continue
-            cu = np.minimum(eu[i], ev[i])
-            cv = np.maximum(eu[i], ev[i])
-            idx = np.flatnonzero(crossing)
-            order = packed_lexsort((cv[idx], cu[idx], part.w[idx]))
-            k = idx[order[0]]
-            candidates.append((int(part.w[k]), int(cu[k]), int(cv[k]),
-                               int(part.id[k]), int(ev[i][k])))
-        best = run.comm.allreduce(candidates, op=_min_candidate)
-        if best[0] >= _INF:
+        # Each PE's best frontier-crossing edge: a (w, cu, cv, id, endpoint)
+        # row, (INF, 0, 0, 0, 0) for a PE without one.
+        idx = np.flatnonzero(in_tree[eu] & ~in_tree[ev])
+        pes, pick = lightest_per_group(self.pe[idx], eu[idx], ev[idx],
+                                       self.w[idx], p)
+        k = idx[pick]
+        w, cu, cv = tie_key(eu[k], ev[k], self.w[k])
+        cand = np.zeros((p, 1, 5), dtype=np.int64)
+        cand[:, 0, 0] = INF
+        cand[pes, 0, 0] = w
+        cand[pes, 0, 1] = cu
+        cand[pes, 0, 2] = cv
+        cand[pes, 0, 3] = self.id[k]
+        cand[pes, 0, 4] = ev[k]
+        best = run.comm.allreduce(list(cand), op=_row_min)[0]
+        if best[0] >= INF:
             self.in_component = False  # component finished
             return False
         w, _, _, eid, endpoint = best

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.segmented import packed_lexsort
-
 from ..dgraph.dist_graph import DistGraph
-from ..seq.boruvka import pseudo_tree_roots
+from ..dgraph.edges import WEIGHT_LIMIT, lightest_per_group, tie_key
+from ..seq.boruvka import contract_pseudo_forest
 from .state import MSTRun
 
-#: Sentinel weight for "no candidate edge".
-INF = np.int64(1) << 62
+#: Sentinel weight for "no candidate edge": above every accepted weight.
+INF = np.int64(WEIGHT_LIMIT)
 
 
 def _row_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,68 +59,51 @@ def base_case(graph: DistGraph, run: MSTRun):
         return
     machine.check_memory(np.full(p, n_dense * 8 * 6, dtype=np.float64))
 
-    # Dense edge endpoints per PE (ids and weights ride along).
-    eu, ev, ew, eid = [], [], [], []
+    # Dense edge endpoints of all PEs in one flat block (ids and weights
+    # ride along); ``pe`` is each row's PE.
+    parts = graph.parts
+    pe = np.repeat(np.arange(p, dtype=np.int64), [len(q) for q in parts])
+    eu = np.searchsorted(vlabels, np.concatenate([q.u for q in parts]))
+    ev = np.searchsorted(vlabels, np.concatenate([q.v for q in parts]))
+    ew = np.concatenate([q.w for q in parts])
+    eid = np.concatenate([q.id for q in parts])
     for i in range(p):
-        part = graph.parts[i]
-        eu.append(np.searchsorted(vlabels, part.u))
-        ev.append(np.searchsorted(vlabels, part.v))
-        ew.append(part.w.copy())
-        eid.append(part.id.copy())
-        machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
+        machine.charge_scan(np.array([len(parts[i])]), ranks=np.array([i]))
 
     cur = np.arange(n_dense, dtype=np.int64)  # replicated component labels
 
     for _ in range(run.cfg.max_rounds):
-        alive_total = comm.allreduce([len(x) for x in eu])
+        counts = np.bincount(pe, minlength=p)
+        alive_total = comm.allreduce([int(c) for c in counts])
         if alive_total == 0:
             break
-        # ---- Local candidates: per vertex the (w, cu, cv, other, id) min. ----
-        candidates = []
+        # ---- Local candidates: per (PE, vertex) the (w, cu, cv, other, id)
+        # min, one (n', 5) table per PE. ----
+        grp = np.concatenate([eu, ev])
+        oth = np.concatenate([ev, eu])
+        w2 = np.concatenate([ew, ew])
+        rows, pick = lightest_per_group(np.concatenate([pe, pe]) * n_dense
+                                        + grp, grp, oth, w2, p * n_dense)
+        w, cu, cv = tie_key(grp[pick], oth[pick], w2[pick])
+        cand = np.full((p * n_dense, 5), INF, dtype=np.int64)
+        cand[rows, 0] = w
+        cand[rows, 1] = cu
+        cand[rows, 2] = cv
+        cand[rows, 3] = oth[pick]
+        cand[rows, 4] = np.concatenate([eid, eid])[pick]
         for i in range(p):
-            cand = np.full((n_dense, 5), INF, dtype=np.int64)
-            if len(eu[i]):
-                a, b = eu[i], ev[i]
-                grp = np.concatenate([a, b])
-                oth = np.concatenate([b, a])
-                w2 = np.concatenate([ew[i], ew[i]])
-                id2 = np.concatenate([eid[i], eid[i]])
-                cu = np.minimum(grp, oth)
-                cv = np.maximum(grp, oth)
-                order = packed_lexsort((cv, cu, w2, grp))
-                g_sorted = grp[order]
-                first = np.ones(len(g_sorted), dtype=bool)
-                first[1:] = g_sorted[1:] != g_sorted[:-1]
-                pick = order[first]
-                rows = g_sorted[first]
-                cand[rows, 0] = w2[pick]
-                cand[rows, 1] = cu[pick]
-                cand[rows, 2] = cv[pick]
-                cand[rows, 3] = oth[pick]
-                cand[rows, 4] = id2[pick]
-            candidates.append(cand)
-            machine.charge_scan(np.array([max(len(eu[i]), 1) + n_dense]),
+            machine.charge_scan(np.array([max(counts[i], 1) + n_dense]),
                                 ranks=np.array([i]))
-        best = comm.allreduce(candidates, op=_row_min)
+        best = comm.allreduce(list(cand.reshape(p, n_dense, 5)), op=_row_min)
 
         # ---- Replicated contraction (identical on every PE). ----
-        present = best[:, 0] != INF
-        comp = np.flatnonzero(present).astype(np.int64)
+        comp = np.flatnonzero(best[:, 0] != INF)
         parent_of = best[comp, 3]
-        roots = pseudo_tree_roots(comp, parent_of)
+        roots, parent_map = contract_pseudo_forest(comp, parent_of, n_dense)
         # MST edges of all non-root components -- record once.  Ids are
         # distinct here: two components choosing the same directed edge form
         # a 2-cycle, whose root does not record.
         run.record_mst(0, best[comp[~roots], 4], best[comp[~roots], 0])
-        # Pointer doubling on the replicated parent map.
-        parent_map = np.arange(n_dense, dtype=np.int64)
-        parent_map[comp] = parent_of
-        parent_map[comp[roots]] = comp[roots]
-        while True:
-            nxt = parent_map[parent_map]
-            if np.array_equal(nxt, parent_map):
-                break
-            parent_map = nxt
         # Report the contraction to the label sink in *original* labels.
         changed = parent_map != np.arange(n_dense)
         if changed.any():
@@ -131,15 +113,12 @@ def base_case(graph: DistGraph, run: MSTRun):
         machine.charge_scan(np.full(p, n_dense, dtype=np.float64))
 
         # ---- Relabel local edges, drop self loops. ----
-        for i in range(p):
-            if not len(eu[i]):
-                continue
-            a = parent_map[eu[i]]
-            b = parent_map[ev[i]]
-            keep = a != b
-            eu[i], ev[i] = a[keep], b[keep]
-            ew[i], eid[i] = ew[i][keep], eid[i][keep]
-            machine.charge_scan(np.array([len(a)]), ranks=np.array([i]))
+        a = parent_map[eu]
+        b = parent_map[ev]
+        keep = a != b
+        eu, ev, ew, eid, pe = a[keep], b[keep], ew[keep], eid[keep], pe[keep]
+        for i in np.flatnonzero(counts):
+            machine.charge_scan(np.array([counts[i]]), ranks=np.array([i]))
     else:
         raise RuntimeError("base case failed to converge")
     return vlabels, vlabels[cur]

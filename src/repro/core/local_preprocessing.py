@@ -37,9 +37,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
-from ..dgraph.edges import Edges
-from ..kernels.pool import active_pool
-from ..kernels.segmented import packed_lexsort
+from ..dgraph.edges import Edges, lightest_per_group
 from ..seq.filter_kruskal import filter_boruvka_msf
 from ..seq.kruskal import kruskal_msf
 from ..simmpi.alltoall import route_rows
@@ -182,68 +180,20 @@ def _contract_one_pe(
             cu_root, cv_root = cu_root[alive], cv_root[alive]
             label_u, label_v = label_u[alive], label_v[alive]
         a_u, a_v = cu_root, cv_root
-        a_w = e_w
         a_cand = e_cand & (a_v >= 0)
-        key_cu = np.minimum(label_u, label_v)
-        key_cv = np.maximum(label_u, label_v)
-        del label_u, label_v
         # Group candidates by component: local edges feed both sides' groups,
-        # cut edges only the source side.
+        # cut edges only the source side.  The tie key is built from the
+        # actual labels.
         both = a_v >= 0
         grp = np.concatenate([a_u, a_v[both]])
         sel = np.concatenate([np.arange(len(a_u), dtype=idx_dt),
                               np.flatnonzero(both).astype(idx_dt,
                                                           copy=False)])
         del both
-        kw = a_w[sel]
-        kcu = key_cu[sel]
-        kcv = key_cv[sel]
-        del key_cu, key_cv
-        # Per-group lexicographic minimum of (kw, kcu, kcv) with the lowest
-        # input position breaking full-key ties -- exactly what the stable
-        # sort keyed (kcv, kcu, kw, grp) used to pick, via one O(m) scatter
-        # instead of an O(m log m) sort.  Falls back to the sort when the
-        # packed key would overflow int64.
-        nk = len(grp)
-        w_lo, w_hi = int(kw.min()), int(kw.max())
-        cu_lo, cu_hi = int(kcu.min()), int(kcu.max())
-        cv_lo, cv_hi = int(kcv.min()), int(kcv.max())
-        span_cu = cu_hi - cu_lo + 1
-        span_cv = cv_hi - cv_lo + 1
-        big = 1 << nk.bit_length()
-        if (w_hi - w_lo + 1) * span_cu * span_cv * big < (1 << 62):
-            # Build the packed key in int64, in place, in a pooled block:
-            # the key columns may be stored uint32 (repro.kernels.dtypes)
-            # and the products here legitimately exceed 32 bits, but a
-            # chained expression would hold several full-size int64
-            # temporaries at once at the peak of the round.
-            key = active_pool().take(nk, np.int64)
-            np.copyto(key, kw, casting="unsafe")
-            key -= w_lo
-            key *= span_cu
-            key += kcu
-            key -= cu_lo
-            key *= span_cv
-            key += kcv
-            key -= cv_lo
-            key *= big
-            key += np.arange(nk, dtype=np.int64)
-            best = np.full(n_local, np.iinfo(np.int64).max)
-            np.minimum.at(best, grp, key)
-            active_pool().give(key)
-            del key
-            groups = np.flatnonzero(best != np.iinfo(np.int64).max)
-            chosen = sel[best[groups] & (big - 1)]
-            del best
-        else:
-            order = packed_lexsort((kcv, kcu, kw, grp))
-            g_sorted = grp[order]
-            first = np.ones(len(g_sorted), dtype=bool)
-            first[1:] = g_sorted[1:] != g_sorted[:-1]
-            groups = g_sorted[first]
-            chosen = sel[order[first]]  # row into the compacted arrays
-            del order, g_sorted, first
-        del grp, sel, kw, kcu, kcv
+        groups, pick = lightest_per_group(grp, label_u[sel], label_v[sel],
+                                          e_w[sel], n_local)
+        chosen = sel[pick]  # row into the compacted arrays
+        del grp, sel, pick, label_u, label_v
         # Contract where the choosing component is untainted and its minimum
         # is a contractible (local MSF) edge.
         ok = ~uf.taint[groups] & a_cand[chosen]

@@ -7,9 +7,10 @@ part is sorted by source vertex, the per-vertex groups are contiguous and
 the selection is one vectorised pass (the paper's implementation uses
 parlay's Min-Priority-Write; we charge the equivalent linear scan).
 
-All PEs are processed at once: one flat lexsort keyed by a PE-major group
-id (see :mod:`repro.kernels`).  The per-PE loop it replaced is the oracle
-of the differential tests (``tests/_loop_reference.py``).
+All PEs are processed at once: one grouped argmin
+(:func:`~repro.dgraph.edges.lightest_per_group`) over a PE-major group id.
+The per-PE loop it replaced is the oracle of the differential tests
+(``tests/_loop_reference.py``).
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from typing import List
 
 import numpy as np
 
-from ..kernels.segmented import packed_lexsort
-
 from ..dgraph.dist_graph import DistGraph
+from ..dgraph.edges import lightest_per_group
 from ..dgraph.search import sorted_lookup
-from ..kernels import first_in_group, segmented_run_starts
+from ..kernels import segmented_run_starts
 
 
 @dataclass
@@ -79,12 +79,9 @@ def min_edges(graph: DistGraph) -> List[ChosenEdges]:
     goff = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(gcounts, out=goff[1:])
 
-    cu = np.minimum(u, v)
-    cv = np.maximum(u, v)
-    # Group ids are globally increasing PE-major, so one stable lexsort is
+    # Group ids are globally increasing PE-major, so one grouped argmin is
     # every PE's per-group (w, min, max) selection at once.
-    order = packed_lexsort((cv, cu, w, group))
-    pick = order[first_in_group(group[order])]  # one per group, group order
+    _, pick = lightest_per_group(group, u, v, w, len(gstart))
     to_flat = v[pick]
     w_flat = w[pick]
     id_flat = eid[pick]

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..simmpi.collectives import Comm
 from ..simmpi.machine import Machine
-from .edges import Edges
+from .edges import WEIGHT_LIMIT, Edges
 from .search import home_pe_of_edges, home_pe_of_vertices
 
 #: Sentinel key component for PEs with no following non-empty PE.
@@ -60,6 +60,7 @@ class DistGraph:
             for i, part in enumerate(self.parts):
                 machine.sanitizer.adopt_edges(i, part)
         if check:
+            self._check_weights()
             self._check_local_sorted()
         self.rebuild_min_keys()
         if check:
@@ -107,6 +108,13 @@ class DistGraph:
         parts = [g.take(np.arange(bounds[i], bounds[i + 1]))
                  for i in range(p)]
         return cls(machine, parts)
+
+    def _check_weights(self) -> None:
+        for i, part in enumerate(self.parts):
+            if len(part) and int(part.w.max()) >= WEIGHT_LIMIT:
+                raise ValueError(
+                    f"part {i} holds edge weight {int(part.w.max())}; "
+                    f"weights must be below 2^62 (WEIGHT_LIMIT)")
 
     def _check_local_sorted(self) -> None:
         for i, part in enumerate(self.parts):

@@ -24,17 +24,47 @@ use the key
 throughout -- both in the distributed algorithms and in the sequential
 baselines, so that all implementations select the same forest whenever the
 input has no exactly-parallel duplicate edges (and the same *weight* in all
-cases).
+cases).  :func:`tie_key` is the one place that key is built: sorts go
+through :meth:`Edges.weight_order`, and every minimum-edge selection --
+MINEDGES, local preprocessing, the base case, the sequential Borůvka
+rounds, the Awerbuch-Shiloach hook and Prim's frontier -- through
+:func:`lightest_per_group`, whose kernel gives exactly-parallel duplicates
+to the lowest position.
+
+Weights are integers below :data:`WEIGHT_LIMIT` (2^62): the base case and
+Prim use 2^62 as "no candidate", and :class:`~repro.dgraph.dist_graph.DistGraph`
+refuses heavier edges at construction.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from ..kernels.dtypes import index_dtype
-from ..kernels.segmented import packed_lexsort
+from ..kernels.segmented import group_argmin, packed_lexsort
+
+#: Exclusive upper bound of an edge weight; also the "no candidate" weight.
+WEIGHT_LIMIT = 1 << 62
+
+
+def tie_key(u, v, w) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tie-breaking total-order key ``(w, min(u, v), max(u, v))``,
+    priority first."""
+    return w, np.minimum(u, v), np.maximum(u, v)
+
+
+def lightest_per_group(group, u, v, w,
+                       n_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per group, the position of the smallest edge under :func:`tie_key`.
+
+    Returns ``(groups, pick)`` as :func:`~repro.kernels.segmented.group_argmin`
+    does: the ascending ids in ``[0, n_groups)`` that have rows and, for
+    each, its lightest row, exactly-parallel duplicates going to the lowest
+    position.
+    """
+    return group_argmin(group, tie_key(u, v, w), n_groups)
 
 
 def _as_col(a) -> np.ndarray:
@@ -179,9 +209,7 @@ class Edges:
         Pass reversed to ``np.lexsort`` (which takes least-significant key
         first): ``np.lexsort(edges.tie_key()[::-1])``.
         """
-        cu = np.minimum(self.u, self.v)
-        cv = np.maximum(self.u, self.v)
-        return self.w, cu, cv
+        return tie_key(self.u, self.v, self.w)
 
     def weight_order(self) -> np.ndarray:
         """Permutation sorting by the tie-breaking total order."""

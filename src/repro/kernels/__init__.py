@@ -23,6 +23,7 @@ from .pool import BufferPool, active_pool, set_active_pool
 from .ragged import RaggedArrays
 from .segmented import (
     first_in_group,
+    group_argmin,
     order_key,
     packed_lexsort,
     route_counts,
@@ -40,6 +41,7 @@ __all__ = [
     "RaggedArrays",
     "active_pool",
     "first_in_group",
+    "group_argmin",
     "index_dtype",
     "narrow",
     "order_key",

@@ -13,8 +13,11 @@ implementation follows Section II-C exactly:
    relabelled, self loops discarded;
 5. repeat until no edges remain.
 
-All steps are numpy-vectorised (lexsort + reduceat group minima, pointer
-doubling on the parent array); there is no per-edge Python loop.
+All steps are numpy-vectorised (the grouped argmin of
+:func:`~repro.dgraph.edges.lightest_per_group` for step 1, pointer doubling
+on the parent array for step 4); there is no per-edge Python loop.
+:func:`contract_pseudo_forest` (steps 2 and 4) is shared with KKT and the
+distributed base case.
 """
 
 from __future__ import annotations
@@ -23,22 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..kernels.segmented import packed_lexsort
-
-from ..dgraph.edges import Edges
-
-
-def _min_edge_per_group(group: np.ndarray, w: np.ndarray, cu: np.ndarray,
-                        cv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Index of the lexicographically (w, cu, cv)-smallest row per group.
-
-    Returns (group labels present, argmin row index per present group).
-    """
-    order = packed_lexsort((cv, cu, w, group))
-    g_sorted = group[order]
-    first = np.ones(len(g_sorted), dtype=bool)
-    first[1:] = g_sorted[1:] != g_sorted[:-1]
-    return g_sorted[first], order[first]
+from ..dgraph.edges import Edges, lightest_per_group
 
 
 def pseudo_tree_roots(comp: np.ndarray, parent: np.ndarray) -> np.ndarray:
@@ -56,6 +44,52 @@ def pseudo_tree_roots(comp: np.ndarray, parent: np.ndarray) -> np.ndarray:
     parent_of_parent = np.where(has_row, parent[loc_c], parent)
     two_cycle = parent_of_parent == comp
     return (two_cycle & (comp < parent)) | (parent == comp)
+
+
+def contract_pseudo_forest(comp: np.ndarray, parent: np.ndarray,
+                           n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Contract the pseudo forest ``comp[k] -> parent[k]`` over ``[0, n)``.
+
+    Returns ``(roots, parent_map)``: the :func:`pseudo_tree_roots` mask and
+    the star map sending every label to its tree's root (labels without a
+    row map to themselves), by pointer doubling.
+    """
+    roots = pseudo_tree_roots(comp, parent)
+    parent_map = np.arange(n, dtype=np.int64)
+    parent_map[comp] = parent
+    parent_map[comp[roots]] = comp[roots]
+    while True:
+        nxt = parent_map[parent_map]
+        if np.array_equal(nxt, parent_map):
+            return roots, parent_map
+        parent_map = nxt
+
+
+def boruvka_round(edges: Edges, labels: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """One Borůvka round over current component ``labels``.
+
+    Returns ``(chosen_positions, new_labels)`` where positions index into
+    ``edges`` and ``new_labels`` maps every original vertex to its new
+    component root.  (The body of :func:`boruvka_msf` and of KKT's step 1.)
+    """
+    a = labels[edges.u]
+    b = labels[edges.v]
+    alive = a != b
+    if not alive.any():
+        return np.empty(0, dtype=np.int64), labels
+    pos = np.flatnonzero(alive)
+    a, b, w = a[alive], b[alive], edges.w[alive]
+    # Symmetrise for selection: each endpoint considers the edge.
+    grp = np.concatenate([a, b])
+    oth = np.concatenate([b, a])
+    comp, arg = lightest_per_group(grp, grp, oth, np.concatenate([w, w]),
+                                   len(labels))
+    parent = oth[arg]
+    roots, parent_map = contract_pseudo_forest(comp, parent, len(labels))
+    # MST edges of all non-root components.
+    chosen = np.unique(np.concatenate([pos, pos])[arg[~roots]])
+    return chosen, parent_map[labels]
 
 
 def boruvka_msf(edges: Edges, n_vertices: int,
@@ -85,44 +119,14 @@ def boruvka_msf(edges: Edges, n_vertices: int,
     if len(edges) == 0 or n == 0:
         return (Edges.empty(), labels) if return_components else Edges.empty()
 
-    pos = np.arange(len(edges), dtype=np.int64)
-    eu, ev, ew = edges.u.copy(), edges.v.copy(), edges.w.copy()
     chosen_positions: list[np.ndarray] = []
-
-    guard = 0
-    while len(eu):
-        guard += 1
-        if guard > 64:  # log2(n) bound with huge slack
-            raise RuntimeError("Borůvka failed to converge")
-        a = labels[eu]
-        b = labels[ev]
-        alive = a != b
-        a, b, w_, pos_ = a[alive], b[alive], ew[alive], pos[alive]
-        eu, ev, ew, pos = eu[alive], ev[alive], ew[alive], pos[alive]
-        if len(a) == 0:
+    for _ in range(64):  # log2(n) bound with huge slack
+        chosen, labels = boruvka_round(edges, labels)
+        if len(chosen) == 0:
             break
-        # Symmetrise for selection: each endpoint considers the edge.
-        sel_group = np.concatenate([a, b])
-        sel_other = np.concatenate([b, a])
-        sel_w = np.concatenate([w_, w_])
-        sel_pos = np.concatenate([pos_, pos_])
-        cu = np.minimum(sel_group, sel_other)
-        cv = np.maximum(sel_group, sel_other)
-        comp, arg = _min_edge_per_group(sel_group, sel_w, cu, cv)
-        parent = sel_other[arg]
-        roots = pseudo_tree_roots(comp, parent)
-        # Record MST edges of all non-root components.
-        chosen_positions.append(np.unique(sel_pos[arg[~roots]]))
-        # Contract: pointer-double the parent map to the star.
-        parent_map = np.arange(n, dtype=np.int64)
-        parent_map[comp] = parent
-        parent_map[comp[roots]] = comp[roots]
-        while True:
-            nxt = parent_map[parent_map]
-            if np.array_equal(nxt, parent_map):
-                break
-            parent_map = nxt
-        labels = parent_map[labels]
+        chosen_positions.append(chosen)
+    else:
+        raise RuntimeError("Borůvka failed to converge")
 
     msf = edges.take(np.unique(np.concatenate(chosen_positions))
                      if chosen_positions else np.empty(0, dtype=np.int64))

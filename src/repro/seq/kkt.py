@@ -25,52 +25,13 @@ Algorithm (expected O(m)):
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from ..dgraph.edges import Edges
-from .boruvka import _min_edge_per_group, pseudo_tree_roots
+from ..dgraph.edges import WEIGHT_LIMIT, Edges
+from .boruvka import boruvka_msf, boruvka_round
 
-#: Sentinel for "endpoints disconnected in the forest".
-NO_PATH = np.int64(1) << 62
-
-
-def boruvka_round(edges: Edges, labels: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """One Borůvka round over current component ``labels``.
-
-    Returns ``(chosen_positions, new_labels)`` where positions index into
-    ``edges`` and ``new_labels`` maps every original vertex to its new
-    component root.  (The shared workhorse of KKT's step 1.)
-    """
-    n = len(labels)
-    a = labels[edges.u]
-    b = labels[edges.v]
-    alive = a != b
-    if not alive.any():
-        return np.empty(0, dtype=np.int64), labels
-    pos = np.flatnonzero(alive)
-    a, b, w = a[alive], b[alive], edges.w[alive]
-    grp = np.concatenate([a, b])
-    oth = np.concatenate([b, a])
-    w2 = np.concatenate([w, w])
-    pos2 = np.concatenate([pos, pos])
-    cu = np.minimum(grp, oth)
-    cv = np.maximum(grp, oth)
-    comp, arg = _min_edge_per_group(grp, w2, cu, cv)
-    parent = oth[arg]
-    roots = pseudo_tree_roots(comp, parent)
-    chosen = np.unique(pos2[arg[~roots]])
-    parent_map = np.arange(n, dtype=np.int64)
-    parent_map[comp] = parent
-    parent_map[comp[roots]] = comp[roots]
-    while True:
-        nxt = parent_map[parent_map]
-        if np.array_equal(nxt, parent_map):
-            break
-        parent_map = nxt
-    return chosen, parent_map[labels]
+#: Sentinel for "endpoints disconnected in the forest": above every weight.
+NO_PATH = np.int64(WEIGHT_LIMIT)
 
 
 def _forest_structure(forest: Edges, n: int):
@@ -179,8 +140,6 @@ def kkt_msf(edges: Edges, n_vertices: int,
         if len(e) == 0:
             return np.empty(0, dtype=np.int64)
         if len(e) <= base_case_size or depth > 64:
-            from .boruvka import boruvka_msf
-
             return boruvka_msf(e, n).id
 
         # Step 1: two Borůvka rounds.

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import BoruvkaConfig
-from ..dgraph.edges import Edges
+from ..dgraph.edges import WEIGHT_LIMIT, Edges
 from ..seq.union_find import UnionFind
 from ..simmpi.machine import Machine
 from . import incremental
@@ -422,6 +422,9 @@ def _triples(edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
+_WEIGHT_RANGE = "edge weights must be positive integers below 2^62"
+
+
 def _validate_endpoints(u, v, w, n) -> None:
     if len(u) == 0:
         return
@@ -429,8 +432,8 @@ def _validate_endpoints(u, v, w, n) -> None:
         raise ValueError("edge endpoint out of range")
     if (u == v).any():
         raise ValueError("self loops are not allowed")
-    if w.min() <= 0:
-        raise ValueError("edge weights must be positive integers")
+    if w.min() <= 0 or w.max() >= WEIGHT_LIMIT:
+        raise ValueError(_WEIGHT_RANGE)
 
 
 def _int(x, what: str) -> int:
@@ -459,8 +462,8 @@ def _check_insert(row, n) -> Tuple[int, int, int]:
     row = _row(row, 3, "insert rows must be [u, v, w]")
     u, v = _check_pair(row[0], row[1], n)
     w = _int(row[2], "weights")
-    if not (0 < w < 2 ** 62):
-        raise MutationError("edge weights must be positive integers")
+    if not (0 < w < WEIGHT_LIMIT):
+        raise MutationError(_WEIGHT_RANGE)
     return u, v, w
 
 

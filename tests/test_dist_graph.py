@@ -5,9 +5,13 @@ import bisect
 import numpy as np
 import pytest
 
+from repro import minimum_spanning_forest
+from repro.core.mst import available_algorithms
 from repro.dgraph import DistGraph, Edges, lex_searchsorted
 from repro.dgraph import search
 from repro.dgraph.dist_graph import KEY_SENTINEL
+from repro.seq import msf_weight
+from repro.serve import GraphSession
 from repro.simmpi import Machine
 
 from helpers import random_simple_graph
@@ -85,6 +89,54 @@ class TestConstruction:
         b = Edges(np.array([1]), np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
             DistGraph(Machine(2), [a, b])
+
+
+#: The documented weight bound (``repro.dgraph.edges.WEIGHT_LIMIT``).
+WEIGHT_LIMIT = 1 << 62
+
+
+def _path(heavy):
+    """The path 0-1 (5), 1-2 (``heavy``), 2-3 (7) as undirected rows."""
+    return [[0, 1, 5], [1, 2, heavy], [2, 3, 7]]
+
+
+def _edges(rows):
+    u, v, w = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    return Edges(u, v, w)
+
+
+class TestWeightLimit:
+    """Weights are integers below 2^62, the base case's and Prim's "no
+    candidate" weight: heavier edges are refused where a graph is built,
+    the largest accepted weight is solved exactly by every algorithm."""
+
+    @pytest.mark.parametrize("algo", available_algorithms())
+    def test_weight_at_limit_refused(self, algo):
+        with pytest.raises(ValueError, match=r"below 2\^62"):
+            minimum_spanning_forest(_edges(_path(WEIGHT_LIMIT)), Machine(2),
+                                    algorithm=algo)
+
+    @pytest.mark.parametrize("algo", available_algorithms())
+    def test_largest_weight_exact(self, algo):
+        edges = _edges(_path(WEIGHT_LIMIT - 1))
+        result = minimum_spanning_forest(edges, Machine(2), algorithm=algo)
+        assert result.total_weight == 5 + (WEIGHT_LIMIT - 1) + 7
+        assert result.total_weight == msf_weight(edges, 4)
+
+    def test_session_refuses_weight_at_limit(self):
+        with pytest.raises(ValueError, match=r"below 2\^62"):
+            GraphSession(4, _path(WEIGHT_LIMIT), n_procs=2)
+        with GraphSession(4, _path(WEIGHT_LIMIT - 1), n_procs=2) as s:
+            assert s.msf_weight()["weight"] == 5 + (WEIGHT_LIMIT - 1) + 7
+            outcomes, _ = s.apply_epoch(
+                [("insert", [[0, 3, WEIGHT_LIMIT]])])
+            assert "below 2^62" in outcomes[0]
+
+    def test_internal_constructions_skip_the_check(self):
+        heavy = Edges(np.array([0, 1]), np.array([1, 0]),
+                      np.array([WEIGHT_LIMIT, WEIGHT_LIMIT]))
+        dg = DistGraph(Machine(1), [heavy], check=False)
+        assert dg.global_edge_count() == 2
 
 
 class TestLocalisation:

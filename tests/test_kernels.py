@@ -29,12 +29,14 @@ from repro.core import (
     distributed_filter_boruvka,
 )
 from repro.dgraph import DistGraph
+from repro.dgraph.edges import lightest_per_group
 from repro.dgraph.search import sorted_lookup
 from repro.graphgen import FAMILIES, gen_family
 from repro.kernels import segmented
 from repro.kernels import (
     RaggedArrays,
     first_in_group,
+    group_argmin,
     order_key,
     packed_lexsort,
     route_counts,
@@ -332,6 +334,124 @@ class TestLookupPaths:
         assert probes == 1
         assert found.tolist() == [True, False, True]
         assert idx[found].tolist() == [1, 0]
+
+
+def _sort_first(group, keys):
+    """The selection every call site used to write out by hand (the oracle
+    of :func:`group_argmin`): a stable sort keyed ``(group, *keys)`` and the
+    first row of every group."""
+    order = np.lexsort(tuple(keys)[::-1] + (group,))
+    g = group[order]
+    first = np.ones(len(g), dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    return g[first], order[first]
+
+
+def _argmin_on(arm, group, keys, n_groups):
+    """``group_argmin`` with its guard forced to one arm (``arm=None``: left
+    alone), and which arm answered: only the sort arm sorts."""
+    sorts = []
+    real = segmented.packed_lexsort
+    with pytest.MonkeyPatch.context() as mp:
+        if arm is not None:
+            mp.setattr(segmented, "_scatter_fits",
+                       lambda *a: arm == "scatter")
+        mp.setattr(segmented, "packed_lexsort",
+                   lambda *a, **k: (sorts.append(1), real(*a, **k))[1])
+        groups, pick = group_argmin(group, keys, n_groups)
+    assert groups.dtype == pick.dtype == np.int64
+    return groups, pick, "sort" if sorts else "scatter"
+
+
+@st.composite
+def _argmin_cases(draw):
+    """Groups (dense, or a few among many ids) and one to three narrow key
+    columns, so full-key ties and parallel duplicates are common."""
+    dtype = draw(st.sampled_from([np.uint32, np.int64]))
+    n = draw(st.integers(0, 60))
+    n_groups = draw(st.sampled_from([1, 3, 17, 1000]))
+    group = np.array(draw(st.lists(st.integers(0, n_groups - 1), min_size=n,
+                                   max_size=n)), dtype=dtype)
+    lo = 0 if dtype is np.uint32 else -9
+    keys = tuple(
+        np.array(draw(st.lists(st.integers(lo, lo + draw(st.sampled_from(
+            [0, 2, 40]))), min_size=n, max_size=n)), dtype=dtype)
+        for _ in range(draw(st.integers(1, 3))))
+    return group, keys, n_groups
+
+
+class TestGroupArgmin:
+    """``group_argmin`` against the sort-and-take-first form it replaced."""
+
+    @settings(max_examples=200)
+    @given(case=_argmin_cases())
+    def test_both_arms_match_the_sort(self, case):
+        group, keys, n_groups = case
+        want_g, want_p = _sort_first(group, keys)
+        for arm in ("scatter", "sort", None):
+            groups, pick, ran = _argmin_on(arm, group, keys, n_groups)
+            assert np.array_equal(groups, want_g), arm
+            assert np.array_equal(pick, want_p), arm
+            if arm is not None and len(group):
+                assert ran == arm
+
+    def test_capacity_guard_boundary(self):
+        # Three rows put the position in 2 bits: a key span of 2^60 - 1
+        # packs below 2^62, one of 2^60 does not.
+        group = np.zeros(3, dtype=np.int64)
+        for top, arm in (((1 << 60) - 2, "scatter"), ((1 << 60) - 1, "sort")):
+            key = np.array([top, 0, top], dtype=np.int64)
+            groups, pick, ran = _argmin_on(None, group, (key,), 1)
+            assert ran == arm
+            assert groups.tolist() == [0] and pick.tolist() == [1]
+
+    def test_groups_per_row_guard_boundary(self):
+        rows = 4
+        limit = segmented.SCATTER_GROUPS_PER_ROW * rows
+        group = np.array([3, 0, 3, 1], dtype=np.int64)
+        key = np.array([5, 2, 4, 2], dtype=np.uint32)
+        for n_groups, arm in ((limit, "scatter"), (limit + 1, "sort")):
+            groups, pick, ran = _argmin_on(None, group, (key,), n_groups)
+            assert ran == arm
+            assert groups.tolist() == [0, 1, 3] and pick.tolist() == [1, 3, 2]
+
+    def test_int64_extremes_take_the_sort(self):
+        big, small = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        group = np.array([1, 1, 0, 0, 1], dtype=np.int64)
+        keys = (np.array([big, small, 0, 0, small]),
+                np.array([0, big, big, small, big]))
+        groups, pick, ran = _argmin_on("scatter", group, keys, 2)
+        assert ran == "sort"
+        assert groups.tolist() == [0, 1] and pick.tolist() == [3, 1]
+
+    @pytest.mark.parametrize("arm", ["scatter", "sort"])
+    def test_small_shapes(self, arm):
+        empty = np.empty(0, dtype=np.uint32)
+        groups, pick, _ = _argmin_on(arm, empty, (empty, empty), 4)
+        assert len(groups) == len(pick) == 0
+        # One group: the global argmin, lowest position on full ties.
+        w = np.array([3, 1, 2, 1, 1], dtype=np.uint32)
+        a = np.array([9, 4, 0, 4, 2], dtype=np.uint32)
+        groups, pick, _ = _argmin_on(arm, np.zeros(5, dtype=np.uint32),
+                                     (w, a), 1)
+        assert groups.tolist() == [0] and pick.tolist() == [4]
+        # Far more group ids than rows.
+        group = np.array([900_000, 7, 900_000], dtype=np.int64)
+        groups, pick, _ = _argmin_on(arm, group, (w[:3], a[:3]), 1 << 20)
+        assert groups.tolist() == [7, 900_000] and pick.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("arm", ["scatter", "sort"])
+    def test_parallel_duplicates_go_to_the_lowest_position(self, arm):
+        # Rows 1, 3 and 4 are the same edge (w, min, max) of group 0.
+        group = np.array([1, 0, 1, 0, 0, 1], dtype=np.uint32)
+        u = np.array([5, 2, 6, 7, 7, 5], dtype=np.uint32)
+        v = np.array([6, 7, 5, 2, 2, 6], dtype=np.uint32)
+        w = np.array([4, 3, 4, 3, 3, 4], dtype=np.uint32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segmented, "_scatter_fits",
+                       lambda *a: arm == "scatter")
+            groups, pick = lightest_per_group(group, u, v, w, 2)
+        assert groups.tolist() == [0, 1] and pick.tolist() == [1, 0]
 
 
 class TestSortedLookup:
