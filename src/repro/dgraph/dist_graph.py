@@ -144,31 +144,25 @@ class DistGraph:
         (Section IV-C).
         """
         p = self.machine.n_procs
-        records = []
-        for part in self.parts:
-            if len(part):
-                records.append(np.array(
-                    [1, part.u[0], part.v[0], part.w[0],
-                     part.u[-1], len(part)], dtype=np.int64))
-            else:
-                records.append(np.array([0, 0, 0, 0, 0, 0], dtype=np.int64))
+        # One record per PE: [has edges, first u, v, w, last u, size].
+        records = np.zeros((p, 6), dtype=np.int64)
+        records[:, 5] = np.fromiter(map(len, self.parts), np.int64, count=p)
+        full = np.flatnonzero(records[:, 5])
+        if len(full):
+            records[full, :5] = [
+                (1, part.u[0], part.v[0], part.w[0], part.u[-1])
+                for part in (self.parts[i] for i in full.tolist())]
         gathered = np.stack(self.comm.allgather(records))
         self.has_edges = gathered[:, 0] == 1
         first_u = gathered[:, 1].copy()
-        first_v = gathered[:, 2].copy()
-        first_w = gathered[:, 3].copy()
         self.last_src = gathered[:, 4].copy()
         self.part_sizes = gathered[:, 5].copy()
         # Empty PEs inherit the next non-empty PE's key (sentinel at the end).
-        nk_u = np.full(p, KEY_SENTINEL, dtype=np.int64)
-        nk_v = np.full(p, KEY_SENTINEL, dtype=np.int64)
-        nk_w = np.full(p, KEY_SENTINEL, dtype=np.int64)
-        nxt_u = nxt_v = nxt_w = KEY_SENTINEL
-        for i in range(p - 1, -1, -1):
-            if self.has_edges[i]:
-                nxt_u, nxt_v, nxt_w = first_u[i], first_v[i], first_w[i]
-            nk_u[i], nk_v[i], nk_w[i] = nxt_u, nxt_v, nxt_w
-        self.min_keys = (nk_u, nk_v, nk_w)
+        nxt = np.minimum.accumulate(
+            np.where(self.has_edges, np.arange(p), p)[::-1])[::-1]
+        keys = np.full((p + 1, 3), KEY_SENTINEL, dtype=np.int64)
+        keys[:p] = gathered[:, 1:4]
+        self.min_keys = tuple(np.ascontiguousarray(keys[nxt].T))
         # Resident footprint: the edge block (4 x int64 per directed edge)
         # plus the compressed initial-copy / working-buffer headroom.  The
         # paper needs >= 4096 cores before wdc-14 fits (Section VII-B); a
@@ -177,14 +171,11 @@ class DistGraph:
         self.first_src = np.where(self.has_edges, first_u, KEY_SENTINEL)
         # Shared-vertex flags: does part i start with the previous non-empty
         # part's last source vertex / end with the next's first?
-        self.shared_first = np.zeros(p, dtype=bool)
-        prev_last = None
-        for i in range(p):
-            if not self.has_edges[i]:
-                continue
-            if prev_last is not None and first_u[i] == prev_last:
-                self.shared_first[i] = True
-            prev_last = self.last_src[i]
+        prev = np.maximum.accumulate(
+            np.where(self.has_edges, np.arange(p), -1))
+        prev = np.concatenate(([-1], prev[:-1]))  # strictly before i
+        self.shared_first = (self.has_edges & (prev >= 0)
+                             & (first_u == self.last_src[prev]))
 
     # ------------------------------------------------------------------
     # Global quantities.

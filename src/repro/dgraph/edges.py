@@ -38,7 +38,7 @@ refuses heavier edges at construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -276,14 +276,3 @@ class Edges:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Edges(m={len(self)})"
-
-
-def merge_sorted(parts: Sequence[Edges]) -> Edges:
-    """Concatenate lexicographically sorted runs and restore global order.
-
-    numpy has no k-way merge; a stable lexsort of the concatenation is
-    O(m log m) but vectorised, which is the right trade-off here (see the
-    hpc-parallel guide: prefer vectorised numpy over Python-level loops).
-    """
-    cat = Edges.concat(parts)
-    return cat.sort_lex()

@@ -133,8 +133,10 @@ class SendBlock:
         return len(self.rows)
 
     def take(self, index: np.ndarray) -> np.ndarray:
-        """The rows at positions ``index`` of the cell-major send layout."""
-        return self.rows[index if self.order is None else self.order[index]]
+        """The rows at positions ``index`` of the cell-major send layout
+        (``np.take``: several times faster than fancy indexing on rows)."""
+        return np.take(self.rows, index if self.order is None
+                       else self.order[index], axis=0)
 
 
 def _validate(sendbufs, sendcounts, size: int

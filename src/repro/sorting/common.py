@@ -14,6 +14,8 @@ import numpy as np
 
 from ..kernels import RaggedArrays, segmented_lexsort
 from ..kernels.segmented import packed_lexsort
+from ..simmpi.alltoall import SendBlock, account_auto, split_rows
+from ..utils.partition import block_bounds
 
 
 def as_row_matrix(x: np.ndarray) -> np.ndarray:
@@ -89,29 +91,26 @@ def is_globally_sorted(parts: Sequence[np.ndarray], n_key_cols: int) -> bool:
     return True
 
 
-def rebalance_blocks(comm, parts: Sequence[np.ndarray],
-                     method: str = "auto") -> List[np.ndarray]:
+def rebalance_blocks(comm, parts: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Redistribute globally sorted parts into exact block partition.
 
     Keeps the global order; afterwards PE ``i`` holds rows
     ``[bounds[i], bounds[i+1])`` of the global sequence (numpy
     ``array_split`` convention).  One exscan for the global offsets plus one
-    all-to-all.
+    all-to-all, charged from its count matrix -- the overlaps of the source
+    and destination ranges -- while the host only re-cuts the concatenated
+    rows (they arrive source-major, which is global order).
     """
-    from ..simmpi.alltoall import route_rows
-    from ..utils.partition import owner_of
-
     p = comm.size
-    sizes = [len(part) for part in parts]
-    offsets = comm.exscan(sizes)
-    total = int(np.sum(sizes))
+    packed = RaggedArrays.from_arrays(parts)
+    rows = packed.flat
+    comm.exscan(packed.lengths.tolist())
+    total = len(rows)
     if total == 0:
         return [part.copy() for part in parts]
-    # Concatenated per-PE global indices are exactly arange(total): the
-    # exscan offsets are the cumulative sizes in rank order.
-    dest_flat = owner_of(np.arange(total, dtype=np.int64), total, p)
-    soff = [*offsets, total]
-    dests = [dest_flat[soff[i]:soff[i + 1]] for i in range(p)]
-    recv, _, _ = route_rows(comm, parts, dests, method=method)
-    # Rows arrive source-major = global order (sources are ordered runs).
-    return recv
+    src, dst = packed.offsets, block_bounds(total, p)
+    counts = np.clip(np.minimum(src[1:, None], dst[None, 1:])
+                     - np.maximum(src[:-1, None], dst[None, :-1]), 0, None)
+    # Each source's rows go out in order: the send side is the block itself.
+    account_auto(comm, rows[:0], counts, lambda: SendBlock(rows))
+    return split_rows(rows, dst)

@@ -280,7 +280,7 @@ def sort_hypercube(
         return list(parts)
     order = segmented_lexsort(
         (key,), np.repeat(np.arange(p, dtype=pe_dtype), lens))
-    return split_rows(rows[at[order]], off)
+    return split_rows(np.take(rows, at[order], axis=0), off)
 
 
 def _replay(comm: Comm, nodes: Dict[Tuple[int, int], _Node],

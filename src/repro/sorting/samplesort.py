@@ -3,10 +3,16 @@
 The workhorse sorter for large inputs (Section VI-C): local sort, splitter
 selection from a random sample -- the sample itself is sorted with the
 *hypercube* algorithm exactly as the paper describes -- then a single
-personalised all-to-all partitions the data, and a local multiway merge
-finishes.  Expected cost ``O((k log k + beta k) / p + alpha p)`` with direct
+personalised all-to-all partitions the data and every PE sorts the runs it
+received.  Expected cost ``O((k log k + beta k) / p + alpha p)`` with direct
 delivery; the all-to-all uses the auto dispatcher, so small exchanges take
 the two-level grid route.
+
+The host computes the result once (docs/kernels.md, "REDISTRIBUTE sorts
+once"): bucket ``j`` holds the keys in ``[splitter[j-1], splitter[j])`` and
+both sorts are stable, so the output is the input in stable key order, cut
+at the bucket sizes.  The exchange is charged from its count matrix by
+:func:`repro.simmpi.alltoall.account_auto`; no row moves.
 """
 
 from __future__ import annotations
@@ -15,15 +21,32 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..dgraph.search import lex_searchsorted
-from ..kernels import RaggedArrays
-from ..simmpi.alltoall import route_rows
+from ..kernels import RaggedArrays, index_dtype, order_key
+from ..simmpi.alltoall import SendBlock, account_auto, split_rows
 from ..simmpi.collectives import Comm
 from .common import local_lexsort_parts
 from .hypercube import sort_hypercube
 
 #: Oversampling factor: splitter sample size per PE.
 OVERSAMPLING = 16
+
+#: The unique sort words of :func:`stable_order` stay below this.
+_WORD_LIMIT = 1 << 62
+
+
+def stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for non-negative int64 keys: the
+    low bits of one ``np.sort`` of the unique words ``key << ceil(log2 n) |
+    position`` while they fit below 2^62 (500 k rows: 4.9 vs 73 ms)."""
+    n = len(key)
+    shift = max(n - 1, 0).bit_length()
+    if n == 0 or int(key.max()) >= _WORD_LIMIT >> shift:
+        return np.argsort(key, kind="stable")
+    word = key << shift
+    word |= np.arange(n, dtype=np.int64)
+    word.sort()
+    word &= (1 << shift) - 1
+    return word
 
 
 def sort_samplesort(
@@ -38,51 +61,52 @@ def sort_samplesort(
     """
     p = comm.size
     machine = comm.machine
-    total = sum(len(x) for x in parts)
-    if total == 0 or p == 1:
-        machine.charge_sort(np.array([len(x) for x in parts]))
+    packed = RaggedArrays.from_arrays(parts)
+    rows, lens, off = packed.flat, packed.lengths, packed.offsets
+    if len(rows) == 0 or p == 1:
+        machine.charge_sort(lens)
         return local_lexsort_parts(parts, n_key_cols)
 
-    # ---- Local sort. ----
-    machine.charge_sort(np.array([len(x) for x in parts]))
-    parts = local_lexsort_parts(parts, n_key_cols)
+    # ---- Local sort: one stable global order, regrouped per PE. ----
+    machine.charge_sort(lens)
+    key = order_key(tuple(rows[:, c] for c in reversed(range(n_key_cols))))
+    order = stable_order(key)
+    pe_dtype = np.uint16 if p <= (1 << 16) else index_dtype(p)  # radix sort
+    pe = np.repeat(np.arange(p, dtype=pe_dtype), lens)[order]  # key order
+    local = order[np.argsort(pe, kind="stable")]
 
     # ---- Sample and select p-1 splitters. ----
-    samples = []
-    for i in range(p):
-        rows = parts[i]
-        if len(rows) == 0:
-            samples.append(rows[:0])
-            continue
-        rng = machine.pe_rng(i)
-        take = rng.integers(0, len(rows), min(OVERSAMPLING, len(rows)))
-        samples.append(rows[take])
+    drawing = np.flatnonzero(lens)
+    take = np.minimum(lens[drawing], OVERSAMPLING)
+    picks = [machine.pe_rng(i).integers(0, k, t) for i, k, t in
+             zip(drawing.tolist(), lens[drawing].tolist(), take.tolist())]
+    at = local[np.concatenate(picks) + np.repeat(off[drawing], take)]
+    sample_off = np.zeros(p + 1, dtype=np.int64)
+    sample_off[drawing + 1] = take
+    np.cumsum(sample_off, out=sample_off)
     # Sort the sample with the hypercube algorithm (paper, Section VI-C),
-    # then replicate it to pick evenly spaced splitters.
-    sorted_sample_parts = sort_hypercube(comm, samples, n_key_cols)
-    sample = comm.allgatherv(
-        [x if len(x) else parts[0][:0] for x in sorted_sample_parts]
-    ).reshape(-1, parts[0].shape[1] if parts[0].ndim == 2 else 1)
-    if len(sample) == 0:
-        return parts
-    splitter_idx = (np.arange(1, p) * len(sample)) // p
-    splitters = sample[splitter_idx]
+    # then replicate it to pick evenly spaced splitters (as keys: the
+    # replicated sample is these rows in key order).
+    sorted_sample_parts = sort_hypercube(
+        comm, split_rows(np.take(rows, at, axis=0), sample_off), n_key_cols)
+    comm.allgatherv([x if len(x) else rows[:0] for x in sorted_sample_parts])
+    sample = np.sort(key[at])
+    splitters = sample[(np.arange(1, p) * len(sample)) // p]
 
     # ---- Partition by splitters and exchange. ----
-    # The splitter keys are replicated, so every PE's binary search is one
-    # flat lex_searchsorted call over all rows at once.
-    r = RaggedArrays.from_arrays(parts)
-    bucket = lex_searchsorted(
-        tuple(splitters[:, c] for c in range(n_key_cols)),
-        tuple(r.flat[:, c] for c in range(n_key_cols)),
-        side="right",
-    )
-    dests = [bucket[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
-    lengths = r.lengths
-    nz = np.flatnonzero(lengths)
-    machine.charge_scan(lengths[nz] * max(1, int(np.log2(p))), ranks=nz)
-    recv, _, _ = route_rows(comm, parts, dests)
+    machine.charge_scan(lens[drawing] * max(1, int(np.log2(p))),
+                        ranks=drawing)
+    # Bucket j is [splitter[j-1], splitter[j]): in key order, one run each.
+    recv_off = np.concatenate(
+        ([0], np.searchsorted(key[order], splitters, side="left"),
+         [len(rows)]))
+    received = np.diff(recv_off)
+    bucket = np.repeat(np.arange(p, dtype=np.int64), received)
+    counts = np.bincount(pe.astype(np.int64) * p + bucket,
+                         minlength=p * p).reshape(p, p)
+    # Send side, cell-major: each PE's rows in local order (for a victim).
+    account_auto(comm, rows[:0], counts, lambda: SendBlock(rows, local))
 
-    # ---- Local merge of the received sorted runs. ----
-    machine.charge_sort(np.array([len(x) for x in recv]))
-    return local_lexsort_parts(recv, n_key_cols)
+    # ---- Local sort of the received runs. ----
+    machine.charge_sort(received)
+    return split_rows(np.take(rows, order, axis=0), recv_off)

@@ -4,7 +4,7 @@ Until ISSUE 21 every rewritten hot path existed twice under ``src/``: a flat
 implementation over all PEs at once (``batched``) and the original
 ``for i in range(p)`` loop (``inprocess``), picked per machine by
 ``REPRO_ENGINE`` / ``Machine(engine=...)``.  Production now carries the flat
-implementation only.  This module keeps the ten loop arms, verbatim, as what
+implementation only.  This module keeps the loop arms, verbatim, as what
 the differential tests compare against:
 
 * site by site (``tests/test_loop_oracles.py``): the production function
@@ -17,13 +17,19 @@ the differential tests compare against:
   algorithm runs on the loops, and must reproduce the production run's
   weights, per-PE clocks, phase times and ``CommTrace`` bit for bit.
 
-Where the fork sat inside a function (``rebalance_blocks``,
-``sort_samplesort``, ``route_rows``, Awerbuch-Shiloach's ``_resolve``) the
-whole function is kept with the loop arm in place.  The oracles call each
-other (``_contract_loop`` routes through this module's ``route_rows``), so a
-site-level run exercises the loop path all the way down.  Only the selector
-differs from the code as it was shipped: ``local_lexsort_parts`` and
-``dedup_sorted_parts`` lost the ``machine`` argument that picked the arm.
+Where the fork sat inside a function (``route_rows``, Awerbuch-Shiloach's
+``_resolve``) the whole function is kept with the loop arm in place.  The
+oracles call each other (``_contract_loop`` routes through this module's
+``route_rows``), so a site-level run exercises the loop path all the way
+down.  Only the selector differs from the code as it was shipped:
+``local_lexsort_parts`` lost the ``machine`` argument that picked the arm.
+
+REDISTRIBUTE's sort now charges its exchanges from count matrices and cuts
+one stably sorted block instead of moving rows.  The row-moving versions it
+replaced are kept here as shipped -- ``sort_samplesort`` (local sort, route,
+re-sort), ``rebalance_blocks`` (a second route) and ``redistribute`` with
+its per-PE ``dedup_sorted_parts`` and ``_drop_boundary_duplicates`` pass --
+calling this module's ``route_rows`` and ``local_lexsort_parts``.
 """
 
 from __future__ import annotations
@@ -39,9 +45,12 @@ from repro.core.state import MSTRun
 from repro.dgraph.dist_graph import DistGraph
 from repro.dgraph.edges import Edges
 from repro.dgraph.search import lex_searchsorted, sorted_lookup
+from repro.kernels import RaggedArrays
 from repro.kernels.segmented import packed_lexsort
 from repro.simmpi.alltoall import ALLTOALL_METHODS, unsort
 from repro.simmpi.collectives import Comm
+from repro.simmpi.machine import Machine
+from repro.sorting.api import sort_rows
 from repro.sorting.common import local_lexsort
 from repro.sorting.hypercube import sort_hypercube
 from repro.sorting.samplesort import OVERSAMPLING
@@ -364,20 +373,84 @@ def _relabel_loop(
 
 
 # ----------------------------------------------------------------------
-# core/redistribute.py: dedup_sorted_parts
+# core/redistribute.py: redistribute, as shipped before the sort was
+# charged from counts (rows moved, per-PE dedup plus a boundary pass)
 # ----------------------------------------------------------------------
-def dedup_sorted_part(part: np.ndarray) -> np.ndarray:
-    """Keep the first (= lightest) edge of every consecutive (u, v) group."""
-    if len(part) <= 1:
-        return part
-    same = (part[1:, 0] == part[:-1, 0]) & (part[1:, 1] == part[:-1, 1])
-    keep = np.concatenate(([True], ~same))
-    return part[keep]
-
-
 def dedup_sorted_parts(parts: List[np.ndarray]) -> List[np.ndarray]:
-    """Every PE's :func:`dedup_sorted_part`."""
-    return [dedup_sorted_part(x) for x in parts]
+    """Per PE, keep the first (= lightest) edge of every consecutive
+    ``(u, v)`` group -- one flat pass over all parts.
+
+    The segment-change guard keeps boundary-straddling groups intact on both
+    sides (the boundary copies are dropped later by
+    :func:`_drop_boundary_duplicates`).
+    """
+    r = RaggedArrays.from_arrays(parts)
+    flat = r.flat
+    if len(flat) <= 1:
+        return list(parts)
+    seg = r.segment_ids()
+    same = ((flat[1:, 0] == flat[:-1, 0]) & (flat[1:, 1] == flat[:-1, 1])
+            & (seg[1:] == seg[:-1]))
+    keep = np.concatenate(([True], ~same))
+    kept = flat[keep]
+    counts = np.bincount(seg[keep], minlength=r.n_segments)
+    koff = np.zeros(r.n_segments + 1, dtype=np.int64)
+    np.cumsum(counts, out=koff[1:])
+    return [kept[koff[i]:koff[i + 1]] for i in range(r.n_segments)]
+
+
+def _drop_boundary_duplicates(run: MSTRun, parts: List[np.ndarray]
+                              ) -> List[np.ndarray]:
+    """Remove leading edges duplicating the previous PE's last (u, v) group.
+
+    After the global sort the lightest copy of a group that spans a boundary
+    sits on the earlier PE, so later PEs drop their leading run of the same
+    (u, v).  One allgather of per-PE last keys suffices.
+    """
+    p = len(parts)
+    last_keys = []
+    for part in parts:
+        if len(part):
+            last_keys.append(np.array([1, part[-1, 0], part[-1, 1]],
+                                      dtype=np.int64))
+        else:
+            last_keys.append(np.array([0, 0, 0], dtype=np.int64))
+    gathered = np.stack(run.comm.allgather(last_keys))
+    out: List[np.ndarray] = []
+    prev_u = prev_v = None
+    for i in range(p):
+        part = parts[i]
+        if prev_u is not None and len(part):
+            drop = (part[:, 0] == prev_u) & (part[:, 1] == prev_v)
+            # Only the *leading run* may duplicate across the boundary.
+            run_end = int(np.argmin(drop)) if not drop.all() else len(part)
+            part = part[run_end:]
+        out.append(part)
+        if gathered[i, 0] == 1:
+            prev_u, prev_v = int(gathered[i, 1]), int(gathered[i, 2])
+    return out
+
+
+def redistribute(
+    run: MSTRun,
+    machine: Machine,
+    relabelled: List[Edges],
+    check: bool = False,
+) -> DistGraph:
+    """Sort, deduplicate and rebuild the distributed graph structure."""
+    mats = [e.as_matrix() for e in relabelled]
+    sorted_parts = sort_rows(run.comm, mats, n_key_cols=3,
+                             method=run.cfg.sorter, rebalance=True)
+    deduped = dedup_sorted_parts(sorted_parts)
+    machine.charge_scan(np.array([len(x) for x in sorted_parts]))
+    deduped = _drop_boundary_duplicates(run, deduped)
+    parts = [Edges.from_matrix(x) for x in deduped]
+    graph = DistGraph(machine, parts, check=check)
+    if machine.sanitizer is not None:
+        # Invariant 3: the rebuilt structure must be globally lex-sorted
+        # with agreeing replicated metadata after *every* redistribute.
+        machine.sanitizer.check_redistributed(graph)
+    return graph
 
 
 # ----------------------------------------------------------------------
@@ -404,13 +477,11 @@ def rebalance_blocks(comm, parts: Sequence[np.ndarray],
     total = int(np.sum(sizes))
     if total == 0:
         return [part.copy() for part in parts]
-    dests = []
-    for i in range(p):
-        if sizes[i] == 0:
-            dests.append(np.empty(0, dtype=np.int64))
-            continue
-        global_idx = offsets[i] + np.arange(sizes[i], dtype=np.int64)
-        dests.append(owner_of(global_idx, total, p))
+    # Concatenated per-PE global indices are exactly arange(total): the
+    # exscan offsets are the cumulative sizes in rank order.
+    dest_flat = owner_of(np.arange(total, dtype=np.int64), total, p)
+    soff = [*offsets, total]
+    dests = [dest_flat[soff[i]:soff[i + 1]] for i in range(p)]
     recv, _, _ = route_rows(comm, parts, dests, method=method)
     # Rows arrive source-major = global order (sources are ordered runs).
     return recv
@@ -462,21 +533,18 @@ def sort_samplesort(
     splitters = sample[splitter_idx]
 
     # ---- Partition by splitters and exchange. ----
-    dests = []
-    for i in range(p):
-        rows = parts[i]
-        if len(rows) == 0:
-            dests.append(np.empty(0, dtype=np.int64))
-            continue
-        bucket = lex_searchsorted(
-            tuple(splitters[:, c] for c in range(n_key_cols)),
-            tuple(rows[:, c] for c in range(n_key_cols)),
-            side="right",
-        )
-        dests.append(bucket)
-        machine.charge_scan(
-            np.array([len(rows) * max(1, int(np.log2(p)))]),
-            ranks=np.array([i]))
+    # The splitter keys are replicated, so every PE's binary search is one
+    # flat lex_searchsorted call over all rows at once.
+    r = RaggedArrays.from_arrays(parts)
+    bucket = lex_searchsorted(
+        tuple(splitters[:, c] for c in range(n_key_cols)),
+        tuple(r.flat[:, c] for c in range(n_key_cols)),
+        side="right",
+    )
+    dests = [bucket[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
+    lengths = r.lengths
+    nz = np.flatnonzero(lengths)
+    machine.charge_scan(lengths[nz] * max(1, int(np.log2(p))), ranks=nz)
     recv, _, _ = route_rows(comm, parts, dests)
 
     # ---- Local merge of the received sorted runs. ----
@@ -536,7 +604,7 @@ ORACLES = (
     ("repro.core.contraction", "contract_components", _contract_loop),
     ("repro.core.labels", "exchange_labels", _exchange_labels_loop),
     ("repro.core.labels", "relabel", _relabel_loop),
-    ("repro.core.redistribute", "dedup_sorted_parts", dedup_sorted_parts),
+    ("repro.core.redistribute", "redistribute", redistribute),
     ("repro.sorting.common", "local_lexsort_parts", local_lexsort_parts),
     ("repro.sorting.common", "rebalance_blocks", rebalance_blocks),
     ("repro.sorting.samplesort", "sort_samplesort", sort_samplesort),

@@ -171,6 +171,62 @@ class TestLocalisation:
         assert 0 in dg.shared_vertex_set()
 
 
+def _metadata_loop(parts):
+    """The replicated boundary metadata as the per-PE loops computed it
+    before ``rebuild_min_keys`` was vectorised: ``(has_edges, min_keys,
+    first_src, last_src, part_sizes, shared_first)``."""
+    p = len(parts)
+    has = np.array([len(x) > 0 for x in parts])
+    first = [(int(x.u[0]), int(x.v[0]), int(x.w[0])) if len(x) else None
+             for x in parts]
+    min_keys = np.full((3, p), KEY_SENTINEL, dtype=np.int64)
+    nxt = (KEY_SENTINEL,) * 3
+    for i in range(p - 1, -1, -1):
+        if has[i]:
+            nxt = first[i]
+        min_keys[:, i] = nxt
+    last_src = np.array([int(x.u[-1]) if len(x) else 0 for x in parts])
+    first_src = np.array([f[0] if f else KEY_SENTINEL for f in first])
+    shared = np.zeros(p, dtype=bool)
+    prev_last = None
+    for i in range(p):
+        if not has[i]:
+            continue
+        if prev_last is not None and first[i][0] == prev_last:
+            shared[i] = True
+        prev_last = last_src[i]
+    sizes = np.array([len(x) for x in parts])
+    return has, list(min_keys), first_src, last_src, sizes, shared
+
+
+class TestReplicatedMetadata:
+    @pytest.mark.parametrize("p_tail", [0, 2])
+    def test_matches_per_pe_loops(self, p_tail):
+        g, dg = _boundary_graph(p_tail)
+        empty = Edges.empty()
+        for parts in (dg.parts, [empty] + dg.parts, [empty] * 3,
+                      [g] + [empty] * 2, dg.parts[::-1][:1] + dg.parts[:1]):
+            graph = DistGraph(Machine(len(parts)), parts, check=False)
+            got = (graph.has_edges, list(graph.min_keys), graph.first_src,
+                   graph.last_src, graph.part_sizes, graph.shared_first)
+            for a, b in zip(got, _metadata_loop(parts)):
+                assert np.array_equal(np.asarray(a), np.asarray(b))
+
+    def test_shared_vertex_across_an_empty_pe(self, rng):
+        """PE 1 is empty: PE 2's first source continues PE 0's last."""
+        g = random_simple_graph(rng, 30, 120)
+        half = len(g) // 2
+        while g.u[half] == g.u[half - 1]:
+            half += 1
+        half -= 1  # cut inside a vertex run
+        parts = [g.take(np.arange(half)), Edges.empty(),
+                 g.take(np.arange(half, len(g)))]
+        dg = DistGraph(Machine(3), parts)
+        assert dg.shared_first.tolist() == [False, False, True]
+        assert [k.tolist() for k in dg.min_keys] == [
+            list(k) for k in _metadata_loop(parts)[1]]
+
+
 def _boundary_graph(p_tail=2):
     """Nine PEs cut by hand: vertex 5's run spans PEs 3, 4, 5 and 6, the cut
     between PEs 4 and 5 falls between the parallel edges (5, 7, 1) and

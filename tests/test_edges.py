@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dgraph import Edges, merge_sorted
+from repro.dgraph import Edges
 
 
 def _edges(tuples):
@@ -97,13 +97,6 @@ class TestStructure:
 
     def test_total_weight(self):
         assert _edges([(0, 1, 5), (1, 2, 3)]).total_weight() == 8
-
-    def test_merge_sorted(self, rng):
-        a = _edges([(0, 1, 1), (4, 0, 2)]).sort_lex()
-        b = _edges([(1, 0, 1), (3, 2, 9)]).sort_lex()
-        m = merge_sorted([a, b])
-        assert m.is_sorted_lex()
-        assert len(m) == 4
 
 
 @pytest.fixture

@@ -13,10 +13,10 @@ from repro.core import (
     redistribute,
     relabel,
 )
-from repro.core.redistribute import dedup_sorted_parts
 from repro.dgraph import DistGraph, Edges
 from repro.simmpi import Machine
 
+from _loop_reference import dedup_sorted_parts
 from helpers import random_simple_graph
 
 

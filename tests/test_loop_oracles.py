@@ -29,7 +29,6 @@ import pytest
 from repro import core
 from repro.competitors import awerbuch_shiloach as AS
 from repro.core import BoruvkaConfig, MSTRun
-from repro.core.redistribute import dedup_sorted_parts
 from repro.dgraph import DistGraph
 from repro.dgraph.edges import Edges
 from repro.graphgen import gen_family
@@ -81,6 +80,17 @@ def _differential(setup, production, reference, p, mode=None, widen=False):
     return seen[0]["out"]
 
 
+def _graph_of(redistribute):
+    """``redistribute`` returning what it rebuilt: the parts and the
+    replicated metadata of the new ``DistGraph``."""
+    def site(run, machine, relabelled):
+        g = redistribute(run, machine, relabelled, check=True)
+        return {"parts": g.parts, "min_keys": g.min_keys,
+                "sizes": g.part_sizes, "first_src": g.first_src,
+                "last_src": g.last_src, "shared_first": g.shared_first}
+    return site
+
+
 # ----------------------------------------------------------------------
 # Row-level sites: route_rows, the sorters' helpers, Awerbuch-Shiloach.
 # ----------------------------------------------------------------------
@@ -122,12 +132,18 @@ class TestRowSites:
 
     @pytest.mark.parametrize("p", SIZES)
     def test_dedup_sorted_parts(self, p):
+        """REDISTRIBUTE's one adjacent compare over the sorted block equals
+        the per-PE dedup plus the boundary pass it replaced."""
         rng = np.random.default_rng(p)
         for name, rows in _row_shapes(rng, p):
             # Few distinct (u, v) pairs: long runs, also across PE bounds.
-            rows = [np.sort(r % 4, axis=0) for r in rows]
-            got = dedup_sorted_parts(rows)
-            _assert_equal(got, oracle.dedup_sorted_parts(rows), name)
+            parts = [Edges(*(r % 4).T) for r in rows]
+
+            def setup(machine):
+                return MSTRun(machine, BoruvkaConfig()), machine, parts
+
+            _differential(setup, _graph_of(core.redistribute),
+                          _graph_of(oracle.redistribute), p, widen=True)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("p", SIZES)
@@ -147,11 +163,12 @@ class TestRowSites:
     def test_sort_samplesort(self, p, mode):
         rng = np.random.default_rng(p)
         for name, rows in _row_shapes(rng, p):
-            def setup(machine):
-                return Comm(machine), rows, 3
+            for n_key_cols in (1, 2, 3):
+                def setup(machine):
+                    return Comm(machine), rows, n_key_cols
 
-            _differential(setup, sort_samplesort, oracle.sort_samplesort,
-                          p, MODES[mode])
+                _differential(setup, sort_samplesort,
+                              oracle.sort_samplesort, p, MODES[mode])
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("method", ["direct", "grid"])
@@ -248,6 +265,29 @@ class TestRoundSites:
                     _round_stage(stage, edges, avoid_shared, method),
                     getattr(core, stage), ORACLE[stage], p, faults,
                     widen=True)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("sorter", ["samplesort", "auto"])
+    @pytest.mark.parametrize("p", SIZES + [256])
+    def test_redistribute(self, p, sorter, mode):
+        """The sort charged from counts and the one-block dedup against
+        the row-moving sort, per-PE dedup and boundary pass they replaced
+        (the oracle routes through the loop ``route_rows``)."""
+        for name, edges, avoid_shared in _instances(p):
+            def setup(machine):
+                dg = DistGraph.from_global_edges(machine, edges,
+                                                 avoid_shared=avoid_shared)
+                run = MSTRun(machine, BoruvkaConfig(sorter=sorter))
+                chosen = core.min_edges(dg)
+                vids = [c.vids for c in chosen]
+                labels = core.contract_components(dg, chosen, run)
+                ghosts = core.exchange_labels(dg, vids, labels, run)
+                return run, machine, core.relabel(dg, vids, labels, ghosts,
+                                                  run)
+
+            _differential(setup, _graph_of(core.redistribute),
+                          _graph_of(oracle.redistribute), p, MODES[mode],
+                          widen=True)
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_shared_vertex_corner_case(self, stage):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dgraph.edges import WEIGHT_LIMIT
+from repro.kernels import order_key
 from repro.simmpi import Comm, Machine
 from repro.sorting import (
     HYPERCUBE_THRESHOLD,
@@ -19,11 +21,12 @@ from repro.sorting import (
     sort_samplesort,
 )
 from repro.sorting.common import as_row_matrix
+from repro.sorting.samplesort import stable_order
 
 import _hypercube_reference as reference
 import _loop_reference
 from _alltoall_reference import SpyInjector, _assert_equal
-from helpers import ENGINE_NAMES, observed_machine
+from helpers import ENGINE_NAMES, observed_machine, on_path
 
 
 def _multiset(parts):
@@ -331,3 +334,108 @@ class TestPropertyBased:
         out = sort_rows(Comm(Machine(p)), [x.copy() for x in parts], 2)
         assert is_globally_sorted(out, 2)
         assert _multiset(out) == _multiset(parts)
+
+
+# ----------------------------------------------------------------------
+# Sample sort and rebalance charged from counts vs. the row-moving
+# versions they replaced (tests/_loop_reference.py).
+# ----------------------------------------------------------------------
+ONCE_MODES = {
+    "plain": {"trace": True, "trace_events": True},
+    "sanitized": {"trace": True, "trace_events": True, "sanitize": True},
+    "faults": {"trace": True, "trace_events": True, "faults": FAULTS},
+}
+
+
+def _tie_shapes(rng, p, dtype):
+    """Four-column blocks whose last column is a distinct id: every full-key
+    tie (any ``n_key_cols``) is told apart by its payload."""
+    def parts(lens, high):
+        lens = np.asarray(lens, dtype=np.int64)
+        ids = rng.permutation(int(lens.sum()))
+        keys = rng.integers(0, high, (len(ids), 3))
+        block = np.column_stack([keys, ids]).astype(dtype)
+        return np.split(block, np.cumsum(lens)[:-1])
+
+    yield "3-valued keys", parts(rng.integers(0, 40, p), 3)
+    yield "every other PE empty", parts(
+        rng.integers(1, 30, p) * (np.arange(p) % 2), 1000)
+    yield "all keys equal", parts(rng.integers(0, 25, p), 1)
+    if p <= 64:  # above the 512-row average: auto takes sample sort
+        yield "520-700 rows/PE", parts(rng.integers(520, 701, p), 1 << 12)
+    yield "all empty", parts(np.zeros(p, dtype=np.int64), 5)
+
+
+class TestSortOnceMatchesRowMoves:
+    """``sort_rows`` with production's sample sort and rebalance against the
+    same call on the substituted oracles (loop ``route_rows`` underneath):
+    rows and dtypes, clocks, CommTrace, deterministic exports, fault summary
+    and RNG, and the per-PE RNG states must all agree."""
+
+    @pytest.mark.parametrize("mode", ONCE_MODES)
+    @pytest.mark.parametrize("method", ["samplesort", "auto"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 64, 256])
+    def test_differential(self, p, method, mode):
+        rng = np.random.default_rng(p)
+        for dtype in (np.int64, np.uint32):
+            for name, parts in _tie_shapes(rng, p, dtype):
+                for n_key_cols in (1, 2, 3):
+                    seen = []
+                    for engine in ("batched", "inprocess"):
+                        machine = Machine(p, **{"sanitize": False,
+                                                "faults": False,
+                                                **ONCE_MODES[mode]})
+                        with on_path(engine):
+                            out = sort_rows(Comm(machine), parts,
+                                            n_key_cols, method=method)
+                        seen.append(_observed(machine, out))
+                    _assert_equal(*seen, f"{name}, {np.dtype(dtype)}, "
+                                         f"{n_key_cols} key columns")
+
+    @pytest.mark.parametrize("method", ["samplesort", "auto"])
+    @pytest.mark.parametrize("p", [2, 3, 64])
+    def test_every_payload(self, p, method):
+        """The send side rebuilt on demand for a corruption victim holds the
+        rows the routed exchange held, rank by rank and hop by hop."""
+        rng = np.random.default_rng(p)
+        for name, parts in _tie_shapes(rng, p, np.int64):
+            seen = []
+            for engine in ("batched", "inprocess"):
+                machine = Machine(p, faults="seed=1,corrupt=0.9")
+                machine.faults = SpyInjector(machine, machine.faults.schedule)
+                with on_path(engine):
+                    out = sort_rows(Comm(machine), parts, 3, method=method)
+                seen.append(_observed(machine, out))
+            _assert_equal(*seen, name)
+
+
+class TestStableOrder:
+    def test_fallback_arm(self):
+        """Weights near WEIGHT_LIMIT and large ids pack into a key whose
+        sort word would overflow 2^62: the stable-argsort arm runs, and it
+        gives the permutation of the word arm (on the same rows' dense
+        ranks) and of ``np.lexsort``."""
+        rng = np.random.default_rng(11)
+        n = 2048
+        u = rng.integers(0, 1 << 20, n)
+        v = rng.integers(0, 1 << 20, n)
+        w = WEIGHT_LIMIT - 1 - rng.integers(0, 1 << 18, n)
+        dup = rng.integers(0, n, n // 4)  # full-key ties
+        u, v, w = (np.concatenate([x, x[dup]]) for x in (u, v, w))
+        key = order_key((w, v, u))
+        shift = (len(key) - 1).bit_length()
+        assert int(key.max()) >= (1 << 62) >> shift  # fallback arm
+        rank = np.unique(key, return_inverse=True)[1].astype(np.int64)
+        assert int(rank.max()) < (1 << 62) >> shift  # word arm
+        expected = np.lexsort((w, v, u))
+        assert np.array_equal(stable_order(key), expected)
+        assert np.array_equal(stable_order(rank), expected)
+
+        # End to end: sample sort over these rows (ids as payload).
+        block = np.column_stack([u, v, w, rng.permutation(len(u))])
+        parts = np.split(block, [100, 100, 900, 1500])
+        got = [_sort_observed(sort_samplesort, 5, parts),
+               _sort_observed(_loop_reference.sort_samplesort, 5, parts)]
+        _assert_equal(*got)
+        assert is_globally_sorted([x for x in sort_samplesort(
+            Comm(Machine(5)), parts, 3)], 3)
