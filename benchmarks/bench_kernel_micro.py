@@ -11,7 +11,10 @@ on both sides of the choice: ``segmented_lookup`` on dense ids (the
 direct-address table) and on sparse ids (the search), ``route_plan`` with
 at most 2^16 (segment, destination) slots (a 16-bit radix sort) and above,
 ``group_argmin`` on minimum-edge-selection-shaped rows (the scatter) and on
-a few rows over many group ids (the sort).
+a few rows over many group ids (the sort).  ``compact[mask]`` /
+``compact[index]`` time one compaction of four parallel columns by a 50 %
+random mask: four boolean gathers, against one ``flatnonzero`` plus four
+integer gathers (docs/kernels.md, "Select by index, not by mask").
 
 Host seconds land in the ``BENCH_kernel_micro.json`` extras (they are
 machine-dependent); the ``simulated_seconds`` of every entry is a constant
@@ -19,6 +22,8 @@ machine-dependent); the ``simulated_seconds`` of every entry is a constant
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -97,6 +102,21 @@ def _argmin_workload(dtype, rows: int, n_groups: int, seed: int = 7):
     return group, tie_key(group, other, w), n_groups
 
 
+def _compact(dtype, seed: int = 7) -> dict:
+    """Host seconds of one four-column compaction, by mask and by index."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.integers(0, BOUND, N).astype(dtype) for _ in range(4)]
+    mask = rng.random(N) < 0.5
+    t0 = time.perf_counter()
+    by_mask = [c[mask] for c in cols]
+    t1 = time.perf_counter()
+    pos = np.flatnonzero(mask)
+    by_index = [c[pos] for c in cols]
+    t2 = time.perf_counter()
+    assert all(np.array_equal(a, b) for a, b in zip(by_mask, by_index))
+    return {"compact[mask]": (1, t1 - t0), "compact[index]": (1, t2 - t1)}
+
+
 def _run_kernels(dtype) -> dict:
     """One pass over the kernel suite; returns name -> (calls, host_s)."""
     vals, keys2, seg, off, hay = _workload(dtype)
@@ -124,6 +144,7 @@ def _run_kernels(dtype) -> dict:
         args = _argmin_workload(dtype, rows, n_groups)
         out[f"group_argmin[{arm}]"] = _recorded(
             lambda: group_argmin(*args))["group_argmin"]
+    out.update(_compact(dtype))
     return out
 
 
@@ -182,6 +203,7 @@ def test_kernel_micro(benchmark):
             "segmented_unique", "segmented_searchsorted",
             "segmented_lookup[dense]", "segmented_lookup[sparse]",
             "group_argmin[scatter]", "group_argmin[sort]",
+            "compact[mask]", "compact[index]",
             f"route_plan[{SEGMENTS}x{SEGMENTS}]",
             f"route_plan[{8 * SEGMENTS}x{8 * SEGMENTS}]"} <= set(kernels)
     # ... and steady-state pooled scratch must be (nearly) all hits.

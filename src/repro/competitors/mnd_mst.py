@@ -35,12 +35,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..dgraph.dist_graph import DistGraph
+from ..dgraph.dist_graph import DistGraph, source_groups
 from ..dgraph.edges import Edges
 from ..simmpi.alltoall import route_rows
 from ..core.boruvka import InputSnapshot, MSTResult, redistribute_mst
 from ..core.config import BoruvkaConfig
-from ..core.local_preprocessing import _contract_one_pe
+from ..core.local_preprocessing import _contract_one_pe, destinations
 from ..core.rounds import RoundBody, RoundScheduler, RoundStats
 from ..core.state import MSTRun
 
@@ -179,7 +179,7 @@ class MndMergeRoundBody(RoundBody):
                 # every remaining level of the hierarchy.
                 u = vmaps[leader].resolve(merged.u)
                 v = vmaps[leader].resolve(merged.v)
-                alive = u != v
+                alive = np.flatnonzero(u != v)
                 merged = Edges(u[alive].astype(merged.u.dtype, copy=False),
                                v[alive].astype(merged.v.dtype, copy=False),
                                merged.w[alive], merged.id[alive]).sort_lex()
@@ -316,10 +316,12 @@ def _contract_local(part: Edges, pe: int, machine, run: MSTRun,
     """
     if len(part) == 0:
         return part
-    vids = np.unique(part.u)
-    shared_mask = np.zeros(len(vids), dtype=bool)
+    # One layout of the lex-sorted part serves contraction and relabel.
+    vids, starts = source_groups(part.u)
+    v_at, v_local = destinations(vids, part.v)
     new_labels, ids, ws, rounds = _contract_one_pe(
-        part, vids, shared_mask, use_filter=False
+        part, vids, starts, v_at, v_local,
+        np.zeros(len(vids), dtype=bool), use_filter=False
     )
     run.record_mst(pe, ids, ws)
     vmap.add(vids, new_labels)
@@ -327,12 +329,9 @@ def _contract_local(part: Edges, pe: int, machine, run: MSTRun,
     machine.charge_scan(np.array([len(part) * max(rounds, 1)]),
                         ranks=np.array([pe]))
     # Relabel locally, drop self loops and parallel duplicates.
-    u_new = new_labels[np.searchsorted(vids, part.u)]
-    idx = np.searchsorted(vids, part.v)
-    idx_c = np.minimum(idx, len(vids) - 1)
-    v_is_local = (idx < len(vids)) & (vids[idx_c] == part.v)
-    v_new = np.where(v_is_local, new_labels[idx_c], part.v)
-    alive = u_new != v_new
+    u_new = np.repeat(new_labels, np.diff(starts))
+    v_new = np.where(v_local, new_labels[v_at], part.v)
+    alive = np.flatnonzero(u_new != v_new)
     e = Edges(u_new[alive], v_new[alive], part.w[alive], part.id[alive])
     e = e.sort_lex()
     same = np.zeros(len(e), dtype=bool)

@@ -8,8 +8,8 @@ Drives the round structure of Section IV:
    REDISTRIBUTE;
 3. BASECASE finishes on a replicated vertex set (Section IV-D);
 4. REDISTRIBUTEMST sends every identified MST edge (by id) back to its
-   original home PE, which looks up the original endpoints in its
-   varint-compressed copy of the initial edge list (Section VI-C).
+   original home PE, which looks up the original endpoints in its initial
+   edge block (Section VI-C, :class:`InputSnapshot`).
 
 Each step runs inside a machine phase block, which is what the Fig. 6
 breakdown reports.
@@ -25,7 +25,6 @@ import numpy as np
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
 from ..simmpi.alltoall import route_rows
-from ..utils.varint import CompressedEdgeList
 from .base_case import base_case
 from .config import BoruvkaConfig
 from .contraction import contract_components
@@ -39,25 +38,23 @@ from .state import MSTRun
 
 @dataclass
 class InputSnapshot:
-    """Compressed per-PE copy of the initial edge list for id lookups.
+    """Every PE's initial edge block, for the MST output's id lookups.
 
-    The paper stores this with 7-bit varint delta encoding and accounts for
-    decoding it twice (before and after the MST computation); the same
-    accounting is applied in :func:`redistribute_mst`.
+    The paper keeps a varint-compressed copy and decodes it twice (Section
+    VI-C); :func:`redistribute_mst` charges both decodes.  The host holds
+    the parts by reference instead: the caller keeps the input graph alive
+    for the whole run and nothing writes ``u``/``v``/``w`` in place.
     """
 
-    compressed: List[CompressedEdgeList]
-    weights: List[np.ndarray]
+    parts: List[Edges]
     id_starts: np.ndarray  # global id range starts per PE (+ total sentinel)
 
     @classmethod
     def take(cls, graph: DistGraph) -> "InputSnapshot":
-        """Compress every PE's initial edge block and record id ranges."""
-        comp, ws, starts = [], [], []
+        """Reference every PE's initial edge block and record id ranges."""
+        starts = []
         next_start = 0
         for part in graph.parts:
-            comp.append(CompressedEdgeList(part.u, part.v))
-            ws.append(part.w.copy())
             starts.append(next_start)
             if len(part):
                 ids = part.id
@@ -69,7 +66,7 @@ class InputSnapshot:
                     )
                 next_start += len(ids)
         starts.append(next_start)
-        return cls(comp, ws, np.asarray(starts, dtype=np.int64))
+        return cls(list(graph.parts), np.asarray(starts, dtype=np.int64))
 
 
 @dataclass
@@ -216,21 +213,22 @@ def redistribute_mst(run: MSTRun, snapshot: InputSnapshot) -> List[Edges]:
     out: List[Edges] = []
     for i in range(p):
         rec = recv[i]
-        comp = snapshot.compressed[i]
+        part = snapshot.parts[i]
         # Paper accounting: the compressed copy is decoded twice.
-        machine.charge_scan(np.array([2 * comp.n_edges]),
-                            ranks=np.array([i]))
+        machine.charge_scan(np.array([2 * len(part)]), ranks=np.array([i]))
         if len(rec) == 0:
             out.append(Edges.empty())
             continue
         ids = rec[:, 0]
         local_pos = ids - snapshot.id_starts[i]
-        u, v = comp.lookup(local_pos)
-        w = snapshot.weights[i][local_pos]
+        w = part.w[local_pos]
         if not np.array_equal(w, rec[:, 1]):
             raise RuntimeError("MST edge weight mismatch during output")
         order = np.argsort(ids, kind="stable")
-        out.append(Edges(u[order], v[order], w[order], ids[order]))
+        at = local_pos[order]
+        out.append(Edges(part.u[at].astype(np.int64, copy=False),
+                         part.v[at].astype(np.int64, copy=False),
+                         w[order], ids[order]))
     return out
 
 

@@ -46,7 +46,8 @@ from .state import MSTRun
 
 
 class _TaintedUnionFind:
-    """Union-find over local vertex indices with shared-vertex constraints.
+    """Union-find state over local vertex indices with shared-vertex
+    constraints (the contraction loop below inlines ``find`` and ``union``).
 
     * the representative *label* of a set containing a shared vertex is that
       shared vertex (shared labels must survive -- other PEs reference them);
@@ -64,16 +65,6 @@ class _TaintedUnionFind:
         # Designated representative index per root (the shared member if any).
         self.rep = np.arange(n, dtype=dt)
 
-    def find(self, x: int) -> int:
-        """Root of ``x``'s set, with path compression."""
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return int(root)
-
     def find_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised roots of many elements (compresses their paths)."""
         parent = self.parent
@@ -86,35 +77,31 @@ class _TaintedUnionFind:
         parent[xs] = roots
         return roots
 
-    def union(self, a: int, b: int) -> bool:
-        """Merge two sets; refuses to merge two tainted (shared) sets."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.taint[ra] and self.taint[rb]:
-            return False  # two shared labels may not merge locally
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        if self.taint[rb]:
-            self.taint[ra] = True
-            self.rep[ra] = self.rep[rb]
-        self.taint[ra] = self.taint[ra] or self.taint[rb]
-        return True
+
+def destinations(vids: np.ndarray, v: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(at, local)``: each destination's ``searchsorted`` position among
+    the sorted local ``vids``, clipped, and whether it is that vertex."""
+    idx = np.searchsorted(vids, v)
+    at = np.minimum(idx, len(vids) - 1)
+    return at, (idx < len(vids)) & (vids[at] == v)
 
 
 def _contract_one_pe(
     part: Edges,
     vids: np.ndarray,
+    starts: np.ndarray,
+    v_at: np.ndarray,
+    v_local: np.ndarray,
     shared_mask: np.ndarray,
     use_filter: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Run the modified local Borůvka on one PE.
 
-    Returns ``(new_labels, mst_ids, mst_weights, rounds)`` where
-    ``new_labels`` is aligned with ``vids``.
+    The part's vertex layout is read, not searched: ``(vids, starts)`` are
+    its source groups (:meth:`DistGraph.vertex_groups`) and ``(v_at,
+    v_local)`` its :func:`destinations`.  Returns ``(new_labels, mst_ids,
+    mst_weights, rounds)`` where ``new_labels`` is aligned with ``vids``.
     """
     n_local = len(vids)
     uf = _TaintedUnionFind(n_local, shared_mask)
@@ -128,35 +115,33 @@ def _contract_one_pe(
     # halves the peak footprint of large merged parts (MND-MST leaders).
     idx_dt = (np.int32 if max(n_local, 2 * len(part)) < (1 << 31)
               else np.int64)
-    vidx_u = np.searchsorted(vids, part.u).astype(idx_dt, copy=False)
-    idx = np.searchsorted(vids, part.v).astype(idx_dt, copy=False)
-    idx_c = np.minimum(idx, n_local - 1)
-    v_local = (idx < n_local) & (vids[idx_c] == part.v)
-    vidx_v = np.where(v_local, idx_c, idx_dt(-1))
-    del idx, idx_c
+    vidx_u = np.repeat(np.arange(n_local, dtype=idx_dt), np.diff(starts))
+    vidx_v = np.where(v_local, v_at.astype(idx_dt, copy=False), idx_dt(-1))
 
     # Candidate (contractible) edges: both endpoints local.  With the
     # filtering enhancement, restrict further to the local subgraph's MSF --
     # by the cycle property no other local edge can ever be a cut minimum.
-    candidate = v_local.copy()
+    # Every compaction below gathers at positions: one flatnonzero, then
+    # integer gathers (docs/kernels.md, "Select by index, not by mask").
+    candidate = v_local
     if use_filter and candidate.any():
-        local_e = part.take(candidate)
-        dense = Edges(vidx_u[candidate], vidx_v[candidate], local_e.w,
-                      np.flatnonzero(candidate))
+        cpos = np.flatnonzero(candidate)
+        dense = Edges(vidx_u[cpos], vidx_v[cpos], part.w[cpos], cpos)
         msf = (filter_boruvka_msf if len(dense) > 64 else kruskal_msf)(
             dense, n_local)
         candidate = np.zeros(len(part), dtype=bool)
         candidate[msf.id] = True  # ids were candidate positions
+        del cpos, dense, msf
 
     # Edges that participate in min computations: candidates + cut edges.
-    consider = candidate | ~v_local
-    e_u = vidx_u[consider]
-    e_v = vidx_v[consider]          # -1 for ghosts
-    e_w = part.w[consider]
-    e_pos = np.flatnonzero(consider).astype(idx_dt, copy=False)
-    e_cand = candidate[consider]
-    ghost_label = part.v[consider]  # actual labels for canonical tie keys
-    del vidx_u, vidx_v, v_local, candidate, consider
+    e_pos = np.flatnonzero(candidate | ~v_local)
+    e_u = vidx_u[e_pos]
+    e_v = vidx_v[e_pos]             # -1 for ghosts
+    e_w = part.w[e_pos]
+    e_cand = candidate[e_pos]
+    ghost_label = part.v[e_pos]     # actual labels for canonical tie keys
+    e_pos = e_pos.astype(idx_dt, copy=False)
+    del vidx_u, vidx_v, candidate
 
     mst_ids: list[int] = []
     mst_ws: list[int] = []
@@ -168,17 +153,18 @@ def _contract_one_pe(
         label_u = vids[uf.rep[cu_root]]
         label_v = np.where(e_v >= 0, vids[uf.rep[np.maximum(cv_root, 0)]],
                            ghost_label)
-        alive = label_u != label_v
-        if not alive.any():
+        keep = np.flatnonzero(label_u != label_v)
+        if len(keep) == 0:
             break
-        if not alive.all():
+        if len(keep) < len(e_u):
             # Self-loop edges stay dead forever (components only grow), so
             # drop them before the next round's scans.
-            e_u, e_v, e_w = e_u[alive], e_v[alive], e_w[alive]
-            e_pos, e_cand = e_pos[alive], e_cand[alive]
-            ghost_label = ghost_label[alive]
-            cu_root, cv_root = cu_root[alive], cv_root[alive]
-            label_u, label_v = label_u[alive], label_v[alive]
+            e_u, e_v, e_w = e_u[keep], e_v[keep], e_w[keep]
+            e_pos, e_cand = e_pos[keep], e_cand[keep]
+            ghost_label = ghost_label[keep]
+            cu_root, cv_root = cu_root[keep], cv_root[keep]
+            label_u, label_v = label_u[keep], label_v[keep]
+        del keep
         a_u, a_v = cu_root, cv_root
         a_cand = e_cand & (a_v >= 0)
         # Group candidates by component: local edges feed both sides' groups,
@@ -201,9 +187,10 @@ def _contract_one_pe(
         rows = np.unique(chosen[ok])
         pos = e_pos[rows]
         del groups, chosen, ok
-        # uf.union inlined over plain Python lists (same op order, same
-        # state evolution): this loop dominates the per-PE contraction time
-        # and list indexing beats numpy scalar indexing several-fold.
+        # find + union inlined over plain Python lists (the union-by-rank
+        # rule decides the labels): this loop dominates the per-PE
+        # contraction time and list indexing beats numpy scalar indexing
+        # several-fold.
         parent = uf.parent.tolist()
         rank = uf.rank.tolist()
         taint = uf.taint.tolist()
@@ -277,22 +264,19 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
     cfg = run.cfg
 
     # ---- Quick locality check (skip rule, Section VI-B). ----
+    # Each PE's vertex layout is built here once and handed on to its
+    # contraction.
     local_counts, totals = [], []
-    vids_per_pe: List[np.ndarray] = []
+    layouts: List[tuple] = []
     for i in range(p):
         part = graph.parts[i]
-        vids, _ = graph.vertex_groups(i)
-        vids_per_pe.append(vids)
-        if len(part) == 0:
-            local_counts.append(0)
-            totals.append(0)
-            continue
-        idx = np.searchsorted(vids, part.v)
-        idx_c = np.minimum(idx, len(vids) - 1)
-        v_local = (idx < len(vids)) & (vids[idx_c] == part.v)
-        local_counts.append(int(v_local.sum()))
+        vids, starts = graph.vertex_groups(i)
+        v_at, v_local = destinations(vids, part.v)
+        layouts.append((vids, starts, v_at, v_local))
+        local_counts.append(int(np.count_nonzero(v_local)))
         totals.append(len(part))
-        machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
+        if len(part):
+            machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
     total_local = run.comm.allreduce(local_counts)
     total_edges = run.comm.allreduce(totals)
     if total_edges == 0:
@@ -302,15 +286,16 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
 
     # ---- Per-PE contraction (communication-free). ----
     shared_set = graph.shared_vertex_set()
-    shared_masks = [np.isin(v, shared_set, assume_unique=True)
-                    for v in vids_per_pe]
+    vids_per_pe = [layout[0] for layout in layouts]
     labels_per_pe: List[np.ndarray] = []
     for i in range(p):
         vids = vids_per_pe[i]
         new_labels, ids, ws, rounds = _contract_one_pe(
-            graph.parts[i], vids, shared_masks[i],
+            graph.parts[i], *layouts[i],
+            np.isin(vids, shared_set, assume_unique=True),
             cfg.preprocessing_filter
         )
+        layouts[i] = None
         labels_per_pe.append(new_labels)
         run.record_mst(i, ids, ws)
         run.record_labels(i, vids, new_labels)

@@ -242,12 +242,16 @@ class DistGraph:
         if len(part) == 0:
             z = np.empty(0, dtype=np.int64)
             return z, np.zeros(1, dtype=np.int64)
-        change = np.ones(len(part), dtype=bool)
-        change[1:] = part.u[1:] != part.u[:-1]
-        starts = np.flatnonzero(change)
-        vids = part.u[starts]
-        return vids, np.append(starts, len(part))
+        return source_groups(part.u)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DistGraph(p={self.machine.n_procs}, "
                 f"m={self.global_edge_count()})")
+
+
+def source_groups(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`DistGraph.vertex_groups` of a non-empty sorted column ``u``."""
+    change = np.ones(len(u), dtype=bool)
+    change[1:] = u[1:] != u[:-1]
+    starts = np.flatnonzero(change)
+    return u[starts], np.append(starts, len(u))

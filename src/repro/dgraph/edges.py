@@ -135,6 +135,11 @@ class Edges:
 
     def take(self, idx) -> "Edges":
         """Subset / reorder by integer or boolean index."""
+        if isinstance(idx, np.ndarray) and idx.dtype == bool:
+            # Select by index, not by mask (docs/kernels.md).
+            if idx.shape != self.u.shape:
+                raise IndexError("boolean index does not match the edges")
+            idx = np.flatnonzero(idx)
         # The columns are already integer and equally long; skip __init__'s
         # re-coercion (ascontiguousarray is still needed for strided slices).
         e = object.__new__(Edges)

@@ -75,11 +75,10 @@ def boruvka_round(edges: Edges, labels: np.ndarray
     """
     a = labels[edges.u]
     b = labels[edges.v]
-    alive = a != b
-    if not alive.any():
+    pos = np.flatnonzero(a != b)
+    if len(pos) == 0:
         return np.empty(0, dtype=np.int64), labels
-    pos = np.flatnonzero(alive)
-    a, b, w = a[alive], b[alive], edges.w[alive]
+    a, b, w = a[pos], b[pos], edges.w[pos]
     # Symmetrise for selection: each endpoint considers the edge.
     grp = np.concatenate([a, b])
     oth = np.concatenate([b, a])

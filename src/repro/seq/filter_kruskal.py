@@ -87,7 +87,7 @@ def _filter_msf(edges: Edges, n_vertices: int, base_case: str,
             stats.base_case_edges += len(e)
             ru = uf.find_many(e.u)
             rv = uf.find_many(e.v)
-            live = ru != rv
+            live = np.flatnonzero(ru != rv)
             e_live = e.take(live)
             # Positional ids so the base case's picks can be mapped back to
             # rows of ``e_live`` regardless of the caller's id scheme.

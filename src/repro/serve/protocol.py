@@ -71,6 +71,9 @@ def parse_request(line: str) -> Dict:
         raise ProtocolError("'deadline_ms' must be a positive number", rid)
     if op in MUTATION_OPS and not isinstance(req.get("edges"), list):
         raise ProtocolError(f"op {op!r} requires an 'edges' list", rid)
+    if op == "components" and not isinstance(req.get("vertices", []),
+                                             (list, type(None))):
+        raise ProtocolError("op 'components' takes a 'vertices' list", rid)
     if op == "edge_in_msf" and ("u" not in req or "v" not in req):
         raise ProtocolError("op 'edge_in_msf' requires 'u' and 'v'", rid)
     if op == "cancel" and "target" not in req:

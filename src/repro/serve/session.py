@@ -157,8 +157,11 @@ class GraphSession:
         view = self.view
         out = {"n_components": view.n_components, "version": view.version}
         if vertices is not None:
-            vs = np.asarray(list(vertices), dtype=np.int64)
-            if len(vs) and (vs.min() < 0 or vs.max() >= view.n_vertices):
+            try:
+                vs = [_int(x, "vertex ids") for x in vertices]
+            except TypeError:
+                raise MutationError("vertices must be a list") from None
+            if not all(0 <= x < view.n_vertices for x in vs):
                 raise MutationError("vertex id out of range")
             out["component_of"] = [int(c) for c in view.component_of[vs]]
         return out

@@ -106,11 +106,10 @@ def _clz64(v: np.ndarray) -> np.ndarray:
 class CompressedEdgeList:
     """A varint-delta compressed copy of a sorted (src, dst) edge list.
 
-    Used exactly like the paper's compressed initial edge list: built once
-    before the MST computation, decoded to look up the original endpoints of
-    MST edge ids afterwards (Section VI-C).  ``decode`` is charged twice by
-    the experiment harness (before and after the computation), matching the
-    paper's accounting.
+    The paper's compressed initial edge list (Section VI-C), and the
+    ``.kmst`` file format (:mod:`repro.graphgen.io`).  The MST output
+    charges its two decodes per PE but reads the input block it still holds
+    (:class:`repro.core.boruvka.InputSnapshot`) instead of building one.
     """
 
     def __init__(self, src: np.ndarray, dst: np.ndarray):

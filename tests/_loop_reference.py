@@ -30,20 +30,28 @@ replaced are kept here as shipped -- ``sort_samplesort`` (local sort, route,
 re-sort), ``rebalance_blocks`` (a second route) and ``redistribute`` with
 its per-PE ``dedup_sorted_parts`` and ``_drop_boundary_duplicates`` pass --
 calling this module's ``route_rows`` and ``local_lexsort_parts``.
+
+Local preprocessing and the MST output now read what the host already
+holds.  The versions they replaced are kept here as shipped: the per-PE
+``_contract_one_pe`` that searched its own vertex layout (registered through
+an adapter taking the production arguments and ignoring the layout), and the
+varint ``InputSnapshot`` with the ``redistribute_mst`` that decodes it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.competitors.awerbuch_shiloach import _lo
 from repro.core.labels import GhostTable
+from repro.core.local_preprocessing import _TaintedUnionFind
 from repro.core.minedges import ChosenEdges, _empty_chosen
 from repro.core.state import MSTRun
 from repro.dgraph.dist_graph import DistGraph
-from repro.dgraph.edges import Edges
+from repro.dgraph.edges import Edges, lightest_per_group
 from repro.dgraph.search import lex_searchsorted, sorted_lookup
 from repro.kernels import RaggedArrays
 from repro.kernels.segmented import packed_lexsort
@@ -54,7 +62,10 @@ from repro.sorting.api import sort_rows
 from repro.sorting.common import local_lexsort
 from repro.sorting.hypercube import sort_hypercube
 from repro.sorting.samplesort import OVERSAMPLING
+from repro.seq.filter_kruskal import filter_boruvka_msf
+from repro.seq.kruskal import kruskal_msf
 from repro.utils.partition import owner_of
+from repro.utils.varint import CompressedEdgeList
 
 
 # ----------------------------------------------------------------------
@@ -454,6 +465,237 @@ def redistribute(
 
 
 # ----------------------------------------------------------------------
+# core/local_preprocessing.py: _contract_one_pe, as shipped before the
+# vertex layout was handed in (two searchsorted calls per PE, boolean-mask
+# compactions)
+# ----------------------------------------------------------------------
+def _contract_one_pe(
+    part: Edges,
+    vids: np.ndarray,
+    shared_mask: np.ndarray,
+    use_filter: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Run the modified local Borůvka on one PE.
+
+    Returns ``(new_labels, mst_ids, mst_weights, rounds)`` where
+    ``new_labels`` is aligned with ``vids``.
+    """
+    n_local = len(vids)
+    uf = _TaintedUnionFind(n_local, shared_mask)
+    if n_local == 0 or len(part) == 0:
+        return vids.copy(), np.empty(0, dtype=np.int64), \
+            np.empty(0, dtype=np.int64), 0
+
+    # Index scratch dtype: vertex indices (< n_local) and row positions
+    # (< 2 * len(part)) both fit int32 at any simulated scale, and ~15 such
+    # arrays are simultaneously live per round below -- the narrow scratch
+    # halves the peak footprint of large merged parts (MND-MST leaders).
+    idx_dt = (np.int32 if max(n_local, 2 * len(part)) < (1 << 31)
+              else np.int64)
+    vidx_u = np.searchsorted(vids, part.u).astype(idx_dt, copy=False)
+    idx = np.searchsorted(vids, part.v).astype(idx_dt, copy=False)
+    idx_c = np.minimum(idx, n_local - 1)
+    v_local = (idx < n_local) & (vids[idx_c] == part.v)
+    vidx_v = np.where(v_local, idx_c, idx_dt(-1))
+    del idx, idx_c
+
+    # Candidate (contractible) edges: both endpoints local.  With the
+    # filtering enhancement, restrict further to the local subgraph's MSF --
+    # by the cycle property no other local edge can ever be a cut minimum.
+    candidate = v_local.copy()
+    if use_filter and candidate.any():
+        local_e = part.take(candidate)
+        dense = Edges(vidx_u[candidate], vidx_v[candidate], local_e.w,
+                      np.flatnonzero(candidate))
+        msf = (filter_boruvka_msf if len(dense) > 64 else kruskal_msf)(
+            dense, n_local)
+        candidate = np.zeros(len(part), dtype=bool)
+        candidate[msf.id] = True  # ids were candidate positions
+
+    # Edges that participate in min computations: candidates + cut edges.
+    consider = candidate | ~v_local
+    e_u = vidx_u[consider]
+    e_v = vidx_v[consider]          # -1 for ghosts
+    e_w = part.w[consider]
+    e_pos = np.flatnonzero(consider).astype(idx_dt, copy=False)
+    e_cand = candidate[consider]
+    ghost_label = part.v[consider]  # actual labels for canonical tie keys
+    del vidx_u, vidx_v, v_local, candidate, consider
+
+    mst_ids: list[int] = []
+    mst_ws: list[int] = []
+    rounds = 0
+    while True:
+        rounds += 1
+        cu_root = uf.find_many(e_u)
+        cv_root = np.where(e_v >= 0, uf.find_many(np.maximum(e_v, 0)), -1)
+        label_u = vids[uf.rep[cu_root]]
+        label_v = np.where(e_v >= 0, vids[uf.rep[np.maximum(cv_root, 0)]],
+                           ghost_label)
+        alive = label_u != label_v
+        if not alive.any():
+            break
+        if not alive.all():
+            # Self-loop edges stay dead forever (components only grow), so
+            # drop them before the next round's scans.
+            e_u, e_v, e_w = e_u[alive], e_v[alive], e_w[alive]
+            e_pos, e_cand = e_pos[alive], e_cand[alive]
+            ghost_label = ghost_label[alive]
+            cu_root, cv_root = cu_root[alive], cv_root[alive]
+            label_u, label_v = label_u[alive], label_v[alive]
+        a_u, a_v = cu_root, cv_root
+        a_cand = e_cand & (a_v >= 0)
+        # Group candidates by component: local edges feed both sides' groups,
+        # cut edges only the source side.  The tie key is built from the
+        # actual labels.
+        both = a_v >= 0
+        grp = np.concatenate([a_u, a_v[both]])
+        sel = np.concatenate([np.arange(len(a_u), dtype=idx_dt),
+                              np.flatnonzero(both).astype(idx_dt,
+                                                          copy=False)])
+        del both
+        groups, pick = lightest_per_group(grp, label_u[sel], label_v[sel],
+                                          e_w[sel], n_local)
+        chosen = sel[pick]  # row into the compacted arrays
+        del grp, sel, pick, label_u, label_v
+        # Contract where the choosing component is untainted and its minimum
+        # is a contractible (local MSF) edge.
+        ok = ~uf.taint[groups] & a_cand[chosen]
+        did_union = False
+        rows = np.unique(chosen[ok])
+        pos = e_pos[rows]
+        del groups, chosen, ok
+        # uf.union inlined over plain Python lists (same op order, same
+        # state evolution): this loop dominates the per-PE contraction time
+        # and list indexing beats numpy scalar indexing several-fold.
+        parent = uf.parent.tolist()
+        rank = uf.rank.tolist()
+        taint = uf.taint.tolist()
+        rep = uf.rep.tolist()
+        for ia, ib, eid, ew in zip(a_u[rows].tolist(), a_v[rows].tolist(),
+                                   part.id[pos].tolist(),
+                                   part.w[pos].tolist()):
+            root = ia
+            while parent[root] != root:
+                root = parent[root]
+            while parent[ia] != root:
+                parent[ia], ia = root, parent[ia]
+            ra = root
+            root = ib
+            while parent[root] != root:
+                root = parent[root]
+            while parent[ib] != root:
+                parent[ib], ib = root, parent[ib]
+            rb = root
+            if ra == rb or (taint[ra] and taint[rb]):
+                continue
+            if rank[ra] < rank[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            if rank[ra] == rank[rb]:
+                rank[ra] += 1
+            if taint[rb]:
+                taint[ra] = True
+                rep[ra] = rep[rb]
+            did_union = True
+            mst_ids.append(eid)
+            mst_ws.append(ew)
+        uf.parent[:] = parent
+        uf.rank[:] = rank
+        uf.taint[:] = taint
+        uf.rep[:] = rep
+        if not did_union:
+            break
+        if rounds > 64:
+            raise RuntimeError("local preprocessing failed to converge")
+
+    roots = uf.find_many(np.arange(n_local))
+    new_labels = vids[uf.rep[roots]]
+    return (new_labels, np.asarray(mst_ids, dtype=np.int64),
+            np.asarray(mst_ws, dtype=np.int64), rounds)
+
+
+def _contract_one_pe_searched(part, vids, starts, v_at, v_local,
+                              shared_mask, use_filter):
+    """:func:`_contract_one_pe` under the production signature: the handed
+    layout is ignored and searched again, as shipped."""
+    return _contract_one_pe(part, vids, shared_mask, use_filter)
+
+
+# ----------------------------------------------------------------------
+# core/boruvka.py: InputSnapshot, redistribute_mst, as shipped before the
+# snapshot held the input parts by reference (a varint-compressed copy of
+# every part, encoded up front and decoded per lookup)
+# ----------------------------------------------------------------------
+@dataclass
+class InputSnapshot:
+    """Compressed per-PE copy of the initial edge list for id lookups.
+
+    The paper stores this with 7-bit varint delta encoding and accounts for
+    decoding it twice (before and after the MST computation); the same
+    accounting is applied in :func:`redistribute_mst`.
+    """
+
+    compressed: List[CompressedEdgeList]
+    weights: List[np.ndarray]
+    id_starts: np.ndarray  # global id range starts per PE (+ total sentinel)
+
+    @classmethod
+    def take(cls, graph: DistGraph) -> "InputSnapshot":
+        """Compress every PE's initial edge block and record id ranges."""
+        comp, ws, starts = [], [], []
+        next_start = 0
+        for part in graph.parts:
+            comp.append(CompressedEdgeList(part.u, part.v))
+            ws.append(part.w.copy())
+            starts.append(next_start)
+            if len(part):
+                ids = part.id
+                if not (ids.min() == next_start
+                        and ids.max() == next_start + len(ids) - 1):
+                    raise ValueError(
+                        "edge ids must form contiguous per-PE ranges "
+                        "(use DistGraph.from_global_edges or a generator)"
+                    )
+                next_start += len(ids)
+        starts.append(next_start)
+        return cls(comp, ws, np.asarray(starts, dtype=np.int64))
+
+
+def redistribute_mst(run: MSTRun, snapshot: InputSnapshot) -> List[Edges]:
+    """REDISTRIBUTEMST: route (id, w) records home; decode original endpoints."""
+    machine = run.machine
+    p = machine.n_procs
+    rows, dests = [], []
+    for i in range(p):
+        rec = run.collected(i)
+        rows.append(rec)
+        dests.append(
+            np.searchsorted(snapshot.id_starts, rec[:, 0], side="right") - 1
+        )
+    recv, _, _ = route_rows(run.comm, rows, dests, method=run.cfg.alltoall)
+    out: List[Edges] = []
+    for i in range(p):
+        rec = recv[i]
+        comp = snapshot.compressed[i]
+        # Paper accounting: the compressed copy is decoded twice.
+        machine.charge_scan(np.array([2 * comp.n_edges]),
+                            ranks=np.array([i]))
+        if len(rec) == 0:
+            out.append(Edges.empty())
+            continue
+        ids = rec[:, 0]
+        local_pos = ids - snapshot.id_starts[i]
+        u, v = comp.lookup(local_pos)
+        w = snapshot.weights[i][local_pos]
+        if not np.array_equal(w, rec[:, 1]):
+            raise RuntimeError("MST edge weight mismatch during output")
+        order = np.argsort(ids, kind="stable")
+        out.append(Edges(u[order], v[order], w[order], ids[order]))
+    return out
+
+
+# ----------------------------------------------------------------------
 # sorting/common.py: local_lexsort_parts, rebalance_blocks
 # ----------------------------------------------------------------------
 def local_lexsort_parts(parts: Sequence[np.ndarray],
@@ -609,4 +851,8 @@ ORACLES = (
     ("repro.sorting.common", "rebalance_blocks", rebalance_blocks),
     ("repro.sorting.samplesort", "sort_samplesort", sort_samplesort),
     ("repro.competitors.awerbuch_shiloach", "_resolve", _resolve),
+    ("repro.core.local_preprocessing", "_contract_one_pe",
+     _contract_one_pe_searched),
+    ("repro.core.boruvka", "InputSnapshot", InputSnapshot),
+    ("repro.core.boruvka", "redistribute_mst", redistribute_mst),
 )

@@ -25,8 +25,9 @@ ENGINE_NAMES = ("inprocess", "batched")
 
 
 @contextmanager
-def loop_oracles():
-    """Run the block with the loop oracles in place of the production sites.
+def loop_oracles(only=None):
+    """Run the block with the loop oracles in place of the production sites
+    (with ``only``, a collection of production attribute names, just those).
 
     Nothing in ``src/`` knows about the oracles.  The package imports its
     helpers by name (``from ..simmpi.alltoall import route_rows``), so
@@ -38,7 +39,8 @@ def loop_oracles():
     (``core.min_edges(...)``, not a name imported into the test).
     """
     swap = {id(getattr(importlib.import_module(mod), attr)): oracle
-            for mod, attr, oracle in ORACLES}
+            for mod, attr, oracle in ORACLES
+            if only is None or attr in only}
     undo = []
     try:
         for name, mod in list(sys.modules.items()):

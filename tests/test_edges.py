@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dgraph import Edges
 
@@ -102,3 +103,54 @@ class TestStructure:
 @pytest.fixture
 def rng():
     return np.random.default_rng(3)
+
+
+class TestTakeByMask:
+    """``take`` turns a boolean mask into positions before its four
+    gathers; the result must equal the boolean gather it replaced."""
+
+    @staticmethod
+    def _columns(data, n, dtype, strided):
+        cols = []
+        for _ in range(4):
+            col = np.array(data.draw(st.lists(
+                st.integers(0, 2**32 - 1), min_size=2 * n, max_size=2 * n)),
+                dtype=np.int64).astype(dtype)
+            # A strided view (every other element) or a contiguous prefix.
+            cols.append(col[::2] if strided else col[:n])
+        return cols
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40),
+           dtype=st.sampled_from([np.uint32, np.int64]),
+           strided=st.booleans(),
+           fill=st.sampled_from(["random", "all", "none"]))
+    def test_mask_equals_index(self, data, n, dtype, strided, fill):
+        u, v, w, ids = self._columns(data, n, dtype, strided)
+        e = Edges(u, v, w, ids)
+        # Constructed columns are contiguous; put strided views back in
+        # place to exercise take's own contiguity guarantee.
+        e.u, e.v, e.w, e.id = u, v, w, ids
+        e._sorted_lex = True
+        if fill == "random":
+            mask = np.array(data.draw(st.lists(
+                st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        else:
+            mask = np.full(n, fill == "all")
+        by_mask = e.take(mask)
+        by_index = e.take(np.flatnonzero(mask))
+        for name in ("u", "v", "w", "id"):
+            got, want = getattr(by_mask, name), getattr(e, name)[mask]
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert np.array_equal(got, want)
+            assert np.array_equal(getattr(by_index, name), want)
+            assert got.flags.c_contiguous
+            assert getattr(by_index, name).flags.c_contiguous
+        assert not by_mask._sorted_lex and not by_index._sorted_lex
+
+    def test_mask_of_wrong_length_rejected(self):
+        e = _edges([(0, 1, 5), (1, 2, 3)])
+        with pytest.raises(IndexError):
+            e.take(np.array([True]))
+        with pytest.raises(IndexError):
+            e.take(np.array([True, False, True]))

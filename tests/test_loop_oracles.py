@@ -23,10 +23,13 @@ One documented licence, host-side only:
   outputs are dtype-exact.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro import core
+from repro.analysis.runner import default_configs
 from repro.competitors import awerbuch_shiloach as AS
 from repro.core import BoruvkaConfig, MSTRun
 from repro.dgraph import DistGraph
@@ -40,7 +43,10 @@ from repro.sorting.common import local_lexsort_parts
 
 import _loop_reference as oracle
 from _alltoall_reference import _assert_equal
-from helpers import observed_machine
+from helpers import loop_oracles, observed_machine
+
+#: The module, not the function the package re-exports under its name.
+lp = sys.modules["repro.core.local_preprocessing"]
 
 SIZES = [1, 2, 3, 64]
 FAULTS = "seed=3,msg_drop=0.05,corrupt=0.3,straggle=0.2"
@@ -307,3 +313,124 @@ class TestRoundSites:
         assert (2, 1) in on_pe[1] and (1, 4) in on_pe[1]
         assert (1, 2) in on_pe[0]
         assert out[0]["ghosts"].tolist() == [2, 3]
+
+
+# ----------------------------------------------------------------------
+# Host paths that read what they already hold: local preprocessing's
+# handed-in vertex layout and the by-reference input snapshot.
+# ----------------------------------------------------------------------
+HOST_PATH_ORACLES = ("_contract_one_pe", "InputSnapshot", "redistribute_mst")
+ALGORITHMS = ("awerbuch-shiloach", "boruvka", "dist-kruskal", "dist-prim",
+              "filter-boruvka", "mnd-mst")
+RUN_MODES = {
+    "plain": {},
+    "simsan": {"sanitize": True},
+    "msgfaults": {"faults": FAULTS},
+    "pe_fail": {"faults": "seed=7,pe_fail=0.05"},
+}
+FAMILIES = ("2D-RGG", "3D-RGG", "GNM", "2D-GRID", "ties")
+RUN_SIZES = (1, 2, 3, 8, 64)
+
+
+def _family_graph(family, n=300, m=1200, seed=5):
+    """A generated instance; ``ties`` is GNM with every weight equal."""
+    g = gen_family("GNM" if family == "ties" else family, n, m, seed=seed)
+    if family == "ties":
+        g.edges = Edges(g.edges.u, g.edges.v, np.ones_like(g.edges.w),
+                        g.edges.id)
+    return g
+
+
+def _whole_run(graph, algo, p, threads, mode):
+    """One observed run: MSF parts, weight, rounds and the machine."""
+    with Machine(p, threads=threads, seed=3, trace=True, trace_events=True,
+                 **{"faults": False, **RUN_MODES[mode]}) as machine:
+        dg = graph.distribute(machine)
+        try:
+            res = core.minimum_spanning_forest(
+                dg, algorithm=algo, config=default_configs(256).get(algo))
+        except Exception as exc:  # the same refusal on both sides
+            return {"raised": repr(exc)}
+        return {"msf": res.msf_parts, "weight": res.total_weight,
+                "rounds": res.rounds,
+                "machine": observed_machine(machine, ("charges",))}
+
+
+def assert_host_paths_agree(family, algo, p, threads, mode):
+    """Production against the three replaced host paths, whole run."""
+    graph = _family_graph(family)
+    prod = _whole_run(graph, algo, p, threads, mode)
+    with loop_oracles(only=HOST_PATH_ORACLES):
+        ref = _whole_run(graph, algo, p, threads, mode)
+    _assert_equal(_plain(prod, False), _plain(ref, False))
+
+
+def _matrix():
+    """Every algorithm under every mode; family, p and threads rotate so
+    each of their values occurs (the full product is in EXPERIMENTS.md)."""
+    for k, (algo, mode) in enumerate(
+            (a, m) for a in ALGORITHMS for m in RUN_MODES):
+        yield (FAMILIES[k % len(FAMILIES)], algo,
+               RUN_SIZES[(k + k // len(RUN_SIZES)) % len(RUN_SIZES)],
+               (1, 8)[k // 2 % 2], mode)
+
+
+class TestHostPaths:
+    @pytest.mark.parametrize("family,algo,p,threads,mode", list(_matrix()))
+    def test_whole_run(self, family, algo, p, threads, mode):
+        assert_host_paths_agree(family, algo, p, threads, mode)
+
+    def test_matrix_covers_every_value(self):
+        rows = list(_matrix())
+        for axis, values in enumerate((FAMILIES, ALGORITHMS, RUN_SIZES,
+                                       (1, 8), tuple(RUN_MODES))):
+            assert {r[axis] for r in rows} == set(values)
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("family", FAMILIES + ("RHG",))
+    @pytest.mark.parametrize("p", RUN_SIZES)
+    def test_contract_one_pe(self, p, family, use_filter):
+        """Labels, MST ids and weights, rounds and their dtypes equal the
+        version that searched its own layout, PE by PE."""
+        graph = _family_graph(family, seed=p)
+        machine = _machine(p)
+        dg = DistGraph.from_global_edges(machine, graph.edges,
+                                         avoid_shared=family != "RHG")
+        shared = dg.shared_vertex_set()
+        for i in range(p):
+            part = dg.parts[i]
+            vids, starts = dg.vertex_groups(i)
+            at, local = lp.destinations(vids, part.v)
+            mask = np.isin(vids, shared, assume_unique=True)
+            got = lp._contract_one_pe(part, vids, starts, at, local, mask,
+                                      use_filter)
+            want = oracle._contract_one_pe(part, vids, mask, use_filter)
+            _assert_equal(_plain(list(got), False), _plain(list(want), False))
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_snapshot_references_input(self, algo, monkeypatch):
+        """The snapshot shares memory with the input parts, and a run
+        leaves those parts as they were."""
+        taken = []
+        take = core.InputSnapshot.take.__func__
+
+        def spy(cls, graph):
+            taken.append((graph, take(cls, graph)))
+            return taken[-1][1]
+
+        monkeypatch.setattr(core.InputSnapshot, "take", classmethod(spy))
+        graph = _family_graph("2D-RGG")
+        with Machine(4, seed=3, sanitize=True) as machine:
+            dg = graph.distribute(machine)
+            before = [[c.copy() for c in (x.u, x.v, x.w, x.id)]
+                      for x in dg.parts]
+            core.minimum_spanning_forest(
+                dg, algorithm=algo, config=default_configs(256).get(algo))
+            assert [g for g, _ in taken] == [dg]
+            snap = taken[0][1]
+            for part, ref, cols in zip(dg.parts, snap.parts, before):
+                assert ref is part
+                assert np.shares_memory(ref.u, part.u)
+                for col, old in zip((part.u, part.v, part.w, part.id), cols):
+                    assert np.array_equal(col, old)
+                    assert col.dtype == old.dtype

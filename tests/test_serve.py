@@ -689,6 +689,35 @@ class TestQueueSemantics:
         resp = _drive(scenario)
         assert not resp["ok"] and resp["error"]["code"] == "bad_request"
 
+    #: ``vertices`` values a ``components`` query must refuse as
+    #: ``bad_request``: a non-list, floats (never truncated), strings,
+    #: bools, ids past int64 and ids out of range.
+    BAD_VERTICES = [5, [1.5], ["3"], [True], [2**70], [-1], [4], [0, "1"],
+                    "03"]
+
+    @pytest.mark.parametrize("vertices", BAD_VERTICES)
+    def test_components_vertices_validated(self, vertices):
+        async def scenario(queue):
+            return await queue.submit(
+                {"id": 1, "op": "components", "vertices": vertices})
+
+        resp = _drive(scenario)
+        assert not resp["ok"] and resp["error"]["code"] == "bad_request"
+
+    def test_components_vertices_accepted(self):
+        async def scenario(queue):
+            return [await queue.submit(
+                {"id": k, "op": "components", "vertices": vs})
+                for k, vs in enumerate(([0, 3, 3], [], None,
+                                        [np.int64(2)]))]
+
+        answers = _drive(scenario)
+        assert all(r["ok"] for r in answers)
+        assert answers[0]["result"]["component_of"] == [0, 0, 0]
+        assert answers[1]["result"]["component_of"] == []
+        assert "component_of" not in answers[2]["result"]
+        assert answers[3]["result"]["component_of"] == [0]
+
     def test_shutdown_then_reject(self):
         async def scenario(queue):
             down = await queue.submit({"id": 1, "op": "shutdown"})
@@ -724,6 +753,9 @@ class TestProtocol:
             ('{"id":[1],"op":"msf_weight"}', "id"),
             ('{"id":true,"op":"msf_weight"}', "id"),
             ('{"id":1,"op":"msf_weight","deadline_ms":true}', "deadline_ms"),
+            ('{"id":1,"op":"components","vertices":5}', "vertices"),
+            ('{"id":1,"op":"components","vertices":"0"}', "vertices"),
+            ('{"id":1,"op":"components","vertices":{"0":1}}', "vertices"),
         ]:
             with pytest.raises(protocol.ProtocolError, match=err):
                 protocol.parse_request(line)
@@ -771,6 +803,24 @@ class TestServeLines:
         assert len(bad) == 1
         assert bad[0]["error"]["code"] == "bad_request"
         assert out[-1]["id"] == 6, "shutdown response must go out last"
+
+    def test_components_vertices_validated(self):
+        """Malformed ``vertices`` are ``bad_request`` frames on the wire:
+        a non-list at the parser, a bad element at the session."""
+        with GraphSession(4, [[0, 1, 4], [2, 3, 1]], n_procs=2) as session:
+            bad = [5, [1.5], ["3"], [True], [2**70], [-1], [4]]
+            lines = [json.dumps({"id": k, "op": "components",
+                                 "vertices": vs})
+                     for k, vs in enumerate(bad)]
+            lines.append(json.dumps({"id": "ok", "op": "components",
+                                     "vertices": [3, 0]}))
+            out = {r["id"]: r for r in map(json.loads, serve_lines(
+                session, lines, epoch_max_batch=1000,
+                epoch_max_delay_s=600.0))}
+        assert sorted(k for k in out if k != "ok") == list(range(len(bad)))
+        for k in range(len(bad)):
+            assert out[k]["error"]["code"] == "bad_request", bad[k]
+        assert out["ok"]["result"]["component_of"] == [2, 0]
 
     def test_mutations_batch_into_one_epoch(self):
         rows = _triples(np.random.default_rng(3), 32, 100)
