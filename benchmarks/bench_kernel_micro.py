@@ -15,6 +15,11 @@ a few rows over many group ids (the sort).  ``compact[mask]`` /
 ``compact[index]`` time one compaction of four parallel columns by a 50 %
 random mask: four boolean gathers, against one ``flatnonzero`` plus four
 integer gathers (docs/kernels.md, "Select by index, not by mask").
+``hop_sum[bincount,pP]`` / ``hop_sum[grouped,pP]`` time the accounting of
+one grid hop on ``P`` ranks -- the hop's per-rank rows out, in and held --
+from a weighted ``bincount`` over all ``P^2`` cells, against one integer
+``reduceat`` per (sender, receiver) group (docs/kernels.md, "Ask, don't
+route"); they do not depend on the storage dtype.
 
 Host seconds land in the ``BENCH_kernel_micro.json`` extras (they are
 machine-dependent); the ``simulated_seconds`` of every entry is a constant
@@ -40,6 +45,7 @@ from repro.kernels.segmented import (
     segmented_unique,
 )
 from repro.obs import MetricsRegistry
+from repro.simmpi.alltoall import _grid_plan, _hop_marginals, _hop_sums
 
 from _common import bench_recorder, report
 
@@ -117,6 +123,38 @@ def _compact(dtype, seed: int = 7) -> dict:
     return {"compact[mask]": (1, t1 - t0), "compact[index]": (1, t2 - t1)}
 
 
+def _hop_sum(size: int, reps: int = 5, seed: int = 7) -> dict:
+    """Host seconds (min of ``reps``) of one grid hop's marginals on
+    ``size`` ranks, by weighted bincount and by grouped sums."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 50, (size, size)) * (
+        rng.random((size, size)) < 0.3)
+    cells = counts.ravel()
+    plan = _grid_plan(size)
+    key, hop = plan.keys[0], plan.hops[0]
+
+    def by_bincount():
+        H = np.bincount(key, weights=cells.astype(np.float64),
+                        minlength=size * size)
+        H = H.astype(np.int64).reshape(size, size)
+        return H.sum(axis=1), H.sum(axis=0), H.sum(axis=0)
+
+    def grouped():
+        return _hop_marginals(hop, plan.groups[0], _hop_sums(hop, cells),
+                              size)[:3]
+
+    out = {}
+    for name, fn in (("bincount", by_bincount), ("grouped", grouped)):
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            got = fn()
+            best = min(best, time.perf_counter() - t0)
+        out[f"hop_sum[{name},p{size}]"] = (1, best)
+        assert all(np.array_equal(a, b) for a, b in zip(got, by_bincount()))
+    return out
+
+
 def _run_kernels(dtype) -> dict:
     """One pass over the kernel suite; returns name -> (calls, host_s)."""
     vals, keys2, seg, off, hay = _workload(dtype)
@@ -145,6 +183,8 @@ def _run_kernels(dtype) -> dict:
         out[f"group_argmin[{arm}]"] = _recorded(
             lambda: group_argmin(*args))["group_argmin"]
     out.update(_compact(dtype))
+    for size in (256, 1024):
+        out.update(_hop_sum(size))
     return out
 
 
@@ -204,6 +244,8 @@ def test_kernel_micro(benchmark):
             "segmented_lookup[dense]", "segmented_lookup[sparse]",
             "group_argmin[scatter]", "group_argmin[sort]",
             "compact[mask]", "compact[index]",
+            "hop_sum[bincount,p256]", "hop_sum[grouped,p256]",
+            "hop_sum[bincount,p1024]", "hop_sum[grouped,p1024]",
             f"route_plan[{SEGMENTS}x{SEGMENTS}]",
             f"route_plan[{8 * SEGMENTS}x{8 * SEGMENTS}]"} <= set(kernels)
     # ... and steady-state pooled scratch must be (nearly) all hits.

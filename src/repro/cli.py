@@ -318,10 +318,14 @@ def _cmd_mst(args) -> int:
     for phase, t in sorted(result.phase_times.items(), key=lambda kv: -kv[1]):
         print(f"  {phase:20s} {t * 1e3:10.4f} ms")
     if args.verify:
-        from .seq import verify_msf
+        from .seq import VerificationError, verify_msf
 
-        verify_msf(result.msf_edges(), g.edges, g.n_vertices,
-                   check_edges=False)
+        try:
+            verify_msf(result.msf_edges(), g.edges, g.n_vertices,
+                       check_edges=False)
+        except VerificationError as exc:
+            print(f"repro mst: verification failed: {exc}", file=sys.stderr)
+            return 1
         print("verification    : OK (matches sequential Kruskal)")
     if args.output:
         from .graphgen.base import GeneratedGraph

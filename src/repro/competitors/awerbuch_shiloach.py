@@ -34,8 +34,8 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import lightest_per_group, tie_key
-from ..kernels import RaggedArrays, segmented_unique
-from ..simmpi.alltoall import route_rows, unsort
+from ..kernels import RaggedArrays
+from ..simmpi.alltoall import ask, route_rows
 from ..simmpi.collectives import Comm
 from ..utils.partition import owner_of
 from ..core.boruvka import InputSnapshot, MSTResult, redistribute_mst
@@ -311,42 +311,19 @@ def _per_pe(total: int, p: int) -> List[int]:
 def _resolve(comm: Comm, f_blocks: List[np.ndarray], n: int,
              labels_per_pe: List[np.ndarray], method: str
              ) -> List[np.ndarray]:
-    """Look up f[x] for arbitrary per-PE label arrays (deduplicated)."""
+    """Look up f[x] for arbitrary per-PE label arrays (deduplicated): one
+    :func:`~repro.simmpi.alltoall.ask` round over the parent vector."""
     p = comm.size
     # Labels are vertex ids < n; keep the callers' (possibly narrowed)
     # storage dtype through the whole query/reply round trip instead of
-    # forcing int64 -- empty blocks take the common dtype so routed
-    # concatenations never promote.
+    # forcing int64.
     q_dt = np.result_type(
         *([x.dtype for x in labels_per_pe if len(x)] or [np.int64]))
-    f_dt = f_blocks[0].dtype if f_blocks else np.dtype(np.int64)
     r = RaggedArrays.from_arrays(labels_per_pe, dtype=q_dt)
-    uniq, uoff, inv = segmented_unique(r.flat, r.segment_ids(), p)
-    uniqs = [uniq[uoff[i]:uoff[i + 1]] for i in range(p)]
-    invs = [inv[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
-    dest_flat = owner_of(uniq, n, p) if len(uniq) else \
-        np.empty(0, dtype=np.int64)
-    dests = [dest_flat[uoff[i]:uoff[i + 1]] for i in range(p)]
-    del r
-    recv, recv_src, orders = route_rows(comm, uniqs, dests, method=method)
-    replies = []
-    for i in range(p):
-        q = recv[i]
-        replies.append(f_blocks[i][q - _lo(n, p, i)]
-                       if len(q) else np.empty(0, dtype=f_dt))
-    comm.machine.charge_hash(
-        np.array([len(q) for q in recv], dtype=np.int64),
-        ranks=np.arange(p))
-    del recv
-    back, _, _ = route_rows(comm, replies, recv_src, method=method)
-    del replies, recv_src
-    out = []
-    for i in range(p):
-        if len(uniqs[i]) == 0:
-            out.append(np.empty(0, dtype=f_dt))
-            continue
-        out.append(unsort(orders[i], back[i])[invs[i]])
-    return out
+    f = np.concatenate(f_blocks)
+    out = ask(comm, method, r.flat, r.segment_ids(),
+              lambda x: owner_of(x, n, p), lambda x, _owner: f[x])
+    return [out[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
 
 
 def _shortcut(comm: Comm, f_blocks: List[np.ndarray], n: int, method: str,

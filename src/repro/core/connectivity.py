@@ -104,7 +104,7 @@ def connected_components(
             len(r) for r in resolved) else 0
 
     return ComponentsResult(
-        blocks=[b.copy() for b in P.blocks],
+        blocks=np.split(P.assembled(), P.bounds[1:-1]),
         bounds=P.bounds.copy(),
         n_components=n_components,
         elapsed=machine.elapsed(),

@@ -11,17 +11,18 @@ plus one 2-cycle).  They are converted to rooted stars by
 then pointer doubling: each still-pending vertex ``u`` with parent ``v``
 requests ``parent(v)`` from ``v``'s home PE and replaces its parent by the
 answer, halving the tree depth per round.  Requests are deduplicated per
-(home PE, vertex) and delivered with the configured sparse all-to-all --
+(home PE, vertex) and charged under the configured sparse all-to-all --
 running this exchange through the two-level grid scheme is what Fig. 2 is
-about.
+about; the host answers the round in one gather
+(:func:`repro.simmpi.alltoall.ask`).
 
 Every non-root local vertex's selected edge is an MST edge (min-cut
 property) and is recorded; the final parent array is the per-vertex
 component-root label ``L_local`` consumed by EXCHANGELABELS/RELABEL.
 
 The state of all PEs is held flat and every step of a round is one
-segmented kernel call (see :mod:`repro.kernels`); the per-PE loops this
-replaced are the oracle of the differential tests
+segmented kernel call (see :mod:`repro.kernels`); the per-PE loops and the
+routed round this replaced are the oracles of the differential tests
 (``tests/_loop_reference.py``).
 """
 
@@ -33,8 +34,8 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.search import sorted_lookup
-from ..kernels import segmented_lookup, segmented_unique
-from ..simmpi.alltoall import route_rows, unsort
+from ..kernels import segmented_lookup
+from ..simmpi.alltoall import ask
 from .minedges import ChosenEdges
 from .state import MSTRun
 
@@ -79,49 +80,24 @@ def contract_components(
         n_pending = comm.allreduce([int(c) for c in pend_counts])
         if n_pending == 0:
             break
-        # Deduplicated queries: distinct parent targets per PE.
+        # Each pending u asks the home of its parent v for pv = parent(v),
+        # deduplicated per PE; owners answer from the state at round start
+        # (BSP semantics).
         pend_pos = np.flatnonzero(pend)
         targets = par[pend_pos]
-        tseg = vseg[pend_pos]
-        uniq, uoff, inv = segmented_unique(targets, tseg, p)
-        qlens = np.diff(uoff)
-        queries = [uniq[uoff[i]:uoff[i + 1]] for i in range(p)]
-        dest_flat = graph.home_of_vertices(uniq)
-        dests = [dest_flat[uoff[i]:uoff[i + 1]] for i in range(p)]
-        recv, recv_src, orders = route_rows(
-            comm, queries, dests, method=run.cfg.alltoall
-        )
-        # Answer from the state at round start (BSP semantics).
-        recv_lens = np.array([len(q) for q in recv], dtype=np.int64)
-        roff = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(recv_lens, out=roff[1:])
-        q_flat = np.concatenate(recv) if roff[-1] else z
-        qseg = np.repeat(np.arange(p, dtype=np.int64), recv_lens)
-        found, idx = segmented_lookup(vids, voff, q_flat, qseg)
-        if not found.all():
-            bad = int(qseg[~found][0])
-            raise RuntimeError(
-                f"PE {bad}: pointer-doubling query for non-resident vertex"
-            )
-        pv_rep = par[voff[qseg] + idx]
-        rep_flat = np.stack([q_flat, pv_rep], axis=1)
-        replies = [rep_flat[roff[i]:roff[i + 1]] for i in range(p)]
-        nz_recv = np.flatnonzero(recv_lens)
-        if len(nz_recv):
-            machine.charge_hash(recv_lens[nz_recv], ranks=nz_recv)
-        back, _, _ = route_rows(comm, replies, recv_src,
-                                method=run.cfg.alltoall)
-        # Apply: each pending u with target v learns pv = parent(v).
-        b_flat = np.concatenate(back, axis=0)
-        order_flat = np.concatenate(orders) if uoff[-1] else z
-        global_order = order_flat + np.repeat(uoff[:-1], qlens)
-        ordered = np.empty_like(b_flat)
-        ordered[global_order] = b_flat  # unsort(), all PEs at once
-        assert np.array_equal(ordered[:, 0], uniq)
-        pv_per_query = ordered[:, 1]
+
+        def answer(q: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            found, idx = segmented_lookup(vids, voff, q, owner)
+            if not found.all():
+                raise RuntimeError(
+                    f"PE {int(owner[~found].min())}: pointer-doubling query "
+                    f"for non-resident vertex")
+            return np.stack([q, par[voff[owner] + idx]], axis=1)
+
+        pv = ask(comm, run.cfg.alltoall, targets, vseg[pend_pos],
+                 graph.home_of_vertices, answer)[:, 1]
         u = vids[pend_pos]
         v = targets
-        pv = pv_per_query[uoff[tseg] + inv]
         # 2-cycle: v's parent is u itself; root at the smaller label.
         cyc = pv == u
         win = cyc & (u < v)
@@ -139,8 +115,7 @@ def contract_components(
         new_shared = sorted_lookup(shared_set, pv)[0]
         done = reg & (v_is_root | new_shared)
         pend[pend_pos[done]] = False
-        nz_q = np.flatnonzero(qlens)
-        machine.charge_scan(pend_counts[nz_q], ranks=nz_q)
+        machine.charge_scan(pend_counts)
     else:
         raise RuntimeError("pointer doubling failed to converge")
 

@@ -15,10 +15,11 @@ layout instead of searching it: a source's label sits at the index of its
 run in the part (``vids_per_pe[i]`` *is* part ``i``'s distinct sources in
 order), duplicates of a pushed ``(destination PE, vertex)`` pair are
 adjacent rows, and destination labels come from the direct-address table
-of :func:`repro.kernels.segmented_lookup`.  The per-PE loops they replaced
-are the oracle of the differential tests (``tests/_loop_reference.py``):
-payload rows, ghost tables, relabelled edges and simulated costs are
-identical.
+of :func:`repro.kernels.segmented_lookup`.  The push is charged from its
+count matrix and no row moves.  The per-PE loops and the routed push they
+replaced are the oracles of the differential tests
+(``tests/_loop_reference.py``): payload rows, ghost tables, relabelled edges
+and simulated costs are identical.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
 from ..dgraph.search import sorted_lookup
 from ..kernels import segmented_lookup, segmented_run_starts
-from ..simmpi.alltoall import route_rows
+from ..simmpi.alltoall import SendBlock, account
 from .state import MSTRun
 
 
@@ -133,25 +134,21 @@ def exchange_labels(
     pay = np.empty((len(sel), 2), dtype=np.result_type(cu, lab))
     pay[:, 0] = cu[sel]
     pay[:, 1] = lab[sel]
-    poff = np.searchsorted(pseg, np.arange(p + 1))  # pseg is ascending
-    payloads = [pay[poff[i]:poff[i + 1]] for i in range(p)]
-    dests = [pdest[poff[i]:poff[i + 1]] for i in range(p)]
+    # pseg is ascending, so the sort left it in place.
+    counts = np.bincount(pseg * p + pdest, minlength=p * p).reshape(p, p)
     nz = np.flatnonzero(lengths)
     if len(nz):
         cut_counts = np.diff(np.searchsorted(cut_pos, off))
         machine.charge_scan(lengths[nz], ranks=nz)
         machine.charge_sort(np.maximum(cut_counts[nz], 1), ranks=nz)
 
-    recv, _, _ = route_rows(run.comm, payloads, dests,
-                            method=run.cfg.alltoall)
-
-    recv_lens = np.array([len(r) for r in recv], dtype=np.int64)
-    r_flat = np.concatenate(recv, axis=0)
-    rseg = np.repeat(np.arange(p, dtype=np.int64), recv_lens)
-    order = packed_lexsort((r_flat[:, 0], rseg))  # per-PE stable sort by ghost
-    g = r_flat[order, 0]
-    l = r_flat[order, 1]
-    s_s = rseg[order]
+    account(run.comm, run.cfg.alltoall, pay, counts, lambda: SendBlock(pay))
+    # A home keeps the first copy of a ghost in its source-major receive
+    # order: the stable sort by (home, vertex) keeps equal keys that way.
+    order = packed_lexsort((pay[:, 0], pdest), ranges=(None, (0, p - 1)))
+    g = pay[order, 0]
+    l = pay[order, 1]
+    s_s = pdest[order]
     first = np.ones(len(g), dtype=bool)
     if len(g) > 1:
         first[1:] = (g[1:] != g[:-1]) | (s_s[1:] != s_s[:-1])
@@ -162,9 +159,7 @@ def exchange_labels(
     np.cumsum(gcounts, out=goff[1:])
     tables = [GhostTable(gh[goff[i]:goff[i + 1]], gl[goff[i]:goff[i + 1]])
               for i in range(p)]
-    nz_recv = np.flatnonzero(recv_lens)
-    if len(nz_recv):
-        machine.charge_hash(recv_lens[nz_recv], ranks=nz_recv)
+    machine.charge_hash(counts.sum(axis=0))
     return tables
 
 

@@ -13,6 +13,11 @@ block owners with one sparse all-to-all, and contracts the resulting pointer
 trees by distributed pointer doubling.  ``request`` then resolves arbitrary
 (historical) vertex labels to their current component representatives -- the
 REQUESTLABELS step of the FILTER routine.
+
+The host holds ``P`` as one flat ``int64`` array (PE ``i``'s block is
+``bounds[i]:bounds[i + 1]``); every exchange is charged from its count
+matrix (:func:`repro.simmpi.alltoall.account` / ``ask``) and no row moves.
+The routed per-PE class is the oracle of the differential tests.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from typing import List
 
 import numpy as np
 
-from ..simmpi.alltoall import route_rows, unsort
+from ..kernels import RaggedArrays
+from ..simmpi.alltoall import SendBlock, account, ask
 from ..simmpi.collectives import Comm
 from ..utils.partition import block_bounds, owner_of
 
@@ -35,12 +41,17 @@ class DistributedLabelArray:
         self.p = comm.size
         self.alltoall = alltoall
         self.bounds = block_bounds(self.n, self.p)
-        #: P blocks, initialised to the identity.
-        self.blocks: List[np.ndarray] = [
-            np.arange(self.bounds[i], self.bounds[i + 1], dtype=np.int64)
-            for i in range(self.p)
-        ]
+        #: ``P``, flat, initialised to the identity.
+        self.values = np.arange(self.n, dtype=np.int64)
         self._pending: List[List[np.ndarray]] = [[] for _ in range(self.p)]
+
+    def _owner(self, index: np.ndarray) -> np.ndarray:
+        return owner_of(index, self.n, self.p)
+
+    def _ask(self, keys: np.ndarray, key_seg: np.ndarray) -> np.ndarray:
+        """``P[keys]``, asked of the block owners by PE ``key_seg``."""
+        return ask(self.comm, self.alltoall, keys, key_seg, self._owner,
+                   lambda uniq, _owner: self.values[uniq])
 
     # ------------------------------------------------------------------
     def sink(self, pe: int, vertices: np.ndarray, roots: np.ndarray) -> None:
@@ -52,68 +63,42 @@ class DistributedLabelArray:
             )
 
     def flush(self) -> None:
-        """Deliver buffered updates to their block owners (one all-to-all)."""
-        rows, dests = [], []
-        for i in range(self.p):
-            if self._pending[i]:
-                block = np.concatenate(self._pending[i], axis=0)
-            else:
-                block = np.empty((0, 2), dtype=np.int64)
-            rows.append(block)
-            dests.append(owner_of(block[:, 0], self.n, self.p)
-                         if len(block) else np.empty(0, dtype=np.int64))
-            self._pending[i] = []
-        recv, _, _ = route_rows(self.comm, rows, dests, method=self.alltoall)
-        for i in range(self.p):
-            upd = recv[i]
-            if len(upd):
-                self.blocks[i][upd[:, 0] - self.bounds[i]] = upd[:, 1]
-                self.comm.machine.charge_scan(np.array([len(upd)]),
-                                              ranks=np.array([i]))
+        """Deliver buffered updates to their block owners (one all-to-all).
+
+        The buffer is source-major, which is the order every owner applies
+        what it receives, so of two updates to one entry the later wins.
+        """
+        p = self.p
+        r = RaggedArrays.from_arrays(
+            [np.concatenate(b, axis=0) if b else np.empty((0, 2), np.int64)
+             for b in self._pending])
+        self._pending = [[] for _ in range(p)]
+        rows = r.flat
+        cell = r.segment_ids() * p + self._owner(rows[:, 0])
+        counts = np.bincount(cell, minlength=p * p).reshape(p, p)
+        account(self.comm, self.alltoall, rows, counts,
+                lambda: SendBlock(rows, np.argsort(cell, kind="stable")))
+        self.values[rows[:, 0]] = rows[:, 1]
+        self.comm.machine.charge_scan(counts.sum(axis=0))
+
+    def _per_pe(self, index: np.ndarray) -> List[int]:
+        """How many of the sorted positions ``index`` each PE holds."""
+        return np.diff(np.searchsorted(index, self.bounds)).tolist()
 
     # ------------------------------------------------------------------
     def contract(self, max_rounds: int = 64) -> None:
         """Pointer-double P to fixpoint: ``P[v] <- P[P[v]]`` until stable."""
         self.flush()
+        ids = np.arange(self.n)
         for _ in range(max_rounds):
-            # Query the owner of every (deduplicated) non-trivial target.
-            queries, inverses, dests, positions = [], [], [], []
-            for i in range(self.p):
-                block = self.blocks[i]
-                ids = np.arange(self.bounds[i], self.bounds[i + 1])
-                nontriv = np.flatnonzero(block != ids)
-                targets = block[nontriv]
-                uniq, inv = np.unique(targets, return_inverse=True)
-                queries.append(uniq)
-                inverses.append(inv)
-                positions.append(nontriv)
-                dests.append(owner_of(uniq, self.n, self.p))
-            n_q = self.comm.allreduce([len(q) for q in queries])
-            if n_q == 0:
+            # Ask the owner of every (deduplicated) non-trivial target.
+            pos = np.flatnonzero(self.values != ids)
+            if self.comm.allreduce(self._per_pe(pos)) == 0:
                 return
-            recv, recv_src, orders = route_rows(
-                self.comm, queries, dests, method=self.alltoall
-            )
-            replies = []
-            for i in range(self.p):
-                q = recv[i]
-                replies.append(self.blocks[i][q - self.bounds[i]]
-                               if len(q) else np.empty(0, dtype=np.int64))
-                self.comm.machine.charge_hash(np.array([len(q)]),
-                                              ranks=np.array([i]))
-            back, _, _ = route_rows(self.comm, replies, recv_src,
-                                    method=self.alltoall)
-            changed_any = []
-            for i in range(self.p):
-                if len(queries[i]) == 0:
-                    changed_any.append(0)
-                    continue
-                resolved = unsort(orders[i], back[i])  # aligned with queries
-                new_vals = resolved[inverses[i]]
-                old = self.blocks[i][positions[i]]
-                self.blocks[i][positions[i]] = new_vals
-                changed_any.append(int((new_vals != old).sum()))
-            if self.comm.allreduce(changed_any) == 0:
+            new = self._ask(self.values[pos], self._owner(pos))
+            changed = pos[new != self.values[pos]]
+            self.values[pos] = new
+            if self.comm.allreduce(self._per_pe(changed)) == 0:
                 return
         raise RuntimeError("P-array pointer doubling failed to converge")
 
@@ -124,34 +109,10 @@ class DistributedLabelArray:
         Call :meth:`contract` first; chains are then fully collapsed and one
         lookup round suffices.
         """
-        uniq_qs, inverses, dests = [], [], []
-        for i in range(self.p):
-            q = np.asarray(queries_per_pe[i], dtype=np.int64)
-            uniq, inv = np.unique(q, return_inverse=True)
-            uniq_qs.append(uniq)
-            inverses.append(inv)
-            dests.append(owner_of(uniq, self.n, self.p))
-        recv, recv_src, orders = route_rows(self.comm, uniq_qs, dests,
-                                            method=self.alltoall)
-        replies = []
-        for i in range(self.p):
-            q = recv[i]
-            replies.append(self.blocks[i][q - self.bounds[i]]
-                           if len(q) else np.empty(0, dtype=np.int64))
-            self.comm.machine.charge_hash(np.array([len(q)]),
-                                          ranks=np.array([i]))
-        back, _, _ = route_rows(self.comm, replies, recv_src,
-                                method=self.alltoall)
-        out = []
-        for i in range(self.p):
-            if len(uniq_qs[i]) == 0:
-                out.append(np.empty(0, dtype=np.int64))
-                continue
-            resolved = unsort(orders[i], back[i])
-            out.append(resolved[inverses[i]])
-        return out
+        r = RaggedArrays.from_arrays(queries_per_pe, dtype=np.int64)
+        out = self._ask(r.flat, r.segment_ids())
+        return [out[r.offsets[i]:r.offsets[i + 1]] for i in range(self.p)]
 
     def assembled(self) -> np.ndarray:
         """The full array (testing/diagnostics only -- not a PE operation)."""
-        return np.concatenate(self.blocks) if self.n else np.empty(
-            0, dtype=np.int64)
+        return self.values.copy()

@@ -11,6 +11,7 @@ from .filter_kruskal import (
 )
 from .kkt import NO_PATH, boruvka_round, kkt_msf, max_weight_on_paths
 from .verify import (
+    VerificationError,
     is_forest,
     is_spanning_forest,
     networkx_msf_weight,
@@ -35,5 +36,6 @@ __all__ = [
     "is_spanning_forest",
     "networkx_msf_weight",
     "spans_same_components",
+    "VerificationError",
     "verify_msf",
 ]

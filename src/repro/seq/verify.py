@@ -58,28 +58,36 @@ def is_spanning_forest(candidate: Edges, graph: Edges, n_vertices: int) -> bool:
     )
 
 
+class VerificationError(AssertionError):
+    """A candidate is not the MSF (raised explicitly: survives ``-O``)."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise VerificationError(message)
+
+
 def verify_msf(candidate: Edges, graph: Edges, n_vertices: int,
                check_edges: bool = True) -> None:
-    """Assert that ``candidate`` is *the* minimum spanning forest of ``graph``.
+    """Check that ``candidate`` is *the* minimum spanning forest of ``graph``.
 
-    Raises ``AssertionError`` with a diagnostic message on any violation.
-    With ``check_edges`` the canonical (w, min, max) triples must match
-    Kruskal's exactly (valid when the input has no exactly-parallel duplicate
-    edges); without it only forest structure and total weight are compared.
+    Raises :class:`VerificationError` (an ``AssertionError``) with a
+    diagnostic message on any violation.  With ``check_edges`` the
+    canonical (w, min, max) triples must match Kruskal's exactly (valid when
+    the input has no exactly-parallel duplicate edges); without it only
+    forest structure and total weight are compared.
     """
-    assert is_forest(candidate, n_vertices), "candidate contains a cycle"
-    assert spans_same_components(candidate, graph, n_vertices), (
-        "candidate does not span the graph's components"
-    )
+    _require(is_forest(candidate, n_vertices), "candidate contains a cycle")
+    _require(spans_same_components(candidate, graph, n_vertices),
+             "candidate does not span the graph's components")
     reference = kruskal_msf(graph, n_vertices)
     got_w, ref_w = candidate.total_weight(), reference.total_weight()
-    assert got_w == ref_w, f"weight {got_w} != Kruskal weight {ref_w}"
+    _require(got_w == ref_w, f"weight {got_w} != Kruskal weight {ref_w}")
     if check_edges:
         got = candidate.canonical_triples()
         ref = reference.canonical_triples()
-        assert got.shape == ref.shape and np.array_equal(got, ref), (
-            "MSF edge multiset differs from Kruskal's"
-        )
+        _require(got.shape == ref.shape and np.array_equal(got, ref),
+                 "MSF edge multiset differs from Kruskal's")
 
 
 def networkx_msf_weight(graph: Edges, n_vertices: int) -> int:

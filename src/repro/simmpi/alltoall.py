@@ -51,24 +51,21 @@ travels as a unit.  An indirect scheme on ``p`` ranks is a *hop table*:
 ``holder_k[i, j]`` is the rank holding cell ``(i, j)`` after hop ``k``
 (``holder_last[i, j] == j``), a pure function of the scheme and ``p`` that
 is built once and memoised (:class:`_HopPlan`).  Everything the simulated
-machine observes of a hop -- its cost, ``bytes_communicated``, the
-communication trace, metrics and sanitizer shadow matrices, the volume and
-group bounds -- depends only on the hop's count matrix
-``H_k[a, b] = sum(counts[i, j] : holder_{k-1} = a, holder_k = b)``, one
-integer-exact ``bincount`` over the ``p^2`` cells.  :func:`_charge_hops`
-charges every hop from its ``H_k`` and the payload then goes source ->
-destination in one block transpose (:func:`_move`), which is what the hops
-deliver by contract.  The payload a rank holds *between* hops is
-materialised (:func:`_hop_payload`) only for the victim of a drawn
-corruption fault, so detection still runs on real bytes.
+machine observes of a hop depends only on the hop's count matrix
+``H_k[a, b] = sum(counts[i, j] : holder_{k-1} = a, holder_k = b)``, and its
+clock only on the marginals: :func:`_charge_hops` sums each (sender,
+receiver) group once and builds the dense ``H_k`` only for an observer
+that reads it.  The payload then goes source -> destination in one block
+transpose (:func:`_move`), which is what the hops deliver by contract.  The
+payload a rank holds *between* hops is materialised (:func:`_hop_payload`)
+only for the victim of a drawn corruption fault, so detection still runs on
+real bytes.
 
-Every scheme is therefore *account, then move*, and the accounting half
-needs no payload: a count matrix, the row dtype/width and a lazy
-materialiser for that one victim.  :func:`account_auto` offers it to a
-caller that moves the rows of many sub-communicators in one pass of its own
-(the hypercube sorter charges every node of its split tree through it), so
-there is one copy of each cost formula and of the fault / trace / sanitizer
-sequence (:func:`_charge_hop`).
+Every scheme is *account, then move*: :func:`account` charges any method
+from a count matrix, the row dtype/width and a lazy materialiser for that
+one victim, and each ``alltoallv_*`` adds one :func:`_move`.  Callers whose
+result the host already knows only charge: the sorters, EXCHANGELABELS'
+push, and :func:`ask`, one request/reply round answered in one host gather.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import RaggedArrays, route_plan
+from ..kernels import RaggedArrays, route_plan, segmented_unique
 from ..kernels.dtypes import logical_itemsize
 from .collectives import Comm
 
@@ -294,26 +291,24 @@ def _record_trace(comm: Comm, counts: np.ndarray, row_bytes: float,
         san.on_comm(comm.ranks, sub)
 
 
-def _charge_hop(comm: Comm, op: str, group: int, H: np.ndarray,
+def _charge_hop(comm: Comm, op: str, group: int, rows_out: np.ndarray,
+                rows_in: np.ndarray, held: np.ndarray, wire_of,
                 template: np.ndarray, materialise) -> None:
-    """Charge one hop (or one whole direct exchange) from its count matrix.
+    """Charge one hop (or one whole direct exchange) from its marginals.
 
-    ``H[a, b]`` rows go from rank ``a`` to rank ``b`` (diagonal = rows
-    staying put); ``group`` is the size of the PE group whose dense
-    all-to-all the hop is charged as, or 0 for one pairwise exchange.  In
-    the order every exchange of the simulated machine follows: cost, fault
-    hook (``materialise(rank)`` builds the payload ``rank`` holds after the
-    hop, on demand), ``bytes_communicated``, trace/metrics/sanitizer
-    shadow, clock charge.
+    Per rank: ``rows_out`` / ``rows_in`` on the wire, ``held`` after the hop
+    (staying rows included).  ``group`` is the size of the PE group whose
+    dense all-to-all the hop is charged as, or 0 for one pairwise exchange.
+    ``wire_of()`` builds the dense per-pair wire matrix, only for a trace,
+    metrics or the sanitizer.  In the order every exchange of the simulated
+    machine follows: cost, fault hook (``materialise(rank)`` builds the
+    payload ``rank`` holds after the hop, on demand),
+    ``bytes_communicated``, trace/metrics/sanitizer shadow, clock charge.
     """
     m = comm.machine
     row_bytes = _row_nbytes(template)
-    wire = H
-    if not group:  # pairwise: the rows that stay put are not sent
-        wire = H.copy()
-        np.fill_diagonal(wire, 0)
-    bytes_out = wire.sum(axis=1).astype(np.float64) * row_bytes
-    bytes_in = wire.sum(axis=0).astype(np.float64) * row_bytes
+    bytes_out = np.asarray(rows_out, dtype=np.float64) * row_bytes
+    bytes_in = np.asarray(rows_in, dtype=np.float64) * row_bytes
     if group:
         # alltoall_dense is elementwise in its byte arguments, so one array
         # call computes every rank's cost with scalar-loop float semantics.
@@ -323,24 +318,12 @@ def _charge_hop(comm: Comm, op: str, group: int, H: np.ndarray,
                 + (m.cost.beta + m.cost.beta_sw) * (bytes_out + bytes_in))
     if m.faults is not None:
         cost = m.faults.on_exchange(
-            comm, op, H.sum(axis=0) * _row_width(template), materialise,
+            comm, op, held * _row_width(template), materialise,
             row_bytes, bytes_out, bytes_in, cost)
     m.bytes_communicated += float(bytes_out.sum())
-    _record_trace(comm, wire, row_bytes, op=op)
+    if not (m.trace is None and m.metrics is None and m.sanitizer is None):
+        _record_trace(comm, wire_of(), row_bytes, op=op)
     comm._sync_and_charge(cost, op=op, nbytes=float(bytes_out.sum()))
-
-
-def _account_direct(comm: Comm, template: np.ndarray, counts: np.ndarray,
-                    block_of) -> None:
-    """Charge one dense all-to-all; a drawn victim's receive buffer is the
-    column of cells addressed to it."""
-    size = comm.size
-
-    def received(rank: int) -> np.ndarray:
-        return block_of().take(
-            _rows_of_cells(counts, np.arange(size) * size + rank))
-
-    _charge_hop(comm, "alltoallv_direct", size, counts, template, received)
 
 
 def alltoallv_direct(
@@ -349,14 +332,23 @@ def alltoallv_direct(
     sendcounts: Sequence[np.ndarray],
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Dense one-level all-to-all (built-in ``MPI_Alltoallv`` model)."""
-    block, counts = _validate(sendbufs, sendcounts, comm.size)
-    _account_direct(comm, block.rows, counts, lambda: block)
-    return _move(block, counts), _recvcounts(counts)
+    return _exchange(comm, "direct", sendbufs, sendcounts)
 
 
 # ----------------------------------------------------------------------
 # Indirect schemes: a hop table, accounted hop by hop, one data move.
 # ----------------------------------------------------------------------
+class _Hop(NamedTuple):
+    """One hop's cells grouped by (sender, receiver), memoised with its plan:
+    ``perm`` lists the cells group by group, ``starts`` marks each group and
+    ``sender`` / ``receiver`` are its endpoints."""
+
+    perm: np.ndarray
+    starts: np.ndarray
+    sender: np.ndarray
+    receiver: np.ndarray
+
+
 class _HopPlan(NamedTuple):
     """An indirect scheme's routing on a fixed number of ranks.
 
@@ -364,12 +356,14 @@ class _HopPlan(NamedTuple):
     ``holder_{k-1}[i, j] * size + holder_k[i, j]`` (the hop's sender and
     receiver of cell ``(i, j)``; ``holder_{-1} = i``); ``groups[k]`` is the
     size of the PE group whose dense all-to-all the hop is charged as, or
-    0 for one pairwise exchange (a hypercube dimension).
+    0 for one pairwise exchange (a hypercube dimension); ``hops[k]`` groups
+    its cells (:class:`_Hop`).
     """
 
     ops: Tuple[str, ...]
     keys: Tuple[np.ndarray, ...]
     groups: Tuple[int, ...]
+    hops: Tuple[_Hop, ...]
 
 
 def _hop_plan(ops: Sequence[str], holders: Sequence[np.ndarray],
@@ -387,7 +381,14 @@ def _hop_plan(ops: Sequence[str], holders: Sequence[np.ndarray],
         holder = np.asarray(holder, dtype=np.int64).ravel()
         keys.append(_read_only(prev * size + holder))
         prev = holder
-    return _HopPlan(tuple(ops), tuple(keys), tuple(groups))
+    hops = []
+    for key in keys:  # group each hop's cells by (sender, receiver)
+        perm = np.argsort(key, kind="stable")
+        sk = key[perm]
+        starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+        hops.append(_Hop(*map(_read_only, (perm, starts,
+                                           *np.divmod(sk[starts], size)))))
+    return _HopPlan(tuple(ops), tuple(keys), tuple(groups), tuple(hops))
 
 
 def _hop_payload(plan: _HopPlan, hop: int, block_of, counts: np.ndarray,
@@ -410,30 +411,61 @@ def _hop_payload(plan: _HopPlan, hop: int, block_of, counts: np.ndarray,
     return block_of().take(_rows_of_cells(counts, seq[holder[seq] == rank]))
 
 
+def _hop_sums(hop: _Hop, cells: np.ndarray) -> np.ndarray:
+    """Rows per (sender, receiver) group of one hop: one integer
+    ``reduceat`` over the plan's cell order."""
+    return np.add.reduceat(cells[hop.perm], hop.starts)
+
+
+def _hop_marginals(hop: _Hop, group: int, sums: np.ndarray, size: int):
+    """Per rank: rows out and in on the wire (a pairwise exchange does not
+    send the rows that stay put) and rows held after the hop.  Sums of at
+    most ``p * group`` integers, exact in float64."""
+    wire = sums if group else np.where(hop.sender == hop.receiver, 0, sums)
+    out = np.bincount(hop.sender, weights=wire, minlength=size)
+    in_ = np.bincount(hop.receiver, weights=wire, minlength=size)
+    held = in_ if group else np.bincount(hop.receiver, weights=sums,
+                                         minlength=size)
+    return out, in_, held.astype(np.int64), wire
+
+
+def _hop_matrix(hop: _Hop, values: np.ndarray, size: int) -> np.ndarray:
+    """The dense ``size x size`` matrix of per-group ``values``."""
+    out = np.zeros(size * size, dtype=np.int64)
+    out[hop.sender * size + hop.receiver] = values
+    return out.reshape(size, size)
+
+
 def _charge_hops(comm: Comm, plan: _HopPlan, template: np.ndarray,
                  counts: np.ndarray, block_of) -> List[np.ndarray]:
     """Charge every hop of an indirect exchange from its count matrix.
 
-    ``template`` carries the row dtype and width; ``block_of()`` returns
-    the exchange's :class:`SendBlock` and is called only for the victim of
-    a drawn corruption fault.  Returns the hop count matrices ``H_k``
-    (diagonal = rows staying put).
+    Each hop is charged from the per-rank marginals of its group sums
+    (:func:`_hop_sums`); the dense ``H_k`` (diagonal = rows staying put) is
+    built only for the sanitizer and the trace.  ``template`` carries the
+    row dtype and width; ``block_of()`` returns the exchange's
+    :class:`SendBlock`, only for a drawn corruption victim.  Returns the
+    ``H_k`` when the sanitizer is attached (which checks them), else [].
     """
     size = comm.size
-    cells = counts.ravel().astype(np.float64)  # exact below 2^53 rows
-    hops: List[np.ndarray] = []
-    for k, (op, key, group) in enumerate(zip(*plan)):
-        H = np.bincount(key, weights=cells, minlength=size * size)
-        H = H.astype(np.int64).reshape(size, size)
-        hops.append(H)
-        _charge_hop(comm, op, group, H, template,
+    cells = counts.ravel()
+    san = comm.machine.sanitizer
+    dense: List[np.ndarray] = []
+    for k, (op, group, hop) in enumerate(zip(plan.ops, plan.groups,
+                                             plan.hops)):
+        sums = _hop_sums(hop, cells)
+        if san is not None:
+            dense.append(_hop_matrix(hop, sums, size))
+        out, in_, held, wire = _hop_marginals(hop, group, sums, size)
+        _charge_hop(comm, op, group, out, in_, held,
+                    functools.partial(_hop_matrix, hop, wire, size),
+                    template,
                     functools.partial(_hop_payload, plan, k, block_of,
                                       counts))
-    san = comm.machine.sanitizer
     if san is not None:
-        san.check_hops(int(counts.sum()), hops,
+        san.check_hops(int(counts.sum()), dense,
                        (plan.keys[-1] % size).reshape(size, size))
-    return hops
+    return dense
 
 
 def _grid_shape(size: int) -> Tuple[int, int]:
@@ -474,20 +506,6 @@ def _grid_plan(size: int) -> _HopPlan:
                      (r, c + (0 if size == c * r else 2)))
 
 
-def _account_grid(comm: Comm, template: np.ndarray, counts: np.ndarray,
-                  block_of) -> None:
-    """Charge one two-level grid exchange (direct on three ranks or fewer)."""
-    size = comm.size
-    if size <= 3:
-        return _account_direct(comm, template, counts, block_of)
-    plan = _grid_plan(size)
-    hops = _charge_hops(comm, plan, template, counts, block_of)
-    san = comm.machine.sanitizer
-    if san is not None:
-        san.check_two_level(size, int(counts.sum()),
-                            [int(H.sum()) for H in hops], plan.groups)
-
-
 def alltoallv_grid(
     comm: Comm,
     sendbufs: Sequence[np.ndarray],
@@ -500,9 +518,7 @@ def alltoallv_grid(
     the per-PE startup from ``alpha * p`` to ``O(alpha * sqrt(p))`` while
     doubling the communicated volume.
     """
-    block, counts = _validate(sendbufs, sendcounts, comm.size)
-    _account_grid(comm, block.rows, counts, lambda: block)
-    return _move(block, counts), _recvcounts(counts)
+    return _exchange(comm, "grid", sendbufs, sendcounts)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -530,69 +546,84 @@ def alltoallv_hypercube(
     Requires a power-of-two communicator size; other sizes fall back to the
     two-level grid scheme (the paper's generalisation covers the gap).
     """
-    size = comm.size
-    if size & (size - 1) != 0:
-        return alltoallv_grid(comm, sendbufs, sendcounts)
-    if size == 1:
-        return alltoallv_direct(comm, sendbufs, sendcounts)
-    block, counts = _validate(sendbufs, sendcounts, size)
-    _charge_hops(comm, _hypercube_plan(size), block.rows, counts,
-                 lambda: block)
-    return _move(block, counts), _recvcounts(counts)
+    return _exchange(comm, "hypercube", sendbufs, sendcounts)
 
 
-def _auto_takes_grid(size: int, total_rows: int, template: np.ndarray,
-                     threshold_bytes: float) -> bool:
+def _auto_takes_grid(size: int, total_rows: int,
+                     template: np.ndarray) -> bool:
     """The dispatch rule of Section VI-A: indirect delivery when the average
-    message is below ``threshold_bytes`` (and the grid is not degenerate)."""
+    message is below the threshold (and the grid is not degenerate)."""
     return (size > 3 and total_rows * _row_nbytes(template)
-            / float(size * size) < threshold_bytes)
+            / float(size * size) < GRID_DISPATCH_THRESHOLD_BYTES)
 
 
-def account_auto(comm: Comm, template: np.ndarray, counts: np.ndarray,
-                 block_of) -> None:
-    """Charge one exchange under the ``auto`` rule without moving a row.
+def account(comm: Comm, method: str, template: np.ndarray,
+            counts: np.ndarray, block_of) -> None:
+    """Charge one exchange under ``method`` without moving a row.
 
-    Everything the simulated machine observes of an exchange -- clocks,
-    ``bytes_communicated``, trace, metrics, sanitizer shadow and bounds,
-    fault draws -- follows from its ``comm.size x comm.size`` count matrix
-    and the row dtype/width (``template``: any array of such rows, e.g. an
-    empty one).  A caller that moves many sub-communicators' rows in one
-    pass of its own (the hypercube sorter) charges each exchange here;
-    ``block_of()`` must return the exchange's send side as a
-    :class:`SendBlock` and is called only when a corruption fault draws a
-    victim, so the rows need not outlive the move otherwise.
+    Everything the simulated machine observes of an exchange follows from
+    its ``comm.size x comm.size`` count matrix and the row dtype/width
+    (``template``: any array of such rows).  ``block_of()`` returns the
+    send side as a :class:`SendBlock`, called only for a drawn corruption
+    victim.  The dispatch rules live here: ``auto`` takes the grid below
+    :data:`GRID_DISPATCH_THRESHOLD_BYTES` per message (Section VI-A),
+    ``hypercube`` falls back to the grid on a non-power-of-two size and to
+    direct on one rank, ``grid`` and ``grid3`` to direct on <= 3 ranks.
     """
-    grid = _auto_takes_grid(comm.size, int(counts.sum()), template,
-                            GRID_DISPATCH_THRESHOLD_BYTES)
-    (_account_grid if grid else _account_direct)(comm, template, counts,
-                                                 block_of)
+    size = comm.size
+    if method not in ALLTOALL_METHODS:
+        raise KeyError(method)
+    if method == "auto":
+        method = ("grid" if _auto_takes_grid(size, int(counts.sum()),
+                                             template) else "direct")
+    elif method == "hypercube" and size & (size - 1):
+        method = "grid"
+    if method == "direct" or size == 1 or size <= 3 and method != "hypercube":
+        def received(rank: int) -> np.ndarray:
+            """A victim's receive buffer: the cells addressed to it."""
+            return block_of().take(
+                _rows_of_cells(counts, np.arange(size) * size + rank))
+
+        held = counts.sum(axis=0)
+        return _charge_hop(comm, "alltoallv_direct", size, counts.sum(axis=1),
+                           held, held, lambda: counts, template, received)
+    if method == "grid3":
+        from .multilevel import _account_multilevel
+
+        return _account_multilevel(comm, template, counts, block_of, 3)
+    plan = (_grid_plan if method == "grid" else _hypercube_plan)(size)
+    hops = _charge_hops(comm, plan, template, counts, block_of)
+    san = comm.machine.sanitizer
+    if san is not None and method == "grid":
+        san.check_two_level(size, int(counts.sum()),
+                            [int(H.sum()) for H in hops], plan.groups)
+
+
+def _exchange(comm: Comm, method: str, sendbufs, sendcounts
+              ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Validate, account under ``method``, then move the rows once."""
+    block, counts = _validate(sendbufs, sendcounts, comm.size)
+    account(comm, method, block.rows, counts, lambda: block)
+    return _move(block, counts), _recvcounts(counts)
 
 
 def alltoallv_auto(
     comm: Comm,
     sendbufs: Sequence[np.ndarray],
     sendcounts: Sequence[np.ndarray],
-    threshold_bytes: float = GRID_DISPATCH_THRESHOLD_BYTES,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Dispatch between direct and grid scheme by average message size.
 
     Section VI-A: the indirect grid variant is used when the average number
-    of bytes sent per message is below ``threshold_bytes``.
+    of bytes sent per message is below :data:`GRID_DISPATCH_THRESHOLD_BYTES`.
     """
-    block, counts = _validate(sendbufs, sendcounts, comm.size)
-    if _auto_takes_grid(comm.size, int(counts.sum()), block.rows,
-                        threshold_bytes):
-        return alltoallv_grid(comm, block, counts)
-    return alltoallv_direct(comm, block, counts)
+    return _exchange(comm, "auto", sendbufs, sendcounts)
 
 
 def _alltoallv_grid3(comm, sendbufs, sendcounts):
     """Three-level indirect delivery (the d = 3 point of Section VI-A's
     generalisation; see :mod:`repro.simmpi.multilevel`)."""
-    from .multilevel import alltoallv_multilevel
-
-    return alltoallv_multilevel(comm, sendbufs, sendcounts, d=3)
+    return _exchange(comm, "grid3", sendbufs, sendcounts)
 
 
 #: Name -> implementation map for experiment configuration.
@@ -665,6 +696,41 @@ def route_rows(
     np.cumsum(counts_mat.sum(axis=0), out=roff[1:])
     recv_src = [src_flat[roff[i]:roff[i + 1]] for i in range(size)]
     return recvbufs, recv_src, orders
+
+
+def ask(comm: Comm, method: str, keys: np.ndarray, key_seg: np.ndarray,
+        owner, answer) -> np.ndarray:
+    """One deduplicated request/reply round, charged from one count matrix.
+
+    PE ``key_seg[k]`` asks for ``keys[k]``: each PE's distinct keys go to
+    ``owner(uniq)``, and ``answer(uniq, dest)`` is the owners' lookup over
+    all PEs at once, one reply row per key (raising the owner's error,
+    naming the lowest failing owner PE).  Charged as routing would charge
+    it: the request exchange from ``C = bincount(src * p + dest)``, the
+    owners' hash probes ``C.sum(0)``, the reply exchange from ``C.T``.  A
+    corruption victim's block is built only when drawn: each PE's keys by
+    owner, each owner's answers source-major.  Returns the replies aligned
+    with ``keys``.
+    """
+    size = comm.size
+    uniq, uoff, inv = segmented_unique(keys, key_seg, size)
+    dest = np.asarray(owner(uniq), dtype=np.int64)
+    cell = np.repeat(np.arange(size, dtype=np.int64) * size,
+                     np.diff(uoff)) + dest
+    counts = np.bincount(cell, minlength=size * size).reshape(size, size)
+
+    @functools.lru_cache(maxsize=1)
+    def send_order() -> np.ndarray:
+        return np.argsort(cell, kind="stable")
+
+    account(comm, method, uniq, counts,
+            lambda: SendBlock(uniq, send_order()))
+    replies = answer(uniq, dest)
+    comm.machine.charge_hash(counts.sum(axis=0), ranks=comm.ranks)
+    account(comm, method, replies, np.ascontiguousarray(counts.T),
+            lambda: SendBlock(replies,
+                              send_order()[_gather_order(counts)[0]]))
+    return replies[uoff[key_seg] + inv]
 
 
 def unsort(order: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from .alltoall import (
     _move,
     _recvcounts,
     _validate,
-    alltoallv_direct,
+    account,
 )
 
 
@@ -98,6 +98,20 @@ def _multilevel_plan(size: int, d: int) -> _HopPlan:
         holders, sides)
 
 
+def _account_multilevel(comm: Comm, template: np.ndarray,
+                        counts: np.ndarray, block_of, d: int) -> None:
+    """Charge one d-level exchange (direct on three ranks or fewer)."""
+    size = comm.size
+    if size <= 3 or d <= 1:
+        return account(comm, "direct", template, counts, block_of)
+    plan = _multilevel_plan(size, d)
+    hops = _charge_hops(comm, plan, template, counts, block_of)
+    san = comm.machine.sanitizer
+    if san is not None:
+        san.check_multilevel(size, len(hops), int(counts.sum()),
+                             [int(H.sum()) for H in hops], plan.groups)
+
+
 def alltoallv_multilevel(
     comm: Comm,
     sendbufs: Sequence[np.ndarray],
@@ -110,14 +124,6 @@ def alltoallv_multilevel(
     per-pair order preserved); ``d`` hops of dense all-to-alls over groups
     of ``~p^(1/d)`` PEs each.
     """
-    size = comm.size
-    if size <= 3 or d <= 1:
-        return alltoallv_direct(comm, sendbufs, sendcounts)
-    block, counts = _validate(sendbufs, sendcounts, size)
-    plan = _multilevel_plan(size, d)
-    hops = _charge_hops(comm, plan, block.rows, counts, lambda: block)
-    san = comm.machine.sanitizer
-    if san is not None:
-        san.check_multilevel(size, len(hops), int(counts.sum()),
-                             [int(H.sum()) for H in hops], plan.groups)
+    block, counts = _validate(sendbufs, sendcounts, comm.size)
+    _account_multilevel(comm, block.rows, counts, lambda: block, d)
     return _move(block, counts), _recvcounts(counts)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..kernels import RaggedArrays, segmented_lexsort
 from ..kernels.segmented import packed_lexsort
-from ..simmpi.alltoall import SendBlock, account_auto, split_rows
+from ..simmpi.alltoall import SendBlock, account, split_rows
 from ..utils.partition import block_bounds
 
 
@@ -112,5 +112,5 @@ def rebalance_blocks(comm, parts: Sequence[np.ndarray]) -> List[np.ndarray]:
     counts = np.clip(np.minimum(src[1:, None], dst[None, 1:])
                      - np.maximum(src[:-1, None], dst[None, :-1]), 0, None)
     # Each source's rows go out in order: the send side is the block itself.
-    account_auto(comm, rows[:0], counts, lambda: SendBlock(rows))
+    account(comm, "auto", rows[:0], counts, lambda: SendBlock(rows))
     return split_rows(rows, dst)

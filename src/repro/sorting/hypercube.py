@@ -30,7 +30,7 @@ What the simulated machine observes is then *replayed* from the recorded
 sizes and count matrices by walking the tree in the recursion's pre-order
 (:func:`_replay`): sample ``allgatherv``, partition scan, ``allreduce``, the
 degenerate-split extras, the exchange under the ``auto`` rule
-(:func:`repro.simmpi.alltoall.account_auto`), the leaf's sort charge.
+(:func:`repro.simmpi.alltoall.account`), the leaf's sort charge.
 Charges of disjoint sub-communicators commute on the clocks, but the event
 stream, the fault injector's draw order, metrics and the sanitizer shadow
 see the order, so it is kept.  Each PE's pivot draws come from its own
@@ -48,7 +48,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..kernels import RaggedArrays, index_dtype, order_key, segmented_lexsort
-from ..simmpi.alltoall import SendBlock, account_auto, split_rows
+from ..simmpi.alltoall import SendBlock, account, split_rows
 from ..simmpi.collectives import Comm
 from ..utils.partition import owner_of
 
@@ -326,7 +326,7 @@ def _replay(comm: Comm, nodes: Dict[Tuple[int, int], _Node],
             sub._sync_and_charge(
                 word, op="exscan" if node.kind == _SPREAD else "allreduce",
                 nbytes=8)
-        account_auto(sub, template, node.counts,
+        account(sub, "auto", template, node.counts,
                      functools.partial(_group_block, rows, level.payload,
                                        lo, hi))
         if node.kind == _SPREAD:

@@ -12,7 +12,7 @@ The host computes the result once (docs/kernels.md, "REDISTRIBUTE sorts
 once"): bucket ``j`` holds the keys in ``[splitter[j-1], splitter[j])`` and
 both sorts are stable, so the output is the input in stable key order, cut
 at the bucket sizes.  The exchange is charged from its count matrix by
-:func:`repro.simmpi.alltoall.account_auto`; no row moves.
+:func:`repro.simmpi.alltoall.account`; no row moves.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..kernels import RaggedArrays, index_dtype, order_key
-from ..simmpi.alltoall import SendBlock, account_auto, split_rows
+from ..simmpi.alltoall import SendBlock, account, split_rows
 from ..simmpi.collectives import Comm
 from .common import local_lexsort_parts
 from .hypercube import sort_hypercube
@@ -105,7 +105,7 @@ def sort_samplesort(
     counts = np.bincount(pe.astype(np.int64) * p + bucket,
                          minlength=p * p).reshape(p, p)
     # Send side, cell-major: each PE's rows in local order (for a victim).
-    account_auto(comm, rows[:0], counts, lambda: SendBlock(rows, local))
+    account(comm, "auto", rows[:0], counts, lambda: SendBlock(rows, local))
 
     # ---- Local sort of the received runs. ----
     machine.charge_sort(received)

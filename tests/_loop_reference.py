@@ -36,6 +36,16 @@ holds.  The versions they replaced are kept here as shipped: the per-PE
 ``_contract_one_pe`` that searched its own vertex layout (registered through
 an adapter taking the production arguments and ignoring the layout), and the
 varint ``InputSnapshot`` with the ``redistribute_mst`` that decodes it.
+
+The request/reply rounds (contraction's pointer doubling, the P array,
+Awerbuch-Shiloach's ``_resolve``) and EXCHANGELABELS' push are now charged
+from their count matrices and answered in one host gather
+(``repro.simmpi.alltoall.ask`` / ``account``).  The routed versions they
+replaced are kept here as shipped: ``_contract_routed``,
+``_exchange_labels_routed``, ``_resolve_routed`` and the per-PE
+``DistributedLabelArray``.  The first three are second oracles of a site
+that already has a loop oracle, so :data:`ORACLES` lists them after it and
+``helpers.loop_oracles`` takes them only when named.
 """
 
 from __future__ import annotations
@@ -46,14 +56,14 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.competitors.awerbuch_shiloach import _lo
-from repro.core.labels import GhostTable
+from repro.core.labels import GhostTable, _source_labels
 from repro.core.local_preprocessing import _TaintedUnionFind
 from repro.core.minedges import ChosenEdges, _empty_chosen
 from repro.core.state import MSTRun
 from repro.dgraph.dist_graph import DistGraph
 from repro.dgraph.edges import Edges, lightest_per_group
 from repro.dgraph.search import lex_searchsorted, sorted_lookup
-from repro.kernels import RaggedArrays
+from repro.kernels import RaggedArrays, segmented_lookup, segmented_unique
 from repro.kernels.segmented import packed_lexsort
 from repro.simmpi.alltoall import ALLTOALL_METHODS, unsort
 from repro.simmpi.collectives import Comm
@@ -64,7 +74,7 @@ from repro.sorting.hypercube import sort_hypercube
 from repro.sorting.samplesort import OVERSAMPLING
 from repro.seq.filter_kruskal import filter_boruvka_msf
 from repro.seq.kruskal import kruskal_msf
-from repro.utils.partition import owner_of
+from repro.utils.partition import block_bounds, owner_of
 from repro.utils.varint import CompressedEdgeList
 
 
@@ -838,6 +848,403 @@ def _resolve(comm: Comm, f_blocks: List[np.ndarray], n: int,
     return out
 
 
+# ----------------------------------------------------------------------
+# The request/reply and label-push rounds as shipped before they were
+# charged from their count matrices and answered in one host gather
+# (rows routed there and back, replies unsorted): contraction's doubling
+# round, the P array, Awerbuch-Shiloach's ``_resolve`` and EXCHANGELABELS'
+# receive side.  Each routes through this module's ``route_rows``.
+# ----------------------------------------------------------------------
+def _contract_routed(
+    graph: DistGraph,
+    chosen: List[ChosenEdges],
+    run: MSTRun,
+) -> List[np.ndarray]:
+    """Contract the components induced by the chosen edges.
+
+    Returns per-PE ``L_local``: the component-root label of every local
+    vertex, aligned with ``chosen[i].vids``.  Records MST edges and reports
+    label maps to the run's label sink.
+    """
+    p = graph.machine.n_procs
+    machine = graph.machine
+    comm = run.comm
+    shared_set = graph.shared_vertex_set()
+
+    lengths = np.array([len(c.vids) for c in chosen], dtype=np.int64)
+    voff = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(lengths, out=voff[1:])
+    z = np.empty(0, dtype=np.int64)
+    vids = np.concatenate([c.vids for c in chosen]) if voff[-1] else z
+    shared = np.concatenate([c.shared for c in chosen]) \
+        if voff[-1] else np.zeros(0, dtype=bool)
+    to = np.concatenate([c.to for c in chosen]) if voff[-1] else z
+    vseg = np.repeat(np.arange(p, dtype=np.int64), lengths)
+
+    par = np.where(shared, vids, to)
+    root = shared.copy()
+    parent_shared = sorted_lookup(shared_set, par)[0]
+    pend = ~shared & ~parent_shared
+
+    # ------------------------------------------------------------------
+    # Pointer-doubling rounds.
+    # ------------------------------------------------------------------
+    max_rounds = run.cfg.max_rounds
+    for round_no in range(max_rounds):
+        pend_counts = np.bincount(vseg[pend], minlength=p)
+        n_pending = comm.allreduce([int(c) for c in pend_counts])
+        if n_pending == 0:
+            break
+        # Deduplicated queries: distinct parent targets per PE.
+        pend_pos = np.flatnonzero(pend)
+        targets = par[pend_pos]
+        tseg = vseg[pend_pos]
+        uniq, uoff, inv = segmented_unique(targets, tseg, p)
+        qlens = np.diff(uoff)
+        queries = [uniq[uoff[i]:uoff[i + 1]] for i in range(p)]
+        dest_flat = graph.home_of_vertices(uniq)
+        dests = [dest_flat[uoff[i]:uoff[i + 1]] for i in range(p)]
+        recv, recv_src, orders = route_rows(
+            comm, queries, dests, method=run.cfg.alltoall
+        )
+        # Answer from the state at round start (BSP semantics).
+        recv_lens = np.array([len(q) for q in recv], dtype=np.int64)
+        roff = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(recv_lens, out=roff[1:])
+        q_flat = np.concatenate(recv) if roff[-1] else z
+        qseg = np.repeat(np.arange(p, dtype=np.int64), recv_lens)
+        found, idx = segmented_lookup(vids, voff, q_flat, qseg)
+        if not found.all():
+            bad = int(qseg[~found][0])
+            raise RuntimeError(
+                f"PE {bad}: pointer-doubling query for non-resident vertex"
+            )
+        pv_rep = par[voff[qseg] + idx]
+        rep_flat = np.stack([q_flat, pv_rep], axis=1)
+        replies = [rep_flat[roff[i]:roff[i + 1]] for i in range(p)]
+        nz_recv = np.flatnonzero(recv_lens)
+        if len(nz_recv):
+            machine.charge_hash(recv_lens[nz_recv], ranks=nz_recv)
+        back, _, _ = route_rows(comm, replies, recv_src,
+                                method=run.cfg.alltoall)
+        # Apply: each pending u with target v learns pv = parent(v).
+        b_flat = np.concatenate(back, axis=0)
+        order_flat = np.concatenate(orders) if uoff[-1] else z
+        global_order = order_flat + np.repeat(uoff[:-1], qlens)
+        ordered = np.empty_like(b_flat)
+        ordered[global_order] = b_flat  # unsort(), all PEs at once
+        assert np.array_equal(ordered[:, 0], uniq)
+        pv_per_query = ordered[:, 1]
+        u = vids[pend_pos]
+        v = targets
+        pv = pv_per_query[uoff[tseg] + inv]
+        # 2-cycle: v's parent is u itself; root at the smaller label.
+        cyc = pv == u
+        win = cyc & (u < v)
+        lose = cyc & ~win
+        par[pend_pos[win]] = u[win]
+        root[pend_pos[win]] = True
+        pend[pend_pos[win]] = False
+        par[pend_pos[lose]] = v[lose]
+        pend[pend_pos[lose]] = False
+        # Regular doubling: adopt pv; finalise when v was a root or the
+        # new parent is a shared vertex (local check, paper IV-B).
+        reg = ~cyc
+        par[pend_pos[reg]] = pv[reg]
+        v_is_root = pv == v
+        new_shared = sorted_lookup(shared_set, pv)[0]
+        done = reg & (v_is_root | new_shared)
+        pend[pend_pos[done]] = False
+        nz_q = np.flatnonzero(qlens)
+        machine.charge_scan(pend_counts[nz_q], ranks=nz_q)
+    else:
+        raise RuntimeError("pointer doubling failed to converge")
+
+    # ------------------------------------------------------------------
+    # Record MST edges and label maps.
+    # ------------------------------------------------------------------
+    contributes = ~shared & ~root
+    cpos = np.flatnonzero(contributes)
+    c_ids = (np.concatenate([c.edge_id for c in chosen])
+             if voff[-1] else z)[cpos]
+    c_ws = (np.concatenate([c.weight for c in chosen])
+            if voff[-1] else z)[cpos]
+    ccounts = np.bincount(vseg[cpos], minlength=p)
+    coff = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(ccounts, out=coff[1:])
+    for i in range(p):
+        run.record_mst(i, c_ids[coff[i]:coff[i + 1]],
+                       c_ws[coff[i]:coff[i + 1]])
+        run.record_labels(i, vids[voff[i]:voff[i + 1]],
+                          par[voff[i]:voff[i + 1]])
+    return [par[voff[i]:voff[i + 1]] for i in range(p)]
+
+
+def _exchange_labels_routed(
+    graph: DistGraph,
+    vids_per_pe: List[np.ndarray],
+    labels_per_pe: List[np.ndarray],
+    run: MSTRun,
+) -> List[GhostTable]:
+    """Push new local-vertex labels to every PE that has them as ghosts."""
+    p = graph.machine.n_procs
+    machine = graph.machine
+    parts = graph.parts
+    lengths = np.array([len(part) for part in parts], dtype=np.int64)
+    total = int(lengths.sum())
+    z = np.empty(0, dtype=np.int64)
+
+    if total:
+        eu = np.concatenate([np.asarray(part.u) for part in parts])
+        ev = np.concatenate([np.asarray(part.v) for part in parts])
+        ew = np.concatenate([np.asarray(part.w) for part in parts])
+    else:
+        eu = ev = ew = z
+    off = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
+    seg = np.repeat(np.arange(p, dtype=np.int64), lengths)
+    vlens = np.array([len(v) for v in vids_per_pe], dtype=np.int64)
+    voff = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(vlens, out=voff[1:])
+    labels = np.concatenate(labels_per_pe) if voff[-1] else z
+
+    # Home PE of every reverse edge (v, u, w).  The label of u must be
+    # pushed wherever the reverse edge lives on a *different* PE.  This
+    # covers all cut edges (the paper's rule) plus the corner case where
+    # an edge is local here because its destination is a shared vertex,
+    # while the shared vertex's other PE holds the reverse edge as a cut
+    # edge and still needs our source's label.
+    home_all = graph.home_of_edges(ev, eu, ew)
+    cut_pos = np.flatnonzero(home_all != seg)
+    cu = eu[cut_pos]
+    home = home_all[cut_pos]
+    cseg = seg[cut_pos]
+    lab = _source_labels(eu, off, voff, labels)[cut_pos]
+    # Deduplicate per (destination PE, vertex).  The rows of one source are
+    # sorted by (v, w) and the home of (v, u, w) is monotone in (v, w) for a
+    # fixed u, so copies of a (source, home) pair are adjacent: keep the
+    # first of each run, then one stable sort by (PE, home) puts the
+    # survivors -- still ascending in the vertex -- in (PE, home, vertex)
+    # order, destination-sorted per PE.
+    first = np.ones(len(cut_pos), dtype=bool)
+    first[1:] = ((cu[1:] != cu[:-1]) | (home[1:] != home[:-1])
+                 | (cseg[1:] != cseg[:-1]))
+    keep = np.flatnonzero(first)
+    pdest = home[keep]
+    pseg = cseg[keep]
+    order = packed_lexsort((pdest, pseg), ranges=((0, p - 1), (0, p - 1)))
+    sel = keep[order]
+    pdest = pdest[order]
+    pay = np.empty((len(sel), 2), dtype=np.result_type(cu, lab))
+    pay[:, 0] = cu[sel]
+    pay[:, 1] = lab[sel]
+    poff = np.searchsorted(pseg, np.arange(p + 1))  # pseg is ascending
+    payloads = [pay[poff[i]:poff[i + 1]] for i in range(p)]
+    dests = [pdest[poff[i]:poff[i + 1]] for i in range(p)]
+    nz = np.flatnonzero(lengths)
+    if len(nz):
+        cut_counts = np.diff(np.searchsorted(cut_pos, off))
+        machine.charge_scan(lengths[nz], ranks=nz)
+        machine.charge_sort(np.maximum(cut_counts[nz], 1), ranks=nz)
+
+    recv, _, _ = route_rows(run.comm, payloads, dests,
+                            method=run.cfg.alltoall)
+
+    recv_lens = np.array([len(r) for r in recv], dtype=np.int64)
+    r_flat = np.concatenate(recv, axis=0)
+    rseg = np.repeat(np.arange(p, dtype=np.int64), recv_lens)
+    order = packed_lexsort((r_flat[:, 0], rseg))  # per-PE stable sort by ghost
+    g = r_flat[order, 0]
+    l = r_flat[order, 1]
+    s_s = rseg[order]
+    first = np.ones(len(g), dtype=bool)
+    if len(g) > 1:
+        first[1:] = (g[1:] != g[:-1]) | (s_s[1:] != s_s[:-1])
+    gh = g[first]
+    gl = l[first]
+    gcounts = np.bincount(s_s[first], minlength=p)
+    goff = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(gcounts, out=goff[1:])
+    tables = [GhostTable(gh[goff[i]:goff[i + 1]], gl[goff[i]:goff[i + 1]])
+              for i in range(p)]
+    nz_recv = np.flatnonzero(recv_lens)
+    if len(nz_recv):
+        machine.charge_hash(recv_lens[nz_recv], ranks=nz_recv)
+    return tables
+
+
+class DistributedLabelArray:
+    """Block-distributed ``P[0..n)`` with buffered updates and doubling."""
+
+    def __init__(self, comm: Comm, n: int, alltoall: str = "auto"):
+        self.comm = comm
+        self.n = int(n)
+        self.p = comm.size
+        self.alltoall = alltoall
+        self.bounds = block_bounds(self.n, self.p)
+        #: P blocks, initialised to the identity.
+        self.blocks: List[np.ndarray] = [
+            np.arange(self.bounds[i], self.bounds[i + 1], dtype=np.int64)
+            for i in range(self.p)
+        ]
+        self._pending: List[List[np.ndarray]] = [[] for _ in range(self.p)]
+
+    # ------------------------------------------------------------------
+    def sink(self, pe: int, vertices: np.ndarray, roots: np.ndarray) -> None:
+        """Label-sink entry point (buffered; see :meth:`flush`)."""
+        if len(vertices):
+            self._pending[pe].append(
+                np.stack([np.asarray(vertices, dtype=np.int64),
+                          np.asarray(roots, dtype=np.int64)], axis=1)
+            )
+
+    def flush(self) -> None:
+        """Deliver buffered updates to their block owners (one all-to-all)."""
+        rows, dests = [], []
+        for i in range(self.p):
+            if self._pending[i]:
+                block = np.concatenate(self._pending[i], axis=0)
+            else:
+                block = np.empty((0, 2), dtype=np.int64)
+            rows.append(block)
+            dests.append(owner_of(block[:, 0], self.n, self.p)
+                         if len(block) else np.empty(0, dtype=np.int64))
+            self._pending[i] = []
+        recv, _, _ = route_rows(self.comm, rows, dests, method=self.alltoall)
+        for i in range(self.p):
+            upd = recv[i]
+            if len(upd):
+                self.blocks[i][upd[:, 0] - self.bounds[i]] = upd[:, 1]
+                self.comm.machine.charge_scan(np.array([len(upd)]),
+                                              ranks=np.array([i]))
+
+    # ------------------------------------------------------------------
+    def contract(self, max_rounds: int = 64) -> None:
+        """Pointer-double P to fixpoint: ``P[v] <- P[P[v]]`` until stable."""
+        self.flush()
+        for _ in range(max_rounds):
+            # Query the owner of every (deduplicated) non-trivial target.
+            queries, inverses, dests, positions = [], [], [], []
+            for i in range(self.p):
+                block = self.blocks[i]
+                ids = np.arange(self.bounds[i], self.bounds[i + 1])
+                nontriv = np.flatnonzero(block != ids)
+                targets = block[nontriv]
+                uniq, inv = np.unique(targets, return_inverse=True)
+                queries.append(uniq)
+                inverses.append(inv)
+                positions.append(nontriv)
+                dests.append(owner_of(uniq, self.n, self.p))
+            n_q = self.comm.allreduce([len(q) for q in queries])
+            if n_q == 0:
+                return
+            recv, recv_src, orders = route_rows(
+                self.comm, queries, dests, method=self.alltoall
+            )
+            replies = []
+            for i in range(self.p):
+                q = recv[i]
+                replies.append(self.blocks[i][q - self.bounds[i]]
+                               if len(q) else np.empty(0, dtype=np.int64))
+                self.comm.machine.charge_hash(np.array([len(q)]),
+                                              ranks=np.array([i]))
+            back, _, _ = route_rows(self.comm, replies, recv_src,
+                                    method=self.alltoall)
+            changed_any = []
+            for i in range(self.p):
+                if len(queries[i]) == 0:
+                    changed_any.append(0)
+                    continue
+                resolved = unsort(orders[i], back[i])  # aligned with queries
+                new_vals = resolved[inverses[i]]
+                old = self.blocks[i][positions[i]]
+                self.blocks[i][positions[i]] = new_vals
+                changed_any.append(int((new_vals != old).sum()))
+            if self.comm.allreduce(changed_any) == 0:
+                return
+        raise RuntimeError("P-array pointer doubling failed to converge")
+
+    # ------------------------------------------------------------------
+    def request(self, queries_per_pe: List[np.ndarray]) -> List[np.ndarray]:
+        """REQUESTLABELS: resolve vertex labels to representatives.
+
+        Call :meth:`contract` first; chains are then fully collapsed and one
+        lookup round suffices.
+        """
+        uniq_qs, inverses, dests = [], [], []
+        for i in range(self.p):
+            q = np.asarray(queries_per_pe[i], dtype=np.int64)
+            uniq, inv = np.unique(q, return_inverse=True)
+            uniq_qs.append(uniq)
+            inverses.append(inv)
+            dests.append(owner_of(uniq, self.n, self.p))
+        recv, recv_src, orders = route_rows(self.comm, uniq_qs, dests,
+                                            method=self.alltoall)
+        replies = []
+        for i in range(self.p):
+            q = recv[i]
+            replies.append(self.blocks[i][q - self.bounds[i]]
+                           if len(q) else np.empty(0, dtype=np.int64))
+            self.comm.machine.charge_hash(np.array([len(q)]),
+                                          ranks=np.array([i]))
+        back, _, _ = route_rows(self.comm, replies, recv_src,
+                                method=self.alltoall)
+        out = []
+        for i in range(self.p):
+            if len(uniq_qs[i]) == 0:
+                out.append(np.empty(0, dtype=np.int64))
+                continue
+            resolved = unsort(orders[i], back[i])
+            out.append(resolved[inverses[i]])
+        return out
+
+    def assembled(self) -> np.ndarray:
+        """The full array (testing/diagnostics only -- not a PE operation)."""
+        return np.concatenate(self.blocks) if self.n else np.empty(
+            0, dtype=np.int64)
+
+
+def _resolve_routed(comm: Comm, f_blocks: List[np.ndarray], n: int,
+             labels_per_pe: List[np.ndarray], method: str
+             ) -> List[np.ndarray]:
+    """Look up f[x] for arbitrary per-PE label arrays (deduplicated)."""
+    p = comm.size
+    # Labels are vertex ids < n; keep the callers' (possibly narrowed)
+    # storage dtype through the whole query/reply round trip instead of
+    # forcing int64 -- empty blocks take the common dtype so routed
+    # concatenations never promote.
+    q_dt = np.result_type(
+        *([x.dtype for x in labels_per_pe if len(x)] or [np.int64]))
+    f_dt = f_blocks[0].dtype if f_blocks else np.dtype(np.int64)
+    r = RaggedArrays.from_arrays(labels_per_pe, dtype=q_dt)
+    uniq, uoff, inv = segmented_unique(r.flat, r.segment_ids(), p)
+    uniqs = [uniq[uoff[i]:uoff[i + 1]] for i in range(p)]
+    invs = [inv[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
+    dest_flat = owner_of(uniq, n, p) if len(uniq) else \
+        np.empty(0, dtype=np.int64)
+    dests = [dest_flat[uoff[i]:uoff[i + 1]] for i in range(p)]
+    del r
+    recv, recv_src, orders = route_rows(comm, uniqs, dests, method=method)
+    replies = []
+    for i in range(p):
+        q = recv[i]
+        replies.append(f_blocks[i][q - _lo(n, p, i)]
+                       if len(q) else np.empty(0, dtype=f_dt))
+    comm.machine.charge_hash(
+        np.array([len(q) for q in recv], dtype=np.int64),
+        ranks=np.arange(p))
+    del recv
+    back, _, _ = route_rows(comm, replies, recv_src, method=method)
+    del replies, recv_src
+    out = []
+    for i in range(p):
+        if len(uniqs[i]) == 0:
+            out.append(np.empty(0, dtype=f_dt))
+            continue
+        out.append(unsort(orders[i], back[i])[invs[i]])
+    return out
+
+
 #: ``(module, attribute, oracle)``: the production function each oracle
 #: stands in for.
 ORACLES = (
@@ -855,4 +1262,10 @@ ORACLES = (
      _contract_one_pe_searched),
     ("repro.core.boruvka", "InputSnapshot", InputSnapshot),
     ("repro.core.boruvka", "redistribute_mst", redistribute_mst),
+    ("repro.core.plabels", "DistributedLabelArray", DistributedLabelArray),
+    # Second oracles of a site: picked by their own name through
+    # ``loop_oracles(only=...)``, never by default.
+    ("repro.core.contraction", "contract_components", _contract_routed),
+    ("repro.core.labels", "exchange_labels", _exchange_labels_routed),
+    ("repro.competitors.awerbuch_shiloach", "_resolve", _resolve_routed),
 )

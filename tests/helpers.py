@@ -27,7 +27,9 @@ ENGINE_NAMES = ("inprocess", "batched")
 @contextmanager
 def loop_oracles(only=None):
     """Run the block with the loop oracles in place of the production sites
-    (with ``only``, a collection of production attribute names, just those).
+    (with ``only``, a collection of production attribute or oracle names,
+    just those; a site with two oracles takes the first listed unless
+    ``only`` names the other).
 
     Nothing in ``src/`` knows about the oracles.  The package imports its
     helpers by name (``from ..simmpi.alltoall import route_rows``), so
@@ -38,9 +40,11 @@ def loop_oracles(only=None):
     originals.  Test code must reach a site through its module
     (``core.min_edges(...)``, not a name imported into the test).
     """
-    swap = {id(getattr(importlib.import_module(mod), attr)): oracle
-            for mod, attr, oracle in ORACLES
-            if only is None or attr in only}
+    swap = {}
+    for mod, attr, oracle in ORACLES:
+        if only is None or attr in only or oracle.__name__ in only:
+            swap.setdefault(id(getattr(importlib.import_module(mod), attr)),
+                            oracle)
     undo = []
     try:
         for name, mod in list(sys.modules.items()):

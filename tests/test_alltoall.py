@@ -22,10 +22,19 @@ from repro.simmpi import (
 )
 from repro.simmpi.alltoall import (
     ALLTOALL_METHODS,
+    SendBlock,
     _grid_intermediate,
+    _grid_plan,
     _grid_shape,
+    _hop_matrix,
+    _hop_marginals,
     _hop_plan,
+    _hop_sums,
+    _hypercube_plan,
+    account,
+    ask,
 )
+from repro.simmpi.multilevel import _multilevel_plan
 
 import _alltoall_reference as reference
 import _loop_reference
@@ -339,3 +348,139 @@ class TestRouteRows:
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+# ----------------------------------------------------------------------
+# Account-only entry and grouped hop sums.
+# ----------------------------------------------------------------------
+ACCOUNT_SIZES = [1, 2, 3, 4, 5, 7, 16, 64, 256, 1024]
+
+
+def _observed_exchange(machine):
+    return {"clock": machine.clock.copy(),
+            "bytes": machine.bytes_communicated,
+            "collectives": machine.n_collectives,
+            "trace": (machine.trace.matrix.copy(), machine.trace.n_exchanges),
+            "shadow": machine.sanitizer.comm_matrix.copy(),
+            "checks": dict(machine.sanitizer.counters)}
+
+
+class TestAccount:
+    """``account(m, ...)`` charges exactly what ``alltoallv_m`` charges:
+    clocks, bytes, trace and the sanitizer's shadow and checks."""
+
+    @pytest.mark.parametrize("method", sorted(ALLTOALL_METHODS))
+    @pytest.mark.parametrize("p", ACCOUNT_SIZES)
+    def test_charges_like_the_exchange(self, p, method, rng):
+        dense = rng.random((p, p)) < min(1.0, 6.0 / p)
+        counts = rng.integers(0, 4, (p, p)) * dense
+        rows = rng.integers(0, 1000, (int(counts.sum()), 2))
+        seen = []
+        for exchange in (True, False):
+            machine = Machine(p, trace=True, sanitize=True)
+            comm = Comm(machine)
+            if exchange:
+                ALLTOALL_METHODS[method](comm, SendBlock(rows), counts)
+            else:
+                account(comm, method, rows[:0], counts,
+                        lambda: SendBlock(rows))
+            seen.append(_observed_exchange(machine))
+        reference._assert_equal(*seen)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(KeyError):
+            account(Comm(Machine(4)), "butterfly", np.zeros((0, 1)),
+                    np.zeros((4, 4), dtype=np.int64), None)
+
+
+def _plans(p):
+    """Every indirect plan on ``p`` ranks."""
+    yield "grid", _grid_plan(p)
+    yield "grid3", _multilevel_plan(p, 3)
+    if p & (p - 1) == 0:
+        yield "hypercube", _hypercube_plan(p)
+
+
+class TestGroupedHopSums:
+    """Each hop summed once per (sender, receiver) group equals the weighted
+    ``bincount`` over all cells it replaced, marginals included."""
+
+    # 7 and 10 leave the grid's last row incomplete.
+    @pytest.mark.parametrize("p", [4, 7, 10, 12, 16, 30, 64])
+    def test_equal_to_bincount(self, p, rng):
+        one = np.zeros((p, p), dtype=np.int64)
+        one[p - 1, 1] = 5
+        shapes = {"zero": np.zeros((p, p), dtype=np.int64), "one cell": one,
+                  "random": rng.integers(0, 9, (p, p))
+                  * (rng.random((p, p)) < 0.3)}
+        for name, plan in _plans(p):
+            for shape, counts in shapes.items():
+                cells = counts.ravel()
+                for key, hop, group in zip(plan.keys, plan.hops,
+                                           plan.groups):
+                    want = np.bincount(key, weights=cells.astype(np.float64),
+                                       minlength=p * p)
+                    want = want.astype(np.int64).reshape(p, p)
+                    sums = _hop_sums(hop, cells)
+                    got = _hop_matrix(hop, sums, p)
+                    assert np.array_equal(got, want), (name, shape)
+                    out, in_, held, w = _hop_marginals(hop, group, sums, p)
+                    wire = want.copy()
+                    if not group:
+                        np.fill_diagonal(wire, 0)
+                    assert np.array_equal(_hop_matrix(hop, w, p), wire)
+                    assert np.array_equal(out, wire.sum(axis=1))
+                    assert np.array_equal(in_, wire.sum(axis=0))
+                    assert np.array_equal(held, want.sum(axis=0))
+                    assert held.dtype == np.int64
+
+
+def _routed_ask(comm, method, keys, key_seg, owner, answer):
+    """``ask`` as the routed round it replaced: unique per PE, route the
+    keys, answer per owner, charge the probes, route the replies back."""
+    p = comm.size
+    per_pe = [keys[key_seg == i] for i in range(p)]
+    uniqs, invs = zip(*(np.unique(k, return_inverse=True) for k in per_pe))
+    recv, src, orders = route_rows(comm, list(uniqs),
+                                   [owner(u) for u in uniqs], method=method)
+    replies = [answer(q, np.full(len(q), j)) for j, q in enumerate(recv)]
+    comm.machine.charge_hash(np.array([len(q) for q in recv]),
+                             ranks=np.arange(p))
+    back, _, _ = route_rows(comm, replies, src, method=method)
+    out = np.empty((len(keys),) + replies[0].shape[1:], replies[0].dtype)
+    for i in range(p):
+        out[key_seg == i] = unsort(orders[i], back[i])[invs[i]]
+    return out
+
+
+class TestAsk:
+    @pytest.mark.parametrize("faults", [None, STORM])
+    @pytest.mark.parametrize("method", sorted(ALLTOALL_METHODS))
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 16])
+    def test_equals_the_routed_round(self, p, method, faults, rng):
+        keys = rng.integers(0, 40, 120)
+        key_seg = np.sort(rng.integers(0, p, 120)) * (rng.random(120) < .8)
+
+        def owner(k):
+            return k % p
+
+        def answer(k, _owner):
+            return np.stack([k, 3 * k], axis=1)
+
+        seen = []
+        for fn in (ask, _routed_ask):
+            machine = Machine(p, trace=True, sanitize=True, faults=faults)
+            out = fn(Comm(machine), method, keys, key_seg, owner, answer)
+            seen.append({"out": out, **_observed_exchange(machine),
+                         "faults": machine.faults and
+                         machine.faults.summary()})
+        reference._assert_equal(seen[0], seen[1])
+        assert np.array_equal(seen[0]["out"][:, 1], 3 * keys)
+
+    def test_owner_error_propagates(self):
+        def answer(k, owner):
+            raise RuntimeError(f"PE {int(owner.min())}: not resident")
+
+        with pytest.raises(RuntimeError, match="PE 0: not resident"):
+            ask(Comm(Machine(3)), "direct", np.arange(6),
+                np.arange(6) % 3, lambda k: k % 3, answer)

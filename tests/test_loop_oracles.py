@@ -24,6 +24,7 @@ One documented licence, host-side only:
 """
 
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -54,8 +55,8 @@ MODES = {"plain": {}, "faults": {"faults": FAULTS}}
 
 
 def _machine(p, **mode):
-    return Machine(p, seed=5, trace=True, sanitize=True, trace_events=True,
-                   **{"faults": False, **mode})
+    return Machine(p, **{"seed": 5, "trace": True, "sanitize": True,
+                         "trace_events": True, "faults": False, **mode})
 
 
 def _plain(x, widen):
@@ -434,3 +435,157 @@ class TestHostPaths:
                 for col, old in zip((part.u, part.v, part.w, part.id), cols):
                     assert np.array_equal(col, old)
                     assert col.dtype == old.dtype
+
+
+# ----------------------------------------------------------------------
+# Rounds answered in one host gather (``ask``) or charged from their counts
+# (EXCHANGELABELS' push), against the routed rounds they replaced.
+# ----------------------------------------------------------------------
+ASK_ORACLES = ("_contract_routed", "_exchange_labels_routed",
+               "_resolve_routed", "DistributedLabelArray")
+ASK_SIZES = [1, 2, 3, 5, 64, 256]
+METHODS = ["auto", "direct", "grid", "grid3", "hypercube"]
+ASK_MODES = {
+    "simsan": {},
+    "nosan": {"sanitize": False},
+    "faults": {"faults": FAULTS},
+}
+ROUTED = {
+    "contract_components": oracle._contract_routed,
+    "exchange_labels": oracle._exchange_labels_routed,
+}
+
+
+def _forest_updates(rng, n, p):
+    """Label-sink reports: every vertex points below itself (a forest), some
+    are reported twice with different roots, and some PEs report nothing."""
+    updates = []
+    for pe in range(p):
+        if pe % 3 == 1:
+            continue
+        for _ in range(int(rng.integers(1, 3))):
+            verts = rng.integers(0, n, int(rng.integers(0, 2 * n // p + 2)))
+            updates.append((pe, verts, rng.integers(0, verts + 1)))
+    return updates
+
+
+def _label_array(cls, method):
+    """The P array's life in Filter-Borůvka: reports, contraction, then
+    REQUESTLABELS, as one site."""
+    def site(comm, n, updates, queries):
+        P = cls(comm, n, alltoall=method)
+        for pe, verts, roots in updates:
+            P.sink(pe, verts, roots)
+        P.contract()
+        return {"P": P.assembled(), "labels": P.request(queries)}
+    return site
+
+
+class TestAskSites:
+    @pytest.mark.parametrize("mode", ASK_MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("p", ASK_SIZES)
+    @pytest.mark.parametrize("stage", sorted(ROUTED))
+    def test_round_stage(self, stage, p, method, mode):
+        for name, edges, avoid_shared in _instances(min(p, 64)):
+            _differential(
+                _round_stage(stage, edges, avoid_shared, method),
+                getattr(core, stage), ROUTED[stage], p, ASK_MODES[mode])
+
+    @pytest.mark.parametrize("mode", ASK_MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("p", ASK_SIZES)
+    def test_label_array(self, p, method, mode):
+        rng = np.random.default_rng(p)
+        for n in (max(p // 2, 1), 7 * p + 5):
+            updates = _forest_updates(rng, n, p)
+            queries = [rng.integers(0, n, int(k)) * (i % 4 != 2)
+                       for i, k in enumerate(rng.integers(0, 30, p))]
+
+            def setup(machine):
+                return Comm(machine), n, updates, queries
+
+            _differential(setup, _label_array(core.DistributedLabelArray,
+                                              method),
+                          _label_array(oracle.DistributedLabelArray, method),
+                          p, ASK_MODES[mode])
+
+    @pytest.mark.parametrize("mode", ASK_MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("p", ASK_SIZES)
+    def test_awerbuch_shiloach_resolve(self, p, method, mode):
+        rng = np.random.default_rng(p)
+        n = 5 * p + 3
+        f_blocks = AS._identity_blocks(n, p)
+        for blk in f_blocks:
+            blk[:] = rng.integers(0, n, len(blk))
+        for labels in (
+                [rng.integers(0, n, int(k)) for k in rng.integers(0, 25, p)],
+                [rng.integers(0, n, int(k)).astype(f_blocks[0].dtype)
+                 for k in rng.integers(1, 9, p) * (np.arange(p) % 2)],
+                [np.empty(0, dtype=np.int64)] * p):
+            def setup(machine):
+                return Comm(machine), f_blocks, n, labels, method
+
+            _differential(setup, AS._resolve, oracle._resolve_routed, p,
+                          ASK_MODES[mode])
+
+
+ASK_ALGORITHMS = ("boruvka", "filter-boruvka", "awerbuch-shiloach")
+
+
+def _ask_matrix():
+    """Each algorithm under every all-to-all method and run mode; p rotates
+    so each size occurs."""
+    sizes = (1, 2, 3, 5, 64)
+    for k, (algo, method, mode) in enumerate(
+            (a, m, r) for a in ASK_ALGORITHMS for m in METHODS
+            for r in RUN_MODES):
+        yield algo, method, mode, sizes[k % len(sizes)]
+
+
+class TestAskWholeRuns:
+    @pytest.mark.parametrize("algo,method,mode,p", list(_ask_matrix()))
+    def test_whole_run(self, algo, method, mode, p):
+        """MSF, clocks, CommTrace, events, fault draws and RNG states equal
+        the run on the routed rounds, recovery from ``pe_fail`` included."""
+        graph = _family_graph(("GNM", "2D-RGG")[p % 2], seed=p)
+        b = BoruvkaConfig(base_case_min=64, alltoall=method)
+        cfg = (core.FilterConfig(boruvka=b) if algo == "filter-boruvka"
+               else b)
+
+        faults = dict(RUN_MODES[mode])
+        if mode == "pe_fail":  # two certain fail-stops: replays happen
+            faults["faults"] = f"seed=7,pe_fail@0:0,pe_fail@1:{p - 1}"
+
+        def run():
+            with Machine(p, seed=3, trace=True, trace_events=True,
+                         **{"faults": False, **faults}) as machine:
+                dg = graph.distribute(machine)
+                try:
+                    res = core.minimum_spanning_forest(dg, algorithm=algo,
+                                                       config=cfg)
+                except Exception as exc:  # the same refusal on both sides
+                    return {"raised": repr(exc)}
+                return {"msf": res.msf_parts, "weight": res.total_weight,
+                        "rounds": res.rounds,
+                        "machine": observed_machine(machine, ("charges",))}
+
+        prod = run()
+        with loop_oracles(only=ASK_ORACLES):
+            ref = run()
+        _assert_equal(_plain(prod, False), _plain(ref, False))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_connected_components(self, method):
+        """Connectivity reads the P array after the same rounds."""
+        graph = _family_graph("2D-RGG", seed=4)
+        seen = []
+        for ctx in (nullcontext(), loop_oracles(only=ASK_ORACLES)):
+            with ctx, Machine(5, seed=3, trace=True, sanitize=True) as m:
+                res = core.connected_components(
+                    graph.distribute(m), BoruvkaConfig(alltoall=method))
+                seen.append({"blocks": res.blocks,
+                             "n": res.n_components,
+                             "machine": observed_machine(m, ("charges",))})
+        _assert_equal(*(_plain(x, False) for x in seen))

@@ -131,3 +131,69 @@ class TestRejectsBrokenCandidates:
 @pytest.fixture
 def rng():
     return np.random.default_rng(157)
+
+
+_TRIANGLE_SCRIPT = """
+import numpy as np
+from repro.dgraph import Edges
+from repro.seq import VerificationError, verify_msf
+
+# Triangle 0-1 (1), 1-2 (2), 0-2 (3): the MSF weighs 3.  The spanning tree
+# {0-1, 0-2} weighs 4.
+u = np.array([0, 1, 1, 2, 0, 2]); v = np.array([1, 0, 2, 1, 2, 0])
+w = np.array([1, 1, 2, 2, 3, 3])
+graph = Edges(u, v, w)
+tree = Edges(np.array([0, 0]), np.array([1, 2]), np.array([1, 3]))
+try:
+    verify_msf(tree, graph, 3, check_edges=False)
+except VerificationError as exc:
+    print("raised:", exc)
+else:
+    print("passed")
+"""
+
+
+class TestVerificationSurvivesOptimize:
+    """The check is an explicit raise, not an ``assert``: ``python -O``
+    strips asserts and would let a wrong forest through."""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_non_minimum_tree_rejected(self, flags):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, *flags, "-c", _TRIANGLE_SCRIPT],
+                             capture_output=True, text=True, env=env,
+                             check=True).stdout
+        assert out.strip() == "raised: weight 4 != Kruskal weight 3"
+
+    def test_is_an_assertion_error(self):
+        from repro.seq import VerificationError
+
+        assert issubclass(VerificationError, AssertionError)
+
+    def test_cli_exits_one(self, tmp_path, monkeypatch, capsys):
+        """``repro mst --verify`` reports a failed check on stderr with exit
+        code 1 instead of printing OK or a traceback."""
+        from repro.cli import main
+        from repro.seq import verify as verify_mod
+
+        path = tmp_path / "g.npz"
+        assert main(["gen", "--family", "GNM", "-n", "64", "-m", "256",
+                     "-o", str(path)]) == 0
+        real = verify_mod.kruskal_msf
+
+        def heavier(graph, n):
+            ref = real(graph, n)
+            return Edges(ref.u, ref.v, ref.w + 1, ref.id)
+
+        monkeypatch.setattr(verify_mod, "kruskal_msf", heavier)
+        capsys.readouterr()
+        assert main(["mst", str(path), "--procs", "4", "--verify"]) == 1
+        cap = capsys.readouterr()
+        assert "verification    : OK" not in cap.out
+        assert cap.err.startswith("repro mst: verification failed: weight ")
