@@ -5,7 +5,7 @@ from .config import BoruvkaConfig, FilterConfig
 from .state import MSTRun
 from .minedges import ChosenEdges, min_edges
 from .contraction import contract_components
-from .labels import GhostTable, exchange_labels, relabel
+from .labels import LabelPush, exchange_labels, relabel
 from .redistribute import redistribute
 from .base_case import base_case
 from .local_preprocessing import local_preprocessing
@@ -37,7 +37,7 @@ __all__ = [
     "ChosenEdges",
     "min_edges",
     "contract_components",
-    "GhostTable",
+    "LabelPush",
     "exchange_labels",
     "relabel",
     "redistribute",

@@ -26,18 +26,36 @@ from .state import MSTRun
 INF = np.int64(WEIGHT_LIMIT)
 
 
-def _row_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise lexicographic minimum of two (n, k) candidate tables.
+class _RowMin:
+    """Elementwise lexicographic minimum of (n, k) candidate tables.
 
-    Rows compare by columns left to right; used as the allreduce operator
-    (associative and commutative).
+    Rows compare by columns left to right.  Calling it is the pairwise
+    allreduce operator (associative and commutative); :meth:`reduce` is
+    the fold of all ``p`` tables at once, which ``Comm`` takes instead.
     """
-    take_b = np.zeros(len(a), dtype=bool)
-    tie = np.ones(len(a), dtype=bool)
-    for c in range(a.shape[1]):
-        take_b |= tie & (b[:, c] < a[:, c])
-        tie &= b[:, c] == a[:, c]
-    return np.where(take_b[:, None], b, a)
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        take_b = np.zeros(len(a), dtype=bool)
+        tie = np.ones(len(a), dtype=bool)
+        for c in range(a.shape[1]):
+            take_b |= tie & (b[:, c] < a[:, c])
+            tie &= b[:, c] == a[:, c]
+        return np.where(take_b[:, None], b, a)
+
+    def reduce(self, tables) -> np.ndarray:
+        """The minimum over a ``(p, n, k)`` stack, column by column: only
+        the rows tied so far compete for the next column (a full tie is
+        the same row, whichever is taken)."""
+        tables = np.asarray(tables)
+        alive = np.ones(tables.shape[:2], dtype=bool)
+        for c in range(tables.shape[2]):
+            col = tables[:, :, c]
+            best = np.where(alive, col, np.iinfo(col.dtype).max).min(axis=0)
+            alive &= col == best
+        return tables[alive.argmax(axis=0), np.arange(tables.shape[1])]
+
+
+_row_min = _RowMin()
 
 
 def base_case(graph: DistGraph, run: MSTRun):
@@ -62,13 +80,13 @@ def base_case(graph: DistGraph, run: MSTRun):
     # Dense edge endpoints of all PEs in one flat block (ids and weights
     # ride along); ``pe`` is each row's PE.
     parts = graph.parts
-    pe = np.repeat(np.arange(p, dtype=np.int64), [len(q) for q in parts])
+    lens = np.array([len(q) for q in parts], dtype=np.int64)
+    pe = np.repeat(np.arange(p, dtype=np.int64), lens)
     eu = np.searchsorted(vlabels, np.concatenate([q.u for q in parts]))
     ev = np.searchsorted(vlabels, np.concatenate([q.v for q in parts]))
     ew = np.concatenate([q.w for q in parts])
     eid = np.concatenate([q.id for q in parts])
-    for i in range(p):
-        machine.charge_scan(np.array([len(parts[i])]), ranks=np.array([i]))
+    machine.charge_scan(lens, ranks=np.arange(p))
 
     cur = np.arange(n_dense, dtype=np.int64)  # replicated component labels
 
@@ -91,10 +109,9 @@ def base_case(graph: DistGraph, run: MSTRun):
         cand[rows, 2] = cv
         cand[rows, 3] = oth[pick]
         cand[rows, 4] = np.concatenate([eid, eid])[pick]
-        for i in range(p):
-            machine.charge_scan(np.array([max(counts[i], 1) + n_dense]),
-                                ranks=np.array([i]))
-        best = comm.allreduce(list(cand.reshape(p, n_dense, 5)), op=_row_min)
+        machine.charge_scan(np.maximum(counts, 1) + n_dense,
+                            ranks=np.arange(p))
+        best = comm.allreduce(cand.reshape(p, n_dense, 5), op=_row_min)
 
         # ---- Replicated contraction (identical on every PE). ----
         comp = np.flatnonzero(best[:, 0] != INF)
@@ -117,8 +134,8 @@ def base_case(graph: DistGraph, run: MSTRun):
         b = parent_map[ev]
         keep = a != b
         eu, ev, ew, eid, pe = a[keep], b[keep], ew[keep], eid[keep], pe[keep]
-        for i in np.flatnonzero(counts):
-            machine.charge_scan(np.array([counts[i]]), ranks=np.array([i]))
+        nz = np.flatnonzero(counts)
+        machine.charge_scan(counts[nz], ranks=nz)
     else:
         raise RuntimeError("base case failed to converge")
     return vlabels, vlabels[cur]

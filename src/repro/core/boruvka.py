@@ -145,9 +145,10 @@ class BoruvkaRoundBody(RoundBody):
             labels = contract_components(graph, chosen, run)
         vids = [c.vids for c in chosen]
         with machine.phase("label_exchange"):
-            tables = exchange_labels(graph, vids, labels, run)
+            push = exchange_labels(graph, vids, labels, run)
         with machine.phase("relabel"):
-            relabelled = relabel(graph, vids, labels, tables, run)
+            relabelled = relabel(graph, vids, labels, push, run)
+        del push  # it holds the round's flat columns
         with machine.phase("redistribute"):
             self.graph = redistribute(run, machine, relabelled)
         return False  # convergence is the prologue's threshold check

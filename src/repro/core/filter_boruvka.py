@@ -29,6 +29,7 @@ from ..dgraph.edges import Edges
 from ..obs.hooks import observe_filter_level, observe_filter_survivors
 from ..simmpi.machine import Machine
 from ..sorting.api import sort_rows
+from ..sorting.common import sample_positions
 from .base_case import base_case
 from .boruvka import (
     InputSnapshot,
@@ -53,16 +54,12 @@ def _select_pivot(graph: DistGraph, run: MSTRun, cfg: FilterConfig
     """
     machine = graph.machine
     p = machine.n_procs
-    samples = []
-    for i in range(p):
-        part = graph.parts[i]
-        if len(part) == 0:
-            samples.append(np.empty((0, 1), dtype=np.int64))
-            continue
-        rng = machine.pe_rng(i)
-        take = rng.integers(0, len(part),
-                            min(cfg.pivot_sample_per_pe, len(part)))
-        samples.append(part.w[take].reshape(-1, 1))
+    lens = np.array([len(part) for part in graph.parts], dtype=np.int64)
+    drawing, take, picks = sample_positions(machine, np.arange(p), lens,
+                                            cfg.pivot_sample_per_pe)
+    samples = [np.empty((0, 1), dtype=np.int64)] * p
+    for i, at in zip(drawing.tolist(), np.split(picks, np.cumsum(take)[:-1])):
+        samples[i] = graph.parts[i].w[at].reshape(-1, 1)
     sorted_parts = sort_rows(run.comm, samples, n_key_cols=1,
                              method="hypercube", rebalance=False)
     sizes = [len(x) for x in sorted_parts]
@@ -121,8 +118,8 @@ def _filter_heavy(
     P.contract()
     vids_per_pe = [heavy_graph.vertex_groups(i)[0] for i in range(p)]
     labels_per_pe = P.request(vids_per_pe)
-    tables = exchange_labels(heavy_graph, vids_per_pe, labels_per_pe, run)
-    return relabel(heavy_graph, vids_per_pe, labels_per_pe, tables, run)
+    push = exchange_labels(heavy_graph, vids_per_pe, labels_per_pe, run)
+    return relabel(heavy_graph, vids_per_pe, labels_per_pe, push, run)
 
 
 def distributed_filter_boruvka(

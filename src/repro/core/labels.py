@@ -13,67 +13,73 @@ self loops; parallel-edge elimination happens later in REDISTRIBUTE.
 Both steps run over all PEs' edges at once and read the sorted-by-source
 layout instead of searching it: a source's label sits at the index of its
 run in the part (``vids_per_pe[i]`` *is* part ``i``'s distinct sources in
-order), duplicates of a pushed ``(destination PE, vertex)`` pair are
-adjacent rows, and destination labels come from the direct-address table
-of :func:`repro.kernels.segmented_lookup`.  The push is charged from its
-count matrix and no row moves.  The per-PE loops and the routed push they
-replaced are the oracles of the differential tests
-(``tests/_loop_reference.py``): payload rows, ghost tables, relabelled edges
-and simulated costs are identical.
+order), and duplicates of a pushed ``(destination PE, vertex)`` pair are
+adjacent rows.  The push is charged from its count matrix and no row
+moves: EXCHANGELABELS returns it as a :class:`LabelPush`, with the flat
+columns and source labels it built, and RELABEL answers every destination
+label from one host lookup over the concatenated vertex lists (globally
+sorted; a shared vertex carries one label on every PE that holds it).
+What the receivers' ghost tables would have guaranteed is checked as a
+set: every destination is local to its PE or was pushed there (one
+:func:`repro.kernels.segmented_isin`).  The per-PE loops, the per-PE ghost
+tables and the routed push they replaced are the oracles of the
+differential tests (``tests/_loop_reference.py``): payload rows, ghost
+tables, relabelled edges and simulated costs are identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
-from ..kernels.segmented import packed_lexsort
-
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
-from ..dgraph.search import sorted_lookup
-from ..kernels import segmented_lookup, segmented_run_starts
+from ..kernels import (segment_ids, segmented_isin, segmented_lookup,
+                       segmented_run_starts)
+from ..kernels.segmented import packed_lexsort
 from ..simmpi.alltoall import SendBlock, account
 from .state import MSTRun
 
 
-@dataclass
-class GhostTable:
-    """Sorted ghost-vertex -> new-label mapping for one PE."""
+class LabelPush(NamedTuple):
+    """What EXCHANGELABELS pushed, and the round's flat state it read.
 
-    ghosts: np.ndarray
-    labels: np.ndarray
-
-    def lookup(self, v: np.ndarray) -> np.ndarray:
-        """New labels of the given ghost vertices (all must be present)."""
-        found, idx = sorted_lookup(self.ghosts, v)
-        if not found.all():
-            missing = np.asarray(v)[~found][:5]
-            raise RuntimeError(f"ghost labels missing for vertices {missing}")
-        return self.labels[idx]
-
-
-def _source_labels(eu: np.ndarray, off: np.ndarray, voff: np.ndarray,
-                   labels: np.ndarray) -> np.ndarray:
-    """New label of every edge's source, read off the layout.
-
-    Parts are sorted by source, so the k-th run of equal sources of part
-    ``i`` is the k-th entry of ``vids_per_pe[i]``: repeating each label over
-    its run replaces a per-edge binary search.  Raises when the vertex
-    lists are not the parts' own vertex groups (a different number of
-    entries than runs on some PE), which would shift every label behind it.
+    PE ``home[k]`` receives ``(vertex[k], label[k])``: one row per (sender
+    PE, home, vertex), sender-major and in source order within a sender.
+    ``ev``/``ew`` are the parts' columns concatenated (``off``, ``seg``),
+    ``src_label`` every row's new source label and ``voff`` the offsets of
+    the parts' vertex groups -- what RELABEL would otherwise rebuild.
     """
-    starts = np.flatnonzero(segmented_run_starts(eu, off))
-    runs_before = np.searchsorted(starts, off)
+
+    home: np.ndarray
+    vertex: np.ndarray
+    label: np.ndarray
+    ev: np.ndarray
+    ew: np.ndarray
+    off: np.ndarray
+    seg: np.ndarray
+    src_label: np.ndarray
+    voff: np.ndarray
+
+
+def _offsets(arrays) -> np.ndarray:
+    """``len(arrays) + 1`` offsets of the arrays laid end to end."""
+    off = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in arrays], out=off[1:])
+    return off
+
+
+def _check_groups(runs_before: np.ndarray, voff: np.ndarray) -> None:
+    """Raise unless the vertex lists (offsets ``voff``) are the parts' own
+    vertex groups (``runs_before``): a different number of entries than
+    runs on some PE would shift every label behind it."""
     if not np.array_equal(runs_before, voff):
         bad = int(np.flatnonzero(runs_before != voff)[0]) - 1
         raise ValueError(
             f"vids_per_pe[{bad}] is not part {bad}'s vertex groups: "
             f"{int(voff[bad + 1] - voff[bad])} entries for "
             f"{int(runs_before[bad + 1] - runs_before[bad])} distinct sources")
-    return np.repeat(labels, np.diff(starts, append=len(eu)))
 
 
 def exchange_labels(
@@ -81,28 +87,29 @@ def exchange_labels(
     vids_per_pe: List[np.ndarray],
     labels_per_pe: List[np.ndarray],
     run: MSTRun,
-) -> List[GhostTable]:
+) -> LabelPush:
     """Push new local-vertex labels to every PE that has them as ghosts."""
     p = graph.machine.n_procs
     machine = graph.machine
     parts = graph.parts
-    lengths = np.array([len(part) for part in parts], dtype=np.int64)
-    total = int(lengths.sum())
+    off = _offsets(parts)
+    lengths = np.diff(off)
     z = np.empty(0, dtype=np.int64)
 
-    if total:
+    if off[-1]:
         eu = np.concatenate([np.asarray(part.u) for part in parts])
         ev = np.concatenate([np.asarray(part.v) for part in parts])
         ew = np.concatenate([np.asarray(part.w) for part in parts])
     else:
         eu = ev = ew = z
-    off = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(lengths, out=off[1:])
-    seg = np.repeat(np.arange(p, dtype=np.int64), lengths)
-    vlens = np.array([len(v) for v in vids_per_pe], dtype=np.int64)
-    voff = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(vlens, out=voff[1:])
+    seg = segment_ids(off)
+    voff = _offsets(vids_per_pe)
     labels = np.concatenate(labels_per_pe) if voff[-1] else z
+    # Source labels, read off the layout: parts are sorted by source, so the
+    # k-th run of equal sources of part i is the k-th entry of vids_per_pe[i].
+    starts = np.flatnonzero(segmented_run_starts(eu, off))
+    _check_groups(np.searchsorted(starts, off), voff)
+    src_label = np.repeat(labels, np.diff(starts, append=len(eu)))
 
     # Home PE of every reverse edge (v, u, w).  The label of u must be
     # pushed wherever the reverse edge lives on a *different* PE.  This
@@ -115,26 +122,19 @@ def exchange_labels(
     cu = eu[cut_pos]
     home = home_all[cut_pos]
     cseg = seg[cut_pos]
-    lab = _source_labels(eu, off, voff, labels)[cut_pos]
     # Deduplicate per (destination PE, vertex).  The rows of one source are
     # sorted by (v, w) and the home of (v, u, w) is monotone in (v, w) for a
     # fixed u, so copies of a (source, home) pair are adjacent: keep the
-    # first of each run, then one stable sort by (PE, home) puts the
-    # survivors -- still ascending in the vertex -- in (PE, home, vertex)
-    # order, destination-sorted per PE.
+    # first of each run.
     first = np.ones(len(cut_pos), dtype=bool)
     first[1:] = ((cu[1:] != cu[:-1]) | (home[1:] != home[:-1])
                  | (cseg[1:] != cseg[:-1]))
     keep = np.flatnonzero(first)
     pdest = home[keep]
     pseg = cseg[keep]
-    order = packed_lexsort((pdest, pseg), ranges=((0, p - 1), (0, p - 1)))
-    sel = keep[order]
-    pdest = pdest[order]
-    pay = np.empty((len(sel), 2), dtype=np.result_type(cu, lab))
-    pay[:, 0] = cu[sel]
-    pay[:, 1] = lab[sel]
-    # pseg is ascending, so the sort left it in place.
+    pay = np.empty((len(keep), 2), dtype=np.result_type(cu, src_label))
+    pay[:, 0] = cu[keep]
+    pay[:, 1] = src_label[cut_pos[keep]]
     counts = np.bincount(pseg * p + pdest, minlength=p * p).reshape(p, p)
     nz = np.flatnonzero(lengths)
     if len(nz):
@@ -142,83 +142,64 @@ def exchange_labels(
         machine.charge_scan(lengths[nz], ranks=nz)
         machine.charge_sort(np.maximum(cut_counts[nz], 1), ranks=nz)
 
-    account(run.comm, run.cfg.alltoall, pay, counts, lambda: SendBlock(pay))
-    # A home keeps the first copy of a ghost in its source-major receive
-    # order: the stable sort by (home, vertex) keeps equal keys that way.
-    order = packed_lexsort((pay[:, 0], pdest), ranges=(None, (0, p - 1)))
-    g = pay[order, 0]
-    l = pay[order, 1]
-    s_s = pdest[order]
-    first = np.ones(len(g), dtype=bool)
-    if len(g) > 1:
-        first[1:] = (g[1:] != g[:-1]) | (s_s[1:] != s_s[:-1])
-    gh = g[first]
-    gl = l[first]
-    gcounts = np.bincount(s_s[first], minlength=p)
-    goff = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(gcounts, out=goff[1:])
-    tables = [GhostTable(gh[goff[i]:goff[i + 1]], gl[goff[i]:goff[i + 1]])
-              for i in range(p)]
+    # A corruption victim's send side is each PE's rows destination-sorted,
+    # i.e. in (PE, home, vertex) order: one stable sort, built only then.
+    account(run.comm, run.cfg.alltoall, pay, counts, lambda: SendBlock(
+        pay, packed_lexsort((pdest, pseg), ranges=((0, p - 1), (0, p - 1)))))
     machine.charge_hash(counts.sum(axis=0))
-    return tables
+    return LabelPush(pdest, pay[:, 0], pay[:, 1], ev, ew, off, seg,
+                     src_label, voff)
 
 
 def relabel(
     graph: DistGraph,
     vids_per_pe: List[np.ndarray],
     labels_per_pe: List[np.ndarray],
-    ghost_tables: List[GhostTable],
+    push: LabelPush,
     run: MSTRun,
 ) -> List[Edges]:
     """RELABEL: rewrite endpoints to component roots, drop self loops."""
     p = graph.machine.n_procs
     parts = graph.parts
-    lengths = np.array([len(part) for part in parts], dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
+    off, ev, seg = push.off, push.ev, push.seg
+    lengths = np.diff(off)
+    if off[-1] == 0:
         return [Edges.empty() for _ in range(p)]
-    eu = np.concatenate([np.asarray(part.u) for part in parts])
-    ev = np.concatenate([np.asarray(part.v) for part in parts])
-    ew = np.concatenate([np.asarray(part.w) for part in parts])
-    eid = np.concatenate([np.asarray(part.id) for part in parts])
-    off = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(lengths, out=off[1:])
-    seg = np.repeat(np.arange(p, dtype=np.int64), lengths)
+    voff = _offsets(vids_per_pe)
+    _check_groups(push.voff, voff)
+    vids = np.concatenate(vids_per_pe)
+    labels = np.concatenate(labels_per_pe)
 
-    z = np.empty(0, dtype=np.int64)
-    voff = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(np.array([len(v) for v in vids_per_pe], dtype=np.int64),
-              out=voff[1:])
-    vids = np.concatenate(vids_per_pe) if voff[-1] else z
-    labels = np.concatenate(labels_per_pe) if voff[-1] else z
-
-    # Source labels: every source is local by definition.
-    u_new = _source_labels(eu, off, voff, labels)
-    # Destination labels: local lookup where possible, ghosts otherwise.
-    v_local, idx = segmented_lookup(vids, voff, ev, seg)
-    v_new = np.empty_like(ev)
-    v_new[v_local] = labels[(voff[seg] + idx)[v_local]]
-    miss = np.flatnonzero(~v_local)
-    if len(miss):
-        mv, mseg = ev[miss], seg[miss]
-        goff = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(np.array([len(t.ghosts) for t in ghost_tables],
-                           dtype=np.int64), out=goff[1:])
-        ghosts = np.concatenate([t.ghosts for t in ghost_tables]) \
-            if goff[-1] else z
-        glabels = np.concatenate([t.labels for t in ghost_tables]) \
-            if goff[-1] else z
-        g_found, g_idx = segmented_lookup(ghosts, goff, mv, mseg)
-        if not g_found.all():
-            missing = mv[~g_found][:5]
-            raise RuntimeError(f"ghost labels missing for vertices {missing}")
-        v_new[miss] = glabels[goff[mseg] + g_idx]
-    keep_pos = np.flatnonzero(u_new != v_new)
+    # Every destination must be local to its PE or pushed to it: what a
+    # lookup in the PE's ghost table would have found.
+    covered = segmented_isin(np.concatenate([vids, push.vertex]),
+                             np.concatenate([segment_ids(voff), push.home]),
+                             ev, seg, p)
+    if not covered.all():
+        raise RuntimeError(
+            f"ghost labels missing for vertices {ev[~covered][:5]}")
+    # The vertex lists concatenate to one sorted list in which a shared
+    # vertex repeats: its copies must agree, then the first one answers.
+    bad = np.flatnonzero((vids[1:] < vids[:-1]) | (
+        (vids[1:] == vids[:-1]) & (labels[1:] != labels[:-1])))
+    if len(bad):
+        k = int(bad[0])
+        raise ValueError(
+            f"vertex lists are not one sorted list with one label per "
+            f"vertex: ({vids[k]}, label {labels[k]}) is followed by "
+            f"({vids[k + 1]}, label {labels[k + 1]})")
+    found, idx = segmented_lookup(vids, voff[[0, -1]], ev,
+                                  np.zeros(len(ev), dtype=np.int64))
+    if not found.all():
+        raise RuntimeError(
+            f"ghost labels missing for vertices {ev[~found][:5]}")
+    v_new = labels[idx].astype(ev.dtype, copy=False)
+    keep_pos = np.flatnonzero(push.src_label != v_new)
     koff = np.searchsorted(keep_pos, off)  # kept rows before each part
-    ku = u_new[keep_pos]
+    ku = push.src_label[keep_pos]
     kv = v_new[keep_pos]
-    kw = ew[keep_pos]
-    kid = eid[keep_pos]
+    kw = push.ew[keep_pos]
+    kid = np.concatenate([np.asarray(part.id) for part in parts])[keep_pos]
     out: List[Edges] = []
     for i in range(p):
         if lengths[i] == 0:

@@ -305,8 +305,9 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
                             ranks=np.array([i]))
 
     # ---- Refresh ghost labels and relabel (Sections IV-B/IV-C). ----
-    ghost_tables = exchange_labels(graph, vids_per_pe, labels_per_pe, run)
-    relabelled = relabel(graph, vids_per_pe, labels_per_pe, ghost_tables, run)
+    relabelled = relabel(graph, vids_per_pe, labels_per_pe,
+                         exchange_labels(graph, vids_per_pe, labels_per_pe,
+                                         run), run)
 
     # ---- Local resort + parallel-edge elimination. ----
     parts: List[Edges] = []

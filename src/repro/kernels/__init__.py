@@ -30,6 +30,7 @@ from .segmented import (
     route_plan,
     segment_ids,
     segmented_lexsort,
+    segmented_isin,
     segmented_lookup,
     segmented_run_starts,
     segmented_searchsorted,
@@ -50,6 +51,7 @@ __all__ = [
     "route_plan",
     "segment_ids",
     "segmented_lexsort",
+    "segmented_isin",
     "segmented_lookup",
     "segmented_run_starts",
     "segmented_searchsorted",

@@ -53,7 +53,7 @@ travels as a unit.  An indirect scheme on ``p`` ranks is a *hop table*:
 is built once and memoised (:class:`_HopPlan`).  Everything the simulated
 machine observes of a hop depends only on the hop's count matrix
 ``H_k[a, b] = sum(counts[i, j] : holder_{k-1} = a, holder_k = b)``, and its
-clock only on the marginals: :func:`_charge_hops` sums each (sender,
+clock only on the marginals: :func:`exchange_charges` sums each (sender,
 receiver) group once and builds the dense ``H_k`` only for an observer
 that reads it.  The payload then goes source -> destination in one block
 transpose (:func:`_move`), which is what the hops deliver by contract.  The
@@ -71,6 +71,7 @@ push, and :func:`ask`, one request/reply round answered in one host gather.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -291,39 +292,48 @@ def _record_trace(comm: Comm, counts: np.ndarray, row_bytes: float,
         san.on_comm(comm.ranks, sub)
 
 
-def _charge_hop(comm: Comm, op: str, group: int, rows_out: np.ndarray,
-                rows_in: np.ndarray, held: np.ndarray, wire_of,
-                template: np.ndarray, materialise) -> None:
-    """Charge one hop (or one whole direct exchange) from its marginals.
-
-    Per rank: ``rows_out`` / ``rows_in`` on the wire, ``held`` after the hop
-    (staying rows included).  ``group`` is the size of the PE group whose
-    dense all-to-all the hop is charged as, or 0 for one pairwise exchange.
-    ``wire_of()`` builds the dense per-pair wire matrix, only for a trace,
-    metrics or the sanitizer.  In the order every exchange of the simulated
-    machine follows: cost, fault hook (``materialise(rank)`` builds the
-    payload ``rank`` holds after the hop, on demand),
-    ``bytes_communicated``, trace/metrics/sanitizer shadow, clock charge.
-    """
-    m = comm.machine
+def _hop_cost(machine, group: int, rows_out: np.ndarray,
+              rows_in: np.ndarray, template: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per rank ``(cost, bytes out, bytes in)`` of one hop from the rows
+    it puts on and takes off the wire.  ``group`` is the size of the PE
+    group whose dense all-to-all the hop is charged as, or 0 for one
+    pairwise exchange.  Elementwise, so the arrays may stack the hops of
+    many exchanges (one row each) with scalar-loop float semantics."""
+    cm = machine.cost
     row_bytes = _row_nbytes(template)
     bytes_out = np.asarray(rows_out, dtype=np.float64) * row_bytes
     bytes_in = np.asarray(rows_in, dtype=np.float64) * row_bytes
     if group:
-        # alltoall_dense is elementwise in its byte arguments, so one array
-        # call computes every rank's cost with scalar-loop float semantics.
-        cost = m.cost.alltoall_dense(group, bytes_out, bytes_in, m.threads)
+        cost = cm.alltoall_dense(group, bytes_out, bytes_in, machine.threads)
     else:
-        cost = (m.cost.c_call + m.cost.alpha
-                + (m.cost.beta + m.cost.beta_sw) * (bytes_out + bytes_in))
+        cost = (cm.c_call + cm.alpha
+                + (cm.beta + cm.beta_sw) * (bytes_out + bytes_in))
+    return cost, bytes_out, bytes_in
+
+
+def _charge_hop(comm: Comm, op: str, group: int, cost: np.ndarray,
+                bytes_out: np.ndarray, bytes_in: np.ndarray,
+                held: np.ndarray, wire_of, template: np.ndarray,
+                materialise) -> None:
+    """Charge one hop (or one whole direct exchange) from its
+    :func:`_hop_cost` and the rows each rank ``held`` after it (staying
+    rows included).  ``wire_of()`` builds the dense per-pair wire matrix, only
+    for a trace, metrics or the sanitizer.  In the order every exchange of
+    the simulated machine follows: fault hook (``materialise(rank)`` builds
+    the payload ``rank`` holds after the hop, on demand),
+    ``bytes_communicated``, trace/metrics/sanitizer shadow, clock charge.
+    """
+    m = comm.machine
     if m.faults is not None:
         cost = m.faults.on_exchange(
             comm, op, held * _row_width(template), materialise,
-            row_bytes, bytes_out, bytes_in, cost)
-    m.bytes_communicated += float(bytes_out.sum())
+            _row_nbytes(template), bytes_out, bytes_in, cost)
+    nbytes = float(bytes_out.sum())
+    m.bytes_communicated += nbytes
     if not (m.trace is None and m.metrics is None and m.sanitizer is None):
-        _record_trace(comm, wire_of(), row_bytes, op=op)
-    comm._sync_and_charge(cost, op=op, nbytes=float(bytes_out.sum()))
+        _record_trace(comm, wire_of(), _row_nbytes(template), op=op)
+    comm._sync_and_charge(cost, op=op, nbytes=nbytes)
 
 
 def alltoallv_direct(
@@ -436,38 +446,6 @@ def _hop_matrix(hop: _Hop, values: np.ndarray, size: int) -> np.ndarray:
     return out.reshape(size, size)
 
 
-def _charge_hops(comm: Comm, plan: _HopPlan, template: np.ndarray,
-                 counts: np.ndarray, block_of) -> List[np.ndarray]:
-    """Charge every hop of an indirect exchange from its count matrix.
-
-    Each hop is charged from the per-rank marginals of its group sums
-    (:func:`_hop_sums`); the dense ``H_k`` (diagonal = rows staying put) is
-    built only for the sanitizer and the trace.  ``template`` carries the
-    row dtype and width; ``block_of()`` returns the exchange's
-    :class:`SendBlock`, only for a drawn corruption victim.  Returns the
-    ``H_k`` when the sanitizer is attached (which checks them), else [].
-    """
-    size = comm.size
-    cells = counts.ravel()
-    san = comm.machine.sanitizer
-    dense: List[np.ndarray] = []
-    for k, (op, group, hop) in enumerate(zip(plan.ops, plan.groups,
-                                             plan.hops)):
-        sums = _hop_sums(hop, cells)
-        if san is not None:
-            dense.append(_hop_matrix(hop, sums, size))
-        out, in_, held, wire = _hop_marginals(hop, group, sums, size)
-        _charge_hop(comm, op, group, out, in_, held,
-                    functools.partial(_hop_matrix, hop, wire, size),
-                    template,
-                    functools.partial(_hop_payload, plan, k, block_of,
-                                      counts))
-    if san is not None:
-        san.check_hops(int(counts.sum()), dense,
-                       (plan.keys[-1] % size).reshape(size, size))
-    return dense
-
-
 def _grid_shape(size: int) -> Tuple[int, int]:
     """Columns ``c = floor(sqrt(p))`` and rows ``r = ceil(p / c)``."""
     c = int(math.isqrt(size))
@@ -549,12 +527,140 @@ def alltoallv_hypercube(
     return _exchange(comm, "hypercube", sendbufs, sendcounts)
 
 
+def _plan(scheme: str, size: int) -> _HopPlan:
+    """The hop plan of indirect scheme ``scheme`` on ``size`` ranks."""
+    return (_grid_plan if scheme == "grid" else _hypercube_plan)(size)
+
+
 def _auto_takes_grid(size: int, total_rows: int,
                      template: np.ndarray) -> bool:
     """The dispatch rule of Section VI-A: indirect delivery when the average
     message is below the threshold (and the grid is not degenerate)."""
     return (size > 3 and total_rows * _row_nbytes(template)
             / float(size * size) < GRID_DISPATCH_THRESHOLD_BYTES)
+
+
+def _resolve(method: str, size: int, total_rows: int,
+             template: np.ndarray) -> str:
+    """The scheme an exchange under ``method`` runs as: ``auto`` takes the
+    grid below :data:`GRID_DISPATCH_THRESHOLD_BYTES` per message (Section
+    VI-A), ``hypercube`` falls back to the grid on a non-power-of-two size
+    and to direct on one rank, ``grid`` and ``grid3`` to direct on <= 3
+    ranks."""
+    if method not in ALLTOALL_METHODS:
+        raise KeyError(method)
+    if method == "auto":
+        method = ("grid" if _auto_takes_grid(size, total_rows, template)
+                  else "direct")
+    elif method == "hypercube" and size & (size - 1):
+        method = "grid"
+    if method == "direct" or size == 1 or size <= 3 and method != "hypercube":
+        return "direct"
+    return method
+
+
+def _plan_hops(machine, plan: _HopPlan, template: np.ndarray,
+               stack: np.ndarray) -> List[list]:
+    """Every matrix's hops under an indirect plan, summed together: one
+    integer ``reduceat`` per hop over the plan's cell order."""
+    n, size = stack.shape[:2]
+    cells = stack.reshape(n, size * size)
+    base = np.arange(n)[:, None] * size  # matrix j's ranks: j * size + rank
+    per_hop = []
+    for op, group, hop in zip(plan.ops, plan.groups, plan.hops):
+        sums = np.add.reduceat(cells[:, hop.perm], hop.starts, axis=1)
+        stacked = hop._replace(sender=(base + hop.sender).ravel(),
+                               receiver=(base + hop.receiver).ravel())
+        out, in_, held = (x.reshape(n, size) for x in _hop_marginals(
+            stacked, group, sums.ravel(), n * size)[:3])
+        per_hop.append(zip(itertools.repeat(op), itertools.repeat(group),
+                           *_hop_cost(machine, group, out, in_, template),
+                           held))
+    return [list(hops) for hops in zip(*per_hop)]
+
+
+def exchange_charges(machine, method: str, template: np.ndarray,
+                     stack: np.ndarray) -> List[Tuple[str, list]]:
+    """What each exchange of a stack of ``(n, size, size)`` count matrices
+    charges on ``machine``: the scheme its dispatch rule picks (per matrix)
+    and its hops ``(op, group, cost, bytes out, bytes in, rows held)``
+    per rank (:func:`_hop_cost`), computed for the whole stack at once.
+    Pure: no clock, observer or fault is touched (:func:`apply_charges`
+    does that).  ``grid3`` is not resolved here."""
+    n, size = stack.shape[:2]
+    picked = [_resolve(method, size, int(t), template)
+              for t in stack.reshape(n, -1).sum(axis=1)]
+    out: List = [None] * n
+    for scheme in dict.fromkeys(picked):
+        idx = [k for k, m in enumerate(picked) if m == scheme]
+        sub = stack[idx]
+        if scheme == "direct":
+            held = sub.sum(axis=1)
+            hops = [[("alltoallv_direct", size, *c)] for c in zip(
+                *_hop_cost(machine, size, sub.sum(axis=2), held, template),
+                held)]
+        else:
+            hops = _plan_hops(machine, _plan(scheme, size), template, sub)
+        for k, h in zip(idx, hops):
+            out[k] = (scheme, h)
+    return out
+
+
+def _charge_hops(comm: Comm, plan: _HopPlan, hops: Sequence[tuple],
+                 template: np.ndarray, counts: np.ndarray, block_of
+                 ) -> List[np.ndarray]:
+    """Charge every hop of an indirect exchange from its marginals.
+
+    The dense ``H_k`` (diagonal = rows staying put) is built from
+    ``counts`` only for the sanitizer and the trace.  ``block_of()``
+    returns the exchange's :class:`SendBlock`, only for a drawn corruption
+    victim.  Returns the ``H_k`` when the sanitizer is attached (which
+    checks them), else [].
+    """
+    m = comm.machine
+    size = comm.size
+    observed = not (m.trace is None and m.metrics is None
+                    and m.sanitizer is None)
+    dense: List[np.ndarray] = []
+    for k, (hop, charge) in enumerate(zip(plan.hops, hops)):
+        wire_of = None
+        if observed:
+            sums = _hop_sums(hop, counts.ravel())
+            if m.sanitizer is not None:
+                dense.append(_hop_matrix(hop, sums, size))
+            wire_of = functools.partial(
+                _hop_matrix, hop,
+                _hop_marginals(hop, charge[1], sums, size)[3], size)
+        _charge_hop(comm, *charge, wire_of, template,
+                    functools.partial(_hop_payload, plan, k, block_of,
+                                      counts))
+    if m.sanitizer is not None:
+        m.sanitizer.check_hops(int(counts.sum()), dense,
+                               (plan.keys[-1] % size).reshape(size, size))
+    return dense
+
+
+def apply_charges(comm: Comm, scheme: str, hops: Sequence[tuple],
+                  template: np.ndarray, counts: np.ndarray, block_of) -> None:
+    """Issue one exchange's precomputed :func:`exchange_charges` on
+    ``comm``: per hop the fault hook, ``bytes_communicated``, the
+    trace/metrics/sanitizer shadow and the clock charge, in that order
+    (:func:`_charge_hop`); observers read ``counts``."""
+    size = comm.size
+    if scheme == "direct":
+        def received(rank: int) -> np.ndarray:
+            """A victim's receive buffer: the cells addressed to it."""
+            return block_of().take(
+                _rows_of_cells(counts, np.arange(size) * size + rank))
+
+        return _charge_hop(comm, *hops[0], lambda: counts, template,
+                           received)
+    plan = _plan(scheme, size)
+    dense = _charge_hops(comm, plan, hops, template, counts, block_of)
+    san = comm.machine.sanitizer
+    if san is not None and scheme == "grid":
+        san.check_two_level(size, int(counts.sum()),
+                            [int(H.sum()) for H in dense], plan.groups)
 
 
 def account(comm: Comm, method: str, template: np.ndarray,
@@ -565,38 +671,16 @@ def account(comm: Comm, method: str, template: np.ndarray,
     its ``comm.size x comm.size`` count matrix and the row dtype/width
     (``template``: any array of such rows).  ``block_of()`` returns the
     send side as a :class:`SendBlock`, called only for a drawn corruption
-    victim.  The dispatch rules live here: ``auto`` takes the grid below
-    :data:`GRID_DISPATCH_THRESHOLD_BYTES` per message (Section VI-A),
-    ``hypercube`` falls back to the grid on a non-power-of-two size and to
-    direct on one rank, ``grid`` and ``grid3`` to direct on <= 3 ranks.
+    victim.  :func:`exchange_charges` on a stack of one, then
+    :func:`apply_charges`; ``grid3`` keeps its own branch.
     """
-    size = comm.size
-    if method not in ALLTOALL_METHODS:
-        raise KeyError(method)
-    if method == "auto":
-        method = ("grid" if _auto_takes_grid(size, int(counts.sum()),
-                                             template) else "direct")
-    elif method == "hypercube" and size & (size - 1):
-        method = "grid"
-    if method == "direct" or size == 1 or size <= 3 and method != "hypercube":
-        def received(rank: int) -> np.ndarray:
-            """A victim's receive buffer: the cells addressed to it."""
-            return block_of().take(
-                _rows_of_cells(counts, np.arange(size) * size + rank))
-
-        held = counts.sum(axis=0)
-        return _charge_hop(comm, "alltoallv_direct", size, counts.sum(axis=1),
-                           held, held, lambda: counts, template, received)
-    if method == "grid3":
+    if _resolve(method, comm.size, int(counts.sum()), template) == "grid3":
         from .multilevel import _account_multilevel
 
         return _account_multilevel(comm, template, counts, block_of, 3)
-    plan = (_grid_plan if method == "grid" else _hypercube_plan)(size)
-    hops = _charge_hops(comm, plan, template, counts, block_of)
-    san = comm.machine.sanitizer
-    if san is not None and method == "grid":
-        san.check_two_level(size, int(counts.sum()),
-                            [int(H.sum()) for H in hops], plan.groups)
+    (scheme, hops), = exchange_charges(comm.machine, method, template,
+                                       counts[None])
+    apply_charges(comm, scheme, hops, template, counts, block_of)
 
 
 def _exchange(comm: Comm, method: str, sendbufs, sendcounts

@@ -177,6 +177,8 @@ class Comm:
                 f"expected {self.size} per-rank values, got {len(values)}"
             )
         fn = _resolve_op(op)
+        if not isinstance(fn, np.ufunc) and hasattr(fn, "reduce"):
+            return fn.reduce(values)  # the whole fold in one call
         acc = values[0]
         if isinstance(acc, np.ndarray):
             acc = acc.copy()

@@ -23,8 +23,10 @@ The machine also provides:
   configured, exceeding it raises :class:`SimulatedOutOfMemory`.  The paper's
   competitors crash / cannot process some configurations for exactly this
   reason (Section VII), and the benchmark harness reproduces that behaviour.
-* **Per-PE deterministic RNGs** (:meth:`pe_rng`) so simulated runs are exactly
-  reproducible.
+* **Per-PE deterministic RNGs** (:meth:`pe_integers`) so simulated runs are
+  exactly reproducible.  The ``p`` streams live in one
+  :class:`~repro.simmpi.streams.PEStreams` (numpy's PCG64 over limb arrays),
+  so a draw for every PE of a level is one call.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Dict, Iterator, Optional
 import numpy as np
 
 from .costmodel import CostModel
+from .streams import PEStreams
 
 
 def simsan_env_enabled() -> bool:
@@ -101,7 +104,7 @@ class Machine:
     memory_limit_bytes:
         Optional per-PE memory budget.  ``None`` disables accounting.
     seed:
-        Base seed for the per-PE RNG streams.
+        Base seed for the per-PE RNG streams (:meth:`pe_integers`).
     trace:
         Record a per-pair communication matrix (see repro.simmpi.trace).
     sanitize:
@@ -160,7 +163,7 @@ class Machine:
         self.bytes_communicated = 0.0
         #: Total number of collective operations issued (diagnostic).
         self.n_collectives = 0
-        self._rngs: Dict[int, np.random.Generator] = {}
+        self._streams = PEStreams(self.n_procs, self.seed)
         #: Optional per-pair communication trace (see repro.simmpi.trace).
         if trace:
             from .trace import CommTrace
@@ -277,8 +280,7 @@ class Machine:
         """Zero all clocks, phase timers, diagnostics and RNG streams.
 
         After a reset the machine reproduces a run bit-for-bit: the per-PE
-        RNG cache is dropped so :meth:`pe_rng` hands out fresh streams from
-        the original seed again.
+        streams restart from the original seed.
         """
         self.clock[:] = 0.0
         self.phase_times.clear()
@@ -286,7 +288,7 @@ class Machine:
         self._phase_stack.clear()
         self.bytes_communicated = 0.0
         self.n_collectives = 0
-        self._rngs.clear()
+        self._streams.clear()
         self.pool.clear()
         if self.trace is not None:
             self.trace.reset()
@@ -299,43 +301,33 @@ class Machine:
         if self.faults is not None:
             self.faults.reset()
 
-    def pe_rng(self, pe: int) -> np.random.Generator:
-        """Deterministic per-PE random generator (stable across calls)."""
-        if pe not in self._rngs:
-            self._rngs[pe] = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(pe,))
-            )
-        return self._rngs[pe]
+    def pe_integers(self, ranks, high, size) -> np.ndarray:
+        """``integers(0, high[i], size[i])`` from PE ``ranks[i]``'s stream,
+        for every listed PE at once, concatenated in list order.
+
+        Bit for bit what PE ``r``'s ``np.random.default_rng(SeedSequence(
+        entropy=seed, spawn_key=(r,)))`` would return and leave behind
+        (:mod:`repro.simmpi.streams`); ``high`` may not exceed ``2^32``.
+        """
+        return self._streams.integers(ranks, high, size)
 
     def rng_snapshot(self) -> Dict[int, dict]:
-        """Deep-copied states of every per-PE RNG stream handed out so far.
+        """numpy-format states of every per-PE stream drawn from so far.
 
         The round checkpoints of the fault-recovery subsystem capture this
         so a replayed round draws exactly what the failed attempt drew
         (pivot selection, sample sort) -- the property that makes a
         recovered run's MST bit-identical to the fault-free run's.
         """
-        import copy
-
-        return {pe: copy.deepcopy(gen.bit_generator.state)
-                for pe, gen in self._rngs.items()}
+        return self._streams.snapshot()
 
     def rng_restore(self, snapshot: Dict[int, dict]) -> None:
         """Reset the per-PE RNG streams to a :meth:`rng_snapshot`.
 
-        Streams not present in the snapshot are dropped entirely, so a
-        stream first consumed *after* the snapshot restarts from its
-        seeded origin -- exactly the state at snapshot time.
+        Streams not present in the snapshot restart from their seeded
+        origin -- exactly their state at snapshot time.
         """
-        import copy
-
-        self._rngs.clear()
-        for pe, state in snapshot.items():
-            gen = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(pe,))
-            )
-            gen.bit_generator.state = copy.deepcopy(state)
-            self._rngs[pe] = gen
+        self._streams.restore(snapshot)
 
     # ------------------------------------------------------------------
     # Time accounting.

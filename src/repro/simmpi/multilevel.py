@@ -36,6 +36,7 @@ from .alltoall import (
     _HopPlan,
     _charge_hops,
     _hop_plan,
+    _plan_hops,
     _move,
     _recvcounts,
     _validate,
@@ -105,7 +106,9 @@ def _account_multilevel(comm: Comm, template: np.ndarray,
     if size <= 3 or d <= 1:
         return account(comm, "direct", template, counts, block_of)
     plan = _multilevel_plan(size, d)
-    hops = _charge_hops(comm, plan, template, counts, block_of)
+    hops = _charge_hops(
+        comm, plan, _plan_hops(comm.machine, plan, template, counts[None])[0],
+        template, counts, block_of)
     san = comm.machine.sanitizer
     if san is not None:
         san.check_multilevel(size, len(hops), int(counts.sum()),

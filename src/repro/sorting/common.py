@@ -34,6 +34,21 @@ def as_row_matrix(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def sample_positions(machine, ranks, lens, cap: int):
+    """Sample draws of every listed PE that holds rows, in one call:
+    ``min(cap, rows)`` uniform positions in ``[0, rows)`` from the PE's own
+    stream (:meth:`repro.simmpi.Machine.pe_integers`).
+
+    Returns ``(drawing, take, pos)``: the list indices of the PEs that drew,
+    how many each drew, and the positions, PE after PE.
+    """
+    lens = np.asarray(lens)
+    drawing = np.flatnonzero(lens)
+    take = np.minimum(lens[drawing], cap)
+    return drawing, take, machine.pe_integers(
+        np.asarray(ranks)[drawing], lens[drawing], take)
+
+
 def local_lexsort(rows: np.ndarray, n_key_cols: int) -> np.ndarray:
     """Rows sorted by the lexicographic order of the first ``n_key_cols``."""
     if len(rows) <= 1:

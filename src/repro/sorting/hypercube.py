@@ -14,27 +14,29 @@ dimensions; splitting arbitrary communicator halves generalises it to
 non-power-of-two ``p`` (the paper's d-dimensional grid generalisation covers
 the same gap).
 
-Level-synchronous execution, charges replayed in recursion order
-----------------------------------------------------------------
+Level-synchronous execution: charges computed per level, applied in recursion order
+------------------------------------------------------------------------------------
 The split tree has ``2 p - 1`` nodes but only ``ceil(log2 p)`` levels, and
 the sub-communicators of one level are disjoint, so the host walks *levels*:
 all rows stay in one flat block (PE-major, a ``p + 1`` offsets vector), each
 row carries one scalar :func:`~repro.kernels.order_key`, and per level one
 pass does for every live sub-communicator what the recursion does per node
--- pivot draw, sample median, ``<= pivot`` mask, destination rule -- followed
-by one stable sort by destination PE and one ``bincount`` that yields every
-node's (source, destination) count matrix.  The payload itself is gathered
-once, at the end.
+-- one batched pivot draw, sample median, ``<= pivot`` mask, destination
+rule -- followed by one stable sort by destination PE and one ``bincount``
+that yields every node's (source, destination) count block, stacked per
+node size.  The exchange charges of each stack are computed in one call
+(:func:`repro.simmpi.alltoall.exchange_charges`, each block under its own
+``auto`` decision).  The payload itself is gathered once, at the end.
 
-What the simulated machine observes is then *replayed* from the recorded
-sizes and count matrices by walking the tree in the recursion's pre-order
-(:func:`_replay`): sample ``allgatherv``, partition scan, ``allreduce``, the
-degenerate-split extras, the exchange under the ``auto`` rule
-(:func:`repro.simmpi.alltoall.account`), the leaf's sort charge.
-Charges of disjoint sub-communicators commute on the clocks, but the event
-stream, the fault injector's draw order, metrics and the sanitizer shadow
-see the order, so it is kept.  Each PE's pivot draws come from its own
-stream, once per level it is live on, exactly as in the recursion.
+What the simulated machine observes is then *applied* by walking the tree
+in the recursion's pre-order (:func:`_replay`): sample ``allgatherv``,
+partition scan, ``allreduce``, the degenerate-split extras, the node's
+precomputed exchange (:func:`repro.simmpi.alltoall.apply_charges`), and
+after the walk the leaves' sort charges.  Charges of disjoint
+sub-communicators commute on the clocks, but the event stream, the fault
+injector's draw order, metrics and the sanitizer shadow see the order, so
+it is kept.  Each PE's pivot draws come from its own stream, once per
+level it is live on, exactly as in the recursion.
 
 The output is globally sorted but only approximately balanced -- callers that
 need exact block balance chain :func:`repro.sorting.common.rebalance_blocks`.
@@ -48,9 +50,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..kernels import RaggedArrays, index_dtype, order_key, segmented_lexsort
-from ..simmpi.alltoall import SendBlock, account, split_rows
+from ..simmpi.alltoall import (SendBlock, apply_charges, exchange_charges,
+                               split_rows)
 from ..simmpi.collectives import Comm
 from ..utils.partition import owner_of
+from .common import sample_positions
 
 #: Sample rows gathered per PE for pivot selection.
 _PIVOT_SAMPLE = 4
@@ -72,12 +76,15 @@ class _Level(NamedTuple):
 
 class _Node(NamedTuple):
     """One sub-communicator's record: its level, the rows of its gathered
-    pivot sample, what it did, and the count matrix of its exchange."""
+    pivot sample, what it did, and the count matrix of its exchange with
+    the charges :func:`~repro.simmpi.alltoall.exchange_charges` computed
+    from it (scheme and hops)."""
 
     level: int
     sample_rows: int
     kind: int
     counts: Optional[np.ndarray]
+    charges: Optional[Tuple[str, list]]
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -101,28 +108,26 @@ def _offsets(lens: np.ndarray) -> np.ndarray:
     return off
 
 
-def _pivots(machine, ranks: List[int], key: np.ndarray, lens: np.ndarray,
+def _pivots(machine, ranks: np.ndarray, key: np.ndarray, lens: np.ndarray,
             off: np.ndarray, lo: np.ndarray, hi: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray]:
     """Per node ``[lo, hi)``: the rows in its pivot sample and their median
     key (0 for an empty sample).
 
     Every non-empty member PE draws ``min(4, rows)`` of its rows from its
-    own RNG stream -- the one per-PE Python call of the sorter; the medians
-    of all nodes come out of one sort keyed ``(node, key)``.
+    own RNG stream -- one batched draw for the level; the medians of all
+    nodes come out of one sort keyed ``(node, key)``.
     """
     g = hi - lo
     members = _ranges(lo, g)
-    drawing = lens[members] > 0
+    drawing, take, picks = sample_positions(machine, ranks[members],
+                                            lens[members], _PIVOT_SAMPLE)
     draws = members[drawing]
-    take = np.minimum(lens[draws], _PIVOT_SAMPLE)
-    picks = [machine.pe_rng(ranks[i]).integers(0, k, t) for i, k, t in
-             zip(draws.tolist(), lens[draws].tolist(), take.tolist())]
     node = np.repeat(np.repeat(np.arange(len(lo)), g)[drawing], take)
     n_samples = np.bincount(node, minlength=len(lo))
     pivot = np.zeros(len(lo), dtype=key.dtype)
-    if picks:
-        sample = key[np.concatenate(picks) + np.repeat(off[draws], take)]
+    if len(draws):
+        sample = key[picks + np.repeat(off[draws], take)]
         by_key = np.lexsort((sample, node))
         sampled = n_samples > 0
         median = np.cumsum(n_samples) - n_samples + n_samples // 2
@@ -194,6 +199,23 @@ def _route(key: np.ndarray, lens: np.ndarray, off: np.ndarray,
     return kind, dest
 
 
+def _level_stacks(lo: np.ndarray, hi: np.ndarray, lens: np.ndarray,
+                  dest: np.ndarray):
+    """``(nodes, stack)`` per node size ``g``: the level's nodes of that
+    size and their ``(n, g, g)`` diagonal blocks of the level's (source,
+    destination) count matrix -- node ``[a, b)`` owns block ``[a:b, a:b]``.
+    The ``p x p`` matrix is one ``bincount`` and lives only here."""
+    p = len(lens)
+    cells = np.repeat(np.arange(p) * p, lens)
+    cells += dest
+    matrix = np.bincount(cells, minlength=p * p).reshape(p, p)
+    g = hi - lo
+    for size in np.unique(g).tolist():
+        idx = np.flatnonzero(g == size)
+        at = lo[idx, None] + np.arange(size)
+        yield idx, matrix[at[:, :, None], at[:, None, :]]
+
+
 def _group_block(rows: np.ndarray, payload, lo: int, hi: int) -> SendBlock:
     """The send side of sub-communicator ``[lo, hi)``'s exchange, rebuilt
     from its level's retained payload: each PE's rows stably sorted by
@@ -226,7 +248,6 @@ def sort_hypercube(
     # the scalar keys; the payload is gathered once, after the last level.
     at = np.arange(len(rows), dtype=index_dtype(len(rows)))
     pe_dtype = np.uint16 if p <= (1 << 16) else index_dtype(p)  # radix sorts
-    ranks = comm.ranks.tolist()
 
     levels: List[_Level] = []
     nodes: Dict[Tuple[int, int], _Node] = {}
@@ -234,9 +255,9 @@ def sort_hypercube(
     lo = np.zeros(1 if p > 1 else 0, dtype=np.int64)
     hi = lo + p
     while len(lo):
-        n_samples, pivot = _pivots(machine, ranks, key, lens, off, lo, hi)
+        n_samples, pivot = _pivots(machine, comm.ranks, key, lens, off, lo, hi)
         for k in np.flatnonzero(n_samples == 0):  # no rows: the node stops
-            nodes[int(lo[k]), int(hi[k])] = _Node(-1, 0, _EMPTY, None)
+            nodes[int(lo[k]), int(hi[k])] = _Node(-1, 0, _EMPTY, None, None)
         full = n_samples > 0
         lo, hi, n_samples, pivot = (x[full] for x in
                                     (lo, hi, n_samples, pivot))
@@ -245,18 +266,19 @@ def sort_hypercube(
         kind, dest = _route(key, lens, off, lo, hi, pivot)
         dest = dest.astype(pe_dtype)
 
-        # One count matrix for the level: node [a, b) owns block [a:b, a:b].
-        cells = np.repeat(np.arange(p) * p, lens)
-        cells += dest
-        matrix = np.bincount(cells, minlength=p * p).reshape(p, p)
+        # The level's count matrix as its diagonal blocks, one (n, g, g)
+        # stack per node size g, each block charged under its own rule.
         received = np.bincount(dest, minlength=p)
-        blocks = [matrix[a:b, a:b].copy()
-                  for a, b in zip(lo.tolist(), hi.tolist())]
+        blocks: List = [None] * len(lo)
+        for idx, stack in _level_stacks(lo, hi, lens, dest):
+            charges = exchange_charges(machine, "auto", rows[:0], stack)
+            for j, k in enumerate(idx.tolist()):
+                blocks[k] = stack[j]
+                nodes[int(lo[k]), int(hi[k])] = _Node(
+                    len(levels), int(n_samples[k]), int(kind[k]), stack[j],
+                    charges[j])
         if machine.sanitizer is not None:
             machine.sanitizer.check_sort_level(lo, blocks, lens, received)
-        for k, block in enumerate(blocks):
-            nodes[int(lo[k]), int(hi[k])] = _Node(
-                len(levels), int(n_samples[k]), int(kind[k]), block)
         levels.append(_Level(
             lens, received,
             (at, dest, off) if machine.faults is not None else None))
@@ -293,20 +315,29 @@ def _replay(comm: Comm, nodes: Dict[Tuple[int, int], _Node],
     degenerate split the two key-tuple ``allreduce``s (a tuple per PE, one
     word when the node's first PE is empty and contributes ``None``)
     followed by the spread's ``exscan`` or the strict split's second count;
-    the exchange; for a spread the closing scan.  A single PE sorts.
+    the exchange, from the charges computed per level; for a spread the
+    closing scan.  The single PEs' sorts come last, in one charge: each is
+    its rank's last charge of the sort, and a plain charge is neither an
+    event nor a fault draw.  (With a fault injector attached they stay in
+    the walk: a fault's machine-global trace instant is stamped with the
+    maximum clock, which a later leaf sort may raise.)
     """
     machine = comm.machine
     cost = machine.cost
     template = rows[:0]
     row_words = rows.shape[1]
+    leaves = []
     stack = [(0, comm.size)]
     while stack:
         lo, hi = stack.pop()
-        sub = comm.slice(lo, hi)
         g = hi - lo
         if g == 1:
-            machine.charge_sort(final_lens[lo:hi], ranks=sub.ranks)
+            if machine.faults is None:
+                leaves.append(lo)
+            else:  # a fault's trace instant stamps the max clock mid-walk
+                machine.charge_sort(final_lens[lo:hi], ranks=comm.ranks[lo:hi])
             continue
+        sub = comm.slice(lo, hi)
         node = nodes[lo, hi]
         nbytes = node.sample_rows * row_words * 8
         sub._sync_and_charge(cost.allgather(g, nbytes), op="allgatherv",
@@ -326,11 +357,13 @@ def _replay(comm: Comm, nodes: Dict[Tuple[int, int], _Node],
             sub._sync_and_charge(
                 word, op="exscan" if node.kind == _SPREAD else "allreduce",
                 nbytes=8)
-        account(sub, "auto", template, node.counts,
-                     functools.partial(_group_block, rows, level.payload,
-                                       lo, hi))
+        apply_charges(sub, *node.charges, template, node.counts,
+                      functools.partial(_group_block, rows, level.payload,
+                                        lo, hi))
         if node.kind == _SPREAD:
             machine.charge_scan(level.received[lo:hi], ranks=sub.ranks)
             continue
         mid = lo + g // 2
         stack += [(mid, hi), (lo, mid)]
+    if leaves:
+        machine.charge_sort(final_lens[leaves], ranks=comm.ranks[leaves])

@@ -24,7 +24,7 @@ import numpy as np
 from ..kernels import RaggedArrays, index_dtype, order_key
 from ..simmpi.alltoall import SendBlock, account, split_rows
 from ..simmpi.collectives import Comm
-from .common import local_lexsort_parts
+from .common import local_lexsort_parts, sample_positions
 from .hypercube import sort_hypercube
 
 #: Oversampling factor: splitter sample size per PE.
@@ -61,14 +61,15 @@ def sort_samplesort(
     """
     p = comm.size
     machine = comm.machine
+    ranks = comm.ranks
     packed = RaggedArrays.from_arrays(parts)
     rows, lens, off = packed.flat, packed.lengths, packed.offsets
     if len(rows) == 0 or p == 1:
-        machine.charge_sort(lens)
+        machine.charge_sort(lens, ranks=ranks)
         return local_lexsort_parts(parts, n_key_cols)
 
     # ---- Local sort: one stable global order, regrouped per PE. ----
-    machine.charge_sort(lens)
+    machine.charge_sort(lens, ranks=ranks)
     key = order_key(tuple(rows[:, c] for c in reversed(range(n_key_cols))))
     order = stable_order(key)
     pe_dtype = np.uint16 if p <= (1 << 16) else index_dtype(p)  # radix sort
@@ -76,11 +77,9 @@ def sort_samplesort(
     local = order[np.argsort(pe, kind="stable")]
 
     # ---- Sample and select p-1 splitters. ----
-    drawing = np.flatnonzero(lens)
-    take = np.minimum(lens[drawing], OVERSAMPLING)
-    picks = [machine.pe_rng(i).integers(0, k, t) for i, k, t in
-             zip(drawing.tolist(), lens[drawing].tolist(), take.tolist())]
-    at = local[np.concatenate(picks) + np.repeat(off[drawing], take)]
+    drawing, take, picks = sample_positions(machine, ranks, lens,
+                                            OVERSAMPLING)
+    at = local[picks + np.repeat(off[drawing], take)]
     sample_off = np.zeros(p + 1, dtype=np.int64)
     sample_off[drawing + 1] = take
     np.cumsum(sample_off, out=sample_off)
@@ -95,7 +94,7 @@ def sort_samplesort(
 
     # ---- Partition by splitters and exchange. ----
     machine.charge_scan(lens[drawing] * max(1, int(np.log2(p))),
-                        ranks=drawing)
+                        ranks=ranks[drawing])
     # Bucket j is [splitter[j-1], splitter[j]): in key order, one run each.
     recv_off = np.concatenate(
         ([0], np.searchsorted(key[order], splitters, side="left"),
@@ -108,5 +107,5 @@ def sort_samplesort(
     account(comm, "auto", rows[:0], counts, lambda: SendBlock(rows, local))
 
     # ---- Local sort of the received runs. ----
-    machine.charge_sort(received)
+    machine.charge_sort(received, ranks=ranks)
     return split_rows(np.take(rows, order, axis=0), recv_off)

@@ -13,7 +13,9 @@ collective and byte counters, trace and metrics exports, fault draws,
 per-PE RNG states and the communication matrix.
 
 Only the dead parameters differ from the code as it was shipped (``seed``
-and ``depth`` were never read); the two arms production no longer carries
+and ``depth`` were never read), and the pivot sample draws through
+``Machine.pe_integers`` one PE at a time (the per-PE ``Generator`` it drew
+from became the machine's batched streams, bit for bit); the two arms production no longer carries
 because they cannot be reached -- ``len(gathered) == 0`` after
 ``total > 0`` and ``low_total == 0`` on the first split test -- stay here.
 """
@@ -73,8 +75,8 @@ def sort_hypercube(
             if len(rows) == 0:
                 samples.append(rows[:0])
             else:
-                rng = machine.pe_rng(int(sub.ranks[r]))
-                take = rng.integers(0, len(rows), min(_PIVOT_SAMPLE, len(rows)))
+                take = machine.pe_integers([sub.ranks[r]], [len(rows)],
+                                           [min(_PIVOT_SAMPLE, len(rows))])
                 samples.append(rows[take])
         gathered = sub.allgatherv(samples)
         total = sum(len(x) for x in sub_parts)

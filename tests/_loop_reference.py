@@ -46,32 +46,48 @@ replaced are kept here as shipped: ``_contract_routed``,
 ``DistributedLabelArray``.  The first three are second oracles of a site
 that already has a loop oracle, so :data:`ORACLES` lists them after it and
 ``helpers.loop_oracles`` takes them only when named.
+
+The many-PE paths read one host structure per round instead of ``p``, and
+the versions they replaced are kept here as shipped: EXCHANGELABELS
+building ``p`` ``GhostTable``s and the RELABEL that looks up in them
+(``_exchange_labels_ghost_tables``, ``_relabel_ghost_tables``; third and
+second oracles of their sites, and ``ghost_tables`` reads a production
+push as those tables), the hypercube's per-node ``account`` replay with one
+sort charge per leaf (``_replay_per_node``), the base case with its
+one-rank charge loops and the pairwise ``_row_min`` that ``Comm`` folds,
+and the per-PE ``Generator`` draws (``sample_positions``, drawing through
+``generator_integers`` from the machine's own streams).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.competitors.awerbuch_shiloach import _lo
-from repro.core.labels import GhostTable, _source_labels
+from repro.core.base_case import INF
+from repro.core.labels import LabelPush
 from repro.core.local_preprocessing import _TaintedUnionFind
 from repro.core.minedges import ChosenEdges, _empty_chosen
 from repro.core.state import MSTRun
 from repro.dgraph.dist_graph import DistGraph
-from repro.dgraph.edges import Edges, lightest_per_group
+from repro.dgraph.edges import Edges, lightest_per_group, tie_key
 from repro.dgraph.search import lex_searchsorted, sorted_lookup
-from repro.kernels import RaggedArrays, segmented_lookup, segmented_unique
+from repro.kernels import (RaggedArrays, segmented_lookup, segmented_run_starts,
+                           segmented_unique)
 from repro.kernels.segmented import packed_lexsort
-from repro.simmpi.alltoall import ALLTOALL_METHODS, unsort
+from repro.simmpi.alltoall import ALLTOALL_METHODS, SendBlock, account, unsort
 from repro.simmpi.collectives import Comm
 from repro.simmpi.machine import Machine
 from repro.sorting.api import sort_rows
 from repro.sorting.common import local_lexsort
-from repro.sorting.hypercube import sort_hypercube
+from repro.sorting.hypercube import (_EMPTY, _SPLIT, _SPREAD, _Level, _Node,
+                                     _group_block, sort_hypercube)
 from repro.sorting.samplesort import OVERSAMPLING
+from repro.seq.boruvka import contract_pseudo_forest
 from repro.seq.filter_kruskal import filter_boruvka_msf
 from repro.seq.kruskal import kruskal_msf
 from repro.utils.partition import block_bounds, owner_of
@@ -289,6 +305,43 @@ def _contract_loop(
 # ----------------------------------------------------------------------
 # core/labels.py: exchange_labels, relabel
 # ----------------------------------------------------------------------
+@dataclass
+class GhostTable:
+    """Sorted ghost-vertex -> new-label mapping for one PE."""
+
+    ghosts: np.ndarray
+    labels: np.ndarray
+
+    def lookup(self, v: np.ndarray) -> np.ndarray:
+        """New labels of the given ghost vertices (all must be present)."""
+        found, idx = sorted_lookup(self.ghosts, v)
+        if not found.all():
+            missing = np.asarray(v)[~found][:5]
+            raise RuntimeError(f"ghost labels missing for vertices {missing}")
+        return self.labels[idx]
+
+
+def _source_labels(eu: np.ndarray, off: np.ndarray, voff: np.ndarray,
+                   labels: np.ndarray) -> np.ndarray:
+    """New label of every edge's source, read off the layout.
+
+    Parts are sorted by source, so the k-th run of equal sources of part
+    ``i`` is the k-th entry of ``vids_per_pe[i]``: repeating each label over
+    its run replaces a per-edge binary search.  Raises when the vertex
+    lists are not the parts' own vertex groups (a different number of
+    entries than runs on some PE), which would shift every label behind it.
+    """
+    starts = np.flatnonzero(segmented_run_starts(eu, off))
+    runs_before = np.searchsorted(starts, off)
+    if not np.array_equal(runs_before, voff):
+        bad = int(np.flatnonzero(runs_before != voff)[0]) - 1
+        raise ValueError(
+            f"vids_per_pe[{bad}] is not part {bad}'s vertex groups: "
+            f"{int(voff[bad + 1] - voff[bad])} entries for "
+            f"{int(runs_before[bad + 1] - runs_before[bad])} distinct sources")
+    return np.repeat(labels, np.diff(starts, append=len(eu)))
+
+
 def _exchange_labels_loop(
     graph: DistGraph,
     vids_per_pe: List[np.ndarray],
@@ -770,8 +823,8 @@ def sort_samplesort(
         if len(rows) == 0:
             samples.append(rows[:0])
             continue
-        rng = machine.pe_rng(i)
-        take = rng.integers(0, len(rows), min(OVERSAMPLING, len(rows)))
+        take = generator_integers(machine, i, len(rows),
+                                  min(OVERSAMPLING, len(rows)))
         samples.append(rows[take])
     # Sort the sample with the hypercube algorithm (paper, Section VI-C),
     # then replicate it to pick evenly spaced splitters.
@@ -1245,6 +1298,387 @@ def _resolve_routed(comm: Comm, f_blocks: List[np.ndarray], n: int,
     return out
 
 
+# ----------------------------------------------------------------------
+# core/labels.py as shipped before EXCHANGELABELS returned its push whole:
+# p ghost tables built by one sort of the push by (home, vertex), and a
+# RELABEL that looks up local vertices per PE and the rest in them.
+# ``ghost_tables`` is that sort, for reading a production push as the
+# tables its receivers would have built.
+# ----------------------------------------------------------------------
+def ghost_tables(push: LabelPush) -> List[GhostTable]:
+    """The receivers' ghost tables of a production :class:`LabelPush`: a
+    home keeps the first copy of a ghost in its source-major receive order."""
+    p = len(push.off) - 1
+    # A stable sort by (home, vertex) of the sender-major push: equal keys
+    # stay in sender order, which is the receive order.
+    order = packed_lexsort((push.vertex, push.home),
+                           ranges=(None, (0, p - 1)))
+    g = push.vertex[order]
+    l = push.label[order]
+    s_s = push.home[order]
+    first = np.ones(len(g), dtype=bool)
+    if len(g) > 1:
+        first[1:] = (g[1:] != g[:-1]) | (s_s[1:] != s_s[:-1])
+    gcounts = np.bincount(s_s[first], minlength=p)
+    goff = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(gcounts, out=goff[1:])
+    gh, gl = g[first], l[first]
+    return [GhostTable(gh[goff[i]:goff[i + 1]], gl[goff[i]:goff[i + 1]])
+            for i in range(p)]
+
+
+def _exchange_labels_ghost_tables(
+    graph: DistGraph,
+    vids_per_pe: List[np.ndarray],
+    labels_per_pe: List[np.ndarray],
+    run: MSTRun,
+) -> List[GhostTable]:
+    """EXCHANGELABELS as shipped before the push was returned whole: the
+    receivers' ghost tables built on the host, one per PE."""
+    p = graph.machine.n_procs
+    machine = graph.machine
+    parts = graph.parts
+    lengths = np.array([len(part) for part in parts], dtype=np.int64)
+    total = int(lengths.sum())
+    z = np.empty(0, dtype=np.int64)
+
+    if total:
+        eu = np.concatenate([np.asarray(part.u) for part in parts])
+        ev = np.concatenate([np.asarray(part.v) for part in parts])
+        ew = np.concatenate([np.asarray(part.w) for part in parts])
+    else:
+        eu = ev = ew = z
+    off = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
+    seg = np.repeat(np.arange(p, dtype=np.int64), lengths)
+    vlens = np.array([len(v) for v in vids_per_pe], dtype=np.int64)
+    voff = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(vlens, out=voff[1:])
+    labels = np.concatenate(labels_per_pe) if voff[-1] else z
+
+    # Home PE of every reverse edge (v, u, w).  The label of u must be
+    # pushed wherever the reverse edge lives on a *different* PE.  This
+    # covers all cut edges (the paper's rule) plus the corner case where
+    # an edge is local here because its destination is a shared vertex,
+    # while the shared vertex's other PE holds the reverse edge as a cut
+    # edge and still needs our source's label.
+    home_all = graph.home_of_edges(ev, eu, ew)
+    cut_pos = np.flatnonzero(home_all != seg)
+    cu = eu[cut_pos]
+    home = home_all[cut_pos]
+    cseg = seg[cut_pos]
+    lab = _source_labels(eu, off, voff, labels)[cut_pos]
+    # Deduplicate per (destination PE, vertex).  The rows of one source are
+    # sorted by (v, w) and the home of (v, u, w) is monotone in (v, w) for a
+    # fixed u, so copies of a (source, home) pair are adjacent: keep the
+    # first of each run, then one stable sort by (PE, home) puts the
+    # survivors -- still ascending in the vertex -- in (PE, home, vertex)
+    # order, destination-sorted per PE.
+    first = np.ones(len(cut_pos), dtype=bool)
+    first[1:] = ((cu[1:] != cu[:-1]) | (home[1:] != home[:-1])
+                 | (cseg[1:] != cseg[:-1]))
+    keep = np.flatnonzero(first)
+    pdest = home[keep]
+    pseg = cseg[keep]
+    order = packed_lexsort((pdest, pseg), ranges=((0, p - 1), (0, p - 1)))
+    sel = keep[order]
+    pdest = pdest[order]
+    pay = np.empty((len(sel), 2), dtype=np.result_type(cu, lab))
+    pay[:, 0] = cu[sel]
+    pay[:, 1] = lab[sel]
+    # pseg is ascending, so the sort left it in place.
+    counts = np.bincount(pseg * p + pdest, minlength=p * p).reshape(p, p)
+    nz = np.flatnonzero(lengths)
+    if len(nz):
+        cut_counts = np.diff(np.searchsorted(cut_pos, off))
+        machine.charge_scan(lengths[nz], ranks=nz)
+        machine.charge_sort(np.maximum(cut_counts[nz], 1), ranks=nz)
+
+    account(run.comm, run.cfg.alltoall, pay, counts, lambda: SendBlock(pay))
+    # A home keeps the first copy of a ghost in its source-major receive
+    # order: the stable sort by (home, vertex) keeps equal keys that way.
+    order = packed_lexsort((pay[:, 0], pdest), ranges=(None, (0, p - 1)))
+    g = pay[order, 0]
+    l = pay[order, 1]
+    s_s = pdest[order]
+    first = np.ones(len(g), dtype=bool)
+    if len(g) > 1:
+        first[1:] = (g[1:] != g[:-1]) | (s_s[1:] != s_s[:-1])
+    gh = g[first]
+    gl = l[first]
+    gcounts = np.bincount(s_s[first], minlength=p)
+    goff = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(gcounts, out=goff[1:])
+    tables = [GhostTable(gh[goff[i]:goff[i + 1]], gl[goff[i]:goff[i + 1]])
+              for i in range(p)]
+    machine.charge_hash(counts.sum(axis=0))
+    return tables
+
+
+def _relabel_ghost_tables(
+    graph: DistGraph,
+    vids_per_pe: List[np.ndarray],
+    labels_per_pe: List[np.ndarray],
+    ghost_tables: List[GhostTable],
+    run: MSTRun,
+) -> List[Edges]:
+    """RELABEL as shipped before it read the push: a local lookup per PE,
+    then the ghost tables for the rest."""
+    p = graph.machine.n_procs
+    parts = graph.parts
+    lengths = np.array([len(part) for part in parts], dtype=np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return [Edges.empty() for _ in range(p)]
+    eu = np.concatenate([np.asarray(part.u) for part in parts])
+    ev = np.concatenate([np.asarray(part.v) for part in parts])
+    ew = np.concatenate([np.asarray(part.w) for part in parts])
+    eid = np.concatenate([np.asarray(part.id) for part in parts])
+    off = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
+    seg = np.repeat(np.arange(p, dtype=np.int64), lengths)
+
+    z = np.empty(0, dtype=np.int64)
+    voff = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(np.array([len(v) for v in vids_per_pe], dtype=np.int64),
+              out=voff[1:])
+    vids = np.concatenate(vids_per_pe) if voff[-1] else z
+    labels = np.concatenate(labels_per_pe) if voff[-1] else z
+
+    # Source labels: every source is local by definition.
+    u_new = _source_labels(eu, off, voff, labels)
+    # Destination labels: local lookup where possible, ghosts otherwise.
+    v_local, idx = segmented_lookup(vids, voff, ev, seg)
+    v_new = np.empty_like(ev)
+    v_new[v_local] = labels[(voff[seg] + idx)[v_local]]
+    miss = np.flatnonzero(~v_local)
+    if len(miss):
+        mv, mseg = ev[miss], seg[miss]
+        goff = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(np.array([len(t.ghosts) for t in ghost_tables],
+                           dtype=np.int64), out=goff[1:])
+        ghosts = np.concatenate([t.ghosts for t in ghost_tables]) \
+            if goff[-1] else z
+        glabels = np.concatenate([t.labels for t in ghost_tables]) \
+            if goff[-1] else z
+        g_found, g_idx = segmented_lookup(ghosts, goff, mv, mseg)
+        if not g_found.all():
+            missing = mv[~g_found][:5]
+            raise RuntimeError(f"ghost labels missing for vertices {missing}")
+        v_new[miss] = glabels[goff[mseg] + g_idx]
+    keep_pos = np.flatnonzero(u_new != v_new)
+    koff = np.searchsorted(keep_pos, off)  # kept rows before each part
+    ku = u_new[keep_pos]
+    kv = v_new[keep_pos]
+    kw = ew[keep_pos]
+    kid = eid[keep_pos]
+    out: List[Edges] = []
+    for i in range(p):
+        if lengths[i] == 0:
+            out.append(Edges.empty())
+            continue
+        sl = slice(koff[i], koff[i + 1])
+        out.append(Edges(ku[sl], kv[sl], kw[sl], kid[sl]))
+    nz = np.flatnonzero(lengths)
+    graph.machine.charge_scan(lengths[nz], ranks=nz)
+    return out
+
+
+# ----------------------------------------------------------------------
+# core/base_case.py as shipped before the p candidate tables were reduced
+# in one call: the pairwise operator ``Comm`` folded table by table, and
+# the one-rank charge loops.
+# ----------------------------------------------------------------------
+def _row_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise lexicographic minimum of two (n, k) candidate tables.
+
+    Rows compare by columns left to right; used as the allreduce operator
+    (associative and commutative).
+    """
+    take_b = np.zeros(len(a), dtype=bool)
+    tie = np.ones(len(a), dtype=bool)
+    for c in range(a.shape[1]):
+        take_b |= tie & (b[:, c] < a[:, c])
+        tie &= b[:, c] == a[:, c]
+    return np.where(take_b[:, None], b, a)
+
+
+def base_case(graph: DistGraph, run: MSTRun):
+    """Finish the MSF computation with the replicated-vertex algorithm.
+
+    Returns the final (replicated) component map as a pair of arrays
+    ``(labels, representatives)`` over the vertices that were still present,
+    or ``None`` for an empty remainder.
+    """
+    p = graph.machine.n_procs
+    comm = run.comm
+    machine = graph.machine
+
+    # ---- Remap the remaining labels to a dense range (replicated). ----
+    local_vids = [np.unique(part.u) for part in graph.parts]
+    vlabels = np.unique(comm.allgatherv(local_vids))
+    n_dense = len(vlabels)
+    if n_dense == 0:
+        return
+    machine.check_memory(np.full(p, n_dense * 8 * 6, dtype=np.float64))
+
+    # Dense edge endpoints of all PEs in one flat block (ids and weights
+    # ride along); ``pe`` is each row's PE.
+    parts = graph.parts
+    pe = np.repeat(np.arange(p, dtype=np.int64), [len(q) for q in parts])
+    eu = np.searchsorted(vlabels, np.concatenate([q.u for q in parts]))
+    ev = np.searchsorted(vlabels, np.concatenate([q.v for q in parts]))
+    ew = np.concatenate([q.w for q in parts])
+    eid = np.concatenate([q.id for q in parts])
+    for i in range(p):
+        machine.charge_scan(np.array([len(parts[i])]), ranks=np.array([i]))
+
+    cur = np.arange(n_dense, dtype=np.int64)  # replicated component labels
+
+    for _ in range(run.cfg.max_rounds):
+        counts = np.bincount(pe, minlength=p)
+        alive_total = comm.allreduce([int(c) for c in counts])
+        if alive_total == 0:
+            break
+        # ---- Local candidates: per (PE, vertex) the (w, cu, cv, other, id)
+        # min, one (n', 5) table per PE. ----
+        grp = np.concatenate([eu, ev])
+        oth = np.concatenate([ev, eu])
+        w2 = np.concatenate([ew, ew])
+        rows, pick = lightest_per_group(np.concatenate([pe, pe]) * n_dense
+                                        + grp, grp, oth, w2, p * n_dense)
+        w, cu, cv = tie_key(grp[pick], oth[pick], w2[pick])
+        cand = np.full((p * n_dense, 5), INF, dtype=np.int64)
+        cand[rows, 0] = w
+        cand[rows, 1] = cu
+        cand[rows, 2] = cv
+        cand[rows, 3] = oth[pick]
+        cand[rows, 4] = np.concatenate([eid, eid])[pick]
+        for i in range(p):
+            machine.charge_scan(np.array([max(counts[i], 1) + n_dense]),
+                                ranks=np.array([i]))
+        best = comm.allreduce(list(cand.reshape(p, n_dense, 5)), op=_row_min)
+
+        # ---- Replicated contraction (identical on every PE). ----
+        comp = np.flatnonzero(best[:, 0] != INF)
+        parent_of = best[comp, 3]
+        roots, parent_map = contract_pseudo_forest(comp, parent_of, n_dense)
+        # MST edges of all non-root components -- record once.  Ids are
+        # distinct here: two components choosing the same directed edge form
+        # a 2-cycle, whose root does not record.
+        run.record_mst(0, best[comp[~roots], 4], best[comp[~roots], 0])
+        # Report the contraction to the label sink in *original* labels.
+        changed = parent_map != np.arange(n_dense)
+        if changed.any():
+            run.record_labels(0, vlabels[np.flatnonzero(changed)],
+                              vlabels[parent_map[changed]])
+        cur = parent_map[cur]
+        machine.charge_scan(np.full(p, n_dense, dtype=np.float64))
+
+        # ---- Relabel local edges, drop self loops. ----
+        a = parent_map[eu]
+        b = parent_map[ev]
+        keep = a != b
+        eu, ev, ew, eid, pe = a[keep], b[keep], ew[keep], eid[keep], pe[keep]
+        for i in np.flatnonzero(counts):
+            machine.charge_scan(np.array([counts[i]]), ranks=np.array([i]))
+    else:
+        raise RuntimeError("base case failed to converge")
+    return vlabels, vlabels[cur]
+
+
+# ----------------------------------------------------------------------
+# sorting/hypercube.py: the replay as shipped before the exchanges'
+# charges were computed per level -- one ``account`` per node, one sort
+# charge per leaf, in the recursion's pre-order.
+# ----------------------------------------------------------------------
+def _replay_per_node(comm: Comm, nodes: Dict[Tuple[int, int], _Node],
+                     levels: List[_Level], final_lens: np.ndarray,
+                     rows: np.ndarray, n_key_cols: int) -> None:
+    """Issue every node's charges in the recursion's pre-order.
+
+    Per node: the sample ``allgatherv``; then, unless it holds no row, the
+    partition scan and the scalar ``allreduce`` of the low count; for a
+    degenerate split the two key-tuple ``allreduce``s (a tuple per PE, one
+    word when the node's first PE is empty and contributes ``None``)
+    followed by the spread's ``exscan`` or the strict split's second count;
+    the exchange; for a spread the closing scan.  A single PE sorts.
+    """
+    machine = comm.machine
+    cost = machine.cost
+    template = rows[:0]
+    row_words = rows.shape[1]
+    stack = [(0, comm.size)]
+    while stack:
+        lo, hi = stack.pop()
+        sub = comm.slice(lo, hi)
+        g = hi - lo
+        if g == 1:
+            machine.charge_sort(final_lens[lo:hi], ranks=sub.ranks)
+            continue
+        node = nodes[lo, hi]
+        nbytes = node.sample_rows * row_words * 8
+        sub._sync_and_charge(cost.allgather(g, nbytes), op="allgatherv",
+                             nbytes=nbytes)
+        if node.kind == _EMPTY:
+            continue
+        level = levels[node.level]
+        sent = level.sent[lo:hi]
+        machine.charge_scan(sent, ranks=sub.ranks)
+        word = cost.collective_tree(g, 8)
+        sub._sync_and_charge(word, op="allreduce", nbytes=8)
+        if node.kind != _SPLIT:
+            nbytes = 8 * n_key_cols if sent[0] else 8
+            for _ in ("min", "max"):
+                sub._sync_and_charge(cost.collective_tree(g, nbytes),
+                                     op="allreduce", nbytes=nbytes)
+            sub._sync_and_charge(
+                word, op="exscan" if node.kind == _SPREAD else "allreduce",
+                nbytes=8)
+        account(sub, "auto", template, node.counts,
+                     functools.partial(_group_block, rows, level.payload,
+                                       lo, hi))
+        if node.kind == _SPREAD:
+            machine.charge_scan(level.received[lo:hi], ranks=sub.ranks)
+            continue
+        mid = lo + g // 2
+        stack += [(mid, hi), (lo, mid)]
+
+
+# ----------------------------------------------------------------------
+# The per-PE random draws, as the sites made them before the streams were
+# batched: one ``numpy.random.Generator`` call per PE (hypercube pivots,
+# sample sort's sample, Filter-Boruvka's pivot sample).
+# ----------------------------------------------------------------------
+def generator_integers(machine: Machine, pe: int, high: int,
+                       size: int) -> np.ndarray:
+    """``integers(0, high, size)`` from PE ``pe``'s stream through a numpy
+    ``Generator`` seeded ``SeedSequence(entropy=seed, spawn_key=(pe,))``,
+    as the per-PE generators were.  The machine's
+    state of the stream goes in and comes back out, so oracle and
+    production sites draw from one stream per PE."""
+    streams = machine._streams
+    gen = np.random.default_rng(
+        np.random.SeedSequence(entropy=machine.seed, spawn_key=(pe,)))
+    if pe in streams.drawn:
+        gen.bit_generator.state = streams._get(pe)
+    out = gen.integers(0, high, size)
+    streams._set(pe, gen.bit_generator.state)
+    return out
+
+
+def sample_positions(machine, ranks, lens, cap: int):
+    """Reference engine: one ``Generator`` call per PE that holds rows."""
+    lens = np.asarray(lens)
+    ranks = np.asarray(ranks)
+    drawing = np.flatnonzero(lens)
+    take = np.minimum(lens[drawing], cap)
+    picks = [generator_integers(machine, int(ranks[i]), int(lens[i]), int(t))
+             for i, t in zip(drawing.tolist(), take.tolist())]
+    return drawing, take, (np.concatenate(picks) if picks
+                           else np.empty(0, dtype=np.int64))
+
+
 #: ``(module, attribute, oracle)``: the production function each oracle
 #: stands in for.
 ORACLES = (
@@ -1257,6 +1691,10 @@ ORACLES = (
     ("repro.sorting.common", "local_lexsort_parts", local_lexsort_parts),
     ("repro.sorting.common", "rebalance_blocks", rebalance_blocks),
     ("repro.sorting.samplesort", "sort_samplesort", sort_samplesort),
+    ("repro.sorting.common", "sample_positions", sample_positions),
+    ("repro.sorting.hypercube", "_replay", _replay_per_node),
+    ("repro.core.base_case", "base_case", base_case),
+    ("repro.core.base_case", "_row_min", _row_min),
     ("repro.competitors.awerbuch_shiloach", "_resolve", _resolve),
     ("repro.core.local_preprocessing", "_contract_one_pe",
      _contract_one_pe_searched),
@@ -1267,5 +1705,7 @@ ORACLES = (
     # ``loop_oracles(only=...)``, never by default.
     ("repro.core.contraction", "contract_components", _contract_routed),
     ("repro.core.labels", "exchange_labels", _exchange_labels_routed),
+    ("repro.core.labels", "exchange_labels", _exchange_labels_ghost_tables),
+    ("repro.core.labels", "relabel", _relabel_ghost_tables),
     ("repro.competitors.awerbuch_shiloach", "_resolve", _resolve_routed),
 )

@@ -42,10 +42,10 @@ class TestExchangeLabels:
         for i in range(p):
             for v, l in zip(vids[i], labels[i]):
                 true[int(v)] = int(l)
-        for i in range(p):
-            t = tables[i]
-            for gv, gl in zip(t.ghosts, t.labels):
-                assert true[int(gv)] == int(gl)
+        push = tables
+        assert len(push.home) > 0
+        for gv, gl in zip(push.vertex, push.label):
+            assert true[int(gv)] == int(gl)
 
     def test_relabel_removes_all_self_loops(self, rng):
         g = random_simple_graph(rng, 40, 200)

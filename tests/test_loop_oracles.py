@@ -64,7 +64,7 @@ def _plain(x, widen):
     ``widen`` applies the storage-width licence of the module docstring."""
     if isinstance(x, Edges):
         x = {"u": x.u, "v": x.v, "w": x.w, "id": x.id}
-    elif isinstance(x, (core.ChosenEdges, core.GhostTable)):
+    elif isinstance(x, (core.ChosenEdges, oracle.GhostTable)):
         x = vars(x)
     if isinstance(x, dict):
         return {k: _plain(v, widen) for k, v in x.items()}
@@ -231,11 +231,32 @@ def _instances(p):
 
 
 STAGES = ["min_edges", "contract_components", "exchange_labels", "relabel"]
+
+
+def _push_as_tables(dg, vids, labels, run):
+    """Production EXCHANGELABELS, its push read as the receivers' ghost
+    tables (the oracles' type)."""
+    return oracle.ghost_tables(core.exchange_labels(dg, vids, labels, run))
+
+
+def _tables_from_push(relabel):
+    """A ghost-table RELABEL fed production's push."""
+    def site(dg, vids, labels, push, run):
+        return relabel(dg, vids, labels, oracle.ghost_tables(push), run)
+    return site
+
+
+PRODUCTION = {
+    "min_edges": core.min_edges,
+    "contract_components": core.contract_components,
+    "exchange_labels": _push_as_tables,
+    "relabel": core.relabel,
+}
 ORACLE = {
     "min_edges": oracle._min_edges_loop,
     "contract_components": oracle._contract_loop,
     "exchange_labels": oracle._exchange_labels_loop,
-    "relabel": oracle._relabel_loop,
+    "relabel": _tables_from_push(oracle._relabel_loop),
 }
 
 
@@ -270,7 +291,7 @@ class TestRoundSites:
             for method in ("auto", "grid"):
                 _differential(
                     _round_stage(stage, edges, avoid_shared, method),
-                    getattr(core, stage), ORACLE[stage], p, faults,
+                    PRODUCTION[stage], ORACLE[stage], p, faults,
                     widen=True)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -300,7 +321,7 @@ class TestRoundSites:
     def test_shared_vertex_corner_case(self, stage):
         edges = _shared_vertex_graph()
         out = _differential(_round_stage(stage, edges, False, "direct"),
-                            getattr(core, stage), ORACLE[stage], 2,
+                            PRODUCTION[stage], ORACLE[stage], 2,
                             widen=True)
         if stage != "exchange_labels":
             return
@@ -442,6 +463,7 @@ class TestHostPaths:
 # (EXCHANGELABELS' push), against the routed rounds they replaced.
 # ----------------------------------------------------------------------
 ASK_ORACLES = ("_contract_routed", "_exchange_labels_routed",
+               "_relabel_ghost_tables",
                "_resolve_routed", "DistributedLabelArray")
 ASK_SIZES = [1, 2, 3, 5, 64, 256]
 METHODS = ["auto", "direct", "grid", "grid3", "hypercube"]
@@ -490,7 +512,7 @@ class TestAskSites:
         for name, edges, avoid_shared in _instances(min(p, 64)):
             _differential(
                 _round_stage(stage, edges, avoid_shared, method),
-                getattr(core, stage), ROUTED[stage], p, ASK_MODES[mode])
+                PRODUCTION[stage], ROUTED[stage], p, ASK_MODES[mode])
 
     @pytest.mark.parametrize("mode", ASK_MODES)
     @pytest.mark.parametrize("method", METHODS)
@@ -589,3 +611,70 @@ class TestAskWholeRuns:
                              "n": res.n_components,
                              "machine": observed_machine(m, ("charges",))})
         _assert_equal(*(_plain(x, False) for x in seen))
+
+
+# ----------------------------------------------------------------------
+# Many PEs, one pass: RELABEL from one lookup, the batched per-PE streams,
+# the hypercube's per-level charges and the base case's one-call reduce,
+# against the ghost tables, per-PE generators, per-node replay and
+# pairwise fold they replaced.
+# ----------------------------------------------------------------------
+MANY_PE_ORACLES = ("_exchange_labels_ghost_tables", "_relabel_ghost_tables",
+                   "sample_positions", "_replay_per_node", "base_case",
+                   "_row_min")
+MANY_PE_MODES = {
+    "simsan": {"sanitize": True},
+    "nosan": {"sanitize": False},
+    "corrupt_straggle": {"faults": "seed=3,corrupt=0.3,straggle=0.2"},
+    "pe_fail": {},  # two certain fail-stops, set per size
+}
+
+
+def _many_pe_matrix():
+    """The label-pushing algorithms under every all-to-all method and run
+    mode, the others under every run mode; p rotates so each size occurs
+    (at 256 most PEs hold nothing)."""
+    sizes = (1, 2, 3, 5, 64, 256)
+    combos = [(a, m, r) for a in ("boruvka", "filter-boruvka")
+              for m in METHODS for r in MANY_PE_MODES]
+    combos += [(a, "auto", r) for a in ALGORITHMS
+               if a not in ("boruvka", "filter-boruvka")
+               for r in MANY_PE_MODES]
+    for k, (algo, method, mode) in enumerate(combos):
+        yield algo, method, mode, sizes[k % len(sizes)]
+
+
+class TestManyPeWholeRuns:
+    @pytest.mark.parametrize("algo,method,mode,p", list(_many_pe_matrix()))
+    def test_whole_run(self, algo, method, mode, p):
+        """MSF, clocks, CommTrace, the deterministic exports, the fault
+        summary and the per-PE RNG states equal the run on the replaced
+        paths, recovery from ``pe_fail`` included."""
+        graph = _family_graph(("GNM", "2D-RGG")[p % 2], seed=p)
+        b = BoruvkaConfig(base_case_min=64, alltoall=method)
+        cfg = {"boruvka": b, "filter-boruvka": core.FilterConfig(boruvka=b)
+               }.get(algo, default_configs(256).get(algo))
+        faults = dict(MANY_PE_MODES[mode])
+        if mode == "pe_fail":
+            faults["faults"] = f"seed=7,pe_fail@0:0,pe_fail@1:{p - 1}"
+
+        def run():
+            with Machine(p, seed=3, trace=True, trace_events=True,
+                         **{"faults": False, **faults}) as machine:
+                dg = graph.distribute(machine)
+                try:
+                    res = core.minimum_spanning_forest(dg, algorithm=algo,
+                                                       config=cfg)
+                except Exception as exc:  # the same refusal on both sides
+                    return {"raised": repr(exc)}
+                return {"msf": res.msf_parts, "weight": res.total_weight,
+                        "rounds": res.rounds,
+                        "machine": observed_machine(machine, ("charges",))}
+
+        prod = run()
+        with loop_oracles(only=MANY_PE_ORACLES):
+            ref = run()
+        # Only a refusal of the schedule itself may end a run early.
+        assert "UnsupportedFaultSchedule" in prod.get(
+            "raised", "UnsupportedFaultSchedule")
+        _assert_equal(_plain(prod, False), _plain(ref, False))

@@ -116,10 +116,10 @@ class TestRng:
     def test_reset_restores_rng_streams(self):
         """reset() must rewind the per-PE RNGs, not leave them advanced."""
         m = Machine(3, seed=7)
-        a = m.pe_rng(1).integers(0, 1 << 30, 16)
-        m.pe_rng(2).integers(0, 1 << 30, 4)
+        a = m.pe_integers([1], [1 << 30], [16])
+        m.pe_integers([2], [1 << 30], [4])
         m.reset()
-        b = m.pe_rng(1).integers(0, 1 << 30, 16)
+        b = m.pe_integers([1], [1 << 30], [16])
         assert np.array_equal(a, b)
 
     def test_reset_reproduces_randomised_run_bit_for_bit(self):
@@ -142,16 +142,16 @@ class TestRng:
 
     def test_per_pe_streams_differ(self):
         m = Machine(3)
-        a = m.pe_rng(0).integers(0, 1 << 30, 10)
-        b = m.pe_rng(1).integers(0, 1 << 30, 10)
+        a = m.pe_integers([0], [1 << 30], [10])
+        b = m.pe_integers([1], [1 << 30], [10])
         assert not np.array_equal(a, b)
 
     def test_deterministic_across_machines(self):
-        a = Machine(2, seed=42).pe_rng(1).integers(0, 1 << 30, 10)
-        b = Machine(2, seed=42).pe_rng(1).integers(0, 1 << 30, 10)
+        a = Machine(2, seed=42).pe_integers([1], [1 << 30], [10])
+        b = Machine(2, seed=42).pe_integers([1], [1 << 30], [10])
         assert np.array_equal(a, b)
 
     def test_seed_changes_streams(self):
-        a = Machine(2, seed=1).pe_rng(0).integers(0, 1 << 30, 10)
-        b = Machine(2, seed=2).pe_rng(0).integers(0, 1 << 30, 10)
+        a = Machine(2, seed=1).pe_integers([0], [1 << 30], [10])
+        b = Machine(2, seed=2).pe_integers([0], [1 << 30], [10])
         assert not np.array_equal(a, b)

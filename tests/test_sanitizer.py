@@ -21,7 +21,6 @@ from repro.core import (
     min_edges,
     relabel,
 )
-from repro.core.labels import GhostTable
 from repro.core.redistribute import redistribute
 from repro.dgraph import DistGraph, Edges
 from repro.kernels import segmented
@@ -305,7 +304,7 @@ class TestAlgorithmLevelDetection:
     spot checks in test_invariants.py): PE-local corruption is applied
     inside the owning PE's context, and the *algorithms* must detect it."""
 
-    #: Both arms of ``segmented_lookup`` must report a miss: the density
+    #: Both arms of the lookup kernels must report a miss: the density
     #: guard forced to the direct-address table, then to the search.
     LOOKUP_ARMS = {"table": 1 << 40, "search": 0}
 
@@ -318,18 +317,25 @@ class TestAlgorithmLevelDetection:
         chosen = min_edges(dg)
         labels = contract_components(dg, chosen, run)
         vids = [c.vids for c in chosen]
-        tables = exchange_labels(dg, vids, labels, run)
-        victim = next(i for i, t in enumerate(tables) if len(t.ghosts))
-        broken = GhostTable(tables[victim].ghosts[1:],
-                            tables[victim].labels[1:])
-        dropped = int(tables[victim].ghosts[0])
-        if dropped not in dg.parts[victim].v:
-            pytest.skip("dropped ghost not referenced by this part")
-        tables[victim] = broken
+        push = exchange_labels(dg, vids, labels, run)
+        # Drop every copy of one pushed (home, vertex) that the home's part
+        # references and does not hold as a local vertex.
+        dropped = next(
+            ((int(h), int(x)) for h, x in zip(push.home, push.vertex)
+             if x in dg.parts[h].v and x not in vids[h]), None)
+        if dropped is None:
+            pytest.skip("no pushed ghost is referenced by its home")
+        keep = (push.home != dropped[0]) | (push.vertex != dropped[1])
+        broken = push._replace(home=push.home[keep],
+                               vertex=push.vertex[keep],
+                               label=push.label[keep])
         for cells in self.LOOKUP_ARMS.values():
             monkeypatch.setattr(segmented, "LOOKUP_CELLS_PER_ELEMENT", cells)
-            with pytest.raises(RuntimeError, match="ghost labels missing"):
-                relabel(dg, vids, labels, tables, run)
+            with pytest.raises(RuntimeError,
+                               match=rf"ghost labels missing for vertices "
+                                     rf"\[{dropped[1]}[ \]]"):
+                relabel(dg, vids, labels, broken, run)
+        relabel(dg, vids, labels, push, run)  # intact, it passes
 
     def test_query_for_unknown_vertex_detected(self, rng, monkeypatch):
         """Pointer doubling queries for non-resident vertices must raise."""
