@@ -24,12 +24,13 @@ The structural weaknesses this faithfully reproduces:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import lightest_per_group, tie_key
+from ..kernels import segment_ids
 from ..core.base_case import INF, _row_min
 from ..core.boruvka import InputSnapshot, MSTResult, redistribute_mst
 from ..core.config import BoruvkaConfig
@@ -58,17 +59,14 @@ class PrimRoundBody(RoundBody):
     divergence_error = "distributed Prim failed to terminate"
 
     def __init__(self, graph: DistGraph, run: MSTRun,
-                 eu: List[np.ndarray], ev: List[np.ndarray], n: int):
+                 eu: np.ndarray, ev: np.ndarray, n: int):
         self.graph = graph
         self.run = run
         self.machine = graph.machine
-        # Every PE's block in one flat array; ``pe`` is each row's PE.
-        parts = graph.parts
-        self.pe = np.repeat(np.arange(len(parts)), [len(q) for q in parts])
-        self.eu = np.concatenate(eu)
-        self.ev = np.concatenate(ev)
-        self.w = np.concatenate([q.w for q in parts])
-        self.id = np.concatenate([q.id for q in parts])
+        # The graph's block with dense endpoints; ``pe`` is each row's PE.
+        self.pe = segment_ids(graph.offsets)
+        self.eu, self.ev = eu, ev
+        self.w, self.id = graph.edges.w, graph.edges.id
         self.n = n
         self.in_tree = np.zeros(n, dtype=bool)  # replicated
         self.cursor = 0          # next start-vertex candidate to try
@@ -92,9 +90,7 @@ class PrimRoundBody(RoundBody):
         machine, run = self.machine, self.run
         p = machine.n_procs
         in_tree, eu, ev = self.in_tree, self.eu, self.ev
-        for i in range(p):
-            machine.charge_scan(np.array([len(self.graph.parts[i])]),
-                                ranks=np.array([i]))
+        machine.charge_scan(np.diff(self.graph.offsets), ranks=np.arange(p))
         # Each PE's best frontier-crossing edge: a (w, cu, cv, id, endpoint)
         # row, (INF, 0, 0, 0, 0) for a PE without one.
         idx = np.flatnonzero(in_tree[eu] & ~in_tree[ev])
@@ -158,13 +154,10 @@ def dist_prim(
     n = len(vlabels)
     if n == 0:
         return _result(machine, run, snapshot, comm)
-    machine.check_memory(np.full(
-        p, n * 1.0 + np.array([len(q) for q in graph.parts]) * 32.0))
-
-    eu = [np.searchsorted(vlabels, q.u) for q in graph.parts]
-    ev = [np.searchsorted(vlabels, q.v) for q in graph.parts]
-
-    body = PrimRoundBody(graph, run, eu, ev, n)
+    machine.check_memory(np.full(p, n * 1.0 + np.diff(graph.offsets) * 32.0))
+    e = graph.edges
+    body = PrimRoundBody(graph, run, np.searchsorted(vlabels, e.u),
+                         np.searchsorted(vlabels, e.v), n)
     RoundScheduler(run, 4 * n).run_rounds(body)
     return _result(machine, run, snapshot, comm)
 

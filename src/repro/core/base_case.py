@@ -19,6 +19,7 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import WEIGHT_LIMIT, lightest_per_group, tie_key
+from ..kernels import segment_ids, segmented_unique
 from ..seq.boruvka import contract_pseudo_forest
 from .state import MSTRun
 
@@ -70,8 +71,10 @@ def base_case(graph: DistGraph, run: MSTRun):
     machine = graph.machine
 
     # ---- Remap the remaining labels to a dense range (replicated). ----
-    local_vids = [np.unique(part.u) for part in graph.parts]
-    vlabels = np.unique(comm.allgatherv(local_vids))
+    e, off = graph.edges, graph.offsets
+    pe = segment_ids(off)
+    local_vids, voff, _ = segmented_unique(e.u, pe, p)
+    vlabels = np.unique(comm.allgatherv(np.split(local_vids, voff[1:-1])))
     n_dense = len(vlabels)
     if n_dense == 0:
         return
@@ -79,14 +82,10 @@ def base_case(graph: DistGraph, run: MSTRun):
 
     # Dense edge endpoints of all PEs in one flat block (ids and weights
     # ride along); ``pe`` is each row's PE.
-    parts = graph.parts
-    lens = np.array([len(q) for q in parts], dtype=np.int64)
-    pe = np.repeat(np.arange(p, dtype=np.int64), lens)
-    eu = np.searchsorted(vlabels, np.concatenate([q.u for q in parts]))
-    ev = np.searchsorted(vlabels, np.concatenate([q.v for q in parts]))
-    ew = np.concatenate([q.w for q in parts])
-    eid = np.concatenate([q.id for q in parts])
-    machine.charge_scan(lens, ranks=np.arange(p))
+    eu = np.searchsorted(vlabels, e.u)
+    ev = np.searchsorted(vlabels, e.v)
+    ew, eid = e.w, e.id
+    machine.charge_scan(np.diff(off), ranks=np.arange(p))
 
     cur = np.arange(n_dense, dtype=np.int64)  # replicated component labels
 

@@ -22,9 +22,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..dgraph.dist_graph import DistGraph
+from ..dgraph.dist_graph import DistGraph, ids_are_positions, split_edges
 from ..dgraph.edges import Edges
-from ..simmpi.alltoall import route_rows
+from ..kernels import RaggedArrays, route_plan
+# ``route_rows`` stays importable from here: perfbench's span rebinding is
+# tested through this module's binding of it.
+from ..simmpi.alltoall import SendBlock, account, route_rows  # noqa: F401
 from .base_case import base_case
 from .config import BoruvkaConfig
 from .contraction import contract_components
@@ -38,35 +41,28 @@ from .state import MSTRun
 
 @dataclass
 class InputSnapshot:
-    """Every PE's initial edge block, for the MST output's id lookups.
+    """The initial edge block and its offsets, for the MST output's lookups.
 
     The paper keeps a varint-compressed copy and decodes it twice (Section
     VI-C); :func:`redistribute_mst` charges both decodes.  The host holds
-    the parts by reference instead: the caller keeps the input graph alive
-    for the whole run and nothing writes ``u``/``v``/``w`` in place.
+    the block by reference instead: the caller keeps the input graph alive
+    for the whole run and nothing writes ``u``/``v``/``w`` in place.  Edge
+    ids are positions in the block, so PE ``i`` is the home of the ids in
+    ``offsets[i]:offsets[i + 1]``.
     """
 
-    parts: List[Edges]
-    id_starts: np.ndarray  # global id range starts per PE (+ total sentinel)
+    edges: Edges
+    offsets: np.ndarray
 
     @classmethod
     def take(cls, graph: DistGraph) -> "InputSnapshot":
-        """Reference every PE's initial edge block and record id ranges."""
-        starts = []
-        next_start = 0
-        for part in graph.parts:
-            starts.append(next_start)
-            if len(part):
-                ids = part.id
-                if not (ids.min() == next_start
-                        and ids.max() == next_start + len(ids) - 1):
-                    raise ValueError(
-                        "edge ids must form contiguous per-PE ranges "
-                        "(use DistGraph.from_global_edges or a generator)"
-                    )
-                next_start += len(ids)
-        starts.append(next_start)
-        return cls(list(graph.parts), np.asarray(starts, dtype=np.int64))
+        """Reference the input block after checking its ids are positions."""
+        if not ids_are_positions(graph.edges.id):
+            raise ValueError(
+                "edge ids must form contiguous per-PE ranges "
+                "(use DistGraph.from_global_edges or a generator)"
+            )
+        return cls(graph.edges, graph.offsets)
 
 
 @dataclass
@@ -143,14 +139,14 @@ class BoruvkaRoundBody(RoundBody):
             chosen = min_edges(graph)
         with machine.phase("contraction"):
             labels = contract_components(graph, chosen, run)
-        vids = [c.vids for c in chosen]
+        state = (graph, chosen.vids, labels, chosen.voff)
         with machine.phase("label_exchange"):
-            push = exchange_labels(graph, vids, labels, run)
+            push = exchange_labels(*state, run)
         with machine.phase("relabel"):
-            relabelled = relabel(graph, vids, labels, push, run)
-        del push  # it holds the round's flat columns
+            relabelled = relabel(*state, push, run)
+        del chosen, state, push
         with machine.phase("redistribute"):
-            self.graph = redistribute(run, machine, relabelled)
+            self.graph = redistribute(run, machine, *relabelled)
         return False  # convergence is the prologue's threshold check
 
     # -- CheckpointableState ------------------------------------------
@@ -200,37 +196,32 @@ def boruvka_rounds(graph: DistGraph, run: MSTRun) -> DistGraph:
 
 
 def redistribute_mst(run: MSTRun, snapshot: InputSnapshot) -> List[Edges]:
-    """REDISTRIBUTEMST: route (id, w) records home; decode original endpoints."""
+    """REDISTRIBUTEMST: send (id, w) records home; look up original endpoints.
+
+    The exchange is charged from its (PE, home) count matrix; the host
+    reads every endpoint with one gather at the ids.  Returns every PE's
+    MSF edges, sorted by id, as views of one block.
+    """
     machine = run.machine
     p = machine.n_procs
-    rows, dests = [], []
-    for i in range(p):
-        rec = run.collected(i)
-        rows.append(rec)
-        dests.append(
-            np.searchsorted(snapshot.id_starts, rec[:, 0], side="right") - 1
-        )
-    recv, _, _ = route_rows(run.comm, rows, dests, method=run.cfg.alltoall)
-    out: List[Edges] = []
-    for i in range(p):
-        rec = recv[i]
-        part = snapshot.parts[i]
-        # Paper accounting: the compressed copy is decoded twice.
-        machine.charge_scan(np.array([2 * len(part)]), ranks=np.array([i]))
-        if len(rec) == 0:
-            out.append(Edges.empty())
-            continue
-        ids = rec[:, 0]
-        local_pos = ids - snapshot.id_starts[i]
-        w = part.w[local_pos]
-        if not np.array_equal(w, rec[:, 1]):
-            raise RuntimeError("MST edge weight mismatch during output")
-        order = np.argsort(ids, kind="stable")
-        at = local_pos[order]
-        out.append(Edges(part.u[at].astype(np.int64, copy=False),
-                         part.v[at].astype(np.int64, copy=False),
-                         w[order], ids[order]))
-    return out
+    recs = RaggedArrays.from_arrays([run.collected(i) for i in range(p)])
+    rec = recs.flat
+    ids = rec[:, 0]
+    home = np.searchsorted(snapshot.offsets, ids, side="right") - 1
+    order, counts = route_plan(recs.segment_ids(), home, p, p)
+    account(run.comm, run.cfg.alltoall, rec, counts,
+            lambda: SendBlock(rec, order))
+    # Paper accounting: the compressed copy is decoded twice.
+    machine.charge_scan(2 * np.diff(snapshot.offsets), ranks=np.arange(p))
+    by_id = np.argsort(ids, kind="stable")
+    ids = ids[by_id]
+    src = snapshot.edges
+    w = src.w[ids]
+    if not np.array_equal(w, rec[by_id, 1]):
+        raise RuntimeError("MST edge weight mismatch during output")
+    msf = Edges(src.u[ids].astype(np.int64, copy=False),
+                src.v[ids].astype(np.int64, copy=False), w, ids)
+    return split_edges(msf, np.searchsorted(ids, snapshot.offsets))
 
 
 def distributed_boruvka(

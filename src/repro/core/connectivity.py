@@ -24,6 +24,7 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
+from ..kernels import segment_ids, segmented_unique
 from .base_case import base_case
 from .boruvka import boruvka_rounds
 from .config import BoruvkaConfig
@@ -77,11 +78,9 @@ def connected_components(
 
     # Ignore weights: uniform-weight copy makes every edge a valid choice
     # and the MST pipeline degenerates into hook-and-contract connectivity.
-    uniform_parts = [
-        Edges(p.u, p.v, np.ones(len(p), dtype=np.int64), p.id)
-        for p in graph.parts
-    ]
-    uniform = DistGraph(machine, uniform_parts, check=False)
+    e = graph.edges
+    uniform = DistGraph(machine, Edges(e.u, e.v, np.ones(len(e), np.int64),
+                                       e.id), graph.offsets, check=False)
 
     if cfg.local_preprocessing:
         with machine.phase("local_preprocessing"):
@@ -92,16 +91,9 @@ def connected_components(
     P.contract()
 
     # Representatives of existing components: resolve each original vertex.
-    reps = []
-    for i in range(machine.n_procs):
-        if len(graph.parts[i]):
-            reps.append(np.unique(graph.parts[i].u))
-        else:
-            reps.append(np.empty(0, dtype=np.int64))
-    resolved = P.request(reps)
-    n_components = len(np.unique(np.concatenate(
-        [r for r in resolved if len(r)]))) if any(
-            len(r) for r in resolved) else 0
+    reps, roff, _ = segmented_unique(e.u, segment_ids(graph.offsets),
+                                     machine.n_procs)
+    n_components = len(np.unique(P.request(reps, segment_ids(roff))))
 
     return ComponentsResult(
         blocks=np.split(P.assembled(), P.bounds[1:-1]),

@@ -28,13 +28,11 @@ routed round this replaced are the oracles of the differential tests
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.search import sorted_lookup
-from ..kernels import segmented_lookup
+from ..kernels import segment_ids, segmented_lookup
 from ..simmpi.alltoall import ask
 from .minedges import ChosenEdges
 from .state import MSTRun
@@ -42,29 +40,22 @@ from .state import MSTRun
 
 def contract_components(
     graph: DistGraph,
-    chosen: List[ChosenEdges],
+    chosen: ChosenEdges,
     run: MSTRun,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Contract the components induced by the chosen edges.
 
-    Returns per-PE ``L_local``: the component-root label of every local
-    vertex, aligned with ``chosen[i].vids``.  Records MST edges and reports
-    label maps to the run's label sink.
+    Returns ``L_local``: the component-root label of every local vertex,
+    aligned with ``chosen.vids``.  Records MST edges and reports label maps
+    to the run's label sink.
     """
     p = graph.machine.n_procs
     machine = graph.machine
     comm = run.comm
     shared_set = graph.shared_vertex_set()
 
-    lengths = np.array([len(c.vids) for c in chosen], dtype=np.int64)
-    voff = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(lengths, out=voff[1:])
-    z = np.empty(0, dtype=np.int64)
-    vids = np.concatenate([c.vids for c in chosen]) if voff[-1] else z
-    shared = np.concatenate([c.shared for c in chosen]) \
-        if voff[-1] else np.zeros(0, dtype=bool)
-    to = np.concatenate([c.to for c in chosen]) if voff[-1] else z
-    vseg = np.repeat(np.arange(p, dtype=np.int64), lengths)
+    vids, shared, to, voff = chosen.vids, chosen.shared, chosen.to, chosen.voff
+    vseg = segment_ids(voff)
 
     par = np.where(shared, vids, to)
     root = shared.copy()
@@ -124,16 +115,12 @@ def contract_components(
     # ------------------------------------------------------------------
     contributes = ~shared & ~root
     cpos = np.flatnonzero(contributes)
-    c_ids = (np.concatenate([c.edge_id for c in chosen])
-             if voff[-1] else z)[cpos]
-    c_ws = (np.concatenate([c.weight for c in chosen])
-            if voff[-1] else z)[cpos]
-    ccounts = np.bincount(vseg[cpos], minlength=p)
-    coff = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(ccounts, out=coff[1:])
+    c_ids = chosen.edge_id[cpos]
+    c_ws = chosen.weight[cpos]
+    coff = np.searchsorted(cpos, voff)
     for i in range(p):
         run.record_mst(i, c_ids[coff[i]:coff[i + 1]],
                        c_ws[coff[i]:coff[i + 1]])
         run.record_labels(i, vids[voff[i]:voff[i + 1]],
                           par[voff[i]:voff[i + 1]])
-    return [par[voff[i]:voff[i + 1]] for i in range(p)]
+    return par

@@ -20,14 +20,14 @@ Recursion control (Section VI-C):
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
+from ..kernels import segment_ids
 from ..obs.hooks import observe_filter_level, observe_filter_survivors
-from ..simmpi.machine import Machine
 from ..sorting.api import sort_rows
 from ..sorting.common import sample_positions
 from .base_case import base_case
@@ -54,12 +54,14 @@ def _select_pivot(graph: DistGraph, run: MSTRun, cfg: FilterConfig
     """
     machine = graph.machine
     p = machine.n_procs
-    lens = np.array([len(part) for part in graph.parts], dtype=np.int64)
-    drawing, take, picks = sample_positions(machine, np.arange(p), lens,
+    off = graph.offsets
+    drawing, take, picks = sample_positions(machine, np.arange(p),
+                                            np.diff(off),
                                             cfg.pivot_sample_per_pe)
+    drawn = graph.edges.w[np.repeat(off[drawing], take) + picks]
     samples = [np.empty((0, 1), dtype=np.int64)] * p
-    for i, at in zip(drawing.tolist(), np.split(picks, np.cumsum(take)[:-1])):
-        samples[i] = graph.parts[i].w[at].reshape(-1, 1)
+    for i, at in zip(drawing.tolist(), np.split(drawn, np.cumsum(take)[:-1])):
+        samples[i] = at.reshape(-1, 1)
     sorted_parts = sort_rows(run.comm, samples, n_key_cols=1,
                              method="hypercube", rebalance=False)
     sizes = [len(x) for x in sorted_parts]
@@ -91,35 +93,48 @@ def _select_pivot(graph: DistGraph, run: MSTRun, cfg: FilterConfig
 
 
 def _split_by_pivot(graph: DistGraph, pivot: int, run: MSTRun
-                    ) -> tuple[List[Edges], List[Edges]]:
-    """Partition every part into light (w <= pivot) and heavy (w > pivot)."""
-    lights, heavies = [], []
-    for i in range(graph.machine.n_procs):
-        part = graph.parts[i]
-        mask = part.w <= pivot
-        lights.append(part.take(mask))
-        heavies.append(part.take(~mask))
-        graph.machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
-    return lights, heavies
+                    ) -> tuple[DistGraph, Edges, np.ndarray]:
+    """Partition the block into light (w <= pivot) and heavy (w > pivot)
+    rows: the light graph and the heavy block with its offsets."""
+    machine = graph.machine
+    e, off = graph.edges, graph.offsets
+    light = e.w <= pivot
+    lights = np.flatnonzero(light)
+    heavies = np.flatnonzero(~light)
+    machine.charge_scan(np.diff(off), ranks=np.arange(machine.n_procs))
+    return (DistGraph(machine, e.take(lights), np.searchsorted(lights, off),
+                      check=False),
+            e.take(heavies), np.searchsorted(heavies, off))
+
+
+def _interleave(a: Edges, a_off: np.ndarray, b: Edges, b_off: np.ndarray
+                ) -> tuple[Edges, np.ndarray]:
+    """PE ``i``'s rows of ``a`` then its rows of ``b``, PE by PE."""
+    at = np.concatenate([
+        np.arange(len(a)) + np.repeat(b_off[:-1], np.diff(a_off)),
+        np.arange(len(b)) + np.repeat(a_off[1:], np.diff(b_off))])
+    rows = np.empty(len(at), dtype=np.int64)
+    rows[at] = np.arange(len(at))
+    return Edges.concat([a, b]).take(rows), a_off + b_off
 
 
 def _filter_heavy(
-    machine: Machine,
     heavy_graph: DistGraph,
     P: DistributedLabelArray,
     run: MSTRun,
-) -> List[Edges]:
+) -> tuple[Edges, np.ndarray]:
     """FILTER: relabel heavy edges by current representatives, drop loops.
 
     REQUESTLABELS resolves this PE's local vertices through the distributed
     array P; ghost labels then flow through the standard label exchange.
     """
-    p = machine.n_procs
     P.contract()
-    vids_per_pe = [heavy_graph.vertex_groups(i)[0] for i in range(p)]
-    labels_per_pe = P.request(vids_per_pe)
-    push = exchange_labels(heavy_graph, vids_per_pe, labels_per_pe, run)
-    return relabel(heavy_graph, vids_per_pe, labels_per_pe, push, run)
+    e, off = heavy_graph.edges, heavy_graph.offsets
+    starts = heavy_graph.source_runs()
+    vids, voff = e.u[starts], np.searchsorted(starts, off)
+    labels = P.request(vids, segment_ids(voff))
+    push = exchange_labels(heavy_graph, vids, labels, voff, run)
+    return relabel(heavy_graph, vids, labels, voff, push, run)
 
 
 def distributed_filter_boruvka(
@@ -138,9 +153,9 @@ def distributed_filter_boruvka(
     snapshot = InputSnapshot.take(graph)
 
     # Size of the vertex-label space (P covers all original labels).
+    # Parts are sorted by source: a part's last source is its largest.
     max_label = run.comm.allreduce(
-        [int(part.u.max()) if len(part) else -1 for part in graph.parts],
-        op="max")
+        np.where(graph.has_edges, graph.last_src, -1).tolist(), op="max")
     n_labels = max_label + 1
     P = DistributedLabelArray(run.comm, max(n_labels, 1),
                               alltoall=bcfg.alltoall)
@@ -161,7 +176,7 @@ def distributed_filter_boruvka(
         with machine.phase("base_case"):
             base_case(g, run)
 
-    def rec(g: DistGraph, depth: int) -> Optional[List[Edges]]:
+    def rec(g: DistGraph, depth: int) -> Optional[DistGraph]:
         """REC-FILTER-MST.  Returns a carried heavy set for the parent to
         merge (Section VI-C's propagate-back rule) or None."""
         m = g.global_edge_count()
@@ -175,25 +190,21 @@ def distributed_filter_boruvka(
             run_base_case(g)
             return None
         with machine.phase("pivot_partition"):
-            lights, heavies = _split_by_pivot(g, pivot, run)
-            light_graph = DistGraph(machine, lights, check=False)
+            light_graph, heavy, heavy_off = _split_by_pivot(g, pivot, run)
         carried = rec(light_graph, depth + 1)
-        heavy_parts = heavies
-        if carried is not None:
-            heavy_parts = [Edges.concat([a, b])
-                           for a, b in zip(heavy_parts, carried)]
         with machine.phase("filter"):
             if carried is not None:
                 # Merged sets lost global sortedness; re-establish it.
-                heavy_graph = redistribute(run, machine,
-                                           heavy_parts)
+                heavy_graph = redistribute(run, machine, *_interleave(
+                    heavy, heavy_off, carried.edges, carried.offsets))
             else:
-                heavy_graph = DistGraph(machine, heavy_parts, check=False)
+                heavy_graph = DistGraph(machine, heavy, heavy_off,
+                                        check=False)
             m_heavy = heavy_graph.global_edge_count()
             if m_heavy == 0:
                 return None
-            filtered = _filter_heavy(machine, heavy_graph, P, run)
-            survivors_graph = redistribute(run, machine, filtered)
+            filtered = _filter_heavy(heavy_graph, P, run)
+            survivors_graph = redistribute(run, machine, *filtered)
             m_surv = survivors_graph.global_edge_count()
         observe_filter_survivors(machine, depth, m_heavy, m_surv)
         machine.checkpoint(f"filter_depth_{depth}")
@@ -201,13 +212,15 @@ def distributed_filter_boruvka(
             return None
         if (depth > 0 and m_surv < cfg.merge_back_fraction * m
                 and not is_sparse(m_surv)):
-            return survivors_graph.parts
+            return survivors_graph
         return rec(survivors_graph, depth + 1)
 
     leftover = rec(graph, 0)
     if leftover is not None:
-        # Carried out of the root call: finish it directly.
-        run_base_case(DistGraph(machine, leftover, check=False))
+        # Carried out of the root call: finish it directly, on a rebuilt
+        # structure (one more metadata allgather).
+        run_base_case(DistGraph(machine, leftover.edges, leftover.offsets,
+                                check=False))
 
     with machine.phase("mst_output"):
         msf_parts = redistribute_mst(run, snapshot)

@@ -10,15 +10,17 @@ search on the replicated min-edge array.  Duplicate messages for the same
 RELABEL then rewrites every edge ``(u, v)`` to ``(u', v')`` and discards
 self loops; parallel-edge elimination happens later in REDISTRIBUTE.
 
-Both steps run over all PEs' edges at once and read the sorted-by-source
-layout instead of searching it: a source's label sits at the index of its
-run in the part (``vids_per_pe[i]`` *is* part ``i``'s distinct sources in
-order), and duplicates of a pushed ``(destination PE, vertex)`` pair are
-adjacent rows.  The push is charged from its count matrix and no row
-moves: EXCHANGELABELS returns it as a :class:`LabelPush`, with the flat
-columns and source labels it built, and RELABEL answers every destination
-label from one host lookup over the concatenated vertex lists (globally
-sorted; a shared vertex carries one label on every PE that holds it).
+Both steps read the graph's block and the round's flat vertex lists
+(``vids``/``labels``, PE ``i``'s at ``voff[i]:voff[i + 1]``) and the
+sorted-by-source layout instead of searching it: a source's label sits at
+the index of its run in the part (PE ``i``'s vertex list *is* part ``i``'s
+distinct sources in order), and duplicates of a pushed ``(destination PE,
+vertex)`` pair are adjacent rows.  The push is charged from its count
+matrix and no row moves: EXCHANGELABELS returns it as a
+:class:`LabelPush`, with the source labels it built, and RELABEL answers
+every destination label from one host lookup over the vertex lists
+(globally sorted; a shared vertex carries one label on every PE that holds
+it) and returns the kept edges as one block with offsets.
 What the receivers' ghost tables would have guaranteed is checked as a
 set: every destination is local to its PE or was pushed there (one
 :func:`repro.kernels.segmented_isin`).  The per-PE loops, the per-PE ghost
@@ -29,45 +31,31 @@ tables, relabelled edges and simulated costs are identical.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
-from ..kernels import (segment_ids, segmented_isin, segmented_lookup,
-                       segmented_run_starts)
+from ..kernels import segment_ids, segmented_isin, segmented_lookup
 from ..kernels.segmented import packed_lexsort
 from ..simmpi.alltoall import SendBlock, account
 from .state import MSTRun
 
 
 class LabelPush(NamedTuple):
-    """What EXCHANGELABELS pushed, and the round's flat state it read.
+    """What EXCHANGELABELS pushed, and the source labels it built.
 
     PE ``home[k]`` receives ``(vertex[k], label[k])``: one row per (sender
     PE, home, vertex), sender-major and in source order within a sender.
-    ``ev``/``ew`` are the parts' columns concatenated (``off``, ``seg``),
-    ``src_label`` every row's new source label and ``voff`` the offsets of
-    the parts' vertex groups -- what RELABEL would otherwise rebuild.
+    ``src_label`` is every edge's new source label, which RELABEL would
+    otherwise rebuild.
     """
 
     home: np.ndarray
     vertex: np.ndarray
     label: np.ndarray
-    ev: np.ndarray
-    ew: np.ndarray
-    off: np.ndarray
-    seg: np.ndarray
     src_label: np.ndarray
-    voff: np.ndarray
-
-
-def _offsets(arrays) -> np.ndarray:
-    """``len(arrays) + 1`` offsets of the arrays laid end to end."""
-    off = np.zeros(len(arrays) + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in arrays], out=off[1:])
-    return off
 
 
 def _check_groups(runs_before: np.ndarray, voff: np.ndarray) -> None:
@@ -84,30 +72,25 @@ def _check_groups(runs_before: np.ndarray, voff: np.ndarray) -> None:
 
 def exchange_labels(
     graph: DistGraph,
-    vids_per_pe: List[np.ndarray],
-    labels_per_pe: List[np.ndarray],
+    vids: np.ndarray,
+    labels: np.ndarray,
+    voff: np.ndarray,
     run: MSTRun,
 ) -> LabelPush:
-    """Push new local-vertex labels to every PE that has them as ghosts."""
+    """Push new local-vertex labels to every PE that has them as ghosts.
+
+    ``vids``/``labels`` are every PE's local vertices and their new labels
+    laid end to end, PE ``i``'s at ``voff[i]:voff[i + 1]``.
+    """
     p = graph.machine.n_procs
     machine = graph.machine
-    parts = graph.parts
-    off = _offsets(parts)
+    e, off = graph.edges, graph.offsets
+    eu, ev, ew = e.u, e.v, e.w
     lengths = np.diff(off)
-    z = np.empty(0, dtype=np.int64)
-
-    if off[-1]:
-        eu = np.concatenate([np.asarray(part.u) for part in parts])
-        ev = np.concatenate([np.asarray(part.v) for part in parts])
-        ew = np.concatenate([np.asarray(part.w) for part in parts])
-    else:
-        eu = ev = ew = z
     seg = segment_ids(off)
-    voff = _offsets(vids_per_pe)
-    labels = np.concatenate(labels_per_pe) if voff[-1] else z
     # Source labels, read off the layout: parts are sorted by source, so the
-    # k-th run of equal sources of part i is the k-th entry of vids_per_pe[i].
-    starts = np.flatnonzero(segmented_run_starts(eu, off))
+    # k-th run of equal sources of part i is the k-th vertex of PE i.
+    starts = graph.source_runs()
     _check_groups(np.searchsorted(starts, off), voff)
     src_label = np.repeat(labels, np.diff(starts, append=len(eu)))
 
@@ -147,28 +130,27 @@ def exchange_labels(
     account(run.comm, run.cfg.alltoall, pay, counts, lambda: SendBlock(
         pay, packed_lexsort((pdest, pseg), ranges=((0, p - 1), (0, p - 1)))))
     machine.charge_hash(counts.sum(axis=0))
-    return LabelPush(pdest, pay[:, 0], pay[:, 1], ev, ew, off, seg,
-                     src_label, voff)
+    return LabelPush(pdest, pay[:, 0], pay[:, 1], src_label)
 
 
 def relabel(
     graph: DistGraph,
-    vids_per_pe: List[np.ndarray],
-    labels_per_pe: List[np.ndarray],
+    vids: np.ndarray,
+    labels: np.ndarray,
+    voff: np.ndarray,
     push: LabelPush,
     run: MSTRun,
-) -> List[Edges]:
-    """RELABEL: rewrite endpoints to component roots, drop self loops."""
+) -> Tuple[Edges, np.ndarray]:
+    """RELABEL: rewrite endpoints to component roots, drop self loops.
+
+    Returns the kept edges as one block and its ``p + 1`` offsets.
+    """
     p = graph.machine.n_procs
-    parts = graph.parts
-    off, ev, seg = push.off, push.ev, push.seg
+    e, off = graph.edges, graph.offsets
+    ev = e.v
     lengths = np.diff(off)
-    if off[-1] == 0:
-        return [Edges.empty() for _ in range(p)]
-    voff = _offsets(vids_per_pe)
-    _check_groups(push.voff, voff)
-    vids = np.concatenate(vids_per_pe)
-    labels = np.concatenate(labels_per_pe)
+    seg = segment_ids(off)
+    _check_groups(np.searchsorted(graph.source_runs(), off), voff)
 
     # Every destination must be local to its PE or pushed to it: what a
     # lookup in the PE's ghost table would have found.
@@ -195,18 +177,8 @@ def relabel(
             f"ghost labels missing for vertices {ev[~found][:5]}")
     v_new = labels[idx].astype(ev.dtype, copy=False)
     keep_pos = np.flatnonzero(push.src_label != v_new)
-    koff = np.searchsorted(keep_pos, off)  # kept rows before each part
-    ku = push.src_label[keep_pos]
-    kv = v_new[keep_pos]
-    kw = push.ew[keep_pos]
-    kid = np.concatenate([np.asarray(part.id) for part in parts])[keep_pos]
-    out: List[Edges] = []
-    for i in range(p):
-        if lengths[i] == 0:
-            out.append(Edges.empty())
-            continue
-        sl = slice(koff[i], koff[i + 1])
-        out.append(Edges(ku[sl], kv[sl], kw[sl], kid[sl]))
+    kept = Edges(push.src_label[keep_pos], v_new[keep_pos], e.w[keep_pos],
+                 e.id[keep_pos])
     nz = np.flatnonzero(lengths)
     graph.machine.charge_scan(lengths[nz], ranks=nz)
-    return out
+    return kept, np.searchsorted(keep_pos, off)

@@ -36,8 +36,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..dgraph.dist_graph import DistGraph
+from ..dgraph.dist_graph import DistGraph, split_edges
 from ..dgraph.edges import Edges, lightest_per_group
+from ..kernels import RaggedArrays
 from ..seq.filter_kruskal import filter_boruvka_msf
 from ..seq.kruskal import kruskal_msf
 from ..simmpi.alltoall import route_rows
@@ -305,9 +306,10 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
                             ranks=np.array([i]))
 
     # ---- Refresh ghost labels and relabel (Sections IV-B/IV-C). ----
-    relabelled = relabel(graph, vids_per_pe, labels_per_pe,
-                         exchange_labels(graph, vids_per_pe, labels_per_pe,
-                                         run), run)
+    vids = RaggedArrays.from_arrays(vids_per_pe)
+    state = (graph, vids.flat, np.concatenate(labels_per_pe), vids.offsets)
+    relabelled = split_edges(*relabel(*state, exchange_labels(*state, run),
+                                      run))
 
     # ---- Local resort + parallel-edge elimination. ----
     parts: List[Edges] = []
@@ -349,7 +351,7 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
         else:
             final_parts.append(keepers[i])
 
-    return DistGraph(machine, final_parts, check=False)
+    return DistGraph.from_parts(machine, final_parts, check=False)
 
 
 def _dedup_part(e: Edges, machine, pe: int, cfg) -> Edges:

@@ -103,15 +103,14 @@ class DistributedLabelArray:
         raise RuntimeError("P-array pointer doubling failed to converge")
 
     # ------------------------------------------------------------------
-    def request(self, queries_per_pe: List[np.ndarray]) -> List[np.ndarray]:
-        """REQUESTLABELS: resolve vertex labels to representatives.
+    def request(self, keys: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        """REQUESTLABELS: PE ``seg[k]`` resolves vertex label ``keys[k]`` to
+        its representative; the answers are aligned with ``keys``.
 
         Call :meth:`contract` first; chains are then fully collapsed and one
         lookup round suffices.
         """
-        r = RaggedArrays.from_arrays(queries_per_pe, dtype=np.int64)
-        out = self._ask(r.flat, r.segment_ids())
-        return [out[r.offsets[i]:r.offsets[i + 1]] for i in range(self.p)]
+        return self._ask(np.asarray(keys, dtype=np.int64), seg)
 
     def assembled(self) -> np.ndarray:
         """The full array (testing/diagnostics only -- not a PE operation)."""

@@ -16,8 +16,6 @@ the rebuilt parts are views of the deduplicated block.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
@@ -32,16 +30,17 @@ from .state import MSTRun
 def redistribute(
     run: MSTRun,
     machine: Machine,
-    relabelled: List[Edges],
+    edges: Edges,
+    offsets: np.ndarray,
     check: bool = False,
 ) -> DistGraph:
-    """Sort, deduplicate and rebuild the distributed graph structure."""
+    """Sort, deduplicate and rebuild the distributed graph structure.
+
+    ``edges`` is every PE's block laid end to end, PE ``i``'s at
+    ``offsets[i]:offsets[i + 1]``.
+    """
     p = machine.n_procs
-    cols = [np.concatenate([getattr(e, c) for e in relabelled])
-            for c in ("u", "v", "w", "id")]
-    lens = np.fromiter(map(len, relabelled), dtype=np.int64, count=p)
-    block = split_rows(np.stack(cols, axis=1),
-                       np.concatenate(([0], np.cumsum(lens))))
+    block = split_rows(edges.as_matrix(), offsets)
     sorted_parts = sort_rows(run.comm, block, n_key_cols=3,
                              method=run.cfg.sorter, rebalance=True)
     packed = RaggedArrays.from_arrays(sorted_parts)
@@ -60,11 +59,8 @@ def redistribute(
 
     kept = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(keep, out=kept[1:])
-    kept_off = kept[off]
-    edges = np.ascontiguousarray(np.compress(keep, rows, axis=0).T)
-    parts = [Edges(*edges[:, a:b])
-             for a, b in zip(kept_off[:-1].tolist(), kept_off[1:].tolist())]
-    graph = DistGraph(machine, parts, check=check)
+    cols = np.ascontiguousarray(np.compress(keep, rows, axis=0).T)
+    graph = DistGraph(machine, Edges(*cols), kept[off], check=check)
     if machine.sanitizer is not None:
         # Invariant 3: the rebuilt structure must be globally lex-sorted
         # with agreeing replicated metadata after *every* redistribute.

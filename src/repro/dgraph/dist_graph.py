@@ -25,6 +25,11 @@ localisation of a vertex or edge by binary search
 (:mod:`repro.dgraph.search`).  Empty PEs inherit their successor's key so the
 search semantics ("rightmost PE whose first edge is <= the query") stay
 correct.
+
+Host layout: the global sequence is one :class:`Edges` block plus ``p + 1``
+offsets, and ``E_i`` is ``edges[offsets[i]:offsets[i + 1]]``.  The rounds
+read the block; :attr:`DistGraph.parts` are zero-copy views of it, for the
+sanitizer's ownership checks, local preprocessing and the competitors.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..kernels import segmented_run_starts
 from ..simmpi.collectives import Comm
 from ..simmpi.machine import Machine
 from .edges import WEIGHT_LIMIT, Edges
@@ -43,32 +49,67 @@ KEY_SENTINEL = np.iinfo(np.int64).max
 
 
 class DistGraph:
-    """1D-partitioned, globally lexicographically sorted distributed edge list."""
+    """1D-partitioned, globally lexicographically sorted distributed edge list.
 
-    def __init__(self, machine: Machine, parts: Sequence[Edges],
+    The host holds the global sequence as one :class:`Edges` block and
+    ``p + 1`` ``offsets``: PE ``i``'s part is ``edges[offsets[i]:
+    offsets[i + 1]]``.  :attr:`parts` lists those parts as zero-copy views.
+    """
+
+    def __init__(self, machine: Machine, edges: Edges, offsets,
                  check: bool = True):
-        if len(parts) != machine.n_procs:
+        p = machine.n_procs
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if len(offsets) != p + 1:
+            raise ValueError(f"need {p} parts, got {len(offsets) - 1}")
+        if offsets[0] != 0 or offsets[-1] != len(edges) or (
+                np.diff(offsets) < 0).any():
             raise ValueError(
-                f"need {machine.n_procs} parts, got {len(parts)}"
-            )
+                f"offsets must rise from 0 to the block's {len(edges)} rows")
         self.machine = machine
         self.comm = Comm(machine)
-        self.parts: List[Edges] = list(parts)
+        self.edges = edges
+        self.offsets = offsets
+        self._parts: Optional[List[Edges]] = None
+        self._runs: Optional[np.ndarray] = None
         if machine.sanitizer is not None:
-            # Register every part's arrays as PE-owned state: from here on
+            # Register every part's views as PE-owned state: from here on
             # they are write-protected outside machine.on_pe(i) contexts.
             for i, part in enumerate(self.parts):
                 machine.sanitizer.adopt_edges(i, part)
         if check:
-            self._check_weights()
-            self._check_local_sorted()
+            check_weights(edges, offsets)
+            check_local_sorted(edges, offsets)
         self.rebuild_min_keys()
         if check:
-            self._check_global_sorted()
+            check_global_sorted(edges, offsets)
+
+    @property
+    def parts(self) -> List[Edges]:
+        """PE ``i``'s part as a view of the block, for every ``i``."""
+        if self._parts is None:
+            self._parts = split_edges(self.edges, self.offsets)
+        return self._parts
+
+    def source_runs(self) -> np.ndarray:
+        """The first row of every run of equal sources within a part: the
+        parts' local vertices are ``edges.u`` there, PE by PE."""
+        if self._runs is None:
+            self._runs = np.flatnonzero(
+                segmented_run_starts(self.edges.u, self.offsets))
+        return self._runs
 
     # ------------------------------------------------------------------
     # Construction helpers.
     # ------------------------------------------------------------------
+    @classmethod
+    def from_parts(cls, machine: Machine, parts: Sequence[Edges],
+                   check: bool = True) -> "DistGraph":
+        """A graph from one edge sequence per PE (concatenated once)."""
+        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum([len(part) for part in parts], out=offsets[1:])
+        return cls(machine, Edges.concat(parts), offsets, check)
+
     @classmethod
     def from_global_edges(cls, machine: Machine, edges: Edges,
                           avoid_shared: bool = False) -> "DistGraph":
@@ -83,55 +124,18 @@ class DistGraph:
         # Directed-edge ids are positions in the sorted global sequence --
         # the contract the MST output stage (REDISTRIBUTEMST) relies on.
         # Generated graphs arrive sorted with positional ids already
-        # (graphgen finalisation), in which case both the O(m log m) sort
-        # and the O(m) copy are skipped; the parts below are takes (fresh
-        # arrays), so ``edges`` itself is never mutated or adopted.
-        if edges.is_sorted_lex() and (
-                m == 0 or (int(edges.id[0]) == 0
-                           and int(edges.id[-1]) == m - 1
-                           and np.array_equal(
-                               edges.id,
-                               np.arange(m, dtype=edges.id.dtype)))):
-            g = edges
+        # (graphgen finalisation), in which case the O(m log m) sort is
+        # skipped for one copy; ``edges`` itself is never mutated or
+        # adopted.
+        if edges.is_sorted_lex() and ids_are_positions(edges.id):
+            g = edges.copy()
         else:
             g = edges.sort_lex()
             g.id[:] = np.arange(m, dtype=np.int64)
         bounds = np.linspace(0, m, p + 1).astype(np.int64)
         if avoid_shared and m:
-            for i in range(1, p):
-                b = bounds[i]
-                # Advance to the first edge with a new source vertex.
-                while 0 < b < m and g.u[b] == g.u[b - 1]:
-                    b += 1
-                bounds[i] = max(b, bounds[i - 1])
-            bounds[p] = m
-        parts = [g.take(np.arange(bounds[i], bounds[i + 1]))
-                 for i in range(p)]
-        return cls(machine, parts)
-
-    def _check_weights(self) -> None:
-        for i, part in enumerate(self.parts):
-            if len(part) and int(part.w.max()) >= WEIGHT_LIMIT:
-                raise ValueError(
-                    f"part {i} holds edge weight {int(part.w.max())}; "
-                    f"weights must be below 2^62 (WEIGHT_LIMIT)")
-
-    def _check_local_sorted(self) -> None:
-        for i, part in enumerate(self.parts):
-            if not part.is_sorted_lex():
-                raise ValueError(f"part {i} is not lexicographically sorted")
-
-    def _check_global_sorted(self) -> None:
-        prev_last: Optional[tuple] = None
-        for i, part in enumerate(self.parts):
-            if len(part) == 0:
-                continue
-            first = (int(part.u[0]), int(part.v[0]), int(part.w[0]))
-            if prev_last is not None and first < prev_last:
-                raise ValueError(
-                    f"global sortedness violated at PE {i}: {first} < {prev_last}"
-                )
-            prev_last = (int(part.u[-1]), int(part.v[-1]), int(part.w[-1]))
+            bounds = shared_free_bounds(g.u, bounds)
+        return cls(machine, g, bounds)
 
     # ------------------------------------------------------------------
     # Replicated metadata (allgather of boundary information).
@@ -144,14 +148,7 @@ class DistGraph:
         (Section IV-C).
         """
         p = self.machine.n_procs
-        # One record per PE: [has edges, first u, v, w, last u, size].
-        records = np.zeros((p, 6), dtype=np.int64)
-        records[:, 5] = np.fromiter(map(len, self.parts), np.int64, count=p)
-        full = np.flatnonzero(records[:, 5])
-        if len(full):
-            records[full, :5] = [
-                (1, part.u[0], part.v[0], part.w[0], part.u[-1])
-                for part in (self.parts[i] for i in full.tolist())]
+        records = part_records(self.edges, self.offsets)
         gathered = np.stack(self.comm.allgather(records))
         self.has_edges = gathered[:, 0] == 1
         first_u = gathered[:, 1].copy()
@@ -187,14 +184,10 @@ class DistGraph:
     def local_vertex_counts(self) -> np.ndarray:
         """Distinct source vertices per PE (shared vertices counted on each).
 
-        Parts are sorted by source, so the count is the number of source
-        changes plus one -- no per-PE sort.
+        Parts are sorted by source, so the count is the number of runs of
+        equal sources that start in each part -- no per-PE sort.
         """
-        return np.array(
-            [np.count_nonzero(part.u[1:] != part.u[:-1]) + 1 if len(part)
-             else 0 for part in self.parts],
-            dtype=np.int64,
-        )
+        return np.diff(np.searchsorted(self.source_runs(), self.offsets))
 
     def global_vertex_count(self) -> int:
         """Number of distinct source vertices in the global sequence.
@@ -238,11 +231,10 @@ class DistGraph:
         ``starts`` has one extra trailing entry ``len(part)`` so group ``k``
         spans ``[starts[k], starts[k+1])``.
         """
-        part = self.parts[i]
-        if len(part) == 0:
-            z = np.empty(0, dtype=np.int64)
-            return z, np.zeros(1, dtype=np.int64)
-        return source_groups(part.u)
+        a, b = self.offsets[i], self.offsets[i + 1]
+        runs = self.source_runs()
+        starts = runs[np.searchsorted(runs, a):np.searchsorted(runs, b)]
+        return self.edges.u[starts], np.append(starts - a, b - a)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DistGraph(p={self.machine.n_procs}, "
@@ -255,3 +247,96 @@ def source_groups(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     change[1:] = u[1:] != u[:-1]
     starts = np.flatnonzero(change)
     return u[starts], np.append(starts, len(u))
+
+
+# ----------------------------------------------------------------------
+# Per-block reads: each reads the whole block at once, with ``offsets``
+# naming the parts (their per-part loops are the tests' oracles).
+# ----------------------------------------------------------------------
+def ids_are_positions(ids: np.ndarray) -> bool:
+    """Whether ``ids`` is ``0, 1, ..., len(ids) - 1``."""
+    return np.array_equal(ids, np.arange(len(ids), dtype=ids.dtype))
+
+
+def split_edges(edges: Edges, offsets) -> List[Edges]:
+    """``edges[offsets[i]:offsets[i + 1]]`` for every ``i``, as views."""
+    e, off = edges, np.asarray(offsets).tolist()
+    return [Edges(e.u[a:b], e.v[a:b], e.w[a:b], e.id[a:b])
+            for a, b in zip(off[:-1], off[1:])]
+
+
+def part_records(edges: Edges, offsets: np.ndarray) -> np.ndarray:
+    """One record per PE: ``[has edges, first u, v, w, last u, size]``."""
+    sizes = np.diff(offsets)
+    records = np.zeros((len(sizes), 6), dtype=np.int64)
+    records[:, 5] = sizes
+    full = np.flatnonzero(sizes)
+    first, last = offsets[full], offsets[full + 1] - 1
+    records[full, 0] = 1
+    records[full, 1] = edges.u[first]
+    records[full, 2] = edges.v[first]
+    records[full, 3] = edges.w[first]
+    records[full, 4] = edges.u[last]
+    return records
+
+
+def shared_free_bounds(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``bounds`` with every interior one moved forward to the next start
+    of a source group of the sorted column ``u`` (or its end)."""
+    starts = source_groups(u)[1]
+    return np.maximum.accumulate(starts[np.searchsorted(starts, bounds)])
+
+
+def _part_of(offsets: np.ndarray, row) -> int:
+    """The part holding ``row`` (the non-empty one where parts start)."""
+    return int(np.searchsorted(offsets, row, side="right")) - 1
+
+
+def check_weights(edges: Edges, offsets: np.ndarray) -> None:
+    """Raise unless every weight is below :data:`WEIGHT_LIMIT`."""
+    if len(edges) and int(edges.w.max()) >= WEIGHT_LIMIT:
+        i = _part_of(offsets, np.argmax(edges.w >= WEIGHT_LIMIT))
+        heaviest = int(edges.w[offsets[i]:offsets[i + 1]].max())
+        raise ValueError(
+            f"part {i} holds edge weight {heaviest}; "
+            f"weights must be below 2^62 (WEIGHT_LIMIT)")
+
+
+def _descents(edges: Edges) -> np.ndarray:
+    """Rows ``k + 1`` that sort before row ``k`` (comparison-based on
+    purpose: ``np.diff`` on ``uint32`` columns wraps)."""
+    if edges._sorted_lex or len(edges) <= 1:
+        return np.empty(0, dtype=np.int64)
+    u, v, w = edges.u, edges.v, edges.w
+    eq = u[1:] == u[:-1]
+    bad = u[1:] < u[:-1]
+    bad |= eq & (v[1:] < v[:-1])
+    eq &= v[1:] == v[:-1]
+    bad |= eq & (w[1:] < w[:-1])
+    return np.flatnonzero(bad) + 1
+
+
+def check_local_sorted(edges: Edges, offsets: np.ndarray) -> None:
+    """Raise unless every part is lexicographically sorted."""
+    rows = _descents(edges)
+    inside = rows[~np.isin(rows, offsets)]
+    if len(inside):
+        raise ValueError(f"part {_part_of(offsets, inside[0])} is not "
+                         f"lexicographically sorted")
+
+
+def check_global_sorted(edges: Edges, offsets: np.ndarray) -> None:
+    """Raise unless every non-empty part starts at or after the previous
+    non-empty part's last edge."""
+    rows = _descents(edges)
+    if len(rows) == 0:
+        edges._sorted_lex = True
+    rows = rows[np.isin(rows, offsets)]
+    if len(rows) == 0:
+        return
+    k = int(rows[0])
+    first = (int(edges.u[k]), int(edges.v[k]), int(edges.w[k]))
+    prev_last = (int(edges.u[k - 1]), int(edges.v[k - 1]),
+                 int(edges.w[k - 1]))
+    raise ValueError(f"global sortedness violated at PE "
+                     f"{_part_of(offsets, k)}: {first} < {prev_last}")

@@ -51,18 +51,13 @@ from ..dgraph.edges import Edges
 _EDGE_ROW_BYTES = 32.0
 
 
-def _edges_copy(part: Edges) -> Edges:
-    """A private (plain-ndarray) copy of one PE's edge block."""
-    return Edges(np.array(part.u, copy=True), np.array(part.v, copy=True),
-                 np.array(part.w, copy=True), np.array(part.id, copy=True))
-
-
 @dataclass
 class RoundCheckpoint:
     """Snapshot of one Borůvka round's input, replicated to buddy PEs."""
 
     round_no: int
-    parts: List[Edges]
+    edges: Edges
+    offsets: np.ndarray
     mst_lens: List[int]
     rng_state: Dict[int, dict]
 
@@ -79,8 +74,7 @@ class RoundCheckpoint:
 
         machine = graph.machine
         p = machine.n_procs
-        sizes = np.array([len(part) for part in graph.parts],
-                         dtype=np.float64)
+        sizes = np.diff(graph.offsets).astype(np.float64)
         send_bytes = sizes * _EDGE_ROW_BYTES
         recv_bytes = send_bytes[(np.arange(p) - 1) % p]
         cm = machine.cost
@@ -95,7 +89,8 @@ class RoundCheckpoint:
                                   nbytes=float(send_bytes.sum()))
         return cls(
             round_no=run.rounds,
-            parts=[_edges_copy(part) for part in graph.parts],
+            edges=graph.edges.copy(),
+            offsets=graph.offsets,
             mst_lens=[len(lst) for lst in run.mst_ids],
             rng_state=machine.rng_snapshot(),
         )
@@ -116,8 +111,7 @@ class RoundCheckpoint:
         machine = run.machine
         fi = machine.faults
         p = machine.n_procs
-        sizes = np.array([len(part) for part in self.parts],
-                         dtype=np.float64)
+        sizes = np.diff(self.offsets).astype(np.float64)
         refetch = np.zeros(p, dtype=np.float64)
         refetch[failed] = sizes[failed] * _EDGE_ROW_BYTES
         buddies = (failed + 1) % p
@@ -141,8 +135,8 @@ class RoundCheckpoint:
                          [int(pe) for pe in np.atleast_1d(failed)])
         # Fresh copies again: the same checkpoint must survive a second
         # restore if the replay fails too.
-        parts = [_edges_copy(part) for part in self.parts]
-        return DistGraph(machine, parts, check=False)
+        return DistGraph(machine, self.edges.copy(), self.offsets,
+                         check=False)
 
 
 @dataclass

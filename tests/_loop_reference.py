@@ -57,6 +57,20 @@ sort charge per leaf (``_replay_per_node``), the base case with its
 one-rank charge loops and the pairwise ``_row_min`` that ``Comm`` folds,
 and the per-PE ``Generator`` draws (``sample_positions``, drawing through
 ``generator_integers`` from the machine's own streams).
+
+The graph is one resident block plus offsets, and the round passes flat
+``(arrays, offsets)`` state from stage to stage.  The list forms stay here
+as shipped, each wrapped by a thin flat <-> list adapter (``_chosen_out``,
+``_chosen_in``, ``_lists_in``, ``_kept_out``, ``_parts_in``, ``_msf_views``,
+``_flat_request``, ``_split_out``) so ``loop_oracles`` still substitutes
+it: the per-PE ``ChosenEdges`` and ``_empty_chosen``, the per-part checks
+and metadata of ``DistGraph`` (``check_weights``, ``check_local_sorted``,
+``check_global_sorted``, ``part_records``, ``local_vertex_counts``),
+``from_global_edges``' takes (``from_global_edges_takes``) and its
+row-by-row ``avoid_shared`` loop (``shared_free_bounds``), Filter-Borůvka's
+``_split_by_pivot``, and the snapshot holding the parts with the routed
+REDISTRIBUTEMST (``InputSnapshotParts``, ``redistribute_mst_routed``;
+second oracles of their sites).
 """
 
 from __future__ import annotations
@@ -71,10 +85,11 @@ from repro.competitors.awerbuch_shiloach import _lo
 from repro.core.base_case import INF
 from repro.core.labels import LabelPush
 from repro.core.local_preprocessing import _TaintedUnionFind
-from repro.core.minedges import ChosenEdges, _empty_chosen
+from repro.core.minedges import ChosenEdges as FlatChosenEdges
 from repro.core.state import MSTRun
-from repro.dgraph.dist_graph import DistGraph
-from repro.dgraph.edges import Edges, lightest_per_group, tie_key
+from repro.dgraph.dist_graph import DistGraph, split_edges
+from repro.dgraph.edges import (WEIGHT_LIMIT, Edges,
+                                lightest_per_group, tie_key)
 from repro.dgraph.search import lex_searchsorted, sorted_lookup
 from repro.kernels import (RaggedArrays, segmented_lookup, segmented_run_starts,
                            segmented_unique)
@@ -92,6 +107,207 @@ from repro.seq.filter_kruskal import filter_boruvka_msf
 from repro.seq.kruskal import kruskal_msf
 from repro.utils.partition import block_bounds, owner_of
 from repro.utils.varint import CompressedEdgeList
+
+
+# ----------------------------------------------------------------------
+# Flat <-> list adapters.  Production hands every PE's state on laid end
+# to end with ``p + 1`` offsets; the oracles keep their per-PE lists.
+# Each decorator wraps one oracle (keeping its name, which
+# ``loop_oracles(only=...)`` matches) so it takes and returns the flat form.
+# ----------------------------------------------------------------------
+def _split(flat, off) -> list:
+    """``flat[off[i]:off[i + 1]]`` for every ``i``."""
+    off = np.asarray(off).tolist()
+    return [flat[a:b] for a, b in zip(off[:-1], off[1:])]
+
+
+def _offsets(arrays) -> np.ndarray:
+    """``len(arrays) + 1`` offsets of the arrays laid end to end."""
+    off = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in arrays], out=off[1:])
+    return off
+
+
+def _flat(arrays, like: np.ndarray) -> np.ndarray:
+    """The non-empty arrays laid end to end (``like[:0]`` when none): an
+    empty PE's placeholder never sets the dtype."""
+    full = [a for a in arrays if len(a)]
+    return np.concatenate(full) if full else like[:0]
+
+
+def _chosen_out(fn):
+    """A per-PE MINEDGES returning the flat :class:`FlatChosenEdges`."""
+    @functools.wraps(fn)
+    def flat(graph):
+        per_pe, e = fn(graph), graph.edges
+        return FlatChosenEdges(
+            vids=_flat([c.vids for c in per_pe], e.u),
+            shared=_flat([c.shared for c in per_pe], np.zeros(0, bool)),
+            to=_flat([c.to for c in per_pe], e.v),
+            weight=_flat([c.weight for c in per_pe], e.w),
+            edge_id=_flat([c.edge_id for c in per_pe], e.id),
+            voff=_offsets([c.vids for c in per_pe]))
+    return flat
+
+
+def _chosen_in(fn):
+    """A per-PE contraction taking and returning the flat forms."""
+    @functools.wraps(fn)
+    def flat(graph, chosen, run):
+        cols = [_split(getattr(chosen, f), chosen.voff)
+                for f in ("vids", "shared", "to", "weight", "edge_id")]
+        labels = fn(graph, [ChosenEdges(*c) for c in zip(*cols)], run)
+        return _flat(labels, np.where(chosen.shared, chosen.vids,
+                                      chosen.to))
+    return flat
+
+
+def _lists_in(fn):
+    """A per-PE label stage called with flat ``(vids, labels, voff)``."""
+    @functools.wraps(fn)
+    def flat(graph, vids, labels, voff, *rest):
+        return fn(graph, _split(vids, voff), _split(labels, voff), *rest)
+    return flat
+
+
+def _kept_out(fn):
+    """A RELABEL returning per-PE ``Edges``, returning the kept block (in
+    the dtypes production keeps: the labels' for sources, the edges'
+    otherwise) and its offsets."""
+    @functools.wraps(fn)
+    def flat(graph, vids, labels, voff, *rest):
+        parts, e = fn(graph, vids, labels, voff, *rest), graph.edges
+        return Edges(*(_flat([getattr(x, c) for x in parts], like)
+                       for c, like in (("u", labels), ("v", e.v),
+                                       ("w", e.w), ("id", e.id)))), \
+            _offsets(parts)
+    return flat
+
+
+def _parts_in(fn):
+    """A per-PE REDISTRIBUTE called with ``(block, offsets)``."""
+    @functools.wraps(fn)
+    def flat(run, machine, edges, offsets, check=False):
+        return fn(run, machine, split_edges(edges, offsets), check)
+    return flat
+
+
+def _msf_views(fn):
+    """A per-PE REDISTRIBUTEMST returning views of one id-sorted block."""
+    @functools.wraps(fn)
+    def flat(run, snapshot):
+        parts = fn(run, snapshot)
+        return split_edges(Edges.concat(parts), _offsets(parts))
+    return flat
+
+
+def _flat_request(fn):
+    """A per-PE REQUESTLABELS called with flat ``(keys, seg)``."""
+    @functools.wraps(fn)
+    def flat(self, keys, seg):
+        off = np.searchsorted(seg, np.arange(self.p + 1))
+        return _flat(fn(self, _split(keys, off)), np.empty(0, np.int64))
+    return flat
+
+
+# ----------------------------------------------------------------------
+# dgraph/dist_graph.py: the per-part checks and metadata, the takes of
+# from_global_edges and its row-by-row ``avoid_shared`` loop
+# ----------------------------------------------------------------------
+def check_weights(edges: Edges, offsets: np.ndarray) -> None:
+    parts = split_edges(edges, offsets)
+    for i, part in enumerate(parts):
+        if len(part) and int(part.w.max()) >= WEIGHT_LIMIT:
+            raise ValueError(
+                f"part {i} holds edge weight {int(part.w.max())}; "
+                f"weights must be below 2^62 (WEIGHT_LIMIT)")
+
+
+def check_local_sorted(edges: Edges, offsets: np.ndarray) -> None:
+    parts = split_edges(edges, offsets)
+    for i, part in enumerate(parts):
+        if not part.is_sorted_lex():
+            raise ValueError(f"part {i} is not lexicographically sorted")
+
+
+def check_global_sorted(edges: Edges, offsets: np.ndarray) -> None:
+    parts = split_edges(edges, offsets)
+    prev_last = None
+    for i, part in enumerate(parts):
+        if len(part) == 0:
+            continue
+        first = (int(part.u[0]), int(part.v[0]), int(part.w[0]))
+        if prev_last is not None and first < prev_last:
+            raise ValueError(
+                f"global sortedness violated at PE {i}: {first} < {prev_last}"
+            )
+        prev_last = (int(part.u[-1]), int(part.v[-1]), int(part.w[-1]))
+
+
+def part_records(edges: Edges, offsets: np.ndarray) -> np.ndarray:
+    parts = split_edges(edges, offsets)
+    p = len(parts)
+    # One record per PE: [has edges, first u, v, w, last u, size].
+    records = np.zeros((p, 6), dtype=np.int64)
+    records[:, 5] = np.fromiter(map(len, parts), np.int64, count=p)
+    full = np.flatnonzero(records[:, 5])
+    if len(full):
+        records[full, :5] = [
+            (1, part.u[0], part.v[0], part.w[0], part.u[-1])
+            for part in (parts[i] for i in full.tolist())]
+    return records
+
+
+def shared_free_bounds(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    bounds = np.array(bounds, dtype=np.int64)
+    m = len(u)
+    p = len(bounds) - 1
+    for i in range(1, p):
+        b = bounds[i]
+        # Advance to the first edge with a new source vertex.
+        while 0 < b < m and u[b] == u[b - 1]:
+            b += 1
+        bounds[i] = max(b, bounds[i - 1])
+    bounds[p] = m
+    return bounds
+
+
+def local_vertex_counts(graph: DistGraph) -> np.ndarray:
+    """``DistGraph.local_vertex_counts`` as a loop over the parts."""
+    return np.array(
+        [np.count_nonzero(part.u[1:] != part.u[:-1]) + 1 if len(part)
+         else 0 for part in graph.parts],
+        dtype=np.int64,
+    )
+
+
+def from_global_edges_takes(machine: Machine, edges: Edges,
+                            avoid_shared: bool = False) -> DistGraph:
+    """``DistGraph.from_global_edges`` cutting its parts with ``p`` takes."""
+    p = machine.n_procs
+    m = len(edges)
+    if edges.is_sorted_lex() and (
+            m == 0 or (int(edges.id[0]) == 0
+                       and int(edges.id[-1]) == m - 1
+                       and np.array_equal(
+                           edges.id,
+                           np.arange(m, dtype=edges.id.dtype)))):
+        g = edges
+    else:
+        g = edges.sort_lex()
+        g.id[:] = np.arange(m, dtype=np.int64)
+    bounds = np.linspace(0, m, p + 1).astype(np.int64)
+    if avoid_shared and m:
+        for i in range(1, p):
+            b = bounds[i]
+            # Advance to the first edge with a new source vertex.
+            while 0 < b < m and g.u[b] == g.u[b - 1]:
+                b += 1
+            bounds[i] = max(b, bounds[i - 1])
+        bounds[p] = m
+    parts = [g.take(np.arange(bounds[i], bounds[i + 1]))
+             for i in range(p)]
+    return DistGraph.from_parts(machine, parts)
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +360,33 @@ def route_rows(
 
 
 # ----------------------------------------------------------------------
-# core/minedges.py: min_edges
+# core/minedges.py: min_edges, and the per-PE result it returned
 # ----------------------------------------------------------------------
+@dataclass
+class ChosenEdges:
+    """Per-PE result of MINEDGES.
+
+    Arrays are aligned with the PE's *local vertex list* ``vids`` (all
+    distinct sources of the part, shared or not).  For shared vertices (mask
+    ``shared``) no edge is chosen and the edge fields are undefined.
+    """
+
+    vids: np.ndarray        # sorted distinct local vertex ids
+    shared: np.ndarray      # bool: vertex is globally shared
+    to: np.ndarray          # chosen edge's other endpoint
+    weight: np.ndarray      # chosen edge's weight
+    edge_id: np.ndarray     # chosen edge's original directed-edge id
+
+    def __len__(self) -> int:
+        return len(self.vids)
+
+
+def _empty_chosen() -> ChosenEdges:
+    z = np.empty(0, dtype=np.int64)
+    return ChosenEdges(z, np.zeros(0, dtype=bool), z.copy(), z.copy(),
+                       z.copy())
+
+
 def min_edges_one_pe(u: np.ndarray, v: np.ndarray, w: np.ndarray,
                      eid: np.ndarray, starts: np.ndarray):
     """Pure per-PE MINEDGES kernel: pick one edge per vertex group.
@@ -167,6 +408,7 @@ def min_edges_one_pe(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     return v[pick], w[pick], eid[pick]
 
 
+@_chosen_out
 def _min_edges_loop(graph: DistGraph) -> List[ChosenEdges]:
     """Reference engine: one numpy pass per PE."""
     shared_set = graph.shared_vertex_set()
@@ -196,6 +438,7 @@ def _min_edges_loop(graph: DistGraph) -> List[ChosenEdges]:
 # ----------------------------------------------------------------------
 # core/contraction.py: contract_components
 # ----------------------------------------------------------------------
+@_chosen_in
 def _contract_loop(
     graph: DistGraph,
     chosen: List[ChosenEdges],
@@ -342,6 +585,7 @@ def _source_labels(eu: np.ndarray, off: np.ndarray, voff: np.ndarray,
     return np.repeat(labels, np.diff(starts, append=len(eu)))
 
 
+@_lists_in
 def _exchange_labels_loop(
     graph: DistGraph,
     vids_per_pe: List[np.ndarray],
@@ -422,6 +666,8 @@ def _relabel_one_pe(u, v, w, eid, vids, labels, ghosts, glabels):
     return u_new[keep], v_new[keep], w[keep], eid[keep]
 
 
+@_kept_out
+@_lists_in
 def _relabel_loop(
     graph: DistGraph,
     vids_per_pe: List[np.ndarray],
@@ -505,6 +751,7 @@ def _drop_boundary_duplicates(run: MSTRun, parts: List[np.ndarray]
     return out
 
 
+@_parts_in
 def redistribute(
     run: MSTRun,
     machine: Machine,
@@ -519,7 +766,7 @@ def redistribute(
     machine.charge_scan(np.array([len(x) for x in sorted_parts]))
     deduped = _drop_boundary_duplicates(run, deduped)
     parts = [Edges.from_matrix(x) for x in deduped]
-    graph = DistGraph(machine, parts, check=check)
+    graph = DistGraph.from_parts(machine, parts, check=check)
     if machine.sanitizer is not None:
         # Invariant 3: the rebuilt structure must be globally lex-sorted
         # with agreeing replicated metadata after *every* redistribute.
@@ -725,6 +972,7 @@ class InputSnapshot:
         return cls(comp, ws, np.asarray(starts, dtype=np.int64))
 
 
+@_msf_views
 def redistribute_mst(run: MSTRun, snapshot: InputSnapshot) -> List[Edges]:
     """REDISTRIBUTEMST: route (id, w) records home; decode original endpoints."""
     machine = run.machine
@@ -756,6 +1004,107 @@ def redistribute_mst(run: MSTRun, snapshot: InputSnapshot) -> List[Edges]:
         order = np.argsort(ids, kind="stable")
         out.append(Edges(u[order], v[order], w[order], ids[order]))
     return out
+
+
+# ----------------------------------------------------------------------
+# core/boruvka.py: the snapshot as shipped before it held the input block
+# (the parts by reference, per-PE id ranges checked by min and max) and
+# the REDISTRIBUTEMST that routed its records home
+# ----------------------------------------------------------------------
+@dataclass
+class InputSnapshotParts:
+    """Every PE's initial edge block, for the MST output's id lookups.
+
+    The paper keeps a varint-compressed copy and decodes it twice (Section
+    VI-C); :func:`redistribute_mst` charges both decodes.  The host holds
+    the parts by reference instead: the caller keeps the input graph alive
+    for the whole run and nothing writes ``u``/``v``/``w`` in place.
+    """
+
+    parts: List[Edges]
+    id_starts: np.ndarray  # global id range starts per PE (+ total sentinel)
+
+    @classmethod
+    def take(cls, graph: DistGraph) -> "InputSnapshotParts":
+        """Reference every PE's initial edge block and record id ranges."""
+        starts = []
+        next_start = 0
+        for part in graph.parts:
+            starts.append(next_start)
+            if len(part):
+                ids = part.id
+                if not (ids.min() == next_start
+                        and ids.max() == next_start + len(ids) - 1):
+                    raise ValueError(
+                        "edge ids must form contiguous per-PE ranges "
+                        "(use DistGraph.from_global_edges or a generator)"
+                    )
+                next_start += len(ids)
+        starts.append(next_start)
+        return cls(list(graph.parts), np.asarray(starts, dtype=np.int64))
+
+
+@_msf_views
+def redistribute_mst_routed(run: MSTRun, snapshot: InputSnapshotParts
+                            ) -> List[Edges]:
+    """REDISTRIBUTEMST: route (id, w) records home; decode original endpoints."""
+    machine = run.machine
+    p = machine.n_procs
+    rows, dests = [], []
+    for i in range(p):
+        rec = run.collected(i)
+        rows.append(rec)
+        dests.append(
+            np.searchsorted(snapshot.id_starts, rec[:, 0], side="right") - 1
+        )
+    recv, _, _ = route_rows(run.comm, rows, dests, method=run.cfg.alltoall)
+    out: List[Edges] = []
+    for i in range(p):
+        rec = recv[i]
+        part = snapshot.parts[i]
+        # Paper accounting: the compressed copy is decoded twice.
+        machine.charge_scan(np.array([2 * len(part)]), ranks=np.array([i]))
+        if len(rec) == 0:
+            out.append(Edges.empty())
+            continue
+        ids = rec[:, 0]
+        local_pos = ids - snapshot.id_starts[i]
+        w = part.w[local_pos]
+        if not np.array_equal(w, rec[:, 1]):
+            raise RuntimeError("MST edge weight mismatch during output")
+        order = np.argsort(ids, kind="stable")
+        at = local_pos[order]
+        out.append(Edges(part.u[at].astype(np.int64, copy=False),
+                         part.v[at].astype(np.int64, copy=False),
+                         w[order], ids[order]))
+    return out
+
+
+# ----------------------------------------------------------------------
+# core/filter_boruvka.py: _split_by_pivot, one take pair per part
+# ----------------------------------------------------------------------
+def _split_out(fn):
+    """A per-PE split returning the light graph and the heavy block."""
+    @functools.wraps(fn)
+    def flat(graph, pivot, run):
+        lights, heavies = fn(graph, pivot, run)
+        return (DistGraph.from_parts(graph.machine, lights, check=False),
+                Edges.concat(heavies), _offsets(heavies))
+    return flat
+
+
+@_split_out
+def _split_by_pivot(graph: DistGraph, pivot: int, run: MSTRun
+                    ) -> tuple[List[Edges], List[Edges]]:
+    """Partition every part into light (w <= pivot) and heavy (w > pivot)."""
+    lights, heavies = [], []
+    for i in range(graph.machine.n_procs):
+        part = graph.parts[i]
+        mask = part.w <= pivot
+        lights.append(part.take(mask))
+        heavies.append(part.take(~mask))
+        graph.machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
+    return lights, heavies
 
 
 # ----------------------------------------------------------------------
@@ -908,6 +1257,7 @@ def _resolve(comm: Comm, f_blocks: List[np.ndarray], n: int,
 # round, the P array, Awerbuch-Shiloach's ``_resolve`` and EXCHANGELABELS'
 # receive side.  Each routes through this module's ``route_rows``.
 # ----------------------------------------------------------------------
+@_chosen_in
 def _contract_routed(
     graph: DistGraph,
     chosen: List[ChosenEdges],
@@ -1033,6 +1383,7 @@ def _contract_routed(
     return [par[voff[i]:voff[i + 1]] for i in range(p)]
 
 
+@_lists_in
 def _exchange_labels_routed(
     graph: DistGraph,
     vids_per_pe: List[np.ndarray],
@@ -1218,6 +1569,7 @@ class DistributedLabelArray:
         raise RuntimeError("P-array pointer doubling failed to converge")
 
     # ------------------------------------------------------------------
+    @_flat_request
     def request(self, queries_per_pe: List[np.ndarray]) -> List[np.ndarray]:
         """REQUESTLABELS: resolve vertex labels to representatives.
 
@@ -1305,10 +1657,10 @@ def _resolve_routed(comm: Comm, f_blocks: List[np.ndarray], n: int,
 # ``ghost_tables`` is that sort, for reading a production push as the
 # tables its receivers would have built.
 # ----------------------------------------------------------------------
-def ghost_tables(push: LabelPush) -> List[GhostTable]:
-    """The receivers' ghost tables of a production :class:`LabelPush`: a
-    home keeps the first copy of a ghost in its source-major receive order."""
-    p = len(push.off) - 1
+def ghost_tables(push: LabelPush, p: int) -> List[GhostTable]:
+    """The receivers' ghost tables of a production :class:`LabelPush` on
+    ``p`` PEs: a home keeps the first copy of a ghost in its source-major
+    receive order."""
     # A stable sort by (home, vertex) of the sender-major push: equal keys
     # stay in sender order, which is the receive order.
     order = packed_lexsort((push.vertex, push.home),
@@ -1327,6 +1679,7 @@ def ghost_tables(push: LabelPush) -> List[GhostTable]:
             for i in range(p)]
 
 
+@_lists_in
 def _exchange_labels_ghost_tables(
     graph: DistGraph,
     vids_per_pe: List[np.ndarray],
@@ -1415,6 +1768,8 @@ def _exchange_labels_ghost_tables(
     return tables
 
 
+@_kept_out
+@_lists_in
 def _relabel_ghost_tables(
     graph: DistGraph,
     vids_per_pe: List[np.ndarray],
@@ -1701,6 +2056,12 @@ ORACLES = (
     ("repro.core.boruvka", "InputSnapshot", InputSnapshot),
     ("repro.core.boruvka", "redistribute_mst", redistribute_mst),
     ("repro.core.plabels", "DistributedLabelArray", DistributedLabelArray),
+    ("repro.core.filter_boruvka", "_split_by_pivot", _split_by_pivot),
+    ("repro.dgraph.dist_graph", "check_weights", check_weights),
+    ("repro.dgraph.dist_graph", "check_local_sorted", check_local_sorted),
+    ("repro.dgraph.dist_graph", "check_global_sorted", check_global_sorted),
+    ("repro.dgraph.dist_graph", "part_records", part_records),
+    ("repro.dgraph.dist_graph", "shared_free_bounds", shared_free_bounds),
     # Second oracles of a site: picked by their own name through
     # ``loop_oracles(only=...)``, never by default.
     ("repro.core.contraction", "contract_components", _contract_routed),
@@ -1708,4 +2069,6 @@ ORACLES = (
     ("repro.core.labels", "exchange_labels", _exchange_labels_ghost_tables),
     ("repro.core.labels", "relabel", _relabel_ghost_tables),
     ("repro.competitors.awerbuch_shiloach", "_resolve", _resolve_routed),
+    ("repro.core.boruvka", "InputSnapshot", InputSnapshotParts),
+    ("repro.core.boruvka", "redistribute_mst", redistribute_mst_routed),
 )

@@ -68,7 +68,7 @@ class TestConnectedComponents:
             assert ref.connected(int(v), rep)
 
     def test_empty_graph(self):
-        dg = DistGraph(Machine(3), [Edges.empty()] * 3)
+        dg = DistGraph.from_parts(Machine(3), [Edges.empty()] * 3)
         res = connected_components(dg)
         assert res.n_components == 0
 

@@ -29,9 +29,8 @@ class TestContraction:
         dg, run, chosen, labels = _run_contraction(g, p, alltoall)
         # Build global vertex -> label map (shared vertices map to self).
         global_map = {}
-        for i in range(p):
-            for v, l in zip(chosen[i].vids, labels[i]):
-                global_map[int(v)] = int(l)
+        for v, l in zip(chosen.vids, labels):
+            global_map[int(v)] = int(l)
         for v, l in global_map.items():
             assert global_map.get(l, l) == l, (v, l)
 
@@ -47,9 +46,8 @@ class TestContraction:
             for eid, w in rec:
                 pos = np.flatnonzero(g.id == eid)[0]
                 uf.union(int(g.u[pos]), int(g.v[pos]))
-        for i in range(p):
-            for v, l in zip(chosen[i].vids, labels[i]):
-                assert uf.connected(int(v), int(l)), (v, l)
+        for v, l in zip(chosen.vids, labels):
+            assert uf.connected(int(v), int(l)), (v, l)
 
     def test_recorded_edges_form_forest(self, rng):
         g = random_simple_graph(rng, 50, 300)
@@ -98,7 +96,7 @@ class TestContraction:
         g = g.sort_lex()
         g.id[:] = np.arange(2)
         dg, run, chosen, labels = _run_contraction(g, 1)
-        assert labels[0][0] == 0 and labels[0][1] == 0
+        assert labels[0] == 0 and labels[1] == 0
         # Exactly one MST edge recorded.
         assert len(run.collected(0)) == 1
 
@@ -107,10 +105,9 @@ class TestContraction:
         p = 6
         dg, run, chosen, labels = _run_contraction(g, p)
         shared = set(dg.shared_vertex_set().tolist())
-        for i in range(p):
-            for v, l in zip(chosen[i].vids, labels[i]):
-                if int(v) in shared:
-                    assert int(l) == int(v)
+        for v, l in zip(chosen.vids, labels):
+            if int(v) in shared:
+                assert int(l) == int(v)
 
 
 @pytest.fixture

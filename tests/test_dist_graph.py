@@ -9,12 +9,14 @@ from repro import minimum_spanning_forest
 from repro.core.mst import available_algorithms
 from repro.dgraph import DistGraph, Edges, lex_searchsorted
 from repro.dgraph import search
+from repro.dgraph import dist_graph
 from repro.dgraph.dist_graph import KEY_SENTINEL
 from repro.seq import msf_weight
 from repro.serve import GraphSession
 from repro.simmpi import Machine
 
-from helpers import random_simple_graph
+import _loop_reference as oracle
+from helpers import loop_oracles, random_simple_graph
 
 
 class TestLexSearchsorted:
@@ -76,19 +78,19 @@ class TestConstruction:
 
     def test_wrong_part_count_rejected(self):
         with pytest.raises(ValueError):
-            DistGraph(Machine(3), [Edges.empty()])
+            DistGraph.from_parts(Machine(3), [Edges.empty()])
 
     def test_unsorted_part_rejected(self):
         bad = Edges(np.array([2, 1]), np.array([0, 0]), np.array([1, 1]))
         ok = Edges.empty()
         with pytest.raises(ValueError):
-            DistGraph(Machine(2), [bad, ok])
+            DistGraph.from_parts(Machine(2), [bad, ok])
 
     def test_global_order_violation_rejected(self):
         a = Edges(np.array([5]), np.array([0]), np.array([1]))
         b = Edges(np.array([1]), np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
-            DistGraph(Machine(2), [a, b])
+            DistGraph.from_parts(Machine(2), [a, b])
 
 
 #: The documented weight bound (``repro.dgraph.edges.WEIGHT_LIMIT``).
@@ -135,7 +137,7 @@ class TestWeightLimit:
     def test_internal_constructions_skip_the_check(self):
         heavy = Edges(np.array([0, 1]), np.array([1, 0]),
                       np.array([WEIGHT_LIMIT, WEIGHT_LIMIT]))
-        dg = DistGraph(Machine(1), [heavy], check=False)
+        dg = DistGraph.from_parts(Machine(1), [heavy], check=False)
         assert dg.global_edge_count() == 2
 
 
@@ -206,7 +208,8 @@ class TestReplicatedMetadata:
         empty = Edges.empty()
         for parts in (dg.parts, [empty] + dg.parts, [empty] * 3,
                       [g] + [empty] * 2, dg.parts[::-1][:1] + dg.parts[:1]):
-            graph = DistGraph(Machine(len(parts)), parts, check=False)
+            graph = DistGraph.from_parts(Machine(len(parts)), parts,
+                                         check=False)
             got = (graph.has_edges, list(graph.min_keys), graph.first_src,
                    graph.last_src, graph.part_sizes, graph.shared_first)
             for a, b in zip(got, _metadata_loop(parts)):
@@ -221,7 +224,7 @@ class TestReplicatedMetadata:
         half -= 1  # cut inside a vertex run
         parts = [g.take(np.arange(half)), Edges.empty(),
                  g.take(np.arange(half, len(g)))]
-        dg = DistGraph(Machine(3), parts)
+        dg = DistGraph.from_parts(Machine(3), parts)
         assert dg.shared_first.tolist() == [False, False, True]
         assert [k.tolist() for k in dg.min_keys] == [
             list(k) for k in _metadata_loop(parts)[1]]
@@ -245,7 +248,7 @@ def _boundary_graph(p_tail=2):
         + [m] * p_tail
     parts = [g.take(np.arange(bounds[i], bounds[i + 1]))
              for i in range(len(bounds) - 1)]
-    return g, DistGraph(Machine(len(parts)), parts)
+    return g, DistGraph.from_parts(Machine(len(parts)), parts)
 
 
 def _three_key_searches(monkeypatch):
@@ -359,7 +362,7 @@ class TestVertexGroups:
                 assert (seg == v).all()
 
     def test_empty_part(self):
-        dg = DistGraph(Machine(2), [Edges.empty(), Edges.empty()])
+        dg = DistGraph.from_parts(Machine(2), [Edges.empty(), Edges.empty()])
         vids, starts = dg.vertex_groups(0)
         assert len(vids) == 0 and list(starts) == [0]
 
@@ -386,6 +389,183 @@ class TestVertexGroups:
                 assert dg.shared_first.any()
             if p == 64 and m == 15:
                 assert (counts == 0).any()
+
+
+def _hub_graph():
+    """Hub 0 joined to 1..40, then the path 41..60, as ``uint32`` columns
+    with positional ids: the hub's run is the first 40 rows."""
+    und = ([(0, k, k % 7 + 1) for k in range(1, 41)]
+           + [(k, k + 1, 3) for k in range(41, 60)])
+    u, v, w = (np.array(c, dtype=np.uint32) for c in zip(*und))
+    g = Edges(np.concatenate([u, v]), np.concatenate([v, u]),
+              np.concatenate([w, w])).sort_lex()
+    return Edges(g.u, g.v, g.w, np.arange(len(g), dtype=np.uint32))
+
+
+def _hub_offsets(p, m, rng):
+    """Cuts with PE 1 empty while the hub's run continues on PE 2 (from
+    p = 3 on) and the last PE empty (p = 2 and from p = 4 on)."""
+    inner = np.sort(rng.integers(1, m, p - 1))
+    if p >= 3:
+        inner[0] = inner[1] = min(int(inner[0]), 15)
+    if p != 3 and p > 1:
+        inner[-1] = m
+    return np.concatenate(([0], inner, [m]))
+
+
+FLAT_SIZES = [1, 2, 3, 64]
+
+
+class TestFlatGraph:
+    """The graph is one block plus offsets; the parts are views of it and
+    the metadata read off the block equals the per-part loops'."""
+
+    @pytest.fixture(params=FLAT_SIZES)
+    def flat(self, request, rng):
+        g = _hub_graph()
+        p = request.param
+        off = _hub_offsets(p, len(g), rng)
+        return g, off, DistGraph(Machine(p), g.copy(), off)
+
+    def test_parts_are_views_of_the_block(self, flat):
+        g, off, dg = flat
+        assert dg.parts is dg.parts  # built once
+        for i, part in enumerate(dg.parts):
+            assert len(part) == off[i + 1] - off[i]
+            for col in ("u", "v", "w", "id"):
+                a, block = getattr(part, col), getattr(dg.edges, col)
+                assert np.array_equal(a, block[off[i]:off[i + 1]])
+                assert not len(a) or np.shares_memory(a, block)
+
+    def test_hub_spans_several_pes(self, flat):
+        g, off, dg = flat
+        p = len(off) - 1
+        holders = [i for i, part in enumerate(dg.parts)
+                   if len(part) and (part.u == 0).any()]
+        if p >= 3:
+            assert holders[:2] == [0, 2] and off[2] == off[1]
+            assert dg.shared_first[2] and 0 in dg.shared_vertex_set()
+        if p == 2 or p >= 4:
+            assert off[-1] == off[-2]
+
+    def test_metadata_equals_the_per_part_oracle(self, flat):
+        g, off, dg = flat
+        with loop_oracles(only=("part_records",)):
+            ref = DistGraph(dg.machine, g.copy(), off)
+        for name in ("min_keys", "part_sizes", "shared_first", "last_src",
+                     "first_src", "has_edges"):
+            assert np.array_equal(np.asarray(getattr(dg, name)),
+                                  np.asarray(getattr(ref, name))), name
+        assert np.array_equal(dg.local_vertex_counts(),
+                              oracle.local_vertex_counts(dg))
+
+    @pytest.mark.parametrize("p", FLAT_SIZES)
+    @pytest.mark.parametrize("avoid_shared", [False, True])
+    def test_from_global_edges_equals_the_takes(self, p, avoid_shared,
+                                                rng):
+        for g in (_hub_graph(), random_simple_graph(rng, 30, 100)):
+            got = DistGraph.from_global_edges(Machine(p), g, avoid_shared)
+            want = oracle.from_global_edges_takes(Machine(p), g,
+                                                  avoid_shared)
+            assert np.array_equal(got.offsets, want.offsets)
+            for col in ("u", "v", "w", "id"):
+                a, b = getattr(got.edges, col), getattr(want.edges, col)
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+            assert not np.shares_memory(got.edges.u, g.u)
+            bounds = np.linspace(0, len(g), p + 1).astype(np.int64)
+            assert np.array_equal(
+                dist_graph.shared_free_bounds(g.u, bounds),
+                oracle.shared_free_bounds(g.u, bounds))
+
+    def test_block_dtype_is_the_non_empty_parts(self, flat):
+        g, off, dg = flat
+        parts = [part if len(part) else Edges.empty() for part in dg.parts]
+        rebuilt = DistGraph.from_parts(dg.machine, parts)
+        for col in ("u", "v", "w", "id"):
+            assert getattr(rebuilt.edges, col).dtype == np.uint32
+
+    def test_from_parts_round_trips(self, flat):
+        g, off, dg = flat
+        again = DistGraph.from_parts(dg.machine, dg.parts)
+        assert np.array_equal(again.offsets, dg.offsets)
+        for col in ("u", "v", "w", "id"):
+            assert np.array_equal(getattr(again.edges, col),
+                                  getattr(dg.edges, col))
+        assert [k.tolist() for k in again.min_keys] == [
+            k.tolist() for k in dg.min_keys]
+
+    def test_checks_report_like_the_per_part_loops(self, flat):
+        """Violations inside a part come before those at a boundary; the
+        messages are the loops'."""
+        g, off, dg = flat
+        full = np.flatnonzero(np.diff(off))
+        cases = []
+        last = int(off[full[-1]])  # the last non-empty part's first row
+        w = g.w.astype(np.int64)
+        w[last] = 1 << 62
+        cases.append(Edges(g.u, g.v, w, g.id))
+        if len(full) > 1:  # the last part starts before its predecessor
+            u = g.u.copy()
+            u[last:] = 0
+            cases.append(Edges(u, g.v, g.w, g.id))
+        if off[full[0] + 1] - off[full[0]] > 1:  # and inside the first
+            u = g.u.copy()
+            u[0] = 50
+            cases.append(Edges(u, g.v, g.w, g.id))
+        for bad in cases:
+            for check in ("check_weights", "check_local_sorted",
+                          "check_global_sorted"):
+                seen = []
+                for fn in (getattr(dist_graph, check), getattr(oracle, check)):
+                    try:
+                        fn(Edges(bad.u, bad.v, bad.w, bad.id), off)
+                        seen.append(None)
+                    except ValueError as exc:
+                        seen.append(str(exc))
+                assert seen[0] == seen[1], (check, seen)
+            with pytest.raises(ValueError):
+                DistGraph(dg.machine, bad, off)
+
+    def test_offsets_are_validated(self):
+        g = _hub_graph()
+        for off in ([0, 5], [0, 5, len(g) - 1], [0, 9, 5, len(g)]):
+            with pytest.raises(ValueError):
+                DistGraph(Machine(len(off) - 1 if len(off) > 2 else 2), g,
+                          off)
+
+
+class TestInputIdsArePositions:
+    """Every algorithm reads an MSF edge's endpoints at its id: ids that
+    are not positions in the input block are refused up front."""
+
+    @staticmethod
+    def _reversed_ids(distinct):
+        und = [(0, 1), (1, 2), (2, 3), (0, 2)]
+        rows = sorted((a, b, k + 1 if distinct else 1)
+                      for k, (x, y) in enumerate(und)
+                      for a, b in ((x, y), (y, x)))
+        u, v, w = (np.array(c) for c in zip(*rows))
+        ids = np.arange(len(rows))
+        ids[:4] = ids[3::-1]  # PE 0's ids reversed
+        return Edges(u, v, w, ids)
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("algo", available_algorithms())
+    def test_reversed_ids_refused(self, algo, distinct):
+        e = self._reversed_ids(distinct)
+        machine = Machine(2)
+        dg = DistGraph.from_parts(machine, [e.take(np.arange(4)),
+                                            e.take(np.arange(4, 8))])
+        with pytest.raises(ValueError, match="contiguous per-PE ranges"):
+            minimum_spanning_forest(dg, algorithm=algo)
+        assert machine.elapsed() == dg_build_time(dg)
+
+
+def dg_build_time(dg):
+    """What building ``dg`` charged: its one metadata allgather."""
+    m = Machine(dg.machine.n_procs)
+    DistGraph(m, dg.edges, dg.offsets)
+    return m.elapsed()
 
 
 @pytest.fixture

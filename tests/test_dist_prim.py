@@ -41,7 +41,7 @@ class TestCorrectness:
         verify_msf(res.msf_edges(), g, 24, check_edges=False)
 
     def test_empty_graph(self):
-        dg = DistGraph(Machine(3), [Edges.empty()] * 3)
+        dg = DistGraph.from_parts(Machine(3), [Edges.empty()] * 3)
         res = dist_prim(dg)
         assert res.total_weight == 0
 

@@ -1,5 +1,7 @@
 """Integration tests: distributed Filter-Borůvka (Algorithm 2) vs Kruskal."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,9 @@ from repro.seq import kruskal_msf, verify_msf
 from repro.simmpi import Machine
 
 from helpers import random_distinct_weight_graph, random_simple_graph
+
+#: The module, not the function the package re-exports under its name.
+filter_boruvka = sys.modules["repro.core.filter_boruvka"]
 
 
 def _cfg(**kwargs):
@@ -135,6 +140,28 @@ class TestPropertyBased:
         dg = DistGraph.from_global_edges(Machine(p), g)
         res = distributed_filter_boruvka(dg, _cfg())
         assert res.total_weight == kruskal_msf(g, n).total_weight()
+
+
+class TestMergeCarried:
+    @pytest.mark.parametrize("p", [1, 2, 3, 64])
+    def test_interleave_is_per_pe_concat(self, p, rng):
+        """The heavy block merged with a carried set holds, PE by PE, the
+        heavy rows then the carried rows (what per-PE concatenation
+        built), empty PEs on either side included."""
+        sides = []
+        for _ in range(2):
+            sizes = rng.integers(0, 4, p) * (rng.random(p) < 0.6)
+            parts = [Edges(*rng.integers(0, 99, (4, int(k))).astype(
+                np.uint32)) for k in sizes]
+            sides.append((parts, Edges.concat(parts),
+                          np.concatenate(([0], np.cumsum(sizes)))))
+        (a_parts, a, a_off), (b_parts, b, b_off) = sides
+        merged, off = filter_boruvka._interleave(a, a_off, b, b_off)
+        want = [Edges.concat([x, y]) for x, y in zip(a_parts, b_parts)]
+        assert off.tolist() == np.cumsum([0] + list(map(len, want))).tolist()
+        for col in ("u", "v", "w", "id"):
+            assert getattr(merged, col).tolist() == [
+                int(x) for part in want for x in getattr(part, col)]
 
 
 @pytest.fixture

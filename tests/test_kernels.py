@@ -684,10 +684,9 @@ class TestEngineSanitizer:
         run = MSTRun(machine, BoruvkaConfig())
         with on_path(engine):
             chosen = core.min_edges(dg)
-            victim = next(i for i, c in enumerate(chosen)
-                          if len(c) and not c.shared.all())
-            k = int(np.flatnonzero(~chosen[victim].shared)[0])
+            k = int(np.flatnonzero(~chosen.shared)[0])
+            victim = int(np.searchsorted(chosen.voff, k, side="right")) - 1
             with machine.on_pe(victim):
-                chosen[victim].to[k] = 10 ** 9
+                chosen.to[k] = 10 ** 9
             with pytest.raises(RuntimeError):
                 core.contract_components(dg, chosen, run)

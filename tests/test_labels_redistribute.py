@@ -26,10 +26,10 @@ def _one_round(g, p):
     run = MSTRun(machine, BoruvkaConfig())
     chosen = min_edges(dg)
     labels = contract_components(dg, chosen, run)
-    vids = [c.vids for c in chosen]
-    tables = exchange_labels(dg, vids, labels, run)
-    rel = relabel(dg, vids, labels, tables, run)
-    return machine, dg, run, vids, labels, tables, rel
+    state = (dg, chosen.vids, labels, chosen.voff)
+    tables = exchange_labels(*state, run)
+    rel = relabel(*state, tables, run)
+    return machine, dg, run, chosen.vids, labels, tables, rel
 
 
 class TestExchangeLabels:
@@ -38,10 +38,7 @@ class TestExchangeLabels:
         g = random_simple_graph(rng, 40, 200)
         machine, dg, run, vids, labels, tables, rel = _one_round(g, p)
         # Build the true global label map.
-        true = {}
-        for i in range(p):
-            for v, l in zip(vids[i], labels[i]):
-                true[int(v)] = int(l)
+        true = {int(v): int(l) for v, l in zip(vids, labels)}
         push = tables
         assert len(push.home) > 0
         for gv, gl in zip(push.vertex, push.label):
@@ -50,18 +47,16 @@ class TestExchangeLabels:
     def test_relabel_removes_all_self_loops(self, rng):
         g = random_simple_graph(rng, 40, 200)
         machine, dg, run, vids, labels, tables, rel = _one_round(g, 4)
-        true = {}
-        for i in range(4):
-            for v, l in zip(vids[i], labels[i]):
-                true[int(v)] = int(l)
-        for e in rel:
-            assert (e.u != e.v).all()
-            # Each relabelled endpoint equals the true component label.
+        true = {int(v): int(l) for v, l in zip(vids, labels)}
+        kept, offsets = rel
+        assert (kept.u != kept.v).all()
+        assert offsets[0] == 0 and offsets[-1] == len(kept)
+        assert [true[int(x)] for x in kept.u] == kept.u.tolist()
         total_alive = sum(
             1 for k in range(len(g))
             if true[int(g.u[k])] != true[int(g.v[k])]
         )
-        assert sum(len(e) for e in rel) == total_alive
+        assert len(kept) == total_alive
 
 
 class TestDedup:
@@ -81,8 +76,8 @@ class TestRedistribute:
     def test_output_is_valid_distgraph(self, rng):
         g = random_simple_graph(rng, 40, 200)
         machine, dg, run, vids, labels, tables, rel = _one_round(g, 5)
-        new_graph = redistribute(run, machine, rel, check=True)
-        assert new_graph.global_edge_count() <= sum(len(e) for e in rel)
+        new_graph = redistribute(run, machine, *rel, check=True)
+        assert new_graph.global_edge_count() <= len(rel[0])
 
     def test_boundary_spanning_duplicates_removed(self):
         # Craft parallel (0,1) edges that will straddle PE boundaries after
@@ -95,7 +90,8 @@ class TestRedistribute:
                        np.arange(i * k, (i + 1) * k, dtype=np.int64),
                        np.arange(i * k, (i + 1) * k, dtype=np.int64))
                  for i in range(4)]
-        out = redistribute(run, machine, parts, check=True)
+        out = redistribute(run, machine, Edges.concat(parts),
+                           np.arange(5) * k, check=True)
         # Exactly one (0,1) edge survives, with the globally smallest weight.
         total = Edges.concat(out.parts)
         assert len(total) == 1
@@ -104,17 +100,17 @@ class TestRedistribute:
     def test_no_duplicate_pairs_after_redistribute(self, rng):
         g = random_simple_graph(rng, 30, 150)
         machine, dg, run, vids, labels, tables, rel = _one_round(g, 6)
-        out = redistribute(run, machine, rel, check=True)
-        total = Edges.concat(out.parts)
+        out = redistribute(run, machine, *rel, check=True)
+        total = out.edges
         pairs = list(zip(total.u.tolist(), total.v.tolist()))
         assert len(pairs) == len(set(pairs))
 
     def test_lightest_parallel_edge_survives(self, rng):
         g = random_simple_graph(rng, 30, 150)
         machine, dg, run, vids, labels, tables, rel = _one_round(g, 6)
-        merged = Edges.concat(rel)
-        out = redistribute(run, machine, rel, check=True)
-        total = Edges.concat(out.parts)
+        merged = rel[0]
+        out = redistribute(run, machine, *rel, check=True)
+        total = out.edges
         for k in range(len(total)):
             same = (merged.u == total.u[k]) & (merged.v == total.v[k])
             assert total.w[k] == merged.w[same].min()

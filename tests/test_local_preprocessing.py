@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import BoruvkaConfig, MSTRun, local_preprocessing
 from repro.dgraph import DistGraph, Edges
+from repro.dgraph.dist_graph import check_global_sorted, check_local_sorted
 from repro.graphgen import gen_grid2d, gen_gnm
 from repro.seq import UnionFind, kruskal_msf
 from repro.simmpi import Machine
@@ -50,8 +51,8 @@ class TestCorrectness:
         machine, run, out = _run(g, 5, 50)
         # Valid lexicographic global order (the invariant the repair step
         # re-establishes).
-        out._check_local_sorted()
-        out._check_global_sorted()
+        check_local_sorted(out.edges, out.offsets)
+        check_global_sorted(out.edges, out.offsets)
 
     def test_no_self_loops_or_duplicate_pairs(self, rng):
         g = random_simple_graph(rng, 50, 400)

@@ -11,16 +11,15 @@ the CommTrace matrix, the sanitizer's shadow matrix, the deterministic event
 and metrics exports, the fault summary and the fault and per-PE RNG states
 (= draw order) must be equal.
 
-One documented licence, host-side only:
+Outputs are dtype-exact, with one documented licence, host-side only:
 
-* Storage width of the four graph-level sites' outputs: production
-  concatenates all PEs' arrays into one block, so one ``int64`` array (an
-  empty PE's placeholder) promotes every PE's slice where the loop keeps
-  each PE's own ``uint32``, and ``relabel`` keeps the edges' ``uint32``
-  where the loop takes ``result_type(labels, v)``.  Their integer outputs
-  are therefore compared widened to ``int64`` (``widen=True``); values,
-  shapes and non-integer dtypes are always equal, and the row-level sites'
-  outputs are dtype-exact.
+* ``exchange_labels`` compares per-PE ghost tables, and the loop oracle
+  builds an ``int64`` placeholder table for a PE that receives nothing,
+  where production's push (read as tables by ``ghost_tables``) keeps the
+  payload's own ``uint32``.  That site's integer outputs are compared
+  widened to ``int64`` (``widen=True``); values, shapes and non-integer
+  dtypes are always equal.  The graph is one resident block, so no other
+  site's dtype depends on an empty PE.
 """
 
 import sys
@@ -91,7 +90,7 @@ def _graph_of(redistribute):
     """``redistribute`` returning what it rebuilt: the parts and the
     replicated metadata of the new ``DistGraph``."""
     def site(run, machine, relabelled):
-        g = redistribute(run, machine, relabelled, check=True)
+        g = redistribute(run, machine, *relabelled, check=True)
         return {"parts": g.parts, "min_keys": g.min_keys,
                 "sizes": g.part_sizes, "first_src": g.first_src,
                 "last_src": g.last_src, "shared_first": g.shared_first}
@@ -145,12 +144,13 @@ class TestRowSites:
         for name, rows in _row_shapes(rng, p):
             # Few distinct (u, v) pairs: long runs, also across PE bounds.
             parts = [Edges(*(r % 4).T) for r in rows]
+            block = (Edges.concat(parts), oracle._offsets(parts))
 
             def setup(machine):
-                return MSTRun(machine, BoruvkaConfig()), machine, parts
+                return MSTRun(machine, BoruvkaConfig()), machine, block
 
             _differential(setup, _graph_of(core.redistribute),
-                          _graph_of(oracle.redistribute), p, widen=True)
+                          _graph_of(oracle.redistribute), p)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("p", SIZES)
@@ -233,16 +233,18 @@ def _instances(p):
 STAGES = ["min_edges", "contract_components", "exchange_labels", "relabel"]
 
 
-def _push_as_tables(dg, vids, labels, run):
+def _push_as_tables(dg, vids, labels, voff, run):
     """Production EXCHANGELABELS, its push read as the receivers' ghost
     tables (the oracles' type)."""
-    return oracle.ghost_tables(core.exchange_labels(dg, vids, labels, run))
+    return oracle.ghost_tables(
+        core.exchange_labels(dg, vids, labels, voff, run), len(voff) - 1)
 
 
 def _tables_from_push(relabel):
     """A ghost-table RELABEL fed production's push."""
-    def site(dg, vids, labels, push, run):
-        return relabel(dg, vids, labels, oracle.ghost_tables(push), run)
+    def site(dg, vids, labels, voff, push, run):
+        return relabel(dg, vids, labels, voff,
+                       oracle.ghost_tables(push, len(voff) - 1), run)
     return site
 
 
@@ -271,12 +273,11 @@ def _round_stage(stage, edges, avoid_shared, method):
         chosen = core.min_edges(dg)
         if stage == "contract_components":
             return dg, chosen, run
-        vids = [c.vids for c in chosen]
-        labels = core.contract_components(dg, chosen, run)
+        state = (dg, chosen.vids, core.contract_components(dg, chosen, run),
+                 chosen.voff)
         if stage == "exchange_labels":
-            return dg, vids, labels, run
-        ghosts = core.exchange_labels(dg, vids, labels, run)
-        return dg, vids, labels, ghosts, run
+            return (*state, run)
+        return (*state, core.exchange_labels(*state, run), run)
 
     return setup
 
@@ -292,7 +293,7 @@ class TestRoundSites:
                 _differential(
                     _round_stage(stage, edges, avoid_shared, method),
                     PRODUCTION[stage], ORACLE[stage], p, faults,
-                    widen=True)
+                    widen=stage == "exchange_labels")
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("sorter", ["samplesort", "auto"])
@@ -307,22 +308,21 @@ class TestRoundSites:
                                                  avoid_shared=avoid_shared)
                 run = MSTRun(machine, BoruvkaConfig(sorter=sorter))
                 chosen = core.min_edges(dg)
-                vids = [c.vids for c in chosen]
-                labels = core.contract_components(dg, chosen, run)
-                ghosts = core.exchange_labels(dg, vids, labels, run)
-                return run, machine, core.relabel(dg, vids, labels, ghosts,
-                                                  run)
+                state = (dg, chosen.vids,
+                         core.contract_components(dg, chosen, run),
+                         chosen.voff)
+                push = core.exchange_labels(*state, run)
+                return run, machine, core.relabel(*state, push, run)
 
             _differential(setup, _graph_of(core.redistribute),
-                          _graph_of(oracle.redistribute), p, MODES[mode],
-                          widen=True)
+                          _graph_of(oracle.redistribute), p, MODES[mode])
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_shared_vertex_corner_case(self, stage):
         edges = _shared_vertex_graph()
         out = _differential(_round_stage(stage, edges, False, "direct"),
                             PRODUCTION[stage], ORACLE[stage], 2,
-                            widen=True)
+                            widen=stage == "exchange_labels")
         if stage != "exchange_labels":
             return
         # The instance is the corner case, not just a graph with a shared
@@ -429,6 +429,20 @@ class TestHostPaths:
             want = oracle._contract_one_pe(part, vids, mask, use_filter)
             _assert_equal(_plain(list(got), False), _plain(list(want), False))
 
+    @pytest.mark.parametrize("mode", ["plain", "msgfaults", "pe_fail"])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_output_charged_from_counts(self, algo, mode):
+        """REDISTRIBUTEMST charged from its (PE, home) count matrix and
+        read at the ids equals the routed output over the parts it
+        replaced: MSF, clocks, trace, corruption draws and replays."""
+        for p in (1, 3, 64):
+            graph = _family_graph(("GNM", "2D-RGG")[p % 2], seed=p)
+            prod = _whole_run(graph, algo, p, 1, mode)
+            with loop_oracles(only=("InputSnapshotParts",
+                                    "redistribute_mst_routed")):
+                ref = _whole_run(graph, algo, p, 1, mode)
+            _assert_equal(_plain(prod, False), _plain(ref, False))
+
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_snapshot_references_input(self, algo, monkeypatch):
         """The snapshot shares memory with the input parts, and a run
@@ -450,9 +464,10 @@ class TestHostPaths:
                 dg, algorithm=algo, config=default_configs(256).get(algo))
             assert [g for g, _ in taken] == [dg]
             snap = taken[0][1]
-            for part, ref, cols in zip(dg.parts, snap.parts, before):
-                assert ref is part
-                assert np.shares_memory(ref.u, part.u)
+            assert snap.edges is dg.edges
+            assert np.array_equal(snap.offsets, dg.offsets)
+            for part, cols in zip(dg.parts, before):
+                assert np.shares_memory(snap.edges.u, part.u) or not len(part)
                 for col, old in zip((part.u, part.v, part.w, part.id), cols):
                     assert np.array_equal(col, old)
                     assert col.dtype == old.dtype
@@ -499,7 +514,9 @@ def _label_array(cls, method):
         for pe, verts, roots in updates:
             P.sink(pe, verts, roots)
         P.contract()
-        return {"P": P.assembled(), "labels": P.request(queries)}
+        keys = np.concatenate(queries)
+        seg = np.repeat(np.arange(len(queries)), [len(q) for q in queries])
+        return {"P": P.assembled(), "labels": P.request(keys, seg)}
     return site
 
 

@@ -28,21 +28,19 @@ class TestMinEdges:
     def test_matches_bruteforce(self, rng):
         g = random_simple_graph(rng, 30, 150)
         dg = DistGraph.from_global_edges(Machine(5), g, avoid_shared=True)
-        chosen = min_edges(dg)
-        for i in range(5):
-            ch = chosen[i]
-            for k, v in enumerate(ch.vids):
-                key, to, eid = _naive_min(g, v)
-                assert ch.to[k] == to or (
-                    int(ch.weight[k]), int(min(v, ch.to[k])),
-                    int(max(v, ch.to[k]))) == key
-                assert ch.weight[k] == key[0]
+        ch = min_edges(dg)
+        for k, v in enumerate(ch.vids):
+            key, to, eid = _naive_min(g, v)
+            assert ch.to[k] == to or (
+                int(ch.weight[k]), int(min(v, ch.to[k])),
+                int(max(v, ch.to[k]))) == key
+            assert ch.weight[k] == key[0]
 
     def test_covers_all_local_vertices(self, rng):
         g = random_simple_graph(rng, 40, 200)
         dg = DistGraph.from_global_edges(Machine(6), g)
         chosen = min_edges(dg)
-        seen = np.concatenate([c.vids for c in chosen])
+        seen = chosen.vids
         # Every distinct source appears (shared ones possibly twice).
         assert set(np.unique(g.u)) == set(np.unique(seen))
 
@@ -51,16 +49,15 @@ class TestMinEdges:
         dg = DistGraph.from_global_edges(Machine(8), g)  # shared allowed
         shared_set = set(dg.shared_vertex_set().tolist())
         chosen = min_edges(dg)
-        for c in chosen:
-            for k, v in enumerate(c.vids):
-                assert c.shared[k] == (int(v) in shared_set)
+        for k, v in enumerate(chosen.vids):
+            assert chosen.shared[k] == (int(v) in shared_set)
 
     def test_empty_pe(self):
         from repro.dgraph import Edges
 
-        dg = DistGraph(Machine(3), [Edges.empty()] * 3)
+        dg = DistGraph.from_parts(Machine(3), [Edges.empty()] * 3)
         chosen = min_edges(dg)
-        assert all(len(c) == 0 for c in chosen)
+        assert len(chosen) == 0 and chosen.voff.tolist() == [0, 0, 0, 0]
 
     def test_charges_time(self, rng):
         g = random_simple_graph(rng, 30, 150)

@@ -270,7 +270,7 @@ class TestSortedness:
         machine, dg = make_graph(rng)
         run = MSTRun(machine, BoruvkaConfig())
         with pytest.raises(SortednessViolation):
-            redistribute(run, machine, dg.parts)
+            redistribute(run, machine, dg.edges, dg.offsets)
 
     def test_locally_unsorted_part_detected(self, rng):
         machine = Machine(2, sanitize=True)
@@ -278,7 +278,7 @@ class TestSortedness:
                      np.array([5, 5]), np.array([0, 1]))
         bad = Edges(np.array([3, 2]), np.array([2, 3]),
                     np.array([4, 4]), np.array([2, 3]))
-        dg = DistGraph(machine, [good, bad], check=False)
+        dg = DistGraph.from_parts(machine, [good, bad], check=False)
         with pytest.raises(SortednessViolation, match="PE 1"):
             machine.sanitizer.check_redistributed(dg)
 
@@ -316,8 +316,10 @@ class TestAlgorithmLevelDetection:
         run = MSTRun(machine, BoruvkaConfig())
         chosen = min_edges(dg)
         labels = contract_components(dg, chosen, run)
-        vids = [c.vids for c in chosen]
-        push = exchange_labels(dg, vids, labels, run)
+        state = (dg, chosen.vids, labels, chosen.voff)
+        push = exchange_labels(*state, run)
+        vids = [chosen.vids[a:b] for a, b in zip(chosen.voff[:-1],
+                                                 chosen.voff[1:])]
         # Drop every copy of one pushed (home, vertex) that the home's part
         # references and does not hold as a local vertex.
         dropped = next(
@@ -334,8 +336,8 @@ class TestAlgorithmLevelDetection:
             with pytest.raises(RuntimeError,
                                match=rf"ghost labels missing for vertices "
                                      rf"\[{dropped[1]}[ \]]"):
-                relabel(dg, vids, labels, broken, run)
-        relabel(dg, vids, labels, push, run)  # intact, it passes
+                relabel(*state, broken, run)
+        relabel(*state, push, run)  # intact, it passes
 
     def test_query_for_unknown_vertex_detected(self, rng, monkeypatch):
         """Pointer doubling queries for non-resident vertices must raise."""
@@ -346,12 +348,11 @@ class TestAlgorithmLevelDetection:
             dg = DistGraph.from_global_edges(machine, g)
             run = MSTRun(machine, BoruvkaConfig())
             chosen = min_edges(dg)
-            victim = next(i for i, c in enumerate(chosen)
-                          if len(c) and not c.shared.all())
-            k = int(np.flatnonzero(~chosen[victim].shared)[0])
+            k = int(np.flatnonzero(~chosen.shared)[0])
+            victim = int(np.searchsorted(chosen.voff, k, side="right")) - 1
             # PE-local corruption: legitimate inside the owner's context ...
             with machine.on_pe(victim):
-                chosen[victim].to[k] = 10 ** 9
+                chosen.to[k] = 10 ** 9
             # ... and the algorithm itself must still catch the bogus query.
             with pytest.raises(RuntimeError,
                                match="pointer-doubling query for "
@@ -367,14 +368,16 @@ class TestAlgorithmLevelDetection:
         run = MSTRun(machine, BoruvkaConfig())
         chosen = min_edges(dg)
         labels = contract_components(dg, chosen, run)
-        vids = [c.vids for c in chosen]
-        tables = exchange_labels(dg, vids, labels, run)
-        vids[2], labels[2] = vids[2][1:], labels[2][1:]
+        vids, voff = chosen.vids, chosen.voff
+        tables = exchange_labels(dg, vids, labels, voff, run)
+        # PE 2's vertex list loses its first entry.
+        cut = np.delete(np.arange(len(vids)), voff[2])
+        short = voff - (np.arange(len(voff)) > 2)
         with pytest.raises(ValueError, match=r"vids_per_pe\[2\] is not part "
                                              r"2's vertex groups"):
-            exchange_labels(dg, vids, labels, run)
+            exchange_labels(dg, vids[cut], labels[cut], short, run)
         with pytest.raises(ValueError, match=r"vids_per_pe\[2\]"):
-            relabel(dg, vids, labels, tables, run)
+            relabel(dg, vids[cut], labels[cut], short, tables, run)
 
 
 class TestCleanRunsAndKnobs:

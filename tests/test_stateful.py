@@ -96,11 +96,10 @@ class LabelArrayMachine(RuleBasedStateMachine):
     @rule(qs=st.lists(st.integers(0, N - 1), min_size=1, max_size=6))
     def contract_and_query(self, qs):
         self.P.contract()
-        queries = [np.array(qs, dtype=np.int64)] + \
-            [np.empty(0, dtype=np.int64)] * (P - 1)
-        out = self.P.request(queries)
+        out = self.P.request(np.array(qs, dtype=np.int64),
+                             np.zeros(len(qs), dtype=np.int64))
         expect = [self._resolve(q) for q in qs]
-        assert list(out[0]) == expect
+        assert list(out) == expect
 
 
 TestUnionFindStateful = UnionFindMachine.TestCase

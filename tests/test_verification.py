@@ -43,7 +43,7 @@ class TestAcceptsCorrectMsf:
 
     def test_empty_msf_of_empty_graph(self):
         machine = Machine(3)
-        dg = DistGraph(machine, [Edges.empty()] * 3)
+        dg = DistGraph.from_parts(machine, [Edges.empty()] * 3)
         report = verify_distributed_msf(dg, [Edges.empty()] * 3)
         assert report.ok
         assert report.n_forest_edges == 0
