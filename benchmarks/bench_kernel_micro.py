@@ -1,12 +1,11 @@
-"""Microbenchmark of the segmented kernels and the buffer pool.
+"""Microbenchmark of the segmented kernels.
 
 Times the hot kernels of :mod:`repro.kernels.segmented` in isolation --
 through the same ``record_kernel``/``kernel_sink`` hooks a traced machine
 uses -- on identical workloads in the two dtype layouts of the adaptive
 narrowing policy (``uint32`` vs ``int64``).  The per-kernel host seconds
 quantify the memory-bandwidth effect of the policy directly, without the
-simulator around it; the pool leg measures the scratch-arena hit rate on
-the packed-key path.  Kernels that choose an arm from their input are timed
+simulator around it.  Kernels that choose an arm from their input are timed
 on both sides of the choice: ``segmented_lookup`` on dense ids (the
 direct-address table) and on sparse ids (the search), ``route_plan`` with
 at most 2^16 (segment, destination) slots (a 16-bit radix sort) and above,
@@ -34,7 +33,6 @@ import numpy as np
 
 from repro.dgraph.edges import tie_key
 from repro.kernels.engine import set_kernel_sink
-from repro.kernels.pool import BufferPool, active_pool, set_active_pool
 from repro.kernels.segmented import (
     group_argmin,
     packed_lexsort,
@@ -188,27 +186,11 @@ def _run_kernels(dtype) -> dict:
     return out
 
 
-def _run_pool() -> dict:
-    """Pool hit-rate leg: repeated pooled scratch cycles at one size class."""
-    pool = BufferPool(max_bytes=32 << 20)
-    prev = active_pool()
-    set_active_pool(pool)
-    try:
-        for _ in range(16):
-            block = active_pool().take(N, np.int64)
-            block[:] = 0
-            active_pool().give(block)
-    finally:
-        set_active_pool(prev)
-    return pool.stats()
-
-
 def _sweep():
     out = {}
     for label, dtype in (("narrow", np.uint32), ("wide", np.int64)):
         _run_kernels(dtype)  # warm-up: allocator, caches, imports
         out[label] = _run_kernels(dtype)
-    out["pool"] = _run_pool()
     return out
 
 
@@ -219,8 +201,6 @@ def test_kernel_micro(benchmark):
             for name, (calls, host) in results[layout].items():
                 rec.add(f"{name}/{layout}", 0.0, calls=calls,
                         host_seconds=host)
-        pool = results["pool"]
-        rec.add("pool/reuse", 0.0, **pool)
 
     kernels = sorted(results["wide"])
     lines = [f"Segmented kernels on {N} elements / {SEGMENTS} segments, "
@@ -231,10 +211,6 @@ def test_kernel_micro(benchmark):
         hw = results["wide"][name][1]
         ratio = hw / hn if hn else float("nan")
         lines.append(f"{name:>24s} {hn:10.4f} {hw:10.4f} {ratio:7.2f}")
-    pool = results["pool"]
-    total = pool["hits"] + pool["misses"]
-    lines.append(f"\nbuffer pool: {pool['hits']}/{total} takes served from "
-                 f"the free lists ({pool['bytes_reused'] >> 20} MiB reused)")
     report("kernel_micro", "\n".join(lines))
 
     # The suite must have exercised every kernel in both layouts ...
@@ -248,5 +224,3 @@ def test_kernel_micro(benchmark):
             "hop_sum[bincount,p1024]", "hop_sum[grouped,p1024]",
             f"route_plan[{SEGMENTS}x{SEGMENTS}]",
             f"route_plan[{8 * SEGMENTS}x{8 * SEGMENTS}]"} <= set(kernels)
-    # ... and steady-state pooled scratch must be (nearly) all hits.
-    assert pool["hits"] >= 14

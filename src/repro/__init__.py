@@ -34,8 +34,8 @@ Subpackages
 ``repro.analysis``
     Experiment harness: sweeps, result records, ASCII tables.
 ``repro.kernels``
-    Flat segmented-array kernels every hot path runs on, dtype
-    narrowing and the scratch-buffer pool; see docs/kernels.md.
+    Flat segmented-array kernels every hot path runs on and dtype
+    narrowing; see docs/kernels.md.
 """
 
 __version__ = "1.0.0"

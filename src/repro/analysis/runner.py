@@ -25,42 +25,6 @@ from ..simmpi.machine import Machine, SimulatedOutOfMemory
 #: sweep runs emit distinctly named files in ``REPRO_TRACE_DIR``.
 _TRACE_SEQ = [0]
 
-_LIBC = None
-
-#: Trim the host heap only after runs at least this many directed edges
-#: large (``REPRO_HEAP_TRIM_EDGES`` to override, 0 disables trimming).
-#: Trimming is not free -- the pages madvised away must be faulted back in
-#: by the next run -- so only the runs whose transients dominate peak RSS
-#: are worth the cleanup; trimming after every small run costs seconds of
-#: refaults over a long sweep for no peak reduction.
-_TRIM_EDGES_MIN = int(os.environ.get("REPRO_HEAP_TRIM_EDGES",
-                                     str(1 << 18)))
-
-
-def _trim_host_heap(n_directed_edges: int) -> None:
-    """Hand freed allocator arenas back to the OS (glibc only, best-effort).
-
-    Sweeps run dozens of algorithm executions in one process; glibc keeps
-    multi-MB freed blocks in its arenas (it raises the mmap threshold under
-    churn), so resident memory creeps up run over run even though nothing
-    is referenced.  A ``malloc_trim`` after the big runs keeps the
-    between-run baseline flat, which is what the benchmark peak-RSS
-    figures measure.
-    """
-    global _LIBC
-    if _LIBC is False or _TRIM_EDGES_MIN <= 0 \
-            or n_directed_edges < _TRIM_EDGES_MIN:
-        return
-    try:
-        if _LIBC is None:
-            import ctypes
-
-            _LIBC = ctypes.CDLL("libc.so.6")
-        _LIBC.malloc_trim(0)
-    except Exception:
-        _LIBC = False  # non-glibc platform: permanently disable
-
-
 def _export_trace_artifacts(machine: Machine, graph: GeneratedGraph,
                             algorithm: str) -> None:
     """Write trace + metrics artifacts for one traced run, if requested.
@@ -165,7 +129,6 @@ def run_algorithm(
     except SimulatedOutOfMemory:
         base.status = "oom"
         _export_trace_artifacts(machine, graph, algorithm)
-        _trim_host_heap(graph.n_directed_edges)
         return base
     base.elapsed = res.elapsed
     base.phase_times = res.phase_times
@@ -179,7 +142,6 @@ def run_algorithm(
 
         verify_msf(res.msf_edges(), graph.edges, graph.n_vertices,
                    check_edges=False)
-    _trim_host_heap(graph.n_directed_edges)
     return base
 
 

@@ -192,6 +192,7 @@ def distributed_filter_boruvka(
         with machine.phase("pivot_partition"):
             light_graph, heavy, heavy_off = _split_by_pivot(g, pivot, run)
         carried = rec(light_graph, depth + 1)
+        del light_graph
         with machine.phase("filter"):
             if carried is not None:
                 # Merged sets lost global sortedness; re-establish it.
@@ -204,7 +205,9 @@ def distributed_filter_boruvka(
             if m_heavy == 0:
                 return None
             filtered = _filter_heavy(heavy_graph, P, run)
+            del heavy_graph, heavy, carried
             survivors_graph = redistribute(run, machine, *filtered)
+            del filtered
             m_surv = survivors_graph.global_edge_count()
         observe_filter_survivors(machine, depth, m_heavy, m_surv)
         machine.checkpoint(f"filter_depth_{depth}")

@@ -87,11 +87,11 @@ def exchange_labels(
     e, off = graph.edges, graph.offsets
     eu, ev, ew = e.u, e.v, e.w
     lengths = np.diff(off)
-    seg = segment_ids(off)
+    seg = graph.row_pes()
     # Source labels, read off the layout: parts are sorted by source, so the
     # k-th run of equal sources of part i is the k-th vertex of PE i.
     starts = graph.source_runs()
-    _check_groups(np.searchsorted(starts, off), voff)
+    _check_groups(graph.run_offsets(), voff)
     src_label = np.repeat(labels, np.diff(starts, append=len(eu)))
 
     # Home PE of every reverse edge (v, u, w).  The label of u must be
@@ -100,28 +100,38 @@ def exchange_labels(
     # an edge is local here because its destination is a shared vertex,
     # while the shared vertex's other PE holds the reverse edge as a cut
     # edge and still needs our source's label.
-    home_all = graph.home_of_edges(ev, eu, ew)
+    home_all = graph.home_of_edges(ev, eu, ew)  # the width of ``seg``
     cut_pos = np.flatnonzero(home_all != seg)
     cu = eu[cut_pos]
     home = home_all[cut_pos]
+    del home_all
     cseg = seg[cut_pos]
     # Deduplicate per (destination PE, vertex).  The rows of one source are
     # sorted by (v, w) and the home of (v, u, w) is monotone in (v, w) for a
     # fixed u, so copies of a (source, home) pair are adjacent: keep the
     # first of each run.
     first = np.ones(len(cut_pos), dtype=bool)
-    first[1:] = ((cu[1:] != cu[:-1]) | (home[1:] != home[:-1])
-                 | (cseg[1:] != cseg[:-1]))
+    first[1:] = cu[1:] != cu[:-1]
+    first[1:] |= home[1:] != home[:-1]
+    first[1:] |= cseg[1:] != cseg[:-1]
     keep = np.flatnonzero(first)
+    del first
     pdest = home[keep]
     pseg = cseg[keep]
+    del home, cseg
     pay = np.empty((len(keep), 2), dtype=np.result_type(cu, src_label))
     pay[:, 0] = cu[keep]
+    del cu
     pay[:, 1] = src_label[cut_pos[keep]]
-    counts = np.bincount(pseg * p + pdest, minlength=p * p).reshape(p, p)
+    cut_counts = np.diff(np.searchsorted(cut_pos, off))
+    del keep, cut_pos
+    cell = pseg.astype(np.int64)  # (PE, home) cells need p^2 ids
+    cell *= p
+    cell += pdest
+    counts = np.bincount(cell, minlength=p * p).reshape(p, p)
+    del cell
     nz = np.flatnonzero(lengths)
     if len(nz):
-        cut_counts = np.diff(np.searchsorted(cut_pos, off))
         machine.charge_scan(lengths[nz], ranks=nz)
         machine.charge_sort(np.maximum(cut_counts[nz], 1), ranks=nz)
 
@@ -149,8 +159,8 @@ def relabel(
     e, off = graph.edges, graph.offsets
     ev = e.v
     lengths = np.diff(off)
-    seg = segment_ids(off)
-    _check_groups(np.searchsorted(graph.source_runs(), off), voff)
+    seg = graph.row_pes()
+    _check_groups(graph.run_offsets(), voff)
 
     # Every destination must be local to its PE or pushed to it: what a
     # lookup in the PE's ghost table would have found.

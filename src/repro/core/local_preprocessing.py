@@ -38,7 +38,7 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph, split_edges
 from ..dgraph.edges import Edges, lightest_per_group
-from ..kernels import RaggedArrays
+from ..kernels import segmented_searchsorted
 from ..seq.filter_kruskal import filter_boruvka_msf
 from ..seq.kruskal import kruskal_msf
 from ..simmpi.alltoall import route_rows
@@ -86,6 +86,19 @@ def destinations(vids: np.ndarray, v: np.ndarray
     idx = np.searchsorted(vids, v)
     at = np.minimum(idx, len(vids) - 1)
     return at, (idx < len(vids)) & (vids[at] == v)
+
+
+def block_destinations(graph: DistGraph
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`destinations` of every part at once, laid end to end: each
+    row's destination searched among its own PE's local vertices in one
+    (PE, vertex) search over the block."""
+    e, run_off = graph.edges, graph.run_offsets()
+    vids = e.u[graph.source_runs()]
+    row_pe = graph.row_pes()
+    at = segmented_searchsorted(vids, run_off, e.v, row_pe)
+    np.minimum(at, np.diff(run_off)[row_pe] - 1, out=at)
+    return at, vids[run_off[:-1][row_pe] + at] == e.v
 
 
 def _contract_one_pe(
@@ -265,21 +278,14 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
     cfg = run.cfg
 
     # ---- Quick locality check (skip rule, Section VI-B). ----
-    # Each PE's vertex layout is built here once and handed on to its
-    # contraction.
-    local_counts, totals = [], []
-    layouts: List[tuple] = []
-    for i in range(p):
-        part = graph.parts[i]
-        vids, starts = graph.vertex_groups(i)
-        v_at, v_local = destinations(vids, part.v)
-        layouts.append((vids, starts, v_at, v_local))
-        local_counts.append(int(np.count_nonzero(v_local)))
-        totals.append(len(part))
-        if len(part):
-            machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
-    total_local = run.comm.allreduce(local_counts)
-    total_edges = run.comm.allreduce(totals)
+    off = graph.offsets
+    lengths = np.diff(off)
+    v_at, v_local = block_destinations(graph)
+    nz = np.flatnonzero(lengths)
+    machine.charge_scan(lengths[nz], ranks=nz)
+    total_local = run.comm.allreduce(
+        np.bincount(graph.row_pes()[v_local], minlength=p).tolist())
+    total_edges = run.comm.allreduce(lengths.tolist())
     if total_edges == 0:
         return graph
     if total_local / total_edges < cfg.preprocessing_min_local_fraction:
@@ -287,16 +293,18 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
 
     # ---- Per-PE contraction (communication-free). ----
     shared_set = graph.shared_vertex_set()
-    vids_per_pe = [layout[0] for layout in layouts]
+    runs, run_off = graph.source_runs(), graph.run_offsets()
+    vids_all = graph.edges.u[runs]
     labels_per_pe: List[np.ndarray] = []
     for i in range(p):
-        vids = vids_per_pe[i]
+        a, b = off[i], off[i + 1]
+        vids = vids_all[run_off[i]:run_off[i + 1]]
+        starts = np.append(runs[run_off[i]:run_off[i + 1]] - a, b - a)
         new_labels, ids, ws, rounds = _contract_one_pe(
-            graph.parts[i], *layouts[i],
+            graph.parts[i], vids, starts, v_at[a:b], v_local[a:b],
             np.isin(vids, shared_set, assume_unique=True),
             cfg.preprocessing_filter
         )
-        layouts[i] = None
         labels_per_pe.append(new_labels)
         run.record_mst(i, ids, ws)
         run.record_labels(i, vids, new_labels)
@@ -304,10 +312,10 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
         machine.charge_sort(np.array([max(m_i, 1)]), ranks=np.array([i]))
         machine.charge_scan(np.array([m_i * max(rounds, 1)]),
                             ranks=np.array([i]))
+    del v_at, v_local
 
     # ---- Refresh ghost labels and relabel (Sections IV-B/IV-C). ----
-    vids = RaggedArrays.from_arrays(vids_per_pe)
-    state = (graph, vids.flat, np.concatenate(labels_per_pe), vids.offsets)
+    state = (graph, vids_all, np.concatenate(labels_per_pe), run_off)
     relabelled = split_edges(*relabel(*state, exchange_labels(*state, run),
                                       run))
 

@@ -9,9 +9,13 @@ of its predecessor's group.  Finally the distributed graph data structure
 is re-established "using an allgather-operation on the first edge on each
 PE".
 
-On the host the edges are one ``[u, v, w, id]`` block: the dedup is one
+On the host the edges are one ``[u, v, w, id]`` row block: the dedup is one
 adjacent compare of the ``(u, v)`` prefix over the whole sorted block, and
-the rebuilt parts are views of the deduplicated block.
+the rebuilt parts are views of the deduplicated block.  A round holds one
+full-size copy of the rows beyond the graph at a time (docs/kernels.md,
+"One copy at a time"): the packed matrix until the sorter's one gather has
+replaced it, then that sorted gather until the survivors' columns are
+compressed out of it.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ def redistribute(
     block = split_rows(edges.as_matrix(), offsets)
     sorted_parts = sort_rows(run.comm, block, n_key_cols=3,
                              method=run.cfg.sorter, rebalance=True)
+    del block  # the packed matrix: the sorted gather replaces it
     packed = RaggedArrays.from_arrays(sorted_parts)
     rows, off = packed.flat, packed.offsets
 
@@ -57,10 +62,13 @@ def redistribute(
     last[full, 1:] = rows[off[1:][full] - 1, :2]
     run.comm.allgather(last)
 
-    kept = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    cols = np.ascontiguousarray(np.compress(keep, rows, axis=0).T)
-    graph = DistGraph(machine, Edges(*cols), kept[off], check=check)
+    # The survivors' columns, gathered straight out of the sorted rows
+    # (``np.compress`` on ``rows.T`` would first copy it contiguous).
+    pos = np.flatnonzero(keep)
+    cols = [rows[:, c][pos] for c in range(rows.shape[1])]
+    del sorted_parts, packed, rows, keep
+    graph = DistGraph(machine, Edges(*cols), np.searchsorted(pos, off),
+                      check=check)
     if machine.sanitizer is not None:
         # Invariant 3: the rebuilt structure must be globally lex-sorted
         # with agreeing replicated metadata after *every* redistribute.

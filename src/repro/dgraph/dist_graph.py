@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..kernels import segmented_run_starts
+from ..kernels import index_dtype, segmented_run_starts
 from ..simmpi.collectives import Comm
 from ..simmpi.machine import Machine
 from .edges import WEIGHT_LIMIT, Edges
@@ -72,6 +72,8 @@ class DistGraph:
         self.offsets = offsets
         self._parts: Optional[List[Edges]] = None
         self._runs: Optional[np.ndarray] = None
+        self._run_offsets: Optional[np.ndarray] = None
+        self._row_pes: Optional[np.ndarray] = None
         if machine.sanitizer is not None:
             # Register every part's views as PE-owned state: from here on
             # they are write-protected outside machine.on_pe(i) contexts.
@@ -98,6 +100,24 @@ class DistGraph:
             self._runs = np.flatnonzero(
                 segmented_run_starts(self.edges.u, self.offsets))
         return self._runs
+
+    def run_offsets(self) -> np.ndarray:
+        """Where every part's runs begin in :meth:`source_runs` (``p + 1``
+        entries): part ``i``'s local vertices are runs
+        ``run_offsets()[i]:run_offsets()[i + 1]``."""
+        if self._run_offsets is None:
+            self._run_offsets = np.searchsorted(self.source_runs(),
+                                                self.offsets)
+        return self._run_offsets
+
+    def row_pes(self) -> np.ndarray:
+        """The PE holding every row of the block, in the narrowest policy
+        dtype for ``p`` PEs (:func:`~repro.kernels.index_dtype`)."""
+        if self._row_pes is None:
+            p = len(self.offsets) - 1
+            self._row_pes = np.repeat(np.arange(p, dtype=index_dtype(p)),
+                                      np.diff(self.offsets))
+        return self._row_pes
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -187,7 +207,7 @@ class DistGraph:
         Parts are sorted by source, so the count is the number of runs of
         equal sources that start in each part -- no per-PE sort.
         """
-        return np.diff(np.searchsorted(self.source_runs(), self.offsets))
+        return np.diff(self.run_offsets())
 
     def global_vertex_count(self) -> int:
         """Number of distinct source vertices in the global sequence.
@@ -232,8 +252,8 @@ class DistGraph:
         spans ``[starts[k], starts[k+1])``.
         """
         a, b = self.offsets[i], self.offsets[i + 1]
-        runs = self.source_runs()
-        starts = runs[np.searchsorted(runs, a):np.searchsorted(runs, b)]
+        ro = self.run_offsets()
+        starts = self.source_runs()[ro[i]:ro[i + 1]]
         return self.edges.u[starts], np.append(starts - a, b - a)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..kernels.dtypes import index_dtype
+
 
 def sorted_lookup(haystack: np.ndarray, needles: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +159,13 @@ def home_pe_of_edges(
     table, against a three-key search of 25): 0.03 -> 4.5, 1 -> 8.7, 4 ->
     16, 8 -> 26, 16 -> 52; the same crossover at 8 with 8 k queries (0.35)
     and at p = 256 (34).
+
+    The homes come in the narrowest policy dtype for ``p`` PEs
+    (:func:`~repro.kernels.index_dtype`), the width of
+    :meth:`~repro.dgraph.dist_graph.DistGraph.row_pes`.
     """
     qu = np.asarray(qu)
+    p = len(min_keys[0])
     if len(qu) and qu.dtype.kind in "iu":
         lo, hi = int(qu.min()), int(qu.max())
         if hi - lo < HOME_VERTICES_PER_QUERY * len(qu):
@@ -168,15 +175,15 @@ def home_pe_of_edges(
             home = np.cumsum(starts_here)  # first sources in [lo, vertex]
             home += np.count_nonzero(first_src < lo) - 1
             np.maximum(home, 0, out=home)
-            home[inside] = -1  # a PE's first source: ask all three keys
-            idx = home[qu - lo]
-            rows = np.flatnonzero(idx < 0)
-            idx[rows] = lex_searchsorted(
+            home[inside] = p  # a PE's first source: ask all three keys
+            idx = home.astype(index_dtype(p))[qu - lo]
+            rows = np.flatnonzero(idx == p)
+            idx[rows] = np.maximum(lex_searchsorted(
                 min_keys, (qu[rows], np.asarray(qv)[rows],
-                           np.asarray(qw)[rows]), side="right") - 1
-            return np.maximum(idx, 0)
+                           np.asarray(qw)[rows]), side="right") - 1, 0)
+            return idx
     idx = lex_searchsorted(min_keys, (qu, qv, qw), side="right") - 1
-    return np.maximum(idx, 0)
+    return np.maximum(idx, 0).astype(index_dtype(p), copy=False)
 
 
 def home_pe_of_vertices(min_u: np.ndarray, qv: np.ndarray) -> np.ndarray:

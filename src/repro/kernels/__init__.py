@@ -19,7 +19,6 @@ docs/kernels.md, "One path, one oracle").
 """
 
 from .dtypes import index_dtype, narrow, widen
-from .pool import BufferPool, active_pool, set_active_pool
 from .ragged import RaggedArrays
 from .segmented import (
     first_in_group,
@@ -38,9 +37,7 @@ from .segmented import (
 )
 
 __all__ = [
-    "BufferPool",
     "RaggedArrays",
-    "active_pool",
     "first_in_group",
     "group_argmin",
     "index_dtype",
@@ -56,6 +53,5 @@ __all__ = [
     "segmented_run_starts",
     "segmented_searchsorted",
     "segmented_unique",
-    "set_active_pool",
     "widen",
 ]

@@ -2,9 +2,11 @@
 
 The container behind every batched kernel: segment ``i`` holds PE ``i``'s
 rows as the contiguous slice ``flat[offsets[i]:offsets[i+1]]``.  Conversion
-from the existing per-PE list-of-arrays is one concatenate; conversion back
-hands out views (no copies), so entering a kernel costs O(total) once
-instead of O(p) numpy dispatches per operation.
+from a per-PE list-of-arrays is one concatenate -- or none, when the list
+already is consecutive row ranges of one array (what
+:func:`repro.simmpi.alltoall.split_rows` hands out); conversion back hands
+out views, so entering a kernel costs O(total) once instead of O(p) numpy
+dispatches per operation.
 """
 
 from __future__ import annotations
@@ -40,9 +42,13 @@ class RaggedArrays:
                     dtype=None) -> "RaggedArrays":
         """Pack a per-PE list of arrays into one flat array + offsets.
 
-        With ``dtype`` given, the flat array is coerced to exactly that
-        dtype (narrow or wide); without it, numpy's concatenation
-        promotion decides -- the inputs' own dtype when they agree.
+        With ``dtype`` given, the flat array is a new array of exactly that
+        dtype (narrow or wide).  Without it, parts that are consecutive row
+        ranges of one C-contiguous array (empty parts anywhere) are wrapped
+        as one view of that array, and anything else is concatenated,
+        numpy's promotion deciding the dtype -- the inputs' own when they
+        agree.  So ``flat`` may share memory with the parts: callers read
+        it and never write into it.
         """
         arrays = [a if isinstance(a, np.ndarray) and a.ndim
                   else np.atleast_1d(a) for a in arrays]
@@ -50,11 +56,12 @@ class RaggedArrays:
                               count=len(arrays))
         offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        if arrays:
+        flat = None if dtype is not None else _consecutive_view(arrays)
+        if flat is None and arrays:
             flat = np.concatenate(arrays, axis=0)
             if dtype is not None and flat.dtype != np.dtype(dtype):
                 flat = flat.astype(dtype)
-        else:
+        elif flat is None:
             flat = np.empty(0, dtype=dtype if dtype is not None else np.int64)
         out = cls(flat, offsets)
         out._lengths = lengths
@@ -99,3 +106,33 @@ class RaggedArrays:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RaggedArrays(p={self.n_segments}, total={len(self.flat)}, "
                 f"dtype={self.flat.dtype})")
+
+
+def _owner(a: np.ndarray):
+    """The object whose memory the array ``a`` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a if a.base is None else a.base
+
+
+def _consecutive_view(arrays: Sequence[np.ndarray]):
+    """One array spanning the non-empty ``arrays`` if they are consecutive
+    row ranges of one C-contiguous array, in order; ``None`` otherwise."""
+    full = [a for a in arrays if len(a)]
+    if not full:
+        return None
+    first = full[0]
+    owner = _owner(first)
+    strides = [first.itemsize]  # C order, whatever a length-1 axis says
+    for extent in reversed(first.shape[1:]):
+        strides.insert(0, strides[0] * extent)
+    end = first.__array_interface__["data"][0]
+    for a in full:
+        if (a.dtype != first.dtype or a.shape[1:] != first.shape[1:]
+                or not a.flags.c_contiguous or _owner(a) is not owner
+                or a.__array_interface__["data"][0] != end):
+            return None
+        end += len(a) * strides[0]
+    return np.lib.stride_tricks.as_strided(
+        first, shape=(sum(len(a) for a in full),) + first.shape[1:],
+        strides=strides, writeable=False)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .dtypes import index_dtype
 from .engine import kernel_sink, record_kernel
-from .pool import active_pool
 
 
 def _instrumented(fn):
@@ -91,9 +90,12 @@ def _key_spans(keys: Sequence[np.ndarray], ranges: Optional[Sequence] = None):
 
 def _pack(cols, out: np.ndarray) -> np.ndarray:
     """Mixed-radix pack of ``cols`` (least-significant first) into ``out``:
-    strictly monotone in the lexicographic order, equal exactly on ties."""
-    pool = active_pool()
-    col_buf = None
+    strictly monotone in the lexicographic order, equal exactly on ties.
+
+    Accumulates in place (``out * span + k - lo``, every step in int64:
+    the partial sums stay below 2^63 because the capacity and every ``|lo|``
+    are below :data:`_PACK_LIMIT`), so no column-sized temporary is made.
+    """
     first = True
     for k, lo, span in reversed(cols):  # most-significant column first
         if first:
@@ -101,16 +103,13 @@ def _pack(cols, out: np.ndarray) -> np.ndarray:
             first = False
             continue
         np.multiply(out, span, out=out)
-        if col_buf is None:
-            col_buf = pool.take(len(out), np.int64)
-        np.subtract(k, lo, out=col_buf, casting="unsafe")
-        np.add(out, col_buf, out=out)
-    pool.give(col_buf)
+        np.add(out, k, out=out, dtype=np.int64, casting="unsafe")
+        np.subtract(out, lo, out=out)
     return out
 
 
 def _argsort_packed(cols, capacity: int) -> np.ndarray:
-    """Stable argsort of the packed key of ``cols`` (pooled scratch).
+    """Stable argsort of the packed key of ``cols``.
 
     The key sorts in the narrowest width its capacity fits: ``uint16`` up to
     2^16 (numpy's stable argsort of 16-bit keys is a radix pass -- 640 k
@@ -118,18 +117,12 @@ def _argsort_packed(cols, capacity: int) -> np.ndarray:
     (half the bytes the merge sort touches), ``int64`` otherwise.  Stable in
     every width, so the permutation does not depend on which one ran.
     """
-    pool = active_pool()
-    n = len(cols[0][0])
-    packed = _pack(cols, pool.take(n, np.int64))
+    packed = _pack(cols, np.empty(len(cols[0][0]), dtype=np.int64))
     if capacity < (1 << 31):
-        key = pool.take(n, np.uint16 if capacity <= (1 << 16) else np.int32)
-        key[:] = packed  # values fit by the capacity bound
-        perm = np.argsort(key, kind="stable")
-        pool.give(key)
-    else:
-        perm = np.argsort(packed, kind="stable")
-    pool.give(packed)
-    return perm
+        # Values fit by the capacity bound.
+        packed = packed.astype(np.uint16 if capacity <= (1 << 16)
+                               else np.int32)
+    return np.argsort(packed, kind="stable")
 
 
 @_instrumented
@@ -146,7 +139,7 @@ def packed_lexsort(keys: Sequence[np.ndarray],
     ``ranges`` optionally supplies a known ``(lo, hi)`` value bound per key
     (aligned with ``keys``, ``None`` entries computed as usual), skipping
     the per-column min/max reduction scans.  The packed key accumulates in
-    a pooled scratch buffer (no per-column temporaries) and sorts in the
+    one scratch buffer (no per-column temporaries) and sorts in the
     narrowest width the combined capacity fits (``uint16`` -- a radix pass
     -- ``int32`` or ``int64``).  Returned indices use the narrowest safe
     policy dtype (:mod:`repro.kernels.dtypes`).
@@ -288,14 +281,13 @@ def group_argmin(group: np.ndarray, keys: Sequence[np.ndarray],
     lsf = tuple(keys)[::-1]  # least significant first, as packed_lexsort
     spans = _key_spans(lsf)
     if spans is not None and _scatter_fits(n, n_groups, spans[1]):
-        pool = active_pool()
         shift = n.bit_length()
-        key = _pack(spans[0], pool.take(n, np.int64))
+        key = _pack(spans[0], np.empty(n, dtype=np.int64))
         key <<= shift
         key += np.arange(n, dtype=np.int64)
         best = np.full(n_groups, np.iinfo(np.int64).max)
         np.minimum.at(best, group, key)
-        pool.give(key)
+        del key
         groups = np.flatnonzero(best != np.iinfo(np.int64).max)
         return groups, best[groups] & ((1 << shift) - 1)
     order = packed_lexsort(lsf + (group,))
@@ -351,6 +343,15 @@ def segmented_unique(
     return uniq, uniq_offsets, inverse
 
 
+def _cells(seg: np.ndarray, values: np.ndarray, span: int,
+           lo: int) -> np.ndarray:
+    """``seg * span + values - lo`` in int64, built in place (one array)."""
+    cell = np.multiply(seg, span, dtype=np.int64)
+    np.add(cell, values, out=cell, dtype=np.int64, casting="unsafe")
+    cell -= lo
+    return cell
+
+
 @_instrumented
 def segmented_searchsorted(
     haystack: np.ndarray,
@@ -380,7 +381,7 @@ def segmented_searchsorted(
         return np.zeros(q, dtype=np.int64)
     haystack = np.asarray(haystack)
     needles = np.asarray(needles)
-    needle_seg = np.asarray(needle_seg, dtype=np.int64)
+    needle_seg = np.asarray(needle_seg)
     lo = min(int(haystack.min()), int(needles.min()))
     hi = max(int(haystack.max()), int(needles.max()))
     span = hi - lo + 1
@@ -388,11 +389,11 @@ def segmented_searchsorted(
     if (haystack.dtype.kind in "iub" and needles.dtype.kind in "iub"
             and n_segments * span < (1 << 62)  # packed keys fit int64
             and -(1 << 62) < lo and hi < (1 << 62)):
-        hkey = (haystack.astype(np.int64) - lo
-                + segment_ids(hay_offsets) * span)
-        nkey = needles.astype(np.int64) - lo + needle_seg * span
-        return (np.searchsorted(hkey, nkey, side=side)
-                - hay_offsets[needle_seg])
+        hkey = _cells(segment_ids(hay_offsets), haystack, span, lo)
+        found = np.searchsorted(hkey, _cells(needle_seg, needles, span, lo),
+                                side=side)
+        found -= hay_offsets[needle_seg]
+        return found
     merged = np.concatenate([haystack, needles])
     seg = np.concatenate([segment_ids(hay_offsets),
                           np.asarray(needle_seg, dtype=np.int64)])
@@ -440,9 +441,7 @@ def _lookup_table(haystack: np.ndarray, hay_offsets: np.ndarray,
             or h >= (1 << 31)):
         return None
     # Windows side by side, plus one trailing "absent" cell that every
-    # out-of-window needle is pointed at.  Not pooled: the pool's
-    # power-of-two blocks double the table (32 MB for the 4 M cells of 256
-    # ghost tables), which read +8..13 MB of peak RSS in half the runs.
+    # out-of-window needle is pointed at.
     table = np.full(cells + 1, -1, dtype=np.int32)
     shift = toff[:-1] - first  # value -> cell, per segment
     cell = haystack + np.repeat(shift, lens)
@@ -454,9 +453,14 @@ def _lookup_table(haystack: np.ndarray, hay_offsets: np.ndarray,
     # A needle outside its segment's window lands outside that segment's
     # stretch of the table.  (int64 wrap-around cannot fake a hit: that
     # takes needle - first + 2^64 <= extent, i.e. a window ending past 2^63.)
-    cell = needles + shift[needle_seg]
-    np.putmask(cell, (cell < toff[:-1][needle_seg])
-               | (cell >= toff[1:][needle_seg]), cells)
+    # One segment (RELABEL's one sorted list) needs no per-needle gathers.
+    one = len(lens) == 1
+    cell = needles.astype(np.int64)
+    cell += shift[0] if one else shift[needle_seg]
+    outside = cell < (toff[0] if one else toff[:-1][needle_seg])
+    outside |= cell >= (toff[1] if one else toff[1:][needle_seg])
+    np.putmask(cell, outside, cells)
+    del outside
     idx = table[cell]
     return idx >= 0, idx.astype(np.int64)
 
@@ -542,10 +546,8 @@ def segmented_isin(values: np.ndarray, seg: np.ndarray, needles: np.ndarray,
     span = max(int(values.max()), int(needles.max())) - lo + 1
     if n_segments * span <= LOOKUP_CELLS_PER_ELEMENT * (h + q):
         hit = np.zeros(n_segments * span, dtype=bool)
-        hit[np.asarray(seg, dtype=np.int64) * span
-            + (values.astype(np.int64) - lo)] = True
-        return hit[np.asarray(needle_seg, dtype=np.int64) * span
-                   + (needles.astype(np.int64) - lo)]
+        hit[_cells(seg, values, span, lo)] = True
+        return hit[_cells(needle_seg, needles, span, lo)]
     key = order_key((np.concatenate([values, needles]),
                      np.concatenate([seg, needle_seg])))
     hay = np.sort(key[:h])
@@ -564,7 +566,7 @@ def route_plan(
 
     Equivalent to ``packed_lexsort((dests, seg_ids))`` followed by
     :func:`route_counts` -- the pairing every exchange wrapper performs --
-    but the ``seg * size + dest`` key is built once (in a pooled buffer of
+    but the ``seg * size + dest`` key is built once (in a buffer of
     the narrowest width it fits: ``uint16`` -- whose stable argsort is a
     radix pass -- up to 2^16 slots, ``int32`` below 2^31) and reused for
     both the stable argsort and the bincount.  Requires ``0 <= dests <
@@ -577,16 +579,14 @@ def route_plan(
     if n == 0:
         return (np.empty(0, dtype=index_dtype(0)),
                 np.zeros((n_segments, size), dtype=np.int64))
-    pool = active_pool()
     slots = int(n_segments) * int(size)
-    key = pool.take(n, np.uint16 if slots <= (1 << 16)
-                    else np.int32 if slots < (1 << 31) else np.int64)
+    key = np.empty(n, dtype=np.uint16 if slots <= (1 << 16)
+                   else np.int32 if slots < (1 << 31) else np.int64)
     np.multiply(seg_ids, size, out=key, casting="unsafe")
     np.add(key, dests, out=key, casting="unsafe")
     counts = np.bincount(key, minlength=n_segments * size)
     counts = counts.reshape(n_segments, size)
     order = np.argsort(key, kind="stable")
-    pool.give(key)
     return _narrow_perm(order, n), counts
 
 

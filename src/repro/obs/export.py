@@ -200,12 +200,11 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def kernel_pool_table(registry: MetricsRegistry, top: int = 10) -> str:
-    """ASCII summary of kernel host time and buffer-pool reuse counters.
+    """ASCII summary of kernel host time.
 
     One row per instrumented kernel (``kernel/*`` counters, descending
-    host seconds, top ``top``), followed by a one-line pool summary from
-    the ``pool/*`` counters.  Returns a short notice when the run recorded
-    neither (untraced machines attach no sink).
+    host seconds, top ``top``).  Returns a short notice when the run
+    recorded none (untraced machines attach no sink).
     """
     counters = registry.counters()
     names = sorted({name.split("/")[1] for name in counters
@@ -221,24 +220,11 @@ def kernel_pool_table(registry: MetricsRegistry, top: int = 10) -> str:
         lines.append(f"{'-' * w}  {'-' * 8}  {'-' * 9}")
         for name, calls, secs in stats[:top]:
             lines.append(f"{name.ljust(w)}  {int(calls):>8}  {secs:>9.4f}")
-    pool_keys = ("pool/hits", "pool/misses", "pool/bytes_reused")
-    if any(k in counters for k in pool_keys):
-        hits = int(counters["pool/hits"].value) if "pool/hits" in counters \
-            else 0
-        misses = int(counters["pool/misses"].value) \
-            if "pool/misses" in counters else 0
-        reused = counters["pool/bytes_reused"].value \
-            if "pool/bytes_reused" in counters else 0.0
-        total = hits + misses
-        rate = 100.0 * hits / total if total else 0.0
-        lines.append(f"buffer pool: {hits} hits / {misses} misses "
-                     f"({rate:.0f}% reuse, {reused / 2**20:.1f} MiB "
-                     f"served from pool)")
     dropped = _dropped_events(registry)
     if dropped:
         lines.append(_truncation_warning(dropped))
     return "\n".join(lines) if lines else \
-        "(no kernel/pool counters recorded)"
+        "(no kernel counters recorded)"
 
 
 def _dropped_events(registry: MetricsRegistry) -> int:

@@ -3,7 +3,7 @@
 The perf-regression observatory needs history: the BENCH JSON records
 capture one run each, but answering "did this change regress anything?"
 needs *rows over time* -- config, fault schedule, simulated series, wall
-seconds, peak RSS, pool hit rates, round counts and the critical-path
+seconds, peak RSS, round counts and the critical-path
 summary, per run, in one greppable place.  This module
 provides that as newline-delimited JSON under ``REPRO_TRACE_DIR`` (or an
 explicit ``REPRO_LEDGER`` path): the CLI's ``mst``/``profile`` commands and
@@ -70,19 +70,6 @@ def ledger_path(explicit=None) -> Optional[Path]:
     return None
 
 
-def _pool_stats(machine) -> Dict[str, float]:
-    """Buffer-pool reuse summary from the machine's plain-int pool stats."""
-    pool = machine.pool
-    total = pool.hits + pool.misses
-    return {
-        "hits": int(pool.hits),
-        "misses": int(pool.misses),
-        "hit_rate": (pool.hits / total) if total else 0.0,
-        "bytes_reused": int(pool.bytes_reused),
-        "bytes_allocated": int(pool.bytes_allocated),
-    }
-
-
 def make_record(kind: str, name: str, *,
                 config: Optional[Dict] = None,
                 machine=None,
@@ -95,7 +82,7 @@ def make_record(kind: str, name: str, *,
 
     ``kind`` classifies the producer (``cli`` / ``benchmark`` / test);
     ``name`` identifies the run (subcommand or BENCH family).  When a
-    ``machine`` is given, its fault schedule and pool hit rates are
+    ``machine`` is given, its size and fault schedule are
     recorded; ``simulated`` entries
     must be ``{"label": ..., "simulated_seconds": ...}`` pairs the caller
     already computed (the ledger never recomputes simulated numbers).
@@ -112,7 +99,6 @@ def make_record(kind: str, name: str, *,
     }
     if machine is not None:
         record["n_procs"] = machine.n_procs
-        record["pool"] = _pool_stats(machine)
         faults = getattr(machine, "faults", None)
         record["fault_schedule"] = (str(faults.schedule)
                                     if faults is not None else None)

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: :meth:`UnionFind.union_edges` converts at most this many edges to Python
+#: ints at a time: the int objects of 2^19 edges alone are about 24 MB.
+UNION_CHUNK = 1 << 15
+
 
 class UnionFind:
     """Disjoint-set forest over elements ``0 .. n-1``.
@@ -87,9 +91,11 @@ class UnionFind:
         weight-sorted.  The per-edge loop is unavoidable (each union depends
         on all previous ones) but runs over int64 scalars with compressed
         paths, which is acceptable for the verification-scale inputs here.
+        The edges are converted :data:`UNION_CHUNK` at a time, with the
+        forest carried from chunk to chunk.
         """
-        us = np.asarray(us, dtype=np.int64).tolist()
-        vs = np.asarray(vs, dtype=np.int64).tolist()
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
         out = np.zeros(len(us), dtype=bool)
         # find/union inlined: this loop runs millions of times under
         # Filter-Boruvka and method-call overhead dominates.  When the edge
@@ -103,29 +109,31 @@ class UnionFind:
             parent = self.parent
             rank = self.rank
         n_components = self.n_components
-        for k in range(len(us)):
-            a, b = us[k], vs[k]
-            root = a
-            while parent[root] != root:
-                root = parent[root]
-            while parent[a] != root:
-                parent[a], a = root, parent[a]
-            ra = root
-            root = b
-            while parent[root] != root:
-                root = parent[root]
-            while parent[b] != root:
-                parent[b], b = root, parent[b]
-            rb = root
-            if ra == rb:
-                continue
-            if rank[ra] < rank[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            if rank[ra] == rank[rb]:
-                rank[ra] += 1
-            n_components -= 1
-            out[k] = True
+        for lo in range(0, len(us), UNION_CHUNK):
+            chunk = zip(us[lo:lo + UNION_CHUNK].tolist(),
+                        vs[lo:lo + UNION_CHUNK].tolist())
+            for k, (a, b) in enumerate(chunk, lo):
+                root = a
+                while parent[root] != root:
+                    root = parent[root]
+                while parent[a] != root:
+                    parent[a], a = root, parent[a]
+                ra = root
+                root = b
+                while parent[root] != root:
+                    root = parent[root]
+                while parent[b] != root:
+                    parent[b], b = root, parent[b]
+                rb = root
+                if ra == rb:
+                    continue
+                if rank[ra] < rank[rb]:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                if rank[ra] == rank[rb]:
+                    rank[ra] += 1
+                n_components -= 1
+                out[k] = True
         if use_lists:
             self.parent[:] = parent
             self.rank[:] = rank

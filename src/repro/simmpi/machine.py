@@ -47,9 +47,11 @@ def simsan_env_enabled() -> bool:
     return value not in ("", "0", "false", "no", "off")
 
 
-#: Environment variables that used to pick an execution path or a storage
-#: width.  A set value must not silently run the one path that is left.
-RETIRED_ENV = ("REPRO_ENGINE", "REPRO_KERNELS", "REPRO_DTYPES")
+#: Environment variables that used to pick an execution path, a storage
+#: width or a scratch-buffer budget.  A set value must not silently run the
+#: one path that is left.
+RETIRED_ENV = ("REPRO_ENGINE", "REPRO_KERNELS", "REPRO_DTYPES",
+               "REPRO_POOL_MAX_MB")
 
 
 def reject_retired_env() -> None:
@@ -58,9 +60,21 @@ def reject_retired_env() -> None:
         if os.environ.get(name, "").strip():
             raise ValueError(
                 f"{name} is retired and selects nothing: there is one "
-                f"execution path and one dtype policy; the per-PE reference "
-                f"loops and the wide-dtype mode now live under tests/ as "
-                f"oracles (docs/kernels.md) -- unset {name}")
+                f"execution path, one dtype policy and no buffer pool; the "
+                f"per-PE reference loops and the wide-dtype mode now live "
+                f"under tests/ as oracles (docs/kernels.md) -- unset {name}")
+
+
+class _RetiredPool:
+    """What :attr:`Machine.pool` returns since the buffer pool was retired."""
+
+    @staticmethod
+    def stats() -> dict:
+        """Zero hits and misses: no kernel draws from a pool."""
+        return {"hits": 0, "misses": 0}
+
+
+_RETIRED_POOL = _RetiredPool()
 
 
 def trace_events_env_enabled() -> bool:
@@ -198,16 +212,6 @@ class Machine:
         else:
             self.events = None
             self.metrics = None
-        from ..kernels.pool import BufferPool, set_active_pool
-
-        #: Per-machine scratch-buffer arena for the batched kernels
-        #: (docs/kernels.md): kernels driven by the most recently created
-        #: machine recycle this machine's blocks, and the whole arena dies
-        #: with the machine instead of accreting in a process-global pool.
-        self.pool = BufferPool()
-        if self.metrics is not None:
-            self.pool.attach_sink(self.metrics)
-        set_active_pool(self.pool)
         if faults is None:
             from ..faults.schedule import faults_env_spec
 
@@ -289,7 +293,6 @@ class Machine:
         self.bytes_communicated = 0.0
         self.n_collectives = 0
         self._streams.clear()
-        self.pool.clear()
         if self.trace is not None:
             self.trace.reset()
         if self.sanitizer is not None:
@@ -452,13 +455,19 @@ class Machine:
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the buffer pool's parked blocks.
+    @property
+    def pool(self) -> "_RetiredPool":
+        """Counters of the retired buffer pool, always zero.
 
-        The pool is the only host resource a machine holds.  A closed
-        machine remains usable: the pool refills on the next use.
+        Kept only because the host-time benchmark (``perfbench/``) still
+        reads ``machine.pool.stats()``; the next change to that benchmark
+        drops the read, and this property with it.
         """
-        self.pool.clear()
+        return _RETIRED_POOL
+
+    def close(self) -> None:
+        """Release host resources; a machine holds none beyond its arrays,
+        so this is a no-op kept for the context-manager protocol."""
 
     def __enter__(self) -> "Machine":
         """Context-manager entry: the machine itself."""

@@ -200,6 +200,8 @@ class Sanitizer:
         self._collective_depth = 0
         #: Weak refs to the registered wrapper views, per owning rank.
         self._arrays: Dict[int, List[weakref.ref]] = {}
+        #: Per rank, the list length at which dead refs are next dropped.
+        self._prune_at: Dict[int, int] = {}
         #: Shadow per-pair byte matrix (same data a CommTrace records).
         self.comm_matrix = np.zeros((p, p), dtype=np.float64)
         self._traced_bytes = 0.0
@@ -238,7 +240,13 @@ class Sanitizer:
             view.flags.writeable = False
         except ValueError:  # base chain already read-only: stays locked
             pass
-        self._arrays.setdefault(pe, []).append(weakref.ref(view))
+        refs = self._arrays.setdefault(pe, [])
+        refs.append(weakref.ref(view))
+        if len(refs) >= self._prune_at.get(pe, 64):
+            # A long-lived machine (a serving session) adopts every round's
+            # views: drop the dead refs, amortised over the appends.
+            refs[:] = [ref for ref in refs if ref() is not None]
+            self._prune_at[pe] = 2 * len(refs) + 64
         return view
 
     def adopt_edges(self, pe: int, edges) -> None:

@@ -74,12 +74,16 @@ def sort_samplesort(
     order = stable_order(key)
     pe_dtype = np.uint16 if p <= (1 << 16) else index_dtype(p)  # radix sort
     pe = np.repeat(np.arange(p, dtype=pe_dtype), lens)[order]  # key order
-    local = order[np.argsort(pe, kind="stable")]
+
+    def by_pe():
+        """Key-order positions of every PE's rows, PE after PE: each PE's
+        local order, read through ``order``."""
+        return np.argsort(pe, kind="stable")
 
     # ---- Sample and select p-1 splitters. ----
     drawing, take, picks = sample_positions(machine, ranks, lens,
                                             OVERSAMPLING)
-    at = local[picks + np.repeat(off[drawing], take)]
+    at = order[by_pe()[picks + np.repeat(off[drawing], take)]]
     sample_off = np.zeros(p + 1, dtype=np.int64)
     sample_off[drawing + 1] = take
     np.cumsum(sample_off, out=sample_off)
@@ -91,20 +95,27 @@ def sort_samplesort(
     comm.allgatherv([x if len(x) else rows[:0] for x in sorted_sample_parts])
     sample = np.sort(key[at])
     splitters = sample[(np.arange(1, p) * len(sample)) // p]
+    key = key[order]
 
     # ---- Partition by splitters and exchange. ----
     machine.charge_scan(lens[drawing] * max(1, int(np.log2(p))),
                         ranks=ranks[drawing])
     # Bucket j is [splitter[j-1], splitter[j]): in key order, one run each.
     recv_off = np.concatenate(
-        ([0], np.searchsorted(key[order], splitters, side="left"),
-         [len(rows)]))
+        ([0], np.searchsorted(key, splitters, side="left"), [len(rows)]))
+    del key
     received = np.diff(recv_off)
-    bucket = np.repeat(np.arange(p, dtype=np.int64), received)
-    counts = np.bincount(pe.astype(np.int64) * p + bucket,
-                         minlength=p * p).reshape(p, p)
+    # counts[i, j]: rows of PE i in bucket j, from one bincount over the
+    # cells bucket * p + PE (in place: no further row-sized temporaries).
+    cell = np.repeat(np.arange(0, p * p, p, dtype=np.int64), received)
+    cell += pe
+    counts = np.ascontiguousarray(
+        np.bincount(cell, minlength=p * p).reshape(p, p).T)
+    del cell
     # Send side, cell-major: each PE's rows in local order (for a victim).
-    account(comm, "auto", rows[:0], counts, lambda: SendBlock(rows, local))
+    account(comm, "auto", rows[:0], counts,
+            lambda: SendBlock(rows, order[by_pe()]))
+    del pe
 
     # ---- Local sort of the received runs. ----
     machine.charge_sort(received, ranks=ranks)

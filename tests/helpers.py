@@ -86,10 +86,10 @@ def observed_machine(machine, skip_checks=()):
     if machine.events is not None:
         seen["events"] = chrome_trace(machine.events, deterministic=True)
         metrics = metrics_to_dict(machine.metrics, deterministic=True)
-        # kernel/* and pool/* count host kernel calls: meant to differ.
+        # kernel/* count host kernel calls: meant to differ.
         metrics["counters"] = {
             k: v for k, v in metrics["counters"].items()
-            if not k.startswith(("kernel/", "pool/"))}
+            if not k.startswith("kernel/")}
         seen["metrics"] = metrics
     if machine.trace is not None:
         seen["comm_trace"] = (machine.trace.matrix.copy(),

@@ -11,6 +11,7 @@ from repro.dgraph import DistGraph, Edges, lex_searchsorted
 from repro.dgraph import search
 from repro.dgraph import dist_graph
 from repro.dgraph.dist_graph import KEY_SENTINEL
+from repro.kernels import index_dtype
 from repro.seq import msf_weight
 from repro.serve import GraphSession
 from repro.simmpi import Machine
@@ -295,7 +296,9 @@ class TestHomeOfEdges:
         expect = self._reference(dg, qu, qv, qw)
         asked = _three_key_searches(monkeypatch)
         got = dg.home_of_edges(qu, qv, qw)
-        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        # Homes come at the PE-index width the label path keeps them in.
+        assert got.dtype == index_dtype(dg.machine.n_procs)
+        assert np.array_equal(got, expect)
         # Resident edges are at home, also around the (5, 7, w) cut.
         for i, part in enumerate(dg.parts):
             assert (dg.home_of_edges(part.u.astype(dtype),
@@ -337,7 +340,7 @@ class TestHomeOfEdges:
         assert (dg.home_of_edges(g.v, g.u, g.w) == 0).all()
         z = np.empty(0, dtype=np.uint32)
         out = dg.home_of_edges(z, z, z)
-        assert out.dtype == np.int64 and len(out) == 0
+        assert out.dtype == index_dtype(1) and len(out) == 0
 
     def test_negative_ids(self, rng):
         # Signed queries below every key: PE 0, like the three-key search.

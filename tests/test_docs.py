@@ -67,6 +67,6 @@ def test_readme_lists_exactly_the_env_knobs_the_code_reads():
     from repro.simmpi.machine import RETIRED_ENV
 
     assert retired == set(RETIRED_ENV)
-    # 10 under src/ plus REPRO_BENCH_SERVE_REQUESTS; a new knob has to be
+    # 8 under src/ plus REPRO_BENCH_SERVE_REQUESTS; a new knob has to be
     # argued for (ROADMAP aim 2), so the count is pinned, not just the set.
-    assert len(rows) - len(retired) == 11
+    assert len(rows) - len(retired) == 9

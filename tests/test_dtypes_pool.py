@@ -1,4 +1,4 @@
-"""Boundary tests for the dtype-narrowing policy and the buffer pool.
+"""Boundary tests for the dtype-narrowing policy and the zero-copy packing.
 
 Covers the two pieces of :mod:`repro.kernels` that PR 7's hot-path rewiring
 leans on (docs/kernels.md):
@@ -9,14 +9,16 @@ leans on (docs/kernels.md):
   dtype-independent;
 * ``packed_lexsort`` permutation dtype and the packed-capacity overflow
   boundary (the ``np.lexsort`` fallback at capacity ``>= 2**62``);
-* :class:`repro.kernels.pool.BufferPool` -- hit/miss accounting, the
-  parked-bytes budget, foreign-array rejection and active-pool swapping.
+* :meth:`repro.kernels.RaggedArrays.from_arrays` -- which packings share
+  memory with their parts (consecutive row ranges of one array) and which
+  copy.  These replace the buffer pool's cases: the pool was deleted
+  because it bought no host time and cost 20-28 MB of peak RSS.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels import dtypes, packed_lexsort
+from repro.kernels import RaggedArrays, dtypes, packed_lexsort
 from repro.kernels.dtypes import (
     UINT32_MAX,
     index_dtype,
@@ -25,7 +27,7 @@ from repro.kernels.dtypes import (
     narrow,
     widen,
 )
-from repro.kernels.pool import BufferPool, active_pool, set_active_pool
+from repro.simmpi.alltoall import split_rows
 
 
 class TestDtypePolicy:
@@ -112,85 +114,62 @@ class TestPackedLexsortDtypes:
         np.testing.assert_array_equal(perm, ref)
 
 
-class TestBufferPool:
-    def test_hit_miss_accounting(self):
-        pool = BufferPool(max_bytes=1 << 20)
-        a = pool.take(100, np.int64)
-        assert a.shape == (100,) and a.dtype == np.int64
-        assert pool.misses == 1 and pool.hits == 0
-        pool.give(a)
-        assert pool.held_bytes > 0
-        b = pool.take(100, np.int64)
-        assert pool.hits == 1
-        # Same size class (128-capacity block) serves nearby sizes too.
-        pool.give(b)
-        c = pool.take(120, np.int64)
-        assert pool.hits == 2
-        pool.give(c)
-        stats = pool.stats()
-        assert stats["hits"] == 2 and stats["misses"] == 1
-        assert stats["bytes_reused"] == (100 + 120) * 8
+class TestFromArraysSharing:
+    """``RaggedArrays.from_arrays`` wraps consecutive row ranges of one
+    C-contiguous array as a view and copies everything else."""
 
-    def test_dtype_keys_are_distinct(self):
-        pool = BufferPool(max_bytes=1 << 20)
-        a = pool.take(64, np.int64)
-        pool.give(a)
-        b = pool.take(64, np.uint32)
-        assert pool.hits == 0 and pool.misses == 2
-        pool.give(b)
+    @staticmethod
+    def _packed(parts, **kw):
+        r = RaggedArrays.from_arrays(parts, **kw)
+        want = np.concatenate(parts, axis=0)
+        np.testing.assert_array_equal(r.flat, want)
+        assert r.flat.dtype == want.dtype
+        np.testing.assert_array_equal(r.lengths, [len(x) for x in parts])
+        return r
 
-    def test_budget_refusal(self):
-        pool = BufferPool(max_bytes=128)
-        small = pool.take(8, np.int64)  # 16-element block: fits the budget
-        big = pool.take(1024, np.int64)
-        pool.give(small)
-        assert pool.held_bytes == 128
-        pool.give(big)  # over budget -> dropped
-        assert pool.held_bytes == 128
+    @pytest.mark.parametrize("bounds", [
+        [0, 3, 7, 10],        # every part full
+        [0, 3, 3, 7, 10],     # an interior empty part
+        [0, 4, 10, 10, 10],   # trailing empty parts
+        [0, 0, 6, 10],        # a leading empty part
+    ])
+    def test_split_rows_views_are_wrapped(self, bounds):
+        base = np.arange(40, dtype=np.uint32).reshape(10, 4)
+        r = self._packed(split_rows(base, np.array(bounds)))
+        assert np.shares_memory(r.flat, base)
+        assert not r.flat.flags.writeable  # callers never write into it
 
-    def test_give_tolerates_none_and_foreign(self):
-        pool = BufferPool(max_bytes=1 << 20)
-        pool.give(None)
-        pool.give(np.empty(100))  # 100 is not a power of two: dropped
-        assert pool.held_bytes == 0
+    def test_one_dimensional_views_are_wrapped(self):
+        base = np.arange(12, dtype=np.int64)
+        parts = [base[2:5], base[5:5], base[5:9], base[9:9]]
+        r = self._packed(parts)
+        assert np.shares_memory(r.flat, base)
+        assert r.flat.shape == (7,)
 
-    def test_clear_drops_everything(self):
-        pool = BufferPool(max_bytes=1 << 20)
-        pool.give(pool.take(256, np.int64))
-        assert pool.held_bytes > 0
-        pool.clear()
-        assert pool.held_bytes == 0
-        # Stats survive a clear; only the parked blocks go.
-        assert pool.misses == 1
+    def test_interior_row_range_is_wrapped(self):
+        base = np.arange(40, dtype=np.uint32).reshape(10, 4)
+        r = self._packed([base[2:4], base[4:7]])
+        assert np.shares_memory(r.flat, base)
 
-    def test_set_active_pool_clears_displaced(self):
-        prev = active_pool()
-        mine = BufferPool(max_bytes=1 << 20)
-        try:
-            set_active_pool(mine)
-            assert active_pool() is mine
-            mine.give(mine.take(512, np.int64))
-            assert mine.held_bytes > 0
-        finally:
-            set_active_pool(prev)
-        # Displaced pools hand their parked blocks back to the allocator.
-        assert mine.held_bytes == 0
-        assert active_pool() is prev
-
-    def test_attach_sink_mirrors_counters(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        pool = BufferPool(max_bytes=1 << 20)
-        pool.attach_sink(registry)
-        a = pool.take(128, np.int64)
-        pool.give(a)
-        b = pool.take(128, np.int64)
-        pool.give(b)
-        counters = registry.counters()
-        assert counters["pool/misses"].value == 1
-        assert counters["pool/hits"].value == 1
-        # Reuse counts the requested bytes; allocation counts the whole
-        # power-of-two block (the next class up from a 128-element ask).
-        assert counters["pool/bytes_reused"].value == 128 * 8
-        assert counters["pool/bytes_allocated"].value == 256 * 8
+    @pytest.mark.parametrize("case", ["gap", "reordered", "two_bases",
+                                      "non_contiguous", "dtype"])
+    def test_copies(self, case):
+        base = np.arange(40, dtype=np.uint32).reshape(10, 4)
+        kw = {}
+        if case == "gap":
+            parts = [base[0:3], base[4:7]]
+        elif case == "reordered":
+            parts = [base[3:6], base[0:3]]
+        elif case == "two_bases":
+            other = base.copy()
+            parts = [base[0:3], other[3:6]]
+        elif case == "non_contiguous":
+            wide = np.arange(80, dtype=np.uint32).reshape(10, 8)[:, ::2]
+            parts = [wide[0:3], wide[3:6]]
+            base = wide
+        else:
+            parts = [base[0:3], base[3:6]]
+            kw = {"dtype": np.uint32}
+        r = self._packed(parts, **kw)
+        assert not np.shares_memory(r.flat, base)
+        assert r.flat.flags.writeable

@@ -73,9 +73,9 @@ class TestEngineSelection:
 
     def test_machine_is_context_manager(self):
         with Machine(2) as machine:
-            machine.pool.give(machine.pool.take(64, np.int64))
-            assert machine.pool.held_bytes > 0
-        assert machine.pool.held_bytes == 0
+            assert machine.n_procs == 2
+        # The retired buffer pool answers only its zero counters.
+        assert machine.pool.stats() == {"hits": 0, "misses": 0}
 
 
 # ----------------------------------------------------------------------

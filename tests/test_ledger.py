@@ -79,7 +79,7 @@ class TestRecords:
         assert record["schema_version"] == SCHEMA_VERSION
         assert not {"engine", "dtype_policy", "utilization"} & set(record)
         assert record["n_procs"] == machine.n_procs
-        assert 0.0 <= record["pool"]["hit_rate"] <= 1.0
+        assert "pool" not in record  # the buffer pool is retired
         assert record["fault_schedule"] is None
         assert validate_ledger_record(record) == []
 

@@ -891,23 +891,32 @@ class TestServeTcp:
 class TestResetAudit:
     """Satellite: repeated session recomputes must not leak (ISSUE 10)."""
 
-    def test_hundred_recomputes_bound_pool_and_shm(self):
-        from repro.kernels.pool import _default_max_bytes
+    def test_hundred_recomputes_bound_memory_and_shm(self):
+        import tracemalloc
 
         shm_before = len(os.listdir("/dev/shm")) \
             if os.path.isdir("/dev/shm") else None
         rows = _triples(np.random.default_rng(4), 100, 300)
-        budget = _default_max_bytes()
-        with GraphSession(100, rows, n_procs=4) as s:
-            weight = s.view.total_weight
-            for i in range(100):
-                report = s.recompute_full()
-                assert report.total_weight == weight
-                held = s.machine.pool.held_bytes
-                assert held <= budget, (
-                    f"iteration {i}: pool parked {held} bytes, over the "
-                    f"REPRO_POOL_MAX_MB budget of {budget}")
-            assert s.view.version == 100
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            with GraphSession(100, rows, n_procs=4) as s:
+                weight = s.view.total_weight
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for _ in range(100):
+                    report = s.recompute_full()
+                    assert report.total_weight == weight
+                current, peak = tracemalloc.get_traced_memory()
+                assert s.view.version == 100
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # A 300-edge session needs well under 1 MiB at any moment (about
+        # 0.3 MiB measured); what the recomputes leave behind stays small.
+        assert peak - start < 1 << 20, f"peak {peak - start} bytes"
+        assert current - start < 256 << 10, f"kept {current - start} bytes"
         if shm_before is not None:
             assert len(os.listdir("/dev/shm")) == shm_before, (
                 "shared-memory segments leaked by repeated recomputes")
