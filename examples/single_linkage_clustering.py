@@ -11,10 +11,10 @@ Run:  python examples/single_linkage_clustering.py
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro import Machine, minimum_spanning_forest
 from repro.dgraph import Edges
+from repro.graphgen import radius_pairs
 from repro.seq import UnionFind
 
 
@@ -26,21 +26,14 @@ def make_blobs(n_points: int, k: int, seed: int = 0):
     return points, labels
 
 
-def neighbourhood_graph(points: np.ndarray, n_neighbours: int = 12
+def neighbourhood_graph(points: np.ndarray, radius: float = 0.25
                         ) -> tuple[Edges, int]:
-    """Mutual k-NN graph with integer distance weights."""
-    tree = cKDTree(points)
-    dist, idx = tree.query(points, k=n_neighbours + 1)
+    """Radius (epsilon-neighbourhood) graph with integer distance weights."""
     n = len(points)
-    u = np.repeat(np.arange(n), n_neighbours)
-    v = idx[:, 1:].ravel()
-    d = dist[:, 1:].ravel()
+    cu, cv = radius_pairs(points, radius)
+    d = np.sqrt(((points[cu] - points[cv]) ** 2).sum(axis=1))
     # Scale distances into the integer weight domain.
-    w = np.clip((d / d.max() * 60_000).astype(np.int64) + 1, 1, None)
-    cu = np.minimum(u, v)
-    cv = np.maximum(u, v)
-    code, first = np.unique(cu * n + cv, return_index=True)
-    cu, cv, w = cu[first], cv[first], w[first]
+    w = (d / radius * 60_000).astype(np.int64) + 1
     sym = Edges(np.concatenate([cu, cv]), np.concatenate([cv, cu]),
                 np.concatenate([w, w])).sort_lex()
     sym.id[:] = np.arange(len(sym))
@@ -50,7 +43,7 @@ def neighbourhood_graph(points: np.ndarray, n_neighbours: int = 12
 def single_linkage(msf: Edges, n: int, k: int) -> np.ndarray:
     """Cut the heaviest MSF edges until k components remain.
 
-    The mutual k-NN graph may already be disconnected, so only
+    The radius graph may already be disconnected, so only
     ``k - existing_components`` cuts are needed.
     """
     existing = n - len(msf)  # forest: #components = n - #edges
@@ -66,7 +59,7 @@ def main() -> None:
     k = 5
     points, truth = make_blobs(3_000, k, seed=3)
     graph, n = neighbourhood_graph(points)
-    print(f"{n} points, {len(graph) // 2} undirected k-NN edges")
+    print(f"{n} points, {len(graph) // 2} undirected radius-graph edges")
 
     machine = Machine(n_procs=16, threads=2)
     result = minimum_spanning_forest(graph, machine=machine,

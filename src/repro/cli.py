@@ -256,11 +256,20 @@ def main(argv: list[str] | None = None) -> int:
     _add_info(sub)
     _add_serve(sub)
     args = parser.parse_args(argv)
+    from .simmpi.machine import reject_retired_env
+
+    try:
+        # Checked once here, so a set retired knob is a usage error like the
+        # retired --engine flag rather than a traceback from Machine().
+        reject_retired_env()
+    except ValueError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     if getattr(args, "simsan", False):
         # Machines default their sanitize= argument from this variable, so
         # every machine the subcommand creates runs under the checker.
         os.environ["REPRO_SIMSAN"] = "1"
-    return {
+    handler = {
         "gen": _cmd_gen,
         "mst": _cmd_mst,
         "cc": _cmd_cc,
@@ -270,7 +279,34 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
         "info": _cmd_info,
         "serve": _cmd_serve,
-    }[args.command](args)
+    }[args.command]
+    try:
+        return handler(args)
+    except _GraphFileError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
+
+
+class _GraphFileError(Exception):
+    """A graph file the CLI cannot read (reported in one line, exit 1)."""
+
+
+def _load_graph(path: str):
+    """:func:`~repro.graphgen.load_npz`, failing with
+    :class:`_GraphFileError`."""
+    import zipfile
+
+    from .graphgen import load_npz
+
+    try:
+        return load_npz(path)
+    except OSError as exc:
+        raise _GraphFileError(
+            f"cannot read graph {path}: {exc.strerror or exc}") from None
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise _GraphFileError(
+            f"cannot read graph {path}: not a saved instance ({exc})"
+        ) from None
 
 
 def _cmd_gen(args) -> int:
@@ -290,10 +326,10 @@ def _cmd_mst(args) -> int:
     import time
 
     from .core import BoruvkaConfig, FilterConfig, minimum_spanning_forest
-    from .graphgen import load_npz, save_npz
+    from .graphgen import save_npz
     from .simmpi import Machine
 
-    g = load_npz(args.graph)
+    g = _load_graph(args.graph)
     machine = Machine(args.procs, threads=args.threads)
     b = BoruvkaConfig(alltoall=args.alltoall,
                       local_preprocessing=not args.no_preprocessing)
@@ -360,10 +396,9 @@ def _append_ledger(kind, name, **kwargs) -> None:
 
 def _cmd_cc(args) -> int:
     from .core import connected_components
-    from .graphgen import load_npz
     from .simmpi import Machine
 
-    g = load_npz(args.graph)
+    g = _load_graph(args.graph)
     machine = Machine(args.procs)
     res = connected_components(g.distribute(machine))
     print(f"{g.name}: {res.n_components} connected components "
@@ -401,7 +436,7 @@ def _cmd_profile(args) -> int:
     import time
 
     from .core import BoruvkaConfig, FilterConfig, minimum_spanning_forest
-    from .graphgen import gen_family, load_npz
+    from .graphgen import gen_family
     from .obs import (
         TruncatedTraceError,
         analyze,
@@ -415,7 +450,7 @@ def _cmd_profile(args) -> int:
     from .simmpi import Machine
 
     if args.graph:
-        g = load_npz(args.graph)
+        g = _load_graph(args.graph)
     else:
         g = gen_family(args.family, args.n, args.m, seed=args.seed)
     machine = Machine(args.procs, threads=args.threads, trace_events=True)
@@ -531,12 +566,12 @@ def _cmd_report(args) -> int:
 def _cmd_faults(args) -> int:
     from .core import BoruvkaConfig, FilterConfig, minimum_spanning_forest
     from .faults import FaultSchedule
-    from .graphgen import gen_family, load_npz
+    from .graphgen import gen_family
     from .simmpi import Machine
 
     schedule = FaultSchedule.parse(args.schedule)
     if args.graph:
-        g = load_npz(args.graph)
+        g = _load_graph(args.graph)
     else:
         g = gen_family(args.family, args.n, args.m, seed=args.seed)
 
@@ -575,9 +610,9 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from .graphgen import graph_statistics, load_npz
+    from .graphgen import graph_statistics
 
-    g = load_npz(args.graph)
+    g = _load_graph(args.graph)
     s = graph_statistics(g)
     print(f"name        : {g.name}")
     print(f"vertices    : {s.n_vertices}")
@@ -597,10 +632,9 @@ def _cmd_info(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .graphgen import load_npz
     from .serve import GraphSession, serve_stdio, serve_tcp
 
-    g = load_npz(args.graph)
+    g = _load_graph(args.graph)
     session = GraphSession(
         g.n_vertices, g.edges,
         n_procs=args.procs, threads=args.threads, seed=args.seed,

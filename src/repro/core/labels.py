@@ -180,8 +180,9 @@ def relabel(
             f"vertex lists are not one sorted list with one label per "
             f"vertex: ({vids[k]}, label {labels[k]}) is followed by "
             f"({vids[k + 1]}, label {labels[k + 1]})")
+    # One segment: every needle is in segment 0, a zero-stride view.
     found, idx = segmented_lookup(vids, voff[[0, -1]], ev,
-                                  np.zeros(len(ev), dtype=np.int64))
+                                  np.broadcast_to(np.int64(0), len(ev)))
     if not found.all():
         raise RuntimeError(
             f"ghost labels missing for vertices {ev[~found][:5]}")

@@ -4,7 +4,8 @@ real-world stand-ins (Table I) and instance persistence."""
 from .base import GeneratedGraph, finalize_pairs, WEIGHT_HIGH, WEIGHT_LOW
 from .grid import gen_grid2d, gen_grid2d_n
 from .gnm import gen_gnm
-from .rgg import gen_rgg, gen_rgg2d, gen_rgg3d, radius_for_avg_degree
+from .rgg import (gen_rgg, gen_rgg2d, gen_rgg3d, radius_for_avg_degree,
+                  radius_pairs)
 from .rhg import gen_rhg
 from .rmat import GRAPH500_PROBS, gen_rmat
 from .realworld import TABLE_I, InstanceSpec, gen_realworld
@@ -56,6 +57,7 @@ __all__ = [
     "gen_rgg2d",
     "gen_rgg3d",
     "radius_for_avg_degree",
+    "radius_pairs",
     "gen_rhg",
     "GRAPH500_PROBS",
     "gen_rmat",

@@ -390,8 +390,11 @@ def segmented_searchsorted(
             and n_segments * span < (1 << 62)  # packed keys fit int64
             and -(1 << 62) < lo and hi < (1 << 62)):
         hkey = _cells(segment_ids(hay_offsets), haystack, span, lo)
-        found = np.searchsorted(hkey, _cells(needle_seg, needles, span, lo),
-                                side=side)
+        cell = _cells(needle_seg, needles, span, lo)
+        found = np.searchsorted(hkey, cell, side=side)
+        # At most two needle-sized int64 arrays at once: the cells go before
+        # the segment starts are gathered, and the subtraction is in place.
+        del hkey, cell
         found -= hay_offsets[needle_seg]
         return found
     merged = np.concatenate([haystack, needles])

@@ -1,10 +1,14 @@
-"""Shared graph builders and the production-vs-oracle differential harness."""
+"""Shared graph builders, the production-vs-oracle differential harness and
+a fresh-interpreter runner."""
 
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
 import sys
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from repro.dgraph import DistGraph
 from repro.dgraph.edges import Edges
 from repro.kernels import dtypes
 from repro.obs.export import chrome_trace, metrics_to_dict
+import repro
 from repro.simmpi import Machine
+from repro.simmpi.machine import RETIRED_ENV
 
 from _loop_reference import ORACLES
 
@@ -208,3 +214,15 @@ def assert_engines_agree(graph, p, algo, cfg, threads=1):
     assert wide["dtypes"] == {np.dtype(np.int64)}
     if getattr(graph, "edges", graph).u.dtype == np.uint32:
         assert np.dtype(np.uint32) in prod["dtypes"]
+
+
+def run_python(args, cwd=None, **env):
+    """``python *args`` in a fresh interpreter that imports this ``repro``,
+    with no retired knob set plus ``env``; returns the completed process."""
+    full_env = {k: v for k, v in os.environ.items() if k not in RETIRED_ENV}
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [full_env.get("PYTHONPATH")] if p])
+    full_env.update(env)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=full_env,
+                          capture_output=True, text=True, timeout=120)

@@ -5,6 +5,9 @@ import pytest
 
 from repro.cli import main
 from repro.graphgen import load_npz
+from repro.simmpi.machine import RETIRED_ENV
+
+from helpers import run_python
 
 
 @pytest.fixture
@@ -102,6 +105,56 @@ class TestOthers:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --engine" in err
+
+
+class TestBoundaryErrors:
+    """Bad input at the command line is one ``repro <cmd>: ...`` line on
+    stderr and an exit code, never a traceback."""
+
+    @staticmethod
+    def _one_line(err, command):
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"repro {command}: ")
+        return lines[0]
+
+    def test_retired_knob_exits_2(self, instance, tmp_path):
+        proc = run_python(["-m", "repro", "mst", str(instance)],
+                          cwd=tmp_path, REPRO_POOL_MAX_MB="4")
+        assert proc.returncode == 2
+        line = self._one_line(proc.stderr, "mst")
+        assert "REPRO_POOL_MAX_MB is retired" in line
+        assert proc.stdout == ""
+
+    def test_missing_graph_exits_1(self, tmp_path):
+        proc = run_python(["-m", "repro", "mst", "missing.npz"],
+                          cwd=tmp_path)
+        assert proc.returncode == 1
+        line = self._one_line(proc.stderr, "mst")
+        assert "missing.npz" in line and "No such file" in line
+
+    @pytest.mark.parametrize("name", RETIRED_ENV)
+    @pytest.mark.parametrize("command", ["mst", "cc", "info", "serve"])
+    def test_every_retired_knob_in_process(self, instance, monkeypatch,
+                                           capsys, name, command):
+        monkeypatch.setenv(name, "1")
+        assert main([command, str(instance)]) == 2
+        self._one_line(capsys.readouterr().err, command)
+
+    @pytest.mark.parametrize("command", ["mst", "cc", "info", "profile",
+                                         "faults", "serve"])
+    @pytest.mark.parametrize("content", [None, b"not a graph", "other"])
+    def test_unreadable_graph_in_process(self, tmp_path, capsys, command,
+                                         content):
+        path = tmp_path / "g.npz"
+        if content == "other":  # an npz archive, but not a saved instance
+            np.savez(path, a=np.arange(3))
+        elif content is not None:
+            path.write_bytes(content)
+        assert main([command, str(path)]) == 1
+        line = self._one_line(capsys.readouterr().err, command)
+        assert f"cannot read graph {path}" in line
 
 
 class TestFaults:

@@ -1,6 +1,6 @@
 """Smoke tests: the example scripts must run end to end.
 
-Only the two fastest examples run here (the others exercise the same APIs
+Only the three fastest examples run here (the others exercise the same APIs
 with bigger workloads and are covered by running them directly); each is
 executed in-process via runpy with its own ``__main__`` guard honoured.
 """
@@ -28,4 +28,10 @@ def test_quickstart(capsys):
 def test_image_segmentation(capsys):
     out = _run("image_segmentation.py", capsys)
     assert "segments found: 4" in out
+    assert "OK" in out
+
+
+def test_single_linkage_clustering(capsys):
+    out = _run("single_linkage_clustering.py", capsys)
+    assert "clusters after cutting down to 5 components: 5" in out
     assert "OK" in out

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graphgen import (
     FAMILIES,
@@ -17,9 +19,12 @@ from repro.graphgen import (
     load_compressed,
     load_npz,
     radius_for_avg_degree,
+    radius_pairs,
     save_compressed,
     save_npz,
 )
+from repro.graphgen import rgg
+from repro.graphgen.base import finalize_pairs
 from repro.simmpi import Machine
 
 
@@ -146,6 +151,123 @@ class TestGeometric:
         # Columns may be stored unsigned; difference needs a signed dtype.
         dist = np.abs(g.edges.u.astype(np.int64) - g.edges.v.astype(np.int64))
         assert np.median(dist) < g.n_vertices / 8
+
+
+def _kdtree_pairs(points, radius):
+    """The oracle: cKDTree's pair set (scipy is a test-only dependency)."""
+    spatial = pytest.importorskip("scipy.spatial")
+    pairs = spatial.cKDTree(points).query_pairs(radius, output_type="ndarray")
+    return set(map(tuple, np.sort(pairs, axis=1).tolist()))
+
+
+def _grid_pairs(points, radius):
+    i, j = radius_pairs(points, radius)
+    assert i.dtype == j.dtype == np.int64
+    assert (i < j).all()
+    got = set(zip(i.tolist(), j.tolist()))
+    assert len(got) == len(i)  # each unordered pair once
+    return got
+
+
+def _points(layout, n, dim, radius, rng):
+    if layout == "aligned":  # coordinates k * r: distances exactly r, 2r ...
+        return rng.integers(0, 6, (n, dim)) * radius
+    if layout == "duplicates":  # repeated points, distance 0
+        spots = rng.random((max(n // 4, 1), dim))
+        return spots[rng.integers(0, len(spots), n)]
+    return rng.random((n, dim))
+
+
+class TestRadiusPairs:
+    """The numpy grid search returns exactly cKDTree's ``query_pairs``."""
+
+    @given(n=st.integers(0, 400), dim=st.sampled_from([2, 3]),
+           log_radius=st.floats(-7.0, 0.5), seed=st.integers(0, 2 ** 32 - 1),
+           layout=st.sampled_from(["uniform", "aligned", "duplicates"]))
+    def test_matches_kdtree(self, n, dim, log_radius, seed, layout):
+        radius = 10.0 ** log_radius  # 1e-7 .. 3.16 >= sqrt(3)
+        points = _points(layout, n, dim, radius, np.random.default_rng(seed))
+        assert _grid_pairs(points, radius) == _kdtree_pairs(points, radius)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("radius", [1e-7, 1e-4, 0.01, 0.1, 0.5, 1.0,
+                                        "sqrt_dim", 2.0])
+    def test_radius_range(self, dim, radius):
+        radius = float(np.sqrt(dim)) if radius == "sqrt_dim" else radius
+        n = 300
+        points = np.random.default_rng(dim).random((n, dim))
+        got = _grid_pairs(points, radius)
+        assert got == _kdtree_pairs(points, radius)
+        if radius >= np.sqrt(dim):
+            assert len(got) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("radius", [1e-7, 0.05, 0.125, 0.3])
+    def test_grid_aligned_and_duplicate_points(self, dim, radius):
+        rng = np.random.default_rng(7)
+        aligned = rng.integers(0, 8, (200, dim)) * radius
+        points = np.concatenate([aligned, aligned[:60], rng.random((50, dim))])
+        got = _grid_pairs(points, radius)
+        assert got == _kdtree_pairs(points, radius)
+        assert (0, 200) in got  # a point and its duplicate
+
+    def test_tiny_radius_in_3d_keeps_codes_in_int64(self):
+        # 1e7 cells per axis would overflow a 3-D int64 code; the cell side
+        # grows instead and the near-coincident pairs are still all found.
+        rng = np.random.default_rng(1)
+        spots = rng.random((500, 3))
+        points = np.concatenate([spots, spots + rng.uniform(-4e-8, 4e-8,
+                                                           spots.shape)])
+        got = _grid_pairs(points, 1e-7)
+        assert got == _kdtree_pairs(points, 1e-7)
+        assert len(got) >= 500
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fewer_than_two_points(self, n, dim):
+        points = np.random.default_rng(0).random((n, dim))
+        assert _grid_pairs(points, 0.5) == set()
+        assert _kdtree_pairs(points, 0.5) == set()
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # Chunks smaller than one point's candidates: one point per chunk.
+        points = np.random.default_rng(4).random((600, 2))
+        want = _kdtree_pairs(points, 0.08)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(rgg, "CHUNK_CANDIDATES", chunk)
+            assert _grid_pairs(points, 0.08) == want
+
+    def test_rejects_bad_input(self):
+        points = np.random.default_rng(0).random((10, 2))
+        for radius in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="radius"):
+                radius_pairs(points, radius)
+        for bad in (points[:, 0], np.zeros((10, 4))):
+            with pytest.raises(ValueError, match="dim"):
+                radius_pairs(bad, 0.1)
+        points[3, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            radius_pairs(points, 0.1)
+
+    @pytest.mark.parametrize("family", ["2D-RGG", "3D-RGG"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_benchmark_instances_byte_equal_to_kdtree_build(self, family,
+                                                            seed):
+        spatial = pytest.importorskip("scipy.spatial")
+        n, m = 1 << 14, 1 << 18
+        g = gen_family(family, n, m, seed=seed)
+        # The generator's steps with cKDTree as the neighbour search.
+        dim = int(family[0])
+        radius = radius_for_avg_degree(n, 2.0 * m / n, dim)
+        points = np.random.default_rng(seed).random((n, dim))
+        points = points[rgg._spatial_relabel(points, radius)]
+        pairs = spatial.cKDTree(points).query_pairs(radius,
+                                                    output_type="ndarray")
+        want = finalize_pairs(family, pairs[:, 0], pairs[:, 1], n, seed)
+        for col in ("u", "v", "w", "id"):
+            got_col, want_col = getattr(g.edges, col), getattr(want.edges, col)
+            assert got_col.dtype == want_col.dtype, col
+            assert got_col.tobytes() == want_col.tobytes(), col
 
 
 class TestRhg:

@@ -13,7 +13,12 @@ and the re-copies of REDISTRIBUTE used to cost, from inside the process:
 * ``UnionFind.union_edges`` converting its edges chunk by chunk: the
   forest at, just under and just over one chunk equals a single pass;
 * the retired ``REPRO_POOL_MAX_MB`` knob failing at ``Machine``
-  construction.
+  construction;
+* the packed arm of ``segmented_searchsorted`` holding at most two
+  needle-sized ``int64`` arrays, and RELABEL's one-segment lookup taking a
+  zero-stride needle-segment view instead of a row-sized zero array;
+* the chunked RGG radius search staying within its output plus one chunk
+  of scratch.
 
 Which packings of per-PE arrays share memory is pinned in
 ``tests/test_dtypes_pool.py``.
@@ -25,14 +30,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import Machine
+from repro import Machine, minimum_spanning_forest
+from repro.core import labels
 from repro.core.config import BoruvkaConfig
 from repro.core.local_preprocessing import block_destinations, destinations
 from repro.core.state import MSTRun
 from repro.dgraph import DistGraph
 from repro.dgraph.edges import Edges
-from repro.graphgen import gen_family
-from repro.kernels import dtypes, segment_ids
+from repro.graphgen import gen_family, radius_for_avg_degree, rgg
+from repro.kernels import dtypes, segment_ids, segmented_searchsorted
 from repro.seq import union_find
 from repro.seq.union_find import UnionFind
 
@@ -114,6 +120,59 @@ class TestRowIndex:
             np.testing.assert_array_equal(at[off[i]:off[i + 1]], want_at)
             np.testing.assert_array_equal(local[off[i]:off[i + 1]],
                                           want_local)
+
+
+class TestSearchPeaks:
+    def test_packed_searchsorted_holds_two_needle_arrays(self):
+        rng = np.random.default_rng(3)
+        p, q = 64, 1 << 18
+        hay = [np.unique(rng.integers(0, 1 << 14, 300)) for _ in range(p)]
+        offsets = np.cumsum([0] + [len(h) for h in hay])
+        haystack = np.concatenate(hay).astype(np.uint32)
+        needles = rng.integers(0, 1 << 14, q).astype(np.uint32)
+        seg = np.sort(rng.integers(0, p, q)).astype(np.uint8)
+        found, peak = _traced_peak(lambda: segmented_searchsorted(
+            haystack, offsets, needles, seg))
+        want = np.concatenate([np.searchsorted(hay[k], needles[seg == k])
+                               for k in range(p)])
+        np.testing.assert_array_equal(found, want)
+        # The needle cells and the result; the segment starts are gathered
+        # once the cells are gone.  Plus the haystack keys and some slack.
+        assert peak <= 2 * 8 * q + 2 * 8 * len(haystack) + (64 << 10), (
+            f"peaked at {peak / (8 * q):.2f} needle-sized int64 arrays")
+
+    def test_relabel_needle_segments_are_a_zero_stride_view(self,
+                                                            monkeypatch):
+        seen = []
+        lookup = labels.segmented_lookup
+
+        def spy(haystack, hay_offsets, needles, needle_seg):
+            seen.append((len(hay_offsets), needle_seg.strides,
+                         len(needle_seg) == len(needles)))
+            return lookup(haystack, hay_offsets, needles, needle_seg)
+
+        monkeypatch.setattr(labels, "segmented_lookup", spy)
+        g = gen_family("GNM", 1 << 10, 1 << 12, seed=4)
+        res = minimum_spanning_forest(
+            g.distribute(Machine(4)), algorithm="boruvka",
+            config=BoruvkaConfig(base_case_min=16, local_preprocessing=False))
+        assert res.rounds >= 1 and seen
+        assert all(s == (2, (0,), True) for s in seen)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_radius_search_peak_is_output_plus_one_chunk(self, dim):
+        n = 1 << 14
+        points = np.random.default_rng(3).random((n, dim))
+        radius = radius_for_avg_degree(n, 32, dim)
+        (i, j), peak = _traced_peak(lambda: rgg.radius_pairs(points, radius))
+        out = i.nbytes + j.nbytes
+        # Kept pairs wait as int32 and are concatenated into the int64
+        # result; one chunk of 2^16 candidates at about 48 bytes each (the
+        # whole search here tests 12-26x that many); per-point and per-cell
+        # arrays are a few int64 per point.
+        bound = 1.5 * out + 64 * (1 << 16) + 64 * n
+        assert peak <= bound, (f"radius_pairs peaked at {peak >> 20} MB, "
+                               f"bound {int(bound) >> 20} MB")
 
 
 class TestUnionEdgesChunks:

@@ -9,7 +9,7 @@ from repro.dgraph import DistGraph, Edges
 from repro.seq import kruskal_msf, verify_msf
 from repro.simmpi import Machine
 
-from helpers import random_simple_graph
+from helpers import random_simple_graph, run_python
 
 
 class TestRegistry:
@@ -62,3 +62,42 @@ class TestEntryPoint:
 @pytest.fixture
 def rng():
     return np.random.default_rng(113)
+
+
+class TestImportFootprint:
+    """The package runs on numpy alone: scipy is a test-only oracle.
+
+    Each check runs in a fresh interpreter, because this test process has
+    usually imported scipy already.
+    """
+
+    MODULES = ("import repro, repro.graphgen, repro.analysis, repro.serve, "
+               "repro.cli\n")
+
+    @staticmethod
+    def _run(code: str) -> str:
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_builds_and_solves_with_scipy_blocked(self):
+        out = self._run(
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now fails\n"
+            + self.MODULES +
+            "from repro import Machine, minimum_spanning_forest\n"
+            "from repro.graphgen import gen_rgg2d, gen_rgg3d\n"
+            "from repro.seq import msf_weight\n"
+            "g2 = gen_rgg2d(600, avg_degree=8, seed=1)\n"
+            "g3 = gen_rgg3d(600, avg_degree=8, seed=1)\n"
+            "assert g2.n_undirected_edges > 0 and g3.n_undirected_edges > 0\n"
+            "res = minimum_spanning_forest(g3.distribute(Machine(4)))\n"
+            "assert res.total_weight == msf_weight(g3.edges, g3.n_vertices)\n"
+            "print('solved')\n")
+        assert out.strip() == "solved"
+
+    def test_importing_the_package_loads_no_scipy(self):
+        out = self._run(
+            "import sys\n" + self.MODULES +
+            "print('scipy' in sys.modules)\n")
+        assert out.strip() == "False"
