@@ -288,7 +288,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 class _GraphFileError(Exception):
-    """A graph file the CLI cannot read (reported in one line, exit 1)."""
+    """A graph file the CLI cannot read or write (reported in one line,
+    exit 1)."""
 
 
 def _load_graph(path: str):
@@ -309,14 +310,26 @@ def _load_graph(path: str):
         ) from None
 
 
+def _save_graph(graph, path: str) -> None:
+    """:func:`~repro.graphgen.save_npz`, failing with
+    :class:`_GraphFileError`."""
+    from .graphgen import save_npz
+
+    try:
+        save_npz(graph, path)
+    except OSError as exc:
+        raise _GraphFileError(
+            f"cannot write graph {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_gen(args) -> int:
-    from .graphgen import gen_family, gen_realworld, save_npz
+    from .graphgen import gen_family, gen_realworld
 
     if args.family:
         g = gen_family(args.family, args.n, args.m, seed=args.seed)
     else:
         g = gen_realworld(args.instance, n=args.n, seed=args.seed)
-    save_npz(g, args.output)
+    _save_graph(g, args.output)
     print(f"wrote {args.output}: {g.name} n={g.n_vertices} "
           f"m={g.n_undirected_edges}")
     return 0
@@ -326,7 +339,6 @@ def _cmd_mst(args) -> int:
     import time
 
     from .core import BoruvkaConfig, FilterConfig, minimum_spanning_forest
-    from .graphgen import save_npz
     from .simmpi import Machine
 
     g = _load_graph(args.graph)
@@ -370,7 +382,7 @@ def _cmd_mst(args) -> int:
                              n_vertices=g.n_vertices,
                              edges=result.msf_edges(),
                              params={"algorithm": result.algorithm})
-        save_npz(out, args.output)
+        _save_graph(out, args.output)
         print(f"MSF saved       : {args.output}")
     _append_ledger("cli", f"mst-{result.algorithm}", machine=machine,
                    config={"instance": g.name, "algorithm": result.algorithm,
@@ -569,7 +581,11 @@ def _cmd_faults(args) -> int:
     from .graphgen import gen_family
     from .simmpi import Machine
 
-    schedule = FaultSchedule.parse(args.schedule)
+    try:
+        schedule = FaultSchedule.parse(args.schedule)
+    except ValueError as exc:
+        print(f"repro faults: {exc}", file=sys.stderr)
+        return 2
     if args.graph:
         g = _load_graph(args.graph)
     else:

@@ -28,17 +28,18 @@ algorithmically relevant properties, all reproduced here:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import lightest_per_group, tie_key
-from ..kernels import RaggedArrays
+from ..kernels import RaggedArrays, index_dtype, segment_ids
 from ..simmpi.alltoall import ask, route_rows
 from ..simmpi.collectives import Comm
-from ..utils.partition import owner_of
-from ..core.boruvka import InputSnapshot, MSTResult, redistribute_mst
+from ..utils.partition import block_bounds, owner_of
+from ..core.boruvka import (InputSnapshot, MSTResult, mst_output,
+                            redistribute_mst)
 from ..core.config import BoruvkaConfig
 from ..core.rounds import RoundBody, RoundScheduler, RoundStats
 from ..core.state import MSTRun
@@ -65,11 +66,13 @@ class AwerbuchShiloachRoundBody(RoundBody):
     scheduler's canonical convention; the pre-scheduler driver ``break``-ed
     before counting it, undercounting versus the Borůvka drivers).
 
-    Fail-stop recovery snapshots the block-distributed parent vector
-    ``f`` through :class:`~repro.faults.recovery.ArrayCheckpoint` -- the
-    edge blocks are immutable for the whole run, so the parent blocks
-    (plus the scheduler-managed MST records and RNG streams) are the
-    entire replayable state.
+    Every stage is one pass over the whole edge block (``graph.edges`` with
+    its ``p + 1`` offsets) or the whole parent vector ``f`` (block-distributed
+    by :func:`~repro.utils.partition.block_bounds`), charged with one
+    per-PE vector.  Fail-stop recovery snapshots ``f``'s blocks through
+    :class:`~repro.faults.recovery.ArrayCheckpoint` -- the edge block is
+    immutable for the whole run, so ``f`` (plus the scheduler-managed MST
+    records and RNG streams) is the entire replayable state.
     """
 
     label = "awerbuch_shiloach"
@@ -84,29 +87,27 @@ class AwerbuchShiloachRoundBody(RoundBody):
         self.cfg = run.cfg
         self.n = n
         self.p = p
-        self.f_blocks = _identity_blocks(n, p)
+        # Parent-pointer values are vertex labels < n; the policy dtype keeps
+        # f (and everything ``_resolve`` derives from it) narrow.
+        self.f = np.arange(n, dtype=index_dtype(n - 1))
+        self.bounds = block_bounds(n, p)
+        self.f_pes = segment_ids(self.bounds)
 
         # 2D-grid model constants for the per-iteration algebra collectives.
         self.grid_c = max(1, int(math.isqrt(p)))
         self.row_vec_bytes = 8.0 * n / self.grid_c
 
-        # Edge blocks stay fixed for the whole run (no contraction!) and
-        # are never written, so plain views of the partition suffice --
-        # copying them would double the resident edge footprint for the
-        # entire run.
-        self.eu = [part.u for part in graph.parts]
-        self.ev = [part.v for part in graph.parts]
-        self.ew = [part.w for part in graph.parts]
-        self.eid = [part.id for part in graph.parts]
+        # The edge block stays fixed for the whole run (no contraction!) and
+        # is never written, so the graph's own block suffices -- copying it
+        # would double the resident edge footprint for the entire run.
+        self.edges = graph.edges
+        self.edge_pes = graph.row_pes()
+        self.sizes = np.diff(graph.offsets)
 
         # Candidate-row dtype for the hook exchange: every column
-        # (component labels < n, weights, edge ids) must fit, and every PE
-        # must agree so the routed blocks concatenate without promotion.
-        self.cand_dt = np.result_type(
-            self.f_blocks[0].dtype,
-            *([a.dtype for a in self.ew + self.eid if len(a)]
-              or [np.int64]))
-        self.total_edges = sum(len(x) for x in self.eu)
+        # (component labels < n, weights, edge ids) must fit.
+        self.cand_dt = np.result_type(self.f.dtype, self.edges.w.dtype,
+                                      self.edges.id.dtype)
 
     def prologue(self, round_no: int) -> RoundStats:
         """Never terminates pre-round; stats come from host-known sizes."""
@@ -114,131 +115,112 @@ class AwerbuchShiloachRoundBody(RoundBody):
         # host-side, so the pre-round check costs no collectives and the
         # loop never terminates here -- convergence is the in-round
         # zero-alive-edges allreduce.
-        return RoundStats(self.n, self.total_edges)
+        return RoundStats(self.n, len(self.edges))
 
     def round(self, round_no: int) -> bool:
         """One hook-and-shortcut iteration; True when no edge is alive."""
         machine, comm, run, cfg = self.machine, self.comm, self.run, self.cfg
-        n, p = self.n, self.p
-        f_blocks = self.f_blocks
-        eu, ev, ew, eid = self.eu, self.ev, self.ew, self.eid
+        n, p, f, e = self.n, self.p, self.f, self.edges
         # Resident footprint: the edge block plus the intermediate tensor
         # buffers of the algebra formulation, plus the per-row/column vertex
         # vectors of the 2D distribution.
-        machine.check_memory(np.array(
-            [len(eu[i]) * 32.0 * 3 + self.row_vec_bytes * 4
-             for i in range(p)]))
+        machine.check_memory(self.sizes * 32.0 * 3 + self.row_vec_bytes * 4)
         # ---- Matrix-formulation overhead: row/column vector collectives
         # and the extra sparse-kernel passes over the full edge block. ----
         machine.charge(np.full(
             p, 2 * machine.cost.collective_tree(self.grid_c,
                                                 self.row_vec_bytes)))
-        machine.charge(np.array(
-            [len(eu[i]) * SPARSE_KERNEL_SECONDS_PER_EDGE for i in range(p)],
-            dtype=np.float64) / machine.cost.effective_threads(
-                machine.threads))
+        machine.charge(self.sizes * SPARSE_KERNEL_SECONDS_PER_EDGE
+                       / machine.cost.effective_threads(machine.threads))
 
         # ---- Resolve current components of all endpoints (full edge set). -
         with machine.phase("as_resolve"):
-            reps_u = _resolve(comm, f_blocks, n, eu, cfg.alltoall)
-            reps_v = _resolve(comm, f_blocks, n, ev, cfg.alltoall)
+            reps_u = _resolve(comm, f, n, e.u, self.edge_pes, cfg.alltoall)
+            reps_v = _resolve(comm, f, n, e.v, self.edge_pes, cfg.alltoall)
 
-        # ---- Per-root candidate minima from every edge block. ----
+        # ---- Per-root candidate minima from the whole edge block. ----
         with machine.phase("as_hook"):
-            cand_rows, cand_dests = [], []
-            alive_total = 0
-            for i in range(p):
-                a, b = reps_u[i], reps_v[i]
-                alive = a != b
-                alive_total += int(alive.sum())
-                machine.charge_scan(np.array([len(a)]), ranks=np.array([i]))
-                if not alive.any():
-                    cand_rows.append(np.empty((0, 6), dtype=self.cand_dt))
-                    cand_dests.append(np.empty(0, dtype=np.int64))
-                    continue
-                aa, bb = a[alive], b[alive]
-                w = ew[i][alive]
-                ids = eid[i][alive]
-                grp = np.concatenate([aa, bb])
-                oth = np.concatenate([bb, aa])
-                w2 = np.concatenate([w, w])
-                id2 = np.concatenate([ids, ids])
-                groups, pick = lightest_per_group(grp, grp, oth, w2, n)
-                rows = np.empty((len(groups), 6), dtype=self.cand_dt)
-                rows[:, 0] = groups
-                rows[:, 1], rows[:, 2], rows[:, 3] = tie_key(
-                    groups, oth[pick], w2[pick])
-                rows[:, 4] = id2[pick]
-                rows[:, 5] = oth[pick]
-                cand_rows.append(rows)
-                cand_dests.append(owner_of(groups, n, p))
-                del aa, bb, w, ids, grp, oth, w2, id2, rows
-            alive_total = comm.allreduce(
-                [int(x) for x in _per_pe(alive_total, p)])
-            if alive_total == 0:
+            machine.charge_scan(self.sizes)
+            alive = np.flatnonzero(reps_u != reps_v)
+            if comm.allreduce(np.bincount(self.edge_pes[alive],
+                                          minlength=p).tolist()) == 0:
                 return True  # converged: the detection round still counts
+            cand_rows, cand_dests = self._candidates(reps_u, reps_v, alive)
             recv, _, _ = route_rows(comm, cand_rows, cand_dests,
                                     method=cfg.alltoall)
             del cand_rows, cand_dests
 
             # ---- Owners pick the global minimum per root and hook. ----
-            hook_from, hook_to, hook_id, hook_w = [], [], [], []
-            for i in range(p):
-                rows = recv[i]
-                if len(rows) == 0:
-                    continue
-                groups, pick = lightest_per_group(rows[:, 0], rows[:, 0],
-                                                  rows[:, 5], rows[:, 1], n)
-                best = rows[pick]
-                hook_from.append(groups)
-                hook_to.append(best[:, 5])
-                hook_id.append(best[:, 4])
-                hook_w.append(best[:, 1])
-                machine.charge_scan(np.array([len(rows)]),
-                                    ranks=np.array([i]))
-            comp = np.concatenate(hook_from) if hook_from else \
-                np.empty(0, dtype=np.int64)
-            parent = np.concatenate(hook_to) if hook_to else \
-                np.empty(0, dtype=np.int64)
-            ids_all = np.concatenate(hook_id) if hook_id else \
-                np.empty(0, dtype=np.int64)
-            ws_all = np.concatenate(hook_w) if hook_w else \
-                np.empty(0, dtype=np.int64)
+            # Every candidate of a root lands on the root's owner, so one
+            # group-min over the received rows, PE after PE, is every
+            # owner's own.
+            got = RaggedArrays.from_arrays(recv)
+            rows = got.flat
+            comp, pick = lightest_per_group(rows[:, 0], rows[:, 0],
+                                            rows[:, 5], rows[:, 1], n)
+            machine.charge_scan(got.lengths)
+            best = rows[pick]
+            del recv, got, rows
             # Conditional hooking: identical 2-cycle tie-break as AS stars.
-            order = np.argsort(comp)
-            comp, parent = comp[order], parent[order]
-            ids_all, ws_all = ids_all[order], ws_all[order]
+            parent = best[:, 5]
             roots = pseudo_tree_roots(comp, parent)
             # Apply hooks at the owners; record the MST edges once (the
             # hooking owner records).
-            for i in range(p):
-                lo, hi = np.searchsorted(comp, [_lo(n, p, i), _hi(n, p, i)])
-                sel = slice(lo, hi)
-                c = comp[sel]
-                pr = np.where(roots[sel], c, parent[sel])
-                f_blocks[i][c - _lo(n, p, i)] = pr
-                keep = ~roots[sel]
-                run.record_mst(i, ids_all[sel][keep], ws_all[sel][keep])
+            f[comp] = np.where(roots, comp, parent)
+            keep = ~roots
+            run.record_mst_parts(best[keep, 4], best[keep, 1],
+                                 np.searchsorted(comp[keep], self.bounds))
 
         # ---- Shortcut: pointer jumping until the forest is a star set. ----
         with machine.phase("as_shortcut"):
-            _shortcut(comm, f_blocks, n, cfg.alltoall, machine)
+            _shortcut(comm, f, self.f_pes, n, cfg.alltoall, self.bounds)
         return False
+
+    def _candidates(self, reps_u: np.ndarray, reps_v: np.ndarray,
+                    alive: np.ndarray):
+        """Every PE's lightest alive edge per incident component, as
+        ``(comp, w, min, max, id, other)`` rows per PE with their owners."""
+        n, p, e = self.n, self.p, self.edges
+        # Each PE's rows laid out as its [u-side; v-side] concatenation:
+        # exactly-parallel duplicates go to the lowest position there, which
+        # decides the directed id recorded.
+        pe = np.concatenate([self.edge_pes[alive]] * 2)
+        side = np.argsort(pe, kind="stable")
+        pe = pe[side]
+        a, b = reps_u[alive], reps_v[alive]
+        grp = np.concatenate([a, b])[side]
+        oth = np.concatenate([b, a])[side]
+        del a, b
+        w = np.tile(e.w[alive], 2)[side]
+        ids = np.tile(e.id[alive], 2)[side]
+        _, pick = lightest_per_group(pe.astype(np.int64) * n + grp,
+                                     grp, oth, w, p * n)
+        groups = grp[pick]
+        rows = np.empty((len(pick), 6), dtype=self.cand_dt)
+        rows[:, 0] = groups
+        rows[:, 1], rows[:, 2], rows[:, 3] = tie_key(groups, oth[pick],
+                                                     w[pick])
+        rows[:, 4] = ids[pick]
+        rows[:, 5] = oth[pick]
+        cut = np.cumsum(np.bincount(pe[pick], minlength=p))[:-1]
+        return (np.split(rows, cut),
+                np.split(owner_of(groups, n, p), cut))
 
     # -- CheckpointableState ------------------------------------------
     def checkpoint_state(self) -> "AwerbuchShiloachRoundBody":
-        """The parent-pointer blocks are always replayable."""
+        """The parent vector is always replayable."""
         return self
 
     def take(self, run: MSTRun):
-        """Buddy-replicate the parent-pointer blocks (ArrayCheckpoint)."""
+        """Buddy-replicate every PE's block of f (ArrayCheckpoint)."""
         from ..faults.recovery import ArrayCheckpoint
 
         def reinstate(blocks):
-            self.f_blocks = [blk[0] for blk in blocks]
+            self.f = np.concatenate([blk[0] for blk in blocks])
 
-        return ArrayCheckpoint.take(run, [[blk] for blk in self.f_blocks],
-                                    reinstate)
+        return ArrayCheckpoint.take(
+            run, [[blk] for blk in np.split(self.f, self.bounds[1:-1])],
+            reinstate)
 
 
 def awerbuch_shiloach_msf(
@@ -253,101 +235,38 @@ def awerbuch_shiloach_msf(
     snapshot = InputSnapshot.take(graph)
 
     # Vertex-label space; the parent vector f is block-distributed.
+    # A part is sorted by source, so its last row holds its largest label.
     max_label = comm.allreduce(
-        [int(part.u.max()) if len(part) else -1 for part in graph.parts],
-        op="max")
+        np.where(graph.has_edges, graph.last_src, -1).tolist(), op="max")
     n = max_label + 1
     if n == 0:
-        return _empty_result(machine, run, snapshot)
+        return MSTResult(redistribute_mst(run, snapshot), 0,
+                         machine.elapsed(), dict(machine.phase_times), 0,
+                         "sparseMatrix")
 
     body = AwerbuchShiloachRoundBody(graph, run, n)
     RoundScheduler(run, cfg.max_rounds).run_rounds(body)
-
-    with machine.phase("mst_output"):
-        msf_parts = redistribute_mst(run, snapshot)
-    weights = [int(part.w.sum()) for part in msf_parts]
-    total = int(comm.allreduce(weights))
-    return MSTResult(
-        msf_parts=msf_parts,
-        total_weight=total,
-        elapsed=machine.elapsed(),
-        phase_times=dict(machine.phase_times),
-        rounds=run.rounds,
-        algorithm="sparseMatrix",
-        stats={"bytes_communicated": machine.bytes_communicated,
-               "n_collectives": machine.n_collectives},
-    )
+    return mst_output(run, snapshot, "sparseMatrix", run.rounds)
 
 
-def _identity_blocks(n: int, p: int) -> List[np.ndarray]:
-    from ..kernels.dtypes import index_dtype
-    from ..utils.partition import block_bounds
-
-    # Parent-pointer values are vertex labels < n; the policy dtype keeps
-    # the blocks (and everything ``_resolve`` derives from them) narrow.
-    b = block_bounds(n, p)
-    dt = index_dtype(n - 1)
-    return [np.arange(b[i], b[i + 1], dtype=dt) for i in range(p)]
+def _resolve(comm: Comm, f: np.ndarray, n: int, labels: np.ndarray,
+             seg: np.ndarray, method: str) -> np.ndarray:
+    """``f[labels]``, PE ``seg[k]`` asking for ``labels[k]``: one
+    deduplicated :func:`~repro.simmpi.alltoall.ask` round over the
+    block-distributed parent vector."""
+    return ask(comm, method, labels, seg,
+               lambda x: owner_of(x, n, comm.size), lambda x, _owner: f[x])
 
 
-def _lo(n: int, p: int, i: int) -> int:
-    from ..utils.partition import block_bounds
-
-    return int(block_bounds(n, p)[i])
-
-
-def _hi(n: int, p: int, i: int) -> int:
-    from ..utils.partition import block_bounds
-
-    return int(block_bounds(n, p)[i + 1])
-
-
-def _per_pe(total: int, p: int) -> List[int]:
-    out = [0] * p
-    out[0] = total
-    return out
-
-
-def _resolve(comm: Comm, f_blocks: List[np.ndarray], n: int,
-             labels_per_pe: List[np.ndarray], method: str
-             ) -> List[np.ndarray]:
-    """Look up f[x] for arbitrary per-PE label arrays (deduplicated): one
-    :func:`~repro.simmpi.alltoall.ask` round over the parent vector."""
-    p = comm.size
-    # Labels are vertex ids < n; keep the callers' (possibly narrowed)
-    # storage dtype through the whole query/reply round trip instead of
-    # forcing int64.
-    q_dt = np.result_type(
-        *([x.dtype for x in labels_per_pe if len(x)] or [np.int64]))
-    r = RaggedArrays.from_arrays(labels_per_pe, dtype=q_dt)
-    f = np.concatenate(f_blocks)
-    out = ask(comm, method, r.flat, r.segment_ids(),
-              lambda x: owner_of(x, n, p), lambda x, _owner: f[x])
-    return [out[r.offsets[i]:r.offsets[i + 1]] for i in range(p)]
-
-
-def _shortcut(comm: Comm, f_blocks: List[np.ndarray], n: int, method: str,
-              machine) -> None:
-    """f <- f[f] until fixpoint (distributed pointer jumping)."""
-    p = comm.size
+def _shortcut(comm: Comm, f: np.ndarray, f_pes: np.ndarray, n: int,
+              method: str, bounds: np.ndarray) -> None:
+    """f <- f[f] until fixpoint (distributed pointer jumping), in place."""
     for _ in range(64):
-        targets = [blk.copy() for blk in f_blocks]
-        resolved = _resolve(comm, f_blocks, n, targets, method)
-        changed = 0
-        for i in range(p):
-            delta = resolved[i] != f_blocks[i]
-            changed += int(delta.sum())
-            f_blocks[i][:] = resolved[i]
-            machine.charge_scan(np.array([len(resolved[i])]),
-                                ranks=np.array([i]))
-        if comm.allreduce(_per_pe(changed, p)) == 0:
+        resolved = _resolve(comm, f, n, f, f_pes, method)
+        changed = np.bincount(f_pes[resolved != f], minlength=comm.size)
+        f[:] = resolved
+        comm.machine.charge_scan(np.diff(bounds))
+        if comm.allreduce(changed.tolist()) == 0:
             return
     raise RuntimeError("shortcut failed to converge")
 
-
-def _empty_result(machine, run, snapshot) -> MSTResult:
-    msf_parts = redistribute_mst(run, snapshot)
-    return MSTResult(msf_parts=msf_parts, total_weight=0,
-                     elapsed=machine.elapsed(),
-                     phase_times=dict(machine.phase_times),
-                     rounds=0, algorithm="sparseMatrix")

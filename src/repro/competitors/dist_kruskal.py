@@ -31,10 +31,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..dgraph.dist_graph import DistGraph
-from ..dgraph.edges import Edges
+from ..dgraph.dist_graph import DistGraph, split_edges
+from ..dgraph.edges import Edges, tie_key
+from ..kernels import segmented_lexsort, segmented_unique
 from ..simmpi.alltoall import route_rows
-from ..core.boruvka import InputSnapshot, MSTResult, redistribute_mst
+from ..core.boruvka import InputSnapshot, MSTResult, mst_output
 from ..core.config import BoruvkaConfig
 from ..core.rounds import UnsupportedFaultSchedule
 from ..core.state import MSTRun
@@ -65,26 +66,19 @@ def dist_kruskal(
     snapshot = InputSnapshot.take(graph)
 
     # Replicated vertex set: dense remap of all labels (one allgather).
-    local_vids = [np.unique(np.concatenate([part.u, part.v]))
-                  if len(part) else np.empty(0, dtype=np.int64)
-                  for part in graph.parts]
-    vlabels = np.unique(comm.allgatherv(local_vids))
+    vlabels, touched = replicated_vertices(graph, comm)
     n = len(vlabels)
     if n == 0:
-        return _result(machine, run, snapshot, comm, level=0)
+        return mst_output(run, snapshot, "dist-kruskal", 0)
+    sizes = np.diff(graph.offsets)
     # Ω(n) replicated state per PE -- the memory wall of this approach.
-    machine.check_memory(np.full(
-        p, n * 8.0 * 2 + np.array([len(q) for q in graph.parts]) * 32.0))
+    machine.check_memory(n * 8.0 * 2 + sizes * 32.0)
 
     # ---- Level 0: local Kruskal on every PE's block. ----
-    forests: List[Edges] = []
     with machine.phase("dk_local"):
-        for i in range(p):
-            part = graph.parts[i]
-            forests.append(_local_kruskal(part, vlabels, n))
-            machine.charge_sort(np.array([max(len(part), 1)]),
-                                ranks=np.array([i]))
-            machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
+        forests = _local_forests(graph, vlabels, touched)
+        machine.charge_sort(np.maximum(sizes, 1))
+        machine.charge_scan(sizes)
 
     # ---- Binomial merge tree. ----
     active = list(range(p))
@@ -95,75 +89,77 @@ def dist_kruskal(
             raise RuntimeError("merge tree failed to terminate")
         receivers = active[0::2]
         senders = active[1::2]
-        rows, dests = [], []
-        for i in range(p):
-            if i in senders:
-                recv_pe = receivers[senders.index(i)]
-                rows.append(forests[i].as_matrix())
-                dests.append(np.full(len(forests[i]), recv_pe,
-                                     dtype=np.int64))
-                forests[i] = Edges.empty()
-            else:
-                rows.append(np.empty((0, Edges.N_COLS), dtype=np.int64))
-                dests.append(np.empty(0, dtype=np.int64))
+        rows = [np.empty((0, Edges.N_COLS), dtype=np.int64)] * p
+        dests = [np.empty(0, dtype=np.int64)] * p
+        for s, r in zip(senders, receivers):
+            rows[s] = forests[s].as_matrix()
+            dests[s] = np.full(len(forests[s]), r, dtype=np.int64)
+            forests[s] = Edges.empty()
         recv, _, _ = route_rows(comm, rows, dests, method=cfg.alltoall)
         with machine.phase("dk_merge"):
+            merged_rows = np.zeros(p, dtype=np.int64)
             for r in receivers:
-                if len(recv[r]) == 0:
-                    continue
-                merged = Edges.concat([forests[r],
-                                       Edges.from_matrix(recv[r])])
-                forests[r] = _local_kruskal(merged, vlabels, n,
-                                            already_dense=True)
-                machine.charge_sort(np.array([max(len(merged), 1)]),
-                                    ranks=np.array([r]))
-                machine.check_memory(_mem_vector(p, r, n, len(merged)))
+                if len(recv[r]):
+                    merged = Edges.concat([forests[r],
+                                           Edges.from_matrix(recv[r])])
+                    forests[r] = _local_kruskal(merged, n)
+                    merged_rows[r] = len(merged)
+            machine.charge_sort(merged_rows)
+            machine.check_memory(np.where(merged_rows > 0,
+                                          n * 16.0 + merged_rows * 32.0, 0))
         active = receivers
 
-    root = active[0]
-    final = forests[root]
-    run.record_mst(root, final.id, final.w)
-    return _result(machine, run, snapshot, comm, level)
+    final = forests[active[0]]
+    run.record_mst(active[0], final.id, final.w)
+    return mst_output(run, snapshot, "dist-kruskal", level)
 
 
-def _mem_vector(p: int, pe: int, n: int, edges: int) -> np.ndarray:
-    out = np.zeros(p)
-    out[pe] = n * 16.0 + edges * 32.0
-    return out
+def replicated_vertices(graph: DistGraph, comm):
+    """The replicated sorted vertex set, and the per-PE labels it was
+    gathered from.
 
-
-def _local_kruskal(part: Edges, vlabels: np.ndarray, n: int,
-                   already_dense: bool = False) -> Edges:
-    """Kruskal over the replicated dense vertex set; returns surviving edges.
-
-    The returned forest keeps *dense* endpoints so merge levels can union
-    directly; original ids/weights ride along for the final output.
+    Each PE's distinct endpoint labels are one
+    :func:`~repro.kernels.segmented_unique` of the block's ``[u; v]`` keyed
+    by PE, returned as ``(labels, label offsets, inverse)``; one allgatherv
+    of them replicates the set.
     """
-    if len(part) == 0:
-        return Edges.empty()
-    if already_dense:
-        du, dv = part.u, part.v
-    else:
-        du = np.searchsorted(vlabels, part.u)
-        dv = np.searchsorted(vlabels, part.v)
-    dense = Edges(du, dv, part.w, part.id)
+    e, pes = graph.edges, graph.row_pes()
+    touched = segmented_unique(np.concatenate([e.u, e.v]),
+                               np.concatenate([pes, pes]), comm.size)
+    labels, offsets, _ = touched
+    return (np.unique(comm.allgatherv(np.split(labels, offsets[1:-1]))),
+            touched)
+
+
+def _local_forests(graph: DistGraph, vlabels: np.ndarray,
+                   touched) -> List[Edges]:
+    """Level 0: every PE's Kruskal over its own block, in one pass.
+
+    One union-find runs over (PE, vertex) keys, dense-ranked over the
+    vertices each PE touches, so no two PEs' forests meet; the edges go
+    through it in weight order within each PE.  Returns every PE's
+    surviving edges with dense endpoints (ranks in ``vlabels``), as views
+    of one block.
+    """
+    e, pes = graph.edges, graph.row_pes()
+    labels, offsets, inverse = touched
+    key = offsets[np.concatenate([pes, pes])] + inverse
+    du = np.searchsorted(vlabels, e.u)
+    dv = np.searchsorted(vlabels, e.v)
+    order = segmented_lexsort(tie_key(du, dv, e.w)[::-1], pes)
+    m = len(e)
+    rows = order[UnionFind(len(labels)).union_edges(key[:m][order],
+                                                    key[m:][order])]
+    forest_offsets = np.zeros(len(graph.offsets), dtype=np.int64)
+    np.cumsum(np.bincount(pes[rows], minlength=len(forest_offsets) - 1),
+              out=forest_offsets[1:])
+    return split_edges(Edges(du[rows], dv[rows], e.w[rows], e.id[rows]),
+                       forest_offsets)
+
+
+def _local_kruskal(dense: Edges, n: int) -> Edges:
+    """Kruskal over the replicated dense vertex set; returns the surviving
+    edges (endpoints stay dense, original ids and weights ride along)."""
     order = dense.weight_order()
-    keep = UnionFind(n).union_edges(du[order], dv[order])
+    keep = UnionFind(n).union_edges(dense.u[order], dense.v[order])
     return dense.take(order[keep])
-
-
-def _result(machine, run, snapshot, comm, level) -> MSTResult:
-    with machine.phase("mst_output"):
-        msf_parts = redistribute_mst(run, snapshot)
-    weights = [int(part.w.sum()) for part in msf_parts]
-    total = int(comm.allreduce(weights))
-    return MSTResult(
-        msf_parts=msf_parts,
-        total_weight=total,
-        elapsed=machine.elapsed(),
-        phase_times=dict(machine.phase_times),
-        rounds=level,
-        algorithm="dist-kruskal",
-        stats={"bytes_communicated": machine.bytes_communicated,
-               "n_collectives": machine.n_collectives},
-    )

@@ -30,12 +30,12 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import lightest_per_group, tie_key
-from ..kernels import segment_ids
 from ..core.base_case import INF, _row_min
-from ..core.boruvka import InputSnapshot, MSTResult, redistribute_mst
+from ..core.boruvka import InputSnapshot, MSTResult, mst_output
 from ..core.config import BoruvkaConfig
 from ..core.rounds import RoundBody, RoundScheduler, RoundStats
 from ..core.state import MSTRun
+from .dist_kruskal import replicated_vertices
 
 
 class PrimRoundBody(RoundBody):
@@ -60,11 +60,11 @@ class PrimRoundBody(RoundBody):
 
     def __init__(self, graph: DistGraph, run: MSTRun,
                  eu: np.ndarray, ev: np.ndarray, n: int):
-        self.graph = graph
         self.run = run
         self.machine = graph.machine
         # The graph's block with dense endpoints; ``pe`` is each row's PE.
-        self.pe = segment_ids(graph.offsets)
+        self.pe = graph.row_pes()
+        self.sizes = np.diff(graph.offsets)
         self.eu, self.ev = eu, ev
         self.w, self.id = graph.edges.w, graph.edges.id
         self.n = n
@@ -90,7 +90,7 @@ class PrimRoundBody(RoundBody):
         machine, run = self.machine, self.run
         p = machine.n_procs
         in_tree, eu, ev = self.in_tree, self.eu, self.ev
-        machine.charge_scan(np.diff(self.graph.offsets), ranks=np.arange(p))
+        machine.charge_scan(self.sizes)
         # Each PE's best frontier-crossing edge: a (w, cu, cv, id, endpoint)
         # row, (INF, 0, 0, 0, 0) for a PE without one.
         idx = np.flatnonzero(in_tree[eu] & ~in_tree[ev])
@@ -141,39 +141,17 @@ def dist_prim(
 ) -> MSTResult:
     """Compute the MSF with the replicated-vertex distributed Prim."""
     machine = graph.machine
-    p = machine.n_procs
     cfg = cfg or BoruvkaConfig(alltoall="direct")
     run = MSTRun(machine, cfg)
-    comm = run.comm
     snapshot = InputSnapshot.take(graph)
 
     # Replicated dense vertex set.
-    local_vids = [np.unique(np.concatenate([q.u, q.v])) if len(q)
-                  else np.empty(0, dtype=np.int64) for q in graph.parts]
-    vlabels = np.unique(comm.allgatherv(local_vids))
+    vlabels, _ = replicated_vertices(graph, run.comm)
     n = len(vlabels)
-    if n == 0:
-        return _result(machine, run, snapshot, comm)
-    machine.check_memory(np.full(p, n * 1.0 + np.diff(graph.offsets) * 32.0))
-    e = graph.edges
-    body = PrimRoundBody(graph, run, np.searchsorted(vlabels, e.u),
-                         np.searchsorted(vlabels, e.v), n)
-    RoundScheduler(run, 4 * n).run_rounds(body)
-    return _result(machine, run, snapshot, comm)
-
-
-def _result(machine, run, snapshot, comm) -> MSTResult:
-    with machine.phase("mst_output"):
-        msf_parts = redistribute_mst(run, snapshot)
-    weights = [int(part.w.sum()) for part in msf_parts]
-    total = int(comm.allreduce(weights))
-    return MSTResult(
-        msf_parts=msf_parts,
-        total_weight=total,
-        elapsed=machine.elapsed(),
-        phase_times=dict(machine.phase_times),
-        rounds=run.rounds,
-        algorithm="dist-prim",
-        stats={"bytes_communicated": machine.bytes_communicated,
-               "n_collectives": machine.n_collectives},
-    )
+    if n > 0:
+        machine.check_memory(n * 1.0 + np.diff(graph.offsets) * 32.0)
+        e = graph.edges
+        body = PrimRoundBody(graph, run, np.searchsorted(vlabels, e.u),
+                             np.searchsorted(vlabels, e.v), n)
+        RoundScheduler(run, 4 * n).run_rounds(body)
+    return mst_output(run, snapshot, "dist-prim", run.rounds)

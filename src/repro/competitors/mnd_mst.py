@@ -35,10 +35,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..dgraph.dist_graph import DistGraph, source_groups
+from ..dgraph.dist_graph import DistGraph, source_groups, split_edges
 from ..dgraph.edges import Edges
+from ..kernels import RaggedArrays, first_in_group, packed_lexsort
 from ..simmpi.alltoall import route_rows
-from ..core.boruvka import InputSnapshot, MSTResult, redistribute_mst
+from ..core.boruvka import InputSnapshot, MSTResult, mst_output
 from ..core.config import BoruvkaConfig
 from ..core.local_preprocessing import _contract_one_pe, destinations
 from ..core.rounds import RoundBody, RoundScheduler, RoundStats
@@ -228,7 +229,6 @@ def mnd_mst(
     p = machine.n_procs
     cfg = cfg or BoruvkaConfig(alltoall="direct")
     run = MSTRun(machine, cfg)
-    comm = run.comm
     snapshot = InputSnapshot.take(graph)
 
     # ---- Input preparation: eliminate shared vertices (Section VII). ----
@@ -248,61 +248,42 @@ def mnd_mst(
     if len(body.parts[final]):
         raise RuntimeError("MND-MST finished with uncontracted edges")
 
-    with machine.phase("mst_output"):
-        msf_parts = redistribute_mst(run, snapshot)
-    weights = [int(part.w.sum()) for part in msf_parts]
-    total = int(comm.allreduce(weights))
-    return MSTResult(
-        msf_parts=msf_parts,
-        total_weight=total,
-        elapsed=machine.elapsed(),
-        phase_times=dict(machine.phase_times),
-        rounds=levels,
-        algorithm="MND-MST",
-        stats={"bytes_communicated": machine.bytes_communicated,
-               "n_collectives": machine.n_collectives},
-    )
+    return mst_output(run, snapshot, "MND-MST", levels)
 
 
 # ----------------------------------------------------------------------
 def _unshare(graph: DistGraph, run: MSTRun) -> List[Edges]:
-    """Move every shared vertex's edges to the first PE of its span."""
+    """Move every shared vertex's edges to the first PE of its span.
+
+    One block-wide move, then one stable sort by (PE, u, v, w) over the
+    kept rows followed by the received ones: within each PE its kept rows
+    come before its received rows wherever the key ties.
+    """
     machine = graph.machine
     p = machine.n_procs
-    shared = graph.shared_vertex_set()
-    if len(shared) == 0:
-        return [part.copy() for part in graph.parts]
-    first_holder = {}
-    for j in range(p):
-        if not graph.has_edges[j]:
-            continue
-        for s in (int(graph.first_src[j]), int(graph.last_src[j])):
-            if s not in first_holder:
-                first_holder[s] = j
-    rows, dests, keep = [], [], []
-    for i in range(p):
-        part = graph.parts[i]
-        if len(part) == 0:
-            rows.append(np.empty((0, Edges.N_COLS), dtype=np.int64))
-            dests.append(np.empty(0, dtype=np.int64))
-            keep.append(part)
-            continue
-        targets = np.full(len(part), i, dtype=np.int64)
-        is_shared_src = np.isin(part.u, shared)
-        for s in np.unique(part.u[is_shared_src]):
-            targets[part.u == s] = first_holder.get(int(s), i)
-        move = targets != i
-        rows.append(part.take(move).as_matrix())
-        dests.append(targets[move])
-        keep.append(part.take(~move))
-    recv, _, _ = route_rows(run.comm, rows, dests, method=run.cfg.alltoall)
-    out = []
-    for i in range(p):
-        merged = Edges.concat([keep[i], Edges.from_matrix(recv[i])])
-        out.append(merged.sort_lex())
-        machine.charge_sort(np.array([max(len(merged), 1)]),
-                            ranks=np.array([i]))
-    return out
+    e, pes = graph.edges, graph.row_pes()
+    if len(graph.shared_vertex_set()) == 0:
+        return split_edges(e.copy(), graph.offsets)
+    # The block is globally sorted by source, so a source's first row sits
+    # on the first PE of its span: that PE is every one of its rows' home.
+    run_start = first_in_group(e.u)
+    home = pes[np.flatnonzero(run_start)[np.cumsum(run_start) - 1]]
+    move = np.flatnonzero(home != pes)
+    cut = np.searchsorted(pes[move], np.arange(1, p))
+    recv, _, _ = route_rows(run.comm,
+                            np.split(e.take(move).as_matrix(), cut),
+                            np.split(home[move], cut),
+                            method=run.cfg.alltoall)
+    got = RaggedArrays.from_arrays(recv)
+    keep = np.flatnonzero(home == pes)
+    merged = Edges.concat([e.take(keep), Edges.from_matrix(got.flat)])
+    merged_pes = np.concatenate([pes[keep], got.segment_ids()])
+    order = packed_lexsort((merged.w, merged.v, merged.u, merged_pes))
+    sizes = np.bincount(merged_pes, minlength=p)
+    machine.charge_sort(np.maximum(sizes, 1))
+    offsets = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return split_edges(merged.take(order), offsets)
 
 
 def _contract_local(part: Edges, pe: int, machine, run: MSTRun,

@@ -244,17 +244,25 @@ def distributed_boruvka(
     graph = boruvka_rounds(graph, run)
     with machine.phase("base_case"):
         base_case(graph, run)
+    return mst_output(run, snapshot, "boruvka", run.rounds)
+
+
+def mst_output(run: MSTRun, snapshot: InputSnapshot, algorithm: str,
+               rounds: int) -> MSTResult:
+    """Every MSF driver's tail: REDISTRIBUTEMST (phase ``mst_output``), the
+    total-weight allreduce and the result record."""
+    machine = run.machine
     with machine.phase("mst_output"):
         msf_parts = redistribute_mst(run, snapshot)
-    weights = [int(part.w.sum()) for part in msf_parts]
-    total = int(run.comm.allreduce(weights))
+    total = int(run.comm.allreduce([int(part.w.sum())
+                                    for part in msf_parts]))
     return MSTResult(
         msf_parts=msf_parts,
         total_weight=total,
         elapsed=machine.elapsed(),
         phase_times=dict(machine.phase_times),
-        rounds=run.rounds,
-        algorithm="boruvka",
+        rounds=rounds,
+        algorithm=algorithm,
         stats={
             "bytes_communicated": machine.bytes_communicated,
             "n_collectives": machine.n_collectives,

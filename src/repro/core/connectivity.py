@@ -68,9 +68,9 @@ def connected_components(
     cfg = cfg or BoruvkaConfig()
     run = MSTRun(machine, cfg)
 
+    # A part is sorted by source, so its last row holds its largest label.
     max_label = run.comm.allreduce(
-        [int(part.u.max()) if len(part) else -1 for part in graph.parts],
-        op="max")
+        np.where(graph.has_edges, graph.last_src, -1).tolist(), op="max")
     n_labels = max_label + 1
     P = DistributedLabelArray(run.comm, max(n_labels, 1),
                               alltoall=cfg.alltoall)

@@ -31,12 +31,7 @@ from ..obs.hooks import observe_filter_level, observe_filter_survivors
 from ..sorting.api import sort_rows
 from ..sorting.common import sample_positions
 from .base_case import base_case
-from .boruvka import (
-    InputSnapshot,
-    MSTResult,
-    boruvka_rounds,
-    redistribute_mst,
-)
+from .boruvka import InputSnapshot, MSTResult, boruvka_rounds, mst_output
 from .config import BoruvkaConfig, FilterConfig
 from .labels import exchange_labels, relabel
 from .local_preprocessing import local_preprocessing
@@ -225,19 +220,4 @@ def distributed_filter_boruvka(
         run_base_case(DistGraph(machine, leftover.edges, leftover.offsets,
                                 check=False))
 
-    with machine.phase("mst_output"):
-        msf_parts = redistribute_mst(run, snapshot)
-    weights = [int(part.w.sum()) for part in msf_parts]
-    total = int(run.comm.allreduce(weights))
-    return MSTResult(
-        msf_parts=msf_parts,
-        total_weight=total,
-        elapsed=machine.elapsed(),
-        phase_times=dict(machine.phase_times),
-        rounds=run.rounds,
-        algorithm="filterBoruvka",
-        stats={
-            "bytes_communicated": machine.bytes_communicated,
-            "n_collectives": machine.n_collectives,
-        },
-    )
+    return mst_output(run, snapshot, "filterBoruvka", run.rounds)

@@ -50,6 +50,14 @@ class MSTRun:
                          np.asarray(weights, dtype=np.int64)], axis=1)
         self.mst_ids[pe].append(pair)
 
+    def record_mst_parts(self, ids: np.ndarray, weights: np.ndarray,
+                         offsets: np.ndarray) -> None:
+        """:meth:`record_mst` of rows ``offsets[i]:offsets[i + 1]`` on
+        every PE ``i`` (``p + 1`` offsets into ``ids`` and ``weights``)."""
+        for pe in np.flatnonzero(np.diff(offsets)):
+            a, b = offsets[pe], offsets[pe + 1]
+            self.record_mst(int(pe), ids[a:b], weights[a:b])
+
     def record_labels(self, pe: int, vertices: np.ndarray,
                       labels: np.ndarray) -> None:
         """Report a contraction's label map to the sink (if any)."""

@@ -18,6 +18,10 @@ machine like any other distributed computation:
    oracle (:func:`repro.seq.kkt.max_weight_on_paths`) over its own edge
    block.
 
+Steps 2 and 3 run as one pass over the whole edge block (one search into
+the forest's vertex set, one path-maximum call), each charged as one per-PE
+scan vector; a PE's flag is whether none of its rows failed.
+
 Weights-only comparisons make the check valid for *any* MSF under ties, not
 just the one our tie-breaking selects.
 """
@@ -95,47 +99,31 @@ def verify_distributed_msf(
 
     # ---- 2. Spanning: every graph edge stays inside one F-component. ----
     # Vertices never touched by F are isolated iff they have no edges; any
-    # edge with an endpoint outside F's vertex set disproves spanning.
-    spans_flags = []
-    for i in range(p):
-        part = graph.parts[i]
-        if len(part) == 0:
-            spans_flags.append(True)
-            continue
-        iu = np.searchsorted(vlabels, part.u)
-        iv = np.searchsorted(vlabels, part.v)
-        iu_c = np.minimum(iu, max(n_dense - 1, 0))
-        iv_c = np.minimum(iv, max(n_dense - 1, 0))
-        known = ((iu < n_dense) & (vlabels[iu_c] == part.u)
-                 & (iv < n_dense) & (vlabels[iv_c] == part.v))
-        ok = bool(known.all()) and bool(
-            (uf.find_many(iu_c[known]) == uf.find_many(iv_c[known])).all()
-        ) if n_dense else len(part) == 0
-        spans_flags.append(ok)
-        machine.charge_scan(np.array([len(part)]), ranks=np.array([i]))
-    spans = bool(run.comm.allreduce([int(f) for f in spans_flags], op="min"))
+    # edge with an endpoint outside F's vertex set disproves spanning.  One
+    # pass over the whole block; each PE's flag is "no bad row of mine".
+    e, pes = graph.edges, graph.row_pes()
+    sizes = np.diff(graph.offsets)
+    last = max(n_dense - 1, 0)
+    iu = np.minimum(np.searchsorted(vlabels, e.u), last)
+    iv = np.minimum(np.searchsorted(vlabels, e.v), last)
+    if n_dense:
+        spanned = (vlabels[iu] == e.u) & (vlabels[iv] == e.v)
+        spanned[spanned] = (uf.find_many(iu[spanned])
+                            == uf.find_many(iv[spanned]))
+    else:
+        spanned = np.zeros(len(e), dtype=bool)
+    machine.charge_scan(sizes)
+    spans = bool(run.comm.allreduce(_pe_flags(pes[~spanned], p), op="min"))
 
     # ---- 3. Minimality: cycle property on every PE's edge block. ----
-    minimal_flags = []
-    dense_forest = Edges(fu, fv, forest_global.w, forest_global.id)
-    for i in range(p):
-        part = graph.parts[i]
-        if len(part) == 0 or n_dense == 0:
-            minimal_flags.append(True)
-            continue
-        iu = np.searchsorted(vlabels, np.minimum(part.u, vlabels[-1]))
-        iv = np.searchsorted(vlabels, np.minimum(part.v, vlabels[-1]))
-        iu = np.minimum(iu, n_dense - 1)
-        iv = np.minimum(iv, n_dense - 1)
+    lighter_than_path = np.zeros(len(e), dtype=bool)
+    if n_dense:
+        dense_forest = Edges(fu, fv, forest_global.w, forest_global.id)
         path_max = max_weight_on_paths(dense_forest, n_dense, iu, iv)
-        connected = path_max < NO_PATH
-        ok = bool((part.w[connected] >= path_max[connected]).all())
-        minimal_flags.append(ok)
-        machine.charge_scan(
-            np.array([len(part) * max(1, int(np.log2(max(n_dense, 2))))]),
-            ranks=np.array([i]))
-    is_minimum = bool(run.comm.allreduce([int(f) for f in minimal_flags],
-                                         op="min"))
+        lighter_than_path = (path_max < NO_PATH) & (e.w < path_max)
+        machine.charge_scan(sizes * max(1, int(np.log2(max(n_dense, 2)))))
+    is_minimum = bool(run.comm.allreduce(
+        _pe_flags(pes[lighter_than_path], p), op="min"))
 
     return VerificationReport(
         is_forest=acyclic,
@@ -145,3 +133,9 @@ def verify_distributed_msf(
         n_components=n_components,
         elapsed=machine.elapsed() - start,
     )
+
+
+def _pe_flags(bad_pes: np.ndarray, p: int) -> List[int]:
+    """Every PE's check flag (1 = passed): whether no row of ``bad_pes``
+    is its own."""
+    return (np.bincount(bad_pes, minlength=p) == 0).astype(int).tolist()

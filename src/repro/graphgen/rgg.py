@@ -54,11 +54,9 @@ def _spatial_relabel(points: np.ndarray, radius: float) -> np.ndarray:
     """
     cell_side = max(radius, 1e-9)
     grid = np.floor(points / cell_side).astype(np.int64)
-    n_cells = int(grid.max()) + 1 if len(grid) else 1
-    code = np.zeros(len(points), dtype=np.int64)
-    for d in range(points.shape[1]):
-        code = code * n_cells + grid[:, d]
-    return np.argsort(code, kind="stable")
+    # Cells compare as coordinate tuples, first axis most significant: exact
+    # however many cells there are (a packed cell code wraps past 2^63).
+    return np.lexsort(grid.T[::-1])
 
 
 def radius_pairs(points: np.ndarray, radius: float

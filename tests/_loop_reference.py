@@ -62,8 +62,9 @@ The graph is one resident block plus offsets, and the round passes flat
 ``(arrays, offsets)`` state from stage to stage.  The list forms stay here
 as shipped, each wrapped by a thin flat <-> list adapter (``_chosen_out``,
 ``_chosen_in``, ``_lists_in``, ``_kept_out``, ``_parts_in``, ``_msf_views``,
-``_flat_request``, ``_split_out``) so ``loop_oracles`` still substitutes
-it: the per-PE ``ChosenEdges`` and ``_empty_chosen``, the per-part checks
+``_flat_request``, ``_split_out``, ``_parent_blocks``) so ``loop_oracles``
+still substitutes it: the per-PE ``ChosenEdges`` and ``_empty_chosen``,
+Awerbuch-Shiloach's ``_resolve`` over ``p`` parent blocks, the per-part checks
 and metadata of ``DistGraph`` (``check_weights``, ``check_local_sorted``,
 ``check_global_sorted``, ``part_records``, ``local_vertex_counts``),
 ``from_global_edges``' takes (``from_global_edges_takes``) and its
@@ -81,7 +82,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.competitors.awerbuch_shiloach import _lo
 from repro.core.base_case import INF
 from repro.core.labels import LabelPush
 from repro.core.local_preprocessing import _TaintedUnionFind
@@ -199,6 +199,24 @@ def _msf_views(fn):
         parts = fn(run, snapshot)
         return split_edges(Edges.concat(parts), _offsets(parts))
     return flat
+
+
+def _parent_blocks(fn):
+    """A per-PE Awerbuch-Shiloach ``_resolve`` (parent vector as ``p``
+    blocks, labels as per-PE arrays) called with the flat ``f`` and flat
+    ``(labels, seg)``; returns the flat replies."""
+    @functools.wraps(fn)
+    def flat(comm, f, n, labels, seg, method):
+        p = comm.size
+        off = np.searchsorted(seg, np.arange(p + 1))
+        return _flat(fn(comm, _split(f, block_bounds(n, p)), n,
+                        _split(labels, off), method), f)
+    return flat
+
+
+def _lo(n: int, p: int, i: int) -> int:
+    """The first index of block ``i`` of ``n`` over ``p`` PEs."""
+    return int(block_bounds(n, p)[i])
 
 
 def _flat_request(fn):
@@ -1209,6 +1227,7 @@ def sort_samplesort(
 # ----------------------------------------------------------------------
 # competitors/awerbuch_shiloach.py: _resolve
 # ----------------------------------------------------------------------
+@_parent_blocks
 def _resolve(comm: Comm, f_blocks: List[np.ndarray], n: int,
              labels_per_pe: List[np.ndarray], method: str
              ) -> List[np.ndarray]:
@@ -1609,6 +1628,7 @@ class DistributedLabelArray:
             0, dtype=np.int64)
 
 
+@_parent_blocks
 def _resolve_routed(comm: Comm, f_blocks: List[np.ndarray], n: int,
              labels_per_pe: List[np.ndarray], method: str
              ) -> List[np.ndarray]:

@@ -157,6 +157,34 @@ class TestBoundaryErrors:
         assert f"cannot read graph {path}" in line
 
 
+    def test_malformed_fault_schedule_exits_2(self, tmp_path):
+        proc = run_python(["-m", "repro", "faults", "--schedule",
+                           "nonsense"], cwd=tmp_path)
+        assert proc.returncode == 2
+        line = self._one_line(proc.stderr, "faults")
+        assert "fault spec" in line and "nonsense" in line
+        assert proc.stdout == ""
+
+    def test_unwritable_output_exits_1(self, tmp_path):
+        target = tmp_path / "missing" / "x.npz"
+        proc = run_python(["-m", "repro", "gen", "--family", "GNM",
+                           "-n", "64", "-m", "128", "-o", str(target)],
+                          cwd=tmp_path)
+        assert proc.returncode == 1
+        line = self._one_line(proc.stderr, "gen")
+        assert f"cannot write graph {target}" in line
+        assert "No such file" in line
+        assert proc.stdout == ""
+
+    def test_unwritable_msf_output_in_process(self, instance, tmp_path,
+                                              capsys):
+        target = tmp_path / "missing" / "msf.npz"
+        assert main(["mst", str(instance), "--procs", "2",
+                     "--output", str(target)]) == 1
+        line = self._one_line(capsys.readouterr().err, "mst")
+        assert f"cannot write graph {target}" in line
+
+
 class TestFaults:
     def test_recovers_and_reports(self, capsys):
         assert main(["faults", "--procs", "4", "-n", "512", "-m", "2048",
@@ -173,10 +201,12 @@ class TestFaults:
                      "--base-case-min", "16"]) == 0
         assert "OK, matches fault-free run" in capsys.readouterr().out
 
-    def test_rejects_malformed_schedule(self):
-        with pytest.raises(ValueError, match="fault spec"):
-            main(["faults", "--procs", "4", "-n", "128", "-m", "512",
-                  "--schedule", "nonsense"])
+    def test_rejects_malformed_schedule(self, capsys):
+        assert main(["faults", "--procs", "4", "-n", "128", "-m", "512",
+                     "--schedule", "nonsense"]) == 2
+        line = TestBoundaryErrors._one_line(capsys.readouterr().err,
+                                            "faults")
+        assert "fault spec" in line
 
 
 class TestServe:

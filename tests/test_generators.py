@@ -270,6 +270,36 @@ class TestRadiusPairs:
             assert got_col.tobytes() == want_col.tobytes(), col
 
 
+class TestSpatialRelabel:
+    """Vertices are numbered in row-major cell order, then by index."""
+
+    @staticmethod
+    def _tuple_order(points, radius):
+        """The exact order: a Python sort of (cell coordinates, index)."""
+        grid = np.floor(points / radius).astype(np.int64).tolist()
+        return np.array(sorted(range(len(grid)),
+                               key=lambda k: (grid[k], k)))
+
+    @pytest.mark.parametrize("dim, radius", [(2, 0.01), (2, 7e-4),
+                                             (3, 0.05)])
+    def test_matches_packed_cell_code_where_it_fits(self, dim, radius):
+        points = np.random.default_rng(4).random((2000, dim))
+        grid = np.floor(points / radius).astype(np.int64)
+        n_cells = int(grid.max()) + 1
+        code = np.zeros(len(points), dtype=np.int64)
+        for d in range(dim):
+            code = code * n_cells + grid[:, d]
+        order = rgg._spatial_relabel(points, radius)
+        assert np.array_equal(order, np.argsort(code, kind="stable"))
+        assert np.array_equal(order, self._tuple_order(points, radius))
+
+    def test_exact_where_a_packed_code_wraps(self):
+        # 3-D at r = 1e-7: ~10^7 cells per axis, 10^21 cells in all.
+        points = np.random.default_rng(7).random((1000, 3))
+        order = rgg._spatial_relabel(points, 1e-7)
+        assert np.array_equal(order, self._tuple_order(points, 1e-7))
+
+
 class TestRhg:
     def test_power_law_tail(self):
         g = gen_rhg(4000, avg_degree=12, gamma=3.0, seed=5)

@@ -113,6 +113,20 @@ def _row_shapes(rng, p):
     yield "all empty", parts(np.zeros(p, dtype=np.int64), 5)
 
 
+def _resolve_cases(rng, p, method):
+    """``(f, n, labels, seg, method)`` arguments of Awerbuch-Shiloach's
+    ``_resolve``: random parent pointers, and per-PE label arrays of random
+    lengths, with every other PE empty, and all empty."""
+    n = 5 * p + 3
+    f = rng.integers(0, n, n).astype(dtypes.index_dtype(n - 1))
+    for counts, dtype in ((rng.integers(0, 25, p), np.int64),
+                          (rng.integers(1, 9, p) * (np.arange(p) % 2),
+                           f.dtype),
+                          (np.zeros(p, dtype=np.int64), np.int64)):
+        seg = np.repeat(np.arange(p), counts)
+        yield f, n, rng.integers(0, n, len(seg)).astype(dtype), seg, method
+
+
 class TestRowSites:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("method", ["auto", "direct", "grid", "grid3",
@@ -182,17 +196,9 @@ class TestRowSites:
     @pytest.mark.parametrize("p", SIZES)
     def test_awerbuch_shiloach_resolve(self, p, method, mode):
         rng = np.random.default_rng(p)
-        n = 5 * p + 3
-        f_blocks = AS._identity_blocks(n, p)
-        for blk in f_blocks:  # parent pointers: any vertex label < n
-            blk[:] = rng.integers(0, n, len(blk))
-        for labels in (
-                [rng.integers(0, n, int(k)) for k in rng.integers(0, 25, p)],
-                [rng.integers(0, n, int(k)).astype(f_blocks[0].dtype)
-                 for k in rng.integers(1, 9, p) * (np.arange(p) % 2)],
-                [np.empty(0, dtype=np.int64)] * p):
+        for args in _resolve_cases(rng, p, method):
             def setup(machine):
-                return Comm(machine), f_blocks, n, labels, method
+                return (Comm(machine),) + args
 
             _differential(setup, AS._resolve, oracle._resolve, p,
                           MODES[mode])
@@ -554,17 +560,9 @@ class TestAskSites:
     @pytest.mark.parametrize("p", ASK_SIZES)
     def test_awerbuch_shiloach_resolve(self, p, method, mode):
         rng = np.random.default_rng(p)
-        n = 5 * p + 3
-        f_blocks = AS._identity_blocks(n, p)
-        for blk in f_blocks:
-            blk[:] = rng.integers(0, n, len(blk))
-        for labels in (
-                [rng.integers(0, n, int(k)) for k in rng.integers(0, 25, p)],
-                [rng.integers(0, n, int(k)).astype(f_blocks[0].dtype)
-                 for k in rng.integers(1, 9, p) * (np.arange(p) % 2)],
-                [np.empty(0, dtype=np.int64)] * p):
+        for args in _resolve_cases(rng, p, method):
             def setup(machine):
-                return Comm(machine), f_blocks, n, labels, method
+                return (Comm(machine),) + args
 
             _differential(setup, AS._resolve, oracle._resolve_routed, p,
                           ASK_MODES[mode])
