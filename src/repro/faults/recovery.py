@@ -46,6 +46,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from ..dgraph.edges import Edges
+from ..kernels.dtypes import logical_nbytes
 
 #: Bytes per checkpointed edge row: (u, v, w, id) int64 quadruples.
 _EDGE_ROW_BYTES = 32.0
@@ -150,8 +151,10 @@ class ArrayCheckpoint:
     the same cost shape as the Borůvka checkpoint -- one linear copy scan
     per PE plus the buddy ``(rank+1) % p`` point-to-point each way, and on
     restore the detection timeout plus the buddy-to-replacement re-fetch
-    -- except sized by the arrays' actual byte footprint instead of the
-    fixed 32-byte edge row.
+    -- except sized by the arrays' logical bytes
+    (:func:`~repro.kernels.dtypes.logical_nbytes`: 8 per integer element
+    whatever the storage width, bools 1) instead of the fixed 32-byte edge
+    row, so the clock never depends on the host storage dtype.
 
     ``on_restore`` receives fresh copies of the snapshotted blocks and
     reinstates them (plus any host-side scalars the closure captured) into
@@ -176,7 +179,7 @@ class ArrayCheckpoint:
         p = machine.n_procs
         elems = np.array([sum(len(a) for a in blk) for blk in blocks],
                          dtype=np.float64)
-        send_bytes = np.array([float(sum(a.nbytes for a in blk))
+        send_bytes = np.array([float(sum(logical_nbytes(a) for a in blk))
                                for blk in blocks])
         recv_bytes = send_bytes[(np.arange(p) - 1) % p]
         cm = machine.cost
@@ -206,7 +209,7 @@ class ArrayCheckpoint:
         machine = run.machine
         fi = machine.faults
         p = machine.n_procs
-        sizes = np.array([float(sum(a.nbytes for a in blk))
+        sizes = np.array([float(sum(logical_nbytes(a) for a in blk))
                           for blk in self.blocks])
         elems = np.array([sum(len(a) for a in blk) for blk in self.blocks],
                          dtype=np.float64)

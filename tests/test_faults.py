@@ -12,6 +12,7 @@ Covers the three subsystem layers and their contracts:
 import numpy as np
 import pytest
 
+from repro.competitors import awerbuch_shiloach_msf, mnd_mst
 from repro.core import (
     BoruvkaConfig,
     FilterConfig,
@@ -27,6 +28,8 @@ from repro.faults import (
     faults_env_spec,
     flip_bit,
 )
+from repro.graphgen import gen_gnm
+from repro.kernels import dtypes
 from repro.simmpi import Machine
 
 from helpers import random_simple_graph
@@ -251,6 +254,33 @@ class TestRecoveryInvariants:
                           for name, c in machine.metrics._counters.items()
                           if name.startswith("faults/")}
         assert any(v > 0 for v in fault_counters.values())
+
+
+class TestCheckpointLogicalBytes:
+    """ArrayCheckpoint charges its snapshot and re-fetch in logical bytes
+    (8 per integer element), like every exchange and collective, so a
+    fail-stop run's clock does not depend on the host storage width."""
+
+    @staticmethod
+    def _elapsed(algo, storage):
+        graph = gen_gnm(160, 640, seed=3)
+        assert graph.edges.u.dtype == storage
+        with Machine(3, faults="pe_fail@0:1") as machine:
+            result = algo(graph.distribute(machine))
+            assert machine.faults.summary()["pe_fail"] == 1
+        return result.elapsed
+
+    @pytest.mark.parametrize("algo,want", [
+        (awerbuch_shiloach_msf, 0.004230779),
+        (mnd_mst, 0.001117888),
+    ])
+    def test_pe_fail_clock_ignores_storage_width(self, algo, want,
+                                                 monkeypatch):
+        narrow = self._elapsed(algo, np.uint32)
+        monkeypatch.setattr(dtypes, "NARROWING", False)
+        wide = self._elapsed(algo, np.int64)
+        assert narrow == wide
+        assert round(wide, 9) == want
 
 
 # ----------------------------------------------------------------------
