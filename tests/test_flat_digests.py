@@ -152,92 +152,94 @@ def digest(run_id: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-#: Recorded on the per-PE loop drivers.
+#: Recorded on the per-PE loop drivers; the ``pe_fail`` entries were
+#: re-recorded when ArrayCheckpoint began charging logical bytes (8 per
+#: integer element) instead of the storage width.
 DIGESTS = {
     "awerbuch-shiloach/gnm/1/none": "8981ad37fb3b1520",
     "awerbuch-shiloach/gnm/1/storm": "168b2a50009f63d9",
     "awerbuch-shiloach/gnm/2/none": "a3d00bc717951883",
     "awerbuch-shiloach/gnm/2/storm": "023af30e4a58c7f7",
-    "awerbuch-shiloach/gnm/2/pe_fail": "13bb6fd297d04288",
+    "awerbuch-shiloach/gnm/2/pe_fail": "745b837abb25c9a9",
     "awerbuch-shiloach/gnm/3/none": "a0c2cdbeb2183f55",
     "awerbuch-shiloach/gnm/3/storm": "5b8c63e59d17db5a",
-    "awerbuch-shiloach/gnm/3/pe_fail": "9e0ebbf5abb6e792",
+    "awerbuch-shiloach/gnm/3/pe_fail": "fd099bb4430dd3c3",
     "awerbuch-shiloach/gnm/5/none": "2d6e2cfccb56f3f1",
     "awerbuch-shiloach/gnm/5/storm": "b0ef12c8166ac7a2",
-    "awerbuch-shiloach/gnm/5/pe_fail": "d96604bd477d6122",
+    "awerbuch-shiloach/gnm/5/pe_fail": "27b3d80e6ae6c548",
     "awerbuch-shiloach/gnm/64/none": "26c3dfa2dcb0647b",
     "awerbuch-shiloach/gnm/64/storm": "d23e5762c70c857e",
-    "awerbuch-shiloach/gnm/64/pe_fail": "5ad2bda572dedde6",
+    "awerbuch-shiloach/gnm/64/pe_fail": "e578561e41034197",
     "awerbuch-shiloach/rhg-shared/1/none": "c97cc90846bef90d",
     "awerbuch-shiloach/rhg-shared/1/storm": "aac7ed15c94d5f36",
     "awerbuch-shiloach/rhg-shared/2/none": "2b23b09a2f12773d",
     "awerbuch-shiloach/rhg-shared/2/storm": "cb5cd52016b38026",
-    "awerbuch-shiloach/rhg-shared/2/pe_fail": "ec4e40d785f33275",
+    "awerbuch-shiloach/rhg-shared/2/pe_fail": "7717430b94741e3d",
     "awerbuch-shiloach/rhg-shared/3/none": "f4221354e79a1c21",
     "awerbuch-shiloach/rhg-shared/3/storm": "f03f77f28cb36243",
-    "awerbuch-shiloach/rhg-shared/3/pe_fail": "887b66776894e360",
+    "awerbuch-shiloach/rhg-shared/3/pe_fail": "b534094eb3b50a99",
     "awerbuch-shiloach/rhg-shared/5/none": "417dcd7f9ae2ef8d",
     "awerbuch-shiloach/rhg-shared/5/storm": "7ce111ffdf34856e",
-    "awerbuch-shiloach/rhg-shared/5/pe_fail": "d315a1afa9bcf7d9",
+    "awerbuch-shiloach/rhg-shared/5/pe_fail": "42a8b3bd3e5483ca",
     "awerbuch-shiloach/rhg-shared/64/none": "cd9944ed0d25a2d5",
     "awerbuch-shiloach/rhg-shared/64/storm": "2013a2aea0ea3fe2",
-    "awerbuch-shiloach/rhg-shared/64/pe_fail": "f5412af12c1a5241",
+    "awerbuch-shiloach/rhg-shared/64/pe_fail": "c425a441e1a27778",
     "awerbuch-shiloach/gnm-sparse/1/none": "bc6823da101f7cbf",
     "awerbuch-shiloach/gnm-sparse/1/storm": "cce091f2f17c6ed3",
     "awerbuch-shiloach/gnm-sparse/2/none": "7efe453ee19dffb9",
     "awerbuch-shiloach/gnm-sparse/2/storm": "4f7d4ce43fc89884",
-    "awerbuch-shiloach/gnm-sparse/2/pe_fail": "be662a7717ff62ca",
+    "awerbuch-shiloach/gnm-sparse/2/pe_fail": "22bd97d6a0444fbc",
     "awerbuch-shiloach/gnm-sparse/3/none": "83474cc5ccbd249d",
     "awerbuch-shiloach/gnm-sparse/3/storm": "6f6395bbdb1468c3",
-    "awerbuch-shiloach/gnm-sparse/3/pe_fail": "01c10415b305cc79",
+    "awerbuch-shiloach/gnm-sparse/3/pe_fail": "314537a7ba0584d8",
     "awerbuch-shiloach/gnm-sparse/5/none": "da977b357e8a2487",
     "awerbuch-shiloach/gnm-sparse/5/storm": "0bd884170ea5215c",
-    "awerbuch-shiloach/gnm-sparse/5/pe_fail": "72ff0fa8046c1a47",
+    "awerbuch-shiloach/gnm-sparse/5/pe_fail": "fa9079065de464b0",
     "awerbuch-shiloach/gnm-sparse/64/none": "a51f3b03d815ed13",
     "awerbuch-shiloach/gnm-sparse/64/storm": "3de060b3454ae972",
-    "awerbuch-shiloach/gnm-sparse/64/pe_fail": "57e975abb6ed664c",
+    "awerbuch-shiloach/gnm-sparse/64/pe_fail": "84ffa756b28a673b",
     "mnd-mst/gnm/1/none": "7d70a6c6c5dda777",
     "mnd-mst/gnm/1/storm": "555febb1d1564b96",
     "mnd-mst/gnm/2/none": "9db0bbc17a8c5cb7",
     "mnd-mst/gnm/2/storm": "412cc5aaba1de8d7",
-    "mnd-mst/gnm/2/pe_fail": "18de6dee132d77be",
+    "mnd-mst/gnm/2/pe_fail": "eae59e14ab3ac48a",
     "mnd-mst/gnm/3/none": "3aeee93a9113f2e6",
     "mnd-mst/gnm/3/storm": "a3805def1d20ea35",
-    "mnd-mst/gnm/3/pe_fail": "ca592c61c6dd3dda",
+    "mnd-mst/gnm/3/pe_fail": "926b27bfaf16c3df",
     "mnd-mst/gnm/5/none": "51ed696e78393383",
     "mnd-mst/gnm/5/storm": "527a369c28efac36",
-    "mnd-mst/gnm/5/pe_fail": "5ccf4539b61c5d0f",
+    "mnd-mst/gnm/5/pe_fail": "53983b32735b6856",
     "mnd-mst/gnm/64/none": "4a55c88119921429",
     "mnd-mst/gnm/64/storm": "b34c7bb470a6b30a",
-    "mnd-mst/gnm/64/pe_fail": "e4cfa8918f9ecde5",
+    "mnd-mst/gnm/64/pe_fail": "fc43fe7a559b89d2",
     "mnd-mst/rhg-shared/1/none": "248eb81ce03de8fb",
     "mnd-mst/rhg-shared/1/storm": "87e59cd158af4947",
     "mnd-mst/rhg-shared/2/none": "a74fb688b0a8adf6",
     "mnd-mst/rhg-shared/2/storm": "8804d4f6a6244b0e",
-    "mnd-mst/rhg-shared/2/pe_fail": "ef3abec6852a0360",
+    "mnd-mst/rhg-shared/2/pe_fail": "87f97f331fc9f136",
     "mnd-mst/rhg-shared/3/none": "b6de9aa2eec86c9c",
     "mnd-mst/rhg-shared/3/storm": "6e0dd7a953b4dae2",
-    "mnd-mst/rhg-shared/3/pe_fail": "ec2181f1f28feb6a",
+    "mnd-mst/rhg-shared/3/pe_fail": "867befb59719adc6",
     "mnd-mst/rhg-shared/5/none": "f9b01bf8563c8547",
     "mnd-mst/rhg-shared/5/storm": "2db4c15137a44a44",
-    "mnd-mst/rhg-shared/5/pe_fail": "0c948b0b4742c376",
+    "mnd-mst/rhg-shared/5/pe_fail": "a6d4a490b2730a0a",
     "mnd-mst/rhg-shared/64/none": "6b4c7ee2f083f2c2",
     "mnd-mst/rhg-shared/64/storm": "b8a54044a005c102",
-    "mnd-mst/rhg-shared/64/pe_fail": "8b869a79bdade57c",
+    "mnd-mst/rhg-shared/64/pe_fail": "48c8b860fbcc8f75",
     "mnd-mst/gnm-sparse/1/none": "e4a9eb6015b248b0",
     "mnd-mst/gnm-sparse/1/storm": "d7df693bf3d6f192",
     "mnd-mst/gnm-sparse/2/none": "95ef6db53848d589",
     "mnd-mst/gnm-sparse/2/storm": "09c4161600104139",
-    "mnd-mst/gnm-sparse/2/pe_fail": "640d22308ac46e28",
+    "mnd-mst/gnm-sparse/2/pe_fail": "067dfc48b6b4d6a5",
     "mnd-mst/gnm-sparse/3/none": "6a65e75a355d7f00",
     "mnd-mst/gnm-sparse/3/storm": "fafaaa49db96e59c",
-    "mnd-mst/gnm-sparse/3/pe_fail": "93d1e7f58c28cb6e",
+    "mnd-mst/gnm-sparse/3/pe_fail": "9ee871a75186d50a",
     "mnd-mst/gnm-sparse/5/none": "f0ada29b0b4fe59c",
     "mnd-mst/gnm-sparse/5/storm": "f168387efe5a1c75",
-    "mnd-mst/gnm-sparse/5/pe_fail": "34e9359f1ec4ee6c",
+    "mnd-mst/gnm-sparse/5/pe_fail": "dc090825328bb585",
     "mnd-mst/gnm-sparse/64/none": "41befe794c997639",
     "mnd-mst/gnm-sparse/64/storm": "ba1ca800bfa9c8bc",
-    "mnd-mst/gnm-sparse/64/pe_fail": "afa9c7574fd4d48c",
+    "mnd-mst/gnm-sparse/64/pe_fail": "79f4160bb1c23c56",
     "dist-kruskal/gnm/1/none": "c1ab1871d86afaba",
     "dist-kruskal/gnm/1/storm": "609d82f80d27705e",
     "dist-kruskal/gnm/2/none": "0effe3f6594829f8",
