@@ -48,7 +48,6 @@ from ..core import BoruvkaConfig
 from ..core.boruvka import MSTResult, distributed_boruvka
 from ..dgraph.dist_graph import DistGraph
 from ..dgraph.edges import Edges
-from ..seq.union_find import UnionFind
 
 
 def symmetrized_edges(u, v, w) -> Edges:
@@ -61,6 +60,37 @@ def symmetrized_edges(u, v, w) -> Edges:
     edges = edges.sort_lex()
     edges.id[:] = np.arange(len(edges), dtype=edges.id.dtype)
     return edges
+
+
+def component_labels(n: int, u, v) -> np.ndarray:
+    """Per vertex, the smallest vertex of its component under edges (u, v).
+
+    Hook-and-shortcut (the pointer-jumping connectivity of Shiloach and
+    Vishkin, as in Baer et al. and Dhulipala et al.; PAPERS.md): each root
+    hooks onto the smallest smaller root it shares an edge with
+    (``np.minimum.at``), then pointer jumping runs to a fixed point;
+    repeat until every edge's endpoints carry one label.  Labels only
+    ever point at smaller vertices, so each component's smallest vertex
+    stays its root, whatever the order of the edges.  Every pass hooks at
+    least one root, so ``n`` passes bound the loop.
+    """
+    label = np.arange(n, dtype=np.int64)
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    for _ in range(n + 1):
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return label
+        u, v = u[split], v[split]
+        lu, lv = lu[split], lv[split]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    raise RuntimeError("internal: hook-and-shortcut did not converge")
 
 
 def _solve(machine, edges: Edges, cfg: BoruvkaConfig) -> MSTResult:
@@ -105,15 +135,14 @@ def plan_replay(view, del_pairs: np.ndarray, del_rows: np.ndarray
     ``view.edges`` (its u < v half, ``del_rows`` excluded) whose
     endpoints lie in different components of the surviving forest -- the
     set ``C`` of the module docstring.  Host-side planning like the view
-    publish: one union-find over at most n - 1 forest edges and one
-    vectorised label comparison; nothing is charged here.
+    publish: one :func:`component_labels` pass over at most n - 1 forest
+    edges and one vectorised label comparison; nothing is charged here.
     """
     n = view.n_vertices
     forest_keep = ~np.isin(view.forest_codes,
                            del_pairs[:, 0] * n + del_pairs[:, 1])
-    uf = UnionFind(n)
-    uf.union_edges(view.forest_u[forest_keep], view.forest_v[forest_keep])
-    comp = uf.find_many(np.arange(n))
+    comp = component_labels(n, view.forest_u[forest_keep],
+                            view.forest_v[forest_keep])
     edges = view.edges
     alive = edges.u < edges.v
     alive[del_rows] = False

@@ -29,7 +29,6 @@ import numpy as np
 
 from ..core import BoruvkaConfig
 from ..dgraph.edges import WEIGHT_LIMIT, Edges
-from ..seq.union_find import UnionFind
 from ..simmpi.machine import Machine
 from . import incremental
 
@@ -60,7 +59,8 @@ class SessionView:
     forest_codes: np.ndarray
     total_weight: int
     n_components: int
-    #: Component representative per vertex (union-find roots).
+    #: Per vertex, the smallest vertex of its component: a component
+    #: keeps its label across versions that leave it unchanged.
     component_of: np.ndarray
 
     @property
@@ -327,7 +327,7 @@ class GraphSession:
         self.total_simulated_seconds += simulated
         # The view swap is the last step: a recompute that raised above
         # published nothing.
-        self._publish(self._mutated(view, del_rows, ins_rows),
+        self._publish(*_merged(view, del_rows, ins_rows),
                       forest=forest, total_weight=total,
                       version=view.version + 1)
         report = EpochReport(
@@ -368,20 +368,18 @@ class GraphSession:
         result = incremental.full_recompute(self.machine, directed,
                                             self.cfg)
         *forest, total = _forest_of(result)
-        self._publish(directed, forest=forest, total_weight=total,
+        codes = directed.u.astype(np.int64) * self.n_vertices \
+            + directed.v.astype(np.int64)
+        self._publish(directed, codes, forest=forest, total_weight=total,
                       version=version)
         return result.elapsed
 
-    def _publish(self, edges: Edges, *, forest,
+    def _publish(self, edges: Edges, codes: np.ndarray, *, forest,
                  total_weight: int, version: int) -> None:
         fu, fv, fw = (np.asarray(a, dtype=np.int64) for a in forest)
         lo, hi = np.minimum(fu, fv), np.maximum(fu, fv)
         order = np.argsort(lo * self.n_vertices + hi, kind="stable")
-        uf = UnionFind(self.n_vertices)
-        uf.union_edges(fu, fv)
-        component_of = uf.find_many(np.arange(self.n_vertices))
-        codes = edges.u.astype(np.int64) * self.n_vertices \
-            + edges.v.astype(np.int64)
+        component_of = incremental.component_labels(self.n_vertices, fu, fv)
         self.view = SessionView(
             version=version,
             n_vertices=self.n_vertices,
@@ -390,20 +388,10 @@ class GraphSession:
             forest_u=lo[order], forest_v=hi[order], forest_w=fw[order],
             forest_codes=(lo * self.n_vertices + hi)[order],
             total_weight=int(total_weight),
-            n_components=int(len(np.unique(component_of))),
+            n_components=int(np.count_nonzero(
+                component_of == np.arange(self.n_vertices))),
             component_of=component_of,
         )
-
-    def _mutated(self, view, del_rows, ins_rows) -> Edges:
-        """New sorted directed edge list after the batch."""
-        keep = np.ones(len(view.edges), dtype=bool)
-        keep[del_rows] = False
-        iu, iv, iw = (ins_rows[:, 0], ins_rows[:, 1], ins_rows[:, 2])
-        u = np.concatenate([view.edges.u[keep].astype(np.int64), iu, iv])
-        v = np.concatenate([view.edges.v[keep].astype(np.int64), iv, iu])
-        w = np.concatenate([view.edges.w[keep].astype(np.int64), iw, iw])
-        order = np.lexsort((w, v, u))
-        return Edges(u[order], v[order], w[order])
 
     def _note_epoch(self, report: EpochReport) -> None:
         self.epoch_counts[report.strategy] = \
@@ -482,6 +470,44 @@ def _directed_rows(view: SessionView, del_pairs: np.ndarray) -> np.ndarray:
     if (rows >= len(view.codes)).any():
         raise MutationError("internal: deleted pair vanished")
     return rows
+
+
+def _merged(view: SessionView, del_rows: np.ndarray, ins_rows: np.ndarray
+            ) -> Tuple[Edges, np.ndarray]:
+    """The directed edge list after the batch, and its pair codes.
+
+    Pairs are unique, so (u, v) order is (u, v, w) order: the kept rows
+    stay sorted, and the 2k directed inserted rows, sorted by pair code,
+    go in at one ``searchsorted`` of their codes into the kept codes.  Each
+    column is then filled by two scatters -- O(m + k), no sort over m.
+    """
+    n = view.n_vertices
+    keep = np.ones(len(view.edges), dtype=bool)
+    keep[del_rows] = False
+    kept_codes = view.codes[keep]
+    iu, iv, iw = (ins_rows[:, 0], ins_rows[:, 1], ins_rows[:, 2])
+    ins_codes = np.concatenate([iu * n + iv, iv * n + iu])
+    order = np.argsort(ins_codes)
+    ins_codes = ins_codes[order]
+    at = np.searchsorted(kept_codes, ins_codes) \
+        + np.arange(len(ins_codes))
+    slot = np.ones(len(kept_codes) + len(ins_codes), dtype=bool)
+    slot[at] = False
+
+    def merge(kept, inserted):
+        out = np.empty(len(slot), dtype=np.int64)
+        out[at] = inserted
+        out[slot] = kept
+        return out
+
+    codes = merge(kept_codes, ins_codes)
+    if (codes[1:] <= codes[:-1]).any():
+        raise RuntimeError("internal: merged pair codes not increasing")
+    edges = view.edges
+    return Edges(merge(edges.u[keep], np.concatenate([iu, iv])[order]),
+                 merge(edges.v[keep], np.concatenate([iv, iu])[order]),
+                 merge(edges.w[keep], np.concatenate([iw, iw])[order])
+                 ), codes
 
 
 def _forest_of(result) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:

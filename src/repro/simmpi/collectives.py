@@ -179,6 +179,12 @@ class Comm:
         fn = _resolve_op(op)
         if not isinstance(fn, np.ufunc) and hasattr(fn, "reduce"):
             return fn.reduce(values)  # the whole fold in one call
+        if (len(values) > 1 and fn in _OPS.values()
+                and set(map(type, values)) == {int}):
+            # Python ints: the loop's first step already yields an int64
+            # scalar and wraps like this one reduce; a value past int64
+            # raises OverflowError here as it does there.
+            return fn.reduce(np.array(values, dtype=np.int64))
         acc = values[0]
         if isinstance(acc, np.ndarray):
             acc = acc.copy()

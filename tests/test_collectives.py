@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.simmpi import Comm, Machine
 
@@ -68,6 +69,70 @@ class TestBcastReduce:
 
     def test_reduce_matches_allreduce(self, comm):
         assert comm.reduce([1, 2, 3, 4]) == 10
+
+
+_I64 = np.iinfo(np.int64)
+
+
+def _allreduce(values, op="sum"):
+    """``values`` reduced on a world communicator of ``len(values)`` PEs."""
+    with Machine(len(values)) as machine:
+        return Comm(machine).allreduce(values, op=op)
+
+
+def _loop_fold(values, op):
+    """The rank-by-rank fold every non-integer reduction still takes."""
+    fn = {"sum": np.add, "min": np.minimum, "max": np.maximum}[op]
+    acc = values[0]
+    for v in values[1:]:
+        acc = fn(acc, v)
+    return acc
+
+
+_int64s = st.one_of(st.integers(int(_I64.min), int(_I64.max)),
+                    st.sampled_from([int(_I64.min), int(_I64.max), -1, 0, 1]))
+
+
+class TestReduceFastPath:
+    """A list of Python ints folds in one int64 ``ufunc.reduce``; the
+    result's type and value are the loop's."""
+
+    @given(values=st.lists(_int64s, min_size=1, max_size=70),
+           op=st.sampled_from(["sum", "min", "max"]))
+    def test_int_lists_match_the_loop(self, values, op):
+        with np.errstate(over="ignore"):
+            want = _loop_fold(values, op)
+            got = _allreduce(values, op)
+        assert type(got) is type(want)
+        assert got == want
+
+    @given(values=st.lists(st.one_of(_int64s, st.booleans(),
+                                     st.floats(-1e6, 1e6),
+                                     _int64s.map(np.int64)),
+                           min_size=1, max_size=9),
+           op=st.sampled_from(["sum", "min", "max"]))
+    def test_mixed_lists_match_the_loop(self, values, op):
+        with np.errstate(over="ignore"):
+            want = _loop_fold(values, op)
+            got = _allreduce(values, op)
+        assert type(got) is type(want)
+        assert got == want
+
+    def test_single_rank_returns_its_value(self):
+        assert type(_allreduce([7])) is int
+
+    def test_extremes_wrap_like_the_loop(self):
+        values = [int(_I64.max), 1, int(_I64.max)]
+        with np.errstate(over="ignore"):
+            want = _loop_fold(values, "sum")
+        assert _allreduce(values) == want == np.int64(-1)
+
+    @pytest.mark.parametrize("big", [int(_I64.max) + 1, int(_I64.min) - 1])
+    def test_past_int64_raises_like_the_loop(self, big):
+        with pytest.raises(OverflowError):
+            _loop_fold([1, big], "sum")
+        with pytest.raises(OverflowError):
+            _allreduce([1, big])
 
 
 class TestPrefix:

@@ -14,10 +14,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import BoruvkaConfig
-from repro.dgraph.edges import Edges
-from repro.seq import msf_weight, spans_same_components
+from repro.dgraph.edges import WEIGHT_LIMIT, Edges
+from repro.seq import UnionFind, msf_weight, spans_same_components
 from repro.serve import (
     GraphSession,
     MutationError,
@@ -28,7 +29,7 @@ from repro.serve import (
     serve_tcp,
 )
 from repro.serve import incremental, protocol
-from repro.serve.session import _directed_rows
+from repro.serve.session import SessionView, _directed_rows, _merged
 
 #: Forces several Borůvka rounds on modest graphs.
 MULTI_ROUND = BoruvkaConfig(base_case_min=16, base_case_factor=1,
@@ -470,6 +471,225 @@ class TestPlanReplay:
         assert crossing.tolist() == want
         assert not any(view.edge_in_msf(int(e.u[r]), int(e.v[r]))
                        for r in crossing), "a kept forest edge never crosses"
+
+
+def _bare_view(n, rows, forest=()):
+    """A SessionView of undirected ``rows`` with the given forest pairs."""
+    arr = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    edges = incremental.symmetrized_edges(arr[:, 0], arr[:, 1], arr[:, 2])
+    f = np.asarray(sorted(forest), dtype=np.int64).reshape(-1, 3)
+    return SessionView(
+        version=0, n_vertices=n, edges=edges,
+        codes=edges.u.astype(np.int64) * n + edges.v.astype(np.int64),
+        forest_u=f[:, 0], forest_v=f[:, 1], forest_w=f[:, 2],
+        forest_codes=f[:, 0] * n + f[:, 1], total_weight=int(f[:, 2].sum()),
+        n_components=n, component_of=np.arange(n))
+
+
+def _lexsort_rebuild(view, del_pairs, ins_rows):
+    """The directed list after a batch as a full (u, v, w) lexsort."""
+    n = view.n_vertices
+    a, b = del_pairs[:, 0], del_pairs[:, 1]
+    keep = ~np.isin(view.codes, np.concatenate([a * n + b, b * n + a]))
+    iu, iv, iw = ins_rows[:, 0], ins_rows[:, 1], ins_rows[:, 2]
+    u = np.concatenate([view.edges.u[keep].astype(np.int64), iu, iv])
+    v = np.concatenate([view.edges.v[keep].astype(np.int64), iv, iu])
+    w = np.concatenate([view.edges.w[keep].astype(np.int64), iw, iw])
+    order = np.lexsort((w, v, u))
+    edges = Edges(u[order], v[order], w[order])
+    return edges, edges.u.astype(np.int64) * n + edges.v.astype(np.int64)
+
+
+def _assert_same_list(edges, codes, want_edges, want_codes):
+    for col in ("u", "v", "w", "id"):
+        got, want = getattr(edges, col), getattr(want_edges, col)
+        assert got.dtype == want.dtype, col
+        assert np.array_equal(got, want), col
+    assert codes.dtype == want_codes.dtype
+    assert np.array_equal(codes, want_codes)
+
+
+@st.composite
+def _batches(draw):
+    """(n, rows, deleted pairs, inserted rows) on at most 9 vertices.
+
+    An inserted pair is absent or deleted in the same batch (a delete and
+    a re-insert with a new weight); weights repeat and reach 2^62 - 1.
+    """
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    flags = st.lists(st.booleans(), min_size=len(pairs),
+                     max_size=len(pairs))
+    present, deleted, inserted = draw(flags), draw(flags), draw(flags)
+    weights = draw(st.lists(
+        st.one_of(st.integers(1, 4), st.just(WEIGHT_LIMIT - 1)),
+        min_size=2 * len(pairs), max_size=2 * len(pairs)))
+    rows, dels, ins = [], [], []
+    for i, (a, b) in enumerate(pairs):
+        if present[i]:
+            rows.append([a, b, weights[i]])
+            if deleted[i]:
+                dels.append([a, b])
+        if inserted[i] and (not present[i] or deleted[i]):
+            ins.append([a, b, weights[len(pairs) + i]])
+    return n, rows, dels, ins
+
+
+class TestMergedView:
+    """A commit merges the kept rows with the inserted ones; the result is
+    what a full (u, v, w) lexsort of the mutated list gives, to the byte."""
+
+    @given(batch=_batches())
+    def test_merge_equals_lexsort_rebuild(self, batch):
+        n, rows, dels, ins = batch
+        view = _bare_view(n, rows)
+        del_pairs = np.array(dels, dtype=np.int64).reshape(-1, 2)
+        ins_rows = np.array(ins, dtype=np.int64).reshape(-1, 3)
+        edges, codes = _merged(view, _directed_rows(view, del_pairs),
+                               ins_rows)
+        _assert_same_list(edges, codes,
+                          *_lexsort_rebuild(view, del_pairs, ins_rows))
+
+    def test_merge_refuses_a_present_pair(self):
+        view = _bare_view(3, [[0, 1, 5]])
+        with pytest.raises(RuntimeError, match="internal"):
+            _merged(view, np.empty(0, dtype=np.int64),
+                    np.array([[0, 1, 7]], dtype=np.int64))
+
+    @pytest.mark.parametrize("n,rows,epochs", [
+        # a pair deleted and re-inserted with a new weight in one epoch
+        (5, [[0, 1, 5], [1, 2, 3], [2, 3, 9], [0, 3, 4]],
+         [[("delete", [[1, 2], [0, 3]]), ("insert", [[2, 1, 8]])]]),
+        # inserts before the first and after the last pair code
+        (6, [[2, 3, 5], [3, 4, 1]],
+         [[("insert", [[0, 1, 7], [4, 5, 2]])],
+          [("insert", [[0, 2, 3], [5, 3, 4]])]]),
+        # every edge deleted, then the empty list grows again
+        (4, [[0, 1, 1], [1, 2, 2], [2, 3, 3], [0, 3, 4]],
+         [[("delete", [[0, 1], [1, 2], [2, 3], [0, 3]])],
+          [("insert", [[3, 1, 6]])]]),
+        # an empty graph
+        (4, [], [[("insert", [[0, 3, 2], [1, 2, 2]])],
+                 [("delete", [[0, 3]]), ("insert", [[0, 1, 1]])]]),
+    ])
+    def test_epochs_publish_the_lexsort_rebuild(self, n, rows, epochs):
+        model = Model(rows)
+        with GraphSession(n, rows, n_procs=2) as s:
+            for ops in epochs:
+                before = s.view
+                dels = [sorted(r) for kind, rs in ops if kind == "delete"
+                        for r in rs]
+                ins = [sorted(r[:2]) + [r[2]] for kind, rs in ops
+                       if kind == "insert" for r in rs]
+                outcomes, report = s.apply_epoch(ops)
+                assert outcomes == [None] * len(ops) and report is not None
+                model.apply(ops)
+                _assert_same_list(s.view.edges, s.view.codes,
+                                  *_lexsort_rebuild(
+                                      before,
+                                      np.array(dels, dtype=np.int64)
+                                      .reshape(-1, 2),
+                                      np.array(ins, dtype=np.int64)
+                                      .reshape(-1, 3)))
+                _check(s, model.rows())
+
+
+def _uf_roots(n, u, v):
+    uf = UnionFind(n)
+    uf.union_edges(np.asarray(u, dtype=np.int64),
+                   np.asarray(v, dtype=np.int64))
+    return uf.find_many(np.arange(n))
+
+
+def _smallest_member(roots):
+    """Per vertex, the smallest vertex sharing its union-find root."""
+    first = {}
+    for x, r in enumerate(roots.tolist()):
+        first.setdefault(r, x)
+    return np.array([first[r] for r in roots.tolist()], dtype=np.int64)
+
+
+class TestComponentLabels:
+    """component_of is each component's smallest vertex, stable across
+    versions whose components did not change."""
+
+    @given(n=st.integers(0, 40), data=st.data())
+    def test_hook_and_shortcut_matches_union_find(self, n, data):
+        m = data.draw(st.integers(0, 2 * n))
+        ends = st.lists(st.integers(0, max(n - 1, 0)), min_size=m,
+                        max_size=m)
+        u, v = (data.draw(ends), data.draw(ends)) if n else ([], [])
+        labels = incremental.component_labels(n, u, v)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, _smallest_member(_uf_roots(n, u, v)))
+
+    def test_path_in_descending_order(self):
+        n = 257
+        labels = incremental.component_labels(
+            n, np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1))
+        assert not labels.any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_session_labels_and_a_sparsified_epoch(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 60
+        rows = _triples(rng, n, 45)
+        arr = np.asarray(rows, dtype=np.int64)
+        roots = _uf_roots(n, arr[:, 0], arr[:, 1])
+        with GraphSession(n, rows, n_procs=3) as s:
+            view = s.view
+            assert np.array_equal(view.component_of, _smallest_member(roots))
+            assert view.n_components == len(np.unique(roots))
+            a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                        if roots[a] == roots[b] and not view.has_pair(a, b))
+            outcomes, report = s.apply_epoch(
+                [("insert", [[a, b, 1]]),
+                 ("delete", [list(_nontree_pair(view))])])
+            assert report.strategy == "sparsified"
+            assert s.view.version == view.version + 1
+            assert np.array_equal(s.view.component_of, view.component_of)
+            assert s.view.n_components == view.n_components
+            assert s.components(vertices=list(range(n)))["component_of"] \
+                == view.component_of.tolist()
+
+
+@st.composite
+def _forest_cuts(draw):
+    """A graph, a spanning forest of it, and a delete set on both."""
+    n = draw(st.integers(2, 24))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rows = [[a, b, draw(st.integers(1, 9))] for a, b in
+            draw(st.lists(st.sampled_from(pairs), unique=True,
+                          min_size=1, max_size=3 * n))]
+    uf, forest = UnionFind(n), []
+    for i in draw(st.permutations(range(len(rows)))):
+        if uf.union(rows[i][0], rows[i][1]):
+            forest.append(rows[i])
+    cut = draw(st.lists(st.booleans(), min_size=len(rows),
+                        max_size=len(rows)))
+    return n, rows, forest, sorted(r[:2] for r, c in zip(rows, cut) if c)
+
+
+class TestPlanReplayOracle:
+    @given(case=_forest_cuts())
+    def test_crossing_matches_union_find(self, case):
+        n, rows, forest, dead = case
+        view = _bare_view(n, rows, [tuple(r) for r in forest])
+        del_pairs = np.array(dead, dtype=np.int64).reshape(-1, 2)
+        forest_keep, crossing = plan_replay(
+            view, del_pairs, _directed_rows(view, del_pairs))
+
+        gone = set(map(tuple, dead))
+        kept = [r for r in sorted(map(tuple, forest)) if r[:2] not in gone]
+        assert forest_keep.tolist() == [r[:2] not in gone
+                                        for r in sorted(map(tuple, forest))]
+        roots = _uf_roots(n, [r[0] for r in kept], [r[1] for r in kept])
+        e = view.edges
+        want = [row for row in range(len(e))
+                if e.u[row] < e.v[row]
+                and (int(e.u[row]), int(e.v[row])) not in gone
+                and roots[e.u[row]] != roots[e.v[row]]]
+        assert crossing.tolist() == want
 
 
 class TestParentWrongAnswers:
