@@ -20,6 +20,7 @@ mid-compute.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,9 +45,13 @@ class _Entry:
 
 def percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile (q in [0, 100]); 0.0 for no samples."""
-    if not values:
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """:func:`percentile` of a list that is already sorted."""
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     rank = max(0, min(len(ordered) - 1,
                       int(round(q / 100.0 * (len(ordered) - 1)))))
     return ordered[rank]
@@ -81,9 +86,11 @@ class RequestQueue:
         self._commit_lock = asyncio.Lock()
         self._closed = False
         self.metrics = MetricsRegistry()
-        #: Raw per-request latency samples (seconds), for p50/p99.
+        #: Per-request latency samples (seconds), kept sorted so that a
+        #: ``stats`` query reads p50/p99 without sorting a list that grows
+        #: for the queue's whole life.
         self.latencies: List[float] = []
-        self.queue_waits: List[float] = []
+        self._queue_wait_total = 0.0
         self.n_requests = 0
         self.n_errors = 0
 
@@ -144,11 +151,10 @@ class RequestQueue:
         return {
             "requests": self.n_requests,
             "errors": self.n_errors,
-            "p50_latency_ms": percentile(lat, 50) * 1e3,
-            "p99_latency_ms": percentile(lat, 99) * 1e3,
+            "p50_latency_ms": _nearest_rank(lat, 50) * 1e3,
+            "p99_latency_ms": _nearest_rank(lat, 99) * 1e3,
             "mean_queue_wait_ms":
-                (sum(self.queue_waits) / len(self.queue_waits) * 1e3)
-                if self.queue_waits else 0.0,
+                (self._queue_wait_total / len(lat) * 1e3) if lat else 0.0,
             "epochs": dict(self.session.epoch_counts),
             "simulated_seconds": self.session.total_simulated_seconds,
         }
@@ -288,10 +294,10 @@ class RequestQueue:
 
     def _observe(self, enqueued: float, started: float) -> None:
         now = time.monotonic()
-        self.latencies.append(now - enqueued)
-        self.queue_waits.append(max(0.0, started - enqueued))
-        self.metrics.histogram("serve/queue_wait_s").observe(
-            max(0.0, started - enqueued))
+        wait = max(0.0, started - enqueued)
+        bisect.insort(self.latencies, now - enqueued)
+        self._queue_wait_total += wait
+        self.metrics.histogram("serve/queue_wait_s").observe(wait)
         self.metrics.histogram("serve/compute_s").observe(now - started)
 
     def _metrics_for(self, enqueued: float, started: float) -> Dict:

@@ -958,6 +958,30 @@ class TestQueueSemantics:
         assert summary["requests"] == 2 and summary["errors"] == 0
         assert summary["p99_latency_ms"] >= summary["p50_latency_ms"] >= 0
 
+    def test_summary_reads_sorted_samples(self, monkeypatch):
+        """``stats`` answers from the samples as kept, without sorting the
+        lifetime list on every call."""
+        import repro.serve.queue as queue_mod
+
+        def no_sort(values):
+            raise AssertionError("summary sorted the latency samples")
+
+        async def scenario(queue):
+            for k in range(12):
+                await queue.submit({"id": k, "op": ("msf_weight", "stats",
+                                                    "components")[k % 3]})
+            monkeypatch.setattr(queue_mod, "sorted", no_sort, raising=False)
+            return queue, queue.summary()
+
+        queue, summary = _drive(scenario)
+        monkeypatch.undo()
+        lat = queue.latencies
+        assert len(lat) == 12 and lat == sorted(lat)
+        assert summary["p50_latency_ms"] == percentile(lat, 50) * 1e3
+        assert summary["p99_latency_ms"] == percentile(lat, 99) * 1e3
+        waits = queue.metrics.histogram("serve/queue_wait_s")
+        assert summary["mean_queue_wait_ms"] == waits.mean * 1e3
+
 
 class TestProtocol:
     def test_parse_rejects(self):
