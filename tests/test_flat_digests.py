@@ -1,11 +1,13 @@
 """Bit-identity guard for the drivers around the Borůvka round.
 
-Awerbuch-Shiloach, MND-MST, dist-kruskal, dist-prim, connected components
-and the distributed MSF verification each run here on three graphs (GNM,
-an RHG partitioned with shared vertices, and a GNM with mostly empty PEs),
-on 1, 2, 3, 5 and 64 PEs, with no faults and with a message-drop /
-corruption / straggler storm; AS and MND-MST also survive one certain
-fail-stop.  Every run is reduced to one SHA-256 digest of everything it
+Awerbuch-Shiloach, MND-MST, dist-kruskal, dist-prim, connected components,
+the distributed MSF verification and the paper's Borůvka and
+Filter-Borůvka (local preprocessing forced on every graph) each run here
+on four graphs (GNM, an RHG partitioned with shared vertices, a GNM with
+mostly empty PEs and a high-locality 2D-RGG partitioned with shared
+vertices), on 1, 2, 3, 5 and 64 PEs, with no faults and with a
+message-drop / corruption / straggler storm; AS, MND-MST, Borůvka and
+Filter-Borůvka also survive one certain fail-stop.  Every run is reduced to one SHA-256 digest of everything it
 leaves behind (see :func:`observed`), and the digests below were recorded on
 the per-PE loop drivers these flat drivers replaced: any change to a
 simulated clock, phase time, counter, message, RNG state, fault draw or
@@ -31,10 +33,12 @@ from helpers import observed_machine  # noqa: E402
 
 from repro.competitors import (awerbuch_shiloach_msf, dist_kruskal,  # noqa: E402
                                dist_prim, mnd_mst)
+from repro.core import minimum_spanning_forest  # noqa: E402
+from repro.core.config import BoruvkaConfig, FilterConfig  # noqa: E402
 from repro.core.connectivity import connected_components  # noqa: E402
 from repro.core.verification import verify_distributed_msf  # noqa: E402
 from repro.dgraph.edges import Edges  # noqa: E402
-from repro.graphgen import gen_gnm, gen_rhg  # noqa: E402
+from repro.graphgen import gen_family, gen_gnm, gen_rhg  # noqa: E402
 from repro.seq.kruskal import kruskal_msf  # noqa: E402
 from repro.simmpi import Machine  # noqa: E402
 
@@ -43,6 +47,7 @@ GRAPHS = {
     "gnm": (lambda: gen_gnm(160, 640, seed=3), True),
     "rhg-shared": (lambda: gen_rhg(160, 8.0, seed=4), False),
     "gnm-sparse": (lambda: gen_gnm(300, 10, seed=5), True),
+    "rgg-shared": (lambda: gen_family("2D-RGG", 300, 1200, seed=5), False),
 }
 
 SIZES = (1, 2, 3, 5, 64)
@@ -71,6 +76,15 @@ def _heaviest_forest(edges, n):
     return edges.take(np.sort(kruskal_msf(flipped, n).id))
 
 
+#: Local preprocessing on every graph (no 10 % skip), and a base case small
+#: enough that the round -- and a fail-stop's recovery in it -- runs after.
+PREPROCESS_ALWAYS = BoruvkaConfig(preprocessing_min_local_fraction=0.0,
+                                  base_case_min=16)
+
+#: The drivers that survive a certain fail-stop.
+PE_FAIL_DRIVERS = ("awerbuch-shiloach", "mnd-mst", "boruvka",
+                   "filter-boruvka")
+
 DRIVERS = {
     "awerbuch-shiloach": lambda dg, graph: awerbuch_shiloach_msf(dg),
     "mnd-mst": lambda dg, graph: mnd_mst(dg),
@@ -79,6 +93,11 @@ DRIVERS = {
     "connected-components": lambda dg, graph: connected_components(dg),
     "verify-msf": _verify(kruskal_msf),
     "verify-rejected": _verify(_heaviest_forest),
+    "boruvka": lambda dg, graph: minimum_spanning_forest(
+        dg, algorithm="boruvka", config=PREPROCESS_ALWAYS),
+    "filter-boruvka": lambda dg, graph: minimum_spanning_forest(
+        dg, algorithm="filter-boruvka",
+        config=FilterConfig(boruvka=PREPROCESS_ALWAYS)),
 }
 
 
@@ -89,8 +108,7 @@ def run_ids():
             for p in SIZES:
                 for faults in FAULTS:
                     if faults == "pe_fail" and (
-                            driver not in ("awerbuch-shiloach", "mnd-mst")
-                            or p == 1):
+                            driver not in PE_FAIL_DRIVERS or p == 1):
                         continue
                     yield f"{driver}/{graph}/{p}/{faults}"
 
@@ -392,6 +410,202 @@ DIGESTS = {
     "verify-rejected/gnm-sparse/64/storm": "cf5b06c6ea400a9b",
 }
 
+#: Recorded on the per-PE local preprocessing and MND-MST contraction
+#: loops: Borůvka and Filter-Borůvka on every graph, and every driver on
+#: the 2D-RGG.
+DIGESTS.update({
+    "awerbuch-shiloach/rgg-shared/1/none": "8aab96876ab4660a",
+    "awerbuch-shiloach/rgg-shared/1/storm": "5a0d59ddecdf7da4",
+    "awerbuch-shiloach/rgg-shared/2/none": "f96cb32e18b73896",
+    "awerbuch-shiloach/rgg-shared/2/storm": "e0e3a81e22003c37",
+    "awerbuch-shiloach/rgg-shared/2/pe_fail": "b162ff6cdf33f6b5",
+    "awerbuch-shiloach/rgg-shared/3/none": "7188fc72f3464efb",
+    "awerbuch-shiloach/rgg-shared/3/storm": "6e1db22fd7f0ab08",
+    "awerbuch-shiloach/rgg-shared/3/pe_fail": "e926c4e791fe3310",
+    "awerbuch-shiloach/rgg-shared/5/none": "b5fe78038d1e7767",
+    "awerbuch-shiloach/rgg-shared/5/storm": "a5a3b3f0c921a1b9",
+    "awerbuch-shiloach/rgg-shared/5/pe_fail": "3229b83058af3130",
+    "awerbuch-shiloach/rgg-shared/64/none": "820e702c5ed94f01",
+    "awerbuch-shiloach/rgg-shared/64/storm": "c0789e48359e3ebb",
+    "awerbuch-shiloach/rgg-shared/64/pe_fail": "9c9237d9463f325a",
+    "mnd-mst/rgg-shared/1/none": "50f6c04464450ddf",
+    "mnd-mst/rgg-shared/1/storm": "d51a20a9d532677a",
+    "mnd-mst/rgg-shared/2/none": "0992949a38f5d860",
+    "mnd-mst/rgg-shared/2/storm": "e1117f6a412c8925",
+    "mnd-mst/rgg-shared/2/pe_fail": "946a0c99a5d136ca",
+    "mnd-mst/rgg-shared/3/none": "d66175e77319288d",
+    "mnd-mst/rgg-shared/3/storm": "10419923e6b45d5c",
+    "mnd-mst/rgg-shared/3/pe_fail": "151a72c0d121699d",
+    "mnd-mst/rgg-shared/5/none": "34a9040f534e4f27",
+    "mnd-mst/rgg-shared/5/storm": "c1c54e75e13f1508",
+    "mnd-mst/rgg-shared/5/pe_fail": "2af62ae8db43a027",
+    "mnd-mst/rgg-shared/64/none": "c346e897f021fad9",
+    "mnd-mst/rgg-shared/64/storm": "0d6f315911362ed5",
+    "mnd-mst/rgg-shared/64/pe_fail": "c2a208ab552b084f",
+    "dist-kruskal/rgg-shared/1/none": "dfa887f253e98e97",
+    "dist-kruskal/rgg-shared/1/storm": "8bc45e259f37b996",
+    "dist-kruskal/rgg-shared/2/none": "6da61d438aa4c9d9",
+    "dist-kruskal/rgg-shared/2/storm": "2951164edb4111ee",
+    "dist-kruskal/rgg-shared/3/none": "42c9a76ed9ea6b46",
+    "dist-kruskal/rgg-shared/3/storm": "f3bd6c8972d3ac51",
+    "dist-kruskal/rgg-shared/5/none": "5cdb6b81285b2dfb",
+    "dist-kruskal/rgg-shared/5/storm": "30f1ee78283cfab0",
+    "dist-kruskal/rgg-shared/64/none": "6a85e4ebcbdcd4ff",
+    "dist-kruskal/rgg-shared/64/storm": "014b7bff81f65fda",
+    "dist-prim/rgg-shared/1/none": "98307a793ae1a21a",
+    "dist-prim/rgg-shared/1/storm": "041e0963efe7140f",
+    "dist-prim/rgg-shared/2/none": "85c6c09a4e44a5cb",
+    "dist-prim/rgg-shared/2/storm": "36c9f1799f2921aa",
+    "dist-prim/rgg-shared/3/none": "052c3d4a8fd71c0e",
+    "dist-prim/rgg-shared/3/storm": "6d84ea77088dff40",
+    "dist-prim/rgg-shared/5/none": "71ecd16fa2a4cf06",
+    "dist-prim/rgg-shared/5/storm": "60e8c8601632cdc2",
+    "dist-prim/rgg-shared/64/none": "1fdef3c6e9adae2e",
+    "dist-prim/rgg-shared/64/storm": "d6eef2c938970641",
+    "connected-components/rgg-shared/1/none": "5d21c8c6dd41c023",
+    "connected-components/rgg-shared/1/storm": "eabac0282ed51f51",
+    "connected-components/rgg-shared/2/none": "c40cd23dabdda362",
+    "connected-components/rgg-shared/2/storm": "172a8bc4462ff7cf",
+    "connected-components/rgg-shared/3/none": "34a89e800ad48a3c",
+    "connected-components/rgg-shared/3/storm": "e71868dd54caaa4d",
+    "connected-components/rgg-shared/5/none": "8124430defa3c0b6",
+    "connected-components/rgg-shared/5/storm": "019c22e885a5bc1a",
+    "connected-components/rgg-shared/64/none": "2b4910bc5c00795c",
+    "connected-components/rgg-shared/64/storm": "b8229269cb7ce70a",
+    "verify-msf/rgg-shared/1/none": "faae3ed175effc57",
+    "verify-msf/rgg-shared/1/storm": "8b06546fcf2bebe4",
+    "verify-msf/rgg-shared/2/none": "365b00dbefdbbb61",
+    "verify-msf/rgg-shared/2/storm": "d58d65704f904c03",
+    "verify-msf/rgg-shared/3/none": "b7ee2069f528a4e3",
+    "verify-msf/rgg-shared/3/storm": "dfdcfa2507a4dde3",
+    "verify-msf/rgg-shared/5/none": "e776e5ff7e433aee",
+    "verify-msf/rgg-shared/5/storm": "1c43d424eab6ff50",
+    "verify-msf/rgg-shared/64/none": "380e2c26544890f3",
+    "verify-msf/rgg-shared/64/storm": "74d433a77763d090",
+    "verify-rejected/rgg-shared/1/none": "5d7c02e158fa8991",
+    "verify-rejected/rgg-shared/1/storm": "8e9ccb08053fc65f",
+    "verify-rejected/rgg-shared/2/none": "de09870900704ee3",
+    "verify-rejected/rgg-shared/2/storm": "811ad454102ae24e",
+    "verify-rejected/rgg-shared/3/none": "409f2f97d198ce96",
+    "verify-rejected/rgg-shared/3/storm": "3f675278136b057d",
+    "verify-rejected/rgg-shared/5/none": "dd7305fe6a0d37a5",
+    "verify-rejected/rgg-shared/5/storm": "54d847c46d082ffa",
+    "verify-rejected/rgg-shared/64/none": "94b68df6a0df9f81",
+    "verify-rejected/rgg-shared/64/storm": "dc110eb206719042",
+    "boruvka/gnm/1/none": "264579b21fd6f45e",
+    "boruvka/gnm/1/storm": "c5c7093c8b42edb0",
+    "boruvka/gnm/2/none": "e9ea8e5e621a326b",
+    "boruvka/gnm/2/storm": "b00e2ab4d411ca5f",
+    "boruvka/gnm/2/pe_fail": "f421bff72a60a76a",
+    "boruvka/gnm/3/none": "2f653de60c784b2e",
+    "boruvka/gnm/3/storm": "f1cb38b571fb13c1",
+    "boruvka/gnm/3/pe_fail": "5fba1fb5c8a22683",
+    "boruvka/gnm/5/none": "6d642ffe824d76bb",
+    "boruvka/gnm/5/storm": "161b250fbb03d342",
+    "boruvka/gnm/5/pe_fail": "f581136fc24d5386",
+    "boruvka/gnm/64/none": "30ab0c0cf4fcab43",
+    "boruvka/gnm/64/storm": "3e22a12a8c55caf1",
+    "boruvka/gnm/64/pe_fail": "a66b878364db5684",
+    "boruvka/rhg-shared/1/none": "4bebcfffda0897d2",
+    "boruvka/rhg-shared/1/storm": "5644342413f4e53a",
+    "boruvka/rhg-shared/2/none": "f49d89061ee469d0",
+    "boruvka/rhg-shared/2/storm": "ef6c9770b0f4420e",
+    "boruvka/rhg-shared/2/pe_fail": "92e6ff02f07f9718",
+    "boruvka/rhg-shared/3/none": "d7282f0134cd2443",
+    "boruvka/rhg-shared/3/storm": "48231912d7e3c82f",
+    "boruvka/rhg-shared/3/pe_fail": "26f5cd8b42c4d060",
+    "boruvka/rhg-shared/5/none": "90d39b442ec1918d",
+    "boruvka/rhg-shared/5/storm": "ca5550647eb04fed",
+    "boruvka/rhg-shared/5/pe_fail": "486fc65bc2275f92",
+    "boruvka/rhg-shared/64/none": "ea94362657aeb085",
+    "boruvka/rhg-shared/64/storm": "9824ca415a5ec0b4",
+    "boruvka/rhg-shared/64/pe_fail": "a55d2dbacde13fcf",
+    "boruvka/gnm-sparse/1/none": "52b9dad8ec669303",
+    "boruvka/gnm-sparse/1/storm": "5fa182f4f17bd4ef",
+    "boruvka/gnm-sparse/2/none": "cf7d79d1da685de3",
+    "boruvka/gnm-sparse/2/storm": "e669721b9965e452",
+    "boruvka/gnm-sparse/2/pe_fail": "cdf6b3398081e897",
+    "boruvka/gnm-sparse/3/none": "84aac709439ef3de",
+    "boruvka/gnm-sparse/3/storm": "84afce20269fb5cd",
+    "boruvka/gnm-sparse/3/pe_fail": "bc7bc4aa7f50c8dd",
+    "boruvka/gnm-sparse/5/none": "680612e307c28aed",
+    "boruvka/gnm-sparse/5/storm": "9e7c4fcb5cd63741",
+    "boruvka/gnm-sparse/5/pe_fail": "8004318e79911dd7",
+    "boruvka/gnm-sparse/64/none": "9d25aa81499a86c9",
+    "boruvka/gnm-sparse/64/storm": "352bac6a8de84b6c",
+    "boruvka/gnm-sparse/64/pe_fail": "ff776d52f52d2298",
+    "boruvka/rgg-shared/1/none": "46ef13502214be48",
+    "boruvka/rgg-shared/1/storm": "2c5defe7a513261b",
+    "boruvka/rgg-shared/2/none": "f2ea164884f93453",
+    "boruvka/rgg-shared/2/storm": "130a2f720dff9ce9",
+    "boruvka/rgg-shared/2/pe_fail": "d3bc2c627647d86f",
+    "boruvka/rgg-shared/3/none": "35cdfa83ce679064",
+    "boruvka/rgg-shared/3/storm": "1e9a903275a52887",
+    "boruvka/rgg-shared/3/pe_fail": "16c563415bb02eb3",
+    "boruvka/rgg-shared/5/none": "87fcb7035d0fac56",
+    "boruvka/rgg-shared/5/storm": "275f4501febf1c7d",
+    "boruvka/rgg-shared/5/pe_fail": "df333e41165ca038",
+    "boruvka/rgg-shared/64/none": "cfd490a252073f83",
+    "boruvka/rgg-shared/64/storm": "776a2df5c460b140",
+    "boruvka/rgg-shared/64/pe_fail": "ea84b2978c38eacc",
+    "filter-boruvka/gnm/1/none": "0d483dc2dbd1b6a0",
+    "filter-boruvka/gnm/1/storm": "5bee5eaab5f80def",
+    "filter-boruvka/gnm/2/none": "d3ad34ff4f923f1b",
+    "filter-boruvka/gnm/2/storm": "6589d7dbef34816f",
+    "filter-boruvka/gnm/2/pe_fail": "b45c1cde875d5afd",
+    "filter-boruvka/gnm/3/none": "f2280f6aa467a1cb",
+    "filter-boruvka/gnm/3/storm": "36a636d638c290fc",
+    "filter-boruvka/gnm/3/pe_fail": "e2a3a21acac45d04",
+    "filter-boruvka/gnm/5/none": "c53b481e04fc50a1",
+    "filter-boruvka/gnm/5/storm": "d72221411bea0eee",
+    "filter-boruvka/gnm/5/pe_fail": "8e40de90fa0c3bf4",
+    "filter-boruvka/gnm/64/none": "e6ef90d24f1aff7d",
+    "filter-boruvka/gnm/64/storm": "eb83dac55a1ea58c",
+    "filter-boruvka/gnm/64/pe_fail": "c26410760b503abd",
+    "filter-boruvka/rhg-shared/1/none": "b920dda95188d0c9",
+    "filter-boruvka/rhg-shared/1/storm": "207d9fd4a376127c",
+    "filter-boruvka/rhg-shared/2/none": "c4ef197c121be895",
+    "filter-boruvka/rhg-shared/2/storm": "e0a9455533d74b93",
+    "filter-boruvka/rhg-shared/2/pe_fail": "50a7bee3e2a967ec",
+    "filter-boruvka/rhg-shared/3/none": "d865a1a8a20ec925",
+    "filter-boruvka/rhg-shared/3/storm": "39564487aa57ba80",
+    "filter-boruvka/rhg-shared/3/pe_fail": "2967088b109e4dd8",
+    "filter-boruvka/rhg-shared/5/none": "0332d6d98aecaee4",
+    "filter-boruvka/rhg-shared/5/storm": "b3354a9ec1caa363",
+    "filter-boruvka/rhg-shared/5/pe_fail": "a226c34daf268b3f",
+    "filter-boruvka/rhg-shared/64/none": "cc8814d4db4a297f",
+    "filter-boruvka/rhg-shared/64/storm": "207faf45c8cc580e",
+    "filter-boruvka/rhg-shared/64/pe_fail": "7bc2634bf2538540",
+    "filter-boruvka/gnm-sparse/1/none": "dce61880b4677178",
+    "filter-boruvka/gnm-sparse/1/storm": "6cec1644b992ccba",
+    "filter-boruvka/gnm-sparse/2/none": "9692714a403a0c11",
+    "filter-boruvka/gnm-sparse/2/storm": "e6f15c14015b47e7",
+    "filter-boruvka/gnm-sparse/2/pe_fail": "e0e8b82e52cad8ff",
+    "filter-boruvka/gnm-sparse/3/none": "c4b54ff65d4f48dc",
+    "filter-boruvka/gnm-sparse/3/storm": "cc5af527ac338e4d",
+    "filter-boruvka/gnm-sparse/3/pe_fail": "fe31cb5735e6beaa",
+    "filter-boruvka/gnm-sparse/5/none": "2e584e0e36190006",
+    "filter-boruvka/gnm-sparse/5/storm": "f130f99fc1d2f8ae",
+    "filter-boruvka/gnm-sparse/5/pe_fail": "9d273756453728a9",
+    "filter-boruvka/gnm-sparse/64/none": "11f27a569b8badbc",
+    "filter-boruvka/gnm-sparse/64/storm": "db7021b09c2e0142",
+    "filter-boruvka/gnm-sparse/64/pe_fail": "7f5333eb1c8e1d6e",
+    "filter-boruvka/rgg-shared/1/none": "eab858a1a8851fc1",
+    "filter-boruvka/rgg-shared/1/storm": "ff907b6be67c48fa",
+    "filter-boruvka/rgg-shared/2/none": "69328a8d4c326d83",
+    "filter-boruvka/rgg-shared/2/storm": "8ecaafac3e37726e",
+    "filter-boruvka/rgg-shared/2/pe_fail": "4770d2f5f58fcdad",
+    "filter-boruvka/rgg-shared/3/none": "49e2bf44beb7f920",
+    "filter-boruvka/rgg-shared/3/storm": "d49d6041f0fa32b6",
+    "filter-boruvka/rgg-shared/3/pe_fail": "fb651db24bf8486c",
+    "filter-boruvka/rgg-shared/5/none": "4245e81fcd34b0ec",
+    "filter-boruvka/rgg-shared/5/storm": "d3d556dff2cbed2e",
+    "filter-boruvka/rgg-shared/5/pe_fail": "1fbeb91b65b551cb",
+    "filter-boruvka/rgg-shared/64/none": "cd7c07365264f122",
+    "filter-boruvka/rgg-shared/64/storm": "8ec79b4649f811f7",
+    "filter-boruvka/rgg-shared/64/pe_fail": "24b369d2f8be3104",
+})
+
 
 @pytest.mark.parametrize("run_id", list(run_ids()))
 def test_digest_unchanged(run_id):
@@ -399,12 +613,13 @@ def test_digest_unchanged(run_id):
 
 
 def test_matrix_exercises_what_it_names():
-    """The shared-vertex graph shares vertices, the sparse one leaves PEs
+    """The shared-vertex graphs share vertices, the sparse one leaves PEs
     empty, and the rejected candidate is rejected."""
     with Machine(64) as machine:
-        rhg = GRAPHS["rhg-shared"][0]().distribute(machine,
-                                                   avoid_shared=False)
-        assert len(rhg.shared_vertex_set()) > 0
+        for name in ("rhg-shared", "rgg-shared"):
+            shared = GRAPHS[name][0]().distribute(machine,
+                                                  avoid_shared=False)
+            assert len(shared.shared_vertex_set()) > 0
         sparse = GRAPHS["gnm-sparse"][0]().distribute(machine)
         assert (~sparse.has_edges).sum() > 32
     with Machine(5) as machine:
@@ -413,7 +628,7 @@ def test_matrix_exercises_what_it_names():
         assert report.is_forest and report.spans and not report.ok
 
 
-@pytest.mark.parametrize("driver", ["awerbuch-shiloach", "mnd-mst"])
+@pytest.mark.parametrize("driver", PE_FAIL_DRIVERS)
 def test_pe_fail_strikes(driver):
     graph = GRAPHS["gnm"][0]()
     with Machine(3, faults=FAULTS["pe_fail"]) as machine:
