@@ -35,13 +35,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..dgraph.dist_graph import DistGraph, source_groups, split_edges
+from ..dgraph.dist_graph import DistGraph, move_home, split_edges
 from ..dgraph.edges import Edges
-from ..kernels import RaggedArrays, first_in_group, packed_lexsort
+from ..kernels import first_in_group
 from ..simmpi.alltoall import route_rows
 from ..core.boruvka import InputSnapshot, MSTResult, mst_output
 from ..core.config import BoruvkaConfig
-from ..core.local_preprocessing import _contract_one_pe, destinations
+from ..core.local_preprocessing import (_contract_block, block_layout,
+                                        drop_parallel, sort_parts)
 from ..core.rounds import RoundBody, RoundScheduler, RoundStats
 from ..core.state import MSTRun
 
@@ -139,25 +140,23 @@ class MndMergeRoundBody(RoundBody):
         machine, run = self.machine, self.run
         comm, cfg = run.comm, run.cfg
         p = machine.n_procs
-        parts, vmaps, active = self.parts, self.vmaps, self.active
+        parts, vmaps = self.parts, self.vmaps
+        active = np.asarray(self.active, dtype=np.int64)
         leaders = active[::self.group_size]
-        rows, dests = [], []
-        map_rows, map_dests = [], []
-        for i in range(p):
-            if i in active and i not in leaders:
-                leader = leaders[active.index(i) // self.group_size]
-                rows.append(parts[i].as_matrix())
-                dests.append(np.full(len(parts[i]), leader, dtype=np.int64))
-                mr = vmaps[i].rows()
-                map_rows.append(mr)
-                map_dests.append(np.full(len(mr), leader, dtype=np.int64))
-                parts[i] = Edges.empty()
-                vmaps[i] = _VertexMap()
-            else:
-                rows.append(np.empty((0, Edges.N_COLS), dtype=np.int64))
-                dests.append(np.empty(0, dtype=np.int64))
-                map_rows.append(np.empty((0, 2), dtype=np.int64))
-                map_dests.append(np.empty(0, dtype=np.int64))
+        leader_of = np.repeat(leaders, self.group_size)[:len(active)]
+        sends = leader_of != active
+        no_rows = np.empty((0, Edges.N_COLS), dtype=np.int64)
+        no_maps = np.empty((0, 2), dtype=np.int64)
+        no_dests = np.empty(0, dtype=np.int64)
+        rows, dests = [no_rows] * p, [no_dests] * p
+        map_rows, map_dests = [no_maps] * p, [no_dests] * p
+        for i, leader in zip(active[sends].tolist(),
+                             leader_of[sends].tolist()):
+            rows[i] = parts[i].as_matrix()
+            dests[i] = np.full(len(parts[i]), leader, dtype=np.int64)
+            map_rows[i] = vmaps[i].rows()
+            map_dests[i] = np.full(len(map_rows[i]), leader, dtype=np.int64)
+            vmaps[i] = _VertexMap()
         recv, _, _ = route_rows(comm, rows, dests, method=cfg.alltoall)
         recv_maps, _, _ = route_rows(comm, map_rows, map_dests,
                                      method=cfg.alltoall)
@@ -166,32 +165,36 @@ class MndMergeRoundBody(RoundBody):
         # still referenced here adds directly to peak memory.
         del rows, dests, map_rows, map_dests
         with machine.phase("mnd_merge"):
-            mem = np.zeros(p, dtype=np.float64)
-            for leader in leaders:
+            merged = []
+            for leader in leaders.tolist():
                 vmaps[leader].merge(recv_maps[leader])
-                merged = Edges.concat(
+                got = Edges.concat(
                     [parts[leader], Edges.from_matrix(recv[leader])])
-                recv[leader] = recv_maps[leader] = None
+                recv[leader] = recv_maps[leader] = parts[leader] = None
                 # Relabel through the combined subtree map.  ``resolve``
                 # works in int64; representatives are vertex IDs from the
                 # same space as the inputs, so cast back to the stored
                 # column dtype -- a leader otherwise drags widened columns
-                # (and double-size scratch in ``_contract_one_pe``) through
-                # every remaining level of the hierarchy.
-                u = vmaps[leader].resolve(merged.u)
-                v = vmaps[leader].resolve(merged.v)
+                # (and double-size contraction scratch) through every
+                # remaining level of the hierarchy.
+                u = vmaps[leader].resolve(got.u)
+                v = vmaps[leader].resolve(got.v)
                 alive = np.flatnonzero(u != v)
-                merged = Edges(u[alive].astype(merged.u.dtype, copy=False),
-                               v[alive].astype(merged.v.dtype, copy=False),
-                               merged.w[alive], merged.id[alive]).sort_lex()
-                del u, v, alive
-                machine.charge_sort(np.array([max(len(merged), 1)]),
-                                    ranks=np.array([leader]))
-                mem[leader] = len(merged) * 32.0
-                parts[leader] = _contract_local(merged, leader, machine,
-                                                run, vmaps[leader])
-            machine.check_memory(mem)
-        self.active = leaders
+                merged.append(Edges(u[alive].astype(got.u.dtype, copy=False),
+                                    v[alive].astype(got.v.dtype, copy=False),
+                                    got.w[alive], got.id[alive]))
+                del got, u, v, alive
+            sizes = np.zeros(p, dtype=np.int64)
+            sizes[leaders] = [len(m) for m in merged]
+            offsets = np.zeros(p + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            edges = sort_parts(Edges.concat(merged), offsets)
+            del merged
+            machine.charge_sort(np.maximum(sizes[leaders], 1), ranks=leaders)
+            self.parts = split_edges(*_contract(edges, offsets, machine, run,
+                                                vmaps))
+            machine.check_memory(sizes * 32.0)
+        self.active = leaders.tolist()
         return False  # convergence is the prologue's active-count check
 
     # -- CheckpointableState ------------------------------------------
@@ -232,13 +235,13 @@ def mnd_mst(
     snapshot = InputSnapshot.take(graph)
 
     # ---- Input preparation: eliminate shared vertices (Section VII). ----
-    parts = _unshare(graph, run)
+    edges, offsets = _unshare(graph, run)
     vmaps = [_VertexMap() for _ in range(p)]
 
     # ---- Level 0: local contraction on every PE. ----
     with machine.phase("mnd_local"):
-        for i in range(p):
-            parts[i] = _contract_local(parts[i], i, machine, run, vmaps[i])
+        parts = split_edges(*_contract(edges, offsets, machine, run, vmaps))
+    del edges, offsets
 
     # ---- Merge hierarchy: groups ship graphs + maps to leaders. ----
     body = MndMergeRoundBody(run, parts, vmaps, group_size)
@@ -252,70 +255,52 @@ def mnd_mst(
 
 
 # ----------------------------------------------------------------------
-def _unshare(graph: DistGraph, run: MSTRun) -> List[Edges]:
-    """Move every shared vertex's edges to the first PE of its span.
-
-    One block-wide move, then one stable sort by (PE, u, v, w) over the
-    kept rows followed by the received ones: within each PE its kept rows
-    come before its received rows wherever the key ties.
-    """
+def _unshare(graph: DistGraph, run: MSTRun):
+    """Move every shared vertex's edges to the first PE of its span in the
+    block; returns the new block and its offsets."""
     machine = graph.machine
-    p = machine.n_procs
     e, pes = graph.edges, graph.row_pes()
     if len(graph.shared_vertex_set()) == 0:
-        return split_edges(e.copy(), graph.offsets)
+        return e, graph.offsets
     # The block is globally sorted by source, so a source's first row sits
     # on the first PE of its span: that PE is every one of its rows' home.
     run_start = first_in_group(e.u)
     home = pes[np.flatnonzero(run_start)[np.cumsum(run_start) - 1]]
-    move = np.flatnonzero(home != pes)
-    cut = np.searchsorted(pes[move], np.arange(1, p))
-    recv, _, _ = route_rows(run.comm,
-                            np.split(e.take(move).as_matrix(), cut),
-                            np.split(home[move], cut),
-                            method=run.cfg.alltoall)
-    got = RaggedArrays.from_arrays(recv)
-    keep = np.flatnonzero(home == pes)
-    merged = Edges.concat([e.take(keep), Edges.from_matrix(got.flat)])
-    merged_pes = np.concatenate([pes[keep], got.segment_ids()])
-    order = packed_lexsort((merged.w, merged.v, merged.u, merged_pes))
-    sizes = np.bincount(merged_pes, minlength=p)
-    machine.charge_sort(np.maximum(sizes, 1))
-    offsets = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return split_edges(merged.take(order), offsets)
+    edges, offsets, _ = move_home(run.comm, e, graph.offsets, home,
+                                  run.cfg.alltoall)
+    machine.charge_sort(np.maximum(np.diff(offsets), 1))
+    return edges, offsets
 
 
-def _contract_local(part: Edges, pe: int, machine, run: MSTRun,
-                    vmap: _VertexMap) -> Edges:
-    """Contract everything provable from this PE's edges alone.
+def _contract(edges: Edges, offsets: np.ndarray, machine, run: MSTRun,
+              vmaps: List[_VertexMap]):
+    """Contract everything provable from each PE's edges alone, on every PE
+    at once; returns the contracted block and its offsets.
 
-    Every vertex appearing as a source here owns its complete neighbourhood
-    (the unshare step and whole-part merges guarantee it), so the cut-aware
-    local Borůvka of the preprocessing module applies with an empty shared
-    set.
+    Every vertex appearing as a source on a PE owns its complete
+    neighbourhood there (the unshare step and whole-part merges guarantee
+    it), so the cut-aware local Borůvka of the preprocessing module applies
+    with an empty shared set.  Only the PEs that hold edges are charged.
     """
-    if len(part) == 0:
-        return part
-    # One layout of the lex-sorted part serves contraction and relabel.
-    vids, starts = source_groups(part.u)
-    v_at, v_local = destinations(vids, part.v)
-    new_labels, ids, ws, rounds = _contract_one_pe(
-        part, vids, starts, v_at, v_local,
-        np.zeros(len(vids), dtype=bool), use_filter=False
-    )
-    run.record_mst(pe, ids, ws)
-    vmap.add(vids, new_labels)
-    machine.charge_sort(np.array([max(len(part), 1)]), ranks=np.array([pe]))
-    machine.charge_scan(np.array([len(part) * max(rounds, 1)]),
-                        ranks=np.array([pe]))
+    runs, run_off, v_at, v_local = block_layout(edges, offsets)
+    labels, ids, ws, mst_off, rounds = _contract_block(
+        edges, offsets, runs, run_off, v_at, v_local,
+        np.zeros(len(runs), dtype=bool), use_filter=False)
+    run.record_mst_parts(ids, ws, mst_off)
+    vids = edges.u[runs]
+    lengths = np.diff(offsets)
+    full = np.flatnonzero(lengths)
+    for i in full.tolist():
+        vmaps[i].add(vids[run_off[i]:run_off[i + 1]],
+                     labels[run_off[i]:run_off[i + 1]])
+    machine.charge_sort(lengths[full], ranks=full)
+    machine.charge_scan(lengths[full] * np.maximum(rounds[full], 1),
+                        ranks=full)
     # Relabel locally, drop self loops and parallel duplicates.
-    u_new = np.repeat(new_labels, np.diff(starts))
-    v_new = np.where(v_local, new_labels[v_at], part.v)
-    alive = np.flatnonzero(u_new != v_new)
-    e = Edges(u_new[alive], v_new[alive], part.w[alive], part.id[alive])
-    e = e.sort_lex()
-    same = np.zeros(len(e), dtype=bool)
-    if len(e) > 1:
-        same[1:] = (e.u[1:] == e.u[:-1]) & (e.v[1:] == e.v[:-1])
-    return e.take(~same)
+    u = np.repeat(labels, np.diff(runs, append=len(edges)))
+    v = np.where(v_local, labels[np.repeat(run_off[:-1], lengths) + v_at],
+                 edges.v)
+    alive = np.flatnonzero(u != v)
+    kept = Edges(u[alive], v[alive], edges.w[alive], edges.id[alive])
+    kept_off = np.searchsorted(alive, offsets)
+    return drop_parallel(sort_parts(kept, kept_off), kept_off)

@@ -26,22 +26,24 @@ Engineering refinements from Section VI-B, all implemented here:
 Afterwards the ghost labels are refreshed with the label-exchange machinery
 of Section IV-B and global sortedness is re-established by local resorting
 plus routing the boundary runs of shared vertices to the first PE of their
-span (the paper's "short subsequences allocated to two subsequent PEs"
-case, generalised to any span).
+span in the input graph (the paper's "short subsequences allocated to two
+subsequent PEs" case, generalised to any span).  Every stage reads and
+writes the graph's block and offsets and is charged as one per-PE vector.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..dgraph.dist_graph import DistGraph, split_edges
+from ..dgraph.dist_graph import DistGraph, move_home
 from ..dgraph.edges import Edges, lightest_per_group
-from ..kernels import segmented_searchsorted
+from ..kernels import (index_dtype, segmented_run_starts,
+                       segmented_searchsorted)
+from ..kernels.segmented import packed_lexsort
 from ..seq.filter_kruskal import filter_boruvka_msf
 from ..seq.kruskal import kruskal_msf
-from ..simmpi.alltoall import route_rows
 from .labels import exchange_labels, relabel
 from .state import MSTRun
 
@@ -79,111 +81,136 @@ class _TaintedUnionFind:
         return roots
 
 
-def destinations(vids: np.ndarray, v: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(at, local)``: each destination's ``searchsorted`` position among
-    the sorted local ``vids``, clipped, and whether it is that vertex."""
-    idx = np.searchsorted(vids, v)
-    at = np.minimum(idx, len(vids) - 1)
-    return at, (idx < len(vids)) & (vids[at] == v)
-
-
 def block_destinations(graph: DistGraph
                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`destinations` of every part at once, laid end to end: each
-    row's destination searched among its own PE's local vertices in one
-    (PE, vertex) search over the block."""
-    e, run_off = graph.edges, graph.run_offsets()
-    vids = e.u[graph.source_runs()]
-    row_pe = graph.row_pes()
+    """``(at, local)``: every row's destination searched among its own PE's
+    local vertices in one (PE, vertex) search over the block -- its
+    position there, clipped, and whether it is that vertex."""
+    return _destinations(graph.edges, graph.source_runs(),
+                         graph.run_offsets(), graph.row_pes())
+
+
+def block_layout(edges: Edges, offsets: np.ndarray):
+    """``(runs, run_off, v_at, v_local)`` of a block whose parts are sorted
+    by source: what :class:`DistGraph` caches as :meth:`~DistGraph.
+    source_runs` and :meth:`~DistGraph.run_offsets`, and
+    :func:`block_destinations`."""
+    p = len(offsets) - 1
+    runs = np.flatnonzero(segmented_run_starts(edges.u, offsets))
+    run_off = np.searchsorted(runs, offsets)
+    row_pe = np.repeat(np.arange(p, dtype=index_dtype(p)), np.diff(offsets))
+    return (runs, run_off) + _destinations(edges, runs, run_off, row_pe)
+
+
+def _destinations(e: Edges, runs: np.ndarray, run_off: np.ndarray,
+                  row_pe: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`block_destinations` from the layout arrays."""
+    vids = e.u[runs]
     at = segmented_searchsorted(vids, run_off, e.v, row_pe)
     np.minimum(at, np.diff(run_off)[row_pe] - 1, out=at)
     return at, vids[run_off[:-1][row_pe] + at] == e.v
 
 
-def _contract_one_pe(
-    part: Edges,
-    vids: np.ndarray,
-    starts: np.ndarray,
+def _contract_block(
+    e: Edges,
+    offsets: np.ndarray,
+    runs: np.ndarray,
+    run_off: np.ndarray,
     v_at: np.ndarray,
     v_local: np.ndarray,
     shared_mask: np.ndarray,
     use_filter: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Run the modified local Borůvka on one PE.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the modified local Borůvka on every PE at once.
 
-    The part's vertex layout is read, not searched: ``(vids, starts)`` are
-    its source groups (:meth:`DistGraph.vertex_groups`) and ``(v_at,
-    v_local)`` its :func:`destinations`.  Returns ``(new_labels, mst_ids,
-    mst_weights, rounds)`` where ``new_labels`` is aligned with ``vids``.
+    The block's vertex layout is read, not searched: ``(runs, run_off)``
+    are its source runs and where each part's begin, ``(v_at, v_local)``
+    its :func:`block_destinations`.  A local vertex is indexed by its
+    position in ``runs``, one index per (PE, vertex).  The sets of
+    different PEs are disjoint, so one union-find over all of them, with
+    the picked rows scanned in block (PE-major) order, makes exactly the
+    unions each PE makes alone; a PE's rows leave the round arrays once it
+    stops (no live row, or no union).
+
+    Returns ``(labels, mst_ids, mst_weights, mst_offsets, rounds)``:
+    ``labels`` aligned with ``runs``, PE ``i``'s MST edges at
+    ``mst_offsets[i]:mst_offsets[i + 1]`` in the order it found them, and
+    every PE's round count.
     """
-    n_local = len(vids)
-    uf = _TaintedUnionFind(n_local, shared_mask)
-    if n_local == 0 or len(part) == 0:
-        return vids.copy(), np.empty(0, dtype=np.int64), \
-            np.empty(0, dtype=np.int64), 0
-
-    # Index scratch dtype: vertex indices (< n_local) and row positions
-    # (< 2 * len(part)) both fit int32 at any simulated scale, and ~15 such
+    p = len(offsets) - 1
+    n = len(runs)
+    vids = e.u[runs]
+    uf = _TaintedUnionFind(n, shared_mask)
+    # Index scratch dtype: vertex indices (< n) and row positions
+    # (< 2 * len(e)) both fit int32 at any simulated scale, and ~15 such
     # arrays are simultaneously live per round below -- the narrow scratch
     # halves the peak footprint of large merged parts (MND-MST leaders).
-    idx_dt = (np.int32 if max(n_local, 2 * len(part)) < (1 << 31)
-              else np.int64)
-    vidx_u = np.repeat(np.arange(n_local, dtype=idx_dt), np.diff(starts))
-    vidx_v = np.where(v_local, v_at.astype(idx_dt, copy=False), idx_dt(-1))
+    idx_dt = np.int32 if max(n, 2 * len(e)) < (1 << 31) else np.int64
 
     # Candidate (contractible) edges: both endpoints local.  With the
-    # filtering enhancement, restrict further to the local subgraph's MSF --
-    # by the cycle property no other local edge can ever be a cut minimum.
-    # Every compaction below gathers at positions: one flatnonzero, then
-    # integer gathers (docs/kernels.md, "Select by index, not by mask").
+    # filtering enhancement, restrict further to each PE's local subgraph's
+    # MSF -- by the cycle property no other local edge can ever be a cut
+    # minimum.  One filter call per PE: each draws its pivots from its own
+    # generator and sizes its base case from its own vertex count.
     candidate = v_local
-    if use_filter and candidate.any():
-        cpos = np.flatnonzero(candidate)
-        dense = Edges(vidx_u[cpos], vidx_v[cpos], part.w[cpos], cpos)
-        msf = (filter_boruvka_msf if len(dense) > 64 else kruskal_msf)(
-            dense, n_local)
-        candidate = np.zeros(len(part), dtype=bool)
-        candidate[msf.id] = True  # ids were candidate positions
-        del cpos, dense, msf
+    if use_filter:
+        candidate = np.zeros(len(e), dtype=bool)
+        for i in np.flatnonzero(np.diff(offsets)).tolist():
+            a, r0, r1 = offsets[i], run_off[i], run_off[i + 1]
+            cpos = np.flatnonzero(v_local[a:offsets[i + 1]])
+            if len(cpos) == 0:
+                continue
+            at_u = np.searchsorted(runs[r0:r1], a + cpos, side="right") - 1
+            dense = Edges(at_u.astype(idx_dt), v_at[a + cpos].astype(idx_dt),
+                          e.w[a + cpos], cpos)
+            msf = (filter_boruvka_msf if len(dense) > 64 else kruskal_msf)(
+                dense, int(r1 - r0))
+            candidate[a + msf.id] = True  # ids were candidate positions
+            del cpos, at_u, dense, msf
 
-    # Edges that participate in min computations: candidates + cut edges.
+    # Rows that participate in min computations: candidates + cut edges.
+    # Only they get a (PE, vertex) index.
     e_pos = np.flatnonzero(candidate | ~v_local)
-    e_u = vidx_u[e_pos]
-    e_v = vidx_v[e_pos]             # -1 for ghosts
-    e_w = part.w[e_pos]
+    e_pe = (np.searchsorted(offsets, e_pos, side="right") - 1).astype(idx_dt)
+    e_u = (np.searchsorted(runs, e_pos, side="right") - 1).astype(idx_dt)
+    e_v = np.where(v_local[e_pos],
+                   (run_off[e_pe] + v_at[e_pos]).astype(idx_dt),
+                   idx_dt(-1))   # -1 for ghosts
+    e_w = e.w[e_pos]
     e_cand = candidate[e_pos]
-    ghost_label = part.v[e_pos]     # actual labels for canonical tie keys
+    ghost_label = e.v[e_pos]     # actual labels for canonical tie keys
     e_pos = e_pos.astype(idx_dt, copy=False)
-    del vidx_u, vidx_v, candidate
+    del candidate
 
-    mst_ids: list[int] = []
-    mst_ws: list[int] = []
-    rounds = 0
-    while True:
-        rounds += 1
+    found = []  # (PE, block row) of every union, round by round
+    rounds = np.zeros(p, dtype=np.int64)
+    live = np.diff(offsets) > 0
+    while live.any():
+        rounds += live
         cu_root = uf.find_many(e_u)
         cv_root = np.where(e_v >= 0, uf.find_many(np.maximum(e_v, 0)), -1)
         label_u = vids[uf.rep[cu_root]]
         label_v = np.where(e_v >= 0, vids[uf.rep[np.maximum(cv_root, 0)]],
                            ghost_label)
-        keep = np.flatnonzero(label_u != label_v)
-        if len(keep) == 0:
-            break
+        # Self-loop edges stay dead forever (components only grow), and a
+        # stopped PE's rows are done: drop both before the scans below.
+        keep = np.flatnonzero((label_u != label_v) & live[e_pe])
         if len(keep) < len(e_u):
-            # Self-loop edges stay dead forever (components only grow), so
-            # drop them before the next round's scans.
-            e_u, e_v, e_w = e_u[keep], e_v[keep], e_w[keep]
+            e_u, e_v, e_w, e_pe = e_u[keep], e_v[keep], e_w[keep], e_pe[keep]
             e_pos, e_cand = e_pos[keep], e_cand[keep]
             ghost_label = ghost_label[keep]
             cu_root, cv_root = cu_root[keep], cv_root[keep]
             label_u, label_v = label_u[keep], label_v[keep]
         del keep
+        live &= np.bincount(e_pe, minlength=p) > 0  # no live row: stop
+        if not live.any():
+            break
         a_u, a_v = cu_root, cv_root
         a_cand = e_cand & (a_v >= 0)
         # Group candidates by component: local edges feed both sides' groups,
         # cut edges only the source side.  The tie key is built from the
-        # actual labels.
+        # actual labels.  A group's entries keep their per-PE order in
+        # ``sel``, so its lightest row is the one its PE alone would pick.
         both = a_v >= 0
         grp = np.concatenate([a_u, a_v[both]])
         sel = np.concatenate([np.arange(len(a_u), dtype=idx_dt),
@@ -191,27 +218,24 @@ def _contract_one_pe(
                                                           copy=False)])
         del both
         groups, pick = lightest_per_group(grp, label_u[sel], label_v[sel],
-                                          e_w[sel], n_local)
+                                          e_w[sel], n)
         chosen = sel[pick]  # row into the compacted arrays
         del grp, sel, pick, label_u, label_v
         # Contract where the choosing component is untainted and its minimum
         # is a contractible (local MSF) edge.
         ok = ~uf.taint[groups] & a_cand[chosen]
-        did_union = False
         rows = np.unique(chosen[ok])
-        pos = e_pos[rows]
         del groups, chosen, ok
         # find + union inlined over plain Python lists (the union-by-rank
-        # rule decides the labels): this loop dominates the per-PE
-        # contraction time and list indexing beats numpy scalar indexing
-        # several-fold.
+        # rule decides the labels): this loop dominates the contraction
+        # time and list indexing beats numpy scalar indexing several-fold.
         parent = uf.parent.tolist()
         rank = uf.rank.tolist()
         taint = uf.taint.tolist()
         rep = uf.rep.tolist()
-        for ia, ib, eid, ew in zip(a_u[rows].tolist(), a_v[rows].tolist(),
-                                   part.id[pos].tolist(),
-                                   part.w[pos].tolist()):
+        won = []
+        for ia, ib, k in zip(a_u[rows].tolist(), a_v[rows].tolist(),
+                             rows.tolist()):
             root = ia
             while parent[root] != root:
                 root = parent[root]
@@ -234,37 +258,47 @@ def _contract_one_pe(
             if taint[rb]:
                 taint[ra] = True
                 rep[ra] = rep[rb]
-            did_union = True
-            mst_ids.append(eid)
-            mst_ws.append(ew)
+            won.append(k)
         uf.parent[:] = parent
         uf.rank[:] = rank
         uf.taint[:] = taint
         uf.rep[:] = rep
-        if not did_union:
-            break
-        if rounds > 64:
+        won = np.asarray(won, dtype=np.int64)
+        found.append(np.stack([e_pe[won], e_pos[won]]))
+        live &= np.bincount(e_pe[won], minlength=p) > 0  # no union: stop
+        if live.any() and rounds.max() > 64:
             raise RuntimeError("local preprocessing failed to converge")
 
-    roots = uf.find_many(np.arange(n_local))
-    new_labels = vids[uf.rep[roots]]
-    return (new_labels, np.asarray(mst_ids, dtype=np.int64),
-            np.asarray(mst_ws, dtype=np.int64), rounds)
+    roots = uf.find_many(np.arange(n))
+    labels = vids[uf.rep[roots]]
+    pes, pos = np.concatenate([np.empty((2, 0), idx_dt)] + found, axis=1)
+    pos = pos[np.argsort(pes, kind="stable")]
+    mst_off = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pes, minlength=p), out=mst_off[1:])
+    return (labels, e.id[pos].astype(np.int64), e.w[pos].astype(np.int64),
+            mst_off, rounds)
 
 
-def _first_holder_of_shared(graph: DistGraph) -> dict[int, int]:
-    """Map each shared vertex to the first PE of its span."""
-    first_holder: dict[int, int] = {}
-    p = graph.machine.n_procs
-    for j in range(p):
-        if not graph.has_edges[j]:
-            continue
-        s_first = int(graph.first_src[j])
-        s_last = int(graph.last_src[j])
-        for s in (s_first, s_last):
-            if s not in first_holder:
-                first_holder[s] = j
-    return first_holder
+def sort_parts(e: Edges, offsets: np.ndarray) -> Edges:
+    """Every part sorted lexicographically, in one stable sort keyed
+    ``(PE, u, v, w)``: each part's rows in the order its own stable
+    :meth:`Edges.sort_lex` gives."""
+    p = len(offsets) - 1
+    pes = np.repeat(np.arange(p, dtype=index_dtype(p)), np.diff(offsets))
+    return e.take(packed_lexsort((e.w, e.v, e.u, pes)))
+
+
+def drop_parallel(e: Edges, offsets: np.ndarray
+                  ) -> Tuple[Edges, np.ndarray]:
+    """Keep the first row of every run of equal ``(u, v)`` within each of
+    the sorted parts -- its lightest copy; returns the kept rows and their
+    offsets."""
+    dup = np.zeros(len(e), dtype=bool)
+    dup[1:] = (e.u[1:] == e.u[:-1]) & (e.v[1:] == e.v[:-1])
+    starts = offsets[:-1]
+    dup[starts[starts < len(e)]] = False  # runs end at part boundaries
+    keep = np.flatnonzero(~dup)
+    return e.take(keep), np.searchsorted(keep, offsets)
 
 
 def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
@@ -291,79 +325,47 @@ def local_preprocessing(graph: DistGraph, run: MSTRun) -> DistGraph:
     if total_local / total_edges < cfg.preprocessing_min_local_fraction:
         return graph
 
-    # ---- Per-PE contraction (communication-free). ----
-    shared_set = graph.shared_vertex_set()
+    # ---- Contraction on every PE (communication-free). ----
     runs, run_off = graph.source_runs(), graph.run_offsets()
-    vids_all = graph.edges.u[runs]
-    labels_per_pe: List[np.ndarray] = []
-    for i in range(p):
-        a, b = off[i], off[i + 1]
-        vids = vids_all[run_off[i]:run_off[i + 1]]
-        starts = np.append(runs[run_off[i]:run_off[i + 1]] - a, b - a)
-        new_labels, ids, ws, rounds = _contract_one_pe(
-            graph.parts[i], vids, starts, v_at[a:b], v_local[a:b],
-            np.isin(vids, shared_set, assume_unique=True),
-            cfg.preprocessing_filter
-        )
-        labels_per_pe.append(new_labels)
-        run.record_mst(i, ids, ws)
-        run.record_labels(i, vids, new_labels)
-        m_i = len(graph.parts[i])
-        machine.charge_sort(np.array([max(m_i, 1)]), ranks=np.array([i]))
-        machine.charge_scan(np.array([m_i * max(rounds, 1)]),
-                            ranks=np.array([i]))
+    vids = graph.edges.u[runs]
+    labels, ids, ws, mst_off, rounds = _contract_block(
+        graph.edges, off, runs, run_off, v_at, v_local,
+        np.isin(vids, graph.shared_vertex_set()), cfg.preprocessing_filter)
     del v_at, v_local
+    run.record_mst_parts(ids, ws, mst_off)
+    run.record_labels_parts(vids, labels, run_off)
+    machine.charge_sort(np.maximum(lengths, 1))
+    machine.charge_scan(lengths * np.maximum(rounds, 1))
 
     # ---- Refresh ghost labels and relabel (Sections IV-B/IV-C). ----
-    state = (graph, vids_all, np.concatenate(labels_per_pe), run_off)
-    relabelled = split_edges(*relabel(*state, exchange_labels(*state, run),
-                                      run))
+    state = (graph, vids, labels, run_off)
+    edges, offsets = relabel(*state, exchange_labels(*state, run), run)
 
     # ---- Local resort + parallel-edge elimination. ----
-    parts: List[Edges] = []
-    for i in range(p):
-        e = relabelled[i].sort_lex()
-        machine.charge_sort(np.array([max(len(e), 1)]), ranks=np.array([i]))
-        parts.append(_dedup_part(e, machine, i, cfg))
+    edges = sort_parts(edges, offsets)
+    sizes = np.diff(offsets)
+    machine.charge_sort(np.maximum(sizes, 1))
+    edges, offsets = _dedup(edges, offsets, machine, cfg,
+                            np.flatnonzero(sizes))
 
-    # ---- Boundary repair: move shared-vertex runs to the span's first PE. -
-    first_holder = _first_holder_of_shared(graph)
-    payloads, dests, keepers = [], [], []
-    for i in range(p):
-        e = parts[i]
-        if len(e) == 0:
-            payloads.append(np.empty((0, Edges.N_COLS), dtype=np.int64))
-            dests.append(np.empty(0, dtype=np.int64))
-            keepers.append(e)
-            continue
-        s = int(e.u[0])
-        target = first_holder.get(s, i)
-        if s in shared_set and target != i:
-            run_len = int(np.searchsorted(e.u, s, side="right"))
-            lead = e.take(np.arange(run_len))
-            payloads.append(lead.as_matrix())
-            dests.append(np.full(run_len, target, dtype=np.int64))
-            keepers.append(e.take(np.arange(run_len, len(e))))
-        else:
-            payloads.append(np.empty((0, Edges.N_COLS), dtype=np.int64))
-            dests.append(np.empty(0, dtype=np.int64))
-            keepers.append(e)
-    recv, _, _ = route_rows(run.comm, payloads, dests, method=cfg.alltoall)
-    final_parts: List[Edges] = []
-    for i in range(p):
-        if len(recv[i]):
-            merged = Edges.concat([keepers[i], Edges.from_matrix(recv[i])])
-            merged = merged.sort_lex()
-            machine.charge_sort(np.array([len(merged)]), ranks=np.array([i]))
-            final_parts.append(_dedup_part(merged, machine, i, cfg))
-        else:
-            final_parts.append(keepers[i])
-
-    return DistGraph.from_parts(machine, final_parts, check=False)
+    # ---- Boundary repair: move shared-vertex runs to the first PE of their
+    # span in the input graph (the first with a last source at or past
+    # them), even where that PE kept none of their rows. ----
+    full = np.flatnonzero(graph.has_edges)
+    home = full[np.searchsorted(graph.last_src[full], edges.u)]
+    edges, offsets, received = move_home(run.comm, edges, offsets, home,
+                                         cfg.alltoall)
+    got = np.flatnonzero(received)
+    if len(got):
+        machine.charge_sort(np.diff(offsets)[got], ranks=got)
+        edges, offsets = _dedup(edges, offsets, machine, cfg, got)
+    return DistGraph(machine, edges, offsets, check=False)
 
 
-def _dedup_part(e: Edges, machine, pe: int, cfg) -> Edges:
-    """Remove parallel edges from a locally sorted part.
+def _dedup(e: Edges, offsets: np.ndarray, machine, cfg, ranks: np.ndarray
+           ) -> Tuple[Edges, np.ndarray]:
+    """:func:`drop_parallel` on sorted parts, charged on the PEs ``ranks``
+    that hold more than one row.
 
     With ``cfg.hash_dedup`` the paper's hash-based scheme is *charged*: the
     lightest ``hash_dedup_fraction`` of the edges go into a hash table keyed
@@ -372,17 +374,18 @@ def _dedup_part(e: Edges, machine, pe: int, cfg) -> Edges:
     per (u, v)); only the cost accounting differs, mirroring the up-to-2.5x
     win reported in Section VI-B.
     """
-    if len(e) <= 1:
-        return e
-    same = (e.u[1:] == e.u[:-1]) & (e.v[1:] == e.v[:-1])
-    keep = np.concatenate(([True], ~same))
-    out = e.take(keep)
+    out, out_off = drop_parallel(e, offsets)
+    before = np.diff(offsets)
+    ranks = ranks[before[ranks] > 1]
+    if len(ranks) == 0:
+        return out, out_off
+    before = before[ranks]
     if cfg.hash_dedup:
-        light = int(len(e) * cfg.hash_dedup_fraction) + 1
-        machine.charge_hash(np.array([light + len(e)]), ranks=np.array([pe]))
-        machine.charge_sort(np.array([max(len(out), 1)]),
-                            ranks=np.array([pe]))
+        light = (before * cfg.hash_dedup_fraction).astype(np.int64) + 1
+        machine.charge_hash(light + before, ranks=ranks)
+        machine.charge_sort(np.maximum(np.diff(out_off)[ranks], 1),
+                            ranks=ranks)
     else:
-        machine.charge_sort(np.array([max(len(e), 1)]), ranks=np.array([pe]))
-        machine.charge_scan(np.array([len(e)]), ranks=np.array([pe]))
-    return out
+        machine.charge_sort(before, ranks=ranks)
+        machine.charge_scan(before, ranks=ranks)
+    return out, out_off

@@ -66,6 +66,16 @@ class MSTRun:
             if changed.any():
                 self.label_sink(pe, vertices[changed], labels[changed])
 
+    def record_labels_parts(self, vertices: np.ndarray, labels: np.ndarray,
+                            offsets: np.ndarray) -> None:
+        """:meth:`record_labels` of entries ``offsets[i]:offsets[i + 1]``
+        on every PE ``i``."""
+        if self.label_sink is None:
+            return
+        for pe in np.flatnonzero(np.diff(offsets)):
+            a, b = offsets[pe], offsets[pe + 1]
+            self.record_labels(int(pe), vertices[a:b], labels[a:b])
+
     def collected(self, pe: int) -> np.ndarray:
         """All (id, weight) rows recorded on a PE so far."""
         if not self.mst_ids[pe]:

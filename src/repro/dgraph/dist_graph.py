@@ -29,7 +29,7 @@ correct.
 Host layout: the global sequence is one :class:`Edges` block plus ``p + 1``
 offsets, and ``E_i`` is ``edges[offsets[i]:offsets[i + 1]]``.  The rounds
 read the block; :attr:`DistGraph.parts` are zero-copy views of it, for the
-sanitizer's ownership checks, local preprocessing and the competitors.
+sanitizer's ownership checks.
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..kernels import index_dtype, segmented_run_starts
+from ..kernels import (RaggedArrays, first_in_group, index_dtype,
+                       segmented_run_starts)
+from ..kernels.segmented import packed_lexsort
+from ..simmpi.alltoall import route_rows
 from ..simmpi.collectives import Comm
 from ..simmpi.machine import Machine
 from .edges import WEIGHT_LIMIT, Edges
@@ -174,12 +177,7 @@ class DistGraph:
         first_u = gathered[:, 1].copy()
         self.last_src = gathered[:, 4].copy()
         self.part_sizes = gathered[:, 5].copy()
-        # Empty PEs inherit the next non-empty PE's key (sentinel at the end).
-        nxt = np.minimum.accumulate(
-            np.where(self.has_edges, np.arange(p), p)[::-1])[::-1]
-        keys = np.full((p + 1, 3), KEY_SENTINEL, dtype=np.int64)
-        keys[:p] = gathered[:, 1:4]
-        self.min_keys = tuple(np.ascontiguousarray(keys[nxt].T))
+        self.min_keys = tuple(np.ascontiguousarray(min_lex_keys(gathered).T))
         # Resident footprint: the edge block (4 x int64 per directed edge)
         # plus the compressed initial-copy / working-buffer headroom.  The
         # paper needs >= 4096 cores before wdc-14 fits (Section VII-B); a
@@ -261,14 +259,6 @@ class DistGraph:
                 f"m={self.global_edge_count()})")
 
 
-def source_groups(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`DistGraph.vertex_groups` of a non-empty sorted column ``u``."""
-    change = np.ones(len(u), dtype=bool)
-    change[1:] = u[1:] != u[:-1]
-    starts = np.flatnonzero(change)
-    return u[starts], np.append(starts, len(u))
-
-
 # ----------------------------------------------------------------------
 # Per-block reads: each reads the whole block at once, with ``offsets``
 # naming the parts (their per-part loops are the tests' oracles).
@@ -283,6 +273,32 @@ def split_edges(edges: Edges, offsets) -> List[Edges]:
     e, off = edges, np.asarray(offsets).tolist()
     return [Edges(e.u[a:b], e.v[a:b], e.w[a:b], e.id[a:b])
             for a, b in zip(off[:-1], off[1:])]
+
+
+def move_home(comm: Comm, edges: Edges, offsets: np.ndarray,
+              home: np.ndarray, method: str = "auto"):
+    """Move every row whose ``home`` PE is not its own PE there.
+
+    One :func:`~repro.simmpi.alltoall.route_rows` call carries the moving
+    rows; then one stable sort by (PE, u, v, w) merges each PE's kept rows
+    with what it received, the kept rows first wherever the key ties.
+    Returns ``(edges, offsets, received)``: the merged block, its offsets
+    and the number of rows every PE received.
+    """
+    p = len(offsets) - 1
+    pes = np.repeat(np.arange(p, dtype=index_dtype(p)), np.diff(offsets))
+    move = np.flatnonzero(home != pes)
+    cut = np.searchsorted(pes[move], np.arange(1, p))
+    recv, _, _ = route_rows(comm, np.split(edges.take(move).as_matrix(), cut),
+                            np.split(home[move], cut), method=method)
+    got = RaggedArrays.from_arrays(recv)
+    keep = np.flatnonzero(home == pes)
+    merged = Edges.concat([edges.take(keep), Edges.from_matrix(got.flat)])
+    merged_pes = np.concatenate([pes[keep], got.segment_ids()])
+    order = packed_lexsort((merged.w, merged.v, merged.u, merged_pes))
+    out = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(np.bincount(merged_pes, minlength=p), out=out[1:])
+    return merged.take(order), out, got.lengths
 
 
 def part_records(edges: Edges, offsets: np.ndarray) -> np.ndarray:
@@ -300,10 +316,22 @@ def part_records(edges: Edges, offsets: np.ndarray) -> np.ndarray:
     return records
 
 
+def min_lex_keys(records: np.ndarray) -> np.ndarray:
+    """Every PE's replicated ``min_lex`` key ``(u, v, w)`` from its
+    :func:`part_records` row: empty PEs inherit the next non-empty PE's
+    key, with a sentinel past the last one."""
+    p = len(records)
+    nxt = np.minimum.accumulate(
+        np.where(records[:, 0] == 1, np.arange(p), p)[::-1])[::-1]
+    keys = np.full((p + 1, 3), KEY_SENTINEL, dtype=np.int64)
+    keys[:p] = records[:, 1:4]
+    return keys[nxt]
+
+
 def shared_free_bounds(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """``bounds`` with every interior one moved forward to the next start
     of a source group of the sorted column ``u`` (or its end)."""
-    starts = source_groups(u)[1]
+    starts = np.append(np.flatnonzero(first_in_group(u)), len(u))
     return np.maximum.accumulate(starts[np.searchsorted(starts, bounds)])
 
 
@@ -322,10 +350,11 @@ def check_weights(edges: Edges, offsets: np.ndarray) -> None:
             f"weights must be below 2^62 (WEIGHT_LIMIT)")
 
 
-def _descents(edges: Edges) -> np.ndarray:
+def _descents(edges: Edges, force: bool = False) -> np.ndarray:
     """Rows ``k + 1`` that sort before row ``k`` (comparison-based on
-    purpose: ``np.diff`` on ``uint32`` columns wraps)."""
-    if edges._sorted_lex or len(edges) <= 1:
+    purpose: ``np.diff`` on ``uint32`` columns wraps).  ``force=True``
+    scans even a block whose cached flag says it is sorted."""
+    if (edges._sorted_lex and not force) or len(edges) <= 1:
         return np.empty(0, dtype=np.int64)
     u, v, w = edges.u, edges.v, edges.w
     eq = u[1:] == u[:-1]

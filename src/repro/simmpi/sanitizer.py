@@ -66,10 +66,6 @@ __all__ = [
     "Sanitizer",
 ]
 
-#: Sentinel key component used by DistGraph's replicated min-lex array.
-_KEY_SENTINEL = np.iinfo(np.int64).max
-
-
 class SanitizerViolation(RuntimeError):
     """Base class for every invariant violation simsan reports."""
 
@@ -483,43 +479,48 @@ class Sanitizer:
         array, part sizes) must agree with the actual per-PE blocks.
         """
         self.counters["redistribute_checks"] += 1
-        parts = graph.parts
-        p = len(parts)
-        prev_last = None
-        for i, part in enumerate(parts):
-            # force=True: re-verify even when the part carries a cached
-            # known-sorted flag, so the sanitizer check stays non-vacuous.
-            if not part.is_sorted_lex(force=True):
+        from ..dgraph.dist_graph import _descents, min_lex_keys, part_records
+
+        edges, offsets = graph.edges, graph.offsets
+        records = part_records(edges, offsets)
+        # force=True: re-scan even a block carrying a cached known-sorted
+        # flag, so the check stays non-vacuous.  A descent at a part's
+        # first row breaks the global order, anywhere else the local one.
+        # The lowest PE with a violation is reported, and on it the local
+        # order first, then its size, then the global order.
+        rows = _descents(edges, force=True)
+        at_start = np.isin(rows, offsets)
+        pe_of = np.searchsorted(offsets, rows, side="right") - 1
+        bad = np.zeros((len(records), 3), dtype=bool)
+        bad[pe_of[~at_start], 0] = True
+        bad[:, 1] = graph.part_sizes != records[:, 5]
+        bad[pe_of[at_start], 2] = True
+        for i, kind in np.argwhere(bad)[:1].tolist():
+            if kind == 0:
                 raise SortednessViolation(
                     f"PE {i}: local edge block is not lexicographically "
                     f"sorted after redistribute")
-            if int(graph.part_sizes[i]) != len(part):
+            if kind == 1:
                 raise SortednessViolation(
                     f"PE {i}: replicated part size "
                     f"{int(graph.part_sizes[i])} disagrees with the actual "
-                    f"block length {len(part)}")
-            if len(part) == 0:
-                continue
-            first = (int(part.u[0]), int(part.v[0]), int(part.w[0]))
-            if prev_last is not None and first < prev_last:
-                raise SortednessViolation(
-                    f"global sortedness violated at PE {i}: first edge "
-                    f"{first} sorts before the previous non-empty PE's "
-                    f"last edge {prev_last}")
-            prev_last = (int(part.u[-1]), int(part.v[-1]), int(part.w[-1]))
-        # Replicated min-lex agreement: every PE's key must equal the first
-        # edge of the next non-empty part (sentinel past the last one).
-        nk_u, nk_v, nk_w = graph.min_keys
-        expected = (_KEY_SENTINEL, _KEY_SENTINEL, _KEY_SENTINEL)
-        for i in range(p - 1, -1, -1):
-            part = parts[i]
-            if len(part):
-                expected = (int(part.u[0]), int(part.v[0]), int(part.w[0]))
-            actual = (int(nk_u[i]), int(nk_v[i]), int(nk_w[i]))
-            if actual != expected:
-                raise SortednessViolation(
-                    f"replicated min-lex array disagrees at PE {i}: "
-                    f"replicated {actual}, actual first edge {expected}")
+                    f"block length {int(records[i, 5])}")
+            first, prev_last = ((int(edges.u[k]), int(edges.v[k]),
+                                 int(edges.w[k]))
+                                for k in (offsets[i], offsets[i] - 1))
+            raise SortednessViolation(
+                f"global sortedness violated at PE {i}: first edge "
+                f"{first} sorts before the previous non-empty PE's "
+                f"last edge {prev_last}")
+        # Replicated min-lex agreement, reported at the highest PE that
+        # disagrees.
+        expected = min_lex_keys(records)
+        actual = np.stack(graph.min_keys, axis=1)
+        for i in np.flatnonzero((actual != expected).any(axis=1))[-1:]:
+            raise SortednessViolation(
+                f"replicated min-lex array disagrees at PE {i}: "
+                f"replicated {tuple(int(x) for x in actual[i])}, "
+                f"actual first edge {tuple(int(x) for x in expected[i])}")
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -34,8 +34,9 @@ calling this module's ``route_rows`` and ``local_lexsort_parts``.
 Local preprocessing and the MST output now read what the host already
 holds.  The versions they replaced are kept here as shipped: the per-PE
 ``_contract_one_pe`` that searched its own vertex layout (registered through
-an adapter taking the production arguments and ignoring the layout), and the
-varint ``InputSnapshot`` with the ``redistribute_mst`` that decodes it.
+a loop adapter taking the block contraction's arguments, ignoring the
+layout and running it part by part), and the varint ``InputSnapshot`` with
+the ``redistribute_mst`` that decodes it.
 
 The request/reply rounds (contraction's pointer doubling, the P array,
 Awerbuch-Shiloach's ``_resolve``) and EXCHANGELABELS' push are now charged
@@ -943,11 +944,19 @@ def _contract_one_pe(
             np.asarray(mst_ws, dtype=np.int64), rounds)
 
 
-def _contract_one_pe_searched(part, vids, starts, v_at, v_local,
-                              shared_mask, use_filter):
-    """:func:`_contract_one_pe` under the production signature: the handed
-    layout is ignored and searched again, as shipped."""
-    return _contract_one_pe(part, vids, shared_mask, use_filter)
+def _contract_block_loop(e, offsets, runs, run_off, v_at, v_local,
+                         shared_mask, use_filter):
+    """:func:`_contract_one_pe` PE by PE under the block signature: the
+    handed layout is ignored and every part searched again, as shipped."""
+    out = [_contract_one_pe(part, e.u[runs[a:b]], shared_mask[a:b],
+                            use_filter)
+           for part, a, b in zip(split_edges(e, offsets), run_off[:-1],
+                                 run_off[1:])]
+    labels, ids, ws, rounds = zip(*out)
+    mst_off = np.zeros(len(out) + 1, dtype=np.int64)
+    np.cumsum([len(x) for x in ids], out=mst_off[1:])
+    return (np.concatenate(labels), np.concatenate(ids), np.concatenate(ws),
+            mst_off, np.array(rounds, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -2071,8 +2080,8 @@ ORACLES = (
     ("repro.core.base_case", "base_case", base_case),
     ("repro.core.base_case", "_row_min", _row_min),
     ("repro.competitors.awerbuch_shiloach", "_resolve", _resolve),
-    ("repro.core.local_preprocessing", "_contract_one_pe",
-     _contract_one_pe_searched),
+    ("repro.core.local_preprocessing", "_contract_block",
+     _contract_block_loop),
     ("repro.core.boruvka", "InputSnapshot", InputSnapshot),
     ("repro.core.boruvka", "redistribute_mst", redistribute_mst),
     ("repro.core.plabels", "DistributedLabelArray", DistributedLabelArray),

@@ -6,7 +6,7 @@ import pytest
 from repro.core import BoruvkaConfig, MSTRun, local_preprocessing
 from repro.dgraph import DistGraph, Edges
 from repro.dgraph.dist_graph import check_global_sorted, check_local_sorted
-from repro.graphgen import gen_grid2d, gen_gnm
+from repro.graphgen import gen_family, gen_grid2d, gen_gnm
 from repro.seq import UnionFind, kruskal_msf
 from repro.simmpi import Machine
 
@@ -126,6 +126,22 @@ class TestRules:
             res[use_filter] = sum(int(w) for i in range(4)
                                   for _, w in run.collected(i))
         assert res[True] == res[False]
+
+    def test_shared_run_goes_to_first_pe_of_input_span(self):
+        """The boundary repair sends a shared vertex's rows to the first PE
+        of its span in the *input* graph, even when that PE kept none of
+        them after contraction: vertex 30 spans PEs 0 and 1, PE 0's rows
+        of it all contract away, and PE 1's run of it still moves to 0."""
+        g = gen_family("2D-RGG", 60, 150, seed=5)
+        machine = Machine(2)
+        dg = g.distribute(machine, avoid_shared=False)
+        assert dg.shared_vertex_set().tolist() == [30]
+        run = MSTRun(machine, BoruvkaConfig(
+            preprocessing_min_local_fraction=0.0))
+        out = local_preprocessing(dg, run)
+        assert out.offsets.tolist() == [0, 11, 14]
+        assert [int((part.u == 30).sum()) for part in out.parts] == [4, 0]
+        check_global_sorted(out.edges, out.offsets)
 
     def test_single_pe_contracts_everything(self, rng):
         n = 30

@@ -347,7 +347,7 @@ class TestRoundSites:
 # Host paths that read what they already hold: local preprocessing's
 # handed-in vertex layout and the by-reference input snapshot.
 # ----------------------------------------------------------------------
-HOST_PATH_ORACLES = ("_contract_one_pe", "InputSnapshot", "redistribute_mst")
+HOST_PATH_ORACLES = ("_contract_block", "InputSnapshot", "redistribute_mst")
 ALGORITHMS = ("awerbuch-shiloach", "boruvka", "dist-kruskal", "dist-prim",
               "filter-boruvka", "mnd-mst")
 RUN_MODES = {
@@ -418,22 +418,24 @@ class TestHostPaths:
     @pytest.mark.parametrize("family", FAMILIES + ("RHG",))
     @pytest.mark.parametrize("p", RUN_SIZES)
     def test_contract_one_pe(self, p, family, use_filter):
-        """Labels, MST ids and weights, rounds and their dtypes equal the
-        version that searched its own layout, PE by PE."""
+        """Labels, MST ids and weights, rounds and their dtypes of one block
+        contraction equal the version that searched its own layout, PE by
+        PE."""
         graph = _family_graph(family, seed=p)
         machine = _machine(p)
         dg = DistGraph.from_global_edges(machine, graph.edges,
                                          avoid_shared=family != "RHG")
-        shared = dg.shared_vertex_set()
+        runs, ro = dg.source_runs(), dg.run_offsets()
+        at, local = lp.block_destinations(dg)
+        mask = np.isin(dg.edges.u[runs], dg.shared_vertex_set())
+        labels, ids, ws, mst_off, rounds = lp._contract_block(
+            dg.edges, dg.offsets, runs, ro, at, local, mask, use_filter)
         for i in range(p):
-            part = dg.parts[i]
-            vids, starts = dg.vertex_groups(i)
-            at, local = lp.destinations(vids, part.v)
-            mask = np.isin(vids, shared, assume_unique=True)
-            got = lp._contract_one_pe(part, vids, starts, at, local, mask,
-                                      use_filter)
-            want = oracle._contract_one_pe(part, vids, mask, use_filter)
-            _assert_equal(_plain(list(got), False), _plain(list(want), False))
+            got = [labels[ro[i]:ro[i + 1]], ids[mst_off[i]:mst_off[i + 1]],
+                   ws[mst_off[i]:mst_off[i + 1]], rounds[i]]
+            want = oracle._contract_one_pe(dg.parts[i], dg.vertex_groups(i)[0],
+                                           mask[ro[i]:ro[i + 1]], use_filter)
+            _assert_equal(_plain(got, False), _plain(list(want), False))
 
     @pytest.mark.parametrize("mode", ["plain", "msgfaults", "pe_fail"])
     @pytest.mark.parametrize("algo", ALGORITHMS)

@@ -9,7 +9,7 @@ and the re-copies of REDISTRIBUTE used to cost, from inside the process:
 * the per-row PE index the label path shares, cached once per graph at
   the policy width;
 * the locality check's one block-wide (PE, vertex) search against the
-  per-part :func:`~repro.core.local_preprocessing.destinations`;
+  per-part search it replaced (:func:`destinations`);
 * ``UnionFind.union_edges`` converting its edges chunk by chunk: the
   forest at, just under and just over one chunk equals a single pass;
 * the retired ``REPRO_POOL_MAX_MB`` knob failing at ``Machine``
@@ -33,7 +33,7 @@ import pytest
 from repro import Machine, minimum_spanning_forest
 from repro.core import labels
 from repro.core.config import BoruvkaConfig
-from repro.core.local_preprocessing import block_destinations, destinations
+from repro.core.local_preprocessing import block_destinations
 from repro.core.state import MSTRun
 from repro.dgraph import DistGraph
 from repro.dgraph.edges import Edges
@@ -43,6 +43,14 @@ from repro.seq import union_find
 from repro.seq.union_find import UnionFind
 
 redistribute_mod = sys.modules["repro.core.redistribute"]
+
+
+def destinations(vids, v):
+    """One part's destinations searched among its sorted local ``vids``:
+    the per-part reference of ``block_destinations``."""
+    idx = np.searchsorted(vids, v)
+    at = np.minimum(idx, len(vids) - 1)
+    return at, (idx < len(vids)) & (vids[at] == v)
 
 #: Peak bytes of one REDISTRIBUTE above its entry, in blocks.
 REDISTRIBUTE_PEAK_BLOCKS = 3.5
