@@ -124,9 +124,9 @@ def _contract_block(
     """Run the modified local Borůvka on every PE at once.
 
     The block's vertex layout is read, not searched: ``(runs, run_off)``
-    are its source runs and where each part's begin, ``(v_at, v_local)``
-    its :func:`block_destinations`.  A local vertex is indexed by its
-    position in ``runs``, one index per (PE, vertex).  The sets of
+    are its source runs and where each part's runs begin, ``(v_at,
+    v_local)`` its :func:`block_destinations`.  A local vertex is indexed
+    by its position in ``runs``, one index per (PE, vertex).  The sets of
     different PEs are disjoint, so one union-find over all of them, with
     the picked rows scanned in block (PE-major) order, makes exactly the
     unions each PE makes alone; a PE's rows leave the round arrays once it

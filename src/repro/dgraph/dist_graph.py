@@ -38,8 +38,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..kernels import (RaggedArrays, first_in_group, index_dtype,
-                       segmented_run_starts)
+from ..kernels import RaggedArrays, index_dtype, segmented_run_starts
 from ..kernels.segmented import packed_lexsort
 from ..simmpi.alltoall import route_rows
 from ..simmpi.collectives import Comm
@@ -259,6 +258,14 @@ class DistGraph:
                 f"m={self.global_edge_count()})")
 
 
+def source_groups(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`DistGraph.vertex_groups` of a non-empty sorted column ``u``."""
+    change = np.ones(len(u), dtype=bool)
+    change[1:] = u[1:] != u[:-1]
+    starts = np.flatnonzero(change)
+    return u[starts], np.append(starts, len(u))
+
+
 # ----------------------------------------------------------------------
 # Per-block reads: each reads the whole block at once, with ``offsets``
 # naming the parts (their per-part loops are the tests' oracles).
@@ -331,7 +338,7 @@ def min_lex_keys(records: np.ndarray) -> np.ndarray:
 def shared_free_bounds(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """``bounds`` with every interior one moved forward to the next start
     of a source group of the sorted column ``u`` (or its end)."""
-    starts = np.append(np.flatnonzero(first_in_group(u)), len(u))
+    starts = source_groups(u)[1]
     return np.maximum.accumulate(starts[np.searchsorted(starts, bounds)])
 
 

@@ -7,9 +7,10 @@ on four graphs (GNM, an RHG partitioned with shared vertices, a GNM with
 mostly empty PEs and a high-locality 2D-RGG partitioned with shared
 vertices), on 1, 2, 3, 5 and 64 PEs, with no faults and with a
 message-drop / corruption / straggler storm; AS, MND-MST, Borůvka and
-Filter-Borůvka also survive one certain fail-stop.  Every run is reduced to one SHA-256 digest of everything it
-leaves behind (see :func:`observed`), and the digests below were recorded on
-the per-PE loop drivers these flat drivers replaced: any change to a
+Filter-Borůvka also survive one certain fail-stop.  Every run is reduced
+to one SHA-256 digest of everything it leaves behind (see
+:func:`observed`), and the digests below were recorded on the per-PE loop
+drivers these flat drivers replaced: any change to a
 simulated clock, phase time, counter, message, RNG state, fault draw or
 trace event shows up as a changed digest.
 
