@@ -1,7 +1,7 @@
 """Make the shared bench helpers importable when pytest runs benchmarks/.
 
-Benchmarks always run with the runtime sanitizer off: its write-protection
-and per-collective checks would perturb the timings being measured.
+Benchmarks always run with the runtime sanitizer off: its per-collective
+checks would perturb the timings being measured.
 """
 
 import os

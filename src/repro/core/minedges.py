@@ -54,8 +54,8 @@ def min_edges(graph: DistGraph) -> ChosenEdges:
     lengths = np.diff(off)
 
     # Vertex groups of every PE at once: a group starts where the source
-    # changes *or* a new PE's segment begins (shared vertices stay distinct
-    # per PE, exactly like per-PE vertex_groups).
+    # changes *or* a new PE's segment begins (a shared vertex has one group
+    # on every PE it spans).
     gstart = graph.source_runs()
     voff = np.searchsorted(gstart, off)
 

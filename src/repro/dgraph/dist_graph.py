@@ -27,9 +27,11 @@ search semantics ("rightmost PE whose first edge is <= the query") stay
 correct.
 
 Host layout: the global sequence is one :class:`Edges` block plus ``p + 1``
-offsets, and ``E_i`` is ``edges[offsets[i]:offsets[i + 1]]``.  The rounds
-read the block; :attr:`DistGraph.parts` are zero-copy views of it, for the
-sanitizer's ownership checks.
+offsets, and ``E_i`` is ``edges[offsets[i]:offsets[i + 1]]``.  Every stage
+reads the block and writes fresh arrays; a graph's block is never written in
+place (invariant 2, DESIGN.md Section 4).  The constructor locks the block's
+four columns read-only, so an in-place write -- which would also leave the
+caches derived from the block stale -- raises numpy's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class DistGraph:
 
     The host holds the global sequence as one :class:`Edges` block and
     ``p + 1`` ``offsets``: PE ``i``'s part is ``edges[offsets[i]:
-    offsets[i + 1]]``.  :attr:`parts` lists those parts as zero-copy views.
+    offsets[i + 1]]``.  Once built, the block is read-only.
     """
 
     def __init__(self, machine: Machine, edges: Edges, offsets,
@@ -72,28 +74,19 @@ class DistGraph:
         self.comm = Comm(machine)
         self.edges = edges
         self.offsets = offsets
-        self._parts: Optional[List[Edges]] = None
         self._runs: Optional[np.ndarray] = None
         self._run_offsets: Optional[np.ndarray] = None
         self._row_pes: Optional[np.ndarray] = None
-        if machine.sanitizer is not None:
-            # Register every part's views as PE-owned state: from here on
-            # they are write-protected outside machine.on_pe(i) contexts.
-            for i, part in enumerate(self.parts):
-                machine.sanitizer.adopt_edges(i, part)
         if check:
             check_weights(edges, offsets)
             check_local_sorted(edges, offsets)
         self.rebuild_min_keys()
         if check:
             check_global_sorted(edges, offsets)
-
-    @property
-    def parts(self) -> List[Edges]:
-        """PE ``i``'s part as a view of the block, for every ``i``."""
-        if self._parts is None:
-            self._parts = split_edges(self.edges, self.offsets)
-        return self._parts
+        # Invariant 2: the resident block is never written in place.  A
+        # block the checks reject goes back to the caller still writable.
+        for col in (edges.u, edges.v, edges.w, edges.id):
+            col.flags.writeable = False
 
     def source_runs(self) -> np.ndarray:
         """The first row of every run of equal sources within a part: the
@@ -127,7 +120,11 @@ class DistGraph:
     @classmethod
     def from_parts(cls, machine: Machine, parts: Sequence[Edges],
                    check: bool = True) -> "DistGraph":
-        """A graph from one edge sequence per PE (concatenated once)."""
+        """A graph from one edge sequence per PE (concatenated once).
+
+        The constructor for input that arrives as per-PE lists: tests and
+        their per-PE oracles.
+        """
         offsets = np.zeros(len(parts) + 1, dtype=np.int64)
         np.cumsum([len(part) for part in parts], out=offsets[1:])
         return cls(machine, Edges.concat(parts), offsets, check)
@@ -148,7 +145,7 @@ class DistGraph:
         # Generated graphs arrive sorted with positional ids already
         # (graphgen finalisation), in which case the O(m log m) sort is
         # skipped for one copy; ``edges`` itself is never mutated or
-        # adopted.
+        # locked.
         if edges.is_sorted_lex() and ids_are_positions(edges.id):
             g = edges.copy()
         else:
@@ -239,27 +236,14 @@ class DistGraph:
         """A PE owning edges with source ``qv`` (the rightmost such PE)."""
         return home_pe_of_vertices(self.min_keys[0], qv)
 
-    # ------------------------------------------------------------------
-    # Per-part vertex structure (source groups are contiguous).
-    # ------------------------------------------------------------------
-    def vertex_groups(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct source vertices of part i, group start offsets).
-
-        ``starts`` has one extra trailing entry ``len(part)`` so group ``k``
-        spans ``[starts[k], starts[k+1])``.
-        """
-        a, b = self.offsets[i], self.offsets[i + 1]
-        ro = self.run_offsets()
-        starts = self.source_runs()[ro[i]:ro[i + 1]]
-        return self.edges.u[starts], np.append(starts - a, b - a)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DistGraph(p={self.machine.n_procs}, "
                 f"m={self.global_edge_count()})")
 
 
 def source_groups(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`DistGraph.vertex_groups` of a non-empty sorted column ``u``."""
+    """(distinct values of a non-empty sorted column ``u``, the start of
+    each value's run plus a trailing ``len(u)``)."""
     change = np.ones(len(u), dtype=bool)
     change[1:] = u[1:] != u[:-1]
     starts = np.flatnonzero(change)

@@ -11,8 +11,6 @@ from .machine import Machine, SimulatedOutOfMemory, simsan_env_enabled
 from .collectives import Comm
 from .sanitizer import (
     CostAccountingViolation,
-    DistributionViolation,
-    PEArray,
     Sanitizer,
     SanitizerViolation,
     SortednessViolation,
@@ -39,10 +37,8 @@ __all__ = [
     "Comm",
     "Sanitizer",
     "SanitizerViolation",
-    "DistributionViolation",
     "CostAccountingViolation",
     "SortednessViolation",
-    "PEArray",
     "ALLTOALL_METHODS",
     "GRID_DISPATCH_THRESHOLD_BYTES",
     "alltoallv_auto",

@@ -32,7 +32,7 @@ The machine also provides:
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
 import numpy as np
@@ -244,18 +244,6 @@ class Machine:
     def tracing(self) -> bool:
         """Whether the structured event tracer is attached."""
         return self.events is not None
-
-    def on_pe(self, rank: int):
-        """Context manager executing the block as PE ``rank``.
-
-        Under the sanitizer, PE ``rank``'s registered arrays become
-        writeable for the duration and writes to any *other* PE's arrays
-        raise :class:`~repro.simmpi.sanitizer.DistributionViolation`.
-        Without the sanitizer this is a no-op context.
-        """
-        if self.sanitizer is None:
-            return nullcontext()
-        return self.sanitizer.on_pe(rank)
 
     def checkpoint(self, label: str = "") -> None:
         """Sanitizer checkpoint: assert per-PE clock monotonicity here."""

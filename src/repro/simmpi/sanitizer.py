@@ -1,21 +1,11 @@
-"""simsan: the SPMD runtime sanitizer (distribution & cost-invariant checker).
+"""simsan: the SPMD runtime sanitizer (cost-accounting & sortedness checker).
 
-DESIGN.md Section 4 promises four invariants; until now invariants 2-4 were
-only spot-checked.  This module enforces them *at runtime*, opt-in, on any
-:class:`~repro.simmpi.machine.Machine`:
-
-Distribution discipline (invariant 2)
-    Per-PE numpy arrays registered with the sanitizer (the edge blocks of
-    every :class:`~repro.dgraph.dist_graph.DistGraph`) are wrapped in
-    :class:`PEArray` views that know their owning rank and are
-    write-protected (``ndarray.flags.writeable = False``).  Driver code may
-    only write a PE's arrays inside an explicit ``machine.on_pe(rank)``
-    block for that same rank (or inside simmpi's own collective machinery);
-    any other write raises :class:`DistributionViolation` naming the
-    offending (writer, owner) PE pair.  Writes that bypass the wrapper
-    (e.g. through ``arr.view(np.ndarray)`` or in-place ``ndarray`` methods)
-    are still stopped by the read-only flag, just with numpy's plain
-    ``ValueError``.
+DESIGN.md Section 4 promises four invariants.  This module enforces
+invariants 3 and 4 *at runtime*, opt-in, on any
+:class:`~repro.simmpi.machine.Machine`.  Invariant 2 needs no checker: every
+:class:`~repro.dgraph.dist_graph.DistGraph` locks its edge block read-only
+once built, with or without the sanitizer, so an in-place write to a
+resident block raises numpy's ``ValueError``.
 
 Cost accounting (invariant 4)
     * per-PE clocks are monotone: every ``Machine.charge`` must be
@@ -51,44 +41,19 @@ the test suite).  See docs/sanitizer.md for semantics and overhead.
 
 from __future__ import annotations
 
-import weakref
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 __all__ = [
     "SanitizerViolation",
-    "DistributionViolation",
     "CostAccountingViolation",
     "SortednessViolation",
-    "PEArray",
     "Sanitizer",
 ]
 
 class SanitizerViolation(RuntimeError):
     """Base class for every invariant violation simsan reports."""
-
-
-class DistributionViolation(SanitizerViolation):
-    """A PE's arrays were written outside its ``on_pe`` context.
-
-    ``writer_pe`` is the rank whose context was active (``None`` when the
-    write happened outside any ``on_pe`` block); ``owner_pe`` owns the
-    violated array.
-    """
-
-    def __init__(self, writer_pe: Optional[int], owner_pe: int, op: str):
-        self.writer_pe = writer_pe
-        self.owner_pe = owner_pe
-        self.op = op
-        writer = (f"PE {writer_pe}" if writer_pe is not None
-                  else "driver code outside any on_pe context")
-        super().__init__(
-            f"distribution discipline violated: {writer} wrote to "
-            f"PE {owner_pe}'s array via {op}; per-PE state may only move "
-            f"between PEs through simmpi communication calls"
-        )
 
 
 class CostAccountingViolation(SanitizerViolation):
@@ -97,83 +62,6 @@ class CostAccountingViolation(SanitizerViolation):
 
 class SortednessViolation(SanitizerViolation):
     """The distributed edge list broke invariant 3 after a redistribute."""
-
-
-class PEArray(np.ndarray):
-    """An ndarray view that knows which PE owns it.
-
-    Write access (``__setitem__`` and ufunc ``out=`` targets) is checked
-    against the sanitizer's active ``on_pe`` context; views keep the owner,
-    copies (fancy indexing, ``.copy()``, arithmetic results) drop it and
-    behave like plain arrays.
-    """
-
-    _simsan: Optional["Sanitizer"] = None
-    _simsan_owner: Optional[int] = None
-
-    def __array_finalize__(self, obj):
-        if obj is None:
-            return
-        # Ownership follows *views* of the registered buffer only: copies
-        # (including fancy-index results, which arrive as views of a fresh
-        # intermediate buffer) are private memory and are unrestricted.
-        if isinstance(obj, PEArray) and obj._simsan is not None \
-                and self.base is not None and np.may_share_memory(self, obj):
-            self._simsan = obj._simsan
-            self._simsan_owner = obj._simsan_owner
-        else:
-            self._simsan = None
-            self._simsan_owner = None
-
-    def _check_write(self, op: str) -> None:
-        san, owner = self._simsan, self._simsan_owner
-        if san is not None and owner is not None:
-            san.check_write(owner, op)
-
-    def __setitem__(self, key, value):
-        self._check_write("setitem")
-        # The check authorised this write; the read-only flag is only the
-        # backstop against raw (unwrapped) access, so lift it temporarily
-        # for views created while the buffer was locked.
-        if self.flags.writeable:
-            np.ndarray.__setitem__(self, key, value)
-            return
-        try:
-            self.flags.writeable = True
-        except ValueError:
-            np.ndarray.__setitem__(self, key, value)  # read-only base: raise
-            return
-        try:
-            np.ndarray.__setitem__(self, key, value)
-        finally:
-            self.flags.writeable = False
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        # Delegate on plain views: ndarray's default implementation defers
-        # (returns NotImplemented) whenever an operand overrides
-        # __array_ufunc__, so results are computed -- and returned -- as
-        # base-class arrays (copies carry no ownership anyway).
-        unlocked = []
-        if out:
-            for o in out:
-                if isinstance(o, PEArray):
-                    o._check_write(f"ufunc:{ufunc.__name__}")
-                    if not o.flags.writeable:
-                        try:
-                            o.flags.writeable = True
-                            unlocked.append(o)
-                        except ValueError:
-                            pass  # read-only base: numpy will raise below
-            kwargs["out"] = tuple(
-                o.view(np.ndarray) if isinstance(o, PEArray) else o
-                for o in out)
-        plain = tuple(i.view(np.ndarray) if isinstance(i, PEArray) else i
-                      for i in inputs)
-        try:
-            return getattr(ufunc, method)(*plain, **kwargs)
-        finally:
-            for o in unlocked:
-                o.flags.writeable = False
 
 
 class Sanitizer:
@@ -191,20 +79,12 @@ class Sanitizer:
     def __init__(self, machine):
         self.machine = machine
         p = machine.n_procs
-        #: Rank whose ``on_pe`` context is active (None = driver code).
-        self.current_pe: Optional[int] = None
-        self._collective_depth = 0
-        #: Weak refs to the registered wrapper views, per owning rank.
-        self._arrays: Dict[int, List[weakref.ref]] = {}
-        #: Per rank, the list length at which dead refs are next dropped.
-        self._prune_at: Dict[int, int] = {}
         #: Shadow per-pair byte matrix (same data a CommTrace records).
         self.comm_matrix = np.zeros((p, p), dtype=np.float64)
         self._traced_bytes = 0.0
         #: Monotone per-PE clock floor, advanced after every collective.
         self._clock_floor = np.zeros(p, dtype=np.float64)
         self.counters: Dict[str, int] = {
-            "write_checks": 0,
             "charges": 0,
             "collectives": 0,
             "exchanges": 0,
@@ -220,87 +100,6 @@ class Sanitizer:
         self.comm_matrix[:] = 0.0
         self._traced_bytes = 0.0
         self._clock_floor[:] = 0.0
-
-    # ------------------------------------------------------------------
-    # Ownership tracking (invariant 2).
-    # ------------------------------------------------------------------
-    def wrap(self, pe: int, arr: np.ndarray) -> PEArray:
-        """Register ``arr`` as PE ``pe``'s state; returns the locked view."""
-        if isinstance(arr, PEArray) and arr._simsan is self \
-                and arr._simsan_owner == pe:
-            return arr
-        view = np.asarray(arr).view(PEArray)
-        view._simsan = self
-        view._simsan_owner = pe
-        try:
-            view.flags.writeable = False
-        except ValueError:  # base chain already read-only: stays locked
-            pass
-        refs = self._arrays.setdefault(pe, [])
-        refs.append(weakref.ref(view))
-        if len(refs) >= self._prune_at.get(pe, 64):
-            # A long-lived machine (a serving session) adopts every round's
-            # views: drop the dead refs, amortised over the appends.
-            refs[:] = [ref for ref in refs if ref() is not None]
-            self._prune_at[pe] = 2 * len(refs) + 64
-        return view
-
-    def adopt_edges(self, pe: int, edges) -> None:
-        """Register all four arrays of an edge block as PE ``pe``'s state."""
-        edges.u = self.wrap(pe, edges.u)
-        edges.v = self.wrap(pe, edges.v)
-        edges.w = self.wrap(pe, edges.w)
-        edges.id = self.wrap(pe, edges.id)
-
-    def _set_writeable(self, pe: int, flag: bool) -> List[np.ndarray]:
-        toggled = []
-        live = []
-        for ref in self._arrays.get(pe, ()):
-            arr = ref()
-            if arr is None:
-                continue
-            live.append(ref)
-            try:
-                arr.flags.writeable = flag
-                toggled.append(arr)
-            except ValueError:
-                pass  # view of a read-only base; wrapper check still applies
-        self._arrays[pe] = live
-        return toggled
-
-    @contextmanager
-    def on_pe(self, rank: int) -> Iterator[None]:
-        """Execute the block as PE ``rank``: its arrays become writeable."""
-        if not 0 <= rank < self.machine.n_procs:
-            raise ValueError(f"on_pe rank {rank} out of range")
-        prev = self.current_pe
-        self.current_pe = rank
-        unlocked = self._set_writeable(rank, True)
-        try:
-            yield
-        finally:
-            self.current_pe = prev
-            if prev != rank:
-                for arr in unlocked:
-                    arr.flags.writeable = False
-
-    @contextmanager
-    def collective(self) -> Iterator[None]:
-        """Mark a block as simmpi communication machinery (writes allowed)."""
-        self._collective_depth += 1
-        try:
-            yield
-        finally:
-            self._collective_depth -= 1
-
-    def check_write(self, owner: int, op: str) -> None:
-        """Validate a write to PE ``owner``'s array (called by PEArray)."""
-        self.counters["write_checks"] += 1
-        if self._collective_depth > 0:
-            return
-        if self.current_pe == owner:
-            return
-        raise DistributionViolation(self.current_pe, owner, op)
 
     # ------------------------------------------------------------------
     # Cost accounting (invariant 4).

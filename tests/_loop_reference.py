@@ -291,11 +291,22 @@ def shared_free_bounds(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return bounds
 
 
+def vertex_groups(graph: DistGraph, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct source vertices of part ``i``, group start offsets): group
+    ``k`` spans rows ``[starts[k], starts[k + 1])`` of the part, and
+    ``starts`` ends with ``len(part)``."""
+    u = graph.edges.u[graph.offsets[i]:graph.offsets[i + 1]]
+    change = np.ones(len(u), dtype=bool)
+    change[1:] = u[1:] != u[:-1]
+    starts = np.flatnonzero(change)
+    return u[starts], np.append(starts, len(u))
+
+
 def local_vertex_counts(graph: DistGraph) -> np.ndarray:
     """``DistGraph.local_vertex_counts`` as a loop over the parts."""
     return np.array(
         [np.count_nonzero(part.u[1:] != part.u[:-1]) + 1 if len(part)
-         else 0 for part in graph.parts],
+         else 0 for part in split_edges(graph.edges, graph.offsets)],
         dtype=np.int64,
     )
 
@@ -411,7 +422,7 @@ def min_edges_one_pe(u: np.ndarray, v: np.ndarray, w: np.ndarray,
     """Pure per-PE MINEDGES kernel: pick one edge per vertex group.
 
     ``starts`` delimits the contiguous per-source groups of the (sorted)
-    part, exactly as returned by ``DistGraph.vertex_groups``.  Returns
+    part, exactly as returned by :func:`vertex_groups`.  Returns
     ``(to, weight, edge_id)`` aligned with the groups.  Pure function of its
     arguments -- no machine, RNG or cost-model access.
     """
@@ -432,9 +443,8 @@ def _min_edges_loop(graph: DistGraph) -> List[ChosenEdges]:
     """Reference engine: one numpy pass per PE."""
     shared_set = graph.shared_vertex_set()
     out: List[ChosenEdges] = []
-    for i in range(graph.machine.n_procs):
-        part = graph.parts[i]
-        vids, starts = graph.vertex_groups(i)
+    for i, part in enumerate(split_edges(graph.edges, graph.offsets)):
+        vids, starts = vertex_groups(graph, i)
         if len(vids) == 0:
             out.append(_empty_chosen())
             continue
@@ -614,8 +624,7 @@ def _exchange_labels_loop(
     """Reference engine: one numpy pass per PE around one exchange."""
     p = graph.machine.n_procs
     payloads, dests = [], []
-    for i in range(p):
-        part = graph.parts[i]
+    for i, part in enumerate(split_edges(graph.edges, graph.offsets)):
         vids = vids_per_pe[i]
         if len(part) == 0:
             payloads.append(np.empty((0, 2), dtype=np.int64))
@@ -695,10 +704,8 @@ def _relabel_loop(
     run: MSTRun,
 ) -> List[Edges]:
     """Reference engine: one numpy pass per PE."""
-    p = graph.machine.n_procs
     out: List[Edges] = []
-    for i in range(p):
-        part = graph.parts[i]
+    for i, part in enumerate(split_edges(graph.edges, graph.offsets)):
         if len(part) == 0:
             out.append(Edges.empty())
             continue
@@ -982,7 +989,7 @@ class InputSnapshot:
         """Compress every PE's initial edge block and record id ranges."""
         comp, ws, starts = [], [], []
         next_start = 0
-        for part in graph.parts:
+        for part in split_edges(graph.edges, graph.offsets):
             comp.append(CompressedEdgeList(part.u, part.v))
             ws.append(part.w.copy())
             starts.append(next_start)
@@ -1056,7 +1063,7 @@ class InputSnapshotParts:
         """Reference every PE's initial edge block and record id ranges."""
         starts = []
         next_start = 0
-        for part in graph.parts:
+        for part in split_edges(graph.edges, graph.offsets):
             starts.append(next_start)
             if len(part):
                 ids = part.id
@@ -1068,7 +1075,8 @@ class InputSnapshotParts:
                     )
                 next_start += len(ids)
         starts.append(next_start)
-        return cls(list(graph.parts), np.asarray(starts, dtype=np.int64))
+        return cls(split_edges(graph.edges, graph.offsets),
+                   np.asarray(starts, dtype=np.int64))
 
 
 @_msf_views
@@ -1125,8 +1133,7 @@ def _split_by_pivot(graph: DistGraph, pivot: int, run: MSTRun
                     ) -> tuple[List[Edges], List[Edges]]:
     """Partition every part into light (w <= pivot) and heavy (w > pivot)."""
     lights, heavies = [], []
-    for i in range(graph.machine.n_procs):
-        part = graph.parts[i]
+    for i, part in enumerate(split_edges(graph.edges, graph.offsets)):
         mask = part.w <= pivot
         lights.append(part.take(mask))
         heavies.append(part.take(~mask))
@@ -1421,7 +1428,7 @@ def _exchange_labels_routed(
     """Push new local-vertex labels to every PE that has them as ghosts."""
     p = graph.machine.n_procs
     machine = graph.machine
-    parts = graph.parts
+    parts = split_edges(graph.edges, graph.offsets)
     lengths = np.array([len(part) for part in parts], dtype=np.int64)
     total = int(lengths.sum())
     z = np.empty(0, dtype=np.int64)
@@ -1719,7 +1726,7 @@ def _exchange_labels_ghost_tables(
     receivers' ghost tables built on the host, one per PE."""
     p = graph.machine.n_procs
     machine = graph.machine
-    parts = graph.parts
+    parts = split_edges(graph.edges, graph.offsets)
     lengths = np.array([len(part) for part in parts], dtype=np.int64)
     total = int(lengths.sum())
     z = np.empty(0, dtype=np.int64)
@@ -1809,7 +1816,7 @@ def _relabel_ghost_tables(
     """RELABEL as shipped before it read the push: a local lookup per PE,
     then the ghost tables for the rest."""
     p = graph.machine.n_procs
-    parts = graph.parts
+    parts = split_edges(graph.edges, graph.offsets)
     lengths = np.array([len(part) for part in parts], dtype=np.int64)
     total = int(lengths.sum())
     if total == 0:
@@ -1899,7 +1906,8 @@ def base_case(graph: DistGraph, run: MSTRun):
     machine = graph.machine
 
     # ---- Remap the remaining labels to a dense range (replicated). ----
-    local_vids = [np.unique(part.u) for part in graph.parts]
+    parts = split_edges(graph.edges, graph.offsets)
+    local_vids = [np.unique(part.u) for part in parts]
     vlabels = np.unique(comm.allgatherv(local_vids))
     n_dense = len(vlabels)
     if n_dense == 0:
@@ -1908,7 +1916,6 @@ def base_case(graph: DistGraph, run: MSTRun):
 
     # Dense edge endpoints of all PEs in one flat block (ids and weights
     # ride along); ``pe`` is each row's PE.
-    parts = graph.parts
     pe = np.repeat(np.arange(p, dtype=np.int64), [len(q) for q in parts])
     eu = np.searchsorted(vlabels, np.concatenate([q.u for q in parts]))
     ev = np.searchsorted(vlabels, np.concatenate([q.v for q in parts]))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.dgraph import DistGraph
+from repro.dgraph.dist_graph import split_edges
 from repro.dgraph.edges import Edges
 from repro.kernels import dtypes
 from repro.obs.export import chrome_trace, metrics_to_dict
@@ -110,6 +111,11 @@ def observed_machine(machine, skip_checks=()):
     return seen
 
 
+def parts_of(dg: DistGraph) -> list:
+    """Every PE's part of ``dg``'s block, as read-only views."""
+    return split_edges(dg.edges, dg.offsets)
+
+
 def random_simple_graph(rng: np.random.Generator, n: int, target_m: int,
                         weight_high: int = 255) -> Edges:
     """A random simple undirected graph as a symmetric sorted edge sequence.
@@ -179,7 +185,7 @@ def run_with_engine(engine, graph, p, algo, cfg, threads=1, wide=False):
             "phases_per_pe": {k: v.copy()
                               for k, v in machine.phase_times_per_pe.items()},
             "trace": machine.trace.matrix.copy(),
-            "dtypes": {c.dtype for part in dg.parts + result.msf_parts
+            "dtypes": {c.dtype for part in parts_of(dg) + result.msf_parts
                        for c in _columns(part)},
         }
 

@@ -17,7 +17,7 @@ from repro.serve import GraphSession
 from repro.simmpi import Machine
 
 import _loop_reference as oracle
-from helpers import loop_oracles, random_simple_graph
+from helpers import loop_oracles, parts_of, random_simple_graph
 
 
 class TestLexSearchsorted:
@@ -68,7 +68,7 @@ class TestConstruction:
     def test_ids_are_positions(self, rng):
         g = random_simple_graph(rng, 30, 100)
         dg = DistGraph.from_global_edges(Machine(4), g)
-        all_ids = np.concatenate([p.id for p in dg.parts])
+        all_ids = np.concatenate([p.id for p in parts_of(dg)])
         assert np.array_equal(all_ids, np.arange(len(g)))
 
     def test_more_pes_than_edges(self, rng):
@@ -146,7 +146,7 @@ class TestLocalisation:
     def test_home_of_resident_edges(self, rng):
         g = random_simple_graph(rng, 60, 400)
         dg = DistGraph.from_global_edges(Machine(9), g)
-        for i, part in enumerate(dg.parts):
+        for i, part in enumerate(parts_of(dg)):
             if len(part) == 0:
                 continue
             homes = dg.home_of_edges(part.u, part.v, part.w)
@@ -157,8 +157,9 @@ class TestLocalisation:
         dg = DistGraph.from_global_edges(Machine(9), g)
         vertices = np.unique(g.u)
         homes = dg.home_of_vertices(vertices)
+        parts = parts_of(dg)
         for v, h in zip(vertices, homes):
-            assert v in dg.parts[h].u
+            assert v in parts[h].u
 
     def test_shared_vertices_detected(self, rng):
         # Star graph: the hub's edges must straddle boundaries.
@@ -207,8 +208,9 @@ class TestReplicatedMetadata:
     def test_matches_per_pe_loops(self, p_tail):
         g, dg = _boundary_graph(p_tail)
         empty = Edges.empty()
-        for parts in (dg.parts, [empty] + dg.parts, [empty] * 3,
-                      [g] + [empty] * 2, dg.parts[::-1][:1] + dg.parts[:1]):
+        held = parts_of(dg)
+        for parts in (held, [empty] + held, [empty] * 3,
+                      [g] + [empty] * 2, held[::-1][:1] + held[:1]):
             graph = DistGraph.from_parts(Machine(len(parts)), parts,
                                          check=False)
             got = (graph.has_edges, list(graph.min_keys), graph.first_src,
@@ -300,7 +302,7 @@ class TestHomeOfEdges:
         assert got.dtype == index_dtype(dg.machine.n_procs)
         assert np.array_equal(got, expect)
         # Resident edges are at home, also around the (5, 7, w) cut.
-        for i, part in enumerate(dg.parts):
+        for i, part in enumerate(parts_of(dg)):
             assert (dg.home_of_edges(part.u.astype(dtype),
                                      part.v.astype(dtype),
                                      part.w.astype(dtype)) == i).all()
@@ -356,18 +358,21 @@ class TestVertexGroups:
     def test_groups_cover_part(self, rng):
         g = random_simple_graph(rng, 40, 250)
         dg = DistGraph.from_global_edges(Machine(5), g)
-        for i in range(5):
-            vids, starts = dg.vertex_groups(i)
-            part = dg.parts[i]
-            assert starts[-1] == len(part)
-            for k, v in enumerate(vids):
-                seg = part.u[starts[k]:starts[k + 1]]
+        runs, ro = dg.source_runs(), dg.run_offsets()
+        for i, part in enumerate(parts_of(dg)):
+            starts = runs[ro[i]:ro[i + 1]] - dg.offsets[i]
+            assert not len(part) or starts[0] == 0
+            assert (starts < len(part)).all()
+            bounds = np.append(starts, len(part))
+            for k, v in enumerate(part.u[starts]):
+                seg = part.u[bounds[k]:bounds[k + 1]]
                 assert (seg == v).all()
+            assert (part.u[starts][1:] > part.u[starts][:-1]).all()
 
     def test_empty_part(self):
         dg = DistGraph.from_parts(Machine(2), [Edges.empty(), Edges.empty()])
-        vids, starts = dg.vertex_groups(0)
-        assert len(vids) == 0 and list(starts) == [0]
+        assert len(dg.source_runs()) == 0
+        assert dg.run_offsets().tolist() == [0, 0, 0]
 
     def test_local_vertex_counts(self, rng):
         g = random_simple_graph(rng, 40, 250)
@@ -387,7 +392,7 @@ class TestVertexGroups:
             counts = dg.local_vertex_counts()
             assert counts.dtype == np.int64
             assert counts.tolist() == [len(np.unique(part.u))
-                                       for part in dg.parts]
+                                       for part in parts_of(dg)]
             if p == 5 and m == 250:
                 assert dg.shared_first.any()
             if p == 64 and m == 15:
@@ -420,8 +425,9 @@ FLAT_SIZES = [1, 2, 3, 64]
 
 
 class TestFlatGraph:
-    """The graph is one block plus offsets; the parts are views of it and
-    the metadata read off the block equals the per-part loops'."""
+    """The graph is one block plus offsets; the parts are views of it, the
+    block is read-only, and the metadata read off the block equals the
+    per-part loops'."""
 
     @pytest.fixture(params=FLAT_SIZES)
     def flat(self, request, rng):
@@ -432,18 +438,18 @@ class TestFlatGraph:
 
     def test_parts_are_views_of_the_block(self, flat):
         g, off, dg = flat
-        assert dg.parts is dg.parts  # built once
-        for i, part in enumerate(dg.parts):
+        for i, part in enumerate(parts_of(dg)):
             assert len(part) == off[i + 1] - off[i]
             for col in ("u", "v", "w", "id"):
                 a, block = getattr(part, col), getattr(dg.edges, col)
                 assert np.array_equal(a, block[off[i]:off[i + 1]])
                 assert not len(a) or np.shares_memory(a, block)
+                assert not a.flags.writeable and not block.flags.writeable
 
     def test_hub_spans_several_pes(self, flat):
         g, off, dg = flat
         p = len(off) - 1
-        holders = [i for i, part in enumerate(dg.parts)
+        holders = [i for i, part in enumerate(parts_of(dg))
                    if len(part) and (part.u == 0).any()]
         if p >= 3:
             assert holders[:2] == [0, 2] and off[2] == off[1]
@@ -482,14 +488,15 @@ class TestFlatGraph:
 
     def test_block_dtype_is_the_non_empty_parts(self, flat):
         g, off, dg = flat
-        parts = [part if len(part) else Edges.empty() for part in dg.parts]
+        parts = [part if len(part) else Edges.empty()
+                 for part in parts_of(dg)]
         rebuilt = DistGraph.from_parts(dg.machine, parts)
         for col in ("u", "v", "w", "id"):
             assert getattr(rebuilt.edges, col).dtype == np.uint32
 
     def test_from_parts_round_trips(self, flat):
         g, off, dg = flat
-        again = DistGraph.from_parts(dg.machine, dg.parts)
+        again = DistGraph.from_parts(dg.machine, parts_of(dg))
         assert np.array_equal(again.offsets, dg.offsets)
         for col in ("u", "v", "w", "id"):
             assert np.array_equal(getattr(again.edges, col),

@@ -11,7 +11,8 @@ from repro.graphgen import FAMILIES, gen_family
 from repro.seq import kruskal_msf, verify_msf
 from repro.simmpi import Machine
 
-from helpers import random_distinct_weight_graph, random_simple_graph
+from helpers import (parts_of, random_distinct_weight_graph,
+                     random_simple_graph)
 
 
 class TestRandomGraphs:
@@ -116,7 +117,7 @@ class TestResultObject:
         g = random_simple_graph(rng, n, 150)
         machine = Machine(4)
         dg = DistGraph.from_global_edges(machine, g)
-        sizes = [len(p) for p in dg.parts]
+        sizes = [len(p) for p in parts_of(dg)]
         starts = np.concatenate([[0], np.cumsum(sizes)])
         res = distributed_boruvka(dg, BoruvkaConfig(base_case_min=8))
         for i, part in enumerate(res.msf_parts):

@@ -7,7 +7,8 @@ on four graphs (GNM, an RHG partitioned with shared vertices, a GNM with
 mostly empty PEs and a high-locality 2D-RGG partitioned with shared
 vertices), on 1, 2, 3, 5 and 64 PEs, with no faults and with a
 message-drop / corruption / straggler storm; AS, MND-MST, Borůvka and
-Filter-Borůvka also survive one certain fail-stop.  Every run is reduced
+Filter-Borůvka also run with one scheduled fail-stop, which must strike in
+every such run outside :data:`NO_STRIKE`.  Every run is reduced
 to one SHA-256 digest of everything it leaves behind (see
 :func:`observed`), and the digests below were recorded on the per-PE loop
 drivers these flat drivers replaced: any change to a
@@ -102,6 +103,17 @@ DRIVERS = {
 }
 
 
+#: The ``pe_fail`` runs in which the fail-stop never strikes: local
+#: preprocessing leaves at most ``base_case_min`` edges, so the base case
+#: ends the run before Borůvka round 0 does (``result.rounds == 0``).
+NO_STRIKE = frozenset(
+    f"{driver}/{graph}/{p}/pe_fail"
+    for driver in ("boruvka", "filter-boruvka")
+    for graph, sizes in (("rhg-shared", (2, 3, 64)),
+                         ("gnm-sparse", (2, 3, 5, 64)))
+    for p in sizes)
+
+
 def run_ids():
     """Every ``driver/graph/p/faults`` run of the matrix."""
     for driver in DRIVERS:
@@ -133,8 +145,8 @@ def _plain(x):
 def observed(result, machine):
     """Everything one run leaves behind, minus host-side call counts."""
     seen = observed_machine(machine)
-    # The sanitizer counts charge and write calls, which a flat driver
-    # makes fewer of by design.
+    # The sanitizer counts charge calls, which a flat driver makes fewer
+    # of by design.
     seen.pop("checks", None)
     seen["phases_per_pe"] = machine.phase_times_per_pe
     msf = getattr(result, "msf_parts", None)
@@ -155,8 +167,9 @@ def observed(result, machine):
 _GRAPHS = {}
 
 
-def digest(run_id: str) -> str:
-    """The SHA-256 (first 16 hex digits) of run ``run_id``."""
+def digest(run_id: str) -> tuple[str, int]:
+    """The SHA-256 (first 16 hex digits) of run ``run_id``, and how many
+    fail-stops struck in it (read off the injector, not hashed)."""
     driver, graph_name, p, faults = run_id.split("/")
     if graph_name not in _GRAPHS:
         _GRAPHS[graph_name] = GRAPHS[graph_name][0]()
@@ -167,8 +180,10 @@ def digest(run_id: str) -> str:
                               avoid_shared=GRAPHS[graph_name][1])
         result = DRIVERS[driver](dg, graph)
         seen = observed(result, machine)
+        strikes = (machine.faults.summary().get("pe_fail", 0)
+                   if machine.faults is not None else 0)
     text = json.dumps(_plain(seen), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hashlib.sha256(text.encode()).hexdigest()[:16], strikes
 
 
 #: Recorded on the per-PE loop drivers; the ``pe_fail`` entries were
@@ -610,7 +625,10 @@ DIGESTS.update({
 
 @pytest.mark.parametrize("run_id", list(run_ids()))
 def test_digest_unchanged(run_id):
-    assert digest(run_id) == DIGESTS[run_id]
+    got, strikes = digest(run_id)
+    assert got == DIGESTS[run_id]
+    if run_id.endswith("/pe_fail"):
+        assert strikes == (0 if run_id in NO_STRIKE else 1), strikes
 
 
 def test_matrix_exercises_what_it_names():
@@ -640,5 +658,5 @@ def test_pe_fail_strikes(driver):
 if __name__ == "__main__":
     print("DIGESTS = {")
     for rid in run_ids():
-        print(f"    {rid!r}: {digest(rid)!r},")
+        print(f"    {rid!r}: {digest(rid)[0]!r},")
     print("}")

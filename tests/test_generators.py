@@ -27,6 +27,8 @@ from repro.graphgen import rgg
 from repro.graphgen.base import finalize_pairs
 from repro.simmpi import Machine
 
+from helpers import parts_of
+
 
 def _check_contract(g):
     """The generator contract every family must honour (Section VII)."""
@@ -100,8 +102,7 @@ class TestGrid:
         g = gen_grid2d(32, 32, seed=0)
         dg = g.distribute(Machine(4))
         local = 0
-        for i in range(4):
-            part = dg.parts[i]
+        for part in parts_of(dg):
             vids = np.unique(part.u)
             idx = np.searchsorted(vids, part.v)
             idx_c = np.minimum(idx, len(vids) - 1)

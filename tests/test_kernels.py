@@ -685,8 +685,6 @@ class TestEngineSanitizer:
         with on_path(engine):
             chosen = core.min_edges(dg)
             k = int(np.flatnonzero(~chosen.shared)[0])
-            victim = int(np.searchsorted(chosen.voff, k, side="right")) - 1
-            with machine.on_pe(victim):
-                chosen.to[k] = 10 ** 9
+            chosen.to[k] = 10 ** 9
             with pytest.raises(RuntimeError):
                 core.contract_components(dg, chosen, run)

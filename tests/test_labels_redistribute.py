@@ -93,7 +93,7 @@ class TestRedistribute:
         out = redistribute(run, machine, Edges.concat(parts),
                            np.arange(5) * k, check=True)
         # Exactly one (0,1) edge survives, with the globally smallest weight.
-        total = Edges.concat(out.parts)
+        total = out.edges
         assert len(total) == 1
         assert total.w[0] == 0
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import BoruvkaConfig, MSTRun, local_preprocessing
-from repro.dgraph import DistGraph, Edges
+from repro.dgraph import DistGraph
 from repro.dgraph.dist_graph import check_global_sorted, check_local_sorted
 from repro.graphgen import gen_family, gen_grid2d, gen_gnm
 from repro.seq import UnionFind, kruskal_msf
 from repro.simmpi import Machine
 
-from helpers import random_simple_graph
+from helpers import parts_of, random_simple_graph
 
 
 def _run(g, p, n, cfg=None):
@@ -38,7 +38,7 @@ class TestCorrectness:
                 weight += int(w)
         # Complete with the remaining distributed edges (original endpoints
         # irrelevant: relabelled endpoints connect the same components).
-        remaining = Edges.concat(out.parts)
+        remaining = out.edges
         order = remaining.weight_order()
         srt = remaining.take(order)
         for k in range(len(srt)):
@@ -57,7 +57,7 @@ class TestCorrectness:
     def test_no_self_loops_or_duplicate_pairs(self, rng):
         g = random_simple_graph(rng, 50, 400)
         machine, run, out = _run(g, 5, 50)
-        for part in out.parts:
+        for part in parts_of(out):
             assert (part.u != part.v).all()
             pairs = list(zip(part.u.tolist(), part.v.tolist()))
             assert len(pairs) == len(set(pairs))
@@ -72,11 +72,11 @@ class TestCorrectness:
         out = local_preprocessing(dg, run)
         remaining_vertices = set(
             np.unique(np.concatenate(
-                [np.concatenate([p.u, p.v]) for p in out.parts if len(p)]
-            )).tolist()) if any(len(p) for p in out.parts) else set()
+                [np.concatenate([p.u, p.v]) for p in parts_of(out) if len(p)]
+            )).tolist()) if any(len(p) for p in parts_of(out)) else set()
         # A shared vertex with remaining edges keeps its own label.
         for s in shared:
-            for part in out.parts:
+            for part in parts_of(out):
                 mask = part.u == s
                 # s's edges may have been deduped away, but s must never
                 # appear relabelled INTO something else: verify via the
@@ -140,7 +140,7 @@ class TestRules:
             preprocessing_min_local_fraction=0.0))
         out = local_preprocessing(dg, run)
         assert out.offsets.tolist() == [0, 11, 14]
-        assert [int((part.u == 30).sum()) for part in out.parts] == [4, 0]
+        assert [int((part.u == 30).sum()) for part in parts_of(out)] == [4, 0]
         check_global_sorted(out.edges, out.offsets)
 
     def test_single_pe_contracts_everything(self, rng):

@@ -43,7 +43,7 @@ from repro.sorting.common import local_lexsort_parts
 
 import _loop_reference as oracle
 from _alltoall_reference import _assert_equal
-from helpers import loop_oracles, observed_machine
+from helpers import loop_oracles, observed_machine, parts_of
 
 #: The module, not the function the package re-exports under its name.
 lp = sys.modules["repro.core.local_preprocessing"]
@@ -69,7 +69,7 @@ def _plain(x, widen):
         return {k: _plain(v, widen) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v, widen) for v in x]
-    x = np.asarray(x)  # a sanitizer PEArray view compares as its base
+    x = np.asarray(x)  # scalars compare as 0-d arrays
     return dtypes.widen(x) if widen else x
 
 
@@ -91,7 +91,7 @@ def _graph_of(redistribute):
     replicated metadata of the new ``DistGraph``."""
     def site(run, machine, relabelled):
         g = redistribute(run, machine, *relabelled, check=True)
-        return {"parts": g.parts, "min_keys": g.min_keys,
+        return {"parts": parts_of(g), "min_keys": g.min_keys,
                 "sizes": g.part_sizes, "first_src": g.first_src,
                 "last_src": g.last_src, "shared_first": g.shared_first}
     return site
@@ -337,7 +337,7 @@ class TestRoundSites:
         dg = DistGraph.from_global_edges(machine, edges)
         assert list(dg.shared_vertex_set()) == [1]
         on_pe = [set(zip(part.u.tolist(), part.v.tolist()))
-                 for part in dg.parts]
+                 for part in parts_of(dg)]
         assert (2, 1) in on_pe[1] and (1, 4) in on_pe[1]
         assert (1, 2) in on_pe[0]
         assert out[0]["ghosts"].tolist() == [2, 3]
@@ -430,11 +430,12 @@ class TestHostPaths:
         mask = np.isin(dg.edges.u[runs], dg.shared_vertex_set())
         labels, ids, ws, mst_off, rounds = lp._contract_block(
             dg.edges, dg.offsets, runs, ro, at, local, mask, use_filter)
-        for i in range(p):
+        for i, part in enumerate(parts_of(dg)):
             got = [labels[ro[i]:ro[i + 1]], ids[mst_off[i]:mst_off[i + 1]],
                    ws[mst_off[i]:mst_off[i + 1]], rounds[i]]
-            want = oracle._contract_one_pe(dg.parts[i], dg.vertex_groups(i)[0],
-                                           mask[ro[i]:ro[i + 1]], use_filter)
+            vids = oracle.vertex_groups(dg, i)[0]
+            want = oracle._contract_one_pe(part, vids, mask[ro[i]:ro[i + 1]],
+                                           use_filter)
             _assert_equal(_plain(got, False), _plain(list(want), False))
 
     @pytest.mark.parametrize("mode", ["plain", "msgfaults", "pe_fail"])
@@ -467,14 +468,14 @@ class TestHostPaths:
         with Machine(4, seed=3, sanitize=True) as machine:
             dg = graph.distribute(machine)
             before = [[c.copy() for c in (x.u, x.v, x.w, x.id)]
-                      for x in dg.parts]
+                      for x in parts_of(dg)]
             core.minimum_spanning_forest(
                 dg, algorithm=algo, config=default_configs(256).get(algo))
             assert [g for g, _ in taken] == [dg]
             snap = taken[0][1]
             assert snap.edges is dg.edges
             assert np.array_equal(snap.offsets, dg.offsets)
-            for part, cols in zip(dg.parts, before):
+            for part, cols in zip(parts_of(dg), before):
                 assert np.shares_memory(snap.edges.u, part.u) or not len(part)
                 for col, old in zip((part.u, part.v, part.w, part.id), cols):
                     assert np.array_equal(col, old)

@@ -42,6 +42,9 @@ from repro.kernels import dtypes, segment_ids, segmented_searchsorted
 from repro.seq import union_find
 from repro.seq.union_find import UnionFind
 
+from _loop_reference import vertex_groups
+from helpers import parts_of
+
 redistribute_mod = sys.modules["repro.core.redistribute"]
 
 
@@ -122,9 +125,9 @@ class TestRowIndex:
         dg = DistGraph.from_parts(Machine(p), parts)
         at, local = block_destinations(dg)
         off = dg.offsets
-        for i in range(p):
-            want_at, want_local = destinations(dg.vertex_groups(i)[0],
-                                               dg.parts[i].v)
+        for i, part in enumerate(parts_of(dg)):
+            want_at, want_local = destinations(vertex_groups(dg, i)[0],
+                                               part.v)
             np.testing.assert_array_equal(at[off[i]:off[i + 1]], want_at)
             np.testing.assert_array_equal(local[off[i]:off[i + 1]],
                                           want_local)

@@ -1,10 +1,12 @@
 """Adversarial tests for the runtime sanitizer (repro.simmpi.sanitizer).
 
 Every test seeds a deliberate violation of one of DESIGN.md's invariants --
-cross-PE array writes, skipped collective charges, non-monotone clocks,
-unsorted redistribute output -- and asserts simsan reports it with the
-right PE / operation.  Machines are created with ``sanitize=True``
-explicitly so the suite stays meaningful under ``--simsan=off``.
+in-place writes to a resident edge block, skipped collective charges,
+non-monotone clocks, unsorted redistribute output -- and asserts it is
+reported with the right PE / operation.  Machines are created with
+``sanitize=True`` explicitly so the suite stays meaningful under
+``--simsan=off``; invariant 2 is ``DistGraph``'s own lock and is tested
+both ways.
 """
 
 import numpy as np
@@ -27,13 +29,11 @@ from repro.kernels import segmented
 from repro.simmpi import (
     Comm,
     CostAccountingViolation,
-    DistributionViolation,
     Machine,
-    PEArray,
     SortednessViolation,
 )
 
-from helpers import random_simple_graph
+from helpers import parts_of, random_simple_graph
 
 
 @pytest.fixture
@@ -48,65 +48,46 @@ def make_graph(rng, p=5, n=50, m=250):
 
 
 class TestOwnership:
-    def test_cross_pe_write_reports_pair(self, rng):
-        machine, dg = make_graph(rng)
-        with machine.on_pe(0):
-            with pytest.raises(DistributionViolation) as exc:
-                dg.parts[1].u[0] = 99
-        assert exc.value.writer_pe == 0
-        assert exc.value.owner_pe == 1
-        assert "setitem" in str(exc.value)
+    """Invariant 2: a graph's resident block is never written in place.
+    ``DistGraph`` locks its block itself, with or without simsan."""
 
-    def test_driver_write_outside_any_context(self, rng):
-        machine, dg = make_graph(rng)
-        with pytest.raises(DistributionViolation) as exc:
-            dg.parts[2].w[0] = 7
-        assert exc.value.writer_pe is None
-        assert exc.value.owner_pe == 2
+    @pytest.mark.parametrize("sanitize", [True, False])
+    def test_block_is_read_only(self, rng, sanitize):
+        g = random_simple_graph(rng, 50, 250)
+        machine = Machine(4, sanitize=sanitize)
+        dg = DistGraph.from_global_edges(machine, g)
+        before = dg.edges.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            dg.edges.u[0] = 99
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(dg.edges.w, 1, out=dg.edges.w)
+        for col in ("u", "v", "w", "id"):
+            assert np.array_equal(getattr(dg.edges, col),
+                                  getattr(before, col))
+        # What a stage derives from the block is its own, and so is the
+        # caller's input (``from_global_edges`` copies it).
+        taken = dg.edges.take(np.arange(0, len(g), 3))
+        taken.u[0] = 99
+        np.add(taken.w, 1, out=taken.w)
+        g.u[0] = 99
+        np.add(g.w, 1, out=g.w)
+        machine.checkpoint("noop")
 
-    def test_inplace_ufunc_checked(self, rng):
-        machine, dg = make_graph(rng)
-        with machine.on_pe(0):
-            with pytest.raises(DistributionViolation) as exc:
-                np.add(dg.parts[1].w, 1, out=dg.parts[1].w)
-        assert (exc.value.writer_pe, exc.value.owner_pe) == (0, 1)
-        assert "ufunc:add" in exc.value.op
+    def test_rejected_block_stays_writable(self):
+        e = Edges(np.array([1, 0]), np.array([0, 1]), np.array([1, 1]))
+        with pytest.raises(ValueError, match="not lexicographically sorted"):
+            DistGraph(Machine(1), e, [0, 2])
+        e.u[0] = 0
 
     def test_raw_escape_blocked_by_readonly_flag(self, rng):
-        """Unwrapping the PEArray still hits the writeable=False backstop."""
+        """A view of the block, however it is taken, is read-only too."""
         machine, dg = make_graph(rng)
         with pytest.raises(ValueError, match="read-only"):
-            dg.parts[1].u.view(np.ndarray)[0] = 5
-
-    def test_owner_may_write_in_context(self, rng):
-        machine, dg = make_graph(rng)
-        part = dg.parts[1]
-        if not len(part):
-            pytest.skip("empty part")
-        old = int(part.u[0])
-        with machine.on_pe(1):
-            part.u[0] = old + 1
-            part.u[0] = old
-        assert int(part.u[0]) == old
-        # ... and the block is locked again afterwards.
-        with pytest.raises(DistributionViolation):
-            part.u[0] = old
-
-    def test_derived_copies_are_unrestricted(self, rng):
-        """Fancy-index copies of PE state are private scratch memory."""
-        machine, dg = make_graph(rng)
-        part = dg.parts[0]
-        scratch = part.u[np.arange(len(part))]
-        scratch[0] = 123  # no context needed: copies carry no owner
-        assert not isinstance(np.asarray(scratch).base, PEArray) or True
-        view = part.u[1:]
-        assert isinstance(view, PEArray)
-        with pytest.raises(DistributionViolation):
-            view[0] = 1  # views keep the owner
+            parts_of(dg)[1].u.view(np.ndarray)[0] = 5
 
     def test_reads_are_always_allowed(self, rng):
         machine, dg = make_graph(rng)
-        total = sum(int(p.w.sum()) for p in dg.parts)
+        total = sum(int(p.w.sum()) for p in parts_of(dg))
         assert total > 0
 
 
@@ -301,8 +282,8 @@ class TestSortedness:
 
 class TestAlgorithmLevelDetection:
     """Failure injection through the algorithm stack (formerly the ad-hoc
-    spot checks in test_invariants.py): PE-local corruption is applied
-    inside the owning PE's context, and the *algorithms* must detect it."""
+    spot checks in test_invariants.py): a stage's output is corrupted
+    before the next stage reads it, and the *algorithms* must detect it."""
 
     #: Both arms of the lookup kernels must report a miss: the density
     #: guard forced to the direct-address table, then to the search.
@@ -322,9 +303,10 @@ class TestAlgorithmLevelDetection:
                                                  chosen.voff[1:])]
         # Drop every copy of one pushed (home, vertex) that the home's part
         # references and does not hold as a local vertex.
+        parts = parts_of(dg)
         dropped = next(
             ((int(h), int(x)) for h, x in zip(push.home, push.vertex)
-             if x in dg.parts[h].v and x not in vids[h]), None)
+             if x in parts[h].v and x not in vids[h]), None)
         if dropped is None:
             pytest.skip("no pushed ghost is referenced by its home")
         keep = (push.home != dropped[0]) | (push.vertex != dropped[1])
@@ -349,11 +331,9 @@ class TestAlgorithmLevelDetection:
             run = MSTRun(machine, BoruvkaConfig())
             chosen = min_edges(dg)
             k = int(np.flatnonzero(~chosen.shared)[0])
-            victim = int(np.searchsorted(chosen.voff, k, side="right")) - 1
-            # PE-local corruption: legitimate inside the owner's context ...
-            with machine.on_pe(victim):
-                chosen.to[k] = 10 ** 9
-            # ... and the algorithm itself must still catch the bogus query.
+            # A bogus pick for a non-shared vertex: the algorithm itself
+            # must catch the query it leads to.
+            chosen.to[k] = 10 ** 9
             with pytest.raises(RuntimeError,
                                match="pointer-doubling query for "
                                      "non-resident vertex"):
@@ -415,9 +395,3 @@ class TestCleanRunsAndKnobs:
         assert machine.sanitizer._traced_bytes == 0
         assert machine.sanitizer.comm_matrix.sum() == 0
         Comm(machine).barrier()  # bytes/trace consistency holds post-reset
-
-    def test_on_pe_is_noop_without_sanitizer(self):
-        m = Machine(2, sanitize=False)
-        with m.on_pe(1):
-            pass
-        m.checkpoint("noop")
