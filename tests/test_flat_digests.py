@@ -16,7 +16,8 @@ simulated clock, phase time, counter, message, RNG state, fault draw or
 trace event shows up as a changed digest.
 
 ``python tests/test_flat_digests.py`` prints the table for the tree on
-``PYTHONPATH``.
+``PYTHONPATH``, marking the runs whose digest differs from
+:data:`DIGESTS` and the ``pe_fail`` runs that no fail-stop struck.
 """
 
 from __future__ import annotations
@@ -656,7 +657,14 @@ def test_pe_fail_strikes(driver):
 
 
 if __name__ == "__main__":
+    # A run whose digest differs from ``DIGESTS`` is marked ``# moved``; a
+    # ``pe_fail`` run in which the fail-stop never struck, ``# no strike``.
     print("DIGESTS = {")
     for rid in run_ids():
-        print(f"    {rid!r}: {digest(rid)[0]!r},")
+        got, strikes = digest(rid)
+        notes = [note for note, on in (
+            ("moved", got != DIGESTS.get(rid)),
+            ("no strike", rid.endswith("/pe_fail") and strikes == 0)) if on]
+        mark = f"  # {', '.join(notes)}" if notes else ""
+        print(f"    {rid!r}: {got!r},{mark}")
     print("}")
