@@ -19,9 +19,19 @@ Engineering refinements from Section VI-B, all implemented here:
 * hash-based parallel-edge elimination instead of full sorting for the
   dedup after contraction (``hash_dedup``);
 * components that have absorbed a shared vertex are *tainted*: their full
-  edge set is not visible locally, so they never initiate a contraction, and
-  a contraction that would merge two tainted components is skipped (their
-  labels must both survive for other PEs).
+  edge set is not visible locally, so they never initiate a contraction.
+
+One round is one whole-vector hook-and-shortcut step, as in sequential
+Borůvka (:func:`~repro.seq.boruvka.contract_pseudo_forest`): every
+untainted component whose lightest row is a contractible candidate points
+at the component at that row's other end, the 2-cycles of this pseudo
+forest are broken at the smaller index, pointer jumping maps every
+component to its tree's root, and the pick of every non-root chooser is an
+MST edge.  No union-find is kept.  The taint rule needs no refusal branch:
+a tainted component never chooses, so it is the sink of its pick tree, and
+a tree of a functional graph has exactly one sink -- two tainted components
+never meet (both labels survive for other PEs), and a tainted tree's root
+is its shared vertex, whose label the merged component keeps.
 
 Afterwards the ghost labels are refreshed with the label-exchange machinery
 of Section IV-B and global sortedness is re-established by local resorting
@@ -39,53 +49,21 @@ import numpy as np
 
 from ..dgraph.dist_graph import DistGraph, move_home
 from ..dgraph.edges import Edges, lightest_per_group
-from ..kernels import (index_dtype, segmented_run_starts,
-                       segmented_searchsorted)
+from ..kernels import index_dtype, segmented_run_starts
 from ..kernels.segmented import packed_lexsort
+from ..seq.boruvka import contract_pseudo_forest
 from ..seq.filter_kruskal import filter_boruvka_msf
 from ..seq.kruskal import kruskal_msf
 from .labels import exchange_labels, relabel
 from .state import MSTRun
 
 
-class _TaintedUnionFind:
-    """Union-find state over local vertex indices with shared-vertex
-    constraints (the contraction loop below inlines ``find`` and ``union``).
-
-    * the representative *label* of a set containing a shared vertex is that
-      shared vertex (shared labels must survive -- other PEs reference them);
-    * a union of two tainted sets is refused (both labels must survive).
-    """
-
-    def __init__(self, n: int, shared_mask: np.ndarray):
-        # Local vertex indices fit int32 at any simulated scale; find_many
-        # results inherit this dtype, which halves the per-round root
-        # arrays of the contraction loop below.
-        dt = np.int32 if n < (1 << 31) else np.int64
-        self.parent = np.arange(n, dtype=dt)
-        self.rank = np.zeros(n, dtype=np.int8)
-        self.taint = shared_mask.copy()
-        # Designated representative index per root (the shared member if any).
-        self.rep = np.arange(n, dtype=dt)
-
-    def find_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorised roots of many elements (compresses their paths)."""
-        parent = self.parent
-        roots = np.asarray(xs, dtype=parent.dtype)
-        while True:
-            nxt = parent[roots]
-            if np.array_equal(nxt, roots):
-                break
-            roots = parent[nxt]
-        parent[xs] = roots
-        return roots
-
-
 def block_destinations(graph: DistGraph
                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(at, local)``: every row's destination searched among its own PE's
-    local vertices in one (PE, vertex) search over the block -- its
-    position there, clipped, and whether it is that vertex."""
+    """``(at, local)``: whether every row's destination is one of its own
+    PE's local vertices, and where it is, read from one direct-address
+    table over the block's source runs.  ``at`` (the position among the
+    PE's runs) is defined only where ``local`` and is 0 elsewhere."""
     return _destinations(graph.edges, graph.source_runs(),
                          graph.run_offsets(), graph.row_pes())
 
@@ -94,7 +72,7 @@ def block_layout(edges: Edges, offsets: np.ndarray):
     """``(runs, run_off, v_at, v_local)`` of a block whose parts are sorted
     by source: what :class:`DistGraph` caches as :meth:`~DistGraph.
     source_runs` and :meth:`~DistGraph.run_offsets`, and
-    :func:`block_destinations`."""
+    :func:`block_destinations` (``v_at`` defined where ``v_local``)."""
     p = len(offsets) - 1
     runs = np.flatnonzero(segmented_run_starts(edges.u, offsets))
     run_off = np.searchsorted(runs, offsets)
@@ -104,11 +82,27 @@ def block_layout(edges: Edges, offsets: np.ndarray):
 
 def _destinations(e: Edges, runs: np.ndarray, run_off: np.ndarray,
                   row_pe: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`block_destinations` from the layout arrays."""
+    """:func:`block_destinations` from the layout arrays.
+
+    ``first[x]`` is the first run of vertex ``x``; a row's candidate run is
+    the later of its destination's first run and its PE's first run, and
+    the row is local iff that run lies among its PE's runs and holds the
+    destination.  This needs a vertex's runs on consecutive PEs (a block
+    sorted by source) or a single run per vertex (MND-MST's owned parts).
+    """
     vids = e.u[runs]
-    at = segmented_searchsorted(vids, run_off, e.v, row_pe)
-    np.minimum(at, np.diff(run_off)[row_pe] - 1, out=at)
-    return at, vids[run_off[:-1][row_pe] + at] == e.v
+    dt = np.int32 if len(vids) < (1 << 31) else np.int64  # run positions
+    first = np.full(int(max(vids.max(initial=0), e.v.max(initial=0))) + 1,
+                    len(vids), dtype=dt)
+    np.minimum.at(first, vids, np.arange(len(vids), dtype=dt))
+    run_off = run_off.astype(dt)
+    lo = run_off[:-1][row_pe]
+    at = np.maximum(first[e.v], lo)
+    local = at < run_off[1:][row_pe]
+    local[local] = vids[at[local]] == e.v[local]
+    at -= lo
+    at[~local] = 0
+    return at, local
 
 
 def _contract_block(
@@ -126,11 +120,11 @@ def _contract_block(
     The block's vertex layout is read, not searched: ``(runs, run_off)``
     are its source runs and where each part's runs begin, ``(v_at,
     v_local)`` its :func:`block_destinations`.  A local vertex is indexed
-    by its position in ``runs``, one index per (PE, vertex).  The sets of
-    different PEs are disjoint, so one union-find over all of them, with
-    the picked rows scanned in block (PE-major) order, makes exactly the
-    unions each PE makes alone; a PE's rows leave the round arrays once it
-    stops (no live row, or no union).
+    by its position in ``runs``, one index per (PE, vertex); ``comp`` holds
+    every vertex's component root index.  The components of different PEs
+    are disjoint, so one pseudo-forest contraction over all of them makes
+    exactly the hooks each PE makes alone; a PE's rows leave the round
+    arrays once it stops (no live row, or no hook).
 
     Returns ``(labels, mst_ids, mst_weights, mst_offsets, rounds)``:
     ``labels`` aligned with ``runs``, PE ``i``'s MST edges at
@@ -140,24 +134,28 @@ def _contract_block(
     p = len(offsets) - 1
     n = len(runs)
     vids = e.u[runs]
-    uf = _TaintedUnionFind(n, shared_mask)
     # Index scratch dtype: vertex indices (< n) and row positions
     # (< 2 * len(e)) both fit int32 at any simulated scale, and ~15 such
     # arrays are simultaneously live per round below -- the narrow scratch
     # halves the peak footprint of large merged parts (MND-MST leaders).
     idx_dt = np.int32 if max(n, 2 * len(e)) < (1 << 31) else np.int64
+    comp = np.arange(n, dtype=idx_dt)
 
     # Candidate (contractible) edges: both endpoints local.  With the
     # filtering enhancement, restrict further to each PE's local subgraph's
     # MSF -- by the cycle property no other local edge can ever be a cut
     # minimum.  One filter call per PE: each draws its pivots from its own
-    # generator and sizes its base case from its own vertex count.
+    # generator and sizes its base case from its own vertex count.  It
+    # reads one copy of each local edge, ``u < v``, plus every row into a
+    # shared vertex, whose reverse copy may sit on the neighbouring PE.
     candidate = v_local
     if use_filter:
         candidate = np.zeros(len(e), dtype=bool)
         for i in np.flatnonzero(np.diff(offsets)).tolist():
             a, r0, r1 = offsets[i], run_off[i], run_off[i + 1]
             cpos = np.flatnonzero(v_local[a:offsets[i + 1]])
+            cpos = cpos[(e.u[a + cpos] < e.v[a + cpos])
+                        | shared_mask[r0 + v_at[a + cpos]]]
             if len(cpos) == 0:
                 continue
             at_u = np.searchsorted(runs[r0:r1], a + cpos, side="right") - 1
@@ -182,16 +180,15 @@ def _contract_block(
     e_pos = e_pos.astype(idx_dt, copy=False)
     del candidate
 
-    found = []  # (PE, block row) of every union, round by round
+    found = []  # (PE, block row) of every hook, round by round
     rounds = np.zeros(p, dtype=np.int64)
     live = np.diff(offsets) > 0
     while live.any():
         rounds += live
-        cu_root = uf.find_many(e_u)
-        cv_root = np.where(e_v >= 0, uf.find_many(np.maximum(e_v, 0)), -1)
-        label_u = vids[uf.rep[cu_root]]
-        label_v = np.where(e_v >= 0, vids[uf.rep[np.maximum(cv_root, 0)]],
-                           ghost_label)
+        cu = comp[e_u]
+        cv = np.where(e_v >= 0, comp[np.maximum(e_v, 0)], idx_dt(-1))
+        label_u = vids[cu]
+        label_v = np.where(e_v >= 0, vids[np.maximum(cv, 0)], ghost_label)
         # Self-loop edges stay dead forever (components only grow), and a
         # stopped PE's rows are done: drop both before the scans below.
         keep = np.flatnonzero((label_u != label_v) & live[e_pe])
@@ -199,21 +196,19 @@ def _contract_block(
             e_u, e_v, e_w, e_pe = e_u[keep], e_v[keep], e_w[keep], e_pe[keep]
             e_pos, e_cand = e_pos[keep], e_cand[keep]
             ghost_label = ghost_label[keep]
-            cu_root, cv_root = cu_root[keep], cv_root[keep]
+            cu, cv = cu[keep], cv[keep]
             label_u, label_v = label_u[keep], label_v[keep]
         del keep
         live &= np.bincount(e_pe, minlength=p) > 0  # no live row: stop
         if not live.any():
             break
-        a_u, a_v = cu_root, cv_root
-        a_cand = e_cand & (a_v >= 0)
         # Group candidates by component: local edges feed both sides' groups,
         # cut edges only the source side.  The tie key is built from the
         # actual labels.  A group's entries keep their per-PE order in
         # ``sel``, so its lightest row is the one its PE alone would pick.
-        both = a_v >= 0
-        grp = np.concatenate([a_u, a_v[both]])
-        sel = np.concatenate([np.arange(len(a_u), dtype=idx_dt),
+        both = cv >= 0
+        grp = np.concatenate([cu, cv[both]])
+        sel = np.concatenate([np.arange(len(cu), dtype=idx_dt),
                               np.flatnonzero(both).astype(idx_dt,
                                                           copy=False)])
         del both
@@ -221,56 +216,24 @@ def _contract_block(
                                           e_w[sel], n)
         chosen = sel[pick]  # row into the compacted arrays
         del grp, sel, pick, label_u, label_v
-        # Contract where the choosing component is untainted and its minimum
-        # is a contractible (local MSF) edge.
-        ok = ~uf.taint[groups] & a_cand[chosen]
-        rows = np.unique(chosen[ok])
+        # An untainted component whose minimum is a contractible (local
+        # MSF) edge hooks onto the component at its other end.  A tainted
+        # component's root is its shared vertex, so the initial mask is
+        # the taint of every root.
+        ok = ~shared_mask[groups] & e_cand[chosen]
+        chooser, rows = groups[ok], chosen[ok]
         del groups, chosen, ok
-        # find + union inlined over plain Python lists (the union-by-rank
-        # rule decides the labels): this loop dominates the contraction
-        # time and list indexing beats numpy scalar indexing several-fold.
-        parent = uf.parent.tolist()
-        rank = uf.rank.tolist()
-        taint = uf.taint.tolist()
-        rep = uf.rep.tolist()
-        won = []
-        for ia, ib, k in zip(a_u[rows].tolist(), a_v[rows].tolist(),
-                             rows.tolist()):
-            root = ia
-            while parent[root] != root:
-                root = parent[root]
-            while parent[ia] != root:
-                parent[ia], ia = root, parent[ia]
-            ra = root
-            root = ib
-            while parent[root] != root:
-                root = parent[root]
-            while parent[ib] != root:
-                parent[ib], ib = root, parent[ib]
-            rb = root
-            if ra == rb or (taint[ra] and taint[rb]):
-                continue
-            if rank[ra] < rank[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            if rank[ra] == rank[rb]:
-                rank[ra] += 1
-            if taint[rb]:
-                taint[ra] = True
-                rep[ra] = rep[rb]
-            won.append(k)
-        uf.parent[:] = parent
-        uf.rank[:] = rank
-        uf.taint[:] = taint
-        uf.rep[:] = rep
-        won = np.asarray(won, dtype=np.int64)
+        target = np.where(cu[rows] == chooser, cv[rows], cu[rows])
+        roots, parent_map = contract_pseudo_forest(chooser, target, n)
+        comp = parent_map[comp].astype(idx_dt, copy=False)
+        won = np.unique(rows[~roots])
+        del chooser, rows, target, roots, parent_map
         found.append(np.stack([e_pe[won], e_pos[won]]))
-        live &= np.bincount(e_pe[won], minlength=p) > 0  # no union: stop
+        live &= np.bincount(e_pe[won], minlength=p) > 0  # no hook: stop
         if live.any() and rounds.max() > 64:
             raise RuntimeError("local preprocessing failed to converge")
 
-    roots = uf.find_many(np.arange(n))
-    labels = vids[uf.rep[roots]]
+    labels = vids[comp]
     pes, pos = np.concatenate([np.empty((2, 0), idx_dt)] + found, axis=1)
     pos = pos[np.argsort(pes, kind="stable")]
     mst_off = np.zeros(p + 1, dtype=np.int64)

@@ -76,49 +76,44 @@ def _filter_msf(edges: Edges, n_vertices: int, base_case: str,
     uf = UnionFind(n)
     kept_global: list[Edges] = []
 
+    def solve(e: Edges, degenerate: bool) -> None:
+        """The base case on ``e`` relabelled by the current components, so
+        the solver sees the contracted problem."""
+        stats.base_case_calls += 1
+        stats.base_case_edges += len(e)
+        ru = uf.find_many(e.u)
+        rv = uf.find_many(e.v)
+        live = np.flatnonzero(ru != rv)
+        e_live = e.take(live)
+        # Positional ids so the base case's picks can be mapped back to
+        # rows of ``e_live`` regardless of the caller's id scheme.
+        contracted = Edges(ru[live], rv[live], e_live.w,
+                           np.arange(len(e_live), dtype=np.int64))
+        if base_case == "boruvka":
+            # Hook every contracted root onto its Borůvka component.
+            msf_c, comp = boruvka_msf(contracted, n, return_components=True)
+            hooked = np.concatenate([contracted.u, contracted.v])
+            uf.parent[hooked] = comp[hooked]
+            kept_global.append(e_live.take(msf_c.id))
+            return
+        # A degenerate pivot's Kruskal orders by the original endpoints.
+        order = (e_live if degenerate else contracted).weight_order()
+        keep = uf.union_edges(contracted.u[order], contracted.v[order])
+        kept_global.append(e_live.take(order[keep]))
+
     def recurse(e: Edges) -> None:
-        # Relabel by current components so the base case sees the contracted
-        # problem and filtering is a pure label comparison.
         if len(e) == 0:
             return
         stats.edges_touched += len(e)
         if len(e) <= base_case_size:
-            stats.base_case_calls += 1
-            stats.base_case_edges += len(e)
-            ru = uf.find_many(e.u)
-            rv = uf.find_many(e.v)
-            live = np.flatnonzero(ru != rv)
-            e_live = e.take(live)
-            # Positional ids so the base case's picks can be mapped back to
-            # rows of ``e_live`` regardless of the caller's id scheme.
-            contracted = Edges(ru[live], rv[live], e_live.w,
-                               np.arange(len(e_live), dtype=np.int64))
-            if base_case == "kruskal":
-                order = contracted.weight_order()
-                c = contracted.take(order)
-                keep = uf.union_edges(c.u, c.v)
-                kept_global.append(e_live.take(order[keep]))
-            else:
-                msf_c = boruvka_msf(contracted, n)
-                picked = e_live.take(msf_c.id)
-                uf.union_edges(picked.u, picked.v)
-                kept_global.append(picked)
+            solve(e, degenerate=False)
             return
         stats.partition_rounds += 1
         pivot = int(e.w[rng.integers(0, len(e))])
         light = e.w <= pivot
         if light.all() or not light.any():
             # Degenerate pivot (many equal weights): fall back to base case.
-            stats.base_case_calls += 1
-            stats.base_case_edges += len(e)
-            ru = uf.find_many(e.u)
-            rv = uf.find_many(e.v)
-            live = ru != rv
-            e_live = e.take(live)
-            order = e_live.weight_order()
-            c = e_live.take(order)
-            keep = uf.union_edges(c.u, c.v)
-            kept_global.append(c.take(keep))
+            solve(e, degenerate=True)
             return
         recurse(e.take(light))
         heavy = e.take(~light)

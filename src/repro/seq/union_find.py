@@ -1,7 +1,9 @@
 """Array-based union-find (disjoint sets) with path compression.
 
-Used by the sequential baselines (Kruskal, Filter-Kruskal), by local
-preprocessing on each simulated PE, and by the verification utilities.
+Used by the sequential baselines (Kruskal, Filter-Kruskal; Filter-Borůvka
+keeps one only to filter, hooking its roots onto Borůvka's components) and
+by the verification utilities.  Local preprocessing contracts pseudo
+forests and keeps none.
 Supports both the classic one-at-a-time API and vectorised bulk operations
 (the hpc-parallel guides mandate numpy vectorisation for hot loops).
 """

@@ -32,11 +32,12 @@ its per-PE ``dedup_sorted_parts`` and ``_drop_boundary_duplicates`` pass --
 calling this module's ``route_rows`` and ``local_lexsort_parts``.
 
 Local preprocessing and the MST output now read what the host already
-holds.  The versions they replaced are kept here as shipped: the per-PE
-``_contract_one_pe`` that searched its own vertex layout (registered through
-a loop adapter taking the block contraction's arguments, ignoring the
-layout and running it part by part), and the varint ``InputSnapshot`` with
-the ``redistribute_mst`` that decodes it.
+holds.  The versions they replaced are kept here: the per-PE
+``_contract_one_pe`` that searches its own vertex layout and hooks one
+component at a time (registered through a loop adapter taking the block
+contraction's arguments, ignoring the layout and running it part by part),
+and, as shipped, the varint ``InputSnapshot`` with the
+``redistribute_mst`` that decodes it.
 
 The request/reply rounds (contraction's pointer doubling, the P array,
 Awerbuch-Shiloach's ``_resolve``) and EXCHANGELABELS' push are now charged
@@ -85,7 +86,6 @@ import numpy as np
 
 from repro.core.base_case import INF
 from repro.core.labels import LabelPush
-from repro.core.local_preprocessing import _TaintedUnionFind
 from repro.core.minedges import ChosenEdges as FlatChosenEdges
 from repro.core.state import MSTRun
 from repro.dgraph.dist_graph import DistGraph, split_edges
@@ -801,9 +801,9 @@ def redistribute(
 
 
 # ----------------------------------------------------------------------
-# core/local_preprocessing.py: _contract_one_pe, as shipped before the
-# vertex layout was handed in (two searchsorted calls per PE, boolean-mask
-# compactions)
+# core/local_preprocessing.py: _contract_block PE by PE -- every part
+# searched for its own layout, and the pseudo forest of each round hooked
+# and followed one component at a time
 # ----------------------------------------------------------------------
 def _contract_one_pe(
     part: Edges,
@@ -813,19 +813,18 @@ def _contract_one_pe(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Run the modified local Borůvka on one PE.
 
-    Returns ``(new_labels, mst_ids, mst_weights, rounds)`` where
-    ``new_labels`` is aligned with ``vids``.
+    Each round, every untainted component whose lightest row is a
+    contractible candidate hooks onto the component at the row's other
+    end; in a 2-cycle the smaller index stays the root, and the pick of
+    every other chooser is an MST edge.  Returns ``(new_labels, mst_ids,
+    mst_weights, rounds)`` where ``new_labels`` is aligned with ``vids``.
     """
     n_local = len(vids)
-    uf = _TaintedUnionFind(n_local, shared_mask)
+    comp = list(range(n_local))
     if n_local == 0 or len(part) == 0:
         return vids.copy(), np.empty(0, dtype=np.int64), \
             np.empty(0, dtype=np.int64), 0
 
-    # Index scratch dtype: vertex indices (< n_local) and row positions
-    # (< 2 * len(part)) both fit int32 at any simulated scale, and ~15 such
-    # arrays are simultaneously live per round below -- the narrow scratch
-    # halves the peak footprint of large merged parts (MND-MST leaders).
     idx_dt = (np.int32 if max(n_local, 2 * len(part)) < (1 << 31)
               else np.int64)
     vidx_u = np.searchsorted(vids, part.u).astype(idx_dt, copy=False)
@@ -833,20 +832,23 @@ def _contract_one_pe(
     idx_c = np.minimum(idx, n_local - 1)
     v_local = (idx < n_local) & (vids[idx_c] == part.v)
     vidx_v = np.where(v_local, idx_c, idx_dt(-1))
-    del idx, idx_c
+    del idx
 
     # Candidate (contractible) edges: both endpoints local.  With the
-    # filtering enhancement, restrict further to the local subgraph's MSF --
-    # by the cycle property no other local edge can ever be a cut minimum.
+    # filtering enhancement, restrict further to the local subgraph's MSF,
+    # computed from the ``u < v`` copy of every local edge plus the rows
+    # into a shared vertex.
     candidate = v_local.copy()
-    if use_filter and candidate.any():
-        local_e = part.take(candidate)
-        dense = Edges(vidx_u[candidate], vidx_v[candidate], local_e.w,
-                      np.flatnonzero(candidate))
-        msf = (filter_boruvka_msf if len(dense) > 64 else kruskal_msf)(
-            dense, n_local)
+    if use_filter:
+        into = v_local & ((part.u < part.v) | shared_mask[idx_c])
         candidate = np.zeros(len(part), dtype=bool)
-        candidate[msf.id] = True  # ids were candidate positions
+        if into.any():
+            dense = Edges(vidx_u[into], vidx_v[into], part.w[into],
+                          np.flatnonzero(into))
+            msf = (filter_boruvka_msf if len(dense) > 64 else kruskal_msf)(
+                dense, n_local)
+            candidate[msf.id] = True  # ids were candidate positions
+    del idx_c
 
     # Edges that participate in min computations: candidates + cut edges.
     consider = candidate | ~v_local
@@ -863,17 +865,16 @@ def _contract_one_pe(
     rounds = 0
     while True:
         rounds += 1
-        cu_root = uf.find_many(e_u)
-        cv_root = np.where(e_v >= 0, uf.find_many(np.maximum(e_v, 0)), -1)
-        label_u = vids[uf.rep[cu_root]]
-        label_v = np.where(e_v >= 0, vids[uf.rep[np.maximum(cv_root, 0)]],
+        comp_a = np.asarray(comp, dtype=idx_dt)
+        cu_root = comp_a[e_u]
+        cv_root = np.where(e_v >= 0, comp_a[np.maximum(e_v, 0)], -1)
+        label_u = vids[cu_root]
+        label_v = np.where(e_v >= 0, vids[np.maximum(cv_root, 0)],
                            ghost_label)
         alive = label_u != label_v
         if not alive.any():
             break
         if not alive.all():
-            # Self-loop edges stay dead forever (components only grow), so
-            # drop them before the next round's scans.
             e_u, e_v, e_w = e_u[alive], e_v[alive], e_w[alive]
             e_pos, e_cand = e_pos[alive], e_cand[alive]
             ghost_label = ghost_label[alive]
@@ -881,72 +882,41 @@ def _contract_one_pe(
             label_u, label_v = label_u[alive], label_v[alive]
         a_u, a_v = cu_root, cv_root
         a_cand = e_cand & (a_v >= 0)
-        # Group candidates by component: local edges feed both sides' groups,
-        # cut edges only the source side.  The tie key is built from the
-        # actual labels.
         both = a_v >= 0
         grp = np.concatenate([a_u, a_v[both]])
         sel = np.concatenate([np.arange(len(a_u), dtype=idx_dt),
                               np.flatnonzero(both).astype(idx_dt,
                                                           copy=False)])
-        del both
         groups, pick = lightest_per_group(grp, label_u[sel], label_v[sel],
                                           e_w[sel], n_local)
-        chosen = sel[pick]  # row into the compacted arrays
-        del grp, sel, pick, label_u, label_v
-        # Contract where the choosing component is untainted and its minimum
-        # is a contractible (local MSF) edge.
-        ok = ~uf.taint[groups] & a_cand[chosen]
-        did_union = False
-        rows = np.unique(chosen[ok])
-        pos = e_pos[rows]
-        del groups, chosen, ok
-        # uf.union inlined over plain Python lists (same op order, same
-        # state evolution): this loop dominates the per-PE contraction time
-        # and list indexing beats numpy scalar indexing several-fold.
-        parent = uf.parent.tolist()
-        rank = uf.rank.tolist()
-        taint = uf.taint.tolist()
-        rep = uf.rep.tolist()
-        for ia, ib, eid, ew in zip(a_u[rows].tolist(), a_v[rows].tolist(),
-                                   part.id[pos].tolist(),
-                                   part.w[pos].tolist()):
-            root = ia
-            while parent[root] != root:
-                root = parent[root]
-            while parent[ia] != root:
-                parent[ia], ia = root, parent[ia]
-            ra = root
-            root = ib
-            while parent[root] != root:
-                root = parent[root]
-            while parent[ib] != root:
-                parent[ib], ib = root, parent[ib]
-            rb = root
-            if ra == rb or (taint[ra] and taint[rb]):
-                continue
-            if rank[ra] < rank[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            if rank[ra] == rank[rb]:
-                rank[ra] += 1
-            if taint[rb]:
-                taint[ra] = True
-                rep[ra] = rep[rb]
-            did_union = True
-            mst_ids.append(eid)
-            mst_ws.append(ew)
-        uf.parent[:] = parent
-        uf.rank[:] = rank
-        uf.taint[:] = taint
-        uf.rep[:] = rep
-        if not did_union:
+        chosen = sel[pick]
+        # Tainted: the components holding a shared vertex.
+        tainted = np.zeros(n_local, dtype=bool)
+        tainted[comp_a[shared_mask]] = True
+        ok = ~tainted[groups] & a_cand[chosen]
+        # Hook: component -> the other end of its pick.
+        hook, row_of = {}, {}
+        for c, k in zip(groups[ok].tolist(), chosen[ok].tolist()):
+            cu, cv = int(a_u[k]), int(a_v[k])
+            hook[c] = cv if cu == c else cu
+            row_of[c] = k
+        # A 2-cycle keeps its smaller index as the root.
+        for c in [c for c, t in hook.items() if hook.get(t) == c and c < t]:
+            del hook[c]
+        if not hook:
             break
+        for k in sorted({row_of[c] for c in hook}):
+            mst_ids.append(int(part.id[e_pos[k]]))
+            mst_ws.append(int(part.w[e_pos[k]]))
+        for x in range(n_local):
+            r = comp[x]
+            while r in hook:
+                r = hook[r]
+            comp[x] = r
         if rounds > 64:
             raise RuntimeError("local preprocessing failed to converge")
 
-    roots = uf.find_many(np.arange(n_local))
-    new_labels = vids[uf.rep[roots]]
+    new_labels = vids[np.asarray(comp, dtype=np.int64)]
     return (new_labels, np.asarray(mst_ids, dtype=np.int64),
             np.asarray(mst_ws, dtype=np.int64), rounds)
 

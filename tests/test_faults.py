@@ -272,7 +272,7 @@ class TestCheckpointLogicalBytes:
 
     @pytest.mark.parametrize("algo,want", [
         (awerbuch_shiloach_msf, 0.004230779),
-        (mnd_mst, 0.001117888),
+        (mnd_mst, 0.001115968),
     ])
     def test_pe_fail_clock_ignores_storage_width(self, algo, want,
                                                  monkeypatch):

@@ -189,7 +189,11 @@ def digest(run_id: str) -> tuple[str, int]:
 
 #: Recorded on the per-PE loop drivers; the ``pe_fail`` entries were
 #: re-recorded when ArrayCheckpoint began charging logical bytes (8 per
-#: integer element) instead of the storage width.
+#: integer element) instead of the storage width.  The MND-MST, Borůvka,
+#: Filter-Borůvka and connected-components entries of both tables were
+#: re-recorded when the local contraction became a pseudo-forest hook and
+#: Filter-Borůvka's base case a Borůvka hook (new labels and tie picks;
+#: the same MSF weights).
 DIGESTS = {
     "awerbuch-shiloach/gnm/1/none": "8981ad37fb3b1520",
     "awerbuch-shiloach/gnm/1/storm": "168b2a50009f63d9",
@@ -233,48 +237,48 @@ DIGESTS = {
     "awerbuch-shiloach/gnm-sparse/64/none": "a51f3b03d815ed13",
     "awerbuch-shiloach/gnm-sparse/64/storm": "3de060b3454ae972",
     "awerbuch-shiloach/gnm-sparse/64/pe_fail": "84ffa756b28a673b",
-    "mnd-mst/gnm/1/none": "7d70a6c6c5dda777",
-    "mnd-mst/gnm/1/storm": "555febb1d1564b96",
-    "mnd-mst/gnm/2/none": "9db0bbc17a8c5cb7",
-    "mnd-mst/gnm/2/storm": "412cc5aaba1de8d7",
-    "mnd-mst/gnm/2/pe_fail": "eae59e14ab3ac48a",
-    "mnd-mst/gnm/3/none": "3aeee93a9113f2e6",
-    "mnd-mst/gnm/3/storm": "a3805def1d20ea35",
-    "mnd-mst/gnm/3/pe_fail": "926b27bfaf16c3df",
-    "mnd-mst/gnm/5/none": "51ed696e78393383",
-    "mnd-mst/gnm/5/storm": "527a369c28efac36",
-    "mnd-mst/gnm/5/pe_fail": "53983b32735b6856",
-    "mnd-mst/gnm/64/none": "4a55c88119921429",
-    "mnd-mst/gnm/64/storm": "b34c7bb470a6b30a",
-    "mnd-mst/gnm/64/pe_fail": "fc43fe7a559b89d2",
-    "mnd-mst/rhg-shared/1/none": "248eb81ce03de8fb",
-    "mnd-mst/rhg-shared/1/storm": "87e59cd158af4947",
-    "mnd-mst/rhg-shared/2/none": "a74fb688b0a8adf6",
-    "mnd-mst/rhg-shared/2/storm": "8804d4f6a6244b0e",
-    "mnd-mst/rhg-shared/2/pe_fail": "87f97f331fc9f136",
-    "mnd-mst/rhg-shared/3/none": "b6de9aa2eec86c9c",
-    "mnd-mst/rhg-shared/3/storm": "6e0dd7a953b4dae2",
-    "mnd-mst/rhg-shared/3/pe_fail": "867befb59719adc6",
-    "mnd-mst/rhg-shared/5/none": "f9b01bf8563c8547",
-    "mnd-mst/rhg-shared/5/storm": "2db4c15137a44a44",
-    "mnd-mst/rhg-shared/5/pe_fail": "a6d4a490b2730a0a",
-    "mnd-mst/rhg-shared/64/none": "6b4c7ee2f083f2c2",
-    "mnd-mst/rhg-shared/64/storm": "b8a54044a005c102",
-    "mnd-mst/rhg-shared/64/pe_fail": "48c8b860fbcc8f75",
-    "mnd-mst/gnm-sparse/1/none": "e4a9eb6015b248b0",
-    "mnd-mst/gnm-sparse/1/storm": "d7df693bf3d6f192",
-    "mnd-mst/gnm-sparse/2/none": "95ef6db53848d589",
-    "mnd-mst/gnm-sparse/2/storm": "09c4161600104139",
-    "mnd-mst/gnm-sparse/2/pe_fail": "067dfc48b6b4d6a5",
-    "mnd-mst/gnm-sparse/3/none": "6a65e75a355d7f00",
-    "mnd-mst/gnm-sparse/3/storm": "fafaaa49db96e59c",
-    "mnd-mst/gnm-sparse/3/pe_fail": "9ee871a75186d50a",
-    "mnd-mst/gnm-sparse/5/none": "f0ada29b0b4fe59c",
-    "mnd-mst/gnm-sparse/5/storm": "f168387efe5a1c75",
-    "mnd-mst/gnm-sparse/5/pe_fail": "dc090825328bb585",
-    "mnd-mst/gnm-sparse/64/none": "41befe794c997639",
-    "mnd-mst/gnm-sparse/64/storm": "ba1ca800bfa9c8bc",
-    "mnd-mst/gnm-sparse/64/pe_fail": "79f4160bb1c23c56",
+    "mnd-mst/gnm/1/none": "44292cdb82c29de2",
+    "mnd-mst/gnm/1/storm": "97788c9208ccbe09",
+    "mnd-mst/gnm/2/none": "8c83abbdff7c38b3",
+    "mnd-mst/gnm/2/storm": "4bd8d77c28e3b4ae",
+    "mnd-mst/gnm/2/pe_fail": "67b2670e4bd0921d",
+    "mnd-mst/gnm/3/none": "33a7dbe53985e233",
+    "mnd-mst/gnm/3/storm": "4d8102aa86f2838a",
+    "mnd-mst/gnm/3/pe_fail": "487b577fc5937f7e",
+    "mnd-mst/gnm/5/none": "06a4e4d2012ffb8d",
+    "mnd-mst/gnm/5/storm": "01e438a7a2a883b0",
+    "mnd-mst/gnm/5/pe_fail": "d52f591e7cdf1b10",
+    "mnd-mst/gnm/64/none": "3365f8b73842d4f5",
+    "mnd-mst/gnm/64/storm": "e83413963a83d62e",
+    "mnd-mst/gnm/64/pe_fail": "e93953626de77190",
+    "mnd-mst/rhg-shared/1/none": "8ea6f9f183a9d699",
+    "mnd-mst/rhg-shared/1/storm": "862b3bc4ffc85ad0",
+    "mnd-mst/rhg-shared/2/none": "e32a7aebba37abe5",
+    "mnd-mst/rhg-shared/2/storm": "c41fcdf0f45a6a03",
+    "mnd-mst/rhg-shared/2/pe_fail": "0b2840c3f7785865",
+    "mnd-mst/rhg-shared/3/none": "7aac5346ec81df52",
+    "mnd-mst/rhg-shared/3/storm": "dea42738fff4ea37",
+    "mnd-mst/rhg-shared/3/pe_fail": "ad33decb00ca7ff3",
+    "mnd-mst/rhg-shared/5/none": "1f3e371a151e5847",
+    "mnd-mst/rhg-shared/5/storm": "02b0cbd07a1c4105",
+    "mnd-mst/rhg-shared/5/pe_fail": "9802f57e8b30fe30",
+    "mnd-mst/rhg-shared/64/none": "2a83d08bab61f929",
+    "mnd-mst/rhg-shared/64/storm": "ac3b17dfd78162cf",
+    "mnd-mst/rhg-shared/64/pe_fail": "db85055a352c4680",
+    "mnd-mst/gnm-sparse/1/none": "9a5fc209fa54d699",
+    "mnd-mst/gnm-sparse/1/storm": "5ff7967098f59795",
+    "mnd-mst/gnm-sparse/2/none": "6392c88f4c7e37ee",
+    "mnd-mst/gnm-sparse/2/storm": "6e510ed76178a330",
+    "mnd-mst/gnm-sparse/2/pe_fail": "4507f54cd01cb0a6",
+    "mnd-mst/gnm-sparse/3/none": "b5b6c67956e3d415",
+    "mnd-mst/gnm-sparse/3/storm": "1b322ec77dc79b57",
+    "mnd-mst/gnm-sparse/3/pe_fail": "8aef9bb1e815e009",
+    "mnd-mst/gnm-sparse/5/none": "164f7c86d1ff2860",
+    "mnd-mst/gnm-sparse/5/storm": "ec06ae99129b4634",
+    "mnd-mst/gnm-sparse/5/pe_fail": "8018438826c79c54",
+    "mnd-mst/gnm-sparse/64/none": "84e962cdc4bd557a",
+    "mnd-mst/gnm-sparse/64/storm": "f42bfbb015250c23",
+    "mnd-mst/gnm-sparse/64/pe_fail": "c8b018da0422299e",
     "dist-kruskal/gnm/1/none": "c1ab1871d86afaba",
     "dist-kruskal/gnm/1/storm": "609d82f80d27705e",
     "dist-kruskal/gnm/2/none": "0effe3f6594829f8",
@@ -335,24 +339,24 @@ DIGESTS = {
     "dist-prim/gnm-sparse/5/storm": "727472314bcc94ec",
     "dist-prim/gnm-sparse/64/none": "b28aa59a7bda4868",
     "dist-prim/gnm-sparse/64/storm": "55f5f27850e06b90",
-    "connected-components/gnm/1/none": "a0decab5db8e2f7a",
-    "connected-components/gnm/1/storm": "f0580cec22862bcc",
-    "connected-components/gnm/2/none": "29d61e22e1fc98bb",
-    "connected-components/gnm/2/storm": "23fe86b018e03da8",
-    "connected-components/gnm/3/none": "687fa2edf69bd7dc",
-    "connected-components/gnm/3/storm": "beb8746b5e3cd60a",
-    "connected-components/gnm/5/none": "ba551b16fc901370",
-    "connected-components/gnm/5/storm": "011578e3bd89d8ef",
+    "connected-components/gnm/1/none": "06c79275a9e71930",
+    "connected-components/gnm/1/storm": "d25d97e872b180ab",
+    "connected-components/gnm/2/none": "f10d9924c2f893a3",
+    "connected-components/gnm/2/storm": "ed24899fcaa358b9",
+    "connected-components/gnm/3/none": "453f96dd6b8ecd95",
+    "connected-components/gnm/3/storm": "8c20ffb0b8719615",
+    "connected-components/gnm/5/none": "a6c8dc790f04b374",
+    "connected-components/gnm/5/storm": "c1a99942fa0a24c7",
     "connected-components/gnm/64/none": "b44d288b64e28d8d",
     "connected-components/gnm/64/storm": "a0b97a5a6e976a2d",
-    "connected-components/rhg-shared/1/none": "aad88bc97806e966",
-    "connected-components/rhg-shared/1/storm": "8769326c4fea2715",
-    "connected-components/rhg-shared/2/none": "c4bcd84150bafb27",
-    "connected-components/rhg-shared/2/storm": "c72f85c2aabf8c4c",
-    "connected-components/rhg-shared/3/none": "9f369a3702862250",
-    "connected-components/rhg-shared/3/storm": "e946f0914efdce6c",
-    "connected-components/rhg-shared/5/none": "879e90c3bf6e05d4",
-    "connected-components/rhg-shared/5/storm": "b47e53c286a19033",
+    "connected-components/rhg-shared/1/none": "1d952cf80cbda891",
+    "connected-components/rhg-shared/1/storm": "b0c52cfccba8dee2",
+    "connected-components/rhg-shared/2/none": "0117e4bfa411e1eb",
+    "connected-components/rhg-shared/2/storm": "6766b3c34115b42d",
+    "connected-components/rhg-shared/3/none": "69579b0a62c22a11",
+    "connected-components/rhg-shared/3/storm": "22b32d5f7fff5fc1",
+    "connected-components/rhg-shared/5/none": "cf8f1a368c591806",
+    "connected-components/rhg-shared/5/storm": "5fb6210911ef0d59",
     "connected-components/rhg-shared/64/none": "7f604119b1a1ff91",
     "connected-components/rhg-shared/64/storm": "5e87400cb11fd509",
     "connected-components/gnm-sparse/1/none": "91a9181d316c53e8",
@@ -445,20 +449,20 @@ DIGESTS.update({
     "awerbuch-shiloach/rgg-shared/64/none": "820e702c5ed94f01",
     "awerbuch-shiloach/rgg-shared/64/storm": "c0789e48359e3ebb",
     "awerbuch-shiloach/rgg-shared/64/pe_fail": "9c9237d9463f325a",
-    "mnd-mst/rgg-shared/1/none": "50f6c04464450ddf",
-    "mnd-mst/rgg-shared/1/storm": "d51a20a9d532677a",
-    "mnd-mst/rgg-shared/2/none": "0992949a38f5d860",
-    "mnd-mst/rgg-shared/2/storm": "e1117f6a412c8925",
-    "mnd-mst/rgg-shared/2/pe_fail": "946a0c99a5d136ca",
-    "mnd-mst/rgg-shared/3/none": "d66175e77319288d",
-    "mnd-mst/rgg-shared/3/storm": "10419923e6b45d5c",
-    "mnd-mst/rgg-shared/3/pe_fail": "151a72c0d121699d",
-    "mnd-mst/rgg-shared/5/none": "34a9040f534e4f27",
-    "mnd-mst/rgg-shared/5/storm": "c1c54e75e13f1508",
-    "mnd-mst/rgg-shared/5/pe_fail": "2af62ae8db43a027",
-    "mnd-mst/rgg-shared/64/none": "c346e897f021fad9",
-    "mnd-mst/rgg-shared/64/storm": "0d6f315911362ed5",
-    "mnd-mst/rgg-shared/64/pe_fail": "c2a208ab552b084f",
+    "mnd-mst/rgg-shared/1/none": "c402238f1284c03a",
+    "mnd-mst/rgg-shared/1/storm": "e5fdc9740df1e644",
+    "mnd-mst/rgg-shared/2/none": "d3ead2e7ce7d1397",
+    "mnd-mst/rgg-shared/2/storm": "6f998d904185aee2",
+    "mnd-mst/rgg-shared/2/pe_fail": "de9d0437a07a0938",
+    "mnd-mst/rgg-shared/3/none": "ae00b618b9029c8d",
+    "mnd-mst/rgg-shared/3/storm": "51652a5497eb300c",
+    "mnd-mst/rgg-shared/3/pe_fail": "821e28f3e1290920",
+    "mnd-mst/rgg-shared/5/none": "2b6a9818247b1dc0",
+    "mnd-mst/rgg-shared/5/storm": "647db69b41295670",
+    "mnd-mst/rgg-shared/5/pe_fail": "6e241b315a97737f",
+    "mnd-mst/rgg-shared/64/none": "149c64392f185dcd",
+    "mnd-mst/rgg-shared/64/storm": "1be4e4d6920bfaca",
+    "mnd-mst/rgg-shared/64/pe_fail": "44f17d122e3842f6",
     "dist-kruskal/rgg-shared/1/none": "dfa887f253e98e97",
     "dist-kruskal/rgg-shared/1/storm": "8bc45e259f37b996",
     "dist-kruskal/rgg-shared/2/none": "6da61d438aa4c9d9",
@@ -479,16 +483,16 @@ DIGESTS.update({
     "dist-prim/rgg-shared/5/storm": "60e8c8601632cdc2",
     "dist-prim/rgg-shared/64/none": "1fdef3c6e9adae2e",
     "dist-prim/rgg-shared/64/storm": "d6eef2c938970641",
-    "connected-components/rgg-shared/1/none": "5d21c8c6dd41c023",
-    "connected-components/rgg-shared/1/storm": "eabac0282ed51f51",
+    "connected-components/rgg-shared/1/none": "5eb6aace91912d5a",
+    "connected-components/rgg-shared/1/storm": "48740f07cb3a07a6",
     "connected-components/rgg-shared/2/none": "c40cd23dabdda362",
     "connected-components/rgg-shared/2/storm": "172a8bc4462ff7cf",
-    "connected-components/rgg-shared/3/none": "34a89e800ad48a3c",
-    "connected-components/rgg-shared/3/storm": "e71868dd54caaa4d",
-    "connected-components/rgg-shared/5/none": "8124430defa3c0b6",
-    "connected-components/rgg-shared/5/storm": "019c22e885a5bc1a",
-    "connected-components/rgg-shared/64/none": "2b4910bc5c00795c",
-    "connected-components/rgg-shared/64/storm": "b8229269cb7ce70a",
+    "connected-components/rgg-shared/3/none": "69584f9023619219",
+    "connected-components/rgg-shared/3/storm": "337e9b86fbb23190",
+    "connected-components/rgg-shared/5/none": "98eff278f9a996dd",
+    "connected-components/rgg-shared/5/storm": "030b4ee8f56c1ae2",
+    "connected-components/rgg-shared/64/none": "e3827646ffc6d96f",
+    "connected-components/rgg-shared/64/storm": "1ba8afee39cd88df",
     "verify-msf/rgg-shared/1/none": "faae3ed175effc57",
     "verify-msf/rgg-shared/1/storm": "8b06546fcf2bebe4",
     "verify-msf/rgg-shared/2/none": "365b00dbefdbbb61",
@@ -509,31 +513,31 @@ DIGESTS.update({
     "verify-rejected/rgg-shared/5/storm": "54d847c46d082ffa",
     "verify-rejected/rgg-shared/64/none": "94b68df6a0df9f81",
     "verify-rejected/rgg-shared/64/storm": "dc110eb206719042",
-    "boruvka/gnm/1/none": "264579b21fd6f45e",
-    "boruvka/gnm/1/storm": "c5c7093c8b42edb0",
-    "boruvka/gnm/2/none": "e9ea8e5e621a326b",
-    "boruvka/gnm/2/storm": "b00e2ab4d411ca5f",
-    "boruvka/gnm/2/pe_fail": "f421bff72a60a76a",
-    "boruvka/gnm/3/none": "2f653de60c784b2e",
-    "boruvka/gnm/3/storm": "f1cb38b571fb13c1",
-    "boruvka/gnm/3/pe_fail": "5fba1fb5c8a22683",
-    "boruvka/gnm/5/none": "6d642ffe824d76bb",
-    "boruvka/gnm/5/storm": "161b250fbb03d342",
-    "boruvka/gnm/5/pe_fail": "f581136fc24d5386",
+    "boruvka/gnm/1/none": "0f78a7eaee086cb6",
+    "boruvka/gnm/1/storm": "9b944f7e24828483",
+    "boruvka/gnm/2/none": "81dd9ec245911144",
+    "boruvka/gnm/2/storm": "ec78ce642ea9cd47",
+    "boruvka/gnm/2/pe_fail": "984368b2367e2afd",
+    "boruvka/gnm/3/none": "3694c871def03eef",
+    "boruvka/gnm/3/storm": "b4c1bb871b5e5baf",
+    "boruvka/gnm/3/pe_fail": "0288c765432bb043",
+    "boruvka/gnm/5/none": "33dff712bcc476d8",
+    "boruvka/gnm/5/storm": "303295b7d57e7445",
+    "boruvka/gnm/5/pe_fail": "06f17cbc6c3d11e0",
     "boruvka/gnm/64/none": "30ab0c0cf4fcab43",
     "boruvka/gnm/64/storm": "3e22a12a8c55caf1",
     "boruvka/gnm/64/pe_fail": "a66b878364db5684",
-    "boruvka/rhg-shared/1/none": "4bebcfffda0897d2",
-    "boruvka/rhg-shared/1/storm": "5644342413f4e53a",
-    "boruvka/rhg-shared/2/none": "f49d89061ee469d0",
-    "boruvka/rhg-shared/2/storm": "ef6c9770b0f4420e",
-    "boruvka/rhg-shared/2/pe_fail": "92e6ff02f07f9718",
-    "boruvka/rhg-shared/3/none": "d7282f0134cd2443",
-    "boruvka/rhg-shared/3/storm": "48231912d7e3c82f",
-    "boruvka/rhg-shared/3/pe_fail": "26f5cd8b42c4d060",
-    "boruvka/rhg-shared/5/none": "90d39b442ec1918d",
-    "boruvka/rhg-shared/5/storm": "ca5550647eb04fed",
-    "boruvka/rhg-shared/5/pe_fail": "486fc65bc2275f92",
+    "boruvka/rhg-shared/1/none": "566d2046a90ac760",
+    "boruvka/rhg-shared/1/storm": "2030955869fc350e",
+    "boruvka/rhg-shared/2/none": "abd8a590c46cf49a",
+    "boruvka/rhg-shared/2/storm": "b58c7ac4094f3259",
+    "boruvka/rhg-shared/2/pe_fail": "84ea6b66ab644cac",
+    "boruvka/rhg-shared/3/none": "51d8d9f45dd2d70d",
+    "boruvka/rhg-shared/3/storm": "a72d184319c481a2",
+    "boruvka/rhg-shared/3/pe_fail": "dc7516bff0baeb34",
+    "boruvka/rhg-shared/5/none": "488941a6a414341a",
+    "boruvka/rhg-shared/5/storm": "eca211e9f8efe3b4",
+    "boruvka/rhg-shared/5/pe_fail": "7c7bb0ec00e9bc53",
     "boruvka/rhg-shared/64/none": "ea94362657aeb085",
     "boruvka/rhg-shared/64/storm": "9824ca415a5ec0b4",
     "boruvka/rhg-shared/64/pe_fail": "a55d2dbacde13fcf",
@@ -551,45 +555,45 @@ DIGESTS.update({
     "boruvka/gnm-sparse/64/none": "9d25aa81499a86c9",
     "boruvka/gnm-sparse/64/storm": "352bac6a8de84b6c",
     "boruvka/gnm-sparse/64/pe_fail": "ff776d52f52d2298",
-    "boruvka/rgg-shared/1/none": "46ef13502214be48",
-    "boruvka/rgg-shared/1/storm": "2c5defe7a513261b",
-    "boruvka/rgg-shared/2/none": "f2ea164884f93453",
-    "boruvka/rgg-shared/2/storm": "130a2f720dff9ce9",
-    "boruvka/rgg-shared/2/pe_fail": "d3bc2c627647d86f",
-    "boruvka/rgg-shared/3/none": "35cdfa83ce679064",
-    "boruvka/rgg-shared/3/storm": "1e9a903275a52887",
-    "boruvka/rgg-shared/3/pe_fail": "16c563415bb02eb3",
-    "boruvka/rgg-shared/5/none": "87fcb7035d0fac56",
-    "boruvka/rgg-shared/5/storm": "275f4501febf1c7d",
-    "boruvka/rgg-shared/5/pe_fail": "df333e41165ca038",
-    "boruvka/rgg-shared/64/none": "cfd490a252073f83",
-    "boruvka/rgg-shared/64/storm": "776a2df5c460b140",
-    "boruvka/rgg-shared/64/pe_fail": "ea84b2978c38eacc",
-    "filter-boruvka/gnm/1/none": "0d483dc2dbd1b6a0",
-    "filter-boruvka/gnm/1/storm": "5bee5eaab5f80def",
-    "filter-boruvka/gnm/2/none": "d3ad34ff4f923f1b",
-    "filter-boruvka/gnm/2/storm": "6589d7dbef34816f",
-    "filter-boruvka/gnm/2/pe_fail": "b45c1cde875d5afd",
-    "filter-boruvka/gnm/3/none": "f2280f6aa467a1cb",
-    "filter-boruvka/gnm/3/storm": "36a636d638c290fc",
-    "filter-boruvka/gnm/3/pe_fail": "e2a3a21acac45d04",
-    "filter-boruvka/gnm/5/none": "c53b481e04fc50a1",
-    "filter-boruvka/gnm/5/storm": "d72221411bea0eee",
-    "filter-boruvka/gnm/5/pe_fail": "8e40de90fa0c3bf4",
+    "boruvka/rgg-shared/1/none": "1aa2bcc58d57d506",
+    "boruvka/rgg-shared/1/storm": "50b263f7621ce779",
+    "boruvka/rgg-shared/2/none": "63eb971897303621",
+    "boruvka/rgg-shared/2/storm": "b7b303cd444efd68",
+    "boruvka/rgg-shared/2/pe_fail": "c986d297d0ac0af8",
+    "boruvka/rgg-shared/3/none": "1669fbeaf79779f2",
+    "boruvka/rgg-shared/3/storm": "23545db8e6b1a12f",
+    "boruvka/rgg-shared/3/pe_fail": "25fba03a9ab3d038",
+    "boruvka/rgg-shared/5/none": "64edfa20ecf0d9d3",
+    "boruvka/rgg-shared/5/storm": "3ae795cf34c648c3",
+    "boruvka/rgg-shared/5/pe_fail": "5586c69a3a1ad9a5",
+    "boruvka/rgg-shared/64/none": "8dc02ba145b1600b",
+    "boruvka/rgg-shared/64/storm": "df23fd9dad2f12f8",
+    "boruvka/rgg-shared/64/pe_fail": "0cf5e0ec6d398c1d",
+    "filter-boruvka/gnm/1/none": "8e8c5b743f3d0e66",
+    "filter-boruvka/gnm/1/storm": "f271a5aea2936fbc",
+    "filter-boruvka/gnm/2/none": "21d345ed7a94b2df",
+    "filter-boruvka/gnm/2/storm": "fbafa0ba333d7700",
+    "filter-boruvka/gnm/2/pe_fail": "380bd7af7ad0028e",
+    "filter-boruvka/gnm/3/none": "c7954035ffbd6c58",
+    "filter-boruvka/gnm/3/storm": "5657e72cd603a588",
+    "filter-boruvka/gnm/3/pe_fail": "3eec148e65f284a5",
+    "filter-boruvka/gnm/5/none": "f439ea351b51b9ee",
+    "filter-boruvka/gnm/5/storm": "401f46e440e37433",
+    "filter-boruvka/gnm/5/pe_fail": "52f7160bf07e9779",
     "filter-boruvka/gnm/64/none": "e6ef90d24f1aff7d",
     "filter-boruvka/gnm/64/storm": "eb83dac55a1ea58c",
     "filter-boruvka/gnm/64/pe_fail": "c26410760b503abd",
-    "filter-boruvka/rhg-shared/1/none": "b920dda95188d0c9",
-    "filter-boruvka/rhg-shared/1/storm": "207d9fd4a376127c",
-    "filter-boruvka/rhg-shared/2/none": "c4ef197c121be895",
-    "filter-boruvka/rhg-shared/2/storm": "e0a9455533d74b93",
-    "filter-boruvka/rhg-shared/2/pe_fail": "50a7bee3e2a967ec",
-    "filter-boruvka/rhg-shared/3/none": "d865a1a8a20ec925",
-    "filter-boruvka/rhg-shared/3/storm": "39564487aa57ba80",
-    "filter-boruvka/rhg-shared/3/pe_fail": "2967088b109e4dd8",
-    "filter-boruvka/rhg-shared/5/none": "0332d6d98aecaee4",
-    "filter-boruvka/rhg-shared/5/storm": "b3354a9ec1caa363",
-    "filter-boruvka/rhg-shared/5/pe_fail": "a226c34daf268b3f",
+    "filter-boruvka/rhg-shared/1/none": "afa28dedb3d3be4c",
+    "filter-boruvka/rhg-shared/1/storm": "286f9139ed0efaa8",
+    "filter-boruvka/rhg-shared/2/none": "3e9916855f3b5482",
+    "filter-boruvka/rhg-shared/2/storm": "8b20f0c43bfcbe66",
+    "filter-boruvka/rhg-shared/2/pe_fail": "a66ed5d1c897c6df",
+    "filter-boruvka/rhg-shared/3/none": "e6c4a7785c5f2909",
+    "filter-boruvka/rhg-shared/3/storm": "a39506564aabf186",
+    "filter-boruvka/rhg-shared/3/pe_fail": "cbc8178acddee08b",
+    "filter-boruvka/rhg-shared/5/none": "e2e5a55483343800",
+    "filter-boruvka/rhg-shared/5/storm": "4a2f28204dd6f545",
+    "filter-boruvka/rhg-shared/5/pe_fail": "d6a66ab10ab4a218",
     "filter-boruvka/rhg-shared/64/none": "cc8814d4db4a297f",
     "filter-boruvka/rhg-shared/64/storm": "207faf45c8cc580e",
     "filter-boruvka/rhg-shared/64/pe_fail": "7bc2634bf2538540",
@@ -607,20 +611,20 @@ DIGESTS.update({
     "filter-boruvka/gnm-sparse/64/none": "11f27a569b8badbc",
     "filter-boruvka/gnm-sparse/64/storm": "db7021b09c2e0142",
     "filter-boruvka/gnm-sparse/64/pe_fail": "7f5333eb1c8e1d6e",
-    "filter-boruvka/rgg-shared/1/none": "eab858a1a8851fc1",
-    "filter-boruvka/rgg-shared/1/storm": "ff907b6be67c48fa",
-    "filter-boruvka/rgg-shared/2/none": "69328a8d4c326d83",
-    "filter-boruvka/rgg-shared/2/storm": "8ecaafac3e37726e",
-    "filter-boruvka/rgg-shared/2/pe_fail": "4770d2f5f58fcdad",
-    "filter-boruvka/rgg-shared/3/none": "49e2bf44beb7f920",
-    "filter-boruvka/rgg-shared/3/storm": "d49d6041f0fa32b6",
-    "filter-boruvka/rgg-shared/3/pe_fail": "fb651db24bf8486c",
-    "filter-boruvka/rgg-shared/5/none": "4245e81fcd34b0ec",
-    "filter-boruvka/rgg-shared/5/storm": "d3d556dff2cbed2e",
-    "filter-boruvka/rgg-shared/5/pe_fail": "1fbeb91b65b551cb",
-    "filter-boruvka/rgg-shared/64/none": "cd7c07365264f122",
-    "filter-boruvka/rgg-shared/64/storm": "8ec79b4649f811f7",
-    "filter-boruvka/rgg-shared/64/pe_fail": "24b369d2f8be3104",
+    "filter-boruvka/rgg-shared/1/none": "d3628b893d8e26b7",
+    "filter-boruvka/rgg-shared/1/storm": "8f7f5dd86808b476",
+    "filter-boruvka/rgg-shared/2/none": "980791ef88491893",
+    "filter-boruvka/rgg-shared/2/storm": "511b5fbef2f502ba",
+    "filter-boruvka/rgg-shared/2/pe_fail": "d5de8d3a047bab89",
+    "filter-boruvka/rgg-shared/3/none": "df1d65156b653342",
+    "filter-boruvka/rgg-shared/3/storm": "ab9c7e5e448fa1aa",
+    "filter-boruvka/rgg-shared/3/pe_fail": "e9df757d93647a73",
+    "filter-boruvka/rgg-shared/5/none": "57b254b8619422c0",
+    "filter-boruvka/rgg-shared/5/storm": "21cac3d8a9160f3d",
+    "filter-boruvka/rgg-shared/5/pe_fail": "d7971d52de08985c",
+    "filter-boruvka/rgg-shared/64/none": "39e79c0039679431",
+    "filter-boruvka/rgg-shared/64/storm": "6578ebbdd57780e9",
+    "filter-boruvka/rgg-shared/64/pe_fail": "f5dd00e784bd7f49",
 })
 
 

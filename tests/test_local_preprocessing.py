@@ -1,5 +1,7 @@
 """Tests for local preprocessing (repro.core.local_preprocessing)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.seq import UnionFind, kruskal_msf
 from repro.simmpi import Machine
 
 from helpers import parts_of, random_simple_graph
+
+lp = sys.modules["repro.core.local_preprocessing"]
 
 
 def _run(g, p, n, cfg=None):
@@ -92,6 +96,36 @@ class TestCorrectness:
         for vs, ls in events:
             for v in vs:
                 assert int(v) not in shared
+
+
+class TestTaintRule:
+    """A tainted component never chooses, so it is the one sink of its
+    pick tree: two shared vertices never share a component, and the
+    shared vertex labels the component it is in."""
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("family", ["2D-RGG", "RHG"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_one_shared_vertex_per_component(self, p, family, use_filter):
+        g = gen_family(family, 400, 1600, seed=4)
+        dg = DistGraph.from_global_edges(Machine(p), g.edges,
+                                         avoid_shared=False)
+        runs, run_off = dg.source_runs(), dg.run_offsets()
+        vids = dg.edges.u[runs]
+        shared = np.isin(vids, dg.shared_vertex_set())
+        assert shared.any()
+        at, local = lp.block_destinations(dg)
+        labels = lp._contract_block(dg.edges, dg.offsets, runs, run_off, at,
+                                    local, shared, use_filter)[0]
+        run_pe = np.repeat(np.arange(p), np.diff(run_off))
+        comps = set(zip(run_pe[shared].tolist(), labels[shared].tolist()))
+        assert len(comps) == shared.sum()  # at most one per component
+        np.testing.assert_array_equal(labels[shared], vids[shared])
+        # Not vacuous: with four shared vertices (p = 5) some shared vertex
+        # absorbed an unshared one.
+        absorbed = set(zip(run_pe[~shared].tolist(),
+                           labels[~shared].tolist()))
+        assert comps & absorbed or p < 5
 
 
 class TestRules:

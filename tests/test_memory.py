@@ -50,7 +50,8 @@ redistribute_mod = sys.modules["repro.core.redistribute"]
 
 def destinations(vids, v):
     """One part's destinations searched among its sorted local ``vids``:
-    the per-part reference of ``block_destinations``."""
+    the per-part reference of ``block_destinations`` (whose ``at`` is
+    defined only where ``local``)."""
     idx = np.searchsorted(vids, v)
     at = np.minimum(idx, len(vids) - 1)
     return at, (idx < len(vids)) & (vids[at] == v)
@@ -128,9 +129,11 @@ class TestRowIndex:
         for i, part in enumerate(parts_of(dg)):
             want_at, want_local = destinations(vertex_groups(dg, i)[0],
                                                part.v)
-            np.testing.assert_array_equal(at[off[i]:off[i + 1]], want_at)
-            np.testing.assert_array_equal(local[off[i]:off[i + 1]],
-                                          want_local)
+            got_local = local[off[i]:off[i + 1]]
+            np.testing.assert_array_equal(got_local, want_local)
+            # ``at`` is defined where the destination is local.
+            np.testing.assert_array_equal(at[off[i]:off[i + 1]][got_local],
+                                          want_at[want_local])
 
 
 class TestSearchPeaks:

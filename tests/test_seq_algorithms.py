@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dgraph import Edges
+from repro.seq import union_find
 from repro.seq import (
     FilterStats,
     boruvka_msf,
@@ -125,6 +126,48 @@ class TestFilterStats:
         stats = FilterStats()
         filter_boruvka_msf(g, 40, base_case_size=32, stats=stats)
         assert stats.filtered_out > 0
+
+
+class TestTieHeavyFilter:
+    """Three distinct weights on a sparse graph: most pivots are degenerate
+    (every row light), so the recursion leans on its base case."""
+
+    N = 2000
+
+    @staticmethod
+    def _graph():
+        g = random_simple_graph(np.random.default_rng(11), 2000, 6000)
+        return Edges(g.u, g.v, np.array([1, 5, 9])[g.w % 3], g.id)
+
+    @pytest.mark.parametrize("base_case_size", [64, 1024])
+    def test_boruvka_base_case_makes_no_scalar_unions(self, base_case_size,
+                                                      monkeypatch):
+        calls = []
+        union_edges = union_find.UnionFind.union_edges
+
+        def counted(uf, us, vs):
+            calls.append(len(us))
+            return union_edges(uf, us, vs)
+
+        monkeypatch.setattr(union_find.UnionFind, "union_edges", counted)
+        g = self._graph()
+        assert len(np.unique(g.w)) == 3 and len(g) > 10 * base_case_size
+        msf = filter_boruvka_msf(g, self.N, base_case_size=base_case_size)
+        assert calls == []
+        assert msf.total_weight() == msf_weight(g, self.N)
+        verify_msf(msf, g, self.N, check_edges=False)
+        assert filter_kruskal_msf(g, self.N, base_case_size=base_case_size
+                                  ).total_weight() == msf_weight(g, self.N)
+
+    @pytest.mark.parametrize("solve", [filter_boruvka_msf, filter_kruskal_msf])
+    def test_stats_pinned(self, solve):
+        """The counters depend only on connectivity, not on which of two
+        tied edges a base case keeps."""
+        stats = FilterStats()
+        solve(self._graph(), self.N, base_case_size=64, stats=stats)
+        assert stats == FilterStats(base_case_calls=2, base_case_edges=8148,
+                                    partition_rounds=3, filtered_out=3824,
+                                    edges_touched=20120)
 
 
 class TestPropertyBased:
