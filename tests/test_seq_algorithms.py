@@ -134,9 +134,9 @@ class TestTieHeavyFilter:
 
     N = 2000
 
-    @staticmethod
-    def _graph():
-        g = random_simple_graph(np.random.default_rng(11), 2000, 6000)
+    @classmethod
+    def _graph(cls):
+        g = random_simple_graph(np.random.default_rng(11), cls.N, 6000)
         return Edges(g.u, g.v, np.array([1, 5, 9])[g.w % 3], g.id)
 
     @pytest.mark.parametrize("base_case_size", [64, 1024])
